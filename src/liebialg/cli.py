@@ -3,7 +3,7 @@ identification with machine-readable output.
 
 Vertex numbering on the command line is 1-based (Bourbaki); everything
 internal is 0-based.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error or malformed input.
 """
 
 from __future__ import annotations
@@ -28,11 +28,17 @@ from .parameter import (
     ContinuousParameter,
     NoBialgebraDatum,
     apply_reality,
-    reality_kind_for,
     solve_parameters,
 )
 from .realform import identify
-from .rmatrix import BialgebraDatum, classify, make_datum, verify_datum
+from .rmatrix import (
+    BialgebraDatum,
+    classify,
+    default_t,
+    iter_data,
+    make_datum,
+    verify_datum,
+)
 from .rootsystem import RootSystem, SimpleType, build_root_system
 
 SIGMA_CHOICES = ("varsigma", "varsigma-mu", "omega", "omega-J", "omega-mu-J", "all")
@@ -139,41 +145,6 @@ def _sigma_variants(rs: RootSystem, which: str):
     return out
 
 
-def _default_t(label: str) -> GaussianRational:
-    if reality_kind_for(label) in ("real", "conjugate-mu"):
-        return GaussianRational(1)
-    return GaussianRational(0, 1)
-
-
-def _enumerate_bialgebras(rs: RootSystem, which: str, materialize: bool = False):
-    rows = []
-    for sigma in _sigma_variants(rs, which):
-        label = sigma.describe()
-        report = identify(rs, sigma)
-        for bd in enumerate_bd_triples(rs):
-            try:
-                space = apply_reality(
-                    solve_parameters(rs, bd), label, sigma.mu, bd
-                )
-            except NoBialgebraDatum:
-                continue
-            datum = make_datum(rs, sigma, bd, space.base_point, _default_t(label))
-            row = {
-                "row": ROW_LABELS[label],
-                "sigma": sigma.to_json(),
-                "sigma_label": label,
-                "real_form": report.name,
-                "bd": bd.to_json(),
-                "parameter_dimension": space.dimension,
-                "parameter_space": space.to_json(),
-                "t_class": datum.t_class,
-            }
-            if materialize:
-                row["datum"] = datum.to_json()
-            rows.append(row)
-    return rows
-
-
 def cmd_enumerate(args) -> int:
     rs = _root_system(args)
     what = args.what
@@ -185,7 +156,25 @@ def cmd_enumerate(args) -> int:
             for s in _sigma_variants(rs, args.sigma or "all")
         ]
     elif what == "bialgebras":
-        rows = _enumerate_bialgebras(rs, args.sigma or "all", args.materialize)
+        rows = []
+        current = real_form = None
+        sigmas = _sigma_variants(rs, args.sigma or "all")
+        for sigma, space, datum in iter_data(rs, sigmas):
+            if sigma is not current:
+                current, real_form = sigma, identify(rs, sigma).name
+            row = {
+                "row": ROW_LABELS[datum.sigma_label],
+                "sigma": sigma.to_json(),
+                "sigma_label": datum.sigma_label,
+                "real_form": real_form,
+                "bd": datum.bd.to_json(),
+                "parameter_dimension": space.dimension,
+                "parameter_space": space.to_json(),
+                "t_class": datum.t_class,
+            }
+            if args.materialize:
+                row["datum"] = datum.to_json()
+            rows.append(row)
     elif what == "root-system":
         _emit(args, rs.to_json())
         return 0
@@ -212,7 +201,7 @@ def cmd_build(args) -> int:
     lam = space.point(coeffs)
     if args.t in (None, "real", "imaginary"):
         t = GaussianRational(1) if args.t == "real" else (
-            GaussianRational(0, 1) if args.t == "imaginary" else _default_t(label)
+            GaussianRational(0, 1) if args.t == "imaginary" else default_t(label)
         )
     else:
         t = GaussianRational.parse(args.t)
@@ -224,28 +213,64 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _scalar(x, what: str) -> GaussianRational:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise ValueError(f"{what} must be a [re, im] pair")
+    return GaussianRational.from_json(x)
+
+
+def _tensor(doc, rs: RootSystem, what: str) -> Tensor2:
+    if doc["dim"] != rs.dim:
+        raise ValueError(f"{what} has dim {doc['dim']}, {rs.type} needs {rs.dim}")
+    return Tensor2.from_json(doc)
+
+
 def datum_from_json(doc: dict) -> BialgebraDatum:
+    """Parse a datum document, checking its shape against its type.
+
+    Raises KeyError for a missing field and ValueError (or TypeError) for
+    a malformed one."""
     typ = SimpleType.parse(doc["type"])
     rs = build_root_system(typ.series, typ.rank)
+    n = rs.rank
     sig = doc["sigma"]
-    mu = DiagramAutomorphism(tuple(sig.get("mu", list(range(rs.rank)))))
+    mu = DiagramAutomorphism(tuple(sig.get("mu", range(n))))
+    if mu not in diagram_automorphisms(rs):
+        raise ValueError(f"sigma.mu is not an order-2 symmetry of {rs.type}")
     sigma = canonical_involution(rs, sig["kind"], mu, tuple(sig.get("J", ())))
+    label = sigma.describe()
+    stored = doc["sigma_label"]
+    if stored != label:
+        raise ValueError(f"sigma_label {stored!r} does not match sigma ({label!r})")
     bd = BDTriple.from_json(doc["bd"])
+    if any(not 0 <= i < n for i in bd.gamma1 + bd.gamma2):
+        raise ValueError(f"triple indices must lie in 0..{n - 1}")
+    rows = doc["lambda"]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(row, list) and len(row) == n for row in rows)
+    ):
+        raise ValueError(f"lambda must be a {n} x {n} matrix")
     lam = ContinuousParameter(
-        [[GaussianRational.from_json(x) for x in row] for row in doc["lambda"]]
+        [[_scalar(x, "each lambda entry") for x in row] for row in rows]
     )
-    t = GaussianRational.from_json(doc["t"])
-    r0 = Tensor2.from_json(doc["r0"])
-    r = Tensor2.from_json(doc["r"])
-    return BialgebraDatum(rs, sigma, doc["sigma_label"], bd, lam, t, r0, r)
+    t = _scalar(doc["t"], "t")
+    r0 = _tensor(doc["r0"], rs, "r0")
+    r = _tensor(doc["r"], rs, "r")
+    return BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
 
 
 def cmd_verify(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
     try:
+        with open(args.input) as fh:
+            doc = json.load(fh)
         datum = datum_from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except OSError as exc:
+        raise _fail(f"cannot read {args.input}: {exc.strerror}")
+    except KeyError as exc:
+        raise _fail(f"malformed datum: missing field {exc}")
+    except (TypeError, ValueError) as exc:
         raise _fail(f"malformed datum: {exc}")
     checks = verify_datum(datum, check_cybe=not args.skip_cybe)
     if args.manin:
@@ -273,19 +298,8 @@ def cmd_identify(args) -> int:
 
 def cmd_classify(args) -> int:
     rs = _root_system(args)
-    data = []
-    for sigma in _sigma_variants(rs, args.sigma or "all"):
-        label = sigma.describe()
-        for bd in enumerate_bd_triples(rs):
-            try:
-                space = apply_reality(
-                    solve_parameters(rs, bd), label, sigma.mu, bd
-                )
-            except NoBialgebraDatum:
-                continue
-            data.append(
-                make_datum(rs, sigma, bd, space.base_point, _default_t(label))
-            )
+    sigmas = _sigma_variants(rs, args.sigma or "all")
+    data = [datum for _, _, datum in iter_data(rs, sigmas)]
     kept = classify(data)
     rows = [
         {

@@ -292,10 +292,13 @@ class Tensor2:
 
     @staticmethod
     def from_json(doc: dict) -> "Tensor2":
-        t = [ZERO] * (doc["dim"] * doc["dim"])
+        d = doc["dim"]
+        t = [ZERO] * (d * d)
         for i, j, re, im in doc["entries"]:
-            t[i * doc["dim"] + j] = GaussianRational(Fraction(re), Fraction(im))
-        return Tensor2(doc["dim"], t)
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"tensor entry ({i}, {j}) out of range")
+            t[i * d + j] = GaussianRational(Fraction(re), Fraction(im))
+        return Tensor2(d, t)
 
 
 class Tensor3:

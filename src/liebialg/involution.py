@@ -292,6 +292,15 @@ class RealFormBasis:
             self._inverse = linalg.inverse(w)
         return self._inverse
 
+    def tensor_coordinates(self, x) -> list:
+        """Coordinates of an order-2 tensor over this basis: W^-1 X W^-T
+        for the basis matrix W.  All real iff x lies in the real form's
+        tensor square."""
+        winv = self.inverse_matrix()
+        n = len(winv)
+        xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
+        return linalg.mat_mul(winv, linalg.mat_mul(xmat, linalg.transpose(winv)))
+
     def coordinates(self, target) -> list[Fraction] | None:
         """Real coordinates of target, or None if outside the real span."""
         coords = linalg.mat_vec(self.inverse_matrix(), target)

@@ -129,14 +129,6 @@ def solve(m: Matrix, rhs: list) -> list | None:
     return x
 
 
-def solve_matrix(m: Matrix, rhs: Matrix) -> Matrix | None:
-    """Solve m X = rhs column by column."""
-    cols = [solve(m, [row[j] for row in rhs]) for j in range(len(rhs[0]))]
-    if any(c is None for c in cols):
-        return None
-    return transpose(cols)
-
-
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     aug = [m[i][:] + identity(n)[i] for i in range(n)]

@@ -70,24 +70,26 @@ class ManinTriple:
     sub2_basis: list
     case: str  # "factorizable" | "imaginary_factorizable"
 
+    def pair(self, u, v) -> GaussianRational:
+        """The double's pairing of two coordinate vectors."""
+        p = self.pairing
+        acc = ZERO
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if b and p[i][j]:
+                    acc = acc + a * p[i][j] * b
+        return acc
+
     def verify(self) -> dict:
         """All defining properties, as named exact checks."""
         p = self.pairing
         n = self.double_dim
 
-        def pair(u, v):
-            acc = ZERO
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                for j, b in enumerate(v):
-                    if b and p[i][j]:
-                        acc = acc + a * p[i][j] * b
-            return acc
-
         def isotropic(vectors):
             return all(
-                not pair(u, v) for u in vectors for v in vectors
+                not self.pair(u, v) for u in vectors for v in vectors
             )
 
         def rank_of(vectors):
@@ -98,7 +100,7 @@ class ManinTriple:
         ]
         checks = {
             "pairing_nondegenerate": bool(linalg.det(p)),
-            "pairing_invariant": self._pairing_invariant(pair),
+            "pairing_invariant": self._pairing_invariant(),
             "sub1_isotropic": isotropic(self.sub1_basis),
             "sub2_isotropic": isotropic(self.sub2_basis),
             "half_dimension": rank_of(self.sub1_basis) == n // 2
@@ -109,7 +111,8 @@ class ManinTriple:
         }
         return checks
 
-    def _pairing_invariant(self, pair) -> bool:
+    def _pairing_invariant(self) -> bool:
+        pair = self.pair
         n = self.double_dim
         basis = linalg.identity(n)
         for a in range(n):
@@ -146,20 +149,6 @@ class ManinTriple:
 # ---- real-basis plumbing -----------------------------------------------------
 
 
-def _basis_matrix(basis: RealFormBasis):
-    n = len(basis.vectors[0])
-    return [[basis.vectors[j][i] for j in range(len(basis.vectors))] for i in range(n)]
-
-
-def real_tensor_coordinates(rs: RootSystem, basis: RealFormBasis, x: Tensor2):
-    """Coordinates of an order-2 tensor over the real-form basis."""
-    n = rs.dim
-    w = _basis_matrix(basis)
-    winv = linalg.inverse(w)
-    xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(winv, linalg.mat_mul(xmat, linalg.transpose(winv)))
-
-
 def real_killing_gram(rs: RootSystem, basis: RealFormBasis):
     out = []
     for u in basis.vectors:
@@ -184,7 +173,7 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     basis = fixed_point_basis(rs, datum.sigma)
     n = basis.count
 
-    rho = real_tensor_coordinates(rs, basis, datum.r)
+    rho = basis.tensor_coordinates(datum.r)
     assert all(x.is_real() for row in rho for x in row)
     k0 = real_killing_gram(rs, basis)
     inv_t = ONE / datum.t
@@ -294,12 +283,6 @@ def real_part_pairing(rs: RootSystem, t: GaussianRational):
     return p
 
 
-def real_dual_basis(rs: RootSystem, basis: RealFormBasis):
-    """Functionals on l, real on the real form: rows of the inverse of
-    the basis matrix."""
-    return linalg.inverse(_basis_matrix(basis))
-
-
 def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     """(l realified, l0, r_plus(l0*)) for an imaginary-factorizable datum."""
     if not datum.t.is_imaginary():
@@ -316,7 +299,8 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
 
     rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
     r_plus = linalg.transpose(rmat)
-    duals = real_dual_basis(rs, basis)
+    # the real dual basis: functionals on l, real on the real form
+    duals = basis.inverse_matrix()
     sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in duals]
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "imaginary_factorizable")
@@ -369,26 +353,10 @@ def direct_sum_structure(rs: RootSystem) -> StructureTable:
     return StructureTable(2 * n, table)
 
 
-def complexified_realification_structure(rs: RootSystem) -> StructureTable:
-    """The realification bracket with complex scalars allowed."""
-    return realification_structure(rs)
-
-
 def cobracket_from_triple(mt: ManinTriple) -> list:
     """delta on sub1 via the pairing with sub2: for each basis vector of
     sub1 a matrix D with delta(w_c) = sum D[a][b] w_a (x) w_b."""
-    p = mt.pairing
-
-    def pair(u, v):
-        acc = ZERO
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b and p[i][j]:
-                    acc = acc + a * p[i][j] * b
-        return acc
-
+    pair = mt.pair
     n1 = len(mt.sub1_basis)
     q = [
         [pair(w, z) for z in mt.sub2_basis] for w in mt.sub1_basis
@@ -413,8 +381,6 @@ def cobracket_from_r0(rs: RootSystem, datum: BialgebraDatum) -> list:
     """delta = ad_x(r0) on the real form, in real-basis coordinates."""
     basis = fixed_point_basis(rs, datum.sigma)
     n = rs.dim
-    w = _basis_matrix(basis)
-    winv = linalg.inverse(w)
     out = []
     for vec in basis.vectors:
         acc: dict[tuple, GaussianRational] = {}
@@ -426,19 +392,5 @@ def cobracket_from_r0(rs: RootSystem, datum: BialgebraDatum) -> list:
                     acc[(i, b)] = acc.get((i, b), ZERO) + admat[i][a] * v
                 if admat[i][b]:
                     acc[(a, i)] = acc.get((a, i), ZERO) + admat[i][b] * v
-        tensor = Tensor2.from_items(n, acc.items())
-        coords = linalg.mat_mul(
-            winv,
-            linalg.mat_mul(
-                [[tensor.get(i, j) for j in range(n)] for i in range(n)],
-                linalg.transpose(winv),
-            ),
-        )
-        out.append(coords)
+        out.append(basis.tensor_coordinates(Tensor2.from_items(n, acc.items())))
     return out
-
-
-def _unit(n, a):
-    v = [ZERO] * n
-    v[a] = ONE
-    return v

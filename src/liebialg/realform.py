@@ -152,7 +152,7 @@ def _name_omega_j(series: str, n: int, j: int) -> str | None:
     if series == "B":
         return _signature("so", 2 * j, 2 * n + 1 - 2 * j)
     if series == "C":
-        return _signature("sp", j, n - j)
+        return f"sp({n},R)" if j == n else _signature("sp", j, n - j)
     if series == "D":
         if j <= n - 2:
             return _signature("so", 2 * j, 2 * n - 2 * j)

@@ -5,21 +5,26 @@ build_r materializes
     r = t * (lam + sum over positive gamma of x_{-gamma} (x) x_gamma
                + sum over alpha < beta of x_{-alpha} wedge x_beta)
 
-and build_r0 its antisymmetric companion.  The root-vector family used
-in the precedence terms is produced by extend_T: target vectors along
-tau-chains are rescaled so that the chain transport maps x_beta exactly
-to x_{T beta}, propagating through brackets for composite roots.  When a
-canonical involution is supplied, a further sign adjustment on the
-simple chain vectors makes the family sigma-compatible, which is what
-makes (sigma (x) sigma)(r0) = r0 hold in the stable/antistable cases.
+and build_r0 its antisymmetric companion r0 = r - t Omega / 2.  The
+root-vector family used in the precedence terms is produced by extend_T:
+target vectors along tau-chains are rescaled so that the chain transport
+maps x_beta exactly to x_{T beta}, propagating through brackets for
+composite roots.  When a canonical involution is supplied, a further
+sign adjustment on the simple chain vectors makes the family
+sigma-compatible, which is what makes (sigma (x) sigma)(r0) = r0 hold in
+the stable/antistable cases.
 
 extract_data inverts the construction: from an antisymmetric solution it
 recovers the regular element H, the sign-normalized scalar t, the
 positive system, the triple and the continuous parameter.
+
+iter_data is the one enumeration pipeline: every (involution, triple)
+row of the classification table, instantiated at a base point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +32,8 @@ from . import linalg
 from .bdtriple import (
     BDTriple,
     DiagramAutomorphism,
+    enumerate_bd_triples,
+    extend_tau_additively,
     precedence_pairs,
     span_subset_roots,
     tau_chains,
@@ -43,9 +50,12 @@ from .involution import Involution, fixed_point_basis
 from .parameter import (
     ContinuousParameter,
     NoBialgebraDatum,
+    ParameterSpace,
+    apply_reality,
     lambda_reality_ok,
     reality_kind_for,
     satisfies_constraints,
+    solve_parameters,
     stability_ok,
     t_reality_ok,
 )
@@ -143,8 +153,8 @@ def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> d
                 if tuple(a - b for a, b in zip(beta, g)) in hat1
             )
             delta = tuple(a - b for a, b in zip(beta, gamma))
-            tg = _tau_root(rs, bd, gamma)
-            td = _tau_root(rs, bd, delta)
+            tg = extend_tau_additively(rs, bd, gamma)
+            td = extend_tau_additively(rs, bd, delta)
             s[tbeta] = (
                 s[beta]
                 * s[tg]
@@ -155,21 +165,13 @@ def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> d
     return s
 
 
-def _tau_root(rs, bd, root):
-    out = [0] * rs.rank
-    for i, c in enumerate(root):
-        if c:
-            out[bd.mapping[i]] = c
-    return tuple(out)
-
-
 def transported_images(rs: RootSystem, bd: BDTriple, family: dict) -> dict:
     """Chain transport x'_beta -> x'_{T beta} as index/scalar assignments
     over the original basis (for inspection and tests)."""
     out = {}
     hat1 = span_subset_roots(rs, bd.gamma1)
     for beta in hat1:
-        tbeta = _tau_root(rs, bd, beta)
+        tbeta = extend_tau_additively(rs, bd, beta)
         out[beta] = (tbeta, family[tbeta] / family[beta])
     return out
 
@@ -216,31 +218,15 @@ def build_r0(
     t: GaussianRational,
     family: dict | None = None,
 ) -> Tensor2:
-    """The antisymmetric tensor: the wedge-half of build_r."""
-    if not t:
-        raise ValueError("t must be nonzero")
-    if not satisfies_constraints(rs, bd, lam):
-        raise ValueError("continuous parameter fails its defining constraints")
-    if family is None:
-        family = extend_T(rs, bd)
-    half = GaussianRational(Fraction(1, 2))
-    items = []
-    anti = lam.antisymmetric_part()
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            if anti[i][j]:
-                items.append(((i, j), anti[i][j]))
-    for g in rs.positive_roots:
-        im, ip = rs.root_index(tuple(-x for x in g)), rs.root_index(g)
-        items.append(((im, ip), half))
-        items.append(((ip, im), -half))
-    for alpha, beta in sorted(precedence_pairs(rs, bd)):
-        coeff = family[beta] / family[alpha]
-        ia = rs.root_index(tuple(-x for x in alpha))
-        ib = rs.root_index(beta)
-        items.append(((ia, ib), coeff))
-        items.append(((ib, ia), -coeff))
-    return Tensor2.from_items(rs.dim, [(k, t * v) for k, v in items])
+    """The antisymmetric tensor r - t Omega / 2."""
+    return _minus_half_t_omega(rs, build_r(rs, bd, lam, t, family), t)
+
+
+def _minus_half_t_omega(rs: RootSystem, r: Tensor2, t: GaussianRational) -> Tensor2:
+    """r - t Omega / 2, touching only the nonzero slots of Omega."""
+    half_t = t * GaussianRational(Fraction(1, 2))
+    shift = [(k, -half_t * v) for k, v in rs.casimir.items()]
+    return Tensor2.from_items(rs.dim, [*r.items(), *shift])
 
 
 # ---- the classification datum ----------------------------------------------
@@ -301,12 +287,48 @@ def make_datum(
         raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
     if not _positive(t):
         raise ValueError("t must lie on the positive real or imaginary ray")
-    family = extend_T(rs, bd, sigma)
-    r = build_r(rs, bd, lam, t, family)
-    r0 = build_r0(rs, bd, lam, t, family)
+    r = build_r(rs, bd, lam, t, extend_T(rs, bd, sigma))
+    r0 = _minus_half_t_omega(rs, r, t)
     datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
     assert sigma_fixes(datum), "constructed tensor escaped the real form"
     return datum
+
+
+def default_t(label: str) -> GaussianRational:
+    """The representative scalar of a table row: 1 on the real rows, i on
+    the imaginary ones."""
+    if reality_kind_for(label) in ("real", "conjugate-mu"):
+        return ONE
+    return GaussianRational(0, 1)
+
+
+def iter_data(
+    rs: RootSystem, sigmas
+) -> Iterator[tuple[Involution, ParameterSpace, BialgebraDatum]]:
+    """Every classification datum over the given involutions.
+
+    Yields (sigma, reality-cut parameter space, datum at its base point
+    and default t), involution-major, then in triple enumeration order.
+    The triples are enumerated once, and each triple's complex parameter
+    space is solved at most once, only after some involution passed the
+    stability test for it.
+    """
+    triples = enumerate_bd_triples(rs)
+    solved: dict[BDTriple, ParameterSpace] = {}
+    for sigma in sigmas:
+        label = sigma.describe()
+        kind = reality_kind_for(label)
+        for bd in triples:
+            if not stability_ok(bd, kind, sigma.mu):
+                continue
+            if bd not in solved:
+                solved[bd] = solve_parameters(rs, bd)
+            try:
+                space = apply_reality(solved[bd], label, sigma.mu, bd)
+            except NoBialgebraDatum:
+                continue
+            datum = make_datum(rs, sigma, bd, space.base_point, default_t(label))
+            yield sigma, space, datum
 
 
 def sigma_fixes(datum: BialgebraDatum) -> bool:
@@ -325,7 +347,7 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
         "r_plus_r21_equals_t_omega": r_sym == omega.scale(t),
         "r0_antisymmetric": datum.r0.is_antisymmetric(),
         "r0_equals_r_minus_half_t_omega": datum.r0
-        == datum.r - omega.scale(t * GaussianRational(Fraction(1, 2))),
+        == _minus_half_t_omega(rs, datum.r, t),
         "parameter_constraints": satisfies_constraints(rs, datum.bd, datum.lam),
         "sigma_fixes_r0": sigma_fixes(datum),
         "t_reality": t_reality_ok(t, reality_kind_for(datum.sigma_label)),
@@ -343,18 +365,7 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
 
 def r0_real_form_coordinates(datum: BialgebraDatum):
     """Coordinates of r0 over the real-form basis; all real iff fixed."""
-    basis = fixed_point_basis(datum.rs, datum.sigma)
-    n = datum.rs.dim
-    w = [[basis.vectors[j][i] for j in range(n)] for i in range(n)]
-    winv = linalg.inverse(w)
-    inner = linalg.mat_mul(
-        winv,
-        linalg.mat_mul(
-            [[datum.r0.get(i, j) for j in range(n)] for i in range(n)],
-            linalg.transpose(winv),
-        ),
-    )
-    return inner
+    return fixed_point_basis(datum.rs, datum.sigma).tensor_coordinates(datum.r0)
 
 
 # ---- recovery ---------------------------------------------------------------

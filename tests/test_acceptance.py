@@ -36,7 +36,6 @@ from liebialg.manin import (
 from liebialg.parameter import (
     apply_reality,
     lambda_reality_ok,
-    NoBialgebraDatum,
     reality_kind_for,
     solve_parameters,
     stability_ok,
@@ -51,6 +50,7 @@ from liebialg.rmatrix import (
     conjugate_datum_key,
     extend_T,
     extract_data,
+    iter_data,
     make_datum,
 )
 from liebialg.rootsystem import build_root_system
@@ -372,17 +372,7 @@ def test_criterion_7_manin_triples():
 
 
 def _enumerated_data(rs):
-    data = []
-    for sigma in _all_sigmas(rs):
-        label = sigma.describe()
-        for bd in enumerate_bd_triples(rs):
-            try:
-                space = apply_reality(solve_parameters(rs, bd), label, sigma.mu, bd)
-            except NoBialgebraDatum:
-                continue
-            t = ONE if reality_kind_for(label) in ("real", "conjugate-mu") else I
-            data.append(make_datum(rs, sigma, bd, space.base_point, t))
-    return data
+    return [datum for _, _, datum in iter_data(rs, _all_sigmas(rs))]
 
 
 def test_criterion_8_classification_dedup():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liebialg.cli import main
 
 
@@ -239,3 +241,42 @@ def test_enumerate_root_system(capsys):
     assert doc["type"] == "G2"
     assert len(doc["roots"]) == 12
     assert doc["cartan_matrix"] == [[2, -1], [-3, 2]]
+
+
+def _a2_datum(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    code, _ = run(
+        capsys,
+        "build", "--type", "A", "--rank", "2", "--sigma", "varsigma",
+        "--bd", '{"gamma1": [0], "gamma2": [1], "tau": [[0, 1]]}',
+        "--t", "2", "--out", str(path),
+    )
+    assert code == 0
+    return path, json.loads(path.read_text())
+
+
+MALFORMED = {
+    "scalar-lambda": lambda doc: doc.update({"lambda": 5}),
+    "r0-dim-mismatch": lambda doc: doc["r0"].update({"dim": 3}),
+    "string-t": lambda doc: doc.update({"t": "2"}),
+    "triple-index-past-rank": lambda doc: doc.update(
+        {"bd": {"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}}
+    ),
+    "sigma-label-mismatch": lambda doc: doc.update({"sigma_label": "omega"}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED))
+def test_verify_rejects_malformed_datum(tmp_path, capsys, probe):
+    path, doc = _a2_datum(tmp_path, capsys)
+    MALFORMED[probe](doc)
+    path.write_text(json.dumps(doc))
+    try:
+        code = main(["verify", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")

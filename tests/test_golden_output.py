@@ -1,0 +1,35 @@
+"""Byte-identity guard: sha256 of the CLI's stdout for fixed requests.
+
+The digests were taken before the enumeration pipeline was consolidated
+into rmatrix.iter_data; any change to the emitted JSON (row order, keys,
+tensor entries) shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from liebialg.cli import main
+
+DIGESTS = {
+    ("enumerate", "A", 1): "4e6c15afe1ba173843b7372fbe427501928676a1a8fb88d2cac94daf5f03b644",
+    ("enumerate", "A", 2): "48455ea9c255428edb79e6ac6f2a2e7e89bc9096d14c7afd0f189897df5c1b5a",
+    ("enumerate", "A", 3): "aed524adf49c200205e9276e6b8a1756c8871a0c44070deeb683785d879b1a0b",
+    ("enumerate", "B", 2): "00915910068049da126ecbd8f6e9843bdffc4af7997e46a7251f6207c8b5d3a2",
+    ("enumerate", "B", 3): "786a3750bb2cf55ae0de7d330c0ba6168a7b710b180369e478100f287806e202",
+    ("enumerate", "G", 2): "718477459ed52e24208bf877ab6eb32ecd6bf8606dbed25da6fab17179e00a35",
+    ("classify", "A", 3): "c400c8d63bcda6e7b835fc1b3f711b527e18690367ab0fc180cec926c5b93aa5",
+    ("classify", "B", 3): "4b69a7cf833383d6ca986b475ccd00f8f9093df4ebe6204fc2b3d79a12da3a97",
+    ("classify", "C", 3): "b6fb815ac080dea7f38c30b67b6fbd617c00006f83321616bc5e525813647f96",
+    ("classify", "G", 2): "96aa2658c57ce2d1c7bc54e2dd75ed0e80d1473989f0826213d35af90c9098c2",
+}
+
+
+@pytest.mark.parametrize("command,series,rank", sorted(DIGESTS))
+def test_stdout_digest(capsys, command, series, rank):
+    argv = [command, "--type", series, "--rank", str(rank)]
+    if command == "enumerate":
+        argv.append("--materialize")  # put the r and r0 tensors in the output
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(command, series, rank)]

@@ -7,7 +7,6 @@ from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.manin import (
     cobracket_from_r0,
     cobracket_from_triple,
-    complexified_realification_structure,
     direct_sum_structure,
     double_factorizable,
     double_imaginary,
@@ -265,7 +264,7 @@ def test_psi_is_complex_algebra_morphism():
     om = canonical_involution(rs, "omega", None, (0,))
     psi, _ = psi_phi(rs, om)
     ds = direct_sum_structure(rs)
-    cr = complexified_realification_structure(rs)
+    cr = realification_structure(rs)
     n2 = 2 * rs.dim
     for a in range(n2):
         ea = [ONE if k == a else ZERO for k in range(n2)]

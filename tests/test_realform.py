@@ -204,3 +204,19 @@ def test_e6_painted_names():
     j = tuple(sorted(set(fixed) - {0}))
     rep = identify(rs, canonical_involution(rs, "omega", None, j))
     assert rep.name == "EIII" and rep.character == -14
+
+
+def test_c_painted_names():
+    # painting the long end vertex n of C_n gives sp(n,R), with k = u(n);
+    # painting vertex j < n gives sp(j,n-j), with k = sp(j) + sp(n-j)
+    cases = [
+        (3, 3, "sp(3,R)", 3),
+        (4, 4, "sp(4,R)", 4),
+        (3, 1, "sp(1,2)", -5),
+        (4, 2, "sp(2,2)", -4),
+    ]
+    for rank, vertex, name, character in cases:
+        rs = build_root_system("C", rank)
+        j = tuple(i for i in range(rank) if i != vertex - 1)
+        rep = identify(rs, canonical_involution(rs, "omega", None, j))
+        assert rep.name == name and rep.character == character
