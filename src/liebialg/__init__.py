@@ -12,7 +12,6 @@ from .core import (
     GaussianRational,
     StructureTable,
     Tensor2,
-    Tensor3,
     apply_semilinear_pair,
     cybe,
     cybe_is_zero,
@@ -70,7 +69,6 @@ __all__ = [
     "SimpleType",
     "StructureTable",
     "Tensor2",
-    "Tensor3",
     "apply_reality",
     "apply_semilinear_pair",
     "build_r",

@@ -20,6 +20,8 @@ from .bdtriple import (
     diagram_automorphisms,
     enumerate_bd_triples,
     identity_automorphism,
+    is_nilpotent,
+    preserves_pairing,
 )
 from .core import GaussianRational, Tensor2
 from .involution import Involution, canonical_involution
@@ -73,8 +75,10 @@ def _parse_mu(rs: RootSystem, text: str | None, want_nontrivial: bool):
             if not mu.is_identity():
                 return mu
         raise _fail(f"{rs.type} has no nontrivial diagram automorphism")
-    perm = tuple(int(x) - 1 for x in text.split(","))
-    mu = DiagramAutomorphism(perm)
+    try:
+        mu = DiagramAutomorphism(tuple(int(x) - 1 for x in text.split(",")))
+    except ValueError:
+        raise _fail(f"bad permutation {text!r}")
     if mu not in autos:
         raise _fail(f"{text} is not an order-2 diagram automorphism of {rs.type}")
     if want_nontrivial != (not mu.is_identity()):
@@ -92,6 +96,40 @@ def _parse_indices(text: str | None, rank: int):
     if any(i < 0 or i >= rank for i in idx):
         raise _fail(f"index out of range in {text!r}")
     return idx
+
+
+def _vertices(x, n: int, what: str) -> list:
+    if not (isinstance(x, list) and all(type(i) is int and 0 <= i < n for i in x)):
+        raise ValueError(f"{what} must be a list of vertices in 0..{n - 1}")
+    return x
+
+
+def _parse_triple(rs: RootSystem, doc) -> BDTriple:
+    """A triple from its JSON form (0-based vertices).
+
+    Raises ValueError unless tau is a nilpotent, pairing-preserving
+    bijection gamma1 -> gamma2 of vertices below the rank."""
+    n = rs.rank
+    if not isinstance(doc, dict):
+        raise ValueError("the triple must be an object {gamma1, gamma2, tau}")
+    g1 = _vertices(doc.get("gamma1"), n, "gamma1")
+    g2 = _vertices(doc.get("gamma2"), n, "gamma2")
+    pairs = doc.get("tau")
+    if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError("tau must be a list of [i, tau(i)] pairs")
+    domain = _vertices([i for i, _ in pairs], n, "the domain of tau")
+    image = _vertices([j for _, j in pairs], n, "the image of tau")
+    if not (
+        sorted(domain) == sorted(set(g1)) == sorted(g1)
+        and sorted(image) == sorted(set(g2)) == sorted(g2)
+    ):
+        raise ValueError("tau must be a bijection gamma1 -> gamma2")
+    mapping = dict(zip(domain, image))
+    if not preserves_pairing(rs, mapping):
+        raise ValueError("tau must preserve the root pairing")
+    if not is_nilpotent(g1, g2, mapping):
+        raise ValueError("tau must be nilpotent")
+    return BDTriple.from_json(doc)
 
 
 def _sigma_from_args(rs: RootSystem, args) -> Involution:
@@ -188,23 +226,28 @@ def cmd_build(args) -> int:
     rs = _root_system(args)
     sigma = _sigma_from_args(rs, args)
     label = sigma.describe()
-    bd = BDTriple.from_json(json.loads(args.bd)) if args.bd else BDTriple.empty()
+    try:
+        bd = _parse_triple(rs, json.loads(args.bd)) if args.bd else BDTriple.empty()
+        coeffs = json.loads(args.coefficients) if args.coefficients else []
+        if not isinstance(coeffs, list):
+            raise ValueError("--coefficients must be a JSON list")
+        coeffs = [GaussianRational.parse(str(c)) for c in coeffs]
+        if args.t in (None, "real", "imaginary"):
+            t = GaussianRational(1) if args.t == "real" else (
+                GaussianRational(0, 1) if args.t == "imaginary" else default_t(label)
+            )
+        else:
+            t = GaussianRational.parse(args.t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _fail(f"malformed argument: {exc}")
     try:
         space = apply_reality(solve_parameters(rs, bd), label, sigma.mu, bd)
     except NoBialgebraDatum as exc:
         raise _fail(str(exc))
-    coeffs = json.loads(args.coefficients) if args.coefficients else []
     if len(coeffs) > space.dimension:
         raise _fail(f"at most {space.dimension} direction coefficients allowed")
-    coeffs = [GaussianRational.parse(str(c)) for c in coeffs]
     coeffs += [GaussianRational(0)] * (space.dimension - len(coeffs))
     lam = space.point(coeffs)
-    if args.t in (None, "real", "imaginary"):
-        t = GaussianRational(1) if args.t == "real" else (
-            GaussianRational(0, 1) if args.t == "imaginary" else default_t(label)
-        )
-    else:
-        t = GaussianRational.parse(args.t)
     try:
         datum = make_datum(rs, sigma, bd, lam, t)
     except (NoBialgebraDatum, ValueError) as exc:
@@ -242,9 +285,7 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
     stored = doc["sigma_label"]
     if stored != label:
         raise ValueError(f"sigma_label {stored!r} does not match sigma ({label!r})")
-    bd = BDTriple.from_json(doc["bd"])
-    if any(not 0 <= i < n for i in bd.gamma1 + bd.gamma2):
-        raise ValueError(f"triple indices must lie in 0..{n - 1}")
+    bd = _parse_triple(rs, doc["bd"])
     rows = doc["lambda"]
     if not (
         isinstance(rows, list)
@@ -270,7 +311,7 @@ def cmd_verify(args) -> int:
         raise _fail(f"cannot read {args.input}: {exc.strerror}")
     except KeyError as exc:
         raise _fail(f"malformed datum: missing field {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise _fail(f"malformed datum: {exc}")
     checks = verify_datum(datum, check_cybe=not args.skip_cybe)
     if args.manin:

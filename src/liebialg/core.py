@@ -1,12 +1,13 @@
-"""Exact scalar arithmetic and dense tensor algebra.
+"""Exact scalar arithmetic, order-2 tensors and a sparse CYBE evaluator.
 
 Scalars are Gaussian rationals a + b*i with a, b arbitrary-precision
 rationals, so every identity checked in this library is a literal
 equality; there are no tolerances anywhere.
 
-Tensors of order 2 and 3 are dense arrays of Gaussian rationals over a
+Order-2 tensors are dense arrays of Gaussian rationals over a
 finite-dimensional algebra whose multiplication is given by a sparse
-structure-constant table.
+structure-constant table; the order-3 CYBE of such a tensor is kept as
+a dict of its nonzero entries.
 """
 
 from __future__ import annotations
@@ -301,54 +302,6 @@ class Tensor2:
         return Tensor2(d, t)
 
 
-class Tensor3:
-    """Dense order-3 tensor; only materialized at small rank."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: list[GaussianRational] | None = None):
-        self.dim = dim
-        if entries is None:
-            entries = [ZERO] * (dim**3)
-        if len(entries) != dim**3:
-            raise ValueError("entries length must equal dim**3")
-        self.entries = entries
-
-    @staticmethod
-    def from_sparse(dim: int, data: Mapping[tuple[int, int, int], GaussianRational]):
-        ent = [ZERO] * (dim**3)
-        for (i, j, k), v in data.items():
-            if v:
-                ent[(i * dim + j) * dim + k] = v
-        return Tensor3(dim, ent)
-
-    def get(self, i: int, j: int, k: int) -> GaussianRational:
-        return self.entries[(i * self.dim + j) * self.dim + k]
-
-    def items(self):
-        d = self.dim
-        for idx, v in enumerate(self.entries):
-            if v:
-                ij, k = divmod(idx, d)
-                i, j = divmod(ij, d)
-                yield (i, j, k), v
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Tensor3(self.dim, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor3)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-
 def _same_dim(a, b):
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -380,13 +333,13 @@ def _cybe_sparse(r: Tensor2, structure: StructureTable) -> dict:
     return acc
 
 
-def cybe(r: Tensor2, structure: StructureTable) -> Tensor3:
-    """[r12, r13] + [r12, r23] + [r13, r23] as an exact order-3 tensor."""
-    return Tensor3.from_sparse(r.dim, _cybe_sparse(r, structure))
+def cybe(r: Tensor2, structure: StructureTable) -> dict:
+    """[r12, r13] + [r12, r23] + [r13, r23] as {(i, j, k): nonzero entry}."""
+    return {k: v for k, v in _cybe_sparse(r, structure).items() if v}
 
 
 def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
-    """Streaming check CYB(r) = 0 without building the dense cube."""
+    """Check CYB(r) = 0 on the sparse accumulator."""
     return not any(_cybe_sparse(r, structure).values())
 
 

@@ -1,27 +1,27 @@
 """Identification of the real form fixed by a canonical involution.
 
 The Cartan involution of g^sigma complexifies to theta = sigma o omega,
-a linear map.  Its eigenspaces on the real basis give the compact and
-noncompact dimensions; together with the painted set P (mu-fixed simple
-roots not in J) they name the form.  Names for painted exceptional
-diagrams follow the extreme-vertex-of-a-branch description; painted
-vertices not covered by the naming table are reported as "unnormalized"
-with all numeric invariants still filled in.
+a linear map with theta^2 = 1, so its eigenspace dimensions on g are
+(dim g +- tr theta)/2, and on h, which theta preserves, (rank +-
+tr theta|h)/2.  These are the dimensions of k and p in g^sigma and of
+the compact and noncompact parts of its Cartan subalgebra: theta^2 = 1
+forces theta sigma = sigma theta, so theta preserves g^sigma, its
+restriction complexifies back to theta, complexification keeps
+eigenspace dimensions, and g^sigma meet h complexifies to h.  No real
+basis of g^sigma is needed.  Together with the painted set P (mu-fixed
+simple roots not in J) the invariants name the form.  Names for painted
+exceptional diagrams follow the extreme-vertex-of-a-branch description;
+painted vertices not covered by the naming table are reported as
+"unnormalized" with all numeric invariants still filled in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import GaussianRational, ZERO
-from .involution import (
-    Involution,
-    RealFormBasis,
-    canonical_involution,
-    fixed_point_basis,
-)
+from .involution import Involution, RealFormBasis, canonical_involution
 from .rootsystem import RootSystem
 
 
@@ -57,7 +57,10 @@ def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
 
 
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
-    """Matrix of theta restricted to the real form, in its real basis."""
+    """Matrix of theta restricted to the real form, in its real basis.
+
+    identify does not use it; it is an independent reference for the
+    trace formulas."""
     cols = []
     for v in basis.vectors:
         image = linalg.mat_vec(theta.matrix, v)
@@ -69,14 +72,27 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
     return [[GaussianRational(cols[j][i]) for j in range(n)] for i in range(n)]
 
 
-def _eigen_dims(mat) -> tuple[int, int]:
-    n = len(mat)
-    ident = linalg.identity(n)
-    minus = [[mat[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    plus = [[mat[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-    dim_k = len(linalg.nullspace(minus))
-    dim_p = len(linalg.nullspace(plus))
-    return dim_k, dim_p
+def _checked_theta(rs: RootSystem, sigma: Involution) -> Involution:
+    """The Cartan involution, asserted to square to 1 and to preserve h."""
+    theta = cartan_involution(rs, sigma)
+    m = theta.matrix
+    assert linalg.mat_eq(
+        linalg.mat_mul(m, m), linalg.identity(rs.dim)
+    ), "theta is not an involution"
+    assert not any(
+        m[i][j] for i in range(rs.rank, rs.dim) for j in range(rs.rank)
+    ), "theta does not preserve h"
+    return theta
+
+
+def _trace_dims(m, size: int) -> tuple[int, int]:
+    """(+1, -1) eigenspace dimensions of an involution on the span of the
+    first size basis vectors, from the trace of that block."""
+    tr = sum((m[i][i] for i in range(size)), ZERO)
+    assert tr.is_real(), "trace of theta is not real"
+    plus, minus = (size + tr.re) / 2, (size - tr.re) / 2
+    assert plus.denominator == 1 and minus.denominator == 1
+    return int(plus), int(minus)
 
 
 def theta_twisted_gram(rs: RootSystem, theta: Involution, basis: RealFormBasis):
@@ -203,20 +219,19 @@ def _perm_inv(p, k):
 
 
 def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
-    """Full report on g^sigma: name, Cartan decomposition, Vogan data."""
+    """Full report on g^sigma: name, Cartan decomposition, Vogan data.
+
+    dim k, dim p = (dim g +- tr theta)/2 and dc, dnc = (rank +-
+    tr theta|h)/2 for theta = sigma o omega; exact because theta^2 = 1
+    makes theta commute with sigma (see the module docstring).
+    """
     if sigma.kind not in ("varsigma", "omega"):
         raise ValueError("identify requires a canonical involution")
     series, n = rs.type.series, rs.rank
     mu = sigma.mu
-    theta = cartan_involution(rs, sigma)
-    basis = fixed_point_basis(rs, sigma)
-    theta_mat = theta_action_on_real_basis(rs, theta, basis)
-    dim_k, dim_p = _eigen_dims(theta_mat)
-    h_mat = [
-        [theta_mat[i][j] for j in range(basis.h_vectors)]
-        for i in range(basis.h_vectors)
-    ]
-    dc, dnc = _eigen_dims(h_mat)
+    theta = _checked_theta(rs, sigma)
+    dim_k, dim_p = _trace_dims(theta.matrix, rs.dim)
+    dc, dnc = _trace_dims(theta.matrix, n)
 
     if sigma.kind == "omega":
         painted = tuple(i for i in mu.fixed_points() if i not in sigma.J)
@@ -326,37 +341,22 @@ def real_roots(rs: RootSystem, sigma: Involution) -> list:
 
 
 def _roots_vanishing_on(rs: RootSystem, sigma: Involution, want_sign: int):
-    theta = cartan_involution(rs, sigma)
-    basis = fixed_point_basis(rs, sigma)
-    theta_mat = theta_action_on_real_basis(rs, theta, basis)
-    h = basis.h_vectors
-    h_mat = [[theta_mat[i][j] for j in range(h)] for i in range(h)]
-    ident = linalg.identity(h)
+    """Roots vanishing on the want_sign eigenspace of theta on h; that
+    space is the complexification of its part in h_0, so the ambient
+    Cartan block of theta suffices."""
+    m = _checked_theta(rs, sigma).matrix
+    n = rs.rank
     shifted = [
-        [h_mat[i][j] - want_sign * ident[i][j] for j in range(h)] for i in range(h)
+        [m[i][j] - (want_sign if i == j else 0) for j in range(n)] for i in range(n)
     ]
-    space = linalg.nullspace(shifted)  # coordinates in the h_0 basis vectors
-    part = []
-    for coeffs in space:
-        v = [ZERO] * rs.dim
-        for k, c in enumerate(coeffs):
-            for idx, x in enumerate(basis.vectors[k]):
-                v[idx] = v[idx] + c * x
-        part.append(v)
-    out = []
+    part = linalg.nullspace(shifted)
     g = rs.killing_h
+    out = []
     for gamma in rs.roots:
-        vanishes = True
-        for v in part:
-            val = ZERO
-            for i in range(rs.rank):
-                if v[i]:
-                    val = val + v[i] * GaussianRational(
-                        sum(Fraction(g[i][j]) * gamma[j] for j in range(rs.rank))
-                    )
-            if val:
-                vanishes = False
-                break
-        if vanishes:
+        weights = [
+            GaussianRational(sum(g[i][j] * gamma[j] for j in range(n)))
+            for i in range(n)
+        ]
+        if not any(sum((v[i] * weights[i] for i in range(n)), ZERO) for v in part):
             out.append(gamma)
     return out

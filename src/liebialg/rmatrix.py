@@ -402,22 +402,16 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         if apply_semilinear_pair(sigma, r0) != r0:
             raise ExtractionError("tensor is not fixed by the involution pair")
 
-    # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23]
+    # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23], and
+    # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega
     cyb = cybe(r0, rs.structure)
-    ref = _omega_13_23(rs)
-    ratio = None
-    for (key, val) in ref.items():
-        got = cyb.get(*key)
-        if ratio is None and val:
-            ratio = got / val
-    if ratio is None or not ratio:
+    ref = cybe(rs.casimir, rs.structure)
+    key = next(iter(ref))
+    ratio = cyb.get(key, ZERO) / ref[key]
+    if not ratio:
         raise ExtractionError("tensor is triangular (vanishing modified YBE constant)")
-    for (key, val) in ref.items():
-        if cyb.get(*key) != ratio * val:
-            raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
-    for key, val in cyb.items():
-        if ref.get(key, ZERO) == ZERO and val:
-            raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
+    if cyb != {k: ratio * v for k, v in ref.items()}:
+        raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
     if not ratio.is_real():
         raise ExtractionError("modified YBE constant squared must be real")
 
@@ -536,19 +530,6 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         lam=lam,
         precedence=pairs,
     )
-
-
-def _omega_13_23(rs: RootSystem) -> dict:
-    """Sparse [Omega13, Omega23]."""
-    out: dict[tuple, GaussianRational] = {}
-    items = list(rs.casimir.items())
-    for (a, b), va in items:
-        for (c, d), vc in items:
-            v = va * vc
-            for k, coef in rs.structure.bracket_basis(b, d):
-                key = (a, c, k)
-                out[key] = out.get(key, ZERO) + v * coef
-    return {k: v for k, v in out.items() if v}
 
 
 # ---- dedup ------------------------------------------------------------------

@@ -263,6 +263,7 @@ MALFORMED = {
         {"bd": {"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}}
     ),
     "sigma-label-mismatch": lambda doc: doc.update({"sigma_label": "omega"}),
+    "zero-denominator": lambda doc: doc["lambda"][0].__setitem__(0, ["1/0", "0"]),
 }
 
 
@@ -280,3 +281,28 @@ def test_verify_rejects_malformed_datum(tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")
+
+
+BUILD_PROBES = {
+    "bd-bad-json": ["--bd", "{"],
+    "bd-vertex-past-rank": ["--bd", '{"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}'],
+    "bd-not-nilpotent": ["--bd", '{"gamma1": [0], "gamma2": [0], "tau": [[0, 0]]}'],
+    "t-not-a-scalar": ["--t", "abc"],
+    "coefficients-bad-json": ["--coefficients", "["],
+    "coefficients-not-scalars": ["--coefficients", '["x"]'],
+    "mu-not-a-permutation": ["--mu", "0,1"],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BUILD_PROBES))
+def test_build_rejects_malformed_arguments(capsys, probe):
+    argv = ["build", "--type", "A", "--rank", "2", "--sigma", "varsigma"]
+    try:
+        code = main(argv + BUILD_PROBES[probe])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

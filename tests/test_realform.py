@@ -1,14 +1,21 @@
 import pytest
 
-from liebialg import linalg
+from liebialg import linalg, realform
 from liebialg.bdtriple import DiagramAutomorphism
-from liebialg.core import GaussianRational
-from liebialg.involution import canonical_involution, fixed_point_basis
+from liebialg.cli import _sigma_variants
+from liebialg.core import ONE, GaussianRational
+from liebialg.involution import (
+    Involution,
+    canonical_involution,
+    fixed_point_basis,
+    sigma_root_action,
+)
 from liebialg.realform import (
     cartan_involution,
     identify,
     imaginary_roots,
     real_roots,
+    theta_action_on_real_basis,
     theta_twisted_gram,
 )
 from liebialg.rootsystem import build_root_system
@@ -220,3 +227,80 @@ def test_c_painted_names():
         j = tuple(i for i in range(rank) if i != vertex - 1)
         rep = identify(rs, canonical_involution(rs, "omega", None, j))
         assert rep.name == name and rep.character == character
+
+
+ORACLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+
+def _nullity(mat, shift):
+    n = len(mat)
+    return len(linalg.nullspace(
+        [[mat[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+    ))
+
+
+@pytest.mark.parametrize("series, rank", ORACLE_TYPES)
+def test_trace_dims_match_real_basis_eigenspaces(series, rank):
+    # reference: theta on the explicit real basis of g^sigma, eigenspaces
+    # by elimination, the Cartan part being the leading h_vectors block
+    rs = build_root_system(series, rank)
+    for sigma in _sigma_variants(rs, "all"):
+        basis = fixed_point_basis(rs, sigma)
+        t = theta_action_on_real_basis(rs, cartan_involution(rs, sigma), basis)
+        h = basis.h_vectors
+        t_h = [row[:h] for row in t[:h]]
+        report = identify(rs, sigma)
+        assert (report.dim_k, report.dim_p, report.dc, report.dnc) == (
+            _nullity(t, 1), _nullity(t, -1), _nullity(t_h, 1), _nullity(t_h, -1)
+        )
+
+
+@pytest.mark.parametrize("series, rank", ORACLE_TYPES)
+def test_root_sets_match_theta_star(series, rank):
+    rs = build_root_system(series, rank)
+    for sigma in _sigma_variants(rs, "all"):
+        action = sigma_root_action(rs, cartan_involution(rs, sigma))
+        assert imaginary_roots(rs, sigma) == [g for g in rs.roots if action[g][0] == g]
+        assert real_roots(rs, sigma) == [
+            g for g in rs.roots if action[g][0] == tuple(-x for x in g)
+        ]
+
+
+def _broken_theta(monkeypatch, edit):
+    def broken(rs, sigma):
+        m = [row[:] for row in cartan_involution(rs, sigma).matrix]
+        edit(m)
+        return Involution(m, "general")
+
+    monkeypatch.setattr(realform, "cartan_involution", broken)
+
+
+def test_identify_rejects_theta_not_squaring_to_one(monkeypatch):
+    rs = build_root_system("A", 2)
+    col = rs.root_index((1, 0))
+
+    def scale_root_column(m):
+        for row in m:
+            row[col] = row[col] * 2
+
+    _broken_theta(monkeypatch, scale_root_column)
+    with pytest.raises(AssertionError, match="not an involution"):
+        identify(rs, canonical_involution(rs, "varsigma"))
+
+
+def test_identify_rejects_theta_moving_h(monkeypatch):
+    # conjugate theta by P = 1 + E (E: h_1 -> x_alpha1), still an involution
+    rs = build_root_system("A", 2)
+    r = rs.root_index((1, 0))
+    n = rs.dim
+    p = linalg.identity(n)
+    p[r][0] = ONE
+    p_inv = linalg.identity(n)
+    p_inv[r][0] = -ONE
+
+    def conjugate(m):
+        m[:] = linalg.mat_mul(p, linalg.mat_mul(m, p_inv))
+
+    _broken_theta(monkeypatch, conjugate)
+    with pytest.raises(AssertionError, match="does not preserve h"):
+        identify(rs, canonical_involution(rs, "varsigma"))
