@@ -182,12 +182,11 @@ class StructureTable:
     def bracket(self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]):
         """Bracket of two coordinate vectors."""
         out = [ZERO] * self.dim
+        v_nonzero = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            for j, b in v_nonzero:
                 for k, c in self.table.get((i, j), ()):
                     out[k] = out[k] + a * b * c
         return out

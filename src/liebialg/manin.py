@@ -61,6 +61,52 @@ def induced_form(rs: RootSystem, t: GaussianRational):
 # ---- the triple container ----------------------------------------------------
 
 
+def _nonzeros(v) -> list:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _isotropic(vectors, p_rows) -> bool:
+    """The pairing block of the vectors vanishes; each row u P is built
+    once from the sparse rows of P."""
+    n = len(p_rows)
+    for u in vectors:
+        up = [ZERO] * n
+        for i, x in _nonzeros(u):
+            for j, y in p_rows[i]:
+                up[j] = up[j] + x * y
+        up = _nonzeros(up)
+        for v in vectors:
+            acc = ZERO
+            for j, x in up:
+                if v[j]:
+                    acc = acc + x * v[j]
+            if acc:
+                return False
+    return True
+
+
+class _Reduced:
+    """One elimination of a spanning set: its rank and the sparse pivot
+    rows of its reduced row echelon form."""
+
+    def __init__(self, vectors):
+        a, pivots = linalg.rref(vectors)
+        self.rank = len(pivots)
+        self.rows = [(c, _nonzeros(a[r])) for r, c in enumerate(pivots)]
+
+    def residual(self, v) -> list:
+        """v minus its expansion over the pivot rows; zero iff v lies in
+        the span.  Each pivot row vanishes on the other pivot columns, so
+        the coefficient of a row is the entry of v at its pivot."""
+        out = list(v)
+        for c, row in self.rows:
+            f = out[c]
+            if f:
+                for j, y in row:
+                    out[j] = out[j] - f * y
+        return out
+
+
 @dataclass
 class ManinTriple:
     double_dim: int
@@ -83,55 +129,56 @@ class ManinTriple:
         return acc
 
     def verify(self) -> dict:
-        """All defining properties, as named exact checks."""
-        p = self.pairing
+        """All defining properties, as named exact checks.
+
+        Each check touches only nonzero structure.  Invariance runs over
+        the sparse table rows of one generator at a time; each subspace
+        is eliminated once, and its rank and its closure under the
+        bracket are both read off that one reduced form; each isotropy
+        block is built once from the sparse rows of the pairing.
+        """
         n = self.double_dim
-
-        def isotropic(vectors):
-            return all(
-                not self.pair(u, v) for u in vectors for v in vectors
-            )
-
-        def rank_of(vectors):
-            return linalg.rank([list(v) for v in vectors])
-
-        stacked = [list(v) for v in self.sub1_basis] + [
-            list(v) for v in self.sub2_basis
-        ]
-        checks = {
-            "pairing_nondegenerate": bool(linalg.det(p)),
-            "pairing_invariant": self._pairing_invariant(),
-            "sub1_isotropic": isotropic(self.sub1_basis),
-            "sub2_isotropic": isotropic(self.sub2_basis),
-            "half_dimension": rank_of(self.sub1_basis) == n // 2
-            and rank_of(self.sub2_basis) == n // 2,
-            "transversal": linalg.rank(stacked) == n,
-            "sub1_closed": self._closed(self.sub1_basis),
-            "sub2_closed": self._closed(self.sub2_basis),
+        p_rows = [_nonzeros(row) for row in self.pairing]
+        p_cols = [_nonzeros(col) for col in zip(*self.pairing)]
+        reduced1 = _Reduced(self.sub1_basis)
+        reduced2 = _Reduced(self.sub2_basis)
+        stacked = _Reduced(self.sub1_basis + self.sub2_basis)
+        return {
+            "pairing_nondegenerate": bool(linalg.det(self.pairing)),
+            "pairing_invariant": self._pairing_invariant(p_rows, p_cols),
+            "sub1_isotropic": _isotropic(self.sub1_basis, p_rows),
+            "sub2_isotropic": _isotropic(self.sub2_basis, p_rows),
+            "half_dimension": reduced1.rank == n // 2 and reduced2.rank == n // 2,
+            "transversal": stacked.rank == n,
+            "sub1_closed": self._closed(self.sub1_basis, reduced1),
+            "sub2_closed": self._closed(self.sub2_basis, reduced2),
         }
-        return checks
 
-    def _pairing_invariant(self) -> bool:
-        pair = self.pair
-        n = self.double_dim
-        basis = linalg.identity(n)
-        for a in range(n):
-            ea = basis[a]
-            for b in range(n):
-                ab = self.structure.bracket(ea, basis[b])
-                for c in range(n):
-                    ac = self.structure.bracket(ea, basis[c])
-                    if pair(ab, basis[c]) + pair(basis[b], ac):
-                        return False
+    def _pairing_invariant(self, p_rows, p_cols) -> bool:
+        """ad_a^T P + P ad_a = 0 for every generator a: its (b, c) entry
+        ([e_a, e_b] | e_c) + (e_b | [e_a, e_c]) is accumulated from the
+        table rows (a, .) and the nonzero entries of P."""
+        rows: dict[int, list] = {}
+        for (a, b), terms in self.structure.table.items():
+            rows.setdefault(a, []).append((b, terms))
+        for row in rows.values():
+            acc: dict[tuple, GaussianRational] = {}
+            for b, terms in row:
+                for k, c in terms:
+                    for j, x in p_rows[k]:
+                        acc[(b, j)] = acc.get((b, j), ZERO) + c * x
+                    for i, x in p_cols[k]:
+                        acc[(i, b)] = acc.get((i, b), ZERO) + x * c
+            if any(acc.values()):
+                return False
         return True
 
-    def _closed(self, vectors) -> bool:
-        mat = [list(v) for v in vectors]
-        base_rank = linalg.rank(mat)
+    def _closed(self, vectors, reduced: _Reduced) -> bool:
+        """Every bracket of two basis vectors reduces to zero against the
+        subspace's reduced rows."""
         for i, u in enumerate(vectors):
             for v in vectors[i:]:
-                br = self.structure.bracket(u, v)
-                if linalg.rank(mat + [br]) != base_rank:
+                if any(reduced.residual(self.structure.bracket(u, v))):
                     return False
         return True
 
@@ -357,20 +404,16 @@ def cobracket_from_triple(mt: ManinTriple) -> list:
     """delta on sub1 via the pairing with sub2: for each basis vector of
     sub1 a matrix D with delta(w_c) = sum D[a][b] w_a (x) w_b."""
     pair = mt.pair
-    n1 = len(mt.sub1_basis)
     q = [
         [pair(w, z) for z in mt.sub2_basis] for w in mt.sub1_basis
     ]
     qinv = linalg.inverse(q)
+    brackets = [
+        [mt.structure.bracket(z, y) for y in mt.sub2_basis] for z in mt.sub2_basis
+    ]
     out = []
     for w in mt.sub1_basis:
-        m = [
-            [
-                pair(w, mt.structure.bracket(mt.sub2_basis[k], mt.sub2_basis[l]))
-                for l in range(n1)
-            ]
-            for k in range(n1)
-        ]
+        m = [[pair(w, br) for br in row] for row in brackets]
         out.append(
             linalg.mat_mul(qinv, linalg.mat_mul(m, linalg.transpose(qinv)))
         )

@@ -338,7 +338,12 @@ def sigma_fixes(datum: BialgebraDatum) -> bool:
 
 
 def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
-    """Every defining identity, each as a named exact check."""
+    """Every defining identity, each as a named exact check.
+
+    parameter_constraints holds when the declared triple and lambda
+    satisfy their constraints and are the ones r0 carries: extract_data
+    recovers them, and t, from r0 alone.
+    """
     rs = datum.rs
     t = datum.t
     omega = rs.casimir
@@ -348,7 +353,8 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
         "r0_antisymmetric": datum.r0.is_antisymmetric(),
         "r0_equals_r_minus_half_t_omega": datum.r0
         == _minus_half_t_omega(rs, datum.r, t),
-        "parameter_constraints": satisfies_constraints(rs, datum.bd, datum.lam),
+        "parameter_constraints": satisfies_constraints(rs, datum.bd, datum.lam)
+        and _carries_declared_data(datum),
         "sigma_fixes_r0": sigma_fixes(datum),
         "t_reality": t_reality_ok(t, reality_kind_for(datum.sigma_label)),
         "lambda_reality": lambda_reality_ok(
@@ -361,6 +367,23 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
     if check_cybe:
         checks["cybe"] = cybe_is_zero(datum.r, rs.structure)
     return checks
+
+
+def _carries_declared_data(datum: BialgebraDatum) -> bool:
+    """Whether r0 recovers, in the standard frame, exactly the triple,
+    lambda and t the datum declares.  A tensor extraction rejects is
+    not a datum of this classification, so it carries nothing."""
+    rs = datum.rs
+    try:
+        ex = extract_data(rs, None, datum.r0)
+    except ValueError:  # ExtractionError, or a singular recovered frame
+        return False
+    return (
+        ex.delta == list(rs.simple_roots)
+        and ex.bd == datum.bd
+        and ex.t == datum.t
+        and ex.lam.matrix == datum.lam.matrix
+    )
 
 
 def r0_real_form_coordinates(datum: BialgebraDatum):

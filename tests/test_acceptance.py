@@ -296,22 +296,33 @@ def test_criterion_6_identification():
 
 def test_criterion_7_manin_triples():
     ok = True
-    # factorizable branch: sl2 and sl3 data, trivial and nontrivial triples
+    # factorizable branch: sl2 and sl3 data, trivial and nontrivial
+    # triples; A3 with a two-vertex triple, B2 and G2 with the empty one
+    factorizable = []
     for series, rank in [("A", 1), ("A", 2)]:
         rs = build_root_system(series, rank)
+        factorizable += [(rs, bd) for bd in enumerate_bd_triples(rs)]
+    factorizable += [
+        (build_root_system("A", 3), BDTriple.make((0, 1), (1, 2), {0: 1, 1: 2})),
+        (build_root_system("B", 2), BDTriple.empty()),
+        (build_root_system("G", 2), BDTriple.empty()),
+    ]
+    for rs, bd in factorizable:
         sig = canonical_involution(rs, "varsigma")
-        for bd in enumerate_bd_triples(rs):
-            ps = solve_parameters(rs, bd)
-            datum = make_datum(rs, sig, bd, ps.base_point, ONE)
-            mt = double_factorizable(rs, datum)
-            ok = ok and all(mt.verify().values())
-            via_triple = cobracket_from_triple(mt)
-            via_r0 = cobracket_from_r0(rs, datum)
-            ok = ok and all(
-                linalg.mat_eq(a, b) for a, b in zip(via_triple, via_r0)
-            )
-    # imaginary branch: su(2), su(3)
-    for series, rank, J in [("A", 1, (0,)), ("A", 2, (0, 1))]:
+        ps = solve_parameters(rs, bd)
+        datum = make_datum(rs, sig, bd, ps.base_point, ONE)
+        mt = double_factorizable(rs, datum)
+        ok = ok and all(mt.verify().values())
+        via_triple = cobracket_from_triple(mt)
+        via_r0 = cobracket_from_r0(rs, datum)
+        ok = ok and all(
+            linalg.mat_eq(a, b) for a, b in zip(via_triple, via_r0)
+        )
+    # imaginary branch: su(2), su(3), su(4), so(5) and compact g2
+    for series, rank, J in [
+        ("A", 1, (0,)), ("A", 2, (0, 1)), ("A", 3, (0, 1, 2)),
+        ("B", 2, (0, 1)), ("G", 2, (0, 1)),
+    ]:
         rs = build_root_system(series, rank)
         om = canonical_involution(rs, "omega", None, J)
         space = apply_reality(
@@ -356,18 +367,14 @@ def test_criterion_7_manin_triples():
         target = real_part_pairing(rs, datum.t)
         phi1 = [phi[i] for i in range(n)]
         phi2 = [phi[n + i] for i in range(n)]
-        for bi in range(n2):
-            for bj in range(n2):
-                acc = ZERO
-                for x in range(n):
-                    for y in range(n):
-                        if form[x][y]:
-                            acc = (
-                                acc
-                                + phi1[x][bi] * form[x][y] * phi1[y][bj]
-                                - phi2[x][bi] * form[x][y] * phi2[y][bj]
-                            )
-                ok = ok and acc == target[bi][bj]
+        # phi1^T form phi1 - phi2^T form phi2, entry by entry
+        pulled1 = linalg.mat_mul(linalg.transpose(phi1), linalg.mat_mul(form, phi1))
+        pulled2 = linalg.mat_mul(linalg.transpose(phi2), linalg.mat_mul(form, phi2))
+        ok = ok and all(
+            pulled1[bi][bj] - pulled2[bi][bj] == target[bi][bj]
+            for bi in range(n2)
+            for bj in range(n2)
+        )
     report(7, "Manin triples verified in both branches with psi/phi", ok)
 
 

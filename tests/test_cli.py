@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +310,64 @@ def test_build_rejects_malformed_arguments(capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _failed_checks(code, out):
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    return sorted(k for k, v in doc["checks"].items() if not v)
+
+
+def test_verify_rejects_declared_triple_swap(tmp_path, capsys):
+    # r0 carries tau: 1 -> 2; the file declares the empty triple, whose
+    # constraints the declared lambda also satisfies
+    path, doc = _a2_datum(tmp_path, capsys)
+    doc["bd"] = {"gamma1": [], "gamma2": [], "tau": []}
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(path))
+    assert _failed_checks(code, out) == ["parameter_constraints"]
+
+
+def test_verify_rejects_declared_lambda_swap(tmp_path, capsys):
+    # two points of the same parameter space: the file keeps the tensors
+    # of one and declares the lambda of the other
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path, coefficient in zip(paths, ('["1"]', '["2"]')):
+        code, _ = run(
+            capsys,
+            "build", "--type", "A", "--rank", "2", "--sigma", "varsigma",
+            "--t", "1", "--coefficients", coefficient, "--out", str(path),
+        )
+        assert code == 0
+    one, two = (json.loads(p.read_text()) for p in paths)
+    assert one["lambda"] != two["lambda"]
+    one["lambda"] = two["lambda"]
+    paths[0].write_text(json.dumps(one))
+    code, out = run(capsys, "verify", str(paths[0]))
+    assert _failed_checks(code, out) == ["parameter_constraints"]
+
+
+def test_verify_reads_unextractable_r0_as_false(tmp_path, capsys):
+    # an antisymmetric r0 that solves no modified Yang-Baxter equation:
+    # extraction raises, and the check reads false instead of crashing
+    path, doc = _a2_datum(tmp_path, capsys)
+    doc["r0"] = {"dim": doc["r0"]["dim"], "entries": [[0, 3, "1", "0"], [3, 0, "-1", "0"]]}
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(path))
+    failed = _failed_checks(code, out)
+    assert "parameter_constraints" in failed
+
+
+def test_python_dash_m_liebialg_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "liebialg", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: liebialg")

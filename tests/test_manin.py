@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from liebialg import linalg
 from liebialg.bdtriple import BDTriple, enumerate_bd_triples
-from liebialg.core import GaussianRational, I, ONE, ZERO
+from liebialg.core import GaussianRational, I, ONE, StructureTable, ZERO
 from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.manin import (
     cobracket_from_r0,
@@ -388,3 +390,192 @@ def test_manin_json():
     assert doc["case"] == "imaginary_factorizable"
     assert doc["double_dim"] == 6
     assert all(doc["verification"].values())
+
+
+# ---- test-local references for ManinTriple.verify -------------------------
+#
+# The dense loops verify() used before it went sparse: every (a, b, c) with
+# dense brackets and pairings, and one rank per pair for closure.  They
+# share no code with the checks they test beyond StructureTable.bracket.
+
+
+def _pair_dense(p, u, v):
+    acc = ZERO
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in enumerate(v):
+            if b and p[i][j]:
+                acc = acc + a * p[i][j] * b
+    return acc
+
+
+def _invariant_bruteforce(mt):
+    n = mt.double_dim
+    basis = linalg.identity(n)
+    for a in range(n):
+        for b in range(n):
+            ab = mt.structure.bracket(basis[a], basis[b])
+            for c in range(n):
+                ac = mt.structure.bracket(basis[a], basis[c])
+                if _pair_dense(mt.pairing, ab, basis[c]) + _pair_dense(
+                    mt.pairing, basis[b], ac
+                ):
+                    return False
+    return True
+
+
+def _closed_per_pair_rank(mt, vectors):
+    mat = [list(v) for v in vectors]
+    base_rank = linalg.rank(mat)
+    for i, u in enumerate(vectors):
+        for v in vectors[i:]:
+            if linalg.rank(mat + [mt.structure.bracket(u, v)]) != base_rank:
+                return False
+    return True
+
+
+def _isotropic_dense(mt, vectors):
+    return all(not _pair_dense(mt.pairing, u, v) for u in vectors for v in vectors)
+
+
+def _reference_checks(mt):
+    n = mt.double_dim
+    return {
+        "pairing_invariant": _invariant_bruteforce(mt),
+        "sub1_isotropic": _isotropic_dense(mt, mt.sub1_basis),
+        "sub2_isotropic": _isotropic_dense(mt, mt.sub2_basis),
+        "half_dimension": linalg.rank(mt.sub1_basis) == n // 2
+        and linalg.rank(mt.sub2_basis) == n // 2,
+        "transversal": linalg.rank(mt.sub1_basis + mt.sub2_basis) == n,
+        "sub1_closed": _closed_per_pair_rank(mt, mt.sub1_basis),
+        "sub2_closed": _closed_per_pair_rank(mt, mt.sub2_basis),
+    }
+
+
+def _oracle_double(case):
+    if case == "A1 varsigma":
+        return double_factorizable(*_sl2_datum_real())
+    if case == "A2 varsigma tau":
+        rs = build_root_system("A", 2)
+        bd = BDTriple.make((0,), (1,), {0: 1})
+        datum = make_datum(
+            rs, canonical_involution(rs, "varsigma"), bd,
+            solve_parameters(rs, bd).base_point, GaussianRational(2),
+        )
+        return double_factorizable(rs, datum)
+    if case == "G2 varsigma":
+        rs = build_root_system("G", 2)
+        datum = make_datum(
+            rs, canonical_involution(rs, "varsigma"), BDTriple.empty(),
+            solve_parameters(rs, BDTriple.empty()).base_point, ONE,
+        )
+        return double_factorizable(rs, datum)
+    rs = build_root_system("A", 2)
+    om = canonical_involution(rs, "omega", None, (0, 1))
+    space = apply_reality(
+        solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
+    )
+    datum = make_datum(rs, om, BDTriple.empty(), space.point([ONE]), I)
+    return double_imaginary(rs, datum)
+
+
+ORACLE_CASES = ["A1 varsigma", "A2 varsigma tau", "G2 varsigma", "A2 omega"]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES)
+def oracle_double(request):
+    return _oracle_double(request.param)
+
+
+def _unit(n, i):
+    return [ONE if k == i else ZERO for k in range(n)]
+
+
+def _first_pairing_entry(mt):
+    """(i, j), i <= j, of the first nonzero pairing entry, off the
+    diagonal when there is one."""
+    entries = [
+        (i, j)
+        for i in range(mt.double_dim)
+        for j in range(i, mt.double_dim)
+        if mt.pairing[i][j]
+    ]
+    return next((e for e in entries if e[0] != e[1]), entries[0])
+
+
+def test_verify_matches_dense_references(oracle_double):
+    mt = oracle_double
+    checks = mt.verify()
+    reference = _reference_checks(mt)
+    assert all(reference.values()), reference
+    assert {k: checks[k] for k in reference} == reference
+
+
+def test_invariance_rejects_scaled_pairing_pair(oracle_double):
+    i, j = _first_pairing_entry(oracle_double)
+    pairing = [row[:] for row in oracle_double.pairing]
+    two = GaussianRational(2)
+    pairing[i][j] = two * pairing[i][j]
+    if i != j:
+        pairing[j][i] = two * pairing[j][i]
+    mt = replace(oracle_double, pairing=pairing)
+    assert _invariant_bruteforce(mt) is False
+    assert mt.verify()["pairing_invariant"] is False
+
+
+def test_invariance_rejects_scaled_structure_constant(oracle_double):
+    table = dict(oracle_double.structure.table)
+    a, b = next((a, b) for (a, b) in sorted(table) if a < b)
+    (k, c), *rest = table[(a, b)]
+    table[(a, b)] = ((k, GaussianRational(2) * c), *rest)
+    # keep the table antisymmetric: scale the same term of [e_b, e_a]
+    table[(b, a)] = tuple(
+        (k2, GaussianRational(2) * c2 if k2 == k else c2) for k2, c2 in table[(b, a)]
+    )
+    mt = replace(
+        oracle_double, structure=StructureTable(oracle_double.double_dim, table)
+    )
+    assert _invariant_bruteforce(mt) is False
+    assert mt.verify()["pairing_invariant"] is False
+
+
+def test_closure_rejects_subspace_whose_bracket_leaves_it(oracle_double):
+    n = oracle_double.double_dim
+    a, b = next(
+        (a, b)
+        for (a, b), terms in sorted(oracle_double.structure.table.items())
+        if any(k not in (a, b) for k, _ in terms)
+    )
+    vectors = [_unit(n, a), _unit(n, b)]
+    mt = replace(oracle_double, sub1_basis=vectors)
+    assert _closed_per_pair_rank(mt, vectors) is False
+    checks = mt.verify()
+    assert checks["sub1_closed"] is False
+    assert checks["sub2_closed"] is True
+
+
+def test_isotropy_rejects_non_isotropic_pair(oracle_double):
+    n = oracle_double.double_dim
+    i, j = _first_pairing_entry(oracle_double)
+    vectors = [_unit(n, i), _unit(n, j)]
+    mt = replace(oracle_double, sub2_basis=vectors)
+    assert _isotropic_dense(mt, vectors) is False
+    checks = mt.verify()
+    assert checks["sub2_isotropic"] is False
+    assert checks["sub1_isotropic"] is True
+
+
+def test_rank_checks_reject_repeated_subspace(oracle_double):
+    # sub2 := sub1: each half still has rank n/2, but they are not
+    # transversal; dropping a sub1 vector for a copy of another breaks
+    # the half dimension
+    mt = replace(oracle_double, sub2_basis=oracle_double.sub1_basis)
+    checks = mt.verify()
+    assert checks["half_dimension"] is True
+    assert checks["transversal"] is False
+    sub1 = oracle_double.sub1_basis
+    mt = replace(oracle_double, sub1_basis=[sub1[0]] + sub1[:-1])
+    checks = mt.verify()
+    assert checks["half_dimension"] is False
+    assert checks["transversal"] is False
