@@ -84,7 +84,7 @@ def _sigma_scalars(rs: RootSystem, mu: DiagramAutomorphism, chi, negate: bool):
     for i, alpha in enumerate(rs.simple_roots):
         c[alpha] = GaussianRational(-1 if chi(i) else 1)
     for gamma in rs.positive_roots[rs.rank:]:
-        xi, eta = rs._extraspecial(gamma)
+        xi, eta = rs._extraspecial[gamma]
         mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
         if negate:
             mxi, meta = tuple(-x for x in mxi), tuple(-x for x in meta)

@@ -428,7 +428,7 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
     # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23], and
     # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega
     cyb = cybe(r0, rs.structure)
-    ref = cybe(rs.casimir, rs.structure)
+    ref = rs.casimir_cybe
     key = next(iter(ref))
     ratio = cyb.get(key, ZERO) / ref[key]
     if not ratio:

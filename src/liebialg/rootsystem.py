@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .core import (
     GaussianRational,
@@ -29,6 +30,7 @@ from .core import (
     StructureTable,
     Tensor2,
     ZERO,
+    cybe,
     rational_sqrt,
 )
 from . import linalg
@@ -147,11 +149,12 @@ class RootSystem:
         self.roots: list[Root] = self.positive_roots + [
             tuple(-x for x in r) for r in self.positive_roots
         ]
-        self._root_set = set(self.roots)
         self.npos = len(self.positive_roots)
         self.dim = self.rank + 2 * self.npos
 
         self._pos_index = {r: k for k, r in enumerate(self.positive_roots)}
+        # basis index of x_r; also the membership test for roots
+        self._index = {r: self.rank + k for k, r in enumerate(self.roots)}
         # Gram matrix of the Killing form on the Cartan coordinates:
         # kappa(h_i, h_j) = (alpha_i | alpha_j), the inverse of
         # C = sum over roots of gamma gamma^T.
@@ -167,17 +170,28 @@ class RootSystem:
             [[GaussianRational(x) for x in row] for row in C]
         )
         self.killing_h: list[list[Fraction]] = [[x.re for x in row] for row in gmat]
+        # the same Gram as integers over one common denominator:
+        # killing_h = _gram / _gram_den
+        self._gram_den = lcm(*(x.denominator for row in self.killing_h for x in row))
+        self._gram = [[int(x * self._gram_den) for x in row] for row in self.killing_h]
 
-        self._nmemo: dict[tuple[Root, Root], Fraction] = {}
+        self._norm: dict[Root, Fraction] = {}
         self._scale: dict[Root, Fraction] = {}
         for g in self.positive_roots:
-            q = rational_sqrt(self.root_norm(g) / 2)
+            neg = tuple(-x for x in g)
+            self._norm[g] = self._norm[neg] = norm = self.root_pairing(g, g)
+            half = norm / 2
+            q = rational_sqrt(half)
             if q is not None:
-                self._scale[g] = q
-                self._scale[tuple(-x for x in g)] = q
+                self._scale[g] = self._scale[neg] = q
             else:
                 self._scale[g] = Fraction(1)
-                self._scale[tuple(-x for x in g)] = self.root_norm(g) / 2
+                self._scale[neg] = half
+        self._extraspecial: dict[Root, tuple[Root, Root]] = {
+            gamma: self._special_pair(gamma) for gamma in self.positive_roots[n:]
+        }
+
+        self._nmemo: dict[tuple[Root, Root], Fraction] = {}
 
         self.structure = self._build_structure_table()
         self.casimir = self._build_casimir()
@@ -186,35 +200,30 @@ class RootSystem:
     # ---- root bookkeeping -------------------------------------------------
 
     def is_root(self, r: Root) -> bool:
-        return r in self._root_set
+        return r in self._index
 
     def root_index(self, r: Root) -> int:
         """Basis index of the root vector x_r."""
-        if all(x >= 0 for x in r):
-            return self.rank + self._pos_index[r]
-        return self.rank + self.npos + self._pos_index[tuple(-x for x in r)]
+        return self._index[r]
 
     def index_root(self, idx: int) -> Root:
-        k = idx - self.rank
-        if k < self.npos:
-            return self.positive_roots[k]
-        return tuple(-x for x in self.positive_roots[k - self.npos])
+        return self.roots[idx - self.rank]
 
     def height(self, r: Root) -> int:
         return sum(r)
 
     def root_pairing(self, alpha: Root, beta: Root) -> Fraction:
         """(alpha | beta) under the Killing normalization."""
-        g = self.killing_h
-        return sum(
-            Fraction(alpha[i]) * g[i][j] * beta[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if alpha[i] and beta[j]
+        total = sum(
+            a * sum(g * b for g, b in zip(row, beta))
+            for a, row in zip(alpha, self._gram)
+            if a
         )
+        return Fraction(total, self._gram_den)
 
     def root_norm(self, alpha: Root) -> Fraction:
-        return self.root_pairing(alpha, alpha)
+        """(alpha | alpha) for a root alpha, computed once at construction."""
+        return self._norm[alpha]
 
     def coroot_vector(self, alpha: Root) -> list[GaussianRational]:
         """h_alpha in Cartan coordinates: linear in alpha."""
@@ -228,17 +237,16 @@ class RootSystem:
         cur = nu
         while True:
             cur = tuple(a - b for a, b in zip(cur, mu))
-            if cur in self._root_set:
+            if cur in self._index:
                 k += 1
             else:
                 return k
 
-    @lru_cache(maxsize=None)
-    def _extraspecial(self, gamma: Root) -> tuple[Root, Root]:
+    def _special_pair(self, gamma: Root) -> tuple[Root, Root]:
         """Minimal-first special pair summing to a composite positive root."""
         for xi in self.positive_roots:
             rest = tuple(a - b for a, b in zip(gamma, xi))
-            if rest in self._root_set and all(x >= 0 for x in rest):
+            if rest in self._pos_index:
                 return xi, rest
         raise AssertionError("composite positive root with no special pair")
 
@@ -249,11 +257,11 @@ class RootSystem:
         if key in memo:
             return memo[key]
         total = tuple(a + b for a, b in zip(mu, nu))
-        if total not in self._root_set:
+        if total not in self._index:
             memo[key] = Fraction(0)
             return memo[key]
-        mu_pos = all(x >= 0 for x in mu)
-        nu_pos = all(x >= 0 for x in nu)
+        mu_pos = mu in self._pos_index
+        nu_pos = nu in self._pos_index
         if mu_pos and nu_pos:
             val = self._n_positive(mu, nu)
         elif not mu_pos and not nu_pos:
@@ -269,7 +277,7 @@ class RootSystem:
         if self._pos_index[mu] > self._pos_index[nu]:
             return -self._n_positive(nu, mu)
         gamma = tuple(a + b for a, b in zip(mu, nu))
-        alpha, beta = self._extraspecial(gamma)
+        alpha, beta = self._extraspecial[gamma]
         p1 = Fraction(self._string_down(mu, nu) + 1)
         if (alpha, beta) == (mu, nu):
             return p1
@@ -277,14 +285,14 @@ class RootSystem:
         # solving for N(mu, nu) in terms of pairs with smaller height sum.
         acc = Fraction(0)
         bm = tuple(a - b for a, b in zip(beta, mu))
-        if bm in self._root_set:
+        if bm in self._index:
             acc += (
                 self.chevalley_n(beta, tuple(-x for x in mu))
                 * self.chevalley_n(alpha, tuple(-x for x in nu))
                 / self.root_norm(bm)
             )
         am = tuple(a - b for a, b in zip(alpha, mu))
-        if am in self._root_set:
+        if am in self._index:
             acc += (
                 self.chevalley_n(tuple(-x for x in mu), alpha)
                 * self.chevalley_n(beta, tuple(-x for x in nu))
@@ -297,7 +305,7 @@ class RootSystem:
     def _n_mixed(self, mu: Root, nu: Root) -> Fraction:
         """N(mu, -nu) for positive roots mu != nu with mu - nu a root."""
         delta = tuple(a - b for a, b in zip(mu, nu))
-        if all(x >= 0 for x in delta):
+        if delta in self._pos_index:
             return -self.root_norm(delta) / self.root_norm(mu) * self.chevalley_n(
                 nu, delta
             )
@@ -309,7 +317,7 @@ class RootSystem:
     def normalized_n(self, mu: Root, nu: Root) -> GaussianRational:
         """Structure constant in the kappa-normalized basis."""
         total = tuple(a + b for a, b in zip(mu, nu))
-        if total not in self._root_set:
+        if total not in self._index:
             return ZERO
         val = (
             self.chevalley_n(mu, nu)
@@ -328,23 +336,21 @@ class RootSystem:
             if terms:
                 table[(i, j)] = terms
 
-        g = self.killing_h
-        for i in range(n):
-            for r in self.roots:
-                ri = self.root_index(r)
+        index = self._index
+        for i, row in enumerate(self._gram):
+            for r, ri in index.items():
                 val = GaussianRational(
-                    sum(g[i][j] * r[j] for j in range(n) if r[j])
+                    Fraction(sum(g * c for g, c in zip(row, r)), self._gram_den)
                 )
                 put(i, ri, [(ri, val)])
                 put(ri, i, [(ri, -val)])
-        for a in self.roots:
-            ia = self.root_index(a)
-            for b in self.roots:
-                ib = self.root_index(b)
+        for a, ia in index.items():
+            for b, ib in index.items():
                 total = tuple(x + y for x, y in zip(a, b))
-                if total in self._root_set:
-                    put(ia, ib, [(self.root_index(total), self.normalized_n(a, b))])
-                elif all(x == 0 for x in total) and all(x >= 0 for x in a):
+                it = index.get(total)
+                if it is not None:
+                    put(ia, ib, [(it, self.normalized_n(a, b))])
+                elif not any(total) and a in self._pos_index:
                     # [x_a, x_{-a}] = h_a, the Killing dual of a
                     terms = [(i, GaussianRational(a[i])) for i in range(n)]
                     put(ia, ib, terms)
@@ -361,9 +367,8 @@ class RootSystem:
                 c = self.cartan_dual_gram[i][j]
                 if c:
                     items.append(((i, j), GaussianRational(c)))
-        for r in self.positive_roots:
-            ip = self.root_index(r)
-            im = self.root_index(tuple(-x for x in r))
+        for ip in range(n, n + self.npos):
+            im = ip + self.npos
             items.append(((ip, im), ONE))
             items.append(((im, ip), ONE))
         return Tensor2.from_items(self.dim, items)
@@ -377,15 +382,19 @@ class RootSystem:
                     items.append(((i, j), GaussianRational(c)))
         return Tensor2.from_items(self.dim, items)
 
+    @cached_property
+    def casimir_cybe(self) -> dict:
+        """CYB(Omega) = [Omega13, Omega23], a constant of the type."""
+        return cybe(self.casimir, self.structure)
+
     def killing_gram(self) -> list[list[GaussianRational]]:
         """Gram matrix of the Killing form in the ambient basis."""
         k = linalg.zeros(self.dim, self.dim)
         for i in range(self.rank):
             for j in range(self.rank):
                 k[i][j] = GaussianRational(self.killing_h[i][j])
-        for r in self.positive_roots:
-            ip = self.root_index(r)
-            im = self.root_index(tuple(-x for x in r))
+        for ip in range(self.rank, self.rank + self.npos):
+            im = ip + self.npos
             k[ip][im] = ONE
             k[im][ip] = ONE
         return k
@@ -399,9 +408,8 @@ class RootSystem:
                 for j in range(self.rank):
                     if y[j]:
                         acc = acc + x[i] * y[j] * GaussianRational(g[i][j])
-        for r in self.positive_roots:
-            ip = self.root_index(r)
-            im = self.root_index(tuple(-x for x in r))
+        for ip in range(self.rank, self.rank + self.npos):
+            im = ip + self.npos
             acc = acc + x[ip] * y[im] + x[im] * y[ip]
         return acc
 

@@ -1,8 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from liebialg.core import GaussianRational, ONE, ZERO
+from liebialg.core import GaussianRational, ONE, ZERO, cybe
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
 
 CLASSICAL_COUNTS = {
@@ -16,8 +18,29 @@ CLASSICAL_COUNTS = {
     ("C", 3): (18, 21),
     ("C", 4): (32, 36),
     ("D", 4): (24, 28),
+    ("D", 5): (40, 45),
     ("G", 2): (12, 14),
     ("F", 4): (48, 52),
+    ("E", 6): (72, 78),
+    ("E", 7): (126, 133),
+    ("E", 8): (240, 248),
+}
+
+# dual Coxeter numbers: the highest root has Killing norm 1/h_dual
+DUAL_COXETER = {
+    ("A", 1): 2,
+    ("A", 4): 5,
+    ("B", 3): 5,
+    ("B", 4): 7,
+    ("C", 3): 4,
+    ("C", 4): 5,
+    ("D", 4): 6,
+    ("D", 5): 8,
+    ("G", 2): 4,
+    ("F", 4): 9,
+    ("E", 6): 12,
+    ("E", 7): 18,
+    ("E", 8): 30,
 }
 
 
@@ -210,3 +233,73 @@ def test_json_serialization():
     assert doc["cartan_matrix"] == [[2, -1], [-1, 2]]
     assert len(doc["roots"]) == 6
     assert all(len(t) == 4 for t in doc["structure_constants"])
+
+
+@pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
+def test_killing_gram_gives_cartan_matrix(series, rank):
+    rs = build_root_system(series, rank)
+    simple = rs.simple_roots
+    for i in range(rank):
+        for j in range(rank):
+            ratio = 2 * rs.root_pairing(simple[i], simple[j]) / rs.root_norm(simple[j])
+            assert ratio == rs.cartan_matrix[i][j]
+
+
+@pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
+def test_highest_root_norm_is_inverse_dual_coxeter(series, rank):
+    rs = build_root_system(series, rank)
+    highest = rs.positive_roots[-1]
+    assert rs.root_norm(highest) == Fraction(1, DUAL_COXETER[(series, rank)])
+    assert rs.root_pairing(highest, highest) == rs.root_norm(highest)
+
+
+def _fraction_pairing(rs, alpha, beta):
+    """(alpha | beta) summed term by term over the Fraction Gram."""
+    g = rs.killing_h
+    return sum(
+        (Fraction(alpha[i]) * g[i][j] * beta[j] for i in range(rs.rank) for j in range(rs.rank)),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)],
+)
+def test_integer_pairing_matches_fraction_sum(series, rank):
+    rs = build_root_system(series, rank)
+    for a in rs.roots:
+        assert rs.root_norm(a) == _fraction_pairing(rs, a, a)
+        for b in rs.roots:
+            assert rs.root_pairing(a, b) == _fraction_pairing(rs, a, b)
+
+
+@pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
+def test_root_index_and_index_root_are_inverse(series, rank):
+    rs = build_root_system(series, rank)
+    for k, r in enumerate(rs.positive_roots):
+        neg = tuple(-x for x in r)
+        assert rs.root_index(r) == rs.rank + k
+        assert rs.root_index(neg) == rs.rank + rs.npos + k
+    for idx in range(rs.rank, rs.dim):
+        assert rs.root_index(rs.index_root(idx)) == idx
+    assert sorted(rs.root_index(r) for r in rs.roots) == list(range(rs.rank, rs.dim))
+    for r in rs.roots:
+        assert rs.index_root(rs.root_index(r)) == r
+
+
+def test_root_system_is_released_when_unreferenced():
+    rs = RootSystem(SimpleType("G", 2))
+    assert rs.chevalley_n(*rs.simple_roots)  # runs the special-pair recursion
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
+
+
+def test_casimir_cybe_is_computed_once():
+    rs = RootSystem(SimpleType("A", 2))
+    first = rs.casimir_cybe
+    assert first == cybe(rs.casimir, rs.structure)
+    assert first  # the Casimir is not a solution of the CYBE
+    assert rs.casimir_cybe is first
