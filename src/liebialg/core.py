@@ -4,10 +4,11 @@ Scalars are Gaussian rationals a + b*i with a, b arbitrary-precision
 rationals, so every identity checked in this library is a literal
 equality; there are no tolerances anywhere.
 
-Order-2 tensors are dense arrays of Gaussian rationals over a
-finite-dimensional algebra whose multiplication is given by a sparse
-structure-constant table; the order-3 CYBE of such a tensor is kept as
-a dict of its nonzero entries.
+Order-2 tensors over a finite-dimensional algebra, whose multiplication
+is given by a sparse structure-constant table, are dicts of their
+nonzero Gaussian-rational entries; so is the order-3 CYBE of such a
+tensor.  A semilinear map acts on tensors through the sparse columns
+of its linear part.
 """
 
 from __future__ import annotations
@@ -205,74 +206,62 @@ class StructureTable:
 
 
 class Tensor2:
-    """Dense order-2 tensor over the ambient basis; immutable by convention."""
+    """Order-2 tensor over the ambient basis, as a dict {(i, j): entry} of
+    its nonzero entries; immutable by convention.
+
+    No zero is ever stored, so equality is dict equality and every
+    operation costs O(nonzeros)."""
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, dim: int, entries: list[GaussianRational] | None = None):
+    def __init__(self, dim: int, entries: dict | None = None):
         self.dim = dim
-        if entries is None:
-            entries = [ZERO] * (dim * dim)
-        if len(entries) != dim * dim:
-            raise ValueError("entries length must equal dim**2")
-        self.entries = entries
+        self.entries = {k: v for k, v in (entries or {}).items() if v}
 
     @staticmethod
     def from_items(dim: int, items) -> "Tensor2":
-        ent = [ZERO] * (dim * dim)
-        for (i, j), v in items:
-            ent[i * dim + j] = ent[i * dim + j] + v
+        ent: dict[tuple[int, int], GaussianRational] = {}
+        for k, v in items:
+            ent[k] = ent[k] + v if k in ent else v
         return Tensor2(dim, ent)
 
     def get(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.dim + j]
+        return self.entries.get((i, j), ZERO)
 
     def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        d = self.dim
-        for idx, v in enumerate(self.entries):
-            if v:
-                yield divmod(idx, d), v
+        """The nonzero entries in row-major order."""
+        return iter(sorted(self.entries.items()))
 
     def transpose(self) -> "Tensor2":
-        d = self.dim
-        return Tensor2(d, [self.entries[j * d + i] for i in range(d) for j in range(d)])
+        return Tensor2(self.dim, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         _same_dim(self, other)
-        return Tensor2(self.dim, [a + b for a, b in zip(self.entries, other.entries)])
+        return Tensor2.from_items(self.dim, [*self.entries.items(), *other.entries.items()])
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        _same_dim(self, other)
-        return Tensor2(self.dim, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "Tensor2":
-        return Tensor2(self.dim, [-a for a in self.entries])
+        return Tensor2(self.dim, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c) -> "Tensor2":
         c = _coerce(c)
-        return Tensor2(self.dim, [c * a for a in self.entries])
+        return Tensor2(self.dim, {k: c * v for k, v in self.entries.items()})
 
     def conjugate(self) -> "Tensor2":
-        return Tensor2(self.dim, [a.conj() for a in self.entries])
+        return Tensor2(self.dim, {k: v.conj() for k, v in self.entries.items()})
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.entries
 
     def is_antisymmetric(self) -> bool:
-        d = self.dim
-        return all(
-            self.entries[i * d + j] == -self.entries[j * d + i]
-            for i in range(d)
-            for j in range(i, d)
-        )
+        e = self.entries
+        return all(-v == e.get((j, i), ZERO) for (i, j), v in e.items())
 
     def is_symmetric(self) -> bool:
-        d = self.dim
-        return all(
-            self.entries[i * d + j] == self.entries[j * d + i]
-            for i in range(d)
-            for j in range(i + 1, d)
-        )
+        e = self.entries
+        return all(v == e.get((j, i), ZERO) for (i, j), v in e.items())
 
     def __eq__(self, other):
         return (
@@ -282,7 +271,7 @@ class Tensor2:
         )
 
     def __hash__(self):
-        return hash((self.dim, tuple(self.entries)))
+        return hash((self.dim, frozenset(self.entries.items())))
 
     def to_json(self) -> dict:
         return {
@@ -292,13 +281,18 @@ class Tensor2:
 
     @staticmethod
     def from_json(doc: dict) -> "Tensor2":
+        """Read to_json output; explicit zero entries are dropped."""
         d = doc["dim"]
-        t = [ZERO] * (d * d)
+        ent = {}
         for i, j, re, im in doc["entries"]:
+            if type(i) is not int or type(j) is not int:  # bool, float, str
+                raise ValueError(f"tensor entry index ({i!r}, {j!r}) is not an int pair")
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"tensor entry ({i}, {j}) out of range")
-            t[i * d + j] = GaussianRational(Fraction(re), Fraction(im))
-        return Tensor2(d, t)
+            if (i, j) in ent:
+                raise ValueError(f"tensor entry ({i}, {j}) repeated")
+            ent[(i, j)] = GaussianRational(Fraction(re), Fraction(im))
+        return Tensor2(d, ent)
 
 
 def _same_dim(a, b):
@@ -343,30 +337,17 @@ def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
 
 
 def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:
-    """(sigma (x) sigma)(x) for a semilinear map given by its linear matrix.
-
-    Accepts either an object with a .matrix attribute (an Involution) or
-    a raw square matrix as list of rows.
-    """
-    m = getattr(sigma, "matrix", sigma)
-    d = x.dim
-    if len(m) != d:
+    """(sigma (x) sigma)(x) for a semilinear map sigma (an Involution),
+    read off the sparse columns of its linear part."""
+    cols = sigma.columns
+    if len(cols) != x.dim:
         raise ValueError("dimension mismatch between map and tensor")
     out: dict[tuple[int, int], GaussianRational] = {}
-    cols: dict[int, list[tuple[int, GaussianRational]]] = {}
-
-    def col(j):
-        c = cols.get(j)
-        if c is None:
-            c = [(i, m[i][j]) for i in range(d) if m[i][j]]
-            cols[j] = c
-        return c
-
-    for (a, b), v in x.items():
+    for (a, b), v in x.entries.items():
         vc = v.conj()
-        for i, mi in col(a):
+        for i, mi in cols[a]:
             w = vc * mi
-            for j, mj in col(b):
+            for j, mj in cols[b]:
                 key = (i, j)
-                out[key] = out.get(key, ZERO) + w * mj
-    return Tensor2.from_items(d, out.items())
+                out[key] = out[key] + w * mj if key in out else w * mj
+    return Tensor2(x.dim, out)

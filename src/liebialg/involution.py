@@ -1,9 +1,11 @@
 """Sesquilinear involutions of the complex algebra and their real forms.
 
-A semilinear map sigma is stored through its linear part M: applying
-sigma to a coordinate vector v computes M * conj(v).  Composition of two
-such maps is the linear map M1 * conj(M2); sigma is an involution iff
-M * conj(M) = 1.
+A semilinear map sigma is stored through the sparse columns of its
+linear part M: applying sigma to a coordinate vector v computes
+M * conj(v).  Composition of two such maps is the linear map
+M1 * conj(M2); sigma is an involution iff M * conj(M) = 1.  A canonical
+involution maps each basis vector to a multiple of one basis vector, so
+each of its columns holds one entry.
 
 The two canonical families fix the action on Chevalley generators:
 
@@ -15,7 +17,7 @@ and extend through brackets to the whole algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -36,28 +38,46 @@ class NormalizationObstruction(ValueError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
 class Involution:
-    """Semilinear Lie algebra involution in ambient coordinates."""
+    """Semilinear Lie algebra involution in ambient coordinates.
 
-    matrix: list = field(compare=False)
-    kind: str = "general"  # "varsigma" | "omega" | "general"
-    mu: DiagramAutomorphism | None = None
-    J: tuple = ()
+    columns[j] lists the nonzero (i, M[i][j]) of the linear part M by
+    increasing row i.  A dense matrix M is accepted in their place;
+    .matrix is the dense view, derived once, for dense linear algebra.
+    kind is "varsigma", "omega" or "general"."""
+
+    __slots__ = ("columns", "kind", "mu", "J", "_matrix")
+
+    def __init__(self, matrix=None, kind="general", mu=None, J=(), *, columns=None):
+        if columns is None:
+            rows = list(enumerate(matrix))
+            columns = [[(i, row[j]) for i, row in rows if row[j]] for j in range(len(rows))]
+        self.columns, self._matrix = columns, matrix
+        self.kind, self.mu, self.J = kind, mu, J
+
+    @property
+    def matrix(self) -> list:
+        if self._matrix is None:
+            self._matrix = linalg.zeros(len(self.columns), len(self.columns))
+            for j, col in enumerate(self.columns):
+                for i, v in col:
+                    self._matrix[i][j] = v
+        return self._matrix
 
     def __call__(self, v):
-        return linalg.mat_vec(self.matrix, [x.conj() for x in v])
+        out = [ZERO] * len(v)
+        vcol = [(j, x) for j, x in enumerate(v) if x]
+        for i, x in column_product(self.columns, [vcol], conj=True)[0]:
+            out[i] = x
+        return out
 
     def compose_linear(self, other: "Involution") -> list:
-        """Linear part of self o other (a linear map, conjugations cancel)."""
-        return linalg.mat_mul(self.matrix, linalg.conjugate(other.matrix))
+        """Columns of the linear part M1 conj(M2) of self o other (the
+        conjugations cancel)."""
+        return column_product(self.columns, other.columns, conj=True)
 
     def is_involution(self) -> bool:
-        n = len(self.matrix)
-        return linalg.mat_eq(
-            linalg.mat_mul(self.matrix, linalg.conjugate(self.matrix)),
-            linalg.identity(n),
-        )
+        return is_identity_columns(self.compose_linear(self))
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -75,6 +95,24 @@ class Involution:
                 return "omega"
             return "omega_J" if self.mu.is_identity() else "omega_mu_J"
         return "general"
+
+
+def column_product(a: list, b: list, conj: bool = False) -> list:
+    """Sparse columns of A B, or of A conj(B), from those of A and B."""
+    out = []
+    for col in b:
+        acc: dict[int, GaussianRational] = {}
+        for k, bk in col:
+            if conj:
+                bk = bk.conj()
+            for i, aik in a[k]:
+                acc[i] = acc[i] + aik * bk if i in acc else aik * bk
+        out.append([(i, v) for i, v in sorted(acc.items()) if v])
+    return out
+
+
+def is_identity_columns(columns: list) -> bool:
+    return all(col == [(j, ONE)] for j, col in enumerate(columns))
 
 
 def _sigma_scalars(rs: RootSystem, mu: DiagramAutomorphism, chi, negate: bool):
@@ -108,48 +146,44 @@ def canonical_involution(
     if not set(J) <= fixed:
         raise ValueError("J must consist of mu-fixed simple roots")
     n = rs.rank
-    m = linalg.zeros(rs.dim, rs.dim)
+    idx = rs.root_index
+    cols: list = [None] * rs.dim  # each column holds one entry
     if kind == "varsigma":
         if J:
             raise ValueError("varsigma takes no subset J")
         for i in range(n):
-            m[mu(i)][i] = ONE
+            cols[i] = [(mu(i), ONE)]
         c = _sigma_scalars(rs, mu, lambda i: False, negate=False)
         for gamma, val in c.items():
-            m[rs.root_index(mu.apply_root(gamma))][rs.root_index(gamma)] = val
             neg = tuple(-x for x in gamma)
-            m[rs.root_index(mu.apply_root(neg))][rs.root_index(neg)] = ONE / val
+            cols[idx(gamma)] = [(idx(mu.apply_root(gamma)), val)]
+            cols[idx(neg)] = [(idx(mu.apply_root(neg)), ONE / val)]
     elif kind == "omega":
         for i in range(n):
-            m[mu(i)][i] = -ONE
+            cols[i] = [(mu(i), -ONE)]
         jset = set(J)
         c = _sigma_scalars(rs, mu, lambda i: i in jset, negate=True)
         for gamma, val in c.items():
             mg = mu.apply_root(gamma)
-            m[rs.root_index(tuple(-x for x in mg))][rs.root_index(gamma)] = val
-            m[rs.root_index(mg)][rs.root_index(tuple(-x for x in gamma))] = ONE / val
+            cols[idx(gamma)] = [(idx(tuple(-x for x in mg)), val)]
+            cols[idx(tuple(-x for x in gamma))] = [(idx(mg), ONE / val)]
     else:
         raise ValueError(f"unknown canonical kind {kind!r}")
-    return Involution(m, kind, mu, J)
+    return Involution(kind=kind, mu=mu, J=J, columns=cols)
 
 
 def sigma_root_action(rs: RootSystem, sigma: Involution):
-    """Map gamma -> (sigma* gamma, c_gamma) read off the involution matrix.
+    """Map gamma -> (sigma* gamma, c_gamma) read off the involution's columns.
 
     Requires sigma to permute the root spaces, which holds whenever sigma
     preserves the Cartan subalgebra.
     """
     action = {}
     for gamma in rs.roots:
-        col = rs.root_index(gamma)
-        hits = [
-            i for i in range(rs.dim) if sigma.matrix[i][col] and i >= rs.rank
-        ]
-        if len(hits) != 1 or any(
-            sigma.matrix[i][col] for i in range(rs.rank)
-        ):
+        col = sigma.columns[rs.root_index(gamma)]
+        if len(col) != 1 or col[0][0] < rs.rank:
             raise ValueError("involution does not permute the root spaces")
-        action[gamma] = (rs.index_root(hits[0]), sigma.matrix[hits[0]][col])
+        action[gamma] = (rs.index_root(col[0][0]), col[0][1])
     return action
 
 

@@ -103,10 +103,13 @@ def nullspace(m: Matrix) -> list[list]:
     if not m:
         return []
     a, pivots = rref(m)
-    cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
+    return _kernel(a, pivots, len(m[0]))
+
+
+def _kernel(a: Matrix, pivots: list[int], cols: int) -> list[list]:
+    """Kernel basis of the first cols columns of a reduced matrix."""
     basis = []
-    for f in free:
+    for f in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols
         v[f] = ONE
         for r, c in enumerate(pivots):
@@ -115,18 +118,18 @@ def nullspace(m: Matrix) -> list[list]:
     return basis
 
 
-def solve(m: Matrix, rhs: list) -> list | None:
-    """One exact solution of m x = rhs, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i][:] + [rhs[i]] for i in range(rows)]
-    a, pivots = rref(aug)
+def solve(m: Matrix, rhs: list) -> tuple[list, list[list]] | None:
+    """One exact solution of m x = rhs and a basis of the kernel of m,
+    from one elimination; None if inconsistent."""
+    cols = len(m[0]) if m else 0
+    a, pivots = rref([row + [b] for row, b in zip(m, rhs)])
     if cols in pivots:
         return None
     x = [ZERO] * cols
     for r, c in enumerate(pivots):
         x[c] = a[r][cols]
-    return x
+    return x, _kernel(a, pivots, cols)
+
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -55,12 +55,8 @@ class ContinuousParameter:
         return self.antisymmetric_part()[a][b]
 
     def embed(self, rs: RootSystem) -> Tensor2:
-        items = []
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                if self.matrix[i][j]:
-                    items.append(((i, j), self.matrix[i][j]))
-        return Tensor2.from_items(rs.dim, items)
+        rows = enumerate(self.matrix)
+        return Tensor2(rs.dim, {(i, j): v for i, row in rows for j, v in enumerate(row)})
 
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.matrix]
@@ -123,11 +119,10 @@ def _omega0_matrix(rs: RootSystem):
 
 
 def _root_eval_vector(rs: RootSystem, root) -> list:
-    """Column of values root(h_i)."""
-    g = rs.killing_h
+    """Column of values root(h_i), from the integer Killing Gram."""
     return [
-        GaussianRational(sum(Fraction(g[i][j]) * root[j] for j in range(rs.rank)))
-        for i in range(rs.rank)
+        GaussianRational(Fraction(sum(g * c for g, c in zip(row, root)), rs._gram_den))
+        for row in rs._gram
     ]
 
 
@@ -145,25 +140,14 @@ def constraint_residual(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter):
         talpha = rs.simple_roots[bd.mapping[a]]
         ga = _root_eval_vector(rs, alpha)
         gt = _root_eval_vector(rs, talpha)
-        lt = linalg.transpose(lam.matrix)
-        residuals.append(
-            [
-                linalg.mat_vec(lt, gt)[k] + linalg.mat_vec(lam.matrix, ga)[k]
-                for k in range(n)
-            ]
-        )
+        lt_gt = linalg.mat_vec(linalg.transpose(lam.matrix), gt)
+        residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(lam.matrix, ga))])
     return residuals
 
 
 def satisfies_constraints(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter) -> bool:
-    def flat(x):
-        for item in x:
-            if isinstance(item, list):
-                yield from flat(item)
-            else:
-                yield item
-
-    return not any(flat(constraint_residual(rs, bd, lam)))
+    sym, *per_root = constraint_residual(rs, bd, lam)
+    return not any(x for row in sym + per_root for x in row)
 
 
 def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
@@ -183,9 +167,11 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
         ga = _root_eval_vector(rs, rs.simple_roots[a])
         gt = _root_eval_vector(rs, rs.simple_roots[bd.mapping[a]])
         base = [
-            linalg.mat_vec(linalg.transpose(omega_half), gt)[k]
-            + linalg.mat_vec(omega_half, ga)[k]
-            for k in range(n)
+            x + y
+            for x, y in zip(
+                linalg.mat_vec(linalg.transpose(omega_half), gt),
+                linalg.mat_vec(omega_half, ga),
+            )
         ]
         for k in range(n):
             row = []
@@ -205,15 +191,11 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
             rhs.append(-base[k])
 
     if rows:
-        sol = linalg.solve(rows, rhs)
-        assert sol is not None, "parameter system inconsistent for a valid triple"
-        kernel = linalg.nullspace(rows)
+        affine = linalg.solve(rows, rhs)
+        assert affine is not None, "parameter system inconsistent for a valid triple"
+        sol, kernel = affine
     else:
-        sol = [ZERO] * len(pairs)
-        kernel = [
-            [ONE if t == s else ZERO for t in range(len(pairs))]
-            for s in range(len(pairs))
-        ]
+        sol, kernel = [ZERO] * len(pairs), linalg.identity(len(pairs))
 
     base_matrix = _antisym_from_coords(n, sol)
     for i in range(n):
@@ -330,12 +312,13 @@ def apply_reality(
     rows, rhs = condition_rows(a_of)
     grows = [[GaussianRational(x) for x in row] for row in rows]
     grhs = [GaussianRational(x) for x in rhs]
-    sol = linalg.solve(grows, grhs) if rows else [ZERO] * (2 * ndir)
-    if sol is None:
-        raise NoBialgebraDatum("reality constraints are inconsistent")
-    kernel = linalg.nullspace(grows) if rows else [
-        [ONE if t == s else ZERO for t in range(2 * ndir)] for s in range(2 * ndir)
-    ]
+    if rows:
+        affine = linalg.solve(grows, grhs)
+        if affine is None:
+            raise NoBialgebraDatum("reality constraints are inconsistent")
+    else:
+        affine = [ZERO] * (2 * ndir), linalg.identity(2 * ndir)
+    sol, kernel = affine
 
     def realize(coeffs):
         out = []

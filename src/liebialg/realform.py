@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import GaussianRational, ZERO
-from .involution import Involution, RealFormBasis, canonical_involution
+from .involution import (
+    Involution,
+    RealFormBasis,
+    canonical_involution,
+    column_product,
+    is_identity_columns,
+)
 from .rootsystem import RootSystem
 
 
@@ -53,7 +59,7 @@ class RealFormReport:
 def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
     """theta = sigma o omega; linear since both factors are semilinear."""
     omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
-    return Involution(sigma.compose_linear(omega), "general")
+    return Involution(columns=sigma.compose_linear(omega))
 
 
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
@@ -73,22 +79,22 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
 
 
 def _checked_theta(rs: RootSystem, sigma: Involution) -> Involution:
-    """The Cartan involution, asserted to square to 1 and to preserve h."""
+    """The Cartan involution, asserted on its columns to square to 1 and
+    to preserve h."""
     theta = cartan_involution(rs, sigma)
-    m = theta.matrix
-    assert linalg.mat_eq(
-        linalg.mat_mul(m, m), linalg.identity(rs.dim)
-    ), "theta is not an involution"
-    assert not any(
-        m[i][j] for i in range(rs.rank, rs.dim) for j in range(rs.rank)
+    cols = theta.columns
+    assert is_identity_columns(column_product(cols, cols)), "theta is not an involution"
+    assert all(
+        i < rs.rank for col in cols[: rs.rank] for i, _ in col
     ), "theta does not preserve h"
     return theta
 
 
-def _trace_dims(m, size: int) -> tuple[int, int]:
+def _trace_dims(theta: Involution, size: int) -> tuple[int, int]:
     """(+1, -1) eigenspace dimensions of an involution on the span of the
     first size basis vectors, from the trace of that block."""
-    tr = sum((m[i][i] for i in range(size)), ZERO)
+    cols = theta.columns
+    tr = sum((v for j in range(size) for i, v in cols[j] if i == j), ZERO)
     assert tr.is_real(), "trace of theta is not real"
     plus, minus = (size + tr.re) / 2, (size - tr.re) / 2
     assert plus.denominator == 1 and minus.denominator == 1
@@ -208,14 +214,10 @@ def _standardize_d_vertex(rs, mu, vertex: int) -> int:
     if mu.permutation == standard:
         return vertex
     for p in diagram_permutations(rs):
-        conj = tuple(p[mu(_perm_inv(p, k))] for k in range(n))
+        conj = tuple(p[mu(p.index(k))] for k in range(n))
         if conj == standard:
             return p[vertex]
     raise AssertionError("no diagram symmetry conjugates mu to the spinor swap")
-
-
-def _perm_inv(p, k):
-    return p.index(k)
 
 
 def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
@@ -230,8 +232,8 @@ def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
     series, n = rs.type.series, rs.rank
     mu = sigma.mu
     theta = _checked_theta(rs, sigma)
-    dim_k, dim_p = _trace_dims(theta.matrix, rs.dim)
-    dc, dnc = _trace_dims(theta.matrix, n)
+    dim_k, dim_p = _trace_dims(theta, rs.dim)
+    dc, dnc = _trace_dims(theta, n)
 
     if sigma.kind == "omega":
         painted = tuple(i for i in mu.fixed_points() if i not in sigma.J)
@@ -344,11 +346,11 @@ def _roots_vanishing_on(rs: RootSystem, sigma: Involution, want_sign: int):
     """Roots vanishing on the want_sign eigenspace of theta on h; that
     space is the complexification of its part in h_0, so the ambient
     Cartan block of theta suffices."""
-    m = _checked_theta(rs, sigma).matrix
     n = rs.rank
-    shifted = [
-        [m[i][j] - (want_sign if i == j else 0) for j in range(n)] for i in range(n)
-    ]
+    shifted = [[x * -want_sign for x in row] for row in linalg.identity(n)]
+    for j, col in enumerate(_checked_theta(rs, sigma).columns[:n]):
+        for i, v in col:
+            shifted[i][j] = shifted[i][j] + v
     part = linalg.nullspace(shifted)
     g = rs.killing_h
     out = []

@@ -43,6 +43,7 @@ from .core import (
     ONE,
     Tensor2,
     ZERO,
+    apply_semilinear_pair,
     cybe,
     cybe_is_zero,
 )
@@ -179,12 +180,6 @@ def transported_images(rs: RootSystem, bd: BDTriple, family: dict) -> dict:
 # ---- tensors ---------------------------------------------------------------
 
 
-def _family_scale(family, root):
-    if all(x >= 0 for x in root):
-        return family[root]
-    return ONE / family[tuple(-x for x in root)]
-
-
 def build_r(
     rs: RootSystem,
     bd: BDTriple,
@@ -223,10 +218,8 @@ def build_r0(
 
 
 def _minus_half_t_omega(rs: RootSystem, r: Tensor2, t: GaussianRational) -> Tensor2:
-    """r - t Omega / 2, touching only the nonzero slots of Omega."""
-    half_t = t * GaussianRational(Fraction(1, 2))
-    shift = [(k, -half_t * v) for k, v in rs.casimir.items()]
-    return Tensor2.from_items(rs.dim, [*r.items(), *shift])
+    """r - t Omega / 2, touching only the nonzero entries of r and Omega."""
+    return r + rs.casimir.scale(t * GaussianRational(Fraction(-1, 2)))
 
 
 # ---- the classification datum ----------------------------------------------
@@ -311,10 +304,12 @@ def iter_data(
     and default t), involution-major, then in triple enumeration order.
     The triples are enumerated once, and each triple's complex parameter
     space is solved at most once, only after some involution passed the
-    stability test for it.
+    stability test for it.  Its reality cut, which depends only on the
+    triple, the reality kind and mu, is made once per such key.
     """
     triples = enumerate_bd_triples(rs)
     solved: dict[BDTriple, ParameterSpace] = {}
+    cut: dict[tuple, ParameterSpace | None] = {}  # None: no datum
     for sigma in sigmas:
         label = sigma.describe()
         kind = reality_kind_for(label)
@@ -323,17 +318,21 @@ def iter_data(
                 continue
             if bd not in solved:
                 solved[bd] = solve_parameters(rs, bd)
-            try:
-                space = apply_reality(solved[bd], label, sigma.mu, bd)
-            except NoBialgebraDatum:
+            key = (bd, kind, sigma.mu)
+            if key not in cut:
+                try:
+                    cut[key] = apply_reality(solved[bd], label, sigma.mu, bd)
+                except NoBialgebraDatum:
+                    cut[key] = None
+            space = cut[key]
+            if space is None:
                 continue
             datum = make_datum(rs, sigma, bd, space.base_point, default_t(label))
             yield sigma, space, datum
 
 
 def sigma_fixes(datum: BialgebraDatum) -> bool:
-    from .core import apply_semilinear_pair
-
+    """(sigma (x) sigma)(r0) = r0, over the nonzero entries of r0."""
     return apply_semilinear_pair(datum.sigma, datum.r0) == datum.r0
 
 
@@ -419,11 +418,8 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         raise ExtractionError("tensor is not antisymmetric")
     if r0.is_zero():
         raise ExtractionError("zero tensor is triangular, not almost factorizable")
-    if sigma is not None:
-        from .core import apply_semilinear_pair
-
-        if apply_semilinear_pair(sigma, r0) != r0:
-            raise ExtractionError("tensor is not fixed by the involution pair")
+    if sigma is not None and apply_semilinear_pair(sigma, r0) != r0:
+        raise ExtractionError("tensor is not fixed by the involution pair")
 
     # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23], and
     # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega
@@ -562,7 +558,7 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     """Canonical comparison key of the datum conjugated by psi."""
     perm = psi.permutation
     mu = datum.sigma.mu
-    mu2 = tuple(perm[mu(_inv(perm, k))] for k in range(len(perm)))
+    mu2 = tuple(perm[mu(perm.index(k))] for k in range(len(perm)))
     j2 = tuple(sorted(perm[j] for j in datum.sigma.J))
     g1 = tuple(sorted(perm[i] for i in datum.bd.gamma1))
     g2 = tuple(sorted(perm[i] for i in datum.bd.gamma2))
@@ -570,14 +566,10 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     n = len(perm)
     lam = datum.lam.matrix
     lam2 = tuple(
-        tuple(str(lam[_inv(perm, i)][_inv(perm, j)]) for j in range(n))
+        tuple(str(lam[perm.index(i)][perm.index(j)]) for j in range(n))
         for i in range(n)
     )
     return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
-
-
-def _inv(perm, k):
-    return perm.index(k)
 
 
 def datum_class_key(datum: BialgebraDatum, autos) -> tuple:

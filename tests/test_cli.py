@@ -268,6 +268,13 @@ MALFORMED = {
     ),
     "sigma-label-mismatch": lambda doc: doc.update({"sigma_label": "omega"}),
     "zero-denominator": lambda doc: doc["lambda"][0].__setitem__(0, ["1/0", "0"]),
+    # r0 entry 1 is (1, 0); its row index 1 in other JSON types
+    "tensor-index-float": lambda doc: doc["r0"]["entries"][1].__setitem__(0, 1.0),
+    "tensor-index-string": lambda doc: doc["r0"]["entries"][1].__setitem__(0, "1"),
+    "tensor-index-boolean": lambda doc: doc["r0"]["entries"][1].__setitem__(0, True),
+    "tensor-entry-repeated": lambda doc: doc["r0"]["entries"].append(
+        list(doc["r0"]["entries"][0])
+    ),
 }
 
 
@@ -285,6 +292,15 @@ def test_verify_rejects_malformed_datum(tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")
+
+
+def test_verify_drops_explicit_zero_entries(tmp_path, capsys):
+    path, doc = _a2_datum(tmp_path, capsys)
+    assert [0, 0] not in [e[:2] for e in doc["r0"]["entries"]]
+    doc["r0"]["entries"].append([0, 0, "0", "0"])
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 BUILD_PROBES = {

@@ -242,6 +242,132 @@ def test_apply_semilinear_pair_dimension_mismatch():
         apply_semilinear_pair(vs, Tensor2(5))
 
 
+# ---- dense oracles for the sparse tensor and the sparse involution action ----
+
+
+def _dense_zero(d):
+    return [[ZERO] * d for _ in range(d)]
+
+
+def _dense_mul(a, b):
+    d = len(a)
+    out = _dense_zero(d)
+    for i in range(d):
+        for k in range(d):
+            if a[i][k]:
+                for j in range(d):
+                    if b[k][j]:
+                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def _dense_map(f, *mats):
+    """Slotwise f, for an f that maps zeros to zero."""
+    return [
+        [f(*vals) if any(vals) else ZERO for vals in zip(*rows)] for rows in zip(*mats)
+    ]
+
+
+def _tensor_of(dense):
+    return Tensor2.from_items(
+        len(dense),
+        [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v],
+    )
+
+
+def _agrees(t, dense):
+    """t holds exactly the nonzero slots of dense, in row-major order."""
+    d = len(dense)
+    want = [((i, j), v) for i in range(d) for j, v in enumerate(dense[i]) if v]
+    return (
+        t.dim == d
+        and list(t.items()) == want
+        and all(
+            t.get(i, j) == v if v else not t.get(i, j)
+            for i in range(d)
+            for j, v in enumerate(dense[i])
+        )
+        and t.to_json()["entries"] == [[i, j, *v.to_json()] for (i, j), v in want]
+    )
+
+
+def _random_dense(rng, d):
+    values = [ONE, -ONE, I, GaussianRational(Fraction(1, 2), -1), GaussianRational(-2, 3)]
+    m = _dense_zero(d)
+    for _ in range(2 * d):
+        m[rng.randrange(d)][rng.randrange(d)] = rng.choice(values)
+    return m
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_sparse_tensor_and_pair_action_match_dense_oracles(series, rank):
+    import random
+
+    from liebialg.cli import _sigma_variants
+
+    rs = build_root_system(series, rank)
+    d = rs.dim
+    rng = random.Random(rank * 31 + ord(series))
+    c = GaussianRational(Fraction(2, 3), 1)
+    for sigma in _sigma_variants(rs, "all"):
+        xd = _random_dense(rng, d)
+        m = sigma.matrix
+        mt = [list(col) for col in zip(*m)]
+        conj_x = _dense_map(lambda v: v.conj(), xd)
+        yd = _dense_mul(_dense_mul(m, conj_x), mt)  # (sigma (x) sigma)(x)
+        x, y = _tensor_of(xd), _tensor_of(yd)
+        assert _agrees(x, xd) and _agrees(y, yd)
+        assert _agrees(apply_semilinear_pair(sigma, x), yd)
+        xtd = [list(col) for col in zip(*xd)]
+        assert _agrees(x.transpose(), xtd)
+        assert _agrees(x + y, _dense_map(lambda a, b: a + b, xd, yd))
+        assert _agrees(x - y, _dense_map(lambda a, b: a - b, xd, yd))
+        assert _agrees(-x, _dense_map(lambda a: -a, xd))
+        assert _agrees(x.scale(c), _dense_map(lambda a: c * a, xd))
+        assert _agrees(x.scale(0), _dense_zero(d))
+        assert _agrees(x.conjugate(), conj_x)
+        assert _agrees(x - x, _dense_zero(d)) and (x - x).is_zero()
+        anti, sym = x - x.transpose(), x + x.transpose()
+        antid = _dense_map(lambda a, b: a - b, xd, xtd)
+        symd = _dense_map(lambda a, b: a + b, xd, xtd)
+        assert _agrees(anti, antid) and _agrees(sym, symd)
+        for t, td in ((x, xd), (y, yd), (anti, antid), (sym, symd)):
+            pairs = [(td[i][j], td[j][i]) for i in range(d) for j in range(d)]
+            assert t.is_antisymmetric() == all(a == -b for a, b in pairs)
+            assert t.is_symmetric() == all(a == b for a, b in pairs)
+            assert t.is_zero() == (not any(a for a, _ in pairs))
+        assert anti.is_antisymmetric() and sym.is_symmetric()
+        diagonal = Tensor2.from_items(d, [((1, 1), I)])  # diagonal entries count
+        assert not (anti + diagonal).is_antisymmetric()
+        assert (sym + diagonal).is_symmetric()
+        # equality and hashing follow the dense slots, however a tensor is built
+        items = list(x.items())
+        rng.shuffle(items)
+        same = [
+            Tensor2.from_items(d, items),
+            Tensor2.from_json(x.to_json()),
+            (x + y) - y,
+            x + (y - y),
+            x.transpose().transpose(),
+        ]
+        for t in same:
+            assert t == x and hash(t) == hash(x)
+        assert (x == y) == (xd == yd)
+        assert (x == x.transpose()) == (xd == xtd)
+        assert x != x.scale(2) and x != Tensor2(d + 1)
+
+
+def test_tensor_from_json_drops_zeros_and_rejects_bad_indices():
+    doc = {"dim": 2, "entries": [[0, 1, "0", "0"], [1, 0, "1/2", "-1"]]}
+    t = Tensor2.from_json(doc)
+    assert list(t.items()) == [((1, 0), GaussianRational(Fraction(1, 2), -1))]
+    assert t == Tensor2.from_items(2, [((1, 0), GaussianRational(Fraction(1, 2), -1))])
+    for bad in ([[True, 0, "1", "0"]], [[0, 1.0, "1", "0"]], [["0", 1, "1", "0"]],
+                [[0, 1, "1", "0"], [0, 1, "1", "0"]], [[0, 2, "1", "0"]]):
+        with pytest.raises(ValueError):
+            Tensor2.from_json({"dim": 2, "entries": bad})
+
+
 def test_structure_table_bracket_bilinear_antisymmetric():
     rs = build_root_system("B", 2)
     st = rs.structure

@@ -1,8 +1,9 @@
 """Byte-identity guard: sha256 of the CLI's stdout for fixed requests.
 
 The digests were taken before the enumeration pipeline was consolidated
-into rmatrix.iter_data; any change to the emitted JSON (row order, keys,
-tensor entries) shows up here.
+into rmatrix.iter_data (B4, C4, D4 and F4: before tensors became sparse);
+any change to the emitted JSON (row order, keys, tensor entries) shows
+up here.
 """
 
 import hashlib
@@ -18,10 +19,14 @@ DIGESTS = {
     ("enumerate", "B", 2): "00915910068049da126ecbd8f6e9843bdffc4af7997e46a7251f6207c8b5d3a2",
     ("enumerate", "B", 3): "786a3750bb2cf55ae0de7d330c0ba6168a7b710b180369e478100f287806e202",
     ("enumerate", "G", 2): "718477459ed52e24208bf877ab6eb32ecd6bf8606dbed25da6fab17179e00a35",
+    ("enumerate", "B", 4): "23d6660338454c0ea806e5f568510cb4ea1915210f0f5e55f7ab286de30181da",
+    ("enumerate", "C", 4): "f2d93139e4ada6b29d85cb8a7408e87b8e83855e16ad00dd4cfb8babca935c48",
+    ("enumerate", "D", 4): "67515e6da08e2a7e546a1b69fead530660efe8a705bf17be6fd041481dbc262a",
     ("classify", "A", 3): "c400c8d63bcda6e7b835fc1b3f711b527e18690367ab0fc180cec926c5b93aa5",
     ("classify", "B", 3): "4b69a7cf833383d6ca986b475ccd00f8f9093df4ebe6204fc2b3d79a12da3a97",
     ("classify", "C", 3): "b6fb815ac080dea7f38c30b67b6fbd617c00006f83321616bc5e525813647f96",
     ("classify", "G", 2): "96aa2658c57ce2d1c7bc54e2dd75ed0e80d1473989f0826213d35af90c9098c2",
+    ("classify", "F", 4): "4df62e66d673d2a55e974a2fcd6fc4703fef225bb9f313410131cbafa5fdf4d3",
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -266,8 +268,135 @@ def test_rescaling_is_automorphism():
             assert lhs == rhs
 
 
+def test_root_action_rejects_root_vector_sent_into_h():
+    rs = build_root_system("A", 2)
+    m = [row[:] for row in canonical_involution(rs, "varsigma").matrix]
+    col = rs.root_index((1, 1))
+    for row in m:
+        row[col] = ZERO
+    m[0][col] = ONE  # x_(1,1) -> h_1
+    with pytest.raises(ValueError, match="permute the root spaces"):
+        sigma_root_action(rs, Involution(m, "general"))
+
+
 def test_j_must_be_mu_fixed():
     rs = build_root_system("A", 2)
     flip = DiagramAutomorphism((1, 0))
     with pytest.raises(ValueError):
         canonical_involution(rs, "omega", flip, (0,))
+
+
+# sha256 prefixes of each _sigma_variants(all) involution's dense matrix,
+# taken while involutions were still stored as dense matrices
+MATRIX_DIGESTS = {
+    ("A", 3): (
+        "8d8dd00cdf6c2706",
+        "fdb2276d6d9a792f",
+        "b39bcf49788eca72",
+        "29005c298689cff3",
+        "579e08ab1d0bd8be",
+        "6f98db80edee3e38",
+        "694a5291a4f775ee",
+        "b2da5a2a7ff3c7c8",
+        "b19e2694ee87c791",
+        "318d519cafedb788",
+        "32678e5ea4c2191f",
+        "e86ecfe04403c843",
+    ),
+    ("B", 3): (
+        "a58757d513f4fcfb",
+        "1d4f9056777fd910",
+        "edde46f25ee420b9",
+        "cf2986335bd95adf",
+        "0f1ee15a3f709159",
+        "97d887c28e64373a",
+        "62341eaaaacfc895",
+        "a54e67ee6663a376",
+        "ffc386adafecff24",
+    ),
+    ("C", 3): (
+        "a58757d513f4fcfb",
+        "947843353a32667f",
+        "f7bd3c3cc75b9369",
+        "5812785506ee3aa6",
+        "0f3b091b7b04a395",
+        "8789744bad4d4e64",
+        "c89992f0e027b19e",
+        "3fcdc22824fd8719",
+        "d17cc3b837dcab53",
+    ),
+    ("D", 4): (
+        "44f784b1892da40f",
+        "73ff2d2f7ce8198e",
+        "51ddc8fb533d0878",
+        "631d6d3cc0c11f82",
+        "ce4e624986b95e96",
+        "49c2f0b904867dab",
+        "156e206b1e74124e",
+        "2f1174dcda24294e",
+        "4c3a2580e4e2b515",
+        "ea49100d81ac4f68",
+        "bee2486e9fc8149d",
+        "698db03a056a2d4c",
+        "a7de81ca65d5a191",
+        "e4ee8831f58649bf",
+        "c961ef60d45350d8",
+        "00906c085a9a3fee",
+        "f5148cb489eabaca",
+        "ab8fd1febaf6b473",
+        "5a5d5ee8f6a6b2bf",
+        "285405760422827f",
+        "4817f7eff53dc707",
+        "ff5e7140c5f28fac",
+        "da572aed9ea9898c",
+        "687326579af752bb",
+        "5d3c67d12a2e5bb8",
+        "6acb6e7a2f963e69",
+        "25e0239f803069a0",
+        "9787c98619b868f7",
+        "de64ecc1de0645c8",
+        "477d9fcd38e23fe7",
+        "7e646f876e56aa14",
+        "fb89529272e682aa",
+    ),
+    ("G", 2): (
+        "400e3dbf5bb0678a",
+        "38ba34e6b30202ab",
+        "f3666756cbf13d57",
+        "ce3cb976d05a568c",
+        "32859899ec25b4b8",
+    ),
+    ("F", 4): (
+        "427b0886bbf93448",
+        "47bee5e8023eeef8",
+        "a831c0cb125b21ea",
+        "bd363d8c6d10315d",
+        "c1115c593b52f2b4",
+        "a78c9fe0a80867dc",
+        "4ebba910c5ddadce",
+        "21db40fb3250521e",
+        "69d0424f9c768733",
+        "49b7a9813386cf18",
+        "5357bbcf75607e58",
+        "4338fe0b5bcc3639",
+        "3bdf5aef1f90203b",
+        "696f971c9a32fe03",
+        "3cbbf659d832a4ce",
+        "0a474b4e4ba59485",
+        "2021e1ca4175e96f",
+    ),
+}
+
+
+def _matrix_digest(sigma) -> str:
+    text = json.dumps([[x.to_json() for x in row] for row in sigma.matrix])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("series,rank", sorted(MATRIX_DIGESTS))
+def test_canonical_matrix_digests(series, rank):
+    from liebialg.cli import _sigma_variants
+
+    rs = build_root_system(series, rank)
+    digests = tuple(_matrix_digest(s) for s in _sigma_variants(rs, "all"))
+    assert digests == MATRIX_DIGESTS[(series, rank)]

@@ -18,8 +18,13 @@ def test_rref_and_rank():
 
 def test_solve_exact():
     m = [[g(2), g(1)], [g(1), g(-1)]]
-    x = linalg.solve(m, [g(5), g(1)])
-    assert linalg.mat_vec(m, x) == [g(5), g(1)]
+    x, kernel = linalg.solve(m, [g(5), g(1)])
+    assert linalg.mat_vec(m, x) == [g(5), g(1)] and kernel == []
+    # a singular consistent system: the kernel comes from the same elimination
+    m = [[g(1), g(1), g(0)], [g(2), g(2), g(0)]]
+    x, kernel = linalg.solve(m, [g(3), g(6)])
+    assert linalg.mat_vec(m, x) == [g(3), g(6)]
+    assert kernel == linalg.nullspace(m) and len(kernel) == 2
 
 
 def test_solve_inconsistent():

@@ -3,11 +3,12 @@ import pytest
 from liebialg import linalg, realform
 from liebialg.bdtriple import DiagramAutomorphism
 from liebialg.cli import _sigma_variants
-from liebialg.core import ONE, GaussianRational
+from liebialg.core import I, ONE, GaussianRational
 from liebialg.involution import (
     Involution,
     canonical_involution,
     fixed_point_basis,
+    rescaling_automorphism,
     sigma_root_action,
 )
 from liebialg.realform import (
@@ -286,6 +287,24 @@ def test_identify_rejects_theta_not_squaring_to_one(monkeypatch):
     _broken_theta(monkeypatch, scale_root_column)
     with pytest.raises(AssertionError, match="not an involution"):
         identify(rs, canonical_involution(rs, "varsigma"))
+
+
+def test_identify_accepts_theta_conjugated_by_complex_torus(monkeypatch):
+    # D theta D^-1 for a complex torus element D still squares to 1 and
+    # preserves h, but its entries are not real: the guards must take the
+    # linear square, not theta conj(theta)
+    rs = build_root_system("A", 2)
+    sigma = canonical_involution(rs, "varsigma")
+    want = identify(rs, sigma).to_json()
+    d = rescaling_automorphism(rs, {0: ONE + I, 1: GaussianRational(2)})
+    d_inv = linalg.inverse(d)
+
+    def conjugate(m):
+        m[:] = linalg.mat_mul(d, linalg.mat_mul(m, d_inv))
+        assert any(not x.is_real() for row in m for x in row)
+
+    _broken_theta(monkeypatch, conjugate)
+    assert identify(rs, sigma).to_json() == want
 
 
 def test_identify_rejects_theta_moving_h(monkeypatch):
