@@ -1,8 +1,11 @@
 """Exact scalar arithmetic, order-2 tensors and a sparse CYBE evaluator.
 
-Scalars are Gaussian rationals a + b*i with a, b arbitrary-precision
-rationals, so every identity checked in this library is a literal
-equality; there are no tolerances anywhere.
+Scalars are Gaussian rationals (a + b*i) / d held as three
+arbitrary-precision ints in the normal form d > 0, gcd(a, b, d) = 1, so
+every identity checked in this library is a literal equality of ints;
+there are no tolerances anywhere.  Each + - * / costs one gcd (none over
+denominator 1).  No float ever becomes a scalar: the constructor takes
+ints and Fractions only, and JSON scalars must be rational strings.
 
 Order-2 tensors over a finite-dimensional algebra, whose multiplication
 is given by a sparse structure-constant table, are dicts of their
@@ -14,7 +17,7 @@ of its linear part.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Mapping, Sequence, Union
 
 Rationalish = Union[int, Fraction]
@@ -32,63 +35,125 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 class GaussianRational:
-    """An element of Q(i), kept in lowest terms by Fraction."""
+    """An element (a + b*i) / d of Q(i) in three ints, d > 0 and
+    gcd(a, b, d) = 1, so equal scalars have equal fields.
 
-    __slots__ = ("re", "im")
+    Parts are ints or Fractions; anything else, a float above all, is a
+    TypeError.  .re and .im are Fraction views for parsing and printing.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:  # lowest terms on each side, so gcd(a, b, lcm) = 1
+            d = q * s // gcd(q, s)
+            self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def real_part(self) -> "GaussianRational":
+        """Re z as a (real) GaussianRational."""
+        if not self.b:
+            return self
+        g = gcd(self.a, self.d)
+        return _gr(self.a // g, 0, self.d // g)
+
+    def imag_part(self) -> "GaussianRational":
+        """Im z as a (real) GaussianRational."""
+        g = gcd(self.b, self.d)
+        return _gr(self.b // g, 0, self.d // g)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            a, b = self.a + other.a, self.b + other.b
+            if d == 1:
+                return _gr(a, b, 1)
+        else:
+            a, b, d = self.a * e + other.a * d, self.b * e + other.b * d, d * e
+        g = gcd(a, b, d)
+        return _gr(a // g, b // g, d // g) if g != 1 else _gr(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            a, b = self.a - other.a, self.b - other.b
+            if d == 1:
+                return _gr(a, b, 1)
+        else:
+            a, b, d = self.a * e - other.a * d, self.b * e - other.b * d, d * e
+        g = gcd(a, b, d)
+        return _gr(a // g, b // g, d // g) if g != 1 else _gr(a, b, d)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2, d = self.a, self.b, other.a, other.b, self.d * other.d
+        if not b1 and not b2:  # real times real
+            a = a1 * a2
+            if d == 1:
+                return _gr(a, 0, 1)
+            g = gcd(a, d)
+            return _gr(a // g, 0, d // g) if g != 1 else _gr(a, 0, d)
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        if d == 1:
+            return _gr(a, b, 1)
+        g = gcd(a, b, d)
+        return _gr(a // g, b // g, d // g) if g != 1 else _gr(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.re and not other.im:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a2, b2 = other.a, other.b
+        if not a2 and not b2:
             raise ZeroDivisionError("division by zero in Q(i)")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re)
-        n = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        a1, b1, d2 = self.a, self.b, other.d
+        a = (a1 * a2 + b1 * b2) * d2
+        b = (b1 * a2 - a1 * b2) * d2
+        d = self.d * (a2 * a2 + b2 * b2)
+        if d == 1:
+            return _gr(a, b, 1)
+        g = gcd(a, b, d)
+        return _gr(a // g, b // g, d // g)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -97,44 +162,49 @@ class GaussianRational:
         return other / self
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d) if self.b else self
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def is_imaginary(self) -> bool:
-        return not self.re
+        return not self.a
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        imag = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if not self.re:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_str(a, d)
+        imag = "i" if b == d else "-i" if b == -d else f"{_ratio_str(b, d)}i"
+        if not a:
             return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{imag}"
 
     def to_json(self) -> list[str]:
-        return [str(self.re), str(self.im)]
+        return [_ratio_str(self.a, self.d), _ratio_str(self.b, self.d)]
 
     @staticmethod
     def from_json(pair: Sequence[str]) -> "GaussianRational":
-        return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
+        """Read to_json output: two rational strings, never JSON numbers."""
+        re, im = pair
+        if type(re) is not str or type(im) is not str:
+            raise TypeError(f"scalar {list(pair)!r} must be a pair of strings")
+        return GaussianRational(Fraction(re), Fraction(im))
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -150,11 +220,38 @@ class GaussianRational:
         return GaussianRational(Fraction(text))
 
 
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i) / d from fields already in normal form."""
+    z = _new(GaussianRational)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction part."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"a Gaussian rational part must be an int or Fraction, not {type(x).__name__}")
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def _coerce(value) -> GaussianRational:
     if type(value) is GaussianRational:
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, int):
+        return _gr(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _gr(value.numerator, 0, value.denominator)
     return NotImplemented
 
 
@@ -291,7 +388,7 @@ class Tensor2:
                 raise ValueError(f"tensor entry ({i}, {j}) out of range")
             if (i, j) in ent:
                 raise ValueError(f"tensor entry ({i}, {j}) repeated")
-            ent[(i, j)] = GaussianRational(Fraction(re), Fraction(im))
+            ent[(i, j)] = GaussianRational.from_json((re, im))
         return Tensor2(d, ent)
 
 

@@ -338,7 +338,7 @@ class RealFormBasis:
     def coordinates(self, target) -> list[Fraction] | None:
         """Real coordinates of target, or None if outside the real span."""
         coords = linalg.mat_vec(self.inverse_matrix(), target)
-        if any(x.im for x in coords):
+        if not all(x.is_real() for x in coords):
             return None
         return [x.re for x in coords]
 

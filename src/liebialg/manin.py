@@ -271,12 +271,14 @@ def realification_structure(rs: RootSystem) -> StructureTable:
     for (a, b), terms in rs.structure.table.items():
         plain, primed = [], []
         for k, c in terms:
-            if c.re:
-                plain.append((k, GaussianRational(c.re)))
-                primed.append((n + k, GaussianRational(c.re)))
-            if c.im:
-                plain.append((n + k, GaussianRational(c.im)))
-                primed.append((k, GaussianRational(-c.im)))
+            if c.a:
+                re = c.real_part()
+                plain.append((k, re))
+                primed.append((n + k, re))
+            if c.b:
+                im = c.imag_part()
+                plain.append((n + k, im))
+                primed.append((k, -im))
         if plain:
             table[(a, b)] = tuple(plain)
             table[(n + a, n + b)] = tuple((k, -c) for k, c in plain)
@@ -291,10 +293,10 @@ def realify_vector(v) -> list:
     n = len(v)
     out = [ZERO] * (2 * n)
     for j, x in enumerate(v):
-        if x.re:
-            out[j] = GaussianRational(x.re)
-        if x.im:
-            out[n + j] = GaussianRational(x.im)
+        if x.a:
+            out[j] = x.real_part()
+        if x.b:
+            out[n + j] = x.imag_part()
     return out
 
 
@@ -314,19 +316,17 @@ def real_part_pairing(rs: RootSystem, t: GaussianRational):
     inv_t = ONE / t
     two = GaussianRational(2)
 
-    def re_of(x):
-        return GaussianRational(x.re)
-
     p = linalg.zeros(2 * n, 2 * n)
     for i in range(n):
         for j in range(n):
             base = inv_t * k[i][j]
             if not base:
                 continue
-            p[i][j] = two * re_of(base)
-            p[i][n + j] = two * re_of(I * base)
-            p[n + i][j] = two * re_of(I * base)
-            p[n + i][n + j] = -two * re_of(base)
+            re, im = two * base.real_part(), two * base.imag_part()
+            p[i][j] = re
+            p[i][n + j] = -im  # 2 Re(i base)
+            p[n + i][j] = -im
+            p[n + i][n + j] = -re
     return p
 
 

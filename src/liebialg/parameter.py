@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, ONE, Tensor2, ZERO
+from .core import GaussianRational, I, ONE, Tensor2, ZERO
 from .rootsystem import RootSystem
 
 
@@ -299,21 +299,20 @@ def apply_reality(
     base_anti = ps.base_point.antisymmetric_part()
 
     def a_of(i, j):
-        re_form = [base_anti[i][j].re] + [Fraction(0)] * (2 * ndir)
-        im_form = [base_anti[i][j].im] + [Fraction(0)] * (2 * ndir)
+        re_form = [base_anti[i][j].real_part()] + [ZERO] * (2 * ndir)
+        im_form = [base_anti[i][j].imag_part()] + [ZERO] * (2 * ndir)
         for m, d in enumerate(ps.directions):
             # (re + i im)(dre + i dim)
-            re_form[1 + 2 * m] = d[i][j].re
-            re_form[2 + 2 * m] = -d[i][j].im
-            im_form[1 + 2 * m] = d[i][j].im
-            im_form[2 + 2 * m] = d[i][j].re
+            dre, dim = d[i][j].real_part(), d[i][j].imag_part()
+            re_form[1 + 2 * m] = dre
+            re_form[2 + 2 * m] = -dim
+            im_form[1 + 2 * m] = dim
+            im_form[2 + 2 * m] = dre
         return re_form, im_form
 
     rows, rhs = condition_rows(a_of)
-    grows = [[GaussianRational(x) for x in row] for row in rows]
-    grhs = [GaussianRational(x) for x in rhs]
     if rows:
-        affine = linalg.solve(grows, grhs)
+        affine = linalg.solve(rows, rhs)
         if affine is None:
             raise NoBialgebraDatum("reality constraints are inconsistent")
     else:
@@ -321,10 +320,10 @@ def apply_reality(
     sol, kernel = affine
 
     def realize(coeffs):
-        out = []
-        for m in range(ndir):
-            out.append(GaussianRational(coeffs[2 * m].re, coeffs[2 * m + 1].re))
-        return out
+        return [
+            coeffs[2 * m].real_part() + I * coeffs[2 * m + 1].real_part()
+            for m in range(ndir)
+        ]
 
     base = ps.point(realize(sol))
     directions = []

@@ -18,6 +18,7 @@ painted vertices not covered by the naming table are reported as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .core import GaussianRational, ZERO
@@ -56,9 +57,17 @@ class RealFormReport:
         }
 
 
+# The compact omega of each live root system; a weak key, so the cache
+# does not keep a root system alive (omega holds no reference to it).
+_COMPACT_OMEGA: WeakKeyDictionary[RootSystem, Involution] = WeakKeyDictionary()
+
+
 def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
     """theta = sigma o omega; linear since both factors are semilinear."""
-    omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
+    omega = _COMPACT_OMEGA.get(rs)
+    if omega is None:
+        omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
+        _COMPACT_OMEGA[rs] = omega
     return Involution(columns=sigma.compose_linear(omega))
 
 
@@ -96,9 +105,9 @@ def _trace_dims(theta: Involution, size: int) -> tuple[int, int]:
     cols = theta.columns
     tr = sum((v for j in range(size) for i, v in cols[j] if i == j), ZERO)
     assert tr.is_real(), "trace of theta is not real"
-    plus, minus = (size + tr.re) / 2, (size - tr.re) / 2
-    assert plus.denominator == 1 and minus.denominator == 1
-    return int(plus), int(minus)
+    plus, minus = (size + tr) / 2, (size - tr) / 2
+    assert plus.d == 1 and minus.d == 1
+    return plus.a, minus.a
 
 
 def theta_twisted_gram(rs: RootSystem, theta: Involution, basis: RealFormBasis):

@@ -255,7 +255,7 @@ class BialgebraDatum:
 
 
 def _positive(t: GaussianRational) -> bool:
-    return t.re > 0 or (not t.re and t.im > 0)
+    return t.a > 0 or (not t.a and t.b > 0)
 
 
 def make_datum(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,11 @@ def _a2_datum(tmp_path, capsys):
     return path, json.loads(path.read_text())
 
 
+def _as_json_numbers(pair):
+    """The same scalar with its parts written as JSON numbers."""
+    return [float(Fraction(part)) for part in pair]
+
+
 MALFORMED = {
     "scalar-lambda": lambda doc: doc.update({"lambda": 5}),
     "r0-dim-mismatch": lambda doc: doc["r0"].update({"dim": 3}),
@@ -274,6 +280,14 @@ MALFORMED = {
     "tensor-index-boolean": lambda doc: doc["r0"]["entries"][1].__setitem__(0, True),
     "tensor-entry-repeated": lambda doc: doc["r0"]["entries"].append(
         list(doc["r0"]["entries"][0])
+    ),
+    # the datum's own values as JSON numbers, which verify passed before
+    "t-json-numbers": lambda doc: doc.update({"t": [2.0, 0]}),
+    "lambda-entry-json-numbers": lambda doc: doc["lambda"][0].__setitem__(
+        1, _as_json_numbers(doc["lambda"][0][1])
+    ),
+    "tensor-value-json-numbers": lambda doc: doc["r0"]["entries"][1].__setitem__(
+        slice(2, 4), _as_json_numbers(doc["r0"]["entries"][1][2:])
     ),
 }
 

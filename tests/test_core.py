@@ -1,3 +1,6 @@
+import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +51,138 @@ def test_scalar_coercion_and_parse():
 def test_scalar_json_roundtrip():
     z = GaussianRational(Fraction(-5, 3), Fraction(7, 11))
     assert GaussianRational.from_json(z.to_json()) == z
+
+
+# ---- the scalar kernel against a (Fraction, Fraction) pair reference ----
+
+
+def _ref_fields(re: Fraction, im: Fraction) -> tuple:
+    """The (a, b, d) normal form of re + im*i, from the pair alone."""
+    d = re.denominator * im.denominator // math.gcd(re.denominator, im.denominator)
+    return int(re * d), int(im * d), d
+
+
+def _ref_str(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if not re:
+        return imag
+    return f"{re}{'+' if im > 0 else ''}{imag}"
+
+
+_REF_OPS = {
+    "+": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (operator.mul, lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])),
+    "/": (
+        operator.truediv,
+        lambda x, y: (
+            (x[0] * y[0] + x[1] * y[1]) / (y[0] ** 2 + y[1] ** 2),
+            (x[1] * y[0] - x[0] * y[1]) / (y[0] ** 2 + y[1] ** 2),
+        ),
+    ),
+}
+
+
+def _random_rational(rng) -> Fraction:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:  # past a machine word
+        return Fraction(rng.randint(-(2**80), 2**80), rng.randint(1, 2**70))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+
+
+def _random_operand(rng):
+    """(value under test, reference pair): a scalar, an int or a Fraction."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randint(-7, 7)
+        return n, (Fraction(n), Fraction(0))
+    if kind == 1:
+        q = _random_rational(rng)
+        return q, (q, Fraction(0))
+    re = _random_rational(rng)
+    im = Fraction(0) if kind == 2 else _random_rational(rng)
+    return GaussianRational(re, im), (re, im)
+
+
+def _assert_matches(z, ref):
+    re, im = ref
+    assert type(z) is GaussianRational
+    assert (z.a, z.b, z.d) == _ref_fields(re, im)
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == (re, im)
+    assert bool(z) == bool(re or im)
+    assert str(z) == _ref_str(re, im)
+    assert z.to_json() == [str(re), str(im)]
+    assert z == GaussianRational(re, im) and hash(z) == hash(GaussianRational(re, im))
+    assert (z.conj().a, z.conj().b, z.conj().d) == _ref_fields(re, -im)
+    assert (-z).to_json() == [str(-re), str(-im)]
+    assert z.real_part() == GaussianRational(re) and z.imag_part() == GaussianRational(im)
+    if not im:
+        assert z == re and re == z
+        if re.denominator == 1:
+            assert z == int(re) and int(re) == z
+    else:
+        assert z != re and z != int(re)
+
+
+def test_scalar_kernel_matches_fraction_pair_reference():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        (x, xr), (y, yr) = _random_operand(rng), _random_operand(rng)
+        if type(x) is not GaussianRational and type(y) is not GaussianRational:
+            x, xr = GaussianRational(*xr), xr  # at least one side is a scalar
+        symbol = rng.choice(sorted(_REF_OPS))
+        op, ref_op = _REF_OPS[symbol]
+        if symbol == "/" and not (yr[0] or yr[1]):
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        _assert_matches(op(x, y), ref_op(xr, yr))
+        _assert_matches(GaussianRational(*xr), xr)
+
+
+def test_scalar_equal_values_have_equal_fields_and_hashes():
+    half = GaussianRational(Fraction(1, 2))
+    ways = [
+        GaussianRational(Fraction(2, 4)),
+        half,
+        GaussianRational(1) / 2,
+        ONE - half,
+        (half * I) / I,
+        GaussianRational(Fraction(3, 4), Fraction(1, 3)) - GaussianRational(Fraction(1, 4), Fraction(1, 3)),
+        (GaussianRational(1, 1) * GaussianRational(1, -1)) / 4,
+    ]
+    assert {(z.a, z.b, z.d) for z in ways} == {(1, 0, 2)}
+    assert len({hash(z) for z in ways}) == 1
+    zero = [ZERO, half - half, I * 0, GaussianRational(Fraction(0, 5), Fraction(0, 7))]
+    assert {(z.a, z.b, z.d) for z in zero} == {(0, 0, 1)}
+
+
+def test_scalar_division_by_zero_raises():
+    for zero in (ZERO, 0, Fraction(0), I - I):
+        for x in (ONE, I, GaussianRational(Fraction(2, 3), -1)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+
+
+def test_scalar_rejects_floats():
+    for bad in ((0.5,), (1, 2.0), (Fraction(1, 2), 0.0), ("1/2",)):
+        with pytest.raises(TypeError):
+            GaussianRational(*bad)
+    for bad in ([2.0, "0"], ["2", 0], [2, 0], ["1", None]):
+        with pytest.raises(TypeError):
+            GaussianRational.from_json(bad)
+    with pytest.raises(TypeError):
+        ONE + 0.5
+    assert ONE != 1.0
 
 
 def test_rational_sqrt():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from liebialg import linalg, realform
@@ -19,7 +22,7 @@ from liebialg.realform import (
     theta_action_on_real_basis,
     theta_twisted_gram,
 )
-from liebialg.rootsystem import build_root_system
+from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
 
 
 def test_theta_of_compact_is_identity():
@@ -323,3 +326,28 @@ def test_identify_rejects_theta_moving_h(monkeypatch):
     _broken_theta(monkeypatch, conjugate)
     with pytest.raises(AssertionError, match="does not preserve h"):
         identify(rs, canonical_involution(rs, "varsigma"))
+
+
+def test_compact_omega_is_built_once_per_root_system(monkeypatch):
+    rs = RootSystem(SimpleType("A", 3))  # a fresh instance, not the shared one
+    flip = DiagramAutomorphism((2, 1, 0))
+    sigmas = [canonical_involution(rs, "varsigma"), canonical_involution(rs, "varsigma", flip)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return canonical_involution(*args)
+
+    monkeypatch.setattr(realform, "canonical_involution", counting)
+    names = [identify(rs, sigma).name for sigma in sigmas]
+    assert names == ["sl(4,R)", "su(2,2)"]
+    assert built == [(rs, "omega", None, (0, 1, 2))]
+
+
+def test_compact_omega_cache_releases_its_root_system():
+    rs = RootSystem(SimpleType("G", 2))
+    assert identify(rs, canonical_involution(rs, "varsigma")).name == "G"
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
