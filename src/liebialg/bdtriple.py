@@ -145,14 +145,10 @@ class BDTriple:
 
 
 def preserves_pairing(rs: RootSystem, mapping: dict) -> bool:
-    simple = rs.simple_roots
-    items = list(mapping.items())
-    return all(
-        rs.root_pairing(simple[i], simple[j])
-        == rs.root_pairing(simple[mapping[i]], simple[mapping[j]])
-        for i, _ in items
-        for j, _ in items
-    )
+    """(alpha_i | alpha_j) = (alpha_tau(i) | alpha_tau(j)) on the domain,
+    read off the Killing Gram of the simple roots."""
+    g = rs.killing_h
+    return all(g[i][j] == g[mapping[i]][mapping[j]] for i in mapping for j in mapping)
 
 
 def is_nilpotent(gamma1, gamma2, mapping: dict) -> bool:
@@ -174,17 +170,17 @@ def is_nilpotent(gamma1, gamma2, mapping: dict) -> bool:
 def enumerate_bd_triples(rs: RootSystem) -> list[BDTriple]:
     """All valid triples in canonical order, the empty triple first."""
     n = rs.rank
-    simple = rs.simple_roots
     out = [BDTriple.empty()]
     for size in range(1, n + 1):
         for g1 in combinations(range(n), size):
             for g2 in combinations(range(n), size):
-                out.extend(_bijections(rs, simple, g1, g2))
+                out.extend(_bijections(rs.killing_h, g1, g2))
     return sorted(out, key=BDTriple.sort_key)
 
 
-def _bijections(rs, simple, g1, g2):
-    """Inner-product-preserving nilpotent bijections g1 -> g2, by backtracking."""
+def _bijections(g, g1, g2):
+    """Nilpotent bijections g1 -> g2 preserving the simple-root Gram g,
+    by backtracking."""
     found = []
     mapping: dict = {}
     used = set()
@@ -198,15 +194,7 @@ def _bijections(rs, simple, g1, g2):
         for j in g2:
             if j in used:
                 continue
-            if rs.root_pairing(simple[i], simple[i]) != rs.root_pairing(
-                simple[j], simple[j]
-            ):
-                continue
-            if any(
-                rs.root_pairing(simple[i], simple[k])
-                != rs.root_pairing(simple[j], simple[mapping[k]])
-                for k in mapping
-            ):
+            if g[i][i] != g[j][j] or any(g[i][k] != g[j][mapping[k]] for k in mapping):
                 continue
             mapping[i] = j
             used.add(j)

@@ -277,6 +277,8 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
     rs = build_root_system(typ.series, typ.rank)
     n = rs.rank
     sig = doc["sigma"]
+    if not isinstance(sig, dict):
+        raise ValueError("sigma must be an object {kind, mu, J}")
     mu = DiagramAutomorphism(tuple(sig.get("mu", range(n))))
     if mu not in diagram_automorphisms(rs):
         raise ValueError(f"sigma.mu is not an order-2 symmetry of {rs.type}")
@@ -394,8 +396,11 @@ def _emit(args, payload: dict):
         raise _fail(f"unknown format {fmt!r}")
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _fail(f"cannot write {out}: {exc.strerror}")
     else:
         print(text)
 

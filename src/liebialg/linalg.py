@@ -134,7 +134,7 @@ def solve(m: Matrix, rhs: list) -> tuple[list, list[list]] | None:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(m, identity(n))]
     a, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -213,15 +213,16 @@ def real_killing_gram(rs: RootSystem, basis: RealFormBasis):
 
 def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     """(l + l, diag l, l^r) for a real quasitriangular datum."""
-    if not datum.t.is_real():
-        raise ValueError("factorizable double requires t real")
+    if not datum.t or not datum.t.is_real():
+        raise ValueError("factorizable double requires t real and nonzero")
     if datum.sigma.kind != "varsigma":
         raise ValueError("factorizable double requires a varsigma-type involution")
     basis = fixed_point_basis(rs, datum.sigma)
     n = basis.count
 
     rho = basis.tensor_coordinates(datum.r)
-    assert all(x.is_real() for row in rho for x in row)
+    if not all(x.is_real() for row in rho for x in row):
+        raise ValueError("factorizable double requires r real on the real form")
     k0 = real_killing_gram(rs, basis)
     inv_t = ONE / datum.t
     form = [[inv_t * x for x in row] for row in k0]

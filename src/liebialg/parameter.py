@@ -112,34 +112,17 @@ def _antisym_from_coords(rank: int, coords):
     return m
 
 
-def _omega0_matrix(rs: RootSystem):
-    return [
-        [GaussianRational(x) for x in row] for row in rs.cartan_dual_gram
-    ]
-
-
-def _root_eval_vector(rs: RootSystem, root) -> list:
-    """Column of values root(h_i), from the integer Killing Gram."""
-    return [
-        GaussianRational(Fraction(sum(g * c for g, c in zip(row, root)), rs._gram_den))
-        for row in rs._gram
-    ]
-
-
 def constraint_residual(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter):
     """Exact residuals of the defining linear system at lam."""
     n = rs.rank
-    omega0 = _omega0_matrix(rs)
     sym = [
-        [lam.matrix[i][j] + lam.matrix[j][i] - omega0[i][j] for j in range(n)]
+        [lam.matrix[i][j] + lam.matrix[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)]
         for i in range(n)
     ]
     residuals = [sym]
     for a in bd.gamma1:
-        alpha = rs.simple_roots[a]
-        talpha = rs.simple_roots[bd.mapping[a]]
-        ga = _root_eval_vector(rs, alpha)
-        gt = _root_eval_vector(rs, talpha)
+        ga = rs.root_values(rs.simple_roots[a])
+        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
         lt_gt = linalg.mat_vec(linalg.transpose(lam.matrix), gt)
         residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(lam.matrix, ga))])
     return residuals
@@ -159,13 +142,13 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     n = rs.rank
     pairs = _pair_index(n)
     half = GaussianRational(Fraction(1, 2))
-    omega_half = [[half * x for x in row] for row in _omega0_matrix(rs)]
+    omega_half = [[half * x for x in row] for row in rs.cartan_dual_gram]
 
     rows = []
     rhs = []
     for a in bd.gamma1:
-        ga = _root_eval_vector(rs, rs.simple_roots[a])
-        gt = _root_eval_vector(rs, rs.simple_roots[bd.mapping[a]])
+        ga = rs.root_values(rs.simple_roots[a])
+        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
         base = [
             x + y
             for x, y in zip(

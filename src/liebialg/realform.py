@@ -361,13 +361,9 @@ def _roots_vanishing_on(rs: RootSystem, sigma: Involution, want_sign: int):
         for i, v in col:
             shifted[i][j] = shifted[i][j] + v
     part = linalg.nullspace(shifted)
-    g = rs.killing_h
     out = []
     for gamma in rs.roots:
-        weights = [
-            GaussianRational(sum(g[i][j] * gamma[j] for j in range(n)))
-            for i in range(n)
-        ]
+        weights = rs.root_values(gamma)
         if not any(sum((v[i] * weights[i] for i in range(n)), ZERO) for v in part):
             out.append(gamma)
     return out

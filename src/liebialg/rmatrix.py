@@ -528,10 +528,7 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
     # symmetric part: Omega_0 over the recovered base
     omega0_new = linalg.mat_mul(
         linalg.transpose(binv),
-        linalg.mat_mul(
-            [[GaussianRational(x) for x in row] for row in rs.cartan_dual_gram],
-            binv,
-        ),
+        linalg.mat_mul(rs.cartan_dual_gram, binv),
     )
     half = GaussianRational(Fraction(1, 2))
     for i in range(rs.rank):

@@ -62,6 +62,8 @@ class SimpleType:
 
     @staticmethod
     def parse(text: str) -> "SimpleType":
+        if not text:
+            raise ValueError("empty type name")
         return SimpleType(text[0].upper(), int(text[1:]))
 
 
@@ -195,7 +197,6 @@ class RootSystem:
 
         self.structure = self._build_structure_table()
         self.casimir = self._build_casimir()
-        self.casimir_h = self._build_casimir_h()
 
     # ---- root bookkeeping -------------------------------------------------
 
@@ -220,6 +221,13 @@ class RootSystem:
             if a
         )
         return Fraction(total, self._gram_den)
+
+    def root_values(self, root: Root) -> list[GaussianRational]:
+        """[root(h_i)] = [(alpha_i | root)], one integer sum per row of the Gram."""
+        return [
+            GaussianRational(Fraction(sum(g * c for g, c in zip(row, root)), self._gram_den))
+            for row in self._gram
+        ]
 
     def root_norm(self, alpha: Root) -> Fraction:
         """(alpha | alpha) for a root alpha, computed once at construction."""
@@ -328,7 +336,7 @@ class RootSystem:
         return GaussianRational(val)
 
     def _build_structure_table(self) -> StructureTable:
-        n, npos = self.rank, self.npos
+        n = self.rank
         table: dict[tuple[int, int], tuple] = {}
 
         def put(i, j, terms):
@@ -337,13 +345,11 @@ class RootSystem:
                 table[(i, j)] = terms
 
         index = self._index
-        for i, row in enumerate(self._gram):
-            for r, ri in index.items():
-                val = GaussianRational(
-                    Fraction(sum(g * c for g, c in zip(row, r)), self._gram_den)
-                )
-                put(i, ri, [(ri, val)])
-                put(ri, i, [(ri, -val)])
+        values = [(ri, self.root_values(r)) for r, ri in index.items()]
+        for i in range(n):
+            for ri, vals in values:
+                put(i, ri, [(ri, vals[i])])
+                put(ri, i, [(ri, -vals[i])])
         for a, ia in index.items():
             for b, ib in index.items():
                 total = tuple(x + y for x, y in zip(a, b))
@@ -371,15 +377,6 @@ class RootSystem:
             im = ip + self.npos
             items.append(((ip, im), ONE))
             items.append(((im, ip), ONE))
-        return Tensor2.from_items(self.dim, items)
-
-    def _build_casimir_h(self) -> Tensor2:
-        items = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                c = self.cartan_dual_gram[i][j]
-                if c:
-                    items.append(((i, j), GaussianRational(c)))
         return Tensor2.from_items(self.dim, items)
 
     @cached_property
@@ -430,12 +427,14 @@ class RootSystem:
         return v
 
     def to_json(self) -> dict:
-        triples = []
-        for a in self.roots:
-            for b in self.roots:
-                c = self.normalized_n(a, b)
-                if c:
-                    triples.append([list(a), list(b), *c.to_json()])
+        """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read
+        off the structure table in basis order."""
+        n = self.rank
+        triples = [
+            [list(self.index_root(ia)), list(self.index_root(ib)), *c.to_json()]
+            for (ia, ib), ((k, c), *_) in sorted(self.structure.table.items())
+            if ia >= n and ib >= n and k >= n
+        ]
         return {
             "type": str(self.type),
             "cartan_matrix": self.cartan_matrix,

@@ -54,7 +54,10 @@ def test_a2_exactly_three():
     ]
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2), ("B", 3), ("G", 2), ("C", 3)])
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 3), ("B", 2), ("B", 3), ("G", 2), ("C", 3), ("D", 4), ("F", 4), ("E", 6)],
+)
 def test_enumeration_matches_bruteforce(series, rank):
     rs = build_root_system(series, rank)
     assert set(enumerate_bd_triples(rs)) == brute_force_triples(rs)

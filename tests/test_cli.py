@@ -273,6 +273,8 @@ MALFORMED = {
         {"bd": {"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}}
     ),
     "sigma-label-mismatch": lambda doc: doc.update({"sigma_label": "omega"}),
+    "sigma-not-an-object": lambda doc: doc.update({"sigma": []}),
+    "type-empty": lambda doc: doc.update({"type": ""}),
     "zero-denominator": lambda doc: doc["lambda"][0].__setitem__(0, ["1/0", "0"]),
     # r0 entry 1 is (1, 0); its row index 1 in other JSON types
     "tensor-index-float": lambda doc: doc["r0"]["entries"][1].__setitem__(0, 1.0),
@@ -306,6 +308,39 @@ def test_verify_rejects_malformed_datum(tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")
+
+
+NO_DOUBLE = {
+    # r entry (0, 1) gets imaginary part 1, so r is not real on the real form
+    "r-not-real": lambda doc: doc["r"]["entries"][1].__setitem__(3, "1"),
+    "t-zero": lambda doc: doc.update({"t": ["0", "0"]}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NO_DOUBLE))
+def test_verify_manin_reads_unbuildable_double_as_false(tmp_path, capsys, probe):
+    path, doc = _a2_datum(tmp_path, capsys)
+    assert doc["r"]["entries"][1][:2] == [0, 1]
+    NO_DOUBLE[probe](doc)
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path), "--manin"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["checks"]["manin_constructible"] is False
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "a2.json"
+    try:
+        code = main(
+            ["identify", "--type", "A", "--rank", "2", "--sigma", "varsigma", "--out", str(out)]
+        )
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}")
 
 
 def test_verify_drops_explicit_zero_entries(tmp_path, capsys):

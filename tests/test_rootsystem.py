@@ -111,8 +111,8 @@ def test_sl2_killing_values():
     assert rs.killing_h[0][0] == Fraction(1, 2)
     h = rs.basis_vector(0)
     assert rs.killing_form(h, h) == GaussianRational(Fraction(1, 2))
-    # Omega_0 = 2 h (x) h
-    assert rs.casimir_h.get(0, 0) == GaussianRational(2)
+    # Omega_0 = 2 h (x) h, the Cartan block of Omega
+    assert rs.casimir.get(0, 0) == GaussianRational(2) == rs.cartan_dual_gram[0][0]
 
 
 def test_root_vector_pairing_normalized():
@@ -165,13 +165,15 @@ def test_casimir_symmetric_and_invariant():
 
 
 def test_casimir_h_is_cartan_block():
+    # the Cartan block of Omega is Omega_0 = cartan_dual_gram, and no
+    # entry of Omega pairs a Cartan vector with a root vector
     for series, rank in [("A", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
         for i in range(rs.rank):
             for j in range(rs.rank):
-                assert rs.casimir.get(i, j) == rs.casimir_h.get(i, j)
-        for (a, b), _ in rs.casimir_h.items():
-            assert a < rs.rank and b < rs.rank
+                assert rs.casimir.get(i, j) == rs.cartan_dual_gram[i][j]
+        for (a, b), _ in rs.casimir.items():
+            assert (a < rs.rank) == (b < rs.rank)
 
 
 def test_structure_constants_integral_before_rescaling():
@@ -272,6 +274,16 @@ def test_integer_pairing_matches_fraction_sum(series, rank):
         assert rs.root_norm(a) == _fraction_pairing(rs, a, a)
         for b in rs.roots:
             assert rs.root_pairing(a, b) == _fraction_pairing(rs, a, b)
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("A", 1), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+)
+def test_root_values_match_fraction_sum(series, rank):
+    rs = build_root_system(series, rank)
+    for a in rs.roots:
+        expect = [GaussianRational(_fraction_pairing(rs, s, a)) for s in rs.simple_roots]
+        assert rs.root_values(a) == expect
 
 
 @pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
