@@ -3,22 +3,29 @@ partial order on positive roots, and the stability predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .rootsystem import RootSystem
 
 
-@dataclass(frozen=True)
 class DiagramAutomorphism:
     """Permutation of the simple-root indices preserving the Cartan matrix."""
 
-    permutation: tuple
+    __slots__ = ("permutation",)
 
-    def __post_init__(self):
+    def __init__(self, permutation: tuple):
+        self.permutation = permutation
         n = len(self.permutation)
         if sorted(self.permutation) != list(range(n)):
             raise ValueError("not a permutation")
+
+    def __eq__(self, other):
+        if type(other) is not DiagramAutomorphism:
+            return NotImplemented
+        return self.permutation == other.permutation
+
+    def __hash__(self):
+        return hash((self.permutation,))
 
     def __call__(self, i: int) -> int:
         return self.permutation[i]
@@ -89,15 +96,14 @@ def diagram_automorphisms(rs: RootSystem) -> list[DiagramAutomorphism]:
     return sorted(autos, key=lambda m: m.permutation)
 
 
-@dataclass(frozen=True)
 class BDTriple:
-    """(Gamma1, Gamma2, tau) on the simple-root indices of a fixed diagram."""
+    """(Gamma1, Gamma2, tau) on the simple-root indices of a fixed diagram;
+    tau holds the pairs (i, tau(i)), sorted by i."""
 
-    gamma1: tuple
-    gamma2: tuple
-    tau: tuple  # pairs (i, tau(i)), sorted by i
+    __slots__ = ("gamma1", "gamma2", "tau")
 
-    def __post_init__(self):
+    def __init__(self, gamma1: tuple, gamma2: tuple, tau: tuple):
+        self.gamma1, self.gamma2, self.tau = gamma1, gamma2, tau
         if tuple(sorted(self.gamma1)) != self.gamma1:
             raise ValueError("gamma1 must be sorted")
         if tuple(sorted(self.gamma2)) != self.gamma2:
@@ -106,6 +112,14 @@ class BDTriple:
             raise ValueError("tau domain must be gamma1")
         if tuple(sorted(j for _, j in self.tau)) != self.gamma2:
             raise ValueError("tau image must be gamma2")
+
+    def __eq__(self, other):
+        if type(other) is not BDTriple:
+            return NotImplemented
+        return (self.gamma1, self.gamma2, self.tau) == (other.gamma1, other.gamma2, other.tau)
+
+    def __hash__(self):
+        return hash((self.gamma1, self.gamma2, self.tau))
 
     @staticmethod
     def make(gamma1, gamma2, mapping) -> "BDTriple":

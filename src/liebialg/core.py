@@ -16,11 +16,11 @@ of its linear part.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Mapping, Sequence, Union
 
-Rationalish = Union[int, Fraction]
+Rationalish = int | Fraction
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -17,7 +17,6 @@ and extend through brackets to the whole algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -302,18 +301,19 @@ def conjugate_involution(rs: RootSystem, sigma: Involution, r: list) -> Involuti
     return Involution(m, "general")
 
 
-@dataclass
 class RealFormBasis:
     """Real basis of the fixed points of a canonical involution.
 
     The vectors also form a basis of the ambient space over the complex
     scalars, so a vector lies in the real span exactly when its complex
-    coordinates over them are real.
+    coordinates over them are real.  vectors are coordinate vectors over
+    the complex basis; the first h_vectors of them span h_0.
     """
 
-    vectors: list  # coordinate vectors over the complex basis
-    h_vectors: int  # how many initial vectors span h_0
-    _inverse: list | None = None
+    __slots__ = ("vectors", "h_vectors", "_inverse")
+
+    def __init__(self, vectors: list, h_vectors: int):
+        self.vectors, self.h_vectors, self._inverse = vectors, h_vectors, None
 
     @property
     def count(self) -> int:

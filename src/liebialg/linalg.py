@@ -83,10 +83,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         a[r], a[pivot] = a[pivot], a[r]
         inv = ONE / a[r][c]
         a[r] = [inv * x for x in a[r]]
+        nonzero = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(rows):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f, row = a[i][c], a[i]
+                for j, y in nonzero:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == rows:
@@ -131,7 +133,6 @@ def solve(m: Matrix, rhs: list) -> tuple[list, list[list]] | None:
     return x, _kernel(a, pivots, cols)
 
 
-
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     aug = [row + unit for row, unit in zip(m, identity(n))]
@@ -154,10 +155,12 @@ def det(m: Matrix) -> GaussianRational:
             result = -result
         result = result * a[c][c]
         inv = ONE / a[c][c]
+        nonzero = [(j, y) for j, y in enumerate(a[c]) if y]
         for i in range(c + 1, n):
             if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+                f, row = a[i][c] * inv, a[i]
+                for j, y in nonzero:
+                    row[j] = row[j] - f * y
     return result
 
 

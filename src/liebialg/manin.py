@@ -15,7 +15,6 @@ identities relating it to the direct sum live in psi_phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -107,14 +106,19 @@ class _Reduced:
         return out
 
 
-@dataclass
 class ManinTriple:
-    double_dim: int
-    pairing: list  # Gram matrix over the double's basis
-    structure: StructureTable  # bracket of the double
-    sub1_basis: list
-    sub2_basis: list
-    case: str  # "factorizable" | "imaginary_factorizable"
+    """The double with its pairing (a Gram matrix over the double's basis),
+    its bracket and the two Lagrangian subalgebras; case is
+    "factorizable" or "imaginary_factorizable"."""
+
+    __slots__ = ("double_dim", "pairing", "structure", "sub1_basis", "sub2_basis", "case")
+
+    def __init__(
+        self, double_dim: int, pairing: list, structure: StructureTable,
+        sub1_basis: list, sub2_basis: list, case: str,
+    ):
+        self.double_dim, self.pairing, self.structure = double_dim, pairing, structure
+        self.sub1_basis, self.sub2_basis, self.case = sub1_basis, sub2_basis, case
 
     def pair(self, u, v) -> GaussianRational:
         """The double's pairing of two coordinate vectors."""

@@ -12,7 +12,6 @@ wedge coordinates (lam - lam^{21} = sum lam_ab h_a wedge h_b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -36,11 +35,13 @@ _KIND_BY_SIGMA = {
 }
 
 
-@dataclass
 class ContinuousParameter:
-    """A single solution lam, as a matrix over the Cartan basis."""
+    """A single solution lam, as a rank x rank matrix over the Cartan basis."""
 
-    matrix: list  # rank x rank GaussianRational
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: list):
+        self.matrix = matrix
 
     def antisymmetric_part(self) -> list:
         n = len(self.matrix)
@@ -62,19 +63,23 @@ class ContinuousParameter:
         return [[x.to_json() for x in row] for row in self.matrix]
 
 
-@dataclass
 class ParameterSpace:
     """Affine solution space: base point plus a span of directions.
 
-    Directions are antisymmetric matrices.  Before apply_reality the
-    span is over the complex scalars; afterwards the coefficients range
-    over the reals and reality_kind records which case was imposed.
+    Directions are rank x rank antisymmetric matrices.  Before
+    apply_reality the span is over the complex scalars; afterwards the
+    coefficients range over the reals and reality_kind records which
+    case was imposed.
     """
 
-    rank: int
-    base_point: ContinuousParameter
-    directions: list  # list of rank x rank antisymmetric matrices
-    reality_kind: str | None = None
+    __slots__ = ("rank", "base_point", "directions", "reality_kind")
+
+    def __init__(
+        self, rank: int, base_point: ContinuousParameter, directions: list,
+        reality_kind: str | None = None,
+    ):
+        self.rank, self.base_point = rank, base_point
+        self.directions, self.reality_kind = directions, reality_kind
 
     @property
     def dimension(self) -> int:

@@ -17,7 +17,6 @@ painted vertices not covered by the naming table are reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from . import linalg
@@ -32,17 +31,19 @@ from .involution import (
 from .rootsystem import RootSystem
 
 
-@dataclass
 class RealFormReport:
-    name: str
-    theta: Involution
-    dim_k: int
-    dim_p: int
-    character: int
-    dc: int
-    dnc: int
-    vogan_painted: tuple
-    maximally_compact: bool
+    __slots__ = (
+        "name", "theta", "dim_k", "dim_p", "character", "dc", "dnc",
+        "vogan_painted", "maximally_compact",
+    )
+
+    def __init__(
+        self, name: str, theta: Involution, dim_k: int, dim_p: int, character: int,
+        dc: int, dnc: int, vogan_painted: tuple, maximally_compact: bool,
+    ):
+        self.name, self.theta, self.dim_k, self.dim_p = name, theta, dim_k, dim_p
+        self.character, self.dc, self.dnc = character, dc, dnc
+        self.vogan_painted, self.maximally_compact = vogan_painted, maximally_compact
 
     def to_json(self) -> dict:
         return {

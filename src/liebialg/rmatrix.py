@@ -25,7 +25,6 @@ row of the classification table, instantiated at a base point.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -225,16 +224,15 @@ def _minus_half_t_omega(rs: RootSystem, r: Tensor2, t: GaussianRational) -> Tens
 # ---- the classification datum ----------------------------------------------
 
 
-@dataclass
 class BialgebraDatum:
-    rs: RootSystem
-    sigma: Involution
-    sigma_label: str
-    bd: BDTriple
-    lam: ContinuousParameter
-    t: GaussianRational
-    r0: Tensor2
-    r: Tensor2
+    __slots__ = ("rs", "sigma", "sigma_label", "bd", "lam", "t", "r0", "r")
+
+    def __init__(
+        self, rs: RootSystem, sigma: Involution, sigma_label: str, bd: BDTriple,
+        lam: ContinuousParameter, t: GaussianRational, r0: Tensor2, r: Tensor2,
+    ):
+        self.rs, self.sigma, self.sigma_label, self.bd = rs, sigma, sigma_label, bd
+        self.lam, self.t, self.r0, self.r = lam, t, r0, r
 
     @property
     def t_class(self) -> str:
@@ -393,16 +391,16 @@ def r0_real_form_coordinates(datum: BialgebraDatum):
 # ---- recovery ---------------------------------------------------------------
 
 
-@dataclass
 class ExtractedData:
-    H: list
-    t: GaussianRational
-    cartan_indices: tuple
-    positive_roots: list
-    delta: list
-    bd: BDTriple
-    lam: ContinuousParameter
-    precedence: set
+    __slots__ = ("H", "t", "cartan_indices", "positive_roots", "delta", "bd", "lam", "precedence")
+
+    def __init__(
+        self, H: list, t: GaussianRational, cartan_indices: tuple, positive_roots: list,
+        delta: list, bd: BDTriple, lam: ContinuousParameter, precedence: set,
+    ):
+        self.H, self.t, self.cartan_indices = H, t, cartan_indices
+        self.positive_roots = positive_roots
+        self.delta, self.bd, self.lam, self.precedence = delta, bd, lam, precedence
 
 
 def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> ExtractedData:

@@ -19,7 +19,6 @@ in code and 1-based in displayed names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -40,12 +39,11 @@ _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 Root = tuple  # integer coordinates in the simple-root basis
 
 
-@dataclass(frozen=True)
 class SimpleType:
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
+    def __init__(self, series: str, rank: int):
+        self.series, self.rank = series, rank
         s, n = self.series, self.rank
         if s in _RANK_BOUNDS:
             lo = _RANK_BOUNDS[s]
@@ -56,6 +54,14 @@ class SimpleType:
             ok = False
         if not ok:
             raise ValueError(f"rank {n} out of bounds for series {s!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SimpleType:
+            return NotImplemented
+        return (self.series, self.rank) == (other.series, other.rank)
+
+    def __hash__(self):
+        return hash((self.series, self.rank))
 
     def __str__(self):
         return f"{self.series}{self.rank}"
@@ -177,25 +183,39 @@ class RootSystem:
         self._gram_den = lcm(*(x.denominator for row in self.killing_h for x in row))
         self._gram = [[int(x * self._gram_den) for x in row] for row in self.killing_h]
 
-        self._norm: dict[Root, Fraction] = {}
-        self._scale: dict[Root, Fraction] = {}
+        # each root norm once, as an int over _gram_den; the
+        # kappa-normalization scale of each root as a class id into
+        # _scales (a handful of values per type)
+        self._inorm: dict[Root, int] = {}
+        self._sclass: dict[Root, int] = {}
+        scales: dict[Fraction, int] = {}
         for g in self.positive_roots:
             neg = tuple(-x for x in g)
-            self._norm[g] = self._norm[neg] = norm = self.root_pairing(g, g)
+            norm = self.root_pairing(g, g)
+            self._inorm[g] = self._inorm[neg] = norm.numerator * (
+                self._gram_den // norm.denominator
+            )
             half = norm / 2
             q = rational_sqrt(half)
-            if q is not None:
-                self._scale[g] = self._scale[neg] = q
-            else:
-                self._scale[g] = Fraction(1)
-                self._scale[neg] = half
+            up, down = (q, q) if q is not None else (Fraction(1), half)
+            self._sclass[g] = scales.setdefault(up, len(scales))
+            self._sclass[neg] = scales.setdefault(down, len(scales))
+        self._scales = list(scales)
+        self._nnorm: dict[tuple, GaussianRational] = {}
+
+        # positive pairs (mu, nu), mu first in root order, by their sum in
+        # increasing height; the first pair of a sum is its extraspecial pair
+        pairs: dict[Root, list[tuple[Root, Root]]] = {g: [] for g in self.positive_roots[n:]}
+        for k, mu in enumerate(self.positive_roots):
+            for nu in self.positive_roots[k + 1 :]:
+                total = tuple(a + b for a, b in zip(mu, nu))
+                if total in pairs:
+                    pairs[total].append((mu, nu))
         self._extraspecial: dict[Root, tuple[Root, Root]] = {
-            gamma: self._special_pair(gamma) for gamma in self.positive_roots[n:]
+            gamma: ps[0] for gamma, ps in pairs.items()
         }
-
-        self._nmemo: dict[tuple[Root, Root], Fraction] = {}
-
-        self.structure = self._build_structure_table()
+        self._n: dict[tuple[Root, Root], int] = {}  # N(mu, nu) when mu + nu is a root
+        self.structure = self._build_structure_table(pairs)
         self.casimir = self._build_casimir()
 
     # ---- root bookkeeping -------------------------------------------------
@@ -231,7 +251,7 @@ class RootSystem:
 
     def root_norm(self, alpha: Root) -> Fraction:
         """(alpha | alpha) for a root alpha, computed once at construction."""
-        return self._norm[alpha]
+        return Fraction(self._inorm[alpha], self._gram_den)
 
     def coroot_vector(self, alpha: Root) -> list[GaussianRational]:
         """h_alpha in Cartan coordinates: linear in alpha."""
@@ -250,117 +270,98 @@ class RootSystem:
             else:
                 return k
 
-    def _special_pair(self, gamma: Root) -> tuple[Root, Root]:
-        """Minimal-first special pair summing to a composite positive root."""
-        for xi in self.positive_roots:
-            rest = tuple(a - b for a, b in zip(gamma, xi))
-            if rest in self._pos_index:
-                return xi, rest
-        raise AssertionError("composite positive root with no special pair")
-
-    def chevalley_n(self, mu: Root, nu: Root) -> Fraction:
+    def chevalley_n(self, mu: Root, nu: Root) -> int:
         """Integer structure constant N(mu, nu) of the Chevalley basis."""
-        key = (mu, nu)
-        memo = self._nmemo
-        if key in memo:
-            return memo[key]
-        total = tuple(a + b for a, b in zip(mu, nu))
-        if total not in self._index:
-            memo[key] = Fraction(0)
-            return memo[key]
-        mu_pos = mu in self._pos_index
-        nu_pos = nu in self._pos_index
-        if mu_pos and nu_pos:
-            val = self._n_positive(mu, nu)
-        elif not mu_pos and not nu_pos:
-            val = -self.chevalley_n(tuple(-x for x in mu), tuple(-x for x in nu))
-        elif mu_pos:
-            val = self._n_mixed(mu, tuple(-x for x in nu))
-        else:
-            val = -self._n_mixed(nu, tuple(-x for x in mu))
-        memo[key] = val
-        return val
+        return self._n.get((mu, nu), 0)
 
-    def _n_positive(self, mu: Root, nu: Root) -> Fraction:
-        if self._pos_index[mu] > self._pos_index[nu]:
-            return -self._n_positive(nu, mu)
-        gamma = tuple(a + b for a, b in zip(mu, nu))
-        alpha, beta = self._extraspecial[gamma]
-        p1 = Fraction(self._string_down(mu, nu) + 1)
-        if (alpha, beta) == (mu, nu):
-            return p1
-        # Jacobi-type four-root identity on (alpha, beta, -mu, -nu),
-        # solving for N(mu, nu) in terms of pairs with smaller height sum.
-        acc = Fraction(0)
-        bm = tuple(a - b for a, b in zip(beta, mu))
-        if bm in self._index:
-            acc += (
-                self.chevalley_n(beta, tuple(-x for x in mu))
-                * self.chevalley_n(alpha, tuple(-x for x in nu))
-                / self.root_norm(bm)
-            )
-        am = tuple(a - b for a, b in zip(alpha, mu))
-        if am in self._index:
-            acc += (
-                self.chevalley_n(tuple(-x for x in mu), alpha)
-                * self.chevalley_n(beta, tuple(-x for x in nu))
-                / self.root_norm(am)
-            )
-        val = acc * self.root_norm(gamma) / self.chevalley_n(alpha, beta)
-        assert abs(val) == p1, "structure constant recursion lost integrality"
+    def _normalized(self, c: int, mu: Root, nu: Root, total: Root) -> GaussianRational:
+        """N(mu, nu) = c in the kappa-normalized basis, looked up by c and
+        the scale classes of mu, nu and total = mu + nu."""
+        cls = self._sclass
+        key = (c, cls[mu], cls[nu], cls[total])
+        val = self._nnorm.get(key)
+        if val is None:
+            s = self._scales
+            val = GaussianRational(c * s[key[1]] * s[key[2]] / s[key[3]])
+            self._nnorm[key] = val
         return val
-
-    def _n_mixed(self, mu: Root, nu: Root) -> Fraction:
-        """N(mu, -nu) for positive roots mu != nu with mu - nu a root."""
-        delta = tuple(a - b for a, b in zip(mu, nu))
-        if delta in self._pos_index:
-            return -self.root_norm(delta) / self.root_norm(mu) * self.chevalley_n(
-                nu, delta
-            )
-        dprime = tuple(-x for x in delta)
-        return self.root_norm(dprime) / self.root_norm(nu) * self.chevalley_n(
-            dprime, mu
-        )
 
     def normalized_n(self, mu: Root, nu: Root) -> GaussianRational:
         """Structure constant in the kappa-normalized basis."""
-        total = tuple(a + b for a, b in zip(mu, nu))
-        if total not in self._index:
+        c = self._n.get((mu, nu))
+        if c is None:
             return ZERO
-        val = (
-            self.chevalley_n(mu, nu)
-            * self._scale[mu]
-            * self._scale[nu]
-            / self._scale[total]
-        )
-        return GaussianRational(val)
+        return self._normalized(c, mu, nu, tuple(a + b for a, b in zip(mu, nu)))
 
-    def _build_structure_table(self) -> StructureTable:
-        n = self.rank
+    def _build_structure_table(self, pairs: dict) -> StructureTable:
+        """The bracket table, recording every N(mu, nu) in _n on the way.
+
+        Each positive pair (mu, nu) summing to a root gamma fixes the
+        zero-sum triples (mu, nu, -gamma) and (-mu, -nu, gamma).  Its
+        constant comes from the extraspecial recursion, in increasing
+        height of gamma; the other eleven ordered pairs of the two triples
+        follow from N(b, a) = -N(a, b), N(-a, -b) = -N(a, b) and
+        N(a, b) / |c|^2 = N(b, c) / |a|^2 = N(c, a) / |b|^2 for a + b + c = 0.
+        """
+        npos = self.npos
+        index, inorm, nmap = self._index, self._inorm, self._n
+        roots = self.roots
+        neg = dict(zip(roots, roots[npos:] + roots[:npos]))
         table: dict[tuple[int, int], tuple] = {}
 
-        def put(i, j, terms):
-            terms = tuple((k, c) for k, c in terms if c)
-            if terms:
-                table[(i, j)] = terms
+        def exact(num: int, den: int) -> int:
+            q, r = divmod(num, den)
+            assert not r, "structure constant recursion lost integrality"
+            return q
 
-        index = self._index
-        values = [(ri, self.root_values(r)) for r, ri in index.items()]
-        for i in range(n):
-            for ri, vals in values:
-                put(i, ri, [(ri, vals[i])])
-                put(ri, i, [(ri, -vals[i])])
-        for a, ia in index.items():
-            for b, ib in index.items():
-                total = tuple(x + y for x, y in zip(a, b))
-                it = index.get(total)
-                if it is not None:
-                    put(ia, ib, [(it, self.normalized_n(a, b))])
-                elif not any(total) and a in self._pos_index:
-                    # [x_a, x_{-a}] = h_a, the Killing dual of a
-                    terms = [(i, GaussianRational(a[i])) for i in range(n)]
-                    put(ia, ib, terms)
-                    put(ib, ia, [(i, -c) for i, c in terms])
+        def fill(mu: Root, nu: Root, gamma: Root, v: int):
+            mg, ng = neg[gamma], inorm[gamma]
+            for x, y, total, w in (
+                (mu, nu, gamma, v),
+                (nu, mg, neg[mu], exact(v * inorm[mu], ng)),
+                (mg, mu, neg[nu], exact(v * inorm[nu], ng)),
+            ):
+                for a, b, t, c in ((x, y, total, w), (neg[x], neg[y], neg[total], -w)):
+                    nmap[a, b], nmap[b, a] = c, -c
+                    ia, ib, it = index[a], index[b], index[t]
+                    table[ia, ib] = ((it, self._normalized(c, a, b, t)),)
+                    table[ib, ia] = ((it, self._normalized(-c, b, a, t)),)
+
+        for gamma, ((alpha, beta), *rest) in pairs.items():
+            n_ab = self._string_down(alpha, beta) + 1
+            fill(alpha, beta, gamma, n_ab)
+            for mu, nu in rest:
+                # Jacobi-type four-root identity on (alpha, beta, -mu, -nu):
+                # N(mu, nu) N(alpha, beta) / |gamma|^2 is the sum of
+                # N(beta, -mu) N(alpha, -nu) / |beta - mu|^2 and
+                # N(-mu, alpha) N(beta, -nu) / |alpha - mu|^2 over the
+                # differences that are roots; each of those pairs sums to a
+                # lower root.  The sum is kept as num / den in ints.
+                num, den = 0, 1
+                bm = tuple(a - b for a, b in zip(beta, mu))
+                if bm in index:
+                    c = nmap[beta, neg[mu]] * nmap[alpha, neg[nu]]
+                    num, den = num * inorm[bm] + c * den, den * inorm[bm]
+                am = tuple(a - b for a, b in zip(alpha, mu))
+                if am in index:
+                    c = nmap[neg[mu], alpha] * nmap[beta, neg[nu]]
+                    num, den = num * inorm[am] + c * den, den * inorm[am]
+                val = exact(num * inorm[gamma], den * n_ab)
+                p1 = self._string_down(mu, nu) + 1
+                assert abs(val) == p1, "structure constant recursion lost integrality"
+                fill(mu, nu, gamma, val)
+
+        for r in self.positive_roots:
+            ir = index[r]
+            im = ir + npos
+            for i, v in enumerate(self.root_values(r)):
+                if v:  # [h_i, x_r] = r(h_i) x_r, and -r(h_i) on x_{-r}
+                    table[i, ir], table[ir, i] = ((ir, v),), ((ir, -v),)
+                    table[i, im], table[im, i] = ((im, -v),), ((im, v),)
+            # [x_r, x_{-r}] = h_r, the Killing dual of r
+            terms = tuple((i, GaussianRational(c)) for i, c in enumerate(r) if c)
+            table[ir, im] = terms
+            table[im, ir] = tuple((i, -c) for i, c in terms)
         return StructureTable(self.dim, table)
 
     # ---- invariant tensors and the Killing form ---------------------------

@@ -1,9 +1,10 @@
 """Byte-identity guard for the built algebra of each root system.
 
 The digests were taken before the root-system build moved its root
-arithmetic to an integer Killing Gram; any change to the root order, the
-structure constants, the Casimir or the Killing Gram on the Cartan shows
-up here.
+arithmetic to an integer Killing Gram (E8: before the Chevalley constants
+moved from Fractions to ints over the root pairs that sum to a root); any
+change to the root order, the structure constants, the Casimir or the
+Killing Gram on the Cartan shows up here.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ DIGESTS = {
     ("F", 4): "1618c18753950c59e4a1a08ee888ded8868d7c050f4cc5aafafaa592e8745a47",
     ("E", 6): "2e7c6328b85826090e62f744b883231cb5f333b4b9a4b43f917a910d77a54523",
     ("E", 7): "bcbd28084a8fbd8f7c591ed53206fa31221778c63745f9469b1dedcffc6d7761",
+    ("E", 8): "c34c07bc44d61823d6bafb6ea147f866db3b061c7622accbbe12a98283bb4072",
 }
 
 

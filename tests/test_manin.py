@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from liebialg import linalg
@@ -7,6 +5,7 @@ from liebialg.bdtriple import BDTriple, enumerate_bd_triples
 from liebialg.core import GaussianRational, I, ONE, StructureTable, ZERO
 from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.manin import (
+    ManinTriple,
     cobracket_from_r0,
     cobracket_from_triple,
     direct_sum_structure,
@@ -519,7 +518,8 @@ def test_invariance_rejects_scaled_pairing_pair(oracle_double):
     pairing[i][j] = two * pairing[i][j]
     if i != j:
         pairing[j][i] = two * pairing[j][i]
-    mt = replace(oracle_double, pairing=pairing)
+    o = oracle_double
+    mt = ManinTriple(o.double_dim, pairing, o.structure, o.sub1_basis, o.sub2_basis, o.case)
     assert _invariant_bruteforce(mt) is False
     assert mt.verify()["pairing_invariant"] is False
 
@@ -533,9 +533,9 @@ def test_invariance_rejects_scaled_structure_constant(oracle_double):
     table[(b, a)] = tuple(
         (k2, GaussianRational(2) * c2 if k2 == k else c2) for k2, c2 in table[(b, a)]
     )
-    mt = replace(
-        oracle_double, structure=StructureTable(oracle_double.double_dim, table)
-    )
+    o = oracle_double
+    structure = StructureTable(o.double_dim, table)
+    mt = ManinTriple(o.double_dim, o.pairing, structure, o.sub1_basis, o.sub2_basis, o.case)
     assert _invariant_bruteforce(mt) is False
     assert mt.verify()["pairing_invariant"] is False
 
@@ -548,7 +548,8 @@ def test_closure_rejects_subspace_whose_bracket_leaves_it(oracle_double):
         if any(k not in (a, b) for k, _ in terms)
     )
     vectors = [_unit(n, a), _unit(n, b)]
-    mt = replace(oracle_double, sub1_basis=vectors)
+    o = oracle_double
+    mt = ManinTriple(o.double_dim, o.pairing, o.structure, vectors, o.sub2_basis, o.case)
     assert _closed_per_pair_rank(mt, vectors) is False
     checks = mt.verify()
     assert checks["sub1_closed"] is False
@@ -559,7 +560,8 @@ def test_isotropy_rejects_non_isotropic_pair(oracle_double):
     n = oracle_double.double_dim
     i, j = _first_pairing_entry(oracle_double)
     vectors = [_unit(n, i), _unit(n, j)]
-    mt = replace(oracle_double, sub2_basis=vectors)
+    o = oracle_double
+    mt = ManinTriple(o.double_dim, o.pairing, o.structure, o.sub1_basis, vectors, o.case)
     assert _isotropic_dense(mt, vectors) is False
     checks = mt.verify()
     assert checks["sub2_isotropic"] is False
@@ -570,12 +572,14 @@ def test_rank_checks_reject_repeated_subspace(oracle_double):
     # sub2 := sub1: each half still has rank n/2, but they are not
     # transversal; dropping a sub1 vector for a copy of another breaks
     # the half dimension
-    mt = replace(oracle_double, sub2_basis=oracle_double.sub1_basis)
+    o = oracle_double
+    mt = ManinTriple(o.double_dim, o.pairing, o.structure, o.sub1_basis, o.sub1_basis, o.case)
     checks = mt.verify()
     assert checks["half_dimension"] is True
     assert checks["transversal"] is False
     sub1 = oracle_double.sub1_basis
-    mt = replace(oracle_double, sub1_basis=[sub1[0]] + sub1[:-1])
+    repeated = [sub1[0]] + sub1[:-1]
+    mt = ManinTriple(o.double_dim, o.pairing, o.structure, repeated, o.sub2_basis, o.case)
     checks = mt.verify()
     assert checks["half_dimension"] is False
     assert checks["transversal"] is False
