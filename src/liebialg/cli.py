@@ -8,11 +8,12 @@ internal is 0-based.  Exit codes: 0 success, 1 verification failure,
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
+import re
 import sys
+from itertools import combinations
+from types import SimpleNamespace
 
 from .bdtriple import (
     BDTriple,
@@ -162,8 +163,6 @@ def _sigma_variants(rs: RootSystem, which: str):
     autos = diagram_automorphisms(rs)
     nontrivial = [m for m in autos if not m.is_identity()]
     ident = identity_automorphism(rs.rank)
-    from itertools import combinations
-
     if which in ("varsigma", "all"):
         out.append(canonical_involution(rs, "varsigma", ident))
     if which in ("varsigma-mu", "all"):
@@ -213,11 +212,9 @@ def cmd_enumerate(args) -> int:
             if args.materialize:
                 row["datum"] = datum.to_json()
             rows.append(row)
-    elif what == "root-system":
+    else:  # root-system
         _emit(args, rs.to_json())
         return 0
-    else:
-        raise _fail(f"unknown --what {what!r}")
     _emit(args, {"type": str(rs.type), "what": what, "rows": rows})
     return 0
 
@@ -369,20 +366,18 @@ def cmd_classify(args) -> int:
 
 
 def _flatten(row: dict) -> dict:
-    flat = {}
-    for key, val in row.items():
-        if isinstance(val, (dict, list)):
-            flat[key] = json.dumps(val, sort_keys=True)
-        else:
-            flat[key] = val
-    return flat
+    return {
+        k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+        for k, v in row.items()
+    }
 
 
 def _emit(args, payload: dict):
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
-    elif fmt == "csv":
+    elif args.format == "csv":
+        import csv
+
         rows = payload.get("rows") or payload.get("representatives") or [payload]
         rows = [_flatten(r) for r in rows]
         buf = io.StringIO()
@@ -390,17 +385,14 @@ def _emit(args, payload: dict):
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
-    elif fmt == "pretty":
-        text = _pretty(payload)
     else:
-        raise _fail(f"unknown format {fmt!r}")
-    out = getattr(args, "out", None)
-    if out:
+        text = _pretty(payload)
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise _fail(f"cannot write {out}: {exc.strerror}")
+            raise _fail(f"cannot write {args.out}: {exc.strerror}")
     else:
         print(text)
 
@@ -422,79 +414,122 @@ def _pretty(payload, indent=0) -> str:
     return f"{pad}{payload}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liebialg",
-        description="Exact classification data for almost-factorizable "
-        "real simple Lie bialgebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---- argv -------------------------------------------------------------------
 
-    def common(p, sigma=True):
-        p.add_argument("--type", required=True, help="series letter A..G")
-        p.add_argument("--rank", required=True, type=int)
-        if sigma:
-            p.add_argument("--sigma", choices=SIGMA_CHOICES)
-            p.add_argument("--mu", help="1-based permutation, e.g. 3,2,1")
-            p.add_argument("--J", help="1-based mu-fixed vertices, e.g. 1,3")
-            p.add_argument(
-                "--painted", help="1-based painted vertices (complement of J)"
-            )
-        p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="json"
-        )
-        p.add_argument("--out", help="write output to a file")
+# An option is (kind, default, required, help); its kind is str, int, a tuple
+# of choices, or bool for a flag.  `--skip-cybe` sets the attribute skip_cybe.
+_COMMON = {
+    "type": (str, None, True, "series letter A..G"),
+    "rank": (int, None, True, "rank of the simple type"),
+    "sigma": (SIGMA_CHOICES, None, False, "kind of involution"),
+    "mu": (str, None, False, "1-based permutation, e.g. 3,2,1"),
+    "J": (str, None, False, "1-based mu-fixed vertices, e.g. 1,3"),
+    "painted": (str, None, False, "1-based painted vertices (complement of J)"),
+    "format": (("json", "csv", "pretty"), "json", False, "output format"),
+    "out": (str, None, False, "write output to a file"),
+}
+_WHAT = ("bd-triples", "involutions", "bialgebras", "root-system")
 
-    p = sub.add_parser("enumerate", help="list triples, involutions or data")
-    common(p)
-    p.add_argument(
-        "--what",
-        choices=("bd-triples", "involutions", "bialgebras", "root-system"),
-        default="bialgebras",
-    )
-    p.add_argument(
-        "--materialize",
-        action="store_true",
-        help="include the full datum (with tensors) in each row",
-    )
-    p.set_defaults(func=cmd_enumerate)
+# command: (handler, its one positional argument or None, help, options)
+COMMANDS = {
+    "enumerate": (cmd_enumerate, None, "list triples, involutions or data", {
+        **_COMMON, "what": (_WHAT, "bialgebras", False, "what to list"),
+        "materialize": (bool, False, False, "include the full datum (with tensors) in each row"),
+    }),
+    "build": (cmd_build, None, "materialize one datum with tensors", {
+        **_COMMON, "bd": (str, None, False, "triple as JSON {gamma1, gamma2, tau}"),
+        "t": (str, None, False, "scalar (1, 2, i, 3i) or the line keywords real/imaginary"),
+        "coefficients": (str, None, False, "JSON list of direction coefficients"),
+    }),
+    "verify": (cmd_verify, "input", "check all identities of the datum JSON file INPUT", {
+        "skip-cybe": (bool, False, False, "skip the classical Yang-Baxter check"),
+        "manin": (bool, False, False, "also verify the double"),
+        "format": _COMMON["format"], "out": _COMMON["out"],
+    }),
+    "identify": (cmd_identify, None, "name the real form of an involution", _COMMON),
+    "classify": (cmd_classify, None, "deduplicate enumerated data", _COMMON),
+}
 
-    p = sub.add_parser("build", help="materialize one datum with tensors")
-    common(p)
-    p.add_argument("--bd", help="triple as JSON {gamma1, gamma2, tau}")
-    p.add_argument(
-        "--t", help="scalar (1, 2, i, 3i) or the line keywords real/imaginary"
-    )
-    p.add_argument(
-        "--coefficients", help="JSON list of direction coefficients"
-    )
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="check all identities of a datum file")
-    p.add_argument("input", help="datum JSON file")
-    p.add_argument("--skip-cybe", action="store_true")
-    p.add_argument("--manin", action="store_true", help="also verify the double")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+def _option(options: dict, word: str):
+    """(name, value after `=` or None) for an option or a unique prefix, None for a value."""
+    key, eq, value = ("--help", "", "") if word == "-h" else word.partition("=")
+    hits = [o for o in (*options, "help") if key[:2] == "--" and ("--" + o).startswith(key)]
+    hits = [key[2:]] if key[2:] in hits else hits
+    if len(hits) > 1:
+        raise _fail(f"ambiguous option {key}: could be --{', --'.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    if word[:1] != "-" or word == "-" or re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word:
+        return None
+    raise _fail(f"unknown option {key}")
 
-    p = sub.add_parser("identify", help="name the real form of an involution")
-    common(p)
-    p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("classify", help="deduplicate enumerated data")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+def _help(command: str | None) -> str:
+    if command is None:
+        head = "{" + ",".join(COMMANDS) + "} ...\n\nExact classification data for " \
+            "almost-factorizable real simple Lie bialgebras"
+        rows = [(c, spec[2]) for c, spec in COMMANDS.items()]
+    else:
+        _, positional, text, options = COMMANDS[command]
+        words = [p.upper() for p in [positional] if p]
+        words += [f"--{o} {o.upper()}" for o, spec in options.items() if spec[2]]
+        head = " ".join([command, *words]) + f" [options]\n\n{text}"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (f"--{o} " + ("" if kind is bool else o.upper() if kind in (str, int)
+                          else "{" + ",".join(kind) + "}"), about)
+            for o, (kind, _, _, about) in options.items()
+        ]
+    return f"usage: liebialg {head}\n\n" + "\n".join(f"  {a:<22} {b}" for a, b in rows)
 
-    return parser
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The request that `argv` spells, read against COMMANDS as argparse reads
+    it: `--name value` or `--name=value`, a unique prefix for a name, the
+    last repeat wins, `--` ends the options.  Malformed argv exits 2 with one
+    error line; -h or --help prints the usage and exits 0."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS and _option({}, command) != ("help", None):
+        raise _fail(f"unknown command {command!r}: choose one of {', '.join(COMMANDS)}")
+    func, positional, _, options = COMMANDS.get(command, (None, None, "", {}))
+    args = {o: default for o, (_, default, _, _) in options.items()}
+    values, words = [], iter(argv[1:] if func else argv)
+    for word in words:
+        hit = None if word == "--" else _option(options, word)
+        if hit is None:
+            values += words if word == "--" else [word]
+            continue
+        name, value = hit
+        kind = options[name][0] if name in options else bool
+        if kind is bool and value is not None:
+            raise _fail(f"--{name} takes no value")
+        if name == "help":
+            print(_help(func and command))
+            raise SystemExit(0)
+        if kind is not bool and value is None:
+            value = next(words, "--")
+            if value == "--" or _option(options, value):
+                raise _fail(f"--{name} needs a value")
+        try:
+            args[name] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            raise _fail(f"--{name} needs an integer, not {value!r}")
+        if kind not in (str, int, bool) and value not in kind:
+            raise _fail(f"--{name} must be one of {', '.join(kind)}, not {value!r}")
+    if positional and values:
+        args[positional] = values.pop(0)
+    missing = [p.upper() for p in [positional] if p and p not in args]
+    missing += [f"--{o}" for o, spec in options.items() if spec[2] and args[o] is None]
+    if missing or values:
+        raise _fail(f"missing {', '.join(missing)}" if missing else f"unexpected {values[0]!r}")
+    args = {o.replace("-", "_"): v for o, v in args.items()}
+    return SimpleNamespace(command=command, func=func, **args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except BrokenPipeError:
         return 0
 

@@ -86,14 +86,18 @@ class ParameterSpace:
         return len(self.directions)
 
     def point(self, coefficients) -> ContinuousParameter:
-        m = [row[:] for row in self.base_point.matrix]
+        return ContinuousParameter(self._combine(coefficients, self.base_point.matrix))
+
+    def _combine(self, coefficients, start: list) -> list:
+        """start + sum c_m D_m over the directions D_m, as a new matrix."""
+        m = [row[:] for row in start]
         for c, d in zip(coefficients, self.directions):
             c = c if isinstance(c, GaussianRational) else GaussianRational(c)
             for i in range(self.rank):
                 for j in range(self.rank):
                     if d[i][j]:
                         m[i][j] = m[i][j] + c * d[i][j]
-        return ContinuousParameter(m)
+        return m
 
     def to_json(self) -> dict:
         return {
@@ -125,10 +129,11 @@ def constraint_residual(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter):
         for i in range(n)
     ]
     residuals = [sym]
+    lam_t = linalg.transpose(lam.matrix)
     for a in bd.gamma1:
         ga = rs.root_values(rs.simple_roots[a])
         gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-        lt_gt = linalg.mat_vec(linalg.transpose(lam.matrix), gt)
+        lt_gt = linalg.mat_vec(lam_t, gt)
         residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(lam.matrix, ga))])
     return residuals
 
@@ -148,6 +153,7 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     pairs = _pair_index(n)
     half = GaussianRational(Fraction(1, 2))
     omega_half = [[half * x for x in row] for row in rs.cartan_dual_gram]
+    omega_half_t = linalg.transpose(omega_half)
 
     rows = []
     rhs = []
@@ -157,7 +163,7 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
         base = [
             x + y
             for x, y in zip(
-                linalg.mat_vec(linalg.transpose(omega_half), gt),
+                linalg.mat_vec(omega_half_t, gt),
                 linalg.mat_vec(omega_half, ga),
             )
         ]
@@ -308,22 +314,11 @@ def apply_reality(
     sol, kernel = affine
 
     def realize(coeffs):
-        return [
-            coeffs[2 * m].real_part() + I * coeffs[2 * m + 1].real_part()
-            for m in range(ndir)
-        ]
+        return [coeffs[2 * m].real_part() + I * coeffs[2 * m + 1].real_part() for m in range(ndir)]
 
     base = ps.point(realize(sol))
-    directions = []
-    for v in kernel:
-        assert all(x.is_real() for x in v)
-        pt = ps.point(realize(v))
-        directions.append(
-            [
-                [pt.matrix[i][j] - ps.base_point.matrix[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
+    assert all(x.is_real() for v in kernel for x in v)
+    directions = [ps._combine(realize(v), linalg.zeros(n, n)) for v in kernel]
     return ParameterSpace(
         rank=n,
         base_point=base,

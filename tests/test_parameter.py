@@ -6,6 +6,7 @@ from liebialg import linalg
 from liebialg.bdtriple import (
     BDTriple,
     DiagramAutomorphism,
+    diagram_automorphisms,
     enumerate_bd_triples,
     identity_automorphism,
 )
@@ -13,6 +14,7 @@ from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.parameter import (
     NoBialgebraDatum,
     apply_reality,
+    constraint_residual,
     lambda_reality_ok,
     satisfies_constraints,
     solve_parameters,
@@ -199,3 +201,75 @@ def test_parameter_space_json():
     doc = ps.to_json()
     assert doc["reality_kind"] is None
     assert len(doc["directions"]) == 1
+
+
+def _old_point(ps, coefficients) -> list:
+    """The base point plus sum c_m D_m, entry by entry."""
+    m = [row[:] for row in ps.base_point.matrix]
+    for c, d in zip(coefficients, ps.directions):
+        for i in range(ps.rank):
+            for j in range(ps.rank):
+                if d[i][j]:
+                    m[i][j] = m[i][j] + c * d[i][j]
+    return m
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_reality_cut_matches_the_point_difference_construction(monkeypatch, series, rank):
+    """apply_reality builds each direction as sum c_m D_m.  The reference
+    builds it as the point at the realized kernel vector minus the base
+    point, from the same elimination, for every (triple, kind, mu)."""
+    rs = build_root_system(series, rank)
+    n = rs.rank
+    solves, solve = [], linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda m, rhs: solves.append(solve(m, rhs)) or solves[-1])
+    checked = 0
+    for bd in enumerate_bd_triples(rs):
+        ps = solve_parameters(rs, bd)
+        ndir = ps.dimension
+        for label in ("varsigma", "varsigma_mu", "omega", "omega_mu_J"):  # one per kind
+            for mu in diagram_automorphisms(rs):
+                solves.clear()
+                try:
+                    cut = apply_reality(ps, label, mu, bd)
+                except NoBialgebraDatum:
+                    continue
+                # no reality equations: every real coefficient is free
+                free = ([ZERO] * 2 * ndir, linalg.identity(2 * ndir))
+                sol, kernel = solves[0] if solves else free
+
+                def realize(v):
+                    return [v[2 * m].real_part() + I * v[2 * m + 1].real_part()
+                            for m in range(ndir)]
+
+                assert cut.base_point.matrix == _old_point(ps, realize(sol))
+                expected = []
+                for v in kernel:
+                    pt = _old_point(ps, realize(v))
+                    base = ps.base_point.matrix
+                    expected.append([[pt[i][j] - base[i][j] for j in range(n)] for i in range(n)])
+                assert cut.directions == expected
+                checked += 1
+    assert checked == {"A": 28, "B": 8, "D": 94, "G": 4}[series]
+
+
+def test_constraint_residual_values_off_the_solution_space():
+    """Residuals at a point off the space, against the defining equations
+    written out: lam + lam^T - Omega_0 and lam^T g_{T(a)} + lam g_a."""
+    rs = build_root_system("A", 3)
+    n = rs.rank
+    for bd in enumerate_bd_triples(rs):
+        lam = solve_parameters(rs, bd).point([ONE] * 3)
+        lam.matrix[0][1] = lam.matrix[0][1] + GaussianRational(1, 2)
+        lam.matrix[2][0] = lam.matrix[2][0] - I
+        m, omega0 = lam.matrix, rs.cartan_dual_gram
+        expected = [[m[i][j] + m[j][i] - omega0[i][j] for j in range(n)] for i in range(n)]
+        for a in bd.gamma1:
+            ga = rs.root_values(rs.simple_roots[a])
+            gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
+            expected.append([
+                sum((m[j][k] * gt[j] + m[k][j] * ga[j] for j in range(n)), ZERO)
+                for k in range(n)
+            ])
+        sym, *per_root = constraint_residual(rs, bd, lam)
+        assert sym + per_root == expected
