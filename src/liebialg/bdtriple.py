@@ -30,10 +30,6 @@ class DiagramAutomorphism:
     def __call__(self, i: int) -> int:
         return self.permutation[i]
 
-    @property
-    def order(self) -> int:
-        return 1 if self.is_identity() else 2
-
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.permutation))
 

@@ -96,6 +96,8 @@ def _parse_indices(text: str | None, rank: int):
         raise _fail(f"bad index list {text!r}")
     if any(i < 0 or i >= rank for i in idx):
         raise _fail(f"index out of range in {text!r}")
+    if len(set(idx)) != len(idx):
+        raise _fail(f"repeated vertex in {text!r}")
     return idx
 
 
@@ -276,10 +278,13 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
     sig = doc["sigma"]
     if not isinstance(sig, dict):
         raise ValueError("sigma must be an object {kind, mu, J}")
-    mu = DiagramAutomorphism(tuple(sig.get("mu", range(n))))
+    mu = DiagramAutomorphism(tuple(_vertices(sig.get("mu", list(range(n))), n, "sigma.mu")))
     if mu not in diagram_automorphisms(rs):
         raise ValueError(f"sigma.mu is not an order-2 symmetry of {rs.type}")
-    sigma = canonical_involution(rs, sig["kind"], mu, tuple(sig.get("J", ())))
+    j = _vertices(sig.get("J", []), n, "sigma.J")
+    if len(set(j)) != len(j):
+        raise ValueError("sigma.J repeats a vertex")
+    sigma = canonical_involution(rs, sig["kind"], mu, tuple(j))
     label = sigma.describe()
     stored = doc["sigma_label"]
     if stored != label:
@@ -476,11 +481,12 @@ def _help(command: str | None) -> str:
         words += [f"--{o} {o.upper()}" for o, spec in options.items() if spec[2]]
         head = " ".join([command, *words]) + f" [options]\n\n{text}"
         rows = [("-h, --help", "show this help and exit")] + [
-            (f"--{o} " + ("" if kind is bool else o.upper() if kind in (str, int)
-                          else "{" + ",".join(kind) + "}"), about)
+            ("--" + o + ("" if kind is bool else f" {o.upper()}"),
+             about if kind in (str, int, bool) else f"{about}: {', '.join(kind)}")
             for o, (kind, _, _, about) in options.items()
         ]
-    return f"usage: liebialg {head}\n\n" + "\n".join(f"  {a:<22} {b}" for a, b in rows)
+    width = max(len(a) for a, _ in rows)
+    return f"usage: liebialg {head}\n\n" + "\n".join(f"  {a:<{width}}  {b}" for a, b in rows)
 
 
 def parse_args(argv: list) -> SimpleNamespace:
@@ -488,7 +494,9 @@ def parse_args(argv: list) -> SimpleNamespace:
     it: `--name value` or `--name=value`, a unique prefix for a name, the
     last repeat wins, `--` ends the options.  Malformed argv exits 2 with one
     error line; -h or --help prints the usage and exits 0."""
-    command = argv[0] if argv else ""
+    if not argv:
+        raise _fail(f"missing command: choose one of {', '.join(COMMANDS)}")
+    command = argv[0]
     if command not in COMMANDS and _option({}, command) != ("help", None):
         raise _fail(f"unknown command {command!r}: choose one of {', '.join(COMMANDS)}")
     func, positional, _, options = COMMANDS.get(command, (None, None, "", {}))

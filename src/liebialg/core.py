@@ -346,19 +346,12 @@ class Tensor2:
         c = _coerce(c)
         return Tensor2(self.dim, {k: c * v for k, v in self.entries.items()})
 
-    def conjugate(self) -> "Tensor2":
-        return Tensor2(self.dim, {k: v.conj() for k, v in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def is_antisymmetric(self) -> bool:
         e = self.entries
         return all(-v == e.get((j, i), ZERO) for (i, j), v in e.items())
-
-    def is_symmetric(self) -> bool:
-        e = self.entries
-        return all(v == e.get((j, i), ZERO) for (i, j), v in e.items())
 
     def __eq__(self, other):
         return (
@@ -395,11 +388,6 @@ class Tensor2:
 def _same_dim(a, b):
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-
-
-def wedge(x: Tensor2) -> Tensor2:
-    """x - x^{21}; realizes a wedge b = a (x) b - b (x) a."""
-    return x - x.transpose()
 
 
 def _cybe_sparse(r: Tensor2, structure: StructureTable) -> dict:

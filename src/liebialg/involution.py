@@ -25,18 +25,6 @@ from .core import GaussianRational, I, ONE, ZERO
 from .rootsystem import RootSystem
 
 
-class NormalizationObstruction(ValueError):
-    """A rescaling target is not solvable inside Q(i).
-
-    Carries the exact constraint that failed, e.g. the rational number
-    that would have to be a sum of two rational squares.
-    """
-
-    def __init__(self, message: str, certificate):
-        super().__init__(message)
-        self.certificate = certificate
-
-
 class Involution:
     """Semilinear Lie algebra involution in ambient coordinates.
 
@@ -74,9 +62,6 @@ class Involution:
         """Columns of the linear part M1 conj(M2) of self o other (the
         conjugations cancel)."""
         return column_product(self.columns, other.columns, conj=True)
-
-    def is_involution(self) -> bool:
-        return is_identity_columns(self.compose_linear(self))
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -184,121 +169,6 @@ def sigma_root_action(rs: RootSystem, sigma: Involution):
             raise ValueError("involution does not permute the root spaces")
         action[gamma] = (rs.index_root(col[0][0]), col[0][1])
     return action
-
-
-def _two_square_decomposition(x: Fraction):
-    """Rational a >= b >= 0 with a^2 + b^2 = x, or None."""
-    from math import isqrt
-
-    n = x.numerator * x.denominator  # x * q^2 = p*q must be a sum of two squares
-    if n == 0:
-        return Fraction(0), Fraction(0)
-    if n < 0:
-        return None
-    square = 1
-    k = 2
-    while k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-            square *= k
-        k += 1
-    a = 0
-    while a * a * 2 <= n:
-        rest = n - a * a
-        r = isqrt(rest)
-        if r * r == rest:
-            big, small = max(r, a), min(r, a)
-            return (
-                Fraction(big * square, x.denominator),
-                Fraction(small * square, x.denominator),
-            )
-        a += 1
-    return None
-
-
-def normalize_involution(rs: RootSystem, sigma: Involution):
-    """Bring a Cartan-preserving involution to canonical form.
-
-    Returns (rescaling, kind, mu, J) where rescaling maps each simple
-    index to the scalar d_i; conjugating sigma by the torus automorphism
-    x_gamma -> d^gamma x_gamma yields exactly the canonical involution.
-    Raises NormalizationObstruction with the exact unsolvable constraint
-    when no Q(i) rescaling exists.
-    """
-    action = sigma_root_action(rs, sigma)
-    images = [action[a][0] for a in rs.simple_roots]
-    if all(r in rs._pos_index for r in images):
-        kind = "varsigma"
-    elif all(tuple(-x for x in r) in rs._pos_index for r in images):
-        kind = "omega"
-    else:
-        raise ValueError("sigma* does not map the simple system to itself or its negative")
-    perm = []
-    for img in images:
-        base = img if kind == "varsigma" else tuple(-x for x in img)
-        perm.append(rs.simple_roots.index(base))
-    mu = DiagramAutomorphism(tuple(perm))
-
-    c = {i: action[rs.simple_roots[i]][1] for i in range(rs.rank)}
-    d: dict[int, GaussianRational] = {}
-    J = []
-    for i in range(rs.rank):
-        if i in d:
-            continue
-        j = mu(i)
-        if kind == "varsigma":
-            if j == i:
-                # d / conj(d) = c, |c| = 1; d = 1 + c works unless c = -1
-                d[i] = I if c[i] == -ONE else ONE + c[i]
-            else:
-                d[i] = ONE
-                d[j] = c[i]
-        else:
-            if j == i:
-                ci = c[i]
-                if not ci.is_real():
-                    raise NormalizationObstruction(
-                        "mu-fixed scalar must be real for an omega-type involution",
-                        ci,
-                    )
-                if ci.re < 0:
-                    J.append(i)
-                target = abs(Fraction(1) / ci.re)  # need |d|^2 = 1/|c|
-                sq = _two_square_decomposition(target)
-                if sq is None:
-                    raise NormalizationObstruction(
-                        f"{target} is not a sum of two rational squares",
-                        target,
-                    )
-                d[i] = GaussianRational(sq[0], sq[1])
-            else:
-                d[i] = ONE
-                d[j] = ONE / c[i]
-    return d, kind, mu, tuple(sorted(J))
-
-
-def rescaling_automorphism(rs: RootSystem, d: dict) -> list:
-    """Torus automorphism x_gamma -> (prod d_i^{gamma_i}) x_gamma, id on h."""
-    m = linalg.identity(rs.dim)
-    for gamma in rs.roots:
-        val = ONE
-        for i, ci in enumerate(gamma):
-            if ci > 0:
-                for _ in range(ci):
-                    val = val * d[i]
-            elif ci < 0:
-                for _ in range(-ci):
-                    val = val / d[i]
-        m[rs.root_index(gamma)][rs.root_index(gamma)] = val
-    return m
-
-
-def conjugate_involution(rs: RootSystem, sigma: Involution, r: list) -> Involution:
-    """sigma expressed in the basis rescaled by r: R^-1 M conj(R)."""
-    m = linalg.mat_mul(
-        linalg.inverse(r), linalg.mat_mul(sigma.matrix, linalg.conjugate(r))
-    )
-    return Involution(m, "general")
 
 
 class RealFormBasis:

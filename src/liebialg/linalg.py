@@ -7,8 +7,6 @@ small (at most a few hundred), so no cleverness is warranted.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import GaussianRational, ONE, ZERO
 
 Matrix = list  # list[list[GaussianRational]]
@@ -59,14 +57,6 @@ def mat_vec(a: Matrix, v: list) -> list:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def conjugate(a: Matrix) -> Matrix:
-    return [[x.conj() for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -162,17 +152,3 @@ def det(m: Matrix) -> GaussianRational:
                 for j, y in nonzero:
                     row[j] = row[j] - f * y
     return result
-
-
-def is_positive_definite(m: list[list[Fraction]]) -> bool:
-    """Exact test for a symmetric rational matrix, by LDL^T pivots."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True

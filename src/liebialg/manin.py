@@ -8,53 +8,15 @@ Imaginary branch (t imaginary): the double is the realification of the
 complex algebra with the bilinear form 2 Re( | ); the real form pairs
 against r_plus of the real dual.  The inner product ( | ) is throughout
 the one induced by r + r^{21}, i.e. kappa / t.
-
-The realification carries an explicit multiplication-by-i operator; all
-identities relating it to the direct sum live in psi_phi.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
-from .core import GaussianRational, I, ONE, StructureTable, Tensor2, ZERO
-from .involution import (
-    Involution,
-    RealFormBasis,
-    fixed_point_basis,
-    real_structure_constants,
-)
+from .core import GaussianRational, ONE, StructureTable, ZERO
+from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
 from .rootsystem import RootSystem
-
-
-# ---- factorization maps ------------------------------------------------------
-
-
-def factorization_maps(rs: RootSystem, r: Tensor2):
-    """(r_plus, r_minus, i_map) as matrices from dual coordinates to g.
-
-    r_plus(mu) = (mu (x) id) r, r_minus(mu) = -(id (x) mu) r, and the
-    factorization map is their difference; for r + r21 = t Omega it is t
-    times the Killing duality and in particular invertible.
-    """
-    n = rs.dim
-    rmat = [[r.get(i, j) for j in range(n)] for i in range(n)]
-    r_plus = linalg.transpose(rmat)
-    r_minus = [[-x for x in row] for row in rmat]
-    i_map = [
-        [r_plus[i][j] - r_minus[i][j] for j in range(n)] for i in range(n)
-    ]
-    return r_plus, r_minus, i_map
-
-
-def induced_form(rs: RootSystem, t: GaussianRational):
-    """Gram matrix of the inner product induced by r + r21 = t Omega:
-    kappa / t on the ambient basis."""
-    k = rs.killing_gram()
-    inv_t = ONE / t
-    return [[inv_t * x for x in row] for row in k]
 
 
 # ---- the triple container ----------------------------------------------------
@@ -120,18 +82,6 @@ class ManinTriple:
         self.double_dim, self.pairing, self.structure = double_dim, pairing, structure
         self.sub1_basis, self.sub2_basis, self.case = sub1_basis, sub2_basis, case
 
-    def pair(self, u, v) -> GaussianRational:
-        """The double's pairing of two coordinate vectors."""
-        p = self.pairing
-        acc = ZERO
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b and p[i][j]:
-                    acc = acc + a * p[i][j] * b
-        return acc
-
     def verify(self) -> dict:
         """All defining properties, as named exact checks.
 
@@ -185,16 +135,6 @@ class ManinTriple:
                 if any(reduced.residual(self.structure.bracket(u, v))):
                     return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "double_dim": self.double_dim,
-            "pairing": [[x.to_json() for x in row] for row in self.pairing],
-            "sub1_basis": [[x.to_json() for x in v] for v in self.sub1_basis],
-            "sub2_basis": [[x.to_json() for x in v] for v in self.sub2_basis],
-            "verification": self.verify(),
-        }
 
 
 # ---- real-basis plumbing -----------------------------------------------------
@@ -305,15 +245,6 @@ def realify_vector(v) -> list:
     return out
 
 
-def multiplication_by_i(n: int):
-    """The operator x -> x' on realified coordinates."""
-    m = linalg.zeros(2 * n, 2 * n)
-    for j in range(n):
-        m[n + j][j] = ONE
-        m[j][n + j] = -ONE
-    return m
-
-
 def real_part_pairing(rs: RootSystem, t: GaussianRational):
     """Gram matrix of 2 Re(kappa / t) on the realified basis."""
     n = rs.dim
@@ -356,89 +287,3 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in duals]
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "imaginary_factorizable")
-
-
-# ---- the complexified realification and the comparison maps ------------------
-
-
-def psi_phi(rs: RootSystem, sigma: Involution):
-    """Mutually inverse maps between l + l and the complexified
-    realification, as exact matrices."""
-    n = rs.dim
-    jmat = multiplication_by_i(n)
-    half = GaussianRational(Fraction(1, 2))
-    half_i = half * I
-
-    def rho_column(v):
-        return realify_vector(v)
-
-    psi = linalg.zeros(2 * n, 2 * n)
-    for a in range(n):
-        e = [ZERO] * n
-        e[a] = ONE
-        col_x = rho_column(e)
-        jx = linalg.mat_vec(jmat, col_x)
-        for i in range(2 * n):
-            psi[i][a] = half * col_x[i] - half_i * jx[i]
-        se = [sigma.matrix[i][a] for i in range(n)]
-        col_y = rho_column(se)
-        jy = linalg.mat_vec(jmat, col_y)
-        for i in range(2 * n):
-            psi[i][n + a] = half * col_y[i] + half_i * jy[i]
-
-    upsilon = linalg.zeros(n, 2 * n)
-    for j in range(n):
-        upsilon[j][j] = ONE
-        upsilon[j][n + j] = I
-    lower = linalg.mat_mul(sigma.matrix, linalg.conjugate(upsilon))
-    phi = [upsilon[i][:] for i in range(n)] + [lower[i][:] for i in range(n)]
-    return psi, phi
-
-
-def direct_sum_structure(rs: RootSystem) -> StructureTable:
-    """l + l as a complex algebra (for checking psi is a morphism)."""
-    n = rs.dim
-    table = {}
-    for (a, b), terms in rs.structure.table.items():
-        table[(a, b)] = terms
-        table[(n + a, n + b)] = tuple((n + k, c) for k, c in terms)
-    return StructureTable(2 * n, table)
-
-
-def cobracket_from_triple(mt: ManinTriple) -> list:
-    """delta on sub1 via the pairing with sub2: for each basis vector of
-    sub1 a matrix D with delta(w_c) = sum D[a][b] w_a (x) w_b."""
-    pair = mt.pair
-    q = [
-        [pair(w, z) for z in mt.sub2_basis] for w in mt.sub1_basis
-    ]
-    qinv = linalg.inverse(q)
-    brackets = [
-        [mt.structure.bracket(z, y) for y in mt.sub2_basis] for z in mt.sub2_basis
-    ]
-    out = []
-    for w in mt.sub1_basis:
-        m = [[pair(w, br) for br in row] for row in brackets]
-        out.append(
-            linalg.mat_mul(qinv, linalg.mat_mul(m, linalg.transpose(qinv)))
-        )
-    return out
-
-
-def cobracket_from_r0(rs: RootSystem, datum: BialgebraDatum) -> list:
-    """delta = ad_x(r0) on the real form, in real-basis coordinates."""
-    basis = fixed_point_basis(rs, datum.sigma)
-    n = rs.dim
-    out = []
-    for vec in basis.vectors:
-        acc: dict[tuple, GaussianRational] = {}
-        # (ad_x (x) 1 + 1 (x) ad_x) applied to r0
-        admat = rs.structure.ad(vec)
-        for (a, b), v in datum.r0.items():
-            for i in range(n):
-                if admat[i][a]:
-                    acc[(i, b)] = acc.get((i, b), ZERO) + admat[i][a] * v
-                if admat[i][b]:
-                    acc[(a, i)] = acc.get((a, i), ZERO) + admat[i][b] * v
-        out.append(basis.tensor_coordinates(Tensor2.from_items(n, acc.items())))
-    return out

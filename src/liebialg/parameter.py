@@ -24,8 +24,6 @@ class NoBialgebraDatum(ValueError):
     """The requested (involution, triple) combination admits no parameter."""
 
 
-REALITY_KINDS = ("real", "conjugate-mu", "imaginary", "anti-conjugate-mu")
-
 _KIND_BY_SIGMA = {
     "varsigma": "real",
     "varsigma_mu": "conjugate-mu",
@@ -50,10 +48,6 @@ class ContinuousParameter:
             [half * (self.matrix[i][j] - self.matrix[j][i]) for j in range(n)]
             for i in range(n)
         ]
-
-    def coefficient(self, a: int, b: int) -> GaussianRational:
-        """lam_ab, the wedge coefficient; antisymmetric in (a, b)."""
-        return self.antisymmetric_part()[a][b]
 
     def embed(self, rs: RootSystem) -> Tensor2:
         rows = enumerate(self.matrix)

@@ -75,8 +75,9 @@ def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
     """Matrix of theta restricted to the real form, in its real basis.
 
-    identify does not use it; it is an independent reference for the
-    trace formulas."""
+    identify does not use it, and no command calls it; it stays because
+    the per-layer tracer of perfbench/layers.py spans it by name.  Tests
+    use it as an independent reference for the trace formulas."""
     cols = []
     for v in basis.vectors:
         image = linalg.mat_vec(theta.matrix, v)
@@ -109,21 +110,6 @@ def _trace_dims(theta: Involution, size: int) -> tuple[int, int]:
     plus, minus = (size + tr) / 2, (size - tr) / 2
     assert plus.d == 1 and minus.d == 1
     return plus.a, minus.a
-
-
-def theta_twisted_gram(rs: RootSystem, theta: Involution, basis: RealFormBasis):
-    """Gram matrix of B(x, y) = -kappa(x, theta y) on the real basis."""
-    images = [linalg.mat_vec(theta.matrix, v) for v in basis.vectors]
-    n = basis.count
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = -rs.killing_form(basis.vectors[i], images[j])
-            assert val.is_real()
-            row.append(val.re)
-        gram.append(row)
-    return gram
 
 
 # ---- the naming table -------------------------------------------------------
@@ -340,31 +326,3 @@ def _check_invariants(rs: RootSystem, sigma: Involution, report: RealFormReport)
             assert report.character == expect, (
                 f"{report.name}: character {report.character} != expected {expect}"
             )
-
-
-def imaginary_roots(rs: RootSystem, sigma: Involution) -> list:
-    """Roots vanishing on the noncompact part of h_0."""
-    return _roots_vanishing_on(rs, sigma, want_sign=-1)
-
-
-def real_roots(rs: RootSystem, sigma: Involution) -> list:
-    """Roots vanishing on the compact part of h_0."""
-    return _roots_vanishing_on(rs, sigma, want_sign=1)
-
-
-def _roots_vanishing_on(rs: RootSystem, sigma: Involution, want_sign: int):
-    """Roots vanishing on the want_sign eigenspace of theta on h; that
-    space is the complexification of its part in h_0, so the ambient
-    Cartan block of theta suffices."""
-    n = rs.rank
-    shifted = [[x * -want_sign for x in row] for row in linalg.identity(n)]
-    for j, col in enumerate(_checked_theta(rs, sigma).columns[:n]):
-        for i, v in col:
-            shifted[i][j] = shifted[i][j] + v
-    part = linalg.nullspace(shifted)
-    out = []
-    for gamma in rs.roots:
-        weights = rs.root_values(gamma)
-        if not any(sum((v[i] * weights[i] for i in range(n)), ZERO) for v in part):
-            out.append(gamma)
-    return out

@@ -46,7 +46,7 @@ from .core import (
     cybe,
     cybe_is_zero,
 )
-from .involution import Involution, fixed_point_basis
+from .involution import Involution
 from .parameter import (
     ContinuousParameter,
     NoBialgebraDatum,
@@ -165,17 +165,6 @@ def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> d
     return s
 
 
-def transported_images(rs: RootSystem, bd: BDTriple, family: dict) -> dict:
-    """Chain transport x'_beta -> x'_{T beta} as index/scalar assignments
-    over the original basis (for inspection and tests)."""
-    out = {}
-    hat1 = span_subset_roots(rs, bd.gamma1)
-    for beta in hat1:
-        tbeta = extend_tau_additively(rs, bd, beta)
-        out[beta] = (tbeta, family[tbeta] / family[beta])
-    return out
-
-
 # ---- tensors ---------------------------------------------------------------
 
 
@@ -212,7 +201,10 @@ def build_r0(
     t: GaussianRational,
     family: dict | None = None,
 ) -> Tensor2:
-    """The antisymmetric tensor r - t Omega / 2."""
+    """The antisymmetric tensor r - t Omega / 2.
+
+    No command calls it (make_datum reuses the r it has built); it stays
+    because the per-layer tracer of perfbench/layers.py spans it by name."""
     return _minus_half_t_omega(rs, build_r(rs, bd, lam, t, family), t)
 
 
@@ -381,11 +373,6 @@ def _carries_declared_data(datum: BialgebraDatum) -> bool:
         and ex.t == datum.t
         and ex.lam.matrix == datum.lam.matrix
     )
-
-
-def r0_real_form_coordinates(datum: BialgebraDatum):
-    """Coordinates of r0 over the real-form basis; all real iff fixed."""
-    return fixed_point_basis(datum.rs, datum.sigma).tensor_coordinates(datum.r0)
 
 
 # ---- recovery ---------------------------------------------------------------

@@ -160,7 +160,6 @@ class RootSystem:
         self.npos = len(self.positive_roots)
         self.dim = self.rank + 2 * self.npos
 
-        self._pos_index = {r: k for k, r in enumerate(self.positive_roots)}
         # basis index of x_r; also the membership test for roots
         self._index = {r: self.rank + k for k, r in enumerate(self.roots)}
         # Gram matrix of the Killing form on the Cartan coordinates:
@@ -220,18 +219,12 @@ class RootSystem:
 
     # ---- root bookkeeping -------------------------------------------------
 
-    def is_root(self, r: Root) -> bool:
-        return r in self._index
-
     def root_index(self, r: Root) -> int:
         """Basis index of the root vector x_r."""
         return self._index[r]
 
     def index_root(self, idx: int) -> Root:
         return self.roots[idx - self.rank]
-
-    def height(self, r: Root) -> int:
-        return sum(r)
 
     def root_pairing(self, alpha: Root, beta: Root) -> Fraction:
         """(alpha | beta) under the Killing normalization."""
@@ -249,14 +242,6 @@ class RootSystem:
             for row in self._gram
         ]
 
-    def root_norm(self, alpha: Root) -> Fraction:
-        """(alpha | alpha) for a root alpha, computed once at construction."""
-        return Fraction(self._inorm[alpha], self._gram_den)
-
-    def coroot_vector(self, alpha: Root) -> list[GaussianRational]:
-        """h_alpha in Cartan coordinates: linear in alpha."""
-        return [GaussianRational(x) for x in alpha] + [ZERO] * (2 * self.npos)
-
     # ---- structure constants ---------------------------------------------
 
     def _string_down(self, mu: Root, nu: Root) -> int:
@@ -269,10 +254,6 @@ class RootSystem:
                 k += 1
             else:
                 return k
-
-    def chevalley_n(self, mu: Root, nu: Root) -> int:
-        """Integer structure constant N(mu, nu) of the Chevalley basis."""
-        return self._n.get((mu, nu), 0)
 
     def _normalized(self, c: int, mu: Root, nu: Root, total: Root) -> GaussianRational:
         """N(mu, nu) = c in the kappa-normalized basis, looked up by c and
@@ -410,22 +391,6 @@ class RootSystem:
             im = ip + self.npos
             acc = acc + x[ip] * y[im] + x[im] * y[ip]
         return acc
-
-    def killing_form_adjoint(self, x, y) -> GaussianRational:
-        """kappa via trace of adjoint maps; the independent oracle path."""
-        ax = self.structure.ad(x)
-        ay = self.structure.ad(y)
-        acc = ZERO
-        for i in range(self.dim):
-            for k in range(self.dim):
-                if ax[i][k] and ay[k][i]:
-                    acc = acc + ax[i][k] * ay[k][i]
-        return acc
-
-    def basis_vector(self, idx: int) -> list[GaussianRational]:
-        v = [ZERO] * self.dim
-        v[idx] = ONE
-        return v
 
     def to_json(self) -> dict:
         """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read

@@ -291,6 +291,13 @@ MALFORMED = {
     "tensor-value-json-numbers": lambda doc: doc["r0"]["entries"][1].__setitem__(
         slice(2, 4), _as_json_numbers(doc["r0"]["entries"][1][2:])
     ),
+    # equal to [0, 1] under ==, so only a type check rejects them
+    "sigma-mu-boolean": lambda doc: doc["sigma"].update({"mu": [False, True]}),
+    # an omega_J datum whose J names vertex 0 twice
+    "sigma-J-repeated": lambda doc: (
+        doc["sigma"].update({"kind": "omega", "J": [0, 0]}),
+        doc.update({"sigma_label": "omega_J"}),
+    ),
 }
 
 
@@ -360,6 +367,7 @@ BUILD_PROBES = {
     "coefficients-bad-json": ["--coefficients", "["],
     "coefficients-not-scalars": ["--coefficients", '["x"]'],
     "mu-not-a-permutation": ["--mu", "0,1"],
+    "J-repeated": ["--sigma", "omega-J", "--J", "1,1"],
 }
 
 

@@ -270,6 +270,13 @@ def test_malformed_argv_exits_2_with_one_error_line(capsys, probe):
     _assert_one_error_line(capsys)
 
 
+def test_empty_argv_names_the_commands(capsys):
+    assert _exit_code(main, MALFORMED["no-command"]) == 2
+    assert capsys.readouterr().err == (
+        "error: missing command: choose one of enumerate, build, verify, identify, classify\n"
+    )
+
+
 WORDS = [
     "--type", "A", "--rank", "2", "3", "--rank=3", "--r", "-1", "-1.5", "--sigma", "omega",
     "--sigma=all", "--s", "--mu", "--m", "--manin", "--manin=", "--J", "--J=", "--painted",
@@ -330,3 +337,14 @@ def test_help_exits_0_with_usage(argv):
         assert done.stdout.startswith(f"usage: liebialg {argv[0]} ")
     else:
         assert all(f"\n  {command} " in done.stdout for command in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"]] + [[command, "--help"] for command in COMMANDS], ids=" ".join
+)
+def test_help_descriptions_share_one_column(capsys, argv):
+    # each row is "  LABEL  description", LABEL's words single-spaced
+    assert _exit_code(main, argv) == 0
+    rows = capsys.readouterr().out.split("\n\n")[-1].splitlines()
+    columns = {re.match(r"  \S+(?: \S+)*  +", row).end() for row in rows}
+    assert len(rows) > 1 and len(columns) == 1, rows

@@ -108,7 +108,8 @@ def test_lambda_coefficient_convention():
     rs = build_root_system("A", 2)
     ps = solve_parameters(rs, BDTriple.empty())
     lam = ps.point([GaussianRational(5)])
-    assert lam.coefficient(0, 1) == -lam.coefficient(1, 0)
+    a = lam.antisymmetric_part()
+    assert a[0][1] == -a[1][0]
 
 
 def test_reality_real_case():
