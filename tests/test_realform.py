@@ -6,11 +6,12 @@ import pytest
 from liebialg import linalg, realform
 from liebialg.bdtriple import DiagramAutomorphism
 from liebialg.cli import _sigma_variants
-from liebialg.core import I, ONE, GaussianRational
+from liebialg.core import I, ONE, ZERO, GaussianRational
 from liebialg.involution import (
     Involution,
     canonical_involution,
     fixed_point_basis,
+    sigma_root_action,
 )
 from liebialg.realform import cartan_involution, identify, theta_action_on_real_basis
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
@@ -239,6 +240,59 @@ def test_trace_dims_match_real_basis_eigenspaces(series, rank):
         assert (report.dim_k, report.dim_p, report.dc, report.dnc) == (
             _nullity(t, 1), _nullity(t, -1), _nullity(t_h, 1), _nullity(t_h, -1)
         )
+
+
+def _roots_vanishing_on(rs, theta, sign):
+    """Reference root sets: the roots vanishing on the sign eigenspace of
+    theta on h, that eigenspace found by elimination on the leading
+    rank x rank block of theta's matrix."""
+    n = rs.rank
+    block = [
+        [theta.matrix[i][j] - (sign if i == j else 0) for j in range(n)] for i in range(n)
+    ]
+    part = linalg.nullspace(block)
+    return [
+        g for g in rs.roots
+        if not any(sum((v[i] * w for i, w in enumerate(rs.root_values(g))), ZERO) for v in part)
+    ]
+
+
+def _theta_star(rs, sigma):
+    """gamma -> theta* gamma, read off theta's columns by sigma_root_action."""
+    action = sigma_root_action(rs, cartan_involution(rs, sigma))
+    return {g: image for g, (image, _) in action.items()}
+
+
+def test_no_imaginary_roots_for_varsigma_mu():
+    # varsigma o mu has a maximally split Cartan: theta* fixes no root
+    rs = build_root_system("A", 3)
+    sigma = canonical_involution(rs, "varsigma", DiagramAutomorphism((2, 1, 0)))
+    star = _theta_star(rs, sigma)
+    assert [g for g in rs.roots if star[g] == g] == []
+    assert _roots_vanishing_on(rs, cartan_involution(rs, sigma), -1) == []
+
+
+def test_no_real_roots_for_omega_mu():
+    # omega o mu has a maximally compact Cartan: theta* negates no root
+    rs = build_root_system("A", 3)
+    sigma = canonical_involution(rs, "omega", DiagramAutomorphism((2, 1, 0)), (1,))
+    star = _theta_star(rs, sigma)
+    assert [g for g in rs.roots if star[g] == tuple(-x for x in g)] == []
+    assert _roots_vanishing_on(rs, cartan_involution(rs, sigma), 1) == []
+
+
+@pytest.mark.parametrize("series, rank", ORACLE_TYPES)
+def test_root_sets_match_theta_star(series, rank):
+    # imaginary roots (vanishing on the -1 part of h) are those theta* fixes,
+    # real roots (vanishing on the +1 part) those theta* negates
+    rs = build_root_system(series, rank)
+    for sigma in _sigma_variants(rs, "all"):
+        theta = cartan_involution(rs, sigma)
+        star = _theta_star(rs, sigma)
+        assert _roots_vanishing_on(rs, theta, -1) == [g for g in rs.roots if star[g] == g]
+        assert _roots_vanishing_on(rs, theta, 1) == [
+            g for g in rs.roots if star[g] == tuple(-x for x in g)
+        ]
 
 
 def _broken_theta(monkeypatch, edit):
