@@ -277,17 +277,13 @@ class StructureTable:
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.table.get((i, j), ())
 
-    def bracket(self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]):
-        """Bracket of two coordinate vectors."""
-        out = [ZERO] * self.dim
-        v_nonzero = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in v_nonzero:
-                for k, c in self.table.get((i, j), ()):
-                    out[k] = out[k] + a * b * c
-        return out
+    def bracket_terms(self, u: list, v: list) -> list:
+        """The terms (k, x) of [u, v], for u and v given as lists of their
+        nonzero (index, coefficient); an index k may repeat."""
+        table = self.table
+        return [
+            (k, x * y * c) for a, x in u for b, y in v for k, c in table.get((a, b), ())
+        ]
 
     def ad(self, u: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
         """Matrix of x -> [u, x] in basis coordinates."""

@@ -17,8 +17,6 @@ and extend through brackets to the whole algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .bdtriple import DiagramAutomorphism, identity_automorphism
 from .core import GaussianRational, I, ONE, ZERO
@@ -29,17 +27,13 @@ class Involution:
     """Semilinear Lie algebra involution in ambient coordinates.
 
     columns[j] lists the nonzero (i, M[i][j]) of the linear part M by
-    increasing row i.  A dense matrix M is accepted in their place;
-    .matrix is the dense view, derived once, for dense linear algebra.
-    kind is "varsigma", "omega" or "general"."""
+    increasing row i; .matrix is the dense view, derived once, for dense
+    linear algebra.  kind is "varsigma", "omega" or "general"."""
 
     __slots__ = ("columns", "kind", "mu", "J", "_matrix")
 
-    def __init__(self, matrix=None, kind="general", mu=None, J=(), *, columns=None):
-        if columns is None:
-            rows = list(enumerate(matrix))
-            columns = [[(i, row[j]) for i, row in rows if row[j]] for j in range(len(rows))]
-        self.columns, self._matrix = columns, matrix
+    def __init__(self, columns: list, kind="general", mu=None, J=()):
+        self.columns, self._matrix = columns, None
         self.kind, self.mu, self.J = kind, mu, J
 
     @property
@@ -153,7 +147,7 @@ def canonical_involution(
             cols[idx(tuple(-x for x in gamma))] = [(idx(mg), ONE / val)]
     else:
         raise ValueError(f"unknown canonical kind {kind!r}")
-    return Involution(kind=kind, mu=mu, J=J, columns=cols)
+    return Involution(cols, kind, mu, J)
 
 
 def sigma_root_action(rs: RootSystem, sigma: Involution):
@@ -177,40 +171,64 @@ class RealFormBasis:
     The vectors also form a basis of the ambient space over the complex
     scalars, so a vector lies in the real span exactly when its complex
     coordinates over them are real.  vectors are coordinate vectors over
-    the complex basis; the first h_vectors of them span h_0.
+    the complex basis; the first h_vectors of them span h_0; support[j]
+    lists the nonzero (i, x) of vector j.  Each vector is supported on one
+    index or on a pair that exactly two vectors share, so the basis
+    matrix W is block diagonal with 1 x 1 and 2 x 2 blocks, inverted
+    block by block: inverse_columns[i] lists the nonzero (k, W^-1[k][i]),
+    at most two.
     """
 
-    __slots__ = ("vectors", "h_vectors", "_inverse")
+    __slots__ = ("vectors", "h_vectors", "support", "inverse_columns")
 
     def __init__(self, vectors: list, h_vectors: int):
-        self.vectors, self.h_vectors, self._inverse = vectors, h_vectors, None
+        self.vectors, self.h_vectors = vectors, h_vectors
+        self.support = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+        blocks: dict[tuple, list] = {}
+        for j, nz in enumerate(self.support):
+            blocks.setdefault(tuple(i for i, _ in nz), []).append(j)
+        cols: list = [None] * len(vectors)
+        for rows, js in blocks.items():
+            if len(rows) == 1:
+                (i,), (j,) = rows, js
+                cols[i] = [(j, ONE / vectors[j][i])]
+                continue
+            (i1, i2), (j1, j2) = rows, js
+            a, b, c, d = vectors[j1][i1], vectors[j2][i1], vectors[j1][i2], vectors[j2][i2]
+            det = a * d - b * c
+            cols[i1] = [(j1, d / det), (j2, -c / det)]
+            cols[i2] = [(j1, -b / det), (j2, a / det)]
+        self.inverse_columns = cols
 
     @property
     def count(self) -> int:
         return len(self.vectors)
 
-    def inverse_matrix(self) -> list:
-        if self._inverse is None:
-            n = len(self.vectors[0])
-            w = [[self.vectors[j][i] for j in range(n)] for i in range(n)]
-            self._inverse = linalg.inverse(w)
-        return self._inverse
-
     def tensor_coordinates(self, x) -> list:
         """Coordinates of an order-2 tensor over this basis: W^-1 X W^-T
-        for the basis matrix W.  All real iff x lies in the real form's
-        tensor square."""
-        winv = self.inverse_matrix()
-        n = len(winv)
-        xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
-        return linalg.mat_mul(winv, linalg.mat_mul(xmat, linalg.transpose(winv)))
+        for the basis matrix W, summed over the nonzeros of x.  All real
+        iff x lies in the real form's tensor square."""
+        n, cols = len(self.vectors), self.inverse_columns
+        out = [[ZERO] * n for _ in range(n)]
+        for (i, j), v in x.entries.items():
+            for k, a in cols[i]:
+                row, av = out[k], a * v
+                for m, b in cols[j]:
+                    row[m] = row[m] + av * b
+        return out
 
-    def coordinates(self, target) -> list[Fraction] | None:
+    def coordinates(self, target) -> list | None:
         """Real coordinates of target, or None if outside the real span."""
-        coords = linalg.mat_vec(self.inverse_matrix(), target)
-        if not all(x.is_real() for x in coords):
-            return None
-        return [x.re for x in coords]
+        return self.term_coordinates((i, x) for i, x in enumerate(target) if x)
+
+    def term_coordinates(self, terms) -> list | None:
+        """Real coordinates of the sum of x e_i over the terms (i, x), or
+        None, summed through the sparse columns of W^-1."""
+        out = [ZERO] * len(self.vectors)
+        for i, x in terms:
+            for k, w in self.inverse_columns[i]:
+                out[k] = out[k] + w * x
+        return out if all(c.is_real() for c in out) else None
 
 
 def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
@@ -276,16 +294,16 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
 
 
 def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
-    """Bracket table of the real form in its own basis; exact rationals."""
-    n = basis.count
+    """Bracket table of the real form in its own basis, with real
+    GaussianRational entries; each bracket runs over the at most two
+    nonzeros of either basis vector."""
     table = {}
-    for i in range(n):
-        for j in range(n):
-            br = rs.structure.bracket(basis.vectors[i], basis.vectors[j])
-            coords = basis.coordinates(br)
+    for i, u in enumerate(basis.support):
+        for j, v in enumerate(basis.support):
+            coords = basis.term_coordinates(rs.structure.bracket_terms(u, v))
             if coords is None:
                 raise AssertionError("real form is not closed under bracket")
-            terms = tuple((k, GaussianRational(c)) for k, c in enumerate(coords) if c)
+            terms = tuple((k, c) for k, c in enumerate(coords) if c)
             if terms:
                 table[(i, j)] = terms
     return table

@@ -128,11 +128,15 @@ class ManinTriple:
         return True
 
     def _closed(self, vectors, reduced: _Reduced) -> bool:
-        """Every bracket of two basis vectors reduces to zero against the
-        subspace's reduced rows."""
-        for i, u in enumerate(vectors):
-            for v in vectors[i:]:
-                if any(reduced.residual(self.structure.bracket(u, v))):
+        """Every bracket of two basis vectors, taken over their nonzeros,
+        reduces to zero against the subspace's reduced rows."""
+        support = [_nonzeros(v) for v in vectors]
+        for i, u in enumerate(support):
+            for v in support[i:]:
+                br = [ZERO] * self.double_dim
+                for k, x in self.structure.bracket_terms(u, v):
+                    br[k] = br[k] + x
+                if any(reduced.residual(br)):
                     return False
         return True
 
@@ -141,11 +145,18 @@ class ManinTriple:
 
 
 def real_killing_gram(rs: RootSystem, basis: RealFormBasis):
+    """Killing Gram matrix of the real basis, each entry over the at most
+    two nonzeros of either vector."""
+    k = rs.killing_gram()
     out = []
-    for u in basis.vectors:
+    for u in basis.support:
         row = []
-        for v in basis.vectors:
-            val = rs.killing_form(u, v)
+        for v in basis.support:
+            val = ZERO
+            for a, x in u:
+                for b, y in v:
+                    if k[a][b]:
+                        val = val + x * y * k[a][b]
             assert val.is_real(), "Killing form must be real on a real form"
             row.append(val)
         out.append(row)
@@ -191,12 +202,11 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
         v[n + a] = ONE
         sub1.append(v)
 
-    r_plus = linalg.transpose(rho)
     sub2 = []
     for k in range(n):
         v = [ZERO] * (2 * n)
         for b in range(n):
-            v[b] = r_plus[b][k]
+            v[b] = rho[k][b]  # r_plus = rho^T
             v[n + b] = -rho[b][k]
         sub2.append(v)
 
@@ -280,10 +290,12 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
 
     sub1 = [realify_vector(v) for v in basis.vectors]
 
-    rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
-    r_plus = linalg.transpose(rmat)
-    # the real dual basis: functionals on l, real on the real form
-    duals = basis.inverse_matrix()
-    sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in duals]
+    # r_plus of the real dual basis, the rows phi_k of W^-1 (functionals on
+    # l, real on the real form): r_plus(phi_k)[a] = sum_b phi_k[b] r[b][a]
+    images = [[ZERO] * n for _ in range(n)]
+    for (b, a), x in datum.r.entries.items():
+        for k, w in basis.inverse_columns[b]:
+            images[k][a] = images[k][a] + x * w
+    sub2 = [realify_vector(v) for v in images]
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "imaginary_factorizable")

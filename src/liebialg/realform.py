@@ -20,7 +20,7 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .core import GaussianRational, ZERO
+from .core import ZERO
 from .involution import (
     Involution,
     RealFormBasis,
@@ -85,8 +85,7 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
         if coords is None:
             raise AssertionError("theta does not preserve the real form")
         cols.append(coords)
-    n = len(cols)
-    return [[GaussianRational(cols[j][i]) for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _checked_theta(rs: RootSystem, sigma: Involution) -> Involution:

@@ -378,20 +378,6 @@ class RootSystem:
             k[im][ip] = ONE
         return k
 
-    def killing_form(self, x, y) -> GaussianRational:
-        """kappa(x, y) for coordinate vectors, via the block Gram matrix."""
-        acc = ZERO
-        g = self.killing_h
-        for i in range(self.rank):
-            if x[i]:
-                for j in range(self.rank):
-                    if y[j]:
-                        acc = acc + x[i] * y[j] * GaussianRational(g[i][j])
-        for ip in range(self.rank, self.rank + self.npos):
-            im = ip + self.npos
-            acc = acc + x[ip] * y[im] + x[im] * y[ip]
-        return acc
-
     def to_json(self) -> dict:
         """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read
         off the structure table in basis order."""

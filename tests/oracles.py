@@ -14,7 +14,12 @@ from liebialg import linalg
 from liebialg.bdtriple import extend_tau_additively, span_subset_roots
 from liebialg.core import GaussianRational, I, ONE, StructureTable, Tensor2, ZERO
 from liebialg.involution import fixed_point_basis
-from liebialg.manin import realify_vector
+from liebialg.manin import (
+    ManinTriple,
+    real_part_pairing,
+    realification_structure,
+    realify_vector,
+)
 
 
 def conjugate(a: list) -> list:
@@ -22,7 +27,39 @@ def conjugate(a: list) -> list:
     return [[x.conj() for x in row] for row in a]
 
 
+def sparse_columns(m: list) -> list:
+    """The sparse columns [(i, m[i][j]) nonzero] of a dense square matrix,
+    the form an Involution is built from."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
+def bracket(st, u, v) -> list:
+    """[u, v] of two dense coordinate vectors, summed from the library's
+    bracket terms over their nonzeros."""
+    out = [ZERO] * st.dim
+    nonzeros = [[(i, x) for i, x in enumerate(w) if x] for w in (u, v)]
+    for k, x in st.bracket_terms(*nonzeros):
+        out[k] = out[k] + x
+    return out
+
+
 # ---- the Killing form and real forms ----------------------------------------
+
+
+def killing_form(rs, x, y) -> GaussianRational:
+    """kappa(x, y) for coordinate vectors, via the block Gram matrix: the
+    Cartan block from killing_h, (x_g | x_-g) = 1 on root pairs."""
+    acc = ZERO
+    g = rs.killing_h
+    for i in range(rs.rank):
+        if x[i]:
+            for j in range(rs.rank):
+                if y[j]:
+                    acc = acc + x[i] * y[j] * GaussianRational(g[i][j])
+    for ip in range(rs.rank, rs.rank + rs.npos):
+        im = ip + rs.npos
+        acc = acc + x[ip] * y[im] + x[im] * y[ip]
+    return acc
 
 
 def killing_form_adjoint(rs, x, y) -> GaussianRational:
@@ -45,7 +82,7 @@ def theta_twisted_gram(rs, theta, basis):
     for i in range(n):
         row = []
         for j in range(n):
-            val = -rs.killing_form(basis.vectors[i], images[j])
+            val = -killing_form(rs, basis.vectors[i], images[j])
             assert val.is_real()
             row.append(val.re)
         gram.append(row)
@@ -198,7 +235,7 @@ def cobracket_from_triple(mt) -> list:
     ]
     qinv = linalg.inverse(q)
     brackets = [
-        [mt.structure.bracket(z, y) for y in mt.sub2_basis] for z in mt.sub2_basis
+        [bracket(mt.structure, z, y) for y in mt.sub2_basis] for z in mt.sub2_basis
     ]
     out = []
     for w in mt.sub1_basis:
@@ -226,3 +263,124 @@ def cobracket_from_r0(rs, datum) -> list:
                     acc[(a, i)] = acc.get((a, i), ZERO) + admat[i][b] * v
         out.append(basis.tensor_coordinates(Tensor2.from_items(n, acc.items())))
     return out
+
+
+# ---- dense real-basis references ---------------------------------------------
+# The real-form coordinates and both doubles as dense matrix algebra: W^-1
+# of the basis matrix W by elimination, brackets through ad matrices, the
+# Killing form through killing_form.  The library inverts W block by block
+# and works on nonzeros only; these are what it must agree with.
+
+
+def dense_inverse(basis) -> list:
+    """W^-1 for the basis matrix W whose columns are the basis vectors."""
+    return linalg.inverse(linalg.transpose(basis.vectors))
+
+
+def dense_coordinates(basis, target, winv=None) -> list | None:
+    """Real coordinates of target over the basis, or None if outside the
+    real span."""
+    coords = linalg.mat_vec(winv or dense_inverse(basis), target)
+    if not all(x.is_real() for x in coords):
+        return None
+    return coords
+
+
+def dense_tensor_coordinates(basis, x, winv=None) -> list:
+    """W^-1 X W^-T."""
+    winv = winv or dense_inverse(basis)
+    n = len(winv)
+    xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(winv, linalg.mat_mul(xmat, linalg.transpose(winv)))
+
+
+def dense_real_structure_constants(rs, basis) -> dict:
+    """Bracket table of the real form in its own basis."""
+    winv = dense_inverse(basis)
+    ads = [rs.structure.ad(u) for u in basis.vectors]
+    n = basis.count
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            coords = dense_coordinates(basis, linalg.mat_vec(ads[i], basis.vectors[j]), winv)
+            assert coords is not None, "real form is not closed under bracket"
+            terms = tuple((k, c) for k, c in enumerate(coords) if c)
+            if terms:
+                table[(i, j)] = terms
+    return table
+
+
+def dense_real_killing_gram(rs, basis) -> list:
+    out = []
+    for u in basis.vectors:
+        row = []
+        for v in basis.vectors:
+            val = killing_form(rs, u, v)
+            assert val.is_real(), "Killing form must be real on a real form"
+            row.append(val)
+        out.append(row)
+    return out
+
+
+def dense_double_factorizable(rs, datum) -> ManinTriple:
+    """(l + l, diag l, l^r) from dense real-basis coordinates."""
+    basis = fixed_point_basis(rs, datum.sigma)
+    n = basis.count
+    rho = dense_tensor_coordinates(basis, datum.r)
+    assert all(x.is_real() for row in rho for x in row)
+    inv_t = ONE / datum.t
+    form = [[inv_t * x for x in row] for row in dense_real_killing_gram(rs, basis)]
+    pairing = linalg.zeros(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            pairing[i][j] = form[i][j]
+            pairing[n + i][n + j] = -form[i][j]
+    table = {}
+    for (i, j), terms in dense_real_structure_constants(rs, basis).items():
+        table[(i, j)] = terms
+        table[(n + i, n + j)] = tuple((n + k, c) for k, c in terms)
+    sub1 = []
+    for a in range(n):
+        v = [ZERO] * (2 * n)
+        v[a] = ONE
+        v[n + a] = ONE
+        sub1.append(v)
+    r_plus = linalg.transpose(rho)
+    sub2 = []
+    for k in range(n):
+        v = [ZERO] * (2 * n)
+        for b in range(n):
+            v[b] = r_plus[b][k]
+            v[n + b] = -rho[b][k]
+        sub2.append(v)
+    return ManinTriple(
+        2 * n, pairing, StructureTable(2 * n, table), sub1, sub2, "factorizable"
+    )
+
+
+def dense_double_imaginary(rs, datum) -> ManinTriple:
+    """(l realified, l0, r_plus(l0*)) with the real dual basis read off
+    the dense W^-1."""
+    n = rs.dim
+    basis = fixed_point_basis(rs, datum.sigma)
+    sub1 = [realify_vector(v) for v in basis.vectors]
+    rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
+    r_plus = linalg.transpose(rmat)
+    sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in dense_inverse(basis)]
+    return ManinTriple(
+        2 * n,
+        real_part_pairing(rs, datum.t),
+        realification_structure(rs),
+        sub1,
+        sub2,
+        "imaginary_factorizable",
+    )
+
+
+def manin_fields(mt) -> tuple:
+    """Every field of a Manin triple, the structure as its dimension and
+    table, for comparing two triples field by field."""
+    return (
+        mt.double_dim, mt.pairing, mt.structure.dim, mt.structure.table,
+        mt.sub1_basis, mt.sub2_basis, mt.case,
+    )

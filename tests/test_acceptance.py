@@ -55,9 +55,12 @@ from liebialg.rootsystem import build_root_system
 from oracles import (
     cobracket_from_r0,
     cobracket_from_triple,
+    dense_double_factorizable,
+    dense_double_imaginary,
     factorization_maps,
     induced_form,
     is_positive_definite,
+    manin_fields,
     psi_phi,
     theta_twisted_gram,
 )
@@ -317,6 +320,7 @@ def test_criterion_7_manin_triples():
         ps = solve_parameters(rs, bd)
         datum = make_datum(rs, sig, bd, ps.base_point, ONE)
         mt = double_factorizable(rs, datum)
+        ok = ok and manin_fields(mt) == manin_fields(dense_double_factorizable(rs, datum))
         ok = ok and all(mt.verify().values())
         via_triple = cobracket_from_triple(mt)
         via_r0 = cobracket_from_r0(rs, datum)
@@ -334,6 +338,7 @@ def test_criterion_7_manin_triples():
         lam = space.point([ONE] * space.dimension)
         datum = make_datum(rs, om, BDTriple.empty(), lam, I)
         mt = double_imaginary(rs, datum)
+        ok = ok and manin_fields(mt) == manin_fields(dense_double_imaginary(rs, datum))
         ok = ok and all(mt.verify().values())
         via_triple = cobracket_from_triple(mt)
         via_r0 = cobracket_from_r0(rs, datum)

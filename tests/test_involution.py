@@ -6,6 +6,7 @@ import pytest
 
 from liebialg import linalg
 from liebialg.bdtriple import DiagramAutomorphism
+from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.involution import (
     Involution,
@@ -16,7 +17,7 @@ from liebialg.involution import (
     sigma_root_action,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import rescaling_automorphism
+from oracles import bracket, killing_form, rescaling_automorphism, sparse_columns
 
 
 def _unit(rs, idx):
@@ -30,7 +31,7 @@ def is_algebra_map(rs, sigma):
     for i in range(rs.dim):
         for j in range(rs.dim):
             vi, vj = _unit(rs, i), _unit(rs, j)
-            if sigma(st.bracket(vi, vj)) != st.bracket(sigma(vi), sigma(vj)):
+            if sigma(bracket(st, vi, vj)) != bracket(st, sigma(vi), sigma(vj)):
                 return False
     return True
 
@@ -145,24 +146,26 @@ def test_fixed_basis_counts_and_fixedness():
         assert linalg.rank(mat) == rs.dim  # really a basis over R
 
 
-def test_real_structure_constants_close_and_jacobi():
-    rs = build_root_system("A", 1)
-    om = canonical_involution(rs, "omega", None, (0,))
-    basis = fixed_point_basis(rs, om)
-    table = real_structure_constants(rs, basis)
-    n = basis.count
-    for (i, j), terms in table.items():
-        assert all(c.is_real() for _, c in terms)
-    # Jacobi in the real coordinates
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cf in table.get((b, c), ()):
-                        for q, cf2 in table.get((a, m), ()):
-                            acc[q] = acc.get(q, ZERO) + cf * cf2
-                assert not any(acc.values())
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_real_structure_constants_close_and_jacobi(series, rank):
+    # every canonical involution, su(2) (omega, J = {1} on A1) among them
+    rs = build_root_system(series, rank)
+    for sigma in _sigma_variants(rs, "all"):
+        basis = fixed_point_basis(rs, sigma)
+        table = real_structure_constants(rs, basis)
+        n = basis.count
+        for (i, j), terms in table.items():
+            assert all(c.is_real() for _, c in terms)
+        # Jacobi in the real coordinates
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, cf in table.get((b, c), ()):
+                            for q, cf2 in table.get((a, m), ()):
+                                acc[q] = acc.get(q, ZERO) + cf * cf2
+                    assert not any(acc.values())
 
 
 def test_killing_conjugation_symmetry():
@@ -177,8 +180,8 @@ def test_killing_conjugation_symmetry():
                 x = _unit(rs, i)
                 y = [ZERO] * rs.dim
                 y[j] = GaussianRational(1, 1)  # complex input exercises conj
-                lhs = rs.killing_form(sigma(x), sigma(y))
-                assert lhs == rs.killing_form(x, y).conj()
+                lhs = killing_form(rs, sigma(x), sigma(y))
+                assert lhs == killing_form(rs, x, y).conj()
 
 
 def test_rescaling_is_automorphism():
@@ -188,8 +191,8 @@ def test_rescaling_is_automorphism():
     for i in range(rs.dim):
         for j in range(rs.dim):
             vi, vj = _unit(rs, i), _unit(rs, j)
-            lhs = linalg.mat_vec(r, st.bracket(vi, vj))
-            rhs = st.bracket(linalg.mat_vec(r, vi), linalg.mat_vec(r, vj))
+            lhs = linalg.mat_vec(r, bracket(st, vi, vj))
+            rhs = bracket(st, linalg.mat_vec(r, vi), linalg.mat_vec(r, vj))
             assert lhs == rhs
 
 
@@ -201,7 +204,7 @@ def test_root_action_rejects_root_vector_sent_into_h():
         row[col] = ZERO
     m[0][col] = ONE  # x_(1,1) -> h_1
     with pytest.raises(ValueError, match="permute the root spaces"):
-        sigma_root_action(rs, Involution(m, "general"))
+        sigma_root_action(rs, Involution(sparse_columns(m)))
 
 
 def test_j_must_be_mu_fixed():

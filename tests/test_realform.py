@@ -19,6 +19,7 @@ from oracles import (
     conjugate,
     is_positive_definite,
     rescaling_automorphism,
+    sparse_columns,
     theta_twisted_gram,
 )
 
@@ -299,7 +300,7 @@ def _broken_theta(monkeypatch, edit):
     def broken(rs, sigma):
         m = [row[:] for row in cartan_involution(rs, sigma).matrix]
         edit(m)
-        return Involution(m, "general")
+        return Involution(sparse_columns(m))
 
     monkeypatch.setattr(realform, "cartan_involution", broken)
 
