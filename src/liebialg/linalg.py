@@ -2,10 +2,15 @@
 
 Matrices are plain lists of row lists of GaussianRational.  Everything
 here is textbook Gaussian elimination; dimensions in this library stay
-small (at most a few hundred), so no cleverness is warranted.
+small (at most a few hundred), so no cleverness is warranted.  Systems
+with integer coefficients (the parameter layer's) are solved in Python
+ints by int_solve, without a fraction until the answer.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from .core import GaussianRational, ONE, ZERO
 
@@ -14,13 +19,6 @@ Matrix = list  # list[list[GaussianRational]]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
 
 
 def copy_matrix(m: Matrix) -> Matrix:
@@ -110,22 +108,61 @@ def _kernel(a: Matrix, pivots: list[int], cols: int) -> list[list]:
     return basis
 
 
-def solve(m: Matrix, rhs: list) -> tuple[list, list[list]] | None:
-    """One exact solution of m x = rhs and a basis of the kernel of m,
-    from one elimination; None if inconsistent."""
-    cols = len(m[0]) if m else 0
-    a, pivots = rref([row + [b] for row, b in zip(m, rhs)])
-    if cols in pivots:
-        return None
+def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
+    """Solve the augmented integer rows [m_0 .. m_{cols-1}, rhs]; None if
+    inconsistent.
+
+    Gauss-Jordan in ints: a row with a nonzero f under the pivot p
+    becomes (p * row - f * pivot_row) / gcd(p, f), divided by its content.
+    Returns (x, kernel) read off the unique reduced row echelon form: x
+    with free coordinates 0, and kernel mapping each free column, in
+    increasing order, to its standard kernel vector.
+    """
+    a = [row[:] for row in rows if any(row)]
+    pivots: list[int] = []
+    for c in range(cols + 1):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if c == cols:  # a row 0 = rhs != 0
+            return None
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        pv = prow[c]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j, y in nonzero:
+                row[j] -= f * y
+            g = gcd(*row)
+            a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
     x = [ZERO] * cols
     for r, c in enumerate(pivots):
-        x[c] = a[r][cols]
-    return x, _kernel(a, pivots, cols)
+        x[c] = GaussianRational(Fraction(a[r][cols], a[r][c]))
+    kernel = {}
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            if a[r][f]:
+                v[c] = GaussianRational(Fraction(-a[r][f], a[r][c]))
+        kernel[f] = v
+    return x, kernel
 
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [row + unit for row, unit in zip(m, identity(n))]
+    aug = [row + [ONE if j == i else ZERO for j in range(n)] for i, row in enumerate(m)]
     a, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -88,7 +88,9 @@ class ManinTriple:
         Each check touches only nonzero structure.  Invariance runs over
         the sparse table rows of one generator at a time; each subspace
         is eliminated once, and its rank and its closure under the
-        bracket are both read off that one reduced form; each isotropy
+        bracket are both read off that one reduced form; the rank of the
+        sum is rank(sub1) plus the rank of sub2's residuals against
+        sub1's pivot rows, so sub1 is not eliminated again; each isotropy
         block is built once from the sparse rows of the pairing.
         """
         n = self.double_dim
@@ -96,14 +98,14 @@ class ManinTriple:
         p_cols = [_nonzeros(col) for col in zip(*self.pairing)]
         reduced1 = _Reduced(self.sub1_basis)
         reduced2 = _Reduced(self.sub2_basis)
-        stacked = _Reduced(self.sub1_basis + self.sub2_basis)
+        residuals = [reduced1.residual(v) for v in self.sub2_basis]
         return {
             "pairing_nondegenerate": bool(linalg.det(self.pairing)),
             "pairing_invariant": self._pairing_invariant(p_rows, p_cols),
             "sub1_isotropic": _isotropic(self.sub1_basis, p_rows),
             "sub2_isotropic": _isotropic(self.sub2_basis, p_rows),
             "half_dimension": reduced1.rank == n // 2 and reduced2.rank == n // 2,
-            "transversal": stacked.rank == n,
+            "transversal": reduced1.rank + linalg.rank(residuals) == n,
             "sub1_closed": self._closed(self.sub1_basis, reduced1),
             "sub2_closed": self._closed(self.sub2_basis, reduced2),
         }

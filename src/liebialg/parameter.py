@@ -8,11 +8,16 @@ and the reality constraints that cut it down to the real-form cases.
 lam is stored as a rank x rank matrix over the Cartan basis h_i; its
 antisymmetric part carries the coefficients lam[a][b] appearing in
 wedge coordinates (lam - lam^{21} = sum lam_ab h_a wedge h_b).
+
+The system has integer coefficients once scaled, so it is solved and
+checked in Python ints, and its solution space is rational; the reality
+cuts split into real and imaginary parts accordingly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
@@ -115,84 +120,77 @@ def _antisym_from_coords(rank: int, coords):
     return m
 
 
-def constraint_residual(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter):
-    """Exact residuals of the defining linear system at lam."""
-    n = rs.rank
-    sym = [
-        [lam.matrix[i][j] + lam.matrix[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    residuals = [sym]
-    lam_t = linalg.transpose(lam.matrix)
-    for a in bd.gamma1:
-        ga = rs.root_values(rs.simple_roots[a])
-        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-        lt_gt = linalg.mat_vec(lam_t, gt)
-        residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(lam.matrix, ga))])
-    return residuals
+def _integer_parts(matrix: list) -> tuple[int, list, list]:
+    """(den, re, im): the matrix is (re + i im) / den with int re, im."""
+    den = lcm(*(x.d for row in matrix for x in row))
+    re = [[x.a * (den // x.d) for x in row] for row in matrix]
+    im = [[x.b * (den // x.d) for x in row] for row in matrix]
+    return den, re, im
 
 
 def satisfies_constraints(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter) -> bool:
-    sym, *per_root = constraint_residual(rs, bd, lam)
-    return not any(x for row in sym + per_root for x in row)
+    """lam + lam^T = Omega_0 and lam^T g_{T(a)} + lam g_a = 0 for a in
+    Gamma1, as literal equalities of ints: lam over one denominator, the
+    g_a as the integer simple-root columns (the second system is
+    homogeneous, so their common denominator drops out)."""
+    n = rs.rank
+    den, re, im = _integer_parts(lam.matrix)
+    omega0 = rs.cartan_dual_gram
+    for i in range(n):
+        for j in range(i, n):
+            if re[i][j] + re[j][i] != den * omega0[i][j] or im[i][j] + im[j][i]:
+                return False
+    cols = rs.simple_root_columns
+    parts = (re, im) if any(any(row) for row in im) else (re,)
+    for a in bd.gamma1:
+        ga, gt = cols[a], cols[bd.mapping[a]]
+        for m in parts:
+            for k in range(n):
+                if sum(m[j][k] * gt[j] + m[k][j] * ga[j] for j in range(n)):
+                    return False
+    return True
 
 
 def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     """Complex affine solution space over the antisymmetric unknowns.
 
     The symmetric part is forced to Omega_0 / 2; the remaining system in
-    the antisymmetric part A reads A^T g_{T(a)} + A g_a = rhs_a.
+    the antisymmetric part A reads A^T g_{T(a)} + A g_a = rhs_a, solved
+    in ints with each row scaled by twice the denominator of the
+    simple-root columns.  The directions span the 2-forms on the
+    annihilator of the g_a - g_{T(a)} (Belavin-Drinfeld), so there are
+    C(k, 2) of them, k = rank - |Gamma1|.
     """
     n = rs.rank
     pairs = _pair_index(n)
-    half = GaussianRational(Fraction(1, 2))
-    omega_half = [[half * x for x in row] for row in rs.cartan_dual_gram]
-    omega_half_t = linalg.transpose(omega_half)
-
+    cols = rs.simple_root_columns
+    omega0 = rs.cartan_dual_gram
     rows = []
-    rhs = []
     for a in bd.gamma1:
-        ga = rs.root_values(rs.simple_roots[a])
-        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-        base = [
-            x + y
-            for x, y in zip(
-                linalg.mat_vec(omega_half_t, gt),
-                linalg.mat_vec(omega_half, ga),
-            )
-        ]
+        ga, gt = cols[a], cols[bd.mapping[a]]
         for k in range(n):
-            row = []
-            for (i, j) in pairs:
-                # coefficient of A_ij in (A^T gt + A ga)_k, A antisymmetric
-                coeff = ZERO
-                if j == k:
-                    coeff = coeff + gt[i]
-                if i == k:
-                    coeff = coeff - gt[j]
-                if i == k:
-                    coeff = coeff + ga[j]
-                if j == k:
-                    coeff = coeff - ga[i]
-                row.append(coeff)
+            # coefficient of A_ij in (A^T gt + A ga)_k, A antisymmetric;
+            # the right side is -(Omega_0 / 2)(gt + ga), Omega_0 symmetric
+            row = [
+                2 * (gt[i] - ga[i]) if j == k else 2 * (ga[j] - gt[j]) if i == k else 0
+                for (i, j) in pairs
+            ]
+            row.append(-sum(omega0[k][m] * (gt[m] + ga[m]) for m in range(n)))
             rows.append(row)
-            rhs.append(-base[k])
+    affine = linalg.int_solve(rows, len(pairs))
+    assert affine is not None, "parameter system inconsistent for a valid triple"
+    sol, kernel = affine
+    assert len(kernel) == comb(n - len(bd.gamma1), 2)
 
-    if rows:
-        affine = linalg.solve(rows, rhs)
-        assert affine is not None, "parameter system inconsistent for a valid triple"
-        sol, kernel = affine
-    else:
-        sol, kernel = [ZERO] * len(pairs), linalg.identity(len(pairs))
-
+    half = GaussianRational(Fraction(1, 2))
     base_matrix = _antisym_from_coords(n, sol)
     for i in range(n):
         for j in range(n):
-            base_matrix[i][j] = base_matrix[i][j] + omega_half[i][j]
+            base_matrix[i][j] = base_matrix[i][j] + half * omega0[i][j]
     space = ParameterSpace(
         rank=n,
         base_point=ContinuousParameter(base_matrix),
-        directions=[_antisym_from_coords(n, v) for v in kernel],
+        directions=[_antisym_from_coords(n, v) for v in kernel.values()],
     )
     assert satisfies_constraints(rs, bd, space.base_point)
     return space
@@ -224,8 +222,12 @@ def t_reality_ok(t: GaussianRational, kind: str) -> bool:
     return t.is_imaginary()
 
 
-def stability_ok(bd: BDTriple, kind: str, mu: DiagramAutomorphism) -> bool:
-    st = stability(bd, mu)
+def stability_ok(
+    bd: BDTriple, kind: str, mu: DiagramAutomorphism, st: str | None = None
+) -> bool:
+    """Whether the triple's stability under mu allows the reality kind;
+    st is stability(bd, mu) when the caller has it already."""
+    st = stability(bd, mu) if st is None else st
     if kind in ("real", "conjugate-mu"):
         return st in ("stable", "both")
     if kind == "imaginary":
@@ -239,83 +241,67 @@ def apply_reality(
     mu: DiagramAutomorphism,
     bd: BDTriple,
 ) -> ParameterSpace:
-    """Cut the complex space down to the stated reality case.
+    """Cut the complex space of solve_parameters down to the stated
+    reality case.
 
-    Unknowns become the real and imaginary parts of the direction
-    coefficients; the base point is adjusted inside the affine space.
-    Raises NoBialgebraDatum when the triple fails the stability
-    requirement of the case.
+    The real unknowns are (re c_m, im c_m) for the direction coefficients
+    of A = A_base + sum c_m D_m, interleaved in that order.  A_base and
+    the D_m are rational, so each condition splits into one system on the
+    real parts and one on the imaginary parts:
+
+    - real (A real): the imaginary parts vanish and the real parts are
+      free, so the cut keeps the base point and the directions;
+    - imaginary (A imaginary): A_base + sum re c_m D_m = 0 is the one
+      solve, the imaginary parts are free;
+    - (anti-)conjugate-mu (a_ij = sign conj a_{mu i, mu j}): one system
+      on the real parts, with the base point on its right side, and a
+      homogeneous one on the imaginary parts.
+
+    The reduced row echelon form of the interleaved system is the two
+    forms side by side, so its particular solution and kernel basis, in
+    increasing interleaved column order, are read off the two.  Raises
+    NoBialgebraDatum when the triple fails the stability requirement of
+    the case, or the real-part system is inconsistent.
     """
     kind = reality_kind_for(sigma_label)
     if not stability_ok(bd, kind, mu):
         raise NoBialgebraDatum(
             f"triple {bd.to_json()} is not compatible with reality kind {kind!r}"
         )
+    if kind == "real":
+        return ParameterSpace(ps.rank, ps.base_point, ps.directions, kind)
     n = ps.rank
-    pairs = _pair_index(n)
-    npairs = len(pairs)
     ndir = len(ps.directions)
-
-    # Real unknowns: (re c_m, im c_m) for each direction coefficient.
-    # Build the reality condition as linear equations over those unknowns
-    # applied to A = A_base + sum c_m D_m.
-    def condition_rows(a_of):
-        """a_of(i, j) gives the (affine) entry as a pair of linear forms
-        (real part, imag part): each is [const, coeffs...] over unknowns."""
-        rows, rhs = [], []
-        for (i, j) in pairs:
-            re_form, im_form = a_of(i, j)
-            if kind == "real":
-                rows.append(im_form[1:])
-                rhs.append(-im_form[0])
-            elif kind == "imaginary":
-                rows.append(re_form[1:])
-                rhs.append(-re_form[0])
-            else:
-                sign = 1 if kind == "conjugate-mu" else -1
-                mi, mj = mu(i), mu(j)
-                mre, mim = a_of(mi, mj)
-                # a_ij = sign * conj(a_{mu i, mu j})
-                re_row = [x - sign * y for x, y in zip(re_form, mre)]
-                im_row = [x + sign * y for x, y in zip(im_form, mim)]
-                rows.append(re_row[1:])
-                rhs.append(-re_row[0])
-                rows.append(im_row[1:])
-                rhs.append(-im_row[0])
-        return rows, rhs
-
+    pairs = _pair_index(n)
     base_anti = ps.base_point.antisymmetric_part()
+    dirs = ps.directions
+    sign = ONE if kind == "conjugate-mu" else -ONE
+    re_rows, im_rows = [], []
+    for (i, j) in pairs:
+        if kind == "imaginary":
+            re_rows.append([d[i][j] for d in dirs] + [-base_anti[i][j]])
+            continue
+        mi, mj = mu(i), mu(j)
+        re_rows.append(
+            [d[i][j] - sign * d[mi][mj] for d in dirs]
+            + [sign * base_anti[mi][mj] - base_anti[i][j]]
+        )
+        im_rows.append([d[i][j] + sign * d[mi][mj] for d in dirs] + [ZERO])
+    # the rows are real and rational: in ints over one common denominator
+    re_part = linalg.int_solve(_integer_parts(re_rows)[1], ndir)
+    if re_part is None:
+        raise NoBialgebraDatum("reality constraints are inconsistent")
+    re_sol, re_kernel = re_part
+    _, im_kernel = linalg.int_solve(_integer_parts(im_rows)[1], ndir)
 
-    def a_of(i, j):
-        re_form = [base_anti[i][j].real_part()] + [ZERO] * (2 * ndir)
-        im_form = [base_anti[i][j].imag_part()] + [ZERO] * (2 * ndir)
-        for m, d in enumerate(ps.directions):
-            # (re + i im)(dre + i dim)
-            dre, dim = d[i][j].real_part(), d[i][j].imag_part()
-            re_form[1 + 2 * m] = dre
-            re_form[2 + 2 * m] = -dim
-            im_form[1 + 2 * m] = dim
-            im_form[2 + 2 * m] = dre
-        return re_form, im_form
-
-    rows, rhs = condition_rows(a_of)
-    if rows:
-        affine = linalg.solve(rows, rhs)
-        if affine is None:
-            raise NoBialgebraDatum("reality constraints are inconsistent")
-    else:
-        affine = [ZERO] * (2 * ndir), linalg.identity(2 * ndir)
-    sol, kernel = affine
-
-    def realize(coeffs):
-        return [coeffs[2 * m].real_part() + I * coeffs[2 * m + 1].real_part() for m in range(ndir)]
-
-    base = ps.point(realize(sol))
-    assert all(x.is_real() for v in kernel for x in v)
-    directions = [ps._combine(realize(v), linalg.zeros(n, n)) for v in kernel]
+    kernel = sorted(
+        [(2 * f, v) for f, v in re_kernel.items()]
+        + [(2 * f + 1, [I * x for x in v]) for f, v in im_kernel.items()],
+        key=lambda fv: fv[0],
+    )
     return ParameterSpace(
         rank=n,
-        base_point=base,
-        directions=directions,
+        base_point=ps.point(re_sol),
+        directions=[ps._combine(v, linalg.zeros(n, n)) for _, v in kernel],
         reality_kind=kind,
     )

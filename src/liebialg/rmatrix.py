@@ -19,7 +19,8 @@ recovers the regular element H, the sign-normalized scalar t, the
 positive system, the triple and the continuous parameter.
 
 iter_data is the one enumeration pipeline: every (involution, triple)
-row of the classification table, instantiated at a base point.
+row of the classification table, instantiated at a base point; what
+depends only on the triple, the cut or the tensors is computed once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .bdtriple import (
     extend_tau_additively,
     precedence_pairs,
     span_subset_roots,
+    stability,
     tau_chains,
 )
 from .core import (
@@ -248,30 +250,56 @@ def _positive(t: GaussianRational) -> bool:
     return t.a > 0 or (not t.a and t.b > 0)
 
 
+def _shared(memo: dict | None, key: tuple, compute):
+    """compute(), or the value memo already holds for key."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def make_datum(
     rs: RootSystem,
     sigma: Involution,
     bd: BDTriple,
     lam: ContinuousParameter,
     t: GaussianRational,
+    memo: dict | None = None,
 ) -> BialgebraDatum:
     """Assemble and check one classification datum.
 
     Raises NoBialgebraDatum when the combination violates one of the
     reality conditions (wrong stability, lambda coefficients or t-line).
+
+    memo, when given, holds what several data of one root system share:
+    stability per (triple, mu), the lambda condition per (lambda, kind,
+    mu), and r and r0 per (triple, lambda, t, simple-chain scalars of
+    sigma), the only way r depends on sigma.  Each datum still checks
+    sigma_fixes against its own sigma.
     """
     label = sigma.describe()
     kind = reality_kind_for(label)
-    if not stability_ok(bd, kind, sigma.mu):
+    mu = sigma.mu
+    st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
+    if not stability_ok(bd, kind, mu, st):
         raise NoBialgebraDatum(f"triple incompatible with {label}")
     if not t_reality_ok(t, kind):
         raise NoBialgebraDatum(f"t = {t} not allowed for {label}")
-    if not lambda_reality_ok(lam, kind, sigma.mu):
+    lam_key = tuple(map(tuple, lam.matrix))
+    if not _shared(
+        memo, ("lambda", lam_key, kind, mu), lambda: lambda_reality_ok(lam, kind, mu)
+    ):
         raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
     if not _positive(t):
         raise ValueError("t must lie on the positive real or imaginary ray")
-    r = build_r(rs, bd, lam, t, extend_T(rs, bd, sigma))
-    r0 = _minus_half_t_omega(rs, r, t)
+
+    def tensors():
+        r = build_r(rs, bd, lam, t, extend_T(rs, bd, sigma))
+        return r, _minus_half_t_omega(rs, r, t)
+
+    scalars = frozenset(_sigma_chain_scalars(rs, bd, sigma).items())
+    r, r0 = _shared(memo, ("r", bd, lam_key, t, scalars), tensors)
     datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
     assert sigma_fixes(datum), "constructed tensor escaped the real form"
     return datum
@@ -295,29 +323,34 @@ def iter_data(
     The triples are enumerated once, and each triple's complex parameter
     space is solved at most once, only after some involution passed the
     stability test for it.  Its reality cut, which depends only on the
-    triple, the reality kind and mu, is made once per such key.
+    triple, the reality kind and mu, is made once per such key.  One memo
+    for the whole call lets make_datum share stability, the lambda
+    condition and the tensors among the involutions that agree on them.
     """
     triples = enumerate_bd_triples(rs)
     solved: dict[BDTriple, ParameterSpace] = {}
     cut: dict[tuple, ParameterSpace | None] = {}  # None: no datum
+    memo: dict = {}
     for sigma in sigmas:
         label = sigma.describe()
         kind = reality_kind_for(label)
+        mu = sigma.mu
         for bd in triples:
-            if not stability_ok(bd, kind, sigma.mu):
+            st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
+            if not stability_ok(bd, kind, mu, st):
                 continue
             if bd not in solved:
                 solved[bd] = solve_parameters(rs, bd)
-            key = (bd, kind, sigma.mu)
+            key = (bd, kind, mu)
             if key not in cut:
                 try:
-                    cut[key] = apply_reality(solved[bd], label, sigma.mu, bd)
+                    cut[key] = apply_reality(solved[bd], label, mu, bd)
                 except NoBialgebraDatum:
                     cut[key] = None
             space = cut[key]
             if space is None:
                 continue
-            datum = make_datum(rs, sigma, bd, space.base_point, default_t(label))
+            datum = make_datum(rs, sigma, bd, space.base_point, default_t(label), memo)
             yield sigma, space, datum
 
 

@@ -362,6 +362,13 @@ class RootSystem:
         return Tensor2.from_items(self.dim, items)
 
     @cached_property
+    def simple_root_columns(self) -> list[list[int]]:
+        """[(alpha_i | alpha_a)]_i for each simple root alpha_a, as ints
+        over one common denominator: the integer coefficients of the
+        parameter constraints, read on first use."""
+        return [[row[a] for row in self._gram] for a in range(self.rank)]
+
+    @cached_property
     def casimir_cybe(self) -> dict:
         """CYB(Omega) = [Omega13, Omega23], a constant of the type."""
         return cybe(self.casimir, self.structure)

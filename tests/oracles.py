@@ -105,7 +105,7 @@ def is_positive_definite(m: list[list[Fraction]]) -> bool:
 
 def rescaling_automorphism(rs, d: dict) -> list:
     """Torus automorphism x_gamma -> (prod d_i^{gamma_i}) x_gamma, id on h."""
-    m = linalg.identity(rs.dim)
+    m = identity(rs.dim)
     for gamma in rs.roots:
         val = ONE
         for i, ci in enumerate(gamma):
@@ -384,3 +384,140 @@ def manin_fields(mt) -> tuple:
         mt.double_dim, mt.pairing, mt.structure.dim, mt.structure.table,
         mt.sub1_basis, mt.sub2_basis, mt.case,
     )
+
+
+# ---- general elimination and the parameter layer ------------------------------
+# The parameter solve and the reality cut as one Gaussian-rational
+# elimination each, over the full interleaved system: what the library's
+# integer and split solves must reproduce exactly.
+
+
+def identity(n: int) -> list:
+    m = linalg.zeros(n, n)
+    for i in range(n):
+        m[i][i] = ONE
+    return m
+
+
+def solve(m: list, rhs: list) -> tuple[list, list[list]] | None:
+    """One exact solution of m x = rhs (free coordinates 0) and the
+    standard kernel basis of m, from one elimination of the augmented
+    matrix; None if inconsistent."""
+    cols = len(m[0]) if m else 0
+    a, pivots = linalg.rref([row + [b] for row, b in zip(m, rhs)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        x[c] = a[r][cols]
+    return x, linalg.nullspace(m)
+
+
+def constraint_residual(rs, bd, lam):
+    """Exact residuals of the defining linear system at lam: lam + lam^T
+    - Omega_0, then lam^T g_{T(a)} + lam g_a for each a in Gamma1."""
+    n = rs.rank
+    m = lam.matrix
+    residuals = [[m[i][j] + m[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)] for i in range(n)]
+    lam_t = linalg.transpose(m)
+    for a in bd.gamma1:
+        ga = rs.root_values(rs.simple_roots[a])
+        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
+        lt_gt = linalg.mat_vec(lam_t, gt)
+        residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(m, ga))])
+    return residuals
+
+
+def _antisym(n: int, coords) -> list:
+    m = linalg.zeros(n, n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), c in zip(pairs, coords):
+        m[i][j], m[j][i] = c, -c
+    return m
+
+
+def reference_solve_parameters(rs, bd) -> tuple[list, list]:
+    """(base point, directions) of the complex parameter space, by one
+    Gaussian-rational elimination of A^T g_{T(a)} + A g_a = -(Omega_0/2)
+    (g_{T(a)} + g_a) over the antisymmetric unknowns A_ij, i < j."""
+    n = rs.rank
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    half = GaussianRational(Fraction(1, 2))
+    omega_half = [[half * x for x in row] for row in rs.cartan_dual_gram]
+    rows, rhs = [], []
+    for a in bd.gamma1:
+        ga = rs.root_values(rs.simple_roots[a])
+        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
+        base = [x + y for x, y in zip(linalg.mat_vec(omega_half, gt), linalg.mat_vec(omega_half, ga))]
+        for k in range(n):
+            row = []
+            for (i, j) in pairs:
+                coeff = ZERO
+                if j == k:
+                    coeff = coeff + gt[i] - ga[i]
+                if i == k:
+                    coeff = coeff + ga[j] - gt[j]
+                row.append(coeff)
+            rows.append(row)
+            rhs.append(-base[k])
+    sol, kernel = solve(rows, rhs) if rows else ([ZERO] * len(pairs), identity(len(pairs)))
+    base_point = _antisym(n, sol)
+    for i in range(n):
+        for j in range(n):
+            base_point[i][j] = base_point[i][j] + omega_half[i][j]
+    return base_point, [_antisym(n, v) for v in kernel]
+
+
+def reference_reality_cut(base_point, directions, kind, mu) -> tuple[list, list] | None:
+    """(base point, directions) of the cut, or None if inconsistent.
+
+    The unknowns are (re c_m, im c_m), interleaved, for the coefficients
+    of A = A_base + sum c_m D_m, and every condition of the kind is one
+    row of a single elimination."""
+    n, ndir = len(base_point), len(directions)
+    half = GaussianRational(Fraction(1, 2))
+
+    def anti(m, i, j):
+        return half * (m[i][j] - m[j][i])
+
+    def forms(i, j):
+        """Real and imaginary parts of a_ij as [const, unknowns...]."""
+        b = anti(base_point, i, j)
+        re, im = [b.real_part()], [b.imag_part()]
+        for d in directions:
+            x = d[i][j]
+            re += [x.real_part(), -x.imag_part()]
+            im += [x.imag_part(), x.real_part()]
+        return re, im
+
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            re, im = forms(i, j)
+            if kind == "real":
+                rows.append(im)
+            elif kind == "imaginary":
+                rows.append(re)
+            else:
+                sign = 1 if kind == "conjugate-mu" else -1
+                mre, mim = forms(mu(i), mu(j))
+                rows.append([x - sign * y for x, y in zip(re, mre)])
+                rows.append([x + sign * y for x, y in zip(im, mim)])
+    if rows:
+        affine = solve([r[1:] for r in rows], [-r[0] for r in rows])
+        if affine is None:
+            return None
+    else:
+        affine = [ZERO] * (2 * ndir), identity(2 * ndir)
+    sol, kernel = affine
+
+    def combine(v, start):
+        m = [row[:] for row in start]
+        for k, d in enumerate(directions):
+            c = v[2 * k] + I * v[2 * k + 1]
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] = m[i][j] + c * d[i][j]
+        return m
+
+    return combine(sol, base_point), [combine(v, linalg.zeros(n, n)) for v in kernel]

@@ -58,6 +58,7 @@ from oracles import (
     dense_double_factorizable,
     dense_double_imaginary,
     factorization_maps,
+    identity,
     induced_form,
     is_positive_definite,
     manin_fields,
@@ -346,8 +347,8 @@ def test_criterion_7_manin_triples():
         # psi/phi inverse pair and the subspace claims
         psi, phi = psi_phi(rs, om)
         n2 = 2 * rs.dim
-        ok = ok and linalg.mat_mul(phi, psi) == linalg.identity(n2)
-        ok = ok and linalg.mat_mul(psi, phi) == linalg.identity(n2)
+        ok = ok and linalg.mat_mul(phi, psi) == identity(n2)
+        ok = ok and linalg.mat_mul(psi, phi) == identity(n2)
         basis = fixed_point_basis(rs, om)
         l0 = [realify_vector(v) for v in basis.vectors]
         images = []

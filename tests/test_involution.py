@@ -17,7 +17,7 @@ from liebialg.involution import (
     sigma_root_action,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import bracket, killing_form, rescaling_automorphism, sparse_columns
+from oracles import bracket, identity, killing_form, rescaling_automorphism, sparse_columns
 
 
 def _unit(rs, idx):
@@ -83,7 +83,7 @@ def test_omega_mu_j_negates_cartan():
 def test_varsigma_fixed_points_are_chevalley_real_span():
     rs = build_root_system("A", 2)
     vs = canonical_involution(rs, "varsigma")
-    assert vs.matrix == linalg.identity(rs.dim)
+    assert vs.matrix == identity(rs.dim)
     basis = fixed_point_basis(rs, vs)
     for v in basis.vectors:
         assert all(x.is_real() for x in v)

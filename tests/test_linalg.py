@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from liebialg import linalg
 from liebialg.core import GaussianRational, I, ONE, ZERO
-from oracles import is_positive_definite
+from oracles import identity, is_positive_definite, solve
 
 
 def g(x, y=0):
@@ -17,20 +18,40 @@ def test_rref_and_rank():
     assert linalg.rank([[g(1), g(0)], [g(0), g(1)]]) == 2
 
 
-def test_solve_exact():
-    m = [[g(2), g(1)], [g(1), g(-1)]]
-    x, kernel = linalg.solve(m, [g(5), g(1)])
-    assert linalg.mat_vec(m, x) == [g(5), g(1)] and kernel == []
-    # a singular consistent system: the kernel comes from the same elimination
-    m = [[g(1), g(1), g(0)], [g(2), g(2), g(0)]]
-    x, kernel = linalg.solve(m, [g(3), g(6)])
-    assert linalg.mat_vec(m, x) == [g(3), g(6)]
-    assert kernel == linalg.nullspace(m) and len(kernel) == 2
+def test_int_solve_exact():
+    x, kernel = linalg.int_solve([[2, 1, 5], [1, -1, 1]], 2)
+    assert x == [g(2), g(1)] and kernel == {}
+    # a singular consistent system: free columns 1 and 2
+    x, kernel = linalg.int_solve([[1, 1, 0, 3], [2, 2, 0, 6]], 3)
+    assert x == [g(3), ZERO, ZERO]
+    assert kernel == {1: [-ONE, ONE, ZERO], 2: [ZERO, ZERO, ONE]}
+    # no rows: everything is free
+    assert linalg.int_solve([], 2) == ([ZERO, ZERO], {0: [ONE, ZERO], 1: [ZERO, ONE]})
 
 
-def test_solve_inconsistent():
-    m = [[g(1), g(1)], [g(1), g(1)]]
-    assert linalg.solve(m, [g(0), g(1)]) is None
+def test_int_solve_inconsistent():
+    assert linalg.int_solve([[1, 1, 0], [1, 1, 1]], 2) is None
+    assert linalg.int_solve([[0, 0, 4]], 2) is None
+
+
+def test_int_solve_matches_the_general_elimination():
+    """Random integer systems, many rank-deficient, against one
+    Gaussian-rational elimination of the augmented matrix."""
+    rng = random.Random(1968)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        basis = [[rng.randint(-4, 4) for _ in range(cols + 1)] for _ in range(rng.randint(1, 4))]
+        m = [  # combinations of a few rows, so ranks vary
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols + 1)]
+            for _ in range(rows)
+        ]
+        got = linalg.int_solve(m, cols)
+        ref = solve([[g(x) for x in r[:-1]] for r in m], [g(r[-1]) for r in m])
+        if ref is None:
+            assert got is None, m
+        else:
+            assert got is not None, m
+            assert (got[0], list(got[1].values())) == ref, m
 
 
 def test_nullspace():
@@ -44,7 +65,7 @@ def test_nullspace():
 def test_inverse_complex():
     m = [[ONE, I], [ZERO, g(2)]]
     inv = linalg.inverse(m)
-    assert linalg.mat_mul(m, inv) == linalg.identity(2)
+    assert linalg.mat_mul(m, inv) == identity(2)
     with pytest.raises(ValueError):
         linalg.inverse([[ONE, ONE], [ONE, ONE]])
 

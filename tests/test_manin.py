@@ -21,6 +21,7 @@ from oracles import (
     cobracket_from_triple,
     direct_sum_structure,
     factorization_maps,
+    identity,
     induced_form,
     multiplication_by_i,
     psi_phi,
@@ -243,8 +244,8 @@ def test_psi_phi_mutually_inverse():
         om = canonical_involution(rs, "omega", None, J)
         psi, phi = psi_phi(rs, om)
         n2 = 2 * rs.dim
-        assert linalg.mat_mul(phi, psi) == linalg.identity(n2)
-        assert linalg.mat_mul(psi, phi) == linalg.identity(n2)
+        assert linalg.mat_mul(phi, psi) == identity(n2)
+        assert linalg.mat_mul(psi, phi) == identity(n2)
 
 
 def test_psi_collapses_on_real_points():
@@ -411,7 +412,7 @@ def _pair_dense(p, u, v):
 
 def _invariant_bruteforce(mt):
     n = mt.double_dim
-    basis = linalg.identity(n)
+    basis = identity(n)
     for a in range(n):
         for b in range(n):
             ab = bracket(mt.structure, basis[a], basis[b])
@@ -583,3 +584,71 @@ def test_rank_checks_reject_repeated_subspace(oracle_double):
     checks = mt.verify()
     assert checks["half_dimension"] is False
     assert checks["transversal"] is False
+
+
+# ---- rank checks against three separate eliminations ----------------------
+
+
+def _criterion_7_doubles():
+    """The doubles of acceptance criterion 7: sl2 and sl3 over every
+    triple, A3 with a two-vertex triple, B2 and G2 with the empty one,
+    and the imaginary doubles of su(2), su(3), su(4), so(5), compact g2."""
+    out = []
+    pairs = [(build_root_system("A", r), bd) for r in (1, 2)
+             for bd in enumerate_bd_triples(build_root_system("A", r))]
+    pairs += [
+        (build_root_system("A", 3), BDTriple.make((0, 1), (1, 2), {0: 1, 1: 2})),
+        (build_root_system("B", 2), BDTriple.empty()),
+        (build_root_system("G", 2), BDTriple.empty()),
+    ]
+    for rs, bd in pairs:
+        sig = canonical_involution(rs, "varsigma")
+        datum = make_datum(rs, sig, bd, solve_parameters(rs, bd).base_point, ONE)
+        out.append(double_factorizable(rs, datum))
+    for series, rank, J in [("A", 1, (0,)), ("A", 2, (0, 1)), ("A", 3, (0, 1, 2)),
+                            ("B", 2, (0, 1)), ("G", 2, (0, 1))]:
+        rs = build_root_system(series, rank)
+        om = canonical_involution(rs, "omega", None, J)
+        space = apply_reality(
+            solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
+        )
+        datum = make_datum(rs, om, BDTriple.empty(), space.point([ONE] * space.dimension), I)
+        out.append(double_imaginary(rs, datum))
+    return out
+
+
+def _three_elimination_ranks(mt) -> dict:
+    """half_dimension and transversal from rank(sub1), rank(sub2) and
+    rank(sub1 + sub2), each its own elimination."""
+    n = mt.double_dim
+    return {
+        "half_dimension": linalg.rank(mt.sub1_basis) == n // 2
+        and linalg.rank(mt.sub2_basis) == n // 2,
+        "transversal": linalg.rank(mt.sub1_basis + mt.sub2_basis) == n,
+    }
+
+
+def test_rank_checks_match_three_eliminations():
+    """verify() reads the rank of sub1 + sub2 off sub1's reduced rows and
+    sub2's residuals against them.  On every criterion-7 double it keeps
+    the eight keys, in order, all true; on a copy whose sub2 meets sub1
+    (one sub2 vector swapped for a sub1 vector) transversality fails.
+    Both agree with the three-elimination reference."""
+    keys = [
+        "pairing_nondegenerate", "pairing_invariant", "sub1_isotropic", "sub2_isotropic",
+        "half_dimension", "transversal", "sub1_closed", "sub2_closed",
+    ]
+    doubles = _criterion_7_doubles()
+    assert len(doubles) == 12
+    for mt in doubles:
+        checks = mt.verify()
+        assert list(checks) == keys and all(checks.values())
+        assert {k: checks[k] for k in ("half_dimension", "transversal")} == _three_elimination_ranks(mt)
+        meets = ManinTriple(
+            mt.double_dim, mt.pairing, mt.structure, mt.sub1_basis,
+            [mt.sub1_basis[0]] + mt.sub2_basis[1:], mt.case,
+        )
+        checks = meets.verify()
+        reference = _three_elimination_ranks(meets)
+        assert reference == {"half_dimension": True, "transversal": False}
+        assert {k: checks[k] for k in reference} == reference

@@ -14,12 +14,13 @@ from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.parameter import (
     NoBialgebraDatum,
     apply_reality,
-    constraint_residual,
     lambda_reality_ok,
     satisfies_constraints,
     solve_parameters,
+    stability_ok,
 )
 from liebialg.rootsystem import build_root_system
+from oracles import constraint_residual, reference_reality_cut, reference_solve_parameters
 
 
 def test_a1_empty_triple():
@@ -204,73 +205,57 @@ def test_parameter_space_json():
     assert len(doc["directions"]) == 1
 
 
-def _old_point(ps, coefficients) -> list:
-    """The base point plus sum c_m D_m, entry by entry."""
-    m = [row[:] for row in ps.base_point.matrix]
-    for c, d in zip(coefficients, ps.directions):
-        for i in range(ps.rank):
-            for j in range(ps.rank):
-                if d[i][j]:
-                    m[i][j] = m[i][j] + c * d[i][j]
-    return m
+ORACLE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("D", 5), ("G", 2),
+]
+CUT_KEYS = {"A1": 4, "A2": 14, "A3": 28, "A4": 88, "B2": 4, "B3": 8, "B4": 20,
+            "C3": 8, "D4": 94, "D5": 232, "G2": 4}
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
-def test_reality_cut_matches_the_point_difference_construction(monkeypatch, series, rank):
-    """apply_reality builds each direction as sum c_m D_m.  The reference
-    builds it as the point at the realized kernel vector minus the base
-    point, from the same elimination, for every (triple, kind, mu)."""
+@pytest.mark.parametrize("series,rank", ORACLE_TYPES)
+def test_solve_and_cut_match_the_general_elimination(series, rank):
+    """The integer solve and the split reality cut against one
+    Gaussian-rational elimination each (tests/oracles.py), for every
+    triple and every (kind, mu)."""
     rs = build_root_system(series, rank)
-    n = rs.rank
-    solves, solve = [], linalg.solve
-    monkeypatch.setattr(linalg, "solve", lambda m, rhs: solves.append(solve(m, rhs)) or solves[-1])
+    kinds = {"varsigma": "real", "varsigma_mu": "conjugate-mu",
+             "omega": "imaginary", "omega_mu_J": "anti-conjugate-mu"}
     checked = 0
     for bd in enumerate_bd_triples(rs):
         ps = solve_parameters(rs, bd)
-        ndir = ps.dimension
-        for label in ("varsigma", "varsigma_mu", "omega", "omega_mu_J"):  # one per kind
+        base, directions = reference_solve_parameters(rs, bd)
+        assert (ps.base_point.matrix, ps.directions) == (base, directions), bd
+        for label, kind in kinds.items():
             for mu in diagram_automorphisms(rs):
-                solves.clear()
+                if not stability_ok(bd, kind, mu):
+                    continue
+                expected = reference_reality_cut(base, directions, kind, mu)
                 try:
                     cut = apply_reality(ps, label, mu, bd)
                 except NoBialgebraDatum:
+                    assert expected is None, (bd, label, mu)
                     continue
-                # no reality equations: every real coefficient is free
-                free = ([ZERO] * 2 * ndir, linalg.identity(2 * ndir))
-                sol, kernel = solves[0] if solves else free
-
-                def realize(v):
-                    return [v[2 * m].real_part() + I * v[2 * m + 1].real_part()
-                            for m in range(ndir)]
-
-                assert cut.base_point.matrix == _old_point(ps, realize(sol))
-                expected = []
-                for v in kernel:
-                    pt = _old_point(ps, realize(v))
-                    base = ps.base_point.matrix
-                    expected.append([[pt[i][j] - base[i][j] for j in range(n)] for i in range(n)])
-                assert cut.directions == expected
+                assert (cut.base_point.matrix, cut.directions) == expected, (bd, label, mu)
                 checked += 1
-    assert checked == {"A": 28, "B": 8, "D": 94, "G": 4}[series]
+    assert checked == CUT_KEYS[f"{series}{rank}"]
 
 
-def test_constraint_residual_values_off_the_solution_space():
-    """Residuals at a point off the space, against the defining equations
-    written out: lam + lam^T - Omega_0 and lam^T g_{T(a)} + lam g_a."""
+def test_constraint_check_agrees_with_the_residuals():
+    """satisfies_constraints, in ints, against the residuals of the
+    defining equations written out over the Gaussian rationals, at
+    points on the space and off it in the real and the imaginary part."""
     rs = build_root_system("A", 3)
-    n = rs.rank
     for bd in enumerate_bd_triples(rs):
-        lam = solve_parameters(rs, bd).point([ONE] * 3)
-        lam.matrix[0][1] = lam.matrix[0][1] + GaussianRational(1, 2)
-        lam.matrix[2][0] = lam.matrix[2][0] - I
-        m, omega0 = lam.matrix, rs.cartan_dual_gram
-        expected = [[m[i][j] + m[j][i] - omega0[i][j] for j in range(n)] for i in range(n)]
-        for a in bd.gamma1:
-            ga = rs.root_values(rs.simple_roots[a])
-            gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-            expected.append([
-                sum((m[j][k] * gt[j] + m[k][j] * ga[j] for j in range(n)), ZERO)
-                for k in range(n)
-            ])
-        sym, *per_root = constraint_residual(rs, bd, lam)
-        assert sym + per_root == expected
+        ps = solve_parameters(rs, bd)
+        for coeffs in ([ONE] * ps.dimension, [GaussianRational(2, -1)] * ps.dimension):
+            on = ps.point(coeffs)
+            for shift in (ZERO, GaussianRational(1, 2), I, GaussianRational(Fraction(1, 3), 1)):
+                lam = ps.point(coeffs)
+                lam.matrix[0][1] = lam.matrix[0][1] + shift
+                lam.matrix[2][0] = lam.matrix[2][0] - shift * shift
+                residual = constraint_residual(rs, bd, lam)
+                zero = not any(x for row in residual for x in row)
+                assert satisfies_constraints(rs, bd, lam) == zero
+                assert zero == (not shift)
+            assert satisfies_constraints(rs, bd, on)

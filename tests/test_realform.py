@@ -17,6 +17,7 @@ from liebialg.realform import cartan_involution, identify, theta_action_on_real_
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
 from oracles import (
     conjugate,
+    identity,
     is_positive_definite,
     rescaling_automorphism,
     sparse_columns,
@@ -28,7 +29,7 @@ def test_theta_of_compact_is_identity():
     rs = build_root_system("A", 2)
     om = canonical_involution(rs, "omega", None, (0, 1))
     theta = cartan_involution(rs, om)
-    assert theta.matrix == linalg.identity(rs.dim)
+    assert theta.matrix == identity(rs.dim)
     report = identify(rs, om)
     assert report.dim_p == 0 and report.dim_k == rs.dim
     assert report.character == -rs.dim
@@ -44,7 +45,7 @@ def test_theta_squares_to_identity_and_commutes():
         canonical_involution(rs, "omega", flip, ()),
     ]:
         theta = cartan_involution(rs, sigma)
-        assert linalg.mat_mul(theta.matrix, theta.matrix) == linalg.identity(rs.dim)
+        assert linalg.mat_mul(theta.matrix, theta.matrix) == identity(rs.dim)
         # theta sigma = sigma theta as semilinear maps:
         # matrices: T * M == M * conj(T)
         lhs = linalg.mat_mul(theta.matrix, sigma.matrix)
@@ -341,9 +342,9 @@ def test_identify_rejects_theta_moving_h(monkeypatch):
     rs = build_root_system("A", 2)
     r = rs.root_index((1, 0))
     n = rs.dim
-    p = linalg.identity(n)
+    p = identity(n)
     p[r][0] = ONE
-    p_inv = linalg.identity(n)
+    p_inv = identity(n)
     p_inv[r][0] = -ONE
 
     def conjugate(m):

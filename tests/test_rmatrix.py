@@ -35,12 +35,15 @@ from liebialg.rmatrix import (
     build_r,
     build_r0,
     classify,
+    default_t,
     extend_T,
     extract_data,
+    iter_data,
     make_datum,
     sigma_fixes,
     verify_datum,
 )
+from liebialg.cli import _sigma_variants
 from liebialg.rootsystem import build_root_system
 from oracles import transported_images
 
@@ -397,3 +400,24 @@ def test_verify_datum_flags_wrong_t():
     assert not checks["t_reality"]
     assert not checks["sigma_fixes_r0"]
     assert checks["cybe"]
+
+
+@pytest.mark.parametrize(
+    "series,rank,data,tensors",
+    [("A", 3, 28, 16), ("B", 3, 11, 4), ("C", 3, 11, 4), ("D", 4, 134, 60),
+     ("F", 4, 23, 8), ("G", 2, 5, 2)],
+)
+def test_iter_data_matches_a_fresh_make_datum(series, rank, data, tensors):
+    """iter_data shares stability, the lambda condition and the tensors
+    among involutions; each datum must still equal the one make_datum
+    builds alone from the same sigma, triple, base point and t."""
+    rs = build_root_system(series, rank)
+    seen = []
+    for sigma, space, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        fresh = make_datum(rs, sigma, datum.bd, space.base_point, default_t(datum.sigma_label))
+        assert datum.sigma is sigma and datum.sigma_label == fresh.sigma_label
+        assert datum.r == fresh.r and datum.r0 == fresh.r0
+        assert datum.lam.matrix == fresh.lam.matrix and datum.t == fresh.t
+        seen.append(datum)
+    assert len(seen) == data
+    assert len({id(d.r) for d in seen}) == tensors  # built once per sharing key
