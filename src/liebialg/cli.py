@@ -377,9 +377,48 @@ def _flatten(row: dict) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, nl: str = "\n") -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, for str,
+    int, bool, None, and lists, tuples and str-keyed dicts of those; nl
+    is the newline and indent of x's closing bracket.  Raises TypeError
+    on any other type (a float or a subclass, say), so it never differs
+    silently from json.dumps, whose pure-Python encoder it replaces."""
+    t = type(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        try:  # all items str, as in every [re, im] scalar pair: one pass
+            return "[" + inner + ("," + inner).join(map(_encode_str, x)) + nl + "]"
+        except TypeError:
+            items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is str:
+        return _encode_str(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # _encode_str raises TypeError on a key that is not a str
+        items = [_encode_str(k) + ": " + _json_text(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is int:
+        return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict):
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(payload)
     elif args.format == "csv":
         import csv
 

@@ -13,9 +13,23 @@ The two canonical families fix the action on Chevalley generators:
     omega(mu, J):   x_a -> (-1)^{J}(x_{-mu a}),  h_a -> -h_{mu a}
 
 and extend through brackets to the whole algebra.
+
+On a root vector, sigma(x_g) = c_g(J) x_{+-mu g}.  The bracket recursion
+sets c_a(J) = -1 for a simple root a in J and +1 otherwise, and
+c_g = c_xi c_eta n'/n for the extraspecial pair xi + eta = g, where
+the ratio n'/n of structure constants does not depend on J.  The
+coefficients m_j of g on the simple roots are the sums of those of xi
+and eta, so by induction up the heights
+
+    c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g)).
+
+The recursion therefore runs once per (root system, kind, mu), and each
+J only flips the signs of the columns of the roots that are odd on J.
 """
 
 from __future__ import annotations
+
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .bdtriple import DiagramAutomorphism, identity_automorphism
@@ -93,12 +107,11 @@ def is_identity_columns(columns: list) -> bool:
     return all(col == [(j, ONE)] for j, col in enumerate(columns))
 
 
-def _sigma_scalars(rs: RootSystem, mu: DiagramAutomorphism, chi, negate: bool):
-    """Scalars c with sigma(x_g) = c_g * x_{mu g} (or x_{-mu g}), computed
-    from the generator action by bracket recursion up the positive roots."""
-    c: dict[tuple, GaussianRational] = {}
-    for i, alpha in enumerate(rs.simple_roots):
-        c[alpha] = GaussianRational(-1 if chi(i) else 1)
+def _scalars_at_empty_j(rs: RootSystem, mu: DiagramAutomorphism, negate: bool):
+    """Scalars c with sigma(x_g) = c_g * x_{mu g} (or x_{-mu g}) for J
+    empty, computed from the generator action by bracket recursion up the
+    positive roots."""
+    c: dict[tuple, GaussianRational] = {alpha: ONE for alpha in rs.simple_roots}
     for gamma in rs.positive_roots[rs.rank:]:
         xi, eta = rs._extraspecial[gamma]
         mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
@@ -108,6 +121,51 @@ def _sigma_scalars(rs: RootSystem, mu: DiagramAutomorphism, chi, negate: bool):
         den = rs.normalized_n(xi, eta)
         c[gamma] = c[xi] * c[eta] * num / den
     return c
+
+
+class _Template:
+    """The columns of the canonical involution of one (kind, mu) at J
+    empty, with the sign-flipped columns each J selects by parity.
+
+    cols holds the Cartan columns and each root column at J empty.  roots
+    holds, for each positive root g, the mask of the vertices j with
+    m_j(g) odd and the flipped columns of g and -g, as (index, column)
+    pairs.  It holds no reference to the root system.  The involutions
+    built from it share these column lists, which nothing mutates."""
+
+    __slots__ = ("cols", "roots")
+
+    def __init__(self, rs: RootSystem, kind: str, mu: DiagramAutomorphism):
+        idx, negate = rs.root_index, kind == "omega"
+        unit = -ONE if negate else ONE
+        self.cols = [[(mu(i), unit)] for i in range(rs.rank)] + [None] * (2 * rs.npos)
+        self.roots = []
+        for gamma, val in _scalars_at_empty_j(rs, mu, negate).items():
+            mg = mu.apply_root(gamma)
+            image, neg_image = idx(mg), idx(tuple(-x for x in mg))
+            if negate:
+                image, neg_image = neg_image, image
+            pos, neg, inv = idx(gamma), idx(tuple(-x for x in gamma)), ONE / val
+            self.cols[pos], self.cols[neg] = [(image, val)], [(neg_image, inv)]
+            odd_mask = sum(1 << j for j, m in enumerate(gamma) if m & 1)
+            flipped = ((pos, [(image, -val)]), (neg, [(neg_image, -inv)]))
+            self.roots.append((odd_mask, flipped))
+
+    def columns(self, J: tuple) -> list:
+        """c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g))."""
+        cols = self.cols.copy()
+        jmask = sum(1 << j for j in J)
+        if jmask:
+            for odd_mask, flipped in self.roots:
+                if (odd_mask & jmask).bit_count() & 1:
+                    for k, col in flipped:
+                        cols[k] = col
+        return cols
+
+
+# The (kind, mu) -> _Template of each live root system; a weak key, so the
+# cache does not keep a root system alive.
+_TEMPLATES: WeakKeyDictionary[RootSystem, dict] = WeakKeyDictionary()
 
 
 def canonical_involution(
@@ -123,31 +181,15 @@ def canonical_involution(
     fixed = set(mu.fixed_points())
     if not set(J) <= fixed:
         raise ValueError("J must consist of mu-fixed simple roots")
-    n = rs.rank
-    idx = rs.root_index
-    cols: list = [None] * rs.dim  # each column holds one entry
     if kind == "varsigma":
         if J:
             raise ValueError("varsigma takes no subset J")
-        for i in range(n):
-            cols[i] = [(mu(i), ONE)]
-        c = _sigma_scalars(rs, mu, lambda i: False, negate=False)
-        for gamma, val in c.items():
-            neg = tuple(-x for x in gamma)
-            cols[idx(gamma)] = [(idx(mu.apply_root(gamma)), val)]
-            cols[idx(neg)] = [(idx(mu.apply_root(neg)), ONE / val)]
-    elif kind == "omega":
-        for i in range(n):
-            cols[i] = [(mu(i), -ONE)]
-        jset = set(J)
-        c = _sigma_scalars(rs, mu, lambda i: i in jset, negate=True)
-        for gamma, val in c.items():
-            mg = mu.apply_root(gamma)
-            cols[idx(gamma)] = [(idx(tuple(-x for x in mg)), val)]
-            cols[idx(tuple(-x for x in gamma))] = [(idx(mg), ONE / val)]
-    else:
+    elif kind != "omega":
         raise ValueError(f"unknown canonical kind {kind!r}")
-    return Involution(cols, kind, mu, J)
+    templates = _TEMPLATES.setdefault(rs, {})
+    if (kind, mu) not in templates:
+        templates[(kind, mu)] = _Template(rs, kind, mu)
+    return Involution(templates[(kind, mu)].columns(J), kind, mu, J)
 
 
 def sigma_root_action(rs: RootSystem, sigma: Involution):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from liebialg import linalg
 from liebialg.bdtriple import extend_tau_additively, span_subset_roots
 from liebialg.core import GaussianRational, I, ONE, StructureTable, Tensor2, ZERO
-from liebialg.involution import fixed_point_basis
+from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import (
     ManinTriple,
     real_part_pairing,
@@ -117,6 +117,40 @@ def rescaling_automorphism(rs, d: dict) -> list:
                     val = val / d[i]
         m[rs.root_index(gamma)][rs.root_index(gamma)] = val
     return m
+
+
+def _sigma_scalars(rs, mu, chi, negate: bool):
+    """Scalars c with sigma(x_g) = c_g * x_{mu g} (or x_{-mu g}), computed
+    from the generator action by bracket recursion up the positive roots."""
+    c: dict[tuple, GaussianRational] = {}
+    for i, alpha in enumerate(rs.simple_roots):
+        c[alpha] = GaussianRational(-1 if chi(i) else 1)
+    for gamma in rs.positive_roots[rs.rank:]:
+        xi, eta = rs._extraspecial[gamma]
+        mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
+        if negate:
+            mxi, meta = tuple(-x for x in mxi), tuple(-x for x in meta)
+        num = rs.normalized_n(mxi, meta)
+        den = rs.normalized_n(xi, eta)
+        c[gamma] = c[xi] * c[eta] * num / den
+    return c
+
+
+def reference_canonical_involution(rs, kind: str, mu, J: tuple) -> Involution:
+    """The canonical involution with its bracket recursion run afresh for
+    this J, the signs of the simple roots in J set at the bottom."""
+    idx, jset = rs.root_index, set(J)
+    negate = kind == "omega"
+    cols: list = [None] * rs.dim
+    for i in range(rs.rank):
+        cols[i] = [(mu(i), -ONE if negate else ONE)]
+    c = _sigma_scalars(rs, mu, lambda i: i in jset, negate)
+    for gamma, val in c.items():
+        mg = mu.apply_root(gamma)
+        neg, neg_mg = tuple(-x for x in gamma), tuple(-x for x in mg)
+        cols[idx(gamma)] = [(idx(neg_mg if negate else mg), val)]
+        cols[idx(neg)] = [(idx(mg if negate else neg_mg), ONE / val)]
+    return Involution(cols, kind, mu, J)
 
 
 def transported_images(rs, bd, family: dict) -> dict:

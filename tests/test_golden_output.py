@@ -6,7 +6,10 @@ any change to the emitted JSON (row order, keys, tensor entries) shows
 up here.  LIGHT_DIGESTS cover the path without --materialize, where no
 tensor is printed but every datum is still built and checked; they were
 taken before the parameter layer moved to integer elimination and the
-enumeration began to share tensors among involutions.
+enumeration began to share tensors among involutions.  REQUEST_DIGESTS and
+the build/verify pair cover the other output kinds; they were taken
+before the CLI wrote JSON with its own writer and before each canonical
+involution was read off one recursion per (kind, mu).
 """
 
 import hashlib
@@ -41,6 +44,27 @@ LIGHT_DIGESTS = {
 }
 
 
+REQUEST_DIGESTS = {
+    ("enumerate", "--type", "E", "--rank", "6", "--what", "involutions"):
+        "c97625df04462f91ea9320d77ceb4a2b556e429d614d78e06f3a2d896aaba8a2",
+    ("enumerate", "--type", "E", "--rank", "6", "--what", "bd-triples"):
+        "25c682c44d729fcd17d83342f18e072ffbc781459b009a4c167417cf2afd7c39",
+    ("enumerate", "--type", "F", "--rank", "4", "--what", "root-system"):
+        "d4d6c02452ee73b0254040c4a9198610219e1949308e6e14cd6f908c0e8d1e1e",
+    ("identify", "--type", "E", "--rank", "7", "--sigma", "omega-J", "--painted", "2"):
+        "35311718415766303f73311e5ea6c6a913f1a2fb499027002176ce764ad58774",
+    ("enumerate", "--type", "B", "--rank", "4"):
+        "e6ff3b455d22e3274ba551ef3c2c0a4a4eb42a8896d0d0d0c37d889a8b773cb9",
+}
+
+BUILD_A3 = [
+    "build", "--type", "A", "--rank", "3", "--sigma", "varsigma", "--t", "2",
+    "--bd", '{"gamma1":[0,1],"gamma2":[1,2],"tau":[[0,1],[1,2]]}',
+]
+BUILD_A3_DIGEST = "044717b8b6e35fbdd64473fa1f516990edf7b69678bb4c06d5a31ef3af9a0531"
+VERIFY_MANIN_A3_DIGEST = "9cc3510918883ec459d01294156d8222dfdabe42e77fc17c2f9b0d474d628ee6"
+
+
 def _digest(capsys, argv) -> str:
     assert main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -58,3 +82,17 @@ def test_stdout_digest(capsys, command, series, rank):
 def test_light_stdout_digest(capsys, command, series, rank):
     argv = [command, "--type", series, "--rank", str(rank)]
     assert _digest(capsys, argv) == LIGHT_DIGESTS[(command, series, rank)]
+
+
+@pytest.mark.parametrize("argv", sorted(REQUEST_DIGESTS))
+def test_request_stdout_digest(capsys, argv):
+    assert _digest(capsys, list(argv)) == REQUEST_DIGESTS[argv]
+
+
+def test_build_and_verify_manin_stdout_digests(tmp_path, capsys):
+    assert main(BUILD_A3) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_A3_DIGEST
+    path = tmp_path / "a3.json"
+    path.write_text(out)
+    assert _digest(capsys, ["verify", str(path), "--manin"]) == VERIFY_MANIN_A3_DIGEST

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,15 @@ from liebialg.involution import (
     real_structure_constants,
     sigma_root_action,
 )
-from liebialg.rootsystem import build_root_system
-from oracles import bracket, identity, killing_form, rescaling_automorphism, sparse_columns
+from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
+from oracles import (
+    bracket,
+    identity,
+    killing_form,
+    reference_canonical_involution,
+    rescaling_automorphism,
+    sparse_columns,
+)
 
 
 def _unit(rs, idx):
@@ -212,6 +221,34 @@ def test_j_must_be_mu_fixed():
     flip = DiagramAutomorphism((1, 0))
     with pytest.raises(ValueError):
         canonical_involution(rs, "omega", flip, (0,))
+
+
+ORACLE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5),
+    ("G", 2), ("F", 4), ("E", 6),
+]
+
+
+@pytest.mark.parametrize("series,rank", ORACLE_TYPES)
+def test_canonical_involutions_match_per_j_recursion(series, rank):
+    """Each J only flips signs of the J-empty columns; the reference runs
+    the bracket recursion afresh with the signs of J at the bottom."""
+    rs = build_root_system(series, rank)
+    for sigma in _sigma_variants(rs, "all"):
+        ref = reference_canonical_involution(rs, sigma.kind, sigma.mu, sigma.J)
+        assert (sigma.columns, sigma.kind, sigma.mu, sigma.J) == (
+            ref.columns, ref.kind, ref.mu, ref.J
+        ), (sigma.kind, sigma.mu.permutation, sigma.J)
+
+
+def test_involution_cache_releases_its_root_system():
+    rs = RootSystem(SimpleType("D", 4))
+    assert len(_sigma_variants(rs, "all")) == 32
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
 
 
 # sha256 prefixes of each _sigma_variants(all) involution's dense matrix,
