@@ -197,10 +197,13 @@ def cmd_enumerate(args) -> int:
     elif what == "bialgebras":
         rows = []
         current = real_form = None
+        spaces: dict = {}  # iter_data shares a space among involutions: serialize each once
         sigmas = _sigma_variants(rs, args.sigma or "all")
         for sigma, space, datum in iter_data(rs, sigmas):
             if sigma is not current:
                 current, real_form = sigma, identify(rs, sigma).name
+            if space not in spaces:
+                spaces[space] = space.to_json()
             row = {
                 "row": ROW_LABELS[datum.sigma_label],
                 "sigma": sigma.to_json(),
@@ -208,7 +211,7 @@ def cmd_enumerate(args) -> int:
                 "real_form": real_form,
                 "bd": datum.bd.to_json(),
                 "parameter_dimension": space.dimension,
-                "parameter_space": space.to_json(),
+                "parameter_space": spaces[space],
                 "t_class": datum.t_class,
             }
             if args.materialize:

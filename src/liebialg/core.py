@@ -7,6 +7,14 @@ there are no tolerances anywhere.  Each + - * / costs one gcd (none over
 denominator 1).  No float ever becomes a scalar: the constructor takes
 ints and Fractions only, and JSON scalars must be rational strings.
 
+Rational literals are read in ints when they have the form that
+to_json writes, -?[0-9]+(/[0-9]+)? with a nonzero denominator; any
+other literal (whitespace, '+', '_', a decimal point, an exponent,
+non-ASCII digits, a zero denominator) goes to fractions.Fraction, which
+gives it the value, or raises the ValueError or ZeroDivisionError, that
+Fraction(text) does.  fractions is imported only on that path, so a
+run that reads and writes canonical literals never loads it.
+
 Order-2 tensors over a finite-dimensional algebra, whose multiplication
 is given by a sparse structure-constant table, are dicts of their
 nonzero Gaussian-rational entries; so is the order-3 CYBE of such a
@@ -16,22 +24,32 @@ of its linear part.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Mapping, Sequence
-from fractions import Fraction
 from math import gcd, isqrt
 
-Rationalish = int | Fraction
 
-
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
+def rational_sqrt(p: int, q: int) -> GaussianRational | None:
+    """Exact square root of p / q (q > 0) as a real scalar, or None if
+    p / q is negative or not the square of a rational."""
+    if p < 0:
         return None
-    p, q = x.numerator, x.denominator
+    g = gcd(p, q)
+    p, q = p // g, q // g
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
+        return _gr(rp, 0, rq)
     return None
+
+
+def rational(p: int, q: int) -> GaussianRational:
+    """The real scalar p / q of two ints, q != 0: one gcd and a sign fix."""
+    if not q:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    if q < 0:
+        p, q = -p, -q
+    g = gcd(p, q)
+    return _gr(p // g, 0, q // g) if g != 1 else _gr(p, 0, q)
 
 
 class GaussianRational:
@@ -39,30 +57,16 @@ class GaussianRational:
     gcd(a, b, d) = 1, so equal scalars have equal fields.
 
     Parts are ints or Fractions; anything else, a float above all, is a
-    TypeError.  .re and .im are Fraction views for parsing and printing.
+    TypeError.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+    def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        p, q = _ratio(re)
-        r, s = _ratio(im)
-        if q == s:
-            self.a, self.b, self.d = p, r, q
-        else:  # lowest terms on each side, so gcd(a, b, lcm) = 1
-            d = q * s // gcd(q, s)
-            self.a, self.b, self.d = p * (d // q), r * (d // s), d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
+        self.a, self.b, self.d = _join(*_ratio(re), *_ratio(im))
 
     def real_part(self) -> "GaussianRational":
         """Re z as a (real) GaussianRational."""
@@ -184,7 +188,8 @@ class GaussianRational:
         return self.a != 0 or self.b != 0
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        re, im = _fraction_repr(self.a, self.d), _fraction_repr(self.b, self.d)
+        return f"GaussianRational({re}, {im})"
 
     def __str__(self):
         a, b, d = self.a, self.b, self.d
@@ -204,7 +209,7 @@ class GaussianRational:
         re, im = pair
         if type(re) is not str or type(im) is not str:
             raise TypeError(f"scalar {list(pair)!r} must be a pair of strings")
-        return GaussianRational(Fraction(re), Fraction(im))
+        return _gr(*_join(*_read(re), *_read(im)))
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -216,8 +221,10 @@ class GaussianRational:
                 return GaussianRational(0, 1)
             if body == "-":
                 return GaussianRational(0, -1)
-            return GaussianRational(0, Fraction(body))
-        return GaussianRational(Fraction(text))
+            p, q = _read(body)
+            return _gr(0, p, q)
+        p, q = _read(text)
+        return _gr(p, 0, q)
 
 
 _new = object.__new__
@@ -230,13 +237,48 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def _join(p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
+    """The fields (a, b, d) of p/q + (r/s) i, both parts in lowest terms."""
+    if q == s:
+        return p, r, q
+    d = q * s // gcd(q, s)  # lowest terms on each side, so gcd(a, b, lcm) = 1
+    return p * (d // q), r * (d // s), d
+
+
+def _is_fraction(x) -> bool:
+    """Whether x is a fractions.Fraction; none can exist before that
+    module is imported, so its absence from sys.modules answers no."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction part."""
     if isinstance(x, int):
         return int(x), 1
-    if isinstance(x, Fraction):
+    if _is_fraction(x):
         return x.numerator, x.denominator
     raise TypeError(f"a Gaussian rational part must be an int or Fraction, not {type(x).__name__}")
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _read(text: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms of a rational literal,
+    as Fraction(text) reads it; see the module docstring."""
+    num, slash, den = text.partition("/")
+    if _digits(num[1:] if num[:1] == "-" else num) and (
+        not slash or (_digits(den) and den.strip("0"))
+    ):
+        p, q = int(num), int(den) if slash else 1
+        g = gcd(p, q)
+        return p // g, q // g
+    from fractions import Fraction
+
+    x = Fraction(text)
+    return x.numerator, x.denominator
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -245,12 +287,18 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
+def _fraction_repr(n: int, d: int) -> str:
+    """repr(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return f"Fraction({n // g}, {d // g})"
+
+
 def _coerce(value) -> GaussianRational:
     if type(value) is GaussianRational:
         return value
     if isinstance(value, int):
         return _gr(int(value), 0, 1)
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return _gr(value.numerator, 0, value.denominator)
     return NotImplemented
 
@@ -258,6 +306,7 @@ def _coerce(value) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+HALF = _gr(1, 0, 2)
 
 
 class StructureTable:

@@ -9,10 +9,9 @@ ints by int_solve, without a fraction until the answer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .core import GaussianRational, ONE, ZERO
+from .core import GaussianRational, ONE, ZERO, rational
 
 Matrix = list  # list[list[GaussianRational]]
 
@@ -148,14 +147,14 @@ def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
         pivots.append(c)
     x = [ZERO] * cols
     for r, c in enumerate(pivots):
-        x[c] = GaussianRational(Fraction(a[r][cols], a[r][c]))
+        x[c] = rational(a[r][cols], a[r][c])
     kernel = {}
     for f in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols
         v[f] = ONE
         for r, c in enumerate(pivots):
             if a[r][f]:
-                v[c] = GaussianRational(Fraction(-a[r][f], a[r][c]))
+                v[c] = rational(-a[r][f], a[r][c])
         kernel[f] = v
     return x, kernel
 

@@ -16,12 +16,11 @@ cuts split into real and imaginary parts accordingly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, I, ONE, Tensor2, ZERO
+from .core import GaussianRational, HALF, I, ONE, Tensor2, ZERO
 from .rootsystem import RootSystem
 
 
@@ -48,9 +47,8 @@ class ContinuousParameter:
 
     def antisymmetric_part(self) -> list:
         n = len(self.matrix)
-        half = GaussianRational(Fraction(1, 2))
         return [
-            [half * (self.matrix[i][j] - self.matrix[j][i]) for j in range(n)]
+            [HALF * (self.matrix[i][j] - self.matrix[j][i]) for j in range(n)]
             for i in range(n)
         ]
 
@@ -182,11 +180,10 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     sol, kernel = affine
     assert len(kernel) == comb(n - len(bd.gamma1), 2)
 
-    half = GaussianRational(Fraction(1, 2))
     base_matrix = _antisym_from_coords(n, sol)
     for i in range(n):
         for j in range(n):
-            base_matrix[i][j] = base_matrix[i][j] + half * omega0[i][j]
+            base_matrix[i][j] = base_matrix[i][j] + HALF * omega0[i][j]
     space = ParameterSpace(
         rank=n,
         base_point=ContinuousParameter(base_matrix),

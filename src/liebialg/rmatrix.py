@@ -26,7 +26,6 @@ depends only on the triple, the cut or the tensors is computed once.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from . import linalg
 from .bdtriple import (
@@ -41,6 +40,7 @@ from .bdtriple import (
 )
 from .core import (
     GaussianRational,
+    HALF,
     ONE,
     Tensor2,
     ZERO,
@@ -212,7 +212,7 @@ def build_r0(
 
 def _minus_half_t_omega(rs: RootSystem, r: Tensor2, t: GaussianRational) -> Tensor2:
     """r - t Omega / 2, touching only the nonzero entries of r and Omega."""
-    return r + rs.casimir.scale(t * GaussianRational(Fraction(-1, 2)))
+    return r + rs.casimir.scale(t * -HALF)
 
 
 # ---- the classification datum ----------------------------------------------
@@ -480,7 +480,7 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
     if t * t + GaussianRational(4) * ratio:
         raise ExtractionError("entry-level t disagrees with the modified YBE constant")
 
-    half_t = t * GaussianRational(Fraction(1, 2))
+    half_t = t * HALF
     new_pos = []
     for g in rs.positive_roots:
         v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
@@ -548,10 +548,9 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         linalg.transpose(binv),
         linalg.mat_mul(rs.cartan_dual_gram, binv),
     )
-    half = GaussianRational(Fraction(1, 2))
     for i in range(rs.rank):
         for j in range(rs.rank):
-            lam_matrix[i][j] = lam_matrix[i][j] + half * omega0_new[i][j]
+            lam_matrix[i][j] = lam_matrix[i][j] + HALF * omega0_new[i][j]
     lam = ContinuousParameter(lam_matrix)
 
     return ExtractedData(

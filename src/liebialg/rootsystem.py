@@ -19,7 +19,6 @@ in code and 1-based in displayed names.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
@@ -30,6 +29,7 @@ from .core import (
     Tensor2,
     ZERO,
     cybe,
+    rational,
     rational_sqrt,
 )
 from . import linalg
@@ -173,30 +173,27 @@ class RootSystem:
                     for j in range(n):
                         C[i][j] += g[i] * g[j]
         self.cartan_dual_gram: list[list[int]] = C
-        gmat = linalg.inverse(
+        # real scalars, so each entry is .a / .d
+        self.killing_h: list[list[GaussianRational]] = linalg.inverse(
             [[GaussianRational(x) for x in row] for row in C]
         )
-        self.killing_h: list[list[Fraction]] = [[x.re for x in row] for row in gmat]
         # the same Gram as integers over one common denominator:
         # killing_h = _gram / _gram_den
-        self._gram_den = lcm(*(x.denominator for row in self.killing_h for x in row))
-        self._gram = [[int(x * self._gram_den) for x in row] for row in self.killing_h]
+        den = self._gram_den = lcm(*(x.d for row in self.killing_h for x in row))
+        self._gram = [[x.a * (den // x.d) for x in row] for row in self.killing_h]
 
         # each root norm once, as an int over _gram_den; the
         # kappa-normalization scale of each root as a class id into
         # _scales (a handful of values per type)
         self._inorm: dict[Root, int] = {}
         self._sclass: dict[Root, int] = {}
-        scales: dict[Fraction, int] = {}
+        scales: dict[GaussianRational, int] = {}
         for g in self.positive_roots:
             neg = tuple(-x for x in g)
             norm = self.root_pairing(g, g)
-            self._inorm[g] = self._inorm[neg] = norm.numerator * (
-                self._gram_den // norm.denominator
-            )
-            half = norm / 2
-            q = rational_sqrt(half)
-            up, down = (q, q) if q is not None else (Fraction(1), half)
+            self._inorm[g] = self._inorm[neg] = norm.a * (den // norm.d)
+            q = rational_sqrt(norm.a, 2 * norm.d)
+            up, down = (q, q) if q is not None else (ONE, rational(norm.a, 2 * norm.d))
             self._sclass[g] = scales.setdefault(up, len(scales))
             self._sclass[neg] = scales.setdefault(down, len(scales))
         self._scales = list(scales)
@@ -226,21 +223,19 @@ class RootSystem:
     def index_root(self, idx: int) -> Root:
         return self.roots[idx - self.rank]
 
-    def root_pairing(self, alpha: Root, beta: Root) -> Fraction:
-        """(alpha | beta) under the Killing normalization."""
+    def root_pairing(self, alpha: Root, beta: Root) -> GaussianRational:
+        """(alpha | beta) under the Killing normalization, a real scalar."""
         total = sum(
             a * sum(g * b for g, b in zip(row, beta))
             for a, row in zip(alpha, self._gram)
             if a
         )
-        return Fraction(total, self._gram_den)
+        return rational(total, self._gram_den)
 
     def root_values(self, root: Root) -> list[GaussianRational]:
         """[root(h_i)] = [(alpha_i | root)], one integer sum per row of the Gram."""
-        return [
-            GaussianRational(Fraction(sum(g * c for g, c in zip(row, root)), self._gram_den))
-            for row in self._gram
-        ]
+        den = self._gram_den
+        return [rational(sum(g * c for g, c in zip(row, root)), den) for row in self._gram]
 
     # ---- structure constants ---------------------------------------------
 
@@ -262,8 +257,8 @@ class RootSystem:
         key = (c, cls[mu], cls[nu], cls[total])
         val = self._nnorm.get(key)
         if val is None:
-            s = self._scales
-            val = GaussianRational(c * s[key[1]] * s[key[2]] / s[key[3]])
+            x, y, z = (self._scales[k] for k in key[1:])  # real scalars
+            val = rational(c * x.a * y.a * z.d, x.d * y.d * z.a)
             self._nnorm[key] = val
         return val
 
@@ -378,7 +373,7 @@ class RootSystem:
         k = linalg.zeros(self.dim, self.dim)
         for i in range(self.rank):
             for j in range(self.rank):
-                k[i][j] = GaussianRational(self.killing_h[i][j])
+                k[i][j] = self.killing_h[i][j]
         for ip in range(self.rank, self.rank + self.npos):
             im = ip + self.npos
             k[ip][im] = ONE

@@ -9,6 +9,7 @@ rather than a tautology.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from liebialg import linalg
 from liebialg.bdtriple import extend_tau_additively, span_subset_roots
@@ -46,11 +47,33 @@ def bracket(st, u, v) -> list:
 # ---- the Killing form and real forms ----------------------------------------
 
 
+def fraction_killing_h(rs) -> list:
+    """kappa(h_i, h_j) = (alpha_i | alpha_j) as Fractions: the inverse of
+    C = sum over the roots of gamma gamma^T, by Gauss-Jordan over Q, the
+    reference for rs.killing_h."""
+    return _fraction_gram_inverse(tuple(rs.roots))
+
+
+@lru_cache(maxsize=None)
+def _fraction_gram_inverse(roots: tuple) -> list:
+    n = len(roots[0])
+    c = [[sum(Fraction(g[i] * g[j]) for g in roots) for j in range(n)] for i in range(n)]
+    a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(c)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
 def killing_form(rs, x, y) -> GaussianRational:
     """kappa(x, y) for coordinate vectors, via the block Gram matrix: the
-    Cartan block from killing_h, (x_g | x_-g) = 1 on root pairs."""
+    Cartan block from fraction_killing_h, (x_g | x_-g) = 1 on root pairs."""
     acc = ZERO
-    g = rs.killing_h
+    g = fraction_killing_h(rs)
     for i in range(rs.rank):
         if x[i]:
             for j in range(rs.rank):
@@ -84,7 +107,7 @@ def theta_twisted_gram(rs, theta, basis):
         for j in range(n):
             val = -killing_form(rs, basis.vectors[i], images[j])
             assert val.is_real()
-            row.append(val.re)
+            row.append(Fraction(val.a, val.d))
         gram.append(row)
     return gram
 

@@ -364,6 +364,7 @@ BUILD_PROBES = {
     "bd-vertex-past-rank": ["--bd", '{"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}'],
     "bd-not-nilpotent": ["--bd", '{"gamma1": [0], "gamma2": [0], "tau": [[0, 0]]}'],
     "t-not-a-scalar": ["--t", "abc"],
+    "t-zero-denominator": ["--t", "1/0"],
     "coefficients-bad-json": ["--coefficients", "["],
     "coefficients-not-scalars": ["--coefficients", '["x"]'],
     "mu-not-a-permutation": ["--mu", "0,1"],
@@ -383,6 +384,17 @@ def test_build_rejects_malformed_arguments(capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_build_reads_t_literals_alike(capsys):
+    """--t is read in ints ('2', '4/2') or by Fraction (' 2', '2.0') to one value."""
+    outs = {
+        run(capsys, "build", "--type", "A", "--rank", "2", "--sigma", "varsigma", "--t", t)
+        for t in ("2", "2.0", " 2", "4/2")
+    }
+    assert len(outs) == 1
+    code, out = outs.pop()
+    assert code == 0 and json.loads(out)["t"] == ["2", "0"]
 
 
 def _failed_checks(code, out):

@@ -115,7 +115,8 @@ def _assert_matches(z, ref):
     assert type(z) is GaussianRational
     assert (z.a, z.b, z.d) == _ref_fields(re, im)
     assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
-    assert (z.re, z.im) == (re, im)
+    assert (Fraction(z.a, z.d), Fraction(z.b, z.d)) == (re, im)
+    assert repr(z) == f"GaussianRational({re!r}, {im!r})"
     assert bool(z) == bool(re or im)
     assert str(z) == _ref_str(re, im)
     assert z.to_json() == [str(re), str(im)]
@@ -185,10 +186,61 @@ def test_scalar_rejects_floats():
     assert ONE != 1.0
 
 
+# Literals on the int path (-?[0-9]+(/[0-9]+)? with a nonzero denominator)
+# and on the Fraction path (everything else), incl. Arabic-Indic and
+# superscript digits and a number past int's default digit limit.
+LITERALS = [
+    "0", "-0", "7", "-12/18", "00/4", "1/02", "0/5", "+3", " 1/2", "1/2\n", "1_000",
+    "0.5", "-.5", "1e3", "1e-3", "1.", "3/-4", "1/0", "-1/0", "0/0", "/2", "2/",
+    "1/2/3", "--1", "\u0663", "\u0661/\u0662", "\u00b2", "\u00bd", "-", "", "1" * 5000,
+]
+
+
+def _outcome(read, text):
+    """("value", Fraction) for what read(text) gives, or ("raises", type)."""
+    try:
+        return "value", read(text)
+    except Exception as exc:  # the exception type is the outcome
+        return "raises", type(exc)
+
+
+def _real(z):
+    assert type(z) is GaussianRational and not z.b
+    assert z.d > 0 and math.gcd(z.a, z.d) == 1
+    return Fraction(z.a, z.d)
+
+
+def _imag(z):
+    assert type(z) is GaussianRational and not z.a
+    assert z.d > 0 and math.gcd(z.b, z.d) == 1
+    return Fraction(z.b, z.d)
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_literals_read_as_fraction_reads_them(text):
+    expect = _outcome(Fraction, text)
+    assert _outcome(lambda t: _real(GaussianRational.from_json([t, "0"])), text) == expect
+    assert _outcome(lambda t: _imag(GaussianRational.from_json(["0", t])), text) == expect
+    assert _outcome(lambda t: _real(GaussianRational.parse(t)), text) == expect
+    if text.strip() not in ("", "+", "-"):  # 'i', '+i' and '-i' are the unit
+        assert _outcome(lambda t: _imag(GaussianRational.parse(t + "i")), text) == expect
+
+
 def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(1, 6)) is None
-    assert rational_sqrt(Fraction(-1)) is None
+    assert rational_sqrt(9, 4) == Fraction(3, 2)
+    assert rational_sqrt(1, 6) is None
+    assert rational_sqrt(-1, 1) is None
+    # every p/q with |p| <= 40, 0 < q <= 40 against the squares of the
+    # Fractions a/b, 0 <= a, b <= 7, which are all the candidate roots
+    squares = {Fraction(a, b) ** 2: Fraction(a, b) for a in range(8) for b in range(1, 8)}
+    for p in range(-40, 41):
+        for q in range(1, 41):
+            root = rational_sqrt(p, q)
+            expect = squares.get(Fraction(p, q))
+            if expect is None:
+                assert root is None, (p, q)
+            else:
+                assert type(root) is GaussianRational and root == expect, (p, q)
 
 
 def test_antisymmetrize_idempotent_up_to_scale():

@@ -150,8 +150,8 @@ def test_fixed_basis_counts_and_fixedness():
         assert basis.count == rs.dim
         mat = []
         for v in basis.vectors:
-            mat.append([GaussianRational(x.re) for x in v])
-            mat[-1] += [GaussianRational(x.im) for x in v]
+            mat.append([x.real_part() for x in v])
+            mat[-1] += [x.imag_part() for x in v]
         assert linalg.rank(mat) == rs.dim  # really a basis over R
 
 

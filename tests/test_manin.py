@@ -188,7 +188,7 @@ def test_real_part_identity():
     for _ in range(8):
         u = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
         v = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
-        lhs = GaussianRational(2) * GaussianRational(pair(u, v).re)
+        lhs = GaussianRational(2) * pair(u, v).real_part()
         rhs = pair(u, v) - pair(om(u), om(v))
         assert lhs == rhs
 

@@ -20,7 +20,12 @@ from liebialg.parameter import (
     stability_ok,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import constraint_residual, reference_reality_cut, reference_solve_parameters
+from oracles import (
+    constraint_residual,
+    fraction_killing_h,
+    reference_reality_cut,
+    reference_solve_parameters,
+)
 
 
 def test_a1_empty_triple():
@@ -50,7 +55,7 @@ def _bruteforce_nullity(rs, bd):
     square, written directly from the defining equations."""
     n = rs.rank
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    g = rs.killing_h
+    g = fraction_killing_h(rs)
 
     def root_eval(root):
         return [

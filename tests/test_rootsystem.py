@@ -6,7 +6,7 @@ import pytest
 
 from liebialg.core import GaussianRational, ONE, ZERO, cybe
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
-from oracles import bracket, killing_form, killing_form_adjoint
+from oracles import bracket, fraction_killing_h, killing_form, killing_form_adjoint
 
 
 def _unit(rs, idx):
@@ -270,9 +270,21 @@ def test_highest_root_norm_is_inverse_dual_coxeter(series, rank):
     assert rs.root_pairing(highest, highest) == Fraction(1, DUAL_COXETER[(series, rank)])
 
 
+@pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
+def test_killing_h_is_the_fraction_inverse(series, rank):
+    rs = build_root_system(series, rank)
+    g = fraction_killing_h(rs)
+    for i in range(rank):
+        for j in range(rank):
+            x = rs.killing_h[i][j]
+            assert type(x) is GaussianRational and x.is_real()
+            assert Fraction(x.a, x.d) == g[i][j]
+            assert rs._gram[i][j] == g[i][j] * rs._gram_den
+
+
 def _fraction_pairing(rs, alpha, beta):
     """(alpha | beta) summed term by term over the Fraction Gram."""
-    g = rs.killing_h
+    g = fraction_killing_h(rs)
     return sum(
         (Fraction(alpha[i]) * g[i][j] * beta[j] for i in range(rs.rank) for j in range(rs.rank)),
         Fraction(0),
