@@ -28,7 +28,6 @@ from .core import (
     StructureTable,
     Tensor2,
     ZERO,
-    cybe,
     rational,
     rational_sqrt,
 )
@@ -107,38 +106,45 @@ def cartan_matrix(typ: SimpleType) -> list[list[int]]:
     return a
 
 
+# A root is also coded as one int, _BITS bits per coordinate: sum of
+# c_k << (_BITS * k).  Every coordinate met below (roots, sums and
+# differences of two roots) is under 2**(_BITS - 1) in absolute value, and
+# on such vectors the code is one-to-one and additive, so root arithmetic
+# is int arithmetic.
+_BITS = 8
+
+
 def _generate_positive_roots(cartan: list[list[int]]) -> list[Root]:
     """Close the simple roots under root strings; height-then-lex order."""
     n = len(cartan)
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
+    unit = [1 << (_BITS * i) for i in range(n)]
+    # code -> (root, its pairings sum_k root[k] * cartan[k][i] for each i)
+    roots = {
+        u: (tuple(1 if k == i else 0 for k in range(n)), cartan[i])
+        for i, u in enumerate(unit)
+    }
+    frontier = list(roots)
     while frontier:
         new = []
-        for beta in frontier:
-            for i in range(n):
-                if beta == simple[i]:
+        for code in frontier:
+            beta, pairings = roots[code]
+            for i, step in enumerate(unit):
+                if code == step:
                     continue  # twice a root is never a root
-                pairing = sum(beta[k] * cartan[k][i] for k in range(n) if beta[k])
                 down = 0
-                cur = beta
-                while True:
-                    cur = tuple(
-                        c - 1 if k == i else c for k, c in enumerate(cur)
+                cur = code - step
+                while cur in roots:
+                    down += 1
+                    cur -= step
+                up = code + step
+                if down > pairings[i] and up not in roots:
+                    roots[up] = (
+                        beta[:i] + (beta[i] + 1,) + beta[i + 1 :],
+                        [p + c for p, c in zip(pairings, cartan[i])],
                     )
-                    if cur in roots:
-                        down += 1
-                    else:
-                        break
-                if down - pairing > 0:
-                    up = tuple(
-                        c + 1 if k == i else c for k, c in enumerate(beta)
-                    )
-                    if up not in roots:
-                        roots.add(up)
-                        new.append(up)
+                    new.append(up)
         frontier = new
-    return sorted(roots, key=lambda r: (sum(r), r))
+    return sorted((r for r, _ in roots.values()), key=lambda r: (sum(r), r))
 
 
 class RootSystem:
@@ -167,11 +173,11 @@ class RootSystem:
         # C = sum over roots of gamma gamma^T.
         n = self.rank
         C = [[0] * n for _ in range(n)]
-        for g in self.roots:
+        for g in self.positive_roots:  # gamma and -gamma alike
             for i in range(n):
                 if g[i]:
                     for j in range(n):
-                        C[i][j] += g[i] * g[j]
+                        C[i][j] += 2 * g[i] * g[j]
         self.cartan_dual_gram: list[list[int]] = C
         # real scalars, so each entry is .a / .d
         self.killing_h: list[list[GaussianRational]] = linalg.inverse(
@@ -200,18 +206,26 @@ class RootSystem:
         self._nnorm: dict[tuple, GaussianRational] = {}
 
         # positive pairs (mu, nu), mu first in root order, by their sum in
-        # increasing height; the first pair of a sum is its extraspecial pair
-        pairs: dict[Root, list[tuple[Root, Root]]] = {g: [] for g in self.positive_roots[n:]}
-        for k, mu in enumerate(self.positive_roots):
-            for nu in self.positive_roots[k + 1 :]:
-                total = tuple(a + b for a, b in zip(mu, nu))
-                if total in pairs:
-                    pairs[total].append((mu, nu))
+        # increasing height, as positions in self.roots; the first pair of
+        # a sum is its extraspecial pair
+        codes = [sum(c << (_BITS * k) for k, c in enumerate(r)) for r in self.positive_roots]
+        at = {c: k for k, c in enumerate(codes)}
+        at.update((-c, k + self.npos) for k, c in enumerate(codes))
+        pairs: dict[int, list[tuple[int, int]]] = {g: [] for g in range(n, self.npos)}
+        for k, cm in enumerate(codes):
+            for l in range(k + 1, self.npos):
+                g = at.get(cm + codes[l])
+                if g is not None:
+                    pairs[g].append((k, l))
+        roots = self.roots
         self._extraspecial: dict[Root, tuple[Root, Root]] = {
-            gamma: ps[0] for gamma, ps in pairs.items()
+            roots[g]: (roots[k], roots[l]) for g, ((k, l), *_) in pairs.items()
         }
         self._n: dict[tuple[Root, Root], int] = {}  # N(mu, nu) when mu + nu is a root
-        self.structure = self._build_structure_table(pairs)
+        # (basis index of x_mu, of x_nu, of x_{mu+nu}, N(mu, nu)), one per
+        # antisymmetric pair of _n, in its order: what `structure` reads
+        self._brackets: list[tuple[int, int, int, int]] = []
+        self._structure_constants(pairs, codes + [-c for c in codes], at)
         self.casimir = self._build_casimir()
 
     # ---- root bookkeeping -------------------------------------------------
@@ -239,22 +253,10 @@ class RootSystem:
 
     # ---- structure constants ---------------------------------------------
 
-    def _string_down(self, mu: Root, nu: Root) -> int:
-        """Largest k with nu - k*mu a root."""
-        k = 0
-        cur = nu
-        while True:
-            cur = tuple(a - b for a, b in zip(cur, mu))
-            if cur in self._index:
-                k += 1
-            else:
-                return k
-
-    def _normalized(self, c: int, mu: Root, nu: Root, total: Root) -> GaussianRational:
+    def _normalized(self, c: int, ka: int, kb: int, kt: int) -> GaussianRational:
         """N(mu, nu) = c in the kappa-normalized basis, looked up by c and
-        the scale classes of mu, nu and total = mu + nu."""
-        cls = self._sclass
-        key = (c, cls[mu], cls[nu], cls[total])
+        the scale classes ka, kb and kt of mu, nu and mu + nu."""
+        key = (c, ka, kb, kt)
         val = self._nnorm.get(key)
         if val is None:
             x, y, z = (self._scales[k] for k in key[1:])  # real scalars
@@ -267,30 +269,46 @@ class RootSystem:
         c = self._n.get((mu, nu))
         if c is None:
             return ZERO
-        return self._normalized(c, mu, nu, tuple(a + b for a, b in zip(mu, nu)))
+        cls = self._sclass
+        return self._normalized(c, cls[mu], cls[nu], cls[tuple(a + b for a, b in zip(mu, nu))])
 
-    def _build_structure_table(self, pairs: dict) -> StructureTable:
-        """The bracket table, recording every N(mu, nu) in _n on the way.
+    def _structure_constants(self, pairs: dict, codes: list[int], at: dict[int, int]):
+        """Every N(mu, nu) into _n, and each bracket's target into _brackets.
 
-        Each positive pair (mu, nu) summing to a root gamma fixes the
-        zero-sum triples (mu, nu, -gamma) and (-mu, -nu, gamma).  Its
-        constant comes from the extraspecial recursion, in increasing
-        height of gamma; the other eleven ordered pairs of the two triples
-        follow from N(b, a) = -N(a, b), N(-a, -b) = -N(a, b) and
+        Roots are positions in self.roots here, with their int codes.  Each
+        positive pair (mu, nu) summing to a root gamma fixes the zero-sum
+        triples (mu, nu, -gamma) and (-mu, -nu, gamma).  Its constant comes
+        from the extraspecial recursion, in increasing height of gamma; the
+        other eleven ordered pairs of the two triples follow from
+        N(b, a) = -N(a, b), N(-a, -b) = -N(a, b) and
         N(a, b) / |c|^2 = N(b, c) / |a|^2 = N(c, a) / |b|^2 for a + b + c = 0.
+
+        The bracket table is not built here: `structure` builds it from
+        _brackets on first read, which only `verify` (its CYBE and
+        extraction checks, and the Manin double) and `enumerate --what
+        root-system` do.
         """
         npos = self.npos
-        index, inorm, nmap = self._index, self._inorm, self._n
-        roots = self.roots
-        neg = dict(zip(roots, roots[npos:] + roots[:npos]))
-        table: dict[tuple[int, int], tuple] = {}
+        roots, nmap, brackets = self.roots, self._n, self._brackets
+        base = self.rank
+        neg = [*range(npos, 2 * npos), *range(npos)]
+        inorm = [self._inorm[r] for r in roots]
 
         def exact(num: int, den: int) -> int:
             q, r = divmod(num, den)
             assert not r, "structure constant recursion lost integrality"
             return q
 
-        def fill(mu: Root, nu: Root, gamma: Root, v: int):
+        def string_down(mu: int, nu: int) -> int:
+            """Largest k with nu - k*mu a root."""
+            k, step = 0, codes[mu]
+            cur = codes[nu] - step
+            while cur in at:
+                k += 1
+                cur -= step
+            return k
+
+        def fill(mu: int, nu: int, gamma: int, v: int):
             mg, ng = neg[gamma], inorm[gamma]
             for x, y, total, w in (
                 (mu, nu, gamma, v),
@@ -298,14 +316,14 @@ class RootSystem:
                 (mg, mu, neg[nu], exact(v * inorm[nu], ng)),
             ):
                 for a, b, t, c in ((x, y, total, w), (neg[x], neg[y], neg[total], -w)):
-                    nmap[a, b], nmap[b, a] = c, -c
-                    ia, ib, it = index[a], index[b], index[t]
-                    table[ia, ib] = ((it, self._normalized(c, a, b, t)),)
-                    table[ib, ia] = ((it, self._normalized(-c, b, a, t)),)
+                    ra, rb = roots[a], roots[b]
+                    nmap[ra, rb], nmap[rb, ra] = c, -c
+                    brackets.append((base + a, base + b, base + t, c))
 
         for gamma, ((alpha, beta), *rest) in pairs.items():
-            n_ab = self._string_down(alpha, beta) + 1
+            n_ab = string_down(alpha, beta) + 1
             fill(alpha, beta, gamma, n_ab)
+            ra, rb = roots[alpha], roots[beta]
             for mu, nu in rest:
                 # Jacobi-type four-root identity on (alpha, beta, -mu, -nu):
                 # N(mu, nu) N(alpha, beta) / |gamma|^2 is the sum of
@@ -314,21 +332,36 @@ class RootSystem:
                 # differences that are roots; each of those pairs sums to a
                 # lower root.  The sum is kept as num / den in ints.
                 num, den = 0, 1
-                bm = tuple(a - b for a, b in zip(beta, mu))
-                if bm in index:
-                    c = nmap[beta, neg[mu]] * nmap[alpha, neg[nu]]
+                rmm, rmn = roots[neg[mu]], roots[neg[nu]]
+                bm = at.get(codes[beta] - codes[mu])
+                if bm is not None:
+                    c = nmap[rb, rmm] * nmap[ra, rmn]
                     num, den = num * inorm[bm] + c * den, den * inorm[bm]
-                am = tuple(a - b for a, b in zip(alpha, mu))
-                if am in index:
-                    c = nmap[neg[mu], alpha] * nmap[beta, neg[nu]]
+                am = at.get(codes[alpha] - codes[mu])
+                if am is not None:
+                    c = nmap[rmm, ra] * nmap[rb, rmn]
                     num, den = num * inorm[am] + c * den, den * inorm[am]
                 val = exact(num * inorm[gamma], den * n_ab)
-                p1 = self._string_down(mu, nu) + 1
+                p1 = string_down(mu, nu) + 1
                 assert abs(val) == p1, "structure constant recursion lost integrality"
                 fill(mu, nu, gamma, val)
 
+    @cached_property
+    def structure(self) -> StructureTable:
+        """The bracket table [e_a, e_b] = sum c e_k, built on first read:
+        the root-root brackets in the order of _n, then those with an h_i
+        and the [x_r, x_{-r}]."""
+        npos = self.npos
+        cls = [0] * self.rank + [self._sclass[r] for r in self.roots]
+        norm = self._normalized
+        table: dict[tuple[int, int], tuple] = {}
+        for ia, ib, it, c in self._brackets:
+            ka, kb, kt = cls[ia], cls[ib], cls[it]
+            table[ia, ib] = ((it, norm(c, ka, kb, kt)),)
+            table[ib, ia] = ((it, norm(-c, kb, ka, kt)),)
+
         for r in self.positive_roots:
-            ir = index[r]
+            ir = self._index[r]
             im = ir + npos
             for i, v in enumerate(self.root_values(r)):
                 if v:  # [h_i, x_r] = r(h_i) x_r, and -r(h_i) on x_{-r}
@@ -365,8 +398,21 @@ class RootSystem:
 
     @cached_property
     def casimir_cybe(self) -> dict:
-        """CYB(Omega) = [Omega13, Omega23], a constant of the type."""
-        return cybe(self.casimir, self.structure)
+        """CYB(Omega) = [Omega13, Omega23], a constant of the type: Omega is
+        invariant, so [Omega12, Omega13] + [Omega12, Omega23] = 0, and one
+        bracket of the three is the whole CYBE."""
+        cols: list[list] = [[] for _ in range(self.dim)]  # Omega is nondegenerate
+        for (a, b), v in self.casimir.items():
+            cols[b].append((a, v))
+        acc: dict[tuple[int, int, int], GaussianRational] = {}
+        for (b, d), terms in self.structure.table.items():
+            for a, va in cols[b]:
+                for c, vc in cols[d]:
+                    v = va * vc
+                    for k, coef in terms:
+                        key = (a, c, k)
+                        acc[key] = acc.get(key, ZERO) + v * coef
+        return {k: v for k, v in acc.items() if v}
 
     def killing_gram(self) -> list[list[GaussianRational]]:
         """Gram matrix of the Killing form in the ambient basis."""

@@ -69,6 +69,85 @@ def _fraction_gram_inverse(roots: tuple) -> list:
     return [row[n:] for row in a]
 
 
+def reference_structure_constants(rs) -> tuple[list, dict, dict]:
+    """The positive roots, the extraspecial pair of each non-simple one and
+    every integer N(mu, nu), by tuple arithmetic on the Cartan matrix with
+    Fraction norms from fraction_killing_h: the reference for
+    rs.positive_roots, rs._extraspecial and rs._n, in their order."""
+    n, cartan = rs.rank, rs.cartan_matrix
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(a):
+        return tuple(-x for x in a)
+
+    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    found, frontier = set(simple), list(simple)
+    while frontier:  # one height at a time, so each string below is complete
+        new = []
+        for beta in frontier:
+            for i, s in enumerate(simple):
+                if beta == s:
+                    continue
+                down, cur = 0, sub(beta, s)
+                while cur in found:
+                    down, cur = down + 1, sub(cur, s)
+                up = add(beta, s)
+                if down > sum(beta[k] * cartan[k][i] for k in range(n)) and up not in found:
+                    found.add(up)
+                    new.append(up)
+        frontier = new
+    positive = sorted(found, key=lambda r: (sum(r), r))
+    roots = set(positive) | {neg(r) for r in positive}
+    g = fraction_killing_h(rs)
+    norms = {
+        r: sum((r[i] * g[i][j] * r[j] for i in range(n) for j in range(n)), Fraction(0))
+        for r in roots
+    }
+
+    def string_down(mu, nu):
+        k, cur = 0, sub(nu, mu)
+        while cur in roots:
+            k, cur = k + 1, sub(cur, mu)
+        return k
+
+    pairs = {gamma: [] for gamma in positive[n:]}
+    for k, mu in enumerate(positive):
+        for nu in positive[k + 1 :]:
+            if add(mu, nu) in pairs:
+                pairs[add(mu, nu)].append((mu, nu))
+    consts: dict = {}
+
+    def fill(mu, nu, gamma, v):
+        for x, y, w in (
+            (mu, nu, v),
+            (nu, neg(gamma), v * norms[mu] / norms[gamma]),
+            (neg(gamma), mu, v * norms[nu] / norms[gamma]),
+        ):
+            assert w.denominator == 1
+            for a, b, c in ((x, y, int(w)), (neg(x), neg(y), -int(w))):
+                consts[a, b], consts[b, a] = c, -c
+
+    for gamma, ((alpha, beta), *rest) in pairs.items():
+        n_ab = string_down(alpha, beta) + 1
+        fill(alpha, beta, gamma, Fraction(n_ab))
+        for mu, nu in rest:
+            total = Fraction(0)
+            if sub(beta, mu) in roots:
+                total += consts[beta, neg(mu)] * consts[alpha, neg(nu)] / norms[sub(beta, mu)]
+            if sub(alpha, mu) in roots:
+                total += consts[neg(mu), alpha] * consts[beta, neg(nu)] / norms[sub(alpha, mu)]
+            val = total * norms[gamma] / n_ab
+            assert val.denominator == 1 and abs(val) == string_down(mu, nu) + 1
+            fill(mu, nu, gamma, val)
+    extraspecial = {gamma: ps[0] for gamma, ps in pairs.items()}
+    return positive, extraspecial, consts
+
+
 def killing_form(rs, x, y) -> GaussianRational:
     """kappa(x, y) for coordinate vectors, via the block Gram matrix: the
     Cartan block from fraction_killing_h, (x_g | x_-g) = 1 on root pairs."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from liebialg.cli import main
+from liebialg.rootsystem import build_root_system
 
 
 def run(capsys, *argv):
@@ -246,6 +247,38 @@ def test_enumerate_root_system(capsys):
     assert doc["type"] == "G2"
     assert len(doc["roots"]) == 12
     assert doc["cartan_matrix"] == [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (("identify", "--type", "G", "--rank", "2", "--sigma", "varsigma"), False),
+        (("classify", "--type", "G", "--rank", "2"), False),
+        (("enumerate", "--type", "G", "--rank", "2", "--what", "bialgebras"), False),
+        (("enumerate", "--type", "G", "--rank", "2", "--what", "involutions"), False),
+        (("enumerate", "--type", "G", "--rank", "2", "--what", "bd-triples"), False),
+        (
+            ("build", "--type", "G", "--rank", "2", "--sigma", "varsigma", "--t", "2",
+             "--out", "{datum}"),
+            False,
+        ),
+        (("verify", "{datum}"), True),
+        (("verify", "{datum}", "--manin"), True),
+        (("enumerate", "--type", "G", "--rank", "2", "--what", "root-system"), True),
+    ],
+)
+def test_only_verify_and_root_system_build_the_bracket_table(tmp_path, capsys, argv, builds):
+    datum = tmp_path / "g2.json"
+    code, _ = run(
+        capsys,
+        "build", "--type", "G", "--rank", "2", "--sigma", "omega", "--t", "i",
+        "--out", str(datum),
+    )
+    assert code == 0
+    build_root_system.cache_clear()
+    code, _ = run(capsys, *(a.format(datum=datum) for a in argv))
+    assert code == 0
+    assert ("structure" in vars(build_root_system("G", 2))) is builds
 
 
 def _a2_datum(tmp_path, capsys):

@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from liebialg.core import GaussianRational, ONE, ZERO, cybe
-from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
-from oracles import bracket, fraction_killing_h, killing_form, killing_form_adjoint
+from liebialg.rootsystem import _BITS, RootSystem, SimpleType, build_root_system
+from oracles import (
+    bracket,
+    fraction_killing_h,
+    killing_form,
+    killing_form_adjoint,
+    reference_structure_constants,
+)
+from test_core import _cybe_bruteforce
 
 
 def _unit(rs, idx):
@@ -342,3 +349,43 @@ def test_casimir_cybe_is_computed_once():
     assert first == cybe(rs.casimir, rs.structure)
     assert first  # the Casimir is not a solution of the CYBE
     assert rs.casimir_cybe is first
+
+
+@pytest.mark.parametrize("series,rank", sorted(CLASSICAL_COUNTS))
+def test_integer_pair_search_matches_tuple_reference(series, rank):
+    rs = RootSystem(SimpleType(series, rank))
+    positive, extraspecial, consts = reference_structure_constants(rs)
+    assert rs.positive_roots == positive
+    assert rs._extraspecial == extraspecial
+    assert list(rs._extraspecial.items()) == list(extraspecial.items())
+    assert rs._n == consts
+    assert list(rs._n.items()) == list(consts.items())
+    # the lazy table keeps the order of the eager one: root brackets in
+    # the order of _n, then those with h_i and the [x_g, x_-g]
+    keys = [(rs.root_index(a), rs.root_index(b)) for a, b in consts]
+    order = list(rs.structure.table)
+    assert order[: len(keys)] == keys
+    assert all(min(k) < rs.rank or abs(k[0] - k[1]) == rs.npos for k in order[len(keys) :])
+    # roots are coded _BITS bits per coordinate: a sum or difference of two
+    # roots must stay inside the signed range of one field
+    top = max(max(r) for r in rs.positive_roots)
+    assert top < 128 and 2 * top < 1 << (_BITS - 1)
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+     ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)],
+)
+def test_casimir_cybe_equals_the_three_bracket_cybe(series, rank):
+    rs = RootSystem(SimpleType(series, rank))
+    assert rs.casimir_cybe == cybe(rs.casimir, rs.structure)
+    if (series, rank) in (("A", 2), ("G", 2)):
+        assert rs.casimir_cybe == _cybe_bruteforce(rs.casimir, rs.structure)
+
+
+def test_structure_table_is_built_on_first_read():
+    rs = RootSystem(SimpleType("B", 3))
+    assert "structure" not in vars(rs)
+    table = rs.structure
+    assert vars(rs)["structure"] is table and rs.structure is table
