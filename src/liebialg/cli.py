@@ -330,7 +330,7 @@ def cmd_verify(args) -> int:
             )
             for key, val in triple.verify().items():
                 checks[f"manin_{key}"] = val
-        except ValueError as exc:
+        except ValueError:
             checks["manin_constructible"] = False
     _emit(args, {"checks": checks, "pass": all(checks.values())})
     return 0 if all(checks.values()) else 1

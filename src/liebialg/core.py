@@ -334,18 +334,6 @@ class StructureTable:
             (k, x * y * c) for a, x in u for b, y in v for k, c in table.get((a, b), ())
         ]
 
-    def ad(self, u: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
-        """Matrix of x -> [u, x] in basis coordinates."""
-        n = self.dim
-        mat = [[ZERO] * n for _ in range(n)]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j in range(n):
-                for k, c in self.table.get((i, j), ()):
-                    mat[k][j] = mat[k][j] + a * c
-        return mat
-
 
 class Tensor2:
     """Order-2 tensor over the ambient basis, as a dict {(i, j): entry} of

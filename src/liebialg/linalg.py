@@ -24,23 +24,6 @@ def copy_matrix(m: Matrix) -> Matrix:
     return [row[:] for row in m]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if not v:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + v * bk[j]
-    return out
-
-
 def mat_vec(a: Matrix, v: list) -> list:
     out = [ZERO] * len(a)
     for i, row in enumerate(a):
@@ -50,10 +33,6 @@ def mat_vec(a: Matrix, v: list) -> list:
                 acc = acc + x * y
         out[i] = acc
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -85,26 +64,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
-
-
-def nullspace(m: Matrix) -> list[list]:
-    """Basis of the right kernel."""
-    if not m:
-        return []
-    a, pivots = rref(m)
-    return _kernel(a, pivots, len(m[0]))
-
-
-def _kernel(a: Matrix, pivots: list[int], cols: int) -> list[list]:
-    """Kernel basis of the first cols columns of a reduced matrix."""
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        basis.append(v)
-    return basis
 
 
 def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:

@@ -14,9 +14,9 @@ sign adjustment on the simple chain vectors makes the family
 sigma-compatible, which is what makes (sigma (x) sigma)(r0) = r0 hold in
 the stable/antistable cases.
 
-extract_data inverts the construction: from an antisymmetric solution it
-recovers the regular element H, the sign-normalized scalar t, the
-positive system, the triple and the continuous parameter.
+extract_data inverts the construction in the standard frame: from an
+antisymmetric solution it recovers the sign-normalized scalar t, the
+triple and the continuous parameter.
 
 iter_data is the one enumeration pipeline: every (involution, triple)
 row of the classification table, instantiated at a base point; what
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from . import linalg
 from .bdtriple import (
     BDTriple,
     DiagramAutomorphism,
+    diagram_automorphisms,
     enumerate_bd_triples,
     extend_tau_additively,
     precedence_pairs,
@@ -392,43 +392,28 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
 
 
 def _carries_declared_data(datum: BialgebraDatum) -> bool:
-    """Whether r0 recovers, in the standard frame, exactly the triple,
-    lambda and t the datum declares.  A tensor extraction rejects is
-    not a datum of this classification, so it carries nothing."""
-    rs = datum.rs
+    """Whether r0 recovers exactly the triple, lambda and t the datum
+    declares.  A tensor extraction rejects is not a datum of this
+    classification, so it carries nothing."""
     try:
-        ex = extract_data(rs, None, datum.r0)
-    except ValueError:  # ExtractionError, or a singular recovered frame
+        t, bd, lam = extract_data(datum.rs, datum.r0)
+    except ExtractionError:
         return False
-    return (
-        ex.delta == list(rs.simple_roots)
-        and ex.bd == datum.bd
-        and ex.t == datum.t
-        and ex.lam.matrix == datum.lam.matrix
-    )
+    return bd == datum.bd and t == datum.t and lam.matrix == datum.lam.matrix
 
 
 # ---- recovery ---------------------------------------------------------------
 
 
-class ExtractedData:
-    __slots__ = ("H", "t", "cartan_indices", "positive_roots", "delta", "bd", "lam", "precedence")
+def extract_data(
+    rs: RootSystem, r0: Tensor2
+) -> tuple[GaussianRational, BDTriple, ContinuousParameter]:
+    """Recover (t, triple, lambda) from an antisymmetric solution r0.
 
-    def __init__(
-        self, H: list, t: GaussianRational, cartan_indices: tuple, positive_roots: list,
-        delta: list, bd: BDTriple, lam: ContinuousParameter, precedence: set,
-    ):
-        self.H, self.t, self.cartan_indices = H, t, cartan_indices
-        self.positive_roots = positive_roots
-        self.delta, self.bd, self.lam, self.precedence = delta, bd, lam, precedence
-
-
-def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> ExtractedData:
-    """Recover the classification data from an antisymmetric solution.
-
-    Requires the recovered Cartan subalgebra to be the standard one (all
-    tensors produced by this library, and their images under diagram
-    symmetries, satisfy this).
+    Recovery works in the standard frame only: the bracket image of r0
+    must lie in the standard Cartan subalgebra and the recovered simple
+    roots must be the standard ones, as they are for every tensor this
+    library builds and its images under diagram symmetries.
     """
     if r0.dim != rs.dim:
         raise ValueError("dimension mismatch")
@@ -436,32 +421,32 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         raise ExtractionError("tensor is not antisymmetric")
     if r0.is_zero():
         raise ExtractionError("zero tensor is triangular, not almost factorizable")
-    if sigma is not None and apply_semilinear_pair(sigma, r0) != r0:
-        raise ExtractionError("tensor is not fixed by the involution pair")
 
     # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23], and
     # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega
     cyb = cybe(r0, rs.structure)
+    if not cyb:
+        raise ExtractionError("tensor is triangular (vanishing modified YBE constant)")
     ref = rs.casimir_cybe
     key = next(iter(ref))
     ratio = cyb.get(key, ZERO) / ref[key]
-    if not ratio:
-        raise ExtractionError("tensor is triangular (vanishing modified YBE constant)")
     if cyb != {k: ratio * v for k, v in ref.items()}:
         raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
     if not ratio.is_real():
         raise ExtractionError("modified YBE constant squared must be real")
 
-    # H = image of r0 under the bracket; must be regular in the Cartan
+    # H = image of r0 under the bracket; must be regular in the Cartan.
+    # ad H is diagonal there, gamma(H) on x_gamma, so H is regular when
+    # no root vanishes on it.
     h_vec = [ZERO] * rs.dim
     for (a, b), v in r0.items():
         for k, c in rs.structure.bracket_basis(a, b):
             h_vec[k] = h_vec[k] + v * c
     if any(h_vec[rs.rank:]):
         raise ExtractionError("bracket image does not lie in the standard Cartan")
-    ad_h = rs.structure.ad(h_vec)
-    if len(linalg.nullspace(ad_h)) != rs.rank:
-        raise ExtractionError("bracket image is not regular")
+    for g in rs.positive_roots:
+        if not sum((x * y for x, y in zip(h_vec, rs.root_values(g))), ZERO):
+            raise ExtractionError("bracket image is not regular")
 
     # t from the paired root slots, sign-normalized to the positive rays
     sample = None
@@ -507,6 +492,8 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         )
     ]
     delta.sort(key=lambda r: (next(i for i, c in enumerate(r) if c), r))
+    if delta != rs.simple_roots:
+        raise ExtractionError("recovered simple roots are not the standard ones")
 
     pairs = set()
     for a in new_pos:
@@ -533,36 +520,13 @@ def extract_data(rs: RootSystem, sigma: Involution | None, r0: Tensor2) -> Extra
         mapping[i] = delta.index(nxt[0])
     bd = BDTriple.make(tuple(g1_pos), tuple(sorted(mapping.values())), mapping)
 
-    # lambda in the recovered Cartan frame
-    b_rows = [[GaussianRational(x) for x in d] for d in delta]
-    binv = linalg.inverse(b_rows)
-    hh = [[r0.get(i, j) for j in range(rs.rank)] for i in range(rs.rank)]
-    anti_new = linalg.mat_mul(
-        linalg.transpose(binv), linalg.mat_mul(hh, binv)
-    )
-    lam_matrix = [
-        [x / t for x in row] for row in anti_new
-    ]
-    # symmetric part: Omega_0 over the recovered base
-    omega0_new = linalg.mat_mul(
-        linalg.transpose(binv),
-        linalg.mat_mul(rs.cartan_dual_gram, binv),
-    )
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            lam_matrix[i][j] = lam_matrix[i][j] + HALF * omega0_new[i][j]
-    lam = ContinuousParameter(lam_matrix)
-
-    return ExtractedData(
-        H=h_vec,
-        t=t,
-        cartan_indices=tuple(range(rs.rank)),
-        positive_roots=new_pos,
-        delta=delta,
-        bd=bd,
-        lam=lam,
-        precedence=pairs,
-    )
+    # lambda: the Cartan block of r0 over t, plus the symmetric Omega_0 / 2
+    omega0 = rs.cartan_dual_gram
+    lam = ContinuousParameter([
+        [r0.get(i, j) / t + HALF * omega0[i][j] for j in range(rs.rank)]
+        for i in range(rs.rank)
+    ])
+    return t, bd, lam
 
 
 # ---- dedup ------------------------------------------------------------------
@@ -593,8 +557,6 @@ def datum_class_key(datum: BialgebraDatum, autos) -> tuple:
 def classify(data: list[BialgebraDatum]) -> list[BialgebraDatum]:
     """One representative per isomorphism class: same table row with the
     remaining data conjugate under an order-2 diagram symmetry."""
-    from .bdtriple import diagram_automorphisms
-
     if not data:
         return []
     rs = data[0].rs

@@ -8,12 +8,13 @@ doubles, dense matrices), so agreement with the library is evidence
 rather than a tautology.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from liebialg import linalg
-from liebialg.bdtriple import extend_tau_additively, span_subset_roots
-from liebialg.core import GaussianRational, I, ONE, StructureTable, Tensor2, ZERO
+from liebialg.bdtriple import BDTriple, extend_tau_additively, span_subset_roots
+from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe
 from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import (
     ManinTriple,
@@ -21,6 +22,8 @@ from liebialg.manin import (
     realification_structure,
     realify_vector,
 )
+from liebialg.parameter import ContinuousParameter
+from liebialg.rmatrix import ExtractionError
 
 
 def conjugate(a: list) -> list:
@@ -42,6 +45,58 @@ def bracket(st, u, v) -> list:
     for k, x in st.bracket_terms(*nonzeros):
         out[k] = out[k] + x
     return out
+
+
+def ad(st, u) -> list:
+    """Matrix of x -> [u, x] in basis coordinates, for a dense vector u."""
+    n = st.dim
+    mat = [[ZERO] * n for _ in range(n)]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j in range(n):
+            for k, c in st.table.get((i, j), ()):
+                mat[k][j] = mat[k][j] + a * c
+    return mat
+
+
+# ---- dense matrix algebra ----------------------------------------------------
+
+
+def mat_mul(a: list, b: list) -> list:
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = linalg.zeros(rows, cols)
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            v = ai[k]
+            if not v:
+                continue
+            bk = b[k]
+            for j in range(cols):
+                if bk[j]:
+                    oi[j] = oi[j] + v * bk[j]
+    return out
+
+
+def transpose(a: list) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def nullspace(m: list) -> list[list]:
+    """Basis of the right kernel, one standard vector per free column."""
+    if not m:
+        return []
+    a, pivots = linalg.rref(m)
+    basis = []
+    for f in (c for c in range(len(m[0])) if c not in pivots):
+        v = [ZERO] * len(m[0])
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        basis.append(v)
+    return basis
 
 
 # ---- the Killing form and real forms ----------------------------------------
@@ -166,8 +221,8 @@ def killing_form(rs, x, y) -> GaussianRational:
 
 def killing_form_adjoint(rs, x, y) -> GaussianRational:
     """kappa via trace of adjoint maps; the independent oracle path."""
-    ax = rs.structure.ad(x)
-    ay = rs.structure.ad(y)
+    ax = ad(rs.structure, x)
+    ay = ad(rs.structure, y)
     acc = ZERO
     for i in range(rs.dim):
         for k in range(rs.dim):
@@ -278,7 +333,7 @@ def factorization_maps(rs, r: Tensor2):
     """
     n = rs.dim
     rmat = [[r.get(i, j) for j in range(n)] for i in range(n)]
-    r_plus = linalg.transpose(rmat)
+    r_plus = transpose(rmat)
     r_minus = [[-x for x in row] for row in rmat]
     i_map = [
         [r_plus[i][j] - r_minus[i][j] for j in range(n)] for i in range(n)
@@ -345,7 +400,7 @@ def psi_phi(rs, sigma):
     for j in range(n):
         upsilon[j][j] = ONE
         upsilon[j][n + j] = I
-    lower = linalg.mat_mul(sigma.matrix, conjugate(upsilon))
+    lower = mat_mul(sigma.matrix, conjugate(upsilon))
     phi = [upsilon[i][:] for i in range(n)] + [lower[i][:] for i in range(n)]
     return psi, phi
 
@@ -377,7 +432,7 @@ def cobracket_from_triple(mt) -> list:
     for w in mt.sub1_basis:
         m = [[pair(mt, w, br) for br in row] for row in brackets]
         out.append(
-            linalg.mat_mul(qinv, linalg.mat_mul(m, linalg.transpose(qinv)))
+            mat_mul(qinv, mat_mul(m, transpose(qinv)))
         )
     return out
 
@@ -390,7 +445,7 @@ def cobracket_from_r0(rs, datum) -> list:
     for vec in basis.vectors:
         acc: dict[tuple, GaussianRational] = {}
         # (ad_x (x) 1 + 1 (x) ad_x) applied to r0
-        admat = rs.structure.ad(vec)
+        admat = ad(rs.structure, vec)
         for (a, b), v in datum.r0.items():
             for i in range(n):
                 if admat[i][a]:
@@ -410,7 +465,7 @@ def cobracket_from_r0(rs, datum) -> list:
 
 def dense_inverse(basis) -> list:
     """W^-1 for the basis matrix W whose columns are the basis vectors."""
-    return linalg.inverse(linalg.transpose(basis.vectors))
+    return linalg.inverse(transpose(basis.vectors))
 
 
 def dense_coordinates(basis, target, winv=None) -> list | None:
@@ -427,13 +482,13 @@ def dense_tensor_coordinates(basis, x, winv=None) -> list:
     winv = winv or dense_inverse(basis)
     n = len(winv)
     xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(winv, linalg.mat_mul(xmat, linalg.transpose(winv)))
+    return mat_mul(winv, mat_mul(xmat, transpose(winv)))
 
 
 def dense_real_structure_constants(rs, basis) -> dict:
     """Bracket table of the real form in its own basis."""
     winv = dense_inverse(basis)
-    ads = [rs.structure.ad(u) for u in basis.vectors]
+    ads = [ad(rs.structure, u) for u in basis.vectors]
     n = basis.count
     table = {}
     for i in range(n):
@@ -481,7 +536,7 @@ def dense_double_factorizable(rs, datum) -> ManinTriple:
         v[a] = ONE
         v[n + a] = ONE
         sub1.append(v)
-    r_plus = linalg.transpose(rho)
+    r_plus = transpose(rho)
     sub2 = []
     for k in range(n):
         v = [ZERO] * (2 * n)
@@ -501,7 +556,7 @@ def dense_double_imaginary(rs, datum) -> ManinTriple:
     basis = fixed_point_basis(rs, datum.sigma)
     sub1 = [realify_vector(v) for v in basis.vectors]
     rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
-    r_plus = linalg.transpose(rmat)
+    r_plus = transpose(rmat)
     sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in dense_inverse(basis)]
     return ManinTriple(
         2 * n,
@@ -546,7 +601,7 @@ def solve(m: list, rhs: list) -> tuple[list, list[list]] | None:
     x = [ZERO] * cols
     for r, c in enumerate(pivots):
         x[c] = a[r][cols]
-    return x, linalg.nullspace(m)
+    return x, nullspace(m)
 
 
 def constraint_residual(rs, bd, lam):
@@ -555,7 +610,7 @@ def constraint_residual(rs, bd, lam):
     n = rs.rank
     m = lam.matrix
     residuals = [[m[i][j] + m[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)] for i in range(n)]
-    lam_t = linalg.transpose(m)
+    lam_t = transpose(m)
     for a in bd.gamma1:
         ga = rs.root_values(rs.simple_roots[a])
         gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
@@ -657,3 +712,135 @@ def reference_reality_cut(base_point, directions, kind, mu) -> tuple[list, list]
         return m
 
     return combine(sol, base_point), [combine(v, linalg.zeros(n, n)) for v in kernel]
+
+
+# ---- recovery in a general frame ------------------------------------------------
+# The extraction as it stood before recovery was restricted to the
+# standard frame: it recovers any positive system, its simple roots
+# delta and lambda in the frame of delta, and tests regularity on the
+# dense ad H.  The declared-data rule built on it must agree with
+# verify's parameter_constraints.
+
+ReferenceExtraction = namedtuple("ReferenceExtraction", "H t positive_roots delta bd lam")
+
+
+def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
+    if r0.dim != rs.dim:
+        raise ValueError("dimension mismatch")
+    if not r0.is_antisymmetric():
+        raise ExtractionError("tensor is not antisymmetric")
+    if r0.is_zero():
+        raise ExtractionError("zero tensor is triangular, not almost factorizable")
+
+    cyb = cybe(r0, rs.structure)
+    ref = rs.casimir_cybe
+    key = next(iter(ref))
+    ratio = cyb.get(key, ZERO) / ref[key]
+    if not ratio:
+        raise ExtractionError("tensor is triangular (vanishing modified YBE constant)")
+    if cyb != {k: ratio * v for k, v in ref.items()}:
+        raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
+    if not ratio.is_real():
+        raise ExtractionError("modified YBE constant squared must be real")
+
+    h_vec = [ZERO] * rs.dim
+    for (a, b), v in r0.items():
+        for k, c in rs.structure.bracket_basis(a, b):
+            h_vec[k] = h_vec[k] + v * c
+    if any(h_vec[rs.rank:]):
+        raise ExtractionError("bracket image does not lie in the standard Cartan")
+    if len(nullspace(ad(rs.structure, h_vec))) != rs.rank:
+        raise ExtractionError("bracket image is not regular")
+
+    sample = None
+    for g in rs.positive_roots:
+        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
+        if v:
+            sample = v
+            break
+    if sample is None:
+        raise ExtractionError("no paired root-vector entries found")
+    t = sample + sample
+    if not (t.a > 0 or (not t.a and t.b > 0)):
+        t = -t
+    if not (t.is_real() or t.is_imaginary()):
+        raise ExtractionError("recovered t is neither real nor imaginary")
+    if t * t + GaussianRational(4) * ratio:
+        raise ExtractionError("entry-level t disagrees with the modified YBE constant")
+
+    half_t = t * HALF
+    new_pos = []
+    for g in rs.positive_roots:
+        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
+        if v == half_t:
+            new_pos.append(g)
+        elif v == -half_t:
+            new_pos.append(tuple(-x for x in g))
+        else:
+            raise ExtractionError("paired root slots are not +-t/2")
+    expect = [ZERO] * rs.dim
+    for g in new_pos:
+        for i, c in enumerate(g):
+            expect[i] = expect[i] + GaussianRational(c)
+    if [x * (-t) for x in expect] != h_vec:
+        raise ExtractionError("bracket image inconsistent with recovered positives")
+
+    pos_set = set(new_pos)
+    delta = [
+        g
+        for g in new_pos
+        if not any(tuple(a - b for a, b in zip(g, h)) in pos_set for h in new_pos if h != g)
+    ]
+    delta.sort(key=lambda r: (next(i for i, c in enumerate(r) if c), r))
+
+    pairs = set()
+    for a in new_pos:
+        ia = rs.root_index(tuple(-x for x in a))
+        for b in new_pos:
+            if a != b and r0.get(ia, rs.root_index(b)):
+                pairs.add((a, b))
+
+    lefts = {a for a, _ in pairs}
+    g1_pos = [i for i, d in enumerate(delta) if d in lefts]
+
+    def chain_len(a):
+        return len([1 for (x, _) in pairs if x == a])
+
+    mapping = {}
+    for i in g1_pos:
+        a = delta[i]
+        succ = [b for (x, b) in pairs if x == a]
+        target = chain_len(a) - 1
+        nxt = [b for b in succ if chain_len(b) == target]
+        if len(nxt) != 1 or nxt[0] not in delta:
+            raise ExtractionError("precedence pairs do not form tau-chains")
+        mapping[i] = delta.index(nxt[0])
+    bd = BDTriple.make(tuple(g1_pos), tuple(sorted(mapping.values())), mapping)
+
+    # lambda in the frame of delta
+    binv = linalg.inverse([[GaussianRational(x) for x in d] for d in delta])
+    hh = [[r0.get(i, j) for j in range(rs.rank)] for i in range(rs.rank)]
+    anti_new = mat_mul(transpose(binv), mat_mul(hh, binv))
+    lam_matrix = [[x / t for x in row] for row in anti_new]
+    omega0_new = mat_mul(transpose(binv), mat_mul(rs.cartan_dual_gram, binv))
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            lam_matrix[i][j] = lam_matrix[i][j] + HALF * omega0_new[i][j]
+    return ReferenceExtraction(h_vec, t, new_pos, delta, bd, ContinuousParameter(lam_matrix))
+
+
+def reference_carries_declared_data(datum) -> bool:
+    """The declared-data rule on the general-frame extraction: recovery
+    succeeds, its simple roots are the standard ones, and it gives the
+    declared triple, t and lambda."""
+    rs = datum.rs
+    try:
+        ex = reference_extract_data(rs, datum.r0)
+    except ValueError:
+        return False
+    return (
+        ex.delta == list(rs.simple_roots)
+        and ex.bd == datum.bd
+        and ex.t == datum.t
+        and ex.lam.matrix == datum.lam.matrix
+    )

@@ -53,6 +53,7 @@ from liebialg.rmatrix import (
 )
 from liebialg.rootsystem import build_root_system
 from oracles import (
+    ad,
     cobracket_from_r0,
     cobracket_from_triple,
     dense_double_factorizable,
@@ -62,8 +63,12 @@ from oracles import (
     induced_form,
     is_positive_definite,
     manin_fields,
+    mat_mul,
+    nullspace,
     psi_phi,
+    reference_extract_data,
     theta_twisted_gram,
+    transpose,
 )
 
 RANK4_TYPES = [
@@ -245,17 +250,19 @@ def test_criterion_5_roundtrip():
         t = rng.choice([ONE, GaussianRational(2), GaussianRational(Fraction(1, 2)), I, GaussianRational(0, 3)])
         lam = ps.point(pr)
         r0 = build_r0(rs, bd, lam, t)
-        ex = extract_data(rs, None, r0)
-        # H = -t * sum of the Killing duals over the positive system
+        got_t, got_bd, got_lam = extract_data(rs, r0)
+        ok = ok and got_t == t and got_bd == bd and got_lam.matrix == lam.matrix
+        # the general-frame reference: H = -t * sum of the Killing duals
+        # over the positive system, regular by the dense ad H, and the
+        # standard simple roots
+        ex = reference_extract_data(rs, r0)
         expect_h = [ZERO] * rs.dim
         for g in rs.positive_roots:
             for i, c in enumerate(g):
                 expect_h[i] = expect_h[i] + GaussianRational(c)
         expect_h = [x * (-t) for x in expect_h]
         ok = ok and ex.H == expect_h
-        ok = ok and len(linalg.nullspace(rs.structure.ad(ex.H))) == rs.rank
-        ok = ok and ex.t == t and ex.bd == bd
-        ok = ok and ex.lam.matrix == lam.matrix
+        ok = ok and len(nullspace(ad(rs.structure, ex.H))) == rs.rank
         ok = ok and ex.delta == list(rs.simple_roots)
         done += 1
     report(5, "recovery round-trips 50 randomized data (rank <= 3)", ok)
@@ -347,8 +354,8 @@ def test_criterion_7_manin_triples():
         # psi/phi inverse pair and the subspace claims
         psi, phi = psi_phi(rs, om)
         n2 = 2 * rs.dim
-        ok = ok and linalg.mat_mul(phi, psi) == identity(n2)
-        ok = ok and linalg.mat_mul(psi, phi) == identity(n2)
+        ok = ok and mat_mul(phi, psi) == identity(n2)
+        ok = ok and mat_mul(psi, phi) == identity(n2)
         basis = fixed_point_basis(rs, om)
         l0 = [realify_vector(v) for v in basis.vectors]
         images = []
@@ -373,8 +380,8 @@ def test_criterion_7_manin_triples():
         phi1 = [phi[i] for i in range(n)]
         phi2 = [phi[n + i] for i in range(n)]
         # phi1^T form phi1 - phi2^T form phi2, entry by entry
-        pulled1 = linalg.mat_mul(linalg.transpose(phi1), linalg.mat_mul(form, phi1))
-        pulled2 = linalg.mat_mul(linalg.transpose(phi2), linalg.mat_mul(form, phi2))
+        pulled1 = mat_mul(transpose(phi1), mat_mul(form, phi1))
+        pulled2 = mat_mul(transpose(phi2), mat_mul(form, phi2))
         ok = ok and all(
             pulled1[bi][bj] - pulled2[bi][bj] == target[bi][bj]
             for bi in range(n2)

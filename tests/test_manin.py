@@ -23,6 +23,7 @@ from oracles import (
     factorization_maps,
     identity,
     induced_form,
+    mat_mul,
     multiplication_by_i,
     psi_phi,
 )
@@ -244,8 +245,8 @@ def test_psi_phi_mutually_inverse():
         om = canonical_involution(rs, "omega", None, J)
         psi, phi = psi_phi(rs, om)
         n2 = 2 * rs.dim
-        assert linalg.mat_mul(phi, psi) == identity(n2)
-        assert linalg.mat_mul(psi, phi) == identity(n2)
+        assert mat_mul(phi, psi) == identity(n2)
+        assert mat_mul(psi, phi) == identity(n2)
 
 
 def test_psi_collapses_on_real_points():

@@ -2,9 +2,11 @@
 
 An AST name walk starts from `cli.main` and from each module's top-level
 statements (imports aside: an import only binds a name).  A reached body
-reaches each top-level function or class whose name it uses, and each
-function or method whose name it reads as an attribute.  A reached class
-reaches its dunder methods, which the interpreter calls implicitly.  The
+reaches each top-level function or class whose name it uses.  An
+attribute read on a module name (`linalg.rank`) reaches that module's
+function or class of that name and nothing else; any other attribute
+read reaches the methods of that name.  A reached class reaches its
+dunder methods, which the interpreter calls implicitly.  The
 names the per-layer tracer in perfbench/layers.py wraps count as reached:
 the benchmark's traced run spans them by name.
 
@@ -24,21 +26,26 @@ layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layers)
 
 
-def _used(node, names: set, attrs: set):
-    """Collect the names and attribute names `node` reads, skipping
-    annotations (postponed: they run no code) and imports."""
+def _used(node, modules: set, names: set, attrs: set, qualified: set):
+    """Collect what `node` reads, skipping annotations (postponed: they
+    run no code) and imports: the names, the attribute names read on a
+    module name as "module.attr" in qualified, and every other attribute
+    name in attrs."""
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return
     if isinstance(node, ast.Name):
         names.add(node.id)
     elif isinstance(node, ast.Attribute):
-        attrs.add(node.attr)
+        if isinstance(node.value, ast.Name) and node.value.id in modules:
+            qualified.add(f"{node.value.id}.{node.attr}")
+        else:
+            attrs.add(node.attr)
     for field, value in ast.iter_fields(node):
         if field in ("annotation", "returns"):
             continue
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, ast.AST):
-                _used(child, names, attrs)
+                _used(child, modules, names, attrs, qualified)
 
 
 def _definitions(src: Path):
@@ -73,23 +80,26 @@ def _is_dunder(qual: str) -> bool:
 def unreached(src: Path = SRC) -> list:
     defs, top = _definitions(src)
     info = {qual: (kind, node) for qual, kind, node in defs}
+    modules = {path.stem for path in src.glob("*.py")}
     by_name: dict[str, list] = {}  # functions and classes
-    by_attr: dict[str, list] = {}  # functions and methods
+    by_attr: dict[str, list] = {}  # methods
     for qual, kind, _ in defs:
         short = qual.rsplit(".", 1)[-1]
-        if kind != "class":
+        if kind == "method":
             by_attr.setdefault(short, []).append(qual)
-        if kind != "method":
+        else:
             by_name.setdefault(short, []).append(qual)
     traced = {f"{mod}.{attr}" for mod, attr in {*layers.SPANNED, *layers.COUNTED}}
 
     def uses(stmts) -> list:
-        names, attrs = set(), set()
+        names, attrs, qualified = set(), set(), set()
         for stmt in stmts:
-            _used(stmt, names, attrs)
-        return [q for n in names for q in by_name.get(n, ())] + [
-            q for a in attrs for q in by_attr.get(a, ())
-        ]
+            _used(stmt, modules, names, attrs, qualified)
+        return (
+            [q for n in names for q in by_name.get(n, ())]
+            + [q for a in attrs for q in by_attr.get(a, ())]
+            + [q for q in qualified if q in info and info[q][0] != "method"]
+        )
 
     reached: set = set()
     pending = ["cli.main", *(traced & info.keys()), *uses(top)]
@@ -124,4 +134,9 @@ def test_walk_reports_a_dead_function_and_a_dead_method(tmp_path):
             "    def is_zero(self)", "    def dead_method(self):\n        return 0\n\n    def is_zero(self)"
         )
     )
-    assert unreached(tmp_path) == ["cli.dead_helper", "core.Tensor2.dead_method"]
+    # a module function named like a live method (Tensor2.transpose)
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text(linalg.read_text() + "\n\ndef transpose(a):\n    return a\n")
+    assert unreached(tmp_path) == [
+        "cli.dead_helper", "core.Tensor2.dead_method", "linalg.transpose"
+    ]

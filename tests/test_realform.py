@@ -19,6 +19,8 @@ from oracles import (
     conjugate,
     identity,
     is_positive_definite,
+    mat_mul,
+    nullspace,
     rescaling_automorphism,
     sparse_columns,
     theta_twisted_gram,
@@ -45,11 +47,11 @@ def test_theta_squares_to_identity_and_commutes():
         canonical_involution(rs, "omega", flip, ()),
     ]:
         theta = cartan_involution(rs, sigma)
-        assert linalg.mat_mul(theta.matrix, theta.matrix) == identity(rs.dim)
+        assert mat_mul(theta.matrix, theta.matrix) == identity(rs.dim)
         # theta sigma = sigma theta as semilinear maps:
         # matrices: T * M == M * conj(T)
-        lhs = linalg.mat_mul(theta.matrix, sigma.matrix)
-        assert lhs == linalg.mat_mul(sigma.matrix, conjugate(theta.matrix))
+        lhs = mat_mul(theta.matrix, sigma.matrix)
+        assert lhs == mat_mul(sigma.matrix, conjugate(theta.matrix))
 
 
 def test_split_a1_dimensions():
@@ -223,7 +225,7 @@ ORACLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G"
 
 def _nullity(mat, shift):
     n = len(mat)
-    return len(linalg.nullspace(
+    return len(nullspace(
         [[mat[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
     ))
 
@@ -252,7 +254,7 @@ def _roots_vanishing_on(rs, theta, sign):
     block = [
         [theta.matrix[i][j] - (sign if i == j else 0) for j in range(n)] for i in range(n)
     ]
-    part = linalg.nullspace(block)
+    part = nullspace(block)
     return [
         g for g in rs.roots
         if not any(sum((v[i] * w for i, w in enumerate(rs.root_values(g))), ZERO) for v in part)
@@ -330,7 +332,7 @@ def test_identify_accepts_theta_conjugated_by_complex_torus(monkeypatch):
     d_inv = linalg.inverse(d)
 
     def conjugate_by_d(m):
-        m[:] = linalg.mat_mul(d, linalg.mat_mul(m, d_inv))
+        m[:] = mat_mul(d, mat_mul(m, d_inv))
         assert any(not x.is_real() for row in m for x in row)
 
     _broken_theta(monkeypatch, conjugate_by_d)
@@ -348,7 +350,7 @@ def test_identify_rejects_theta_moving_h(monkeypatch):
     p_inv[r][0] = -ONE
 
     def conjugate(m):
-        m[:] = linalg.mat_mul(p, linalg.mat_mul(m, p_inv))
+        m[:] = mat_mul(p, mat_mul(m, p_inv))
 
     _broken_theta(monkeypatch, conjugate)
     with pytest.raises(AssertionError, match="does not preserve h"):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from liebialg import rmatrix
 from liebialg.bdtriple import (
     BDTriple,
     DiagramAutomorphism,
@@ -17,6 +18,7 @@ from liebialg.core import (
     Tensor2,
     ZERO,
     apply_semilinear_pair,
+    cybe,
     cybe_is_zero,
 )
 from liebialg.involution import canonical_involution, fixed_point_basis
@@ -37,6 +39,7 @@ from liebialg.rmatrix import (
     classify,
     default_t,
     extend_T,
+    _carries_declared_data,
     extract_data,
     iter_data,
     make_datum,
@@ -45,7 +48,8 @@ from liebialg.rmatrix import (
 )
 from liebialg.cli import _sigma_variants
 from liebialg.rootsystem import build_root_system
-from oracles import transported_images
+import oracles
+from oracles import ad, reference_carries_declared_data, transported_images
 
 
 def test_extend_t_empty_triple():
@@ -221,50 +225,72 @@ def test_extract_roundtrip_sl2():
     rs = build_root_system("A", 1)
     ps = solve_parameters(rs, BDTriple.empty())
     r0 = build_r0(rs, BDTriple.empty(), ps.base_point, ONE)
-    ex = extract_data(rs, None, r0)
-    assert ex.bd == BDTriple.empty()
-    assert ex.t == ONE
-    assert ex.lam.matrix == ps.base_point.matrix
-    # H = -t * sum of h_alpha over positives
-    assert ex.H == [-ONE, ZERO, ZERO]
+    t, bd, lam = extract_data(rs, r0)
+    assert bd == BDTriple.empty()
+    assert t == ONE
+    assert lam.matrix == ps.base_point.matrix
 
 
 def test_extract_rejects_triangular():
     rs = build_root_system("A", 1)
-    with pytest.raises(ExtractionError):
-        extract_data(rs, None, Tensor2(rs.dim))
+    with pytest.raises(ExtractionError, match="triangular"):
+        extract_data(rs, Tensor2(rs.dim))
+    # the Jordanian h_1 wedge x_a1 of A2 solves the CYBE itself
+    rs = build_root_system("A", 2)
+    a = rs.root_index((1, 0))
+    jordanian = Tensor2.from_items(rs.dim, [((0, a), ONE), ((a, 0), -ONE)])
+    with pytest.raises(ExtractionError, match="triangular"):
+        extract_data(rs, jordanian)
 
 
 def test_extract_rejects_non_antisymmetric():
     rs = build_root_system("A", 1)
-    with pytest.raises(ExtractionError):
-        extract_data(rs, None, rs.casimir)
+    with pytest.raises(ExtractionError, match="not antisymmetric"):
+        extract_data(rs, rs.casimir)
 
 
 def test_extract_rejects_non_proportional_cyb():
-    # an antisymmetric tensor that is not a solution of the modified YBE
+    # x_a1 wedge x_a2 is antisymmetric and CYB != 0, but CYB vanishes at
+    # the first key of CYB(Omega): not a solution of the modified YBE,
+    # and not triangular either
     rs = build_root_system("A", 2)
-    junk = Tensor2.from_items(
-        rs.dim,
-        [
-            ((0, rs.root_index((1, 0))), ONE),
-            ((rs.root_index((1, 0)), 0), -ONE),
-        ],
-    )
-    with pytest.raises(ExtractionError):
-        extract_data(rs, None, junk)
+    a, b = rs.root_index((1, 0)), rs.root_index((0, 1))
+    wedge = Tensor2.from_items(rs.dim, [((a, b), ONE), ((b, a), -ONE)])
+    with pytest.raises(ExtractionError, match="not proportional"):
+        extract_data(rs, wedge)
 
 
-def test_extract_checks_sigma_fixity_when_given():
+def test_extract_recovers_imaginary_t():
     rs = build_root_system("A", 1)
-    om = canonical_involution(rs, "omega", None, (0,))
     ps = solve_parameters(rs, BDTriple.empty())
-    r0 = build_r0(rs, BDTriple.empty(), ps.base_point, ONE)  # real t: not omega-fixed
-    with pytest.raises(ExtractionError):
-        extract_data(rs, om, r0)
-    fixed = build_r0(rs, BDTriple.empty(), ps.base_point, I)
-    ex = extract_data(rs, om, fixed)
-    assert ex.t == I
+    r0 = build_r0(rs, BDTriple.empty(), ps.base_point, I)
+    t, _, _ = extract_data(rs, r0)
+    assert t == I
+
+
+def test_extract_rejects_the_opposite_positive_system():
+    # -r0 carries the opposite positive system, whose simple roots are
+    # the negatives of the standard ones
+    rs = build_root_system("A", 2)
+    r0 = build_r0(rs, BDTriple.empty(), solve_parameters(rs, BDTriple.empty()).base_point, ONE)
+    with pytest.raises(ExtractionError, match="not the standard ones"):
+        extract_data(rs, r0.scale(-ONE))
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 2), ("G", 2), ("D", 4), ("F", 4)])
+def test_ad_of_a_cartan_element_is_diagonal_with_root_values(series, rank):
+    # why extraction reads regularity as "no positive root vanishes on H"
+    rs = build_root_system(series, rank)
+    rng = random.Random(rank)
+    for _ in range(3):
+        h = [GaussianRational(rng.randint(-3, 3)) for _ in range(rs.rank)]
+        m = ad(rs.structure, h + [ZERO] * (rs.dim - rs.rank))
+        diagonal = [ZERO] * rs.rank + [
+            sum((x * y for x, y in zip(h, rs.root_values(g))), ZERO) for g in rs.roots
+        ]
+        assert m == [
+            [diagonal[i] if i == j else ZERO for j in range(rs.dim)] for i in range(rs.dim)
+        ]
 
 
 def test_extract_randomized_roundtrips():
@@ -284,11 +310,10 @@ def test_extract_randomized_roundtrips():
             )
             lam = ps.point(pr)
             r0 = build_r0(rs, bd, lam, t)
-            ex = extract_data(rs, None, r0)
-            assert ex.t == t
-            assert ex.bd == bd
-            assert ex.delta == list(rs.simple_roots)
-            assert ex.lam.matrix == lam.matrix
+            got_t, got_bd, got_lam = extract_data(rs, r0)
+            assert got_t == t
+            assert got_bd == bd
+            assert got_lam.matrix == lam.matrix
 
 
 def test_extract_permuted_copy():
@@ -305,14 +330,69 @@ def test_extract_permuted_copy():
     permuted = Tensor2.from_items(
         rs.dim, [((perm[a], perm[b]), v) for (a, b), v in r0.items()]
     )
-    ex = extract_data(rs, None, permuted)
-    assert ex.bd == BDTriple.make((1,), (0,), {1: 0})
+    t, got_bd, lam = extract_data(rs, permuted)
+    assert got_bd == BDTriple.make((1,), (0,), {1: 0})
     # both data land in the same class
     sig = canonical_involution(rs, "varsigma")
     d1 = make_datum(rs, sig, bd, ps.base_point, ONE)
-    ps2 = solve_parameters(rs, ex.bd)
-    d2 = make_datum(rs, sig, ex.bd, ex.lam, ex.t)
+    d2 = make_datum(rs, sig, got_bd, lam, t)
     assert len(classify([d1, d2])) == 1
+
+
+EQUIVALENCE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+]
+
+
+def _mutants(rs, r0, rng):
+    """r0 and tensors near it: -r0, 2 r0, r0^T, r0 with one paired root
+    slot flipped, and r0 plus a random antisymmetric bump."""
+    yield r0
+    yield r0.scale(-ONE)
+    yield r0.scale(GaussianRational(2))
+    yield r0.transpose()
+    g = rng.choice(rs.positive_roots)
+    i, j = rs.root_index(tuple(-x for x in g)), rs.root_index(g)
+    v = r0.get(i, j)
+    yield r0 + Tensor2.from_items(rs.dim, [((i, j), -2 * v), ((j, i), 2 * v)])
+    i, j = rng.sample(range(rs.dim), 2)
+    c = GaussianRational(rng.randint(-2, 2) or 1, rng.randint(-1, 1))
+    yield r0 + Tensor2.from_items(rs.dim, [((i, j), c), ((j, i), -c)])
+
+
+@pytest.mark.parametrize("series, rank", EQUIVALENCE_TYPES)
+def test_declared_data_check_matches_the_general_frame_rule(series, rank, monkeypatch):
+    """parameter_constraints reads r0 in the standard frame only; it
+    decides as the general-frame extraction does when it also asks for
+    the standard simple roots."""
+    rs = build_root_system(series, rank)
+    # both sides start from the same CYB(r0), most of their cost
+    cyb_of: dict = {}
+
+    def shared_cybe(r0, structure):
+        key = frozenset(r0.entries.items())
+        if key not in cyb_of:
+            cyb_of[key] = cybe(r0, structure)
+        return cyb_of[key]
+
+    monkeypatch.setattr(rmatrix, "cybe", shared_cybe)
+    monkeypatch.setattr(oracles, "cybe", shared_cybe)
+    rng = random.Random(f"{series}{rank}")
+    decided = {True: 0, False: 0}
+    seen = set()  # the decision reads only r0 and the declared data
+    for _, _, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        for r0 in _mutants(rs, datum.r0, rng):
+            key = (datum.bd, datum.t, str(datum.lam.to_json()), frozenset(r0.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            mutant = BialgebraDatum(
+                rs, datum.sigma, datum.sigma_label, datum.bd, datum.lam, datum.t, r0, datum.r
+            )
+            got = _carries_declared_data(mutant)
+            assert got == reference_carries_declared_data(mutant), (datum.bd, r0)
+            decided[got] += 1
+    assert decided[True] and decided[False]
 
 
 def test_classify_merges_mirror_pair_only():
