@@ -17,16 +17,19 @@ run that reads and writes canonical literals never loads it.
 
 Order-2 tensors over a finite-dimensional algebra, whose multiplication
 is given by a sparse structure-constant table, are dicts of their
-nonzero Gaussian-rational entries; so is the order-3 CYBE of such a
-tensor.  A semilinear map acts on tensors through the sparse columns
-of its linear part.
+nonzero Gaussian-rational entries.  The order-3 CYBE of such a tensor
+is summed in ints: the tensor over the lcm of its entry denominators,
+the (real) table over the lcm of its coefficients', so each term is a
+Gaussian-integer pair and the sum has one common denominator.  A
+semilinear map acts on tensors through the sparse columns of its linear
+part.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator, Mapping, Sequence
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def rational_sqrt(p: int, q: int) -> GaussianRational | None:
@@ -317,11 +320,25 @@ class StructureTable:
     are absent.
     """
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "_ints")
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], tuple]):
         self.dim = dim
         self.table = dict(table)
+        self._ints = None
+
+    def int_view(self) -> tuple[int, dict]:
+        """(E, the table with every coefficient times E) for the lcm E of
+        the coefficient denominators, built on first call.  Every table
+        of this library is real, so the coefficients become ints."""
+        if self._ints is None:
+            e = lcm(*(c.d for terms in self.table.values() for _, c in terms))
+            ints = {}
+            for key, terms in self.table.items():
+                assert not any(c.b for _, c in terms), "structure constants must be real"
+                ints[key] = tuple((k, c.a * (e // c.d)) for k, c in terms)
+            self._ints = e, ints
+        return self._ints
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.table.get((i, j), ())
@@ -361,6 +378,12 @@ class Tensor2:
     def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
         """The nonzero entries in row-major order."""
         return iter(sorted(self.entries.items()))
+
+    def int_entries(self) -> tuple[int, list]:
+        """(D, [(i, j, re, im)]): the nonzero entries in row-major order
+        times the lcm D of their denominators, as Gaussian-integer pairs."""
+        d = lcm(*(v.d for v in self.entries.values()))
+        return d, [(i, j, v.a * (d // v.d), v.b * (d // v.d)) for (i, j), v in self.items()]
 
     def transpose(self) -> "Tensor2":
         return Tensor2(self.dim, {(j, i): v for (i, j), v in self.entries.items()})
@@ -423,35 +446,55 @@ def _same_dim(a, b):
         raise ValueError("dimension mismatch")
 
 
-def _cybe_sparse(r: Tensor2, structure: StructureTable) -> dict:
+def _cybe_sparse(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
+    """CYB(r) in ints: (re, im, den) with CYB(r)[key] = (re[key] +
+    im.get(key, 0) i) / den.  r is scaled by the lcm D of its entry
+    denominators and the table by its E, so den = D^2 E; re holds every
+    key the sum touches, in first-touch order, im only those that an
+    imaginary product reached."""
     if r.dim != structure.dim:
         raise ValueError("dimension mismatch between tensor and structure table")
-    items = list(r.items())
-    table = structure.table
-    acc: dict[tuple[int, int, int], GaussianRational] = {}
-    for (a, b), va in items:
-        for (c, d), vc in items:
-            v = va * vc
+    dr, items = r.int_entries()
+    e, table = structure.int_view()
+    acc: dict[tuple[int, int, int], int] = {}
+    acc_im: dict[tuple[int, int, int], int] = {}
+    for a, b, p, q in items:
+        for c, d, s, u in items:
+            re, im = p * s - q * u, p * u + q * s
             for k, coef in table.get((a, c), ()):  # [r12, r13]
                 key = (k, b, d)
-                acc[key] = acc.get(key, ZERO) + v * coef
+                acc[key] = acc.get(key, 0) + re * coef
+                if im:
+                    acc_im[key] = acc_im.get(key, 0) + im * coef
             for k, coef in table.get((b, c), ()):  # [r12, r23]
                 key = (a, k, d)
-                acc[key] = acc.get(key, ZERO) + v * coef
+                acc[key] = acc.get(key, 0) + re * coef
+                if im:
+                    acc_im[key] = acc_im.get(key, 0) + im * coef
             for k, coef in table.get((b, d), ()):  # [r13, r23]
                 key = (a, c, k)
-                acc[key] = acc.get(key, ZERO) + v * coef
-    return acc
+                acc[key] = acc.get(key, 0) + re * coef
+                if im:
+                    acc_im[key] = acc_im.get(key, 0) + im * coef
+    return acc, acc_im, dr * dr * e
 
 
 def cybe(r: Tensor2, structure: StructureTable) -> dict:
     """[r12, r13] + [r12, r23] + [r13, r23] as {(i, j, k): nonzero entry}."""
-    return {k: v for k, v in _cybe_sparse(r, structure).items() if v}
+    acc, acc_im, den = _cybe_sparse(r, structure)
+    out = {}
+    for key, a in acc.items():
+        b = acc_im.get(key, 0)
+        if a or b:
+            g = gcd(a, b, den)
+            out[key] = _gr(a // g, b // g, den // g)
+    return out
 
 
 def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
-    """Check CYB(r) = 0 on the sparse accumulator."""
-    return not any(_cybe_sparse(r, structure).values())
+    """Check CYB(r) = 0 on the integer accumulator."""
+    acc, acc_im, _ = _cybe_sparse(r, structure)
+    return not any(acc.values()) and not any(acc_im.values())
 
 
 def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:

@@ -12,6 +12,8 @@ the one induced by r + r^{21}, i.e. kappa / t.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from . import linalg
 from .core import GaussianRational, ONE, StructureTable, ZERO
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
@@ -20,52 +22,86 @@ from .rootsystem import RootSystem
 
 
 # ---- the triple container ----------------------------------------------------
+#
+# verify() runs in ints.  The double's data are real: the pairing is scaled
+# by one common denominator, the table through its int view, and each
+# subspace vector by its own, since scaling a basis vector changes no span,
+# isotropy or closure.  Vectors are dicts {index: nonzero int}.
 
 
-def _nonzeros(v) -> list:
-    return [(i, x) for i, x in enumerate(v) if x]
+def _int_vector(v) -> dict:
+    """The nonzero coordinates of a real vector over the lcm of their
+    denominators."""
+    nz = [(i, x) for i, x in enumerate(v) if x]
+    d = lcm(*(x.d for _, x in nz))
+    assert not any(x.b for _, x in nz), "the double's data must be real"
+    return {i: x.a * (d // x.d) for i, x in nz}
 
 
-def _isotropic(vectors, p_rows) -> bool:
+def _int_rows(m) -> list:
+    """The rows of a real matrix over one common denominator."""
+    d = lcm(*(x.d for row in m for x in row if x))
+    rows = []
+    for row in m:
+        assert not any(x.b for x in row), "the double's data must be real"
+        rows.append({j: x.a * (d // x.d) for j, x in enumerate(row) if x})
+    return rows
+
+
+def _clear(v: dict, row: dict, c: int) -> dict:
+    """p v - f row over gcd(p, f), divided by its content, for the
+    entries p of row and f of v at column c: v with column c cleared."""
+    p, f = row[c], v[c]
+    g = gcd(p, f)
+    s, f = p // g, f // g
+    out = {j: s * x for j, x in v.items()}
+    for j, y in row.items():
+        out[j] = out.get(j, 0) - f * y
+    out = {j: x for j, x in out.items() if x}
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _residual(v: dict, rows: dict) -> dict:
+    """v reduced against the echelon rows: zero (empty) iff v lies in
+    their span.  Each row vanishes on the other pivot columns, so
+    clearing one pivot column of v only scales the others, and one pass
+    over the pivot columns in the support of v suffices."""
+    v = {j: x for j, x in v.items() if x}
+    for c in [c for c in v if c in rows]:
+        v = _clear(v, rows[c], c)
+    return v
+
+
+def _echelon(vectors) -> dict:
+    """Fraction-free Gauss-Jordan elimination of a spanning set:
+    {pivot column: row}, each row vanishing on the other pivot columns.
+    Its length is the rank."""
+    rows: dict[int, dict] = {}
+    for v in vectors:
+        v = _residual(v, rows)
+        if not v:
+            continue
+        c = min(v)
+        for k, row in rows.items():
+            if row.get(c):
+                rows[k] = _clear(row, v, c)
+        rows[c] = v
+    return rows
+
+
+def _orthogonal(vectors, p_rows) -> bool:
     """The pairing block of the vectors vanishes; each row u P is built
     once from the sparse rows of P."""
-    n = len(p_rows)
     for u in vectors:
-        up = [ZERO] * n
-        for i, x in _nonzeros(u):
-            for j, y in p_rows[i]:
-                up[j] = up[j] + x * y
-        up = _nonzeros(up)
+        up: dict[int, int] = {}
+        for i, x in u.items():
+            for j, y in p_rows[i].items():
+                up[j] = up.get(j, 0) + x * y
         for v in vectors:
-            acc = ZERO
-            for j, x in up:
-                if v[j]:
-                    acc = acc + x * v[j]
-            if acc:
+            if sum(x * v[j] for j, x in up.items() if j in v):
                 return False
     return True
-
-
-class _Reduced:
-    """One elimination of a spanning set: its rank and the sparse pivot
-    rows of its reduced row echelon form."""
-
-    def __init__(self, vectors):
-        a, pivots = linalg.rref(vectors)
-        self.rank = len(pivots)
-        self.rows = [(c, _nonzeros(a[r])) for r, c in enumerate(pivots)]
-
-    def residual(self, v) -> list:
-        """v minus its expansion over the pivot rows; zero iff v lies in
-        the span.  Each pivot row vanishes on the other pivot columns, so
-        the coefficient of a row is the entry of v at its pivot."""
-        out = list(v)
-        for c, row in self.rows:
-            f = out[c]
-            if f:
-                for j, y in row:
-                    out[j] = out[j] - f * y
-        return out
 
 
 class ManinTriple:
@@ -83,62 +119,69 @@ class ManinTriple:
         self.sub1_basis, self.sub2_basis, self.case = sub1_basis, sub2_basis, case
 
     def verify(self) -> dict:
-        """All defining properties, as named exact checks.
+        """All defining properties, as named exact checks in ints.
 
         Each check touches only nonzero structure.  Invariance runs over
         the sparse table rows of one generator at a time; each subspace
         is eliminated once, and its rank and its closure under the
-        bracket are both read off that one reduced form; the rank of the
+        bracket are both read off that one echelon form; the rank of the
         sum is rank(sub1) plus the rank of sub2's residuals against
-        sub1's pivot rows, so sub1 is not eliminated again; each isotropy
-        block is built once from the sparse rows of the pairing.
+        sub1's rows, so sub1 is not eliminated again; each isotropy
+        block is built once from the sparse rows of the pairing; the
+        pairing is nondegenerate when its rows have full rank.
         """
         n = self.double_dim
-        p_rows = [_nonzeros(row) for row in self.pairing]
-        p_cols = [_nonzeros(col) for col in zip(*self.pairing)]
-        reduced1 = _Reduced(self.sub1_basis)
-        reduced2 = _Reduced(self.sub2_basis)
-        residuals = [reduced1.residual(v) for v in self.sub2_basis]
+        p_rows = _int_rows(self.pairing)
+        sub1 = [_int_vector(v) for v in self.sub1_basis]
+        sub2 = [_int_vector(v) for v in self.sub2_basis]
+        rows1, rows2 = _echelon(sub1), _echelon(sub2)
+        residuals = [_residual(v, rows1) for v in sub2]
         return {
-            "pairing_nondegenerate": bool(linalg.det(self.pairing)),
-            "pairing_invariant": self._pairing_invariant(p_rows, p_cols),
-            "sub1_isotropic": _isotropic(self.sub1_basis, p_rows),
-            "sub2_isotropic": _isotropic(self.sub2_basis, p_rows),
-            "half_dimension": reduced1.rank == n // 2 and reduced2.rank == n // 2,
-            "transversal": reduced1.rank + linalg.rank(residuals) == n,
-            "sub1_closed": self._closed(self.sub1_basis, reduced1),
-            "sub2_closed": self._closed(self.sub2_basis, reduced2),
+            "pairing_nondegenerate": len(_echelon(p_rows)) == n,
+            "pairing_invariant": self._pairing_invariant(p_rows),
+            "sub1_isotropic": _orthogonal(sub1, p_rows),
+            "sub2_isotropic": _orthogonal(sub2, p_rows),
+            "half_dimension": len(rows1) == n // 2 and len(rows2) == n // 2,
+            "transversal": len(rows1) + len(_echelon(residuals)) == n,
+            "sub1_closed": self._closed(sub1, rows1),
+            "sub2_closed": self._closed(sub2, rows2),
         }
 
-    def _pairing_invariant(self, p_rows, p_cols) -> bool:
+    def _pairing_invariant(self, p_rows) -> bool:
         """ad_a^T P + P ad_a = 0 for every generator a: its (b, c) entry
         ([e_a, e_b] | e_c) + (e_b | [e_a, e_c]) is accumulated from the
         table rows (a, .) and the nonzero entries of P."""
+        p_cols: list[dict] = [{} for _ in p_rows]
+        for i, row in enumerate(p_rows):
+            for j, x in row.items():
+                p_cols[j][i] = x
         rows: dict[int, list] = {}
-        for (a, b), terms in self.structure.table.items():
+        for (a, b), terms in self.structure.int_view()[1].items():
             rows.setdefault(a, []).append((b, terms))
         for row in rows.values():
-            acc: dict[tuple, GaussianRational] = {}
+            acc: dict[tuple, int] = {}
             for b, terms in row:
                 for k, c in terms:
-                    for j, x in p_rows[k]:
-                        acc[(b, j)] = acc.get((b, j), ZERO) + c * x
-                    for i, x in p_cols[k]:
-                        acc[(i, b)] = acc.get((i, b), ZERO) + x * c
+                    for j, x in p_rows[k].items():
+                        acc[(b, j)] = acc.get((b, j), 0) + c * x
+                    for i, x in p_cols[k].items():
+                        acc[(i, b)] = acc.get((i, b), 0) + x * c
             if any(acc.values()):
                 return False
         return True
 
-    def _closed(self, vectors, reduced: _Reduced) -> bool:
+    def _closed(self, vectors, rows) -> bool:
         """Every bracket of two basis vectors, taken over their nonzeros,
-        reduces to zero against the subspace's reduced rows."""
-        support = [_nonzeros(v) for v in vectors]
-        for i, u in enumerate(support):
-            for v in support[i:]:
-                br = [ZERO] * self.double_dim
-                for k, x in self.structure.bracket_terms(u, v):
-                    br[k] = br[k] + x
-                if any(reduced.residual(br)):
+        reduces to zero against the subspace's echelon rows."""
+        table = self.structure.int_view()[1]
+        for i, u in enumerate(vectors):
+            for v in vectors[i:]:
+                br: dict[int, int] = {}
+                for a, x in u.items():
+                    for b, y in v.items():
+                        for k, c in table.get((a, b), ()):
+                            br[k] = br.get(k, 0) + x * y * c
+                if _residual(br, rows):
                     return False
         return True
 

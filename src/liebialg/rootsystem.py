@@ -400,19 +400,23 @@ class RootSystem:
     def casimir_cybe(self) -> dict:
         """CYB(Omega) = [Omega13, Omega23], a constant of the type: Omega is
         invariant, so [Omega12, Omega13] + [Omega12, Omega23] = 0, and one
-        bracket of the three is the whole CYBE."""
+        bracket of the three is the whole CYBE.  Summed in ints over the
+        common denominator of Omega (real) and the table."""
+        dw, entries = self.casimir.int_entries()
+        e, table = self.structure.int_view()
         cols: list[list] = [[] for _ in range(self.dim)]  # Omega is nondegenerate
-        for (a, b), v in self.casimir.items():
-            cols[b].append((a, v))
-        acc: dict[tuple[int, int, int], GaussianRational] = {}
-        for (b, d), terms in self.structure.table.items():
+        for a, b, x, _ in entries:
+            cols[b].append((a, x))
+        acc: dict[tuple[int, int, int], int] = {}
+        for (b, d), terms in table.items():
             for a, va in cols[b]:
                 for c, vc in cols[d]:
                     v = va * vc
                     for k, coef in terms:
                         key = (a, c, k)
-                        acc[key] = acc.get(key, ZERO) + v * coef
-        return {k: v for k, v in acc.items() if v}
+                        acc[key] = acc.get(key, 0) + v * coef
+        den = dw * dw * e
+        return {k: rational(v, den) for k, v in acc.items() if v}
 
     def killing_gram(self) -> list[list[GaussianRational]]:
         """Gram matrix of the Killing form in the ambient basis."""

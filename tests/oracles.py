@@ -60,6 +60,26 @@ def ad(st, u) -> list:
     return mat
 
 
+def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
+    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23] as {(i, j, k): nonzero
+    entry}, accumulated term by term in GaussianRational over the sparse
+    entries of r: the scalar evaluator core.cybe replaced by its integer
+    one, with the same loops, so the two dicts agree in keys, values and
+    order."""
+    items = list(r.items())
+    acc: dict[tuple[int, int, int], GaussianRational] = {}
+    for (a, b), va in items:
+        for (c, d), vc in items:
+            v = va * vc
+            for k, coef in st.table.get((a, c), ()):
+                acc[(k, b, d)] = acc.get((k, b, d), ZERO) + v * coef
+            for k, coef in st.table.get((b, c), ()):
+                acc[(a, k, d)] = acc.get((a, k, d), ZERO) + v * coef
+            for k, coef in st.table.get((b, d), ()):
+                acc[(a, c, k)] = acc.get((a, c, k), ZERO) + v * coef
+    return {k: v for k, v in acc.items() if v}
+
+
 # ---- dense matrix algebra ----------------------------------------------------
 
 

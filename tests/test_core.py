@@ -18,7 +18,7 @@ from liebialg.core import (
     rational_sqrt,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import bracket
+from oracles import bracket, reference_cybe
 
 
 def test_scalar_arithmetic():
@@ -325,6 +325,113 @@ def test_cybe_dimension_mismatch():
     rs = build_root_system("A", 1)
     with pytest.raises(ValueError):
         cybe(Tensor2(2), rs.structure)
+
+
+# ---- the integer CYBE kernel against the scalar references -----------------
+
+KERNEL_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("D", 4), ("G", 2),
+]
+
+
+def _assert_kernel_agrees(x: Tensor2, st: StructureTable, bruteforce: bool = True):
+    """cybe equals the GaussianRational accumulator in keys, values and
+    order, cybe_is_zero reads its emptiness, and both agree with the
+    dense triple loop."""
+    ref = reference_cybe(x, st)
+    out = cybe(x, st)
+    assert list(out.items()) == list(ref.items())
+    assert all(type(v) is GaussianRational for v in out.values())
+    assert cybe_is_zero(x, st) is (not ref)
+    if bruteforce:
+        assert out == _cybe_bruteforce(x, st)
+
+
+@pytest.mark.parametrize("series, rank", KERNEL_TYPES)
+def test_cybe_kernel_matches_references_on_enumerated_data(series, rank):
+    """r and r0 of every enumerated datum: r solves the CYBE, r0 does not
+    (its CYBE is the modified-YBE constant times CYB(Omega)).  The dense
+    loop runs on every tensor up to dimension 21 and on every tenth one
+    above."""
+    from liebialg.cli import _sigma_variants
+    from liebialg.rmatrix import iter_data
+
+    rs = build_root_system(series, rank)
+    tensors = {}
+    for _, _, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        assert cybe_is_zero(datum.r, rs.structure)
+        assert not cybe_is_zero(datum.r0, rs.structure)
+        for x in (datum.r, datum.r0):
+            tensors.setdefault(id(x), x)
+    for n, x in enumerate(tensors.values()):
+        _assert_kernel_agrees(x, rs.structure, bruteforce=rs.dim <= 21 or n % 10 == 0)
+
+
+@pytest.mark.parametrize(
+    "series, rank, triple, t",
+    [
+        ("A", 2, ((0,), (1,)), GaussianRational(Fraction(1, 3))),
+        ("A", 3, ((0, 1), (1, 2)), GaussianRational(Fraction(1, 3))),
+        ("A", 2, ((), ()), GaussianRational(0, Fraction(3, 2))),
+        ("G", 2, ((), ()), GaussianRational(0, Fraction(3, 2))),
+        ("B", 3, ((), ()), GaussianRational(Fraction(3, 2), Fraction(-5, 7))),
+    ],
+)
+def test_cybe_kernel_on_built_data_with_fractional_t_and_complex_lambda(series, rank, triple, t):
+    from liebialg.bdtriple import BDTriple
+    from liebialg.parameter import solve_parameters
+    from liebialg.rmatrix import build_r, build_r0
+
+    rs = build_root_system(series, rank)
+    g1, g2 = triple
+    bd = BDTriple.make(g1, g2, dict(zip(g1, g2))) if g1 else BDTriple.empty()
+    ps = solve_parameters(rs, bd)
+    lams = [ps.base_point]
+    if ps.dimension:
+        coeffs = [GaussianRational(Fraction(k + 1, 3), Fraction(-2, k + 5)) for k in range(ps.dimension)]
+        lams.append(ps.point(coeffs))
+    for lam in lams:
+        r, r0 = build_r(rs, bd, lam, t), build_r0(rs, bd, lam, t)
+        assert cybe_is_zero(r, rs.structure) and not cybe(r, rs.structure)
+        for x in (r, r0):
+            _assert_kernel_agrees(x, rs.structure)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_cybe_kernel_on_random_antisymmetric_tensors(series, rank):
+    """Seeded antisymmetric tensors whose entries mix denominators and are
+    real, imaginary or neither."""
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"cybe:{series}{rank}")
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for trial in range(8):
+        entries = {}
+        for _ in range(rng.randint(1, 14)):
+            i, j = rng.sample(range(rs.dim), 2)
+            kind = (trial + i + j) % 3
+            v = GaussianRational(part() if kind != 1 else 0, part() if kind else 0)
+            entries[(i, j)], entries[(j, i)] = v, -v
+        x = Tensor2(rs.dim, entries)
+        assert x.is_antisymmetric()
+        _assert_kernel_agrees(x, rs.structure)
+
+
+def test_structure_table_int_view_is_cached_and_exact():
+    rs = build_root_system("G", 2)
+    st = rs.structure
+    e, table = st.int_view()
+    assert st.int_view() is st.int_view()
+    assert list(table) == list(st.table)
+    for key, terms in st.table.items():
+        assert [(k, GaussianRational(c) / e) for k, c in table[key]] == list(terms)
+    half = StructureTable(2, {(0, 1): ((1, GaussianRational(Fraction(1, 2))),)})
+    assert half.int_view() == (2, {(0, 1): ((1, 1),)})
+    with pytest.raises(AssertionError):
+        StructureTable(2, {(0, 1): ((1, I),)}).int_view()
 
 
 def test_cybe_equivariance_under_automorphisms():

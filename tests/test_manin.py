@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from liebialg import linalg
@@ -443,6 +445,7 @@ def _isotropic_dense(mt, vectors):
 def _reference_checks(mt):
     n = mt.double_dim
     return {
+        "pairing_nondegenerate": bool(linalg.det(mt.pairing)),
         "pairing_invariant": _invariant_bruteforce(mt),
         "sub1_isotropic": _isotropic_dense(mt, mt.sub1_basis),
         "sub2_isotropic": _isotropic_dense(mt, mt.sub2_basis),
@@ -585,6 +588,48 @@ def test_rank_checks_reject_repeated_subspace(oracle_double):
     checks = mt.verify()
     assert checks["half_dimension"] is False
     assert checks["transversal"] is False
+
+
+def _with_sub2(o, sub2):
+    return ManinTriple(o.double_dim, o.pairing, o.structure, o.sub1_basis, sub2, o.case)
+
+
+def test_scaling_a_sub2_vector_by_a_third_changes_no_check(oracle_double):
+    """verify() scales each vector by its own denominator, so a basis
+    vector times 1/3 spans, pairs and brackets like the original."""
+    o = oracle_double
+    checks = o.verify()
+    third = GaussianRational(Fraction(1, 3))
+    for m in (0, len(o.sub2_basis) - 1):
+        sub2 = list(o.sub2_basis)
+        sub2[m] = [third * x for x in sub2[m]]
+        scaled = _with_sub2(o, sub2).verify()
+        assert list(scaled.items()) == list(checks.items())
+
+
+def test_adding_a_seventh_of_a_unit_vector_fails_what_the_dense_reference_fails(oracle_double):
+    o = oracle_double
+    n = o.double_dim
+    seventh = GaussianRational(Fraction(1, 7))
+    failed = set()
+    for k in sorted({0, n // 2, n - 1}):
+        sub2 = list(o.sub2_basis)
+        sub2[0] = [x + seventh if i == k else x for i, x in enumerate(sub2[0])]
+        mt = _with_sub2(o, sub2)
+        checks, reference = mt.verify(), _reference_checks(mt)
+        assert checks == reference
+        failed |= {key for key, ok in reference.items() if not ok}
+    assert failed  # the edits break the double
+
+
+def test_zeroing_a_pairing_row_and_column_makes_it_degenerate(oracle_double):
+    o = oracle_double
+    for m in (0, o.double_dim - 1):
+        pairing = [[ZERO if m in (i, j) else x for j, x in enumerate(row)]
+                   for i, row in enumerate(o.pairing)]
+        mt = ManinTriple(o.double_dim, pairing, o.structure, o.sub1_basis, o.sub2_basis, o.case)
+        assert not linalg.det(pairing)
+        assert mt.verify()["pairing_nondegenerate"] is False
 
 
 # ---- rank checks against three separate eliminations ----------------------

@@ -11,6 +11,7 @@ from oracles import (
     fraction_killing_h,
     killing_form,
     killing_form_adjoint,
+    reference_cybe,
     reference_structure_constants,
 )
 from test_core import _cybe_bruteforce
@@ -375,11 +376,15 @@ def test_integer_pair_search_matches_tuple_reference(series, rank):
 @pytest.mark.parametrize(
     "series,rank",
     [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
-     ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)],
+     ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7)],
 )
 def test_casimir_cybe_equals_the_three_bracket_cybe(series, rank):
+    """The one-bracket integer sum equals the three-bracket integer
+    kernel and the GaussianRational accumulator."""
     rs = RootSystem(SimpleType(series, rank))
     assert rs.casimir_cybe == cybe(rs.casimir, rs.structure)
+    assert rs.casimir_cybe == reference_cybe(rs.casimir, rs.structure)
+    assert all(type(v) is GaussianRational and v.is_real() for v in rs.casimir_cybe.values())
     if (series, rank) in (("A", 2), ("G", 2)):
         assert rs.casimir_cybe == _cybe_bruteforce(rs.casimir, rs.structure)
 
