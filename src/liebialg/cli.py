@@ -197,13 +197,14 @@ def cmd_enumerate(args) -> int:
     elif what == "bialgebras":
         rows = []
         current = real_form = None
-        spaces: dict = {}  # iter_data shares a space among involutions: serialize each once
+        spaces: dict = {}  # iter_data shares a space among involutions: render each once
         sigmas = _sigma_variants(rs, args.sigma or "all")
         for sigma, space, datum in iter_data(rs, sigmas):
             if sigma is not current:
                 current, real_form = sigma, identify(rs, sigma).name
             if space not in spaces:
-                spaces[space] = space.to_json()
+                spaces[space] = _Shared(space.to_json())
+            spaces[space].uses += 1
             row = {
                 "row": ROW_LABELS[datum.sigma_label],
                 "sigma": sigma.to_json(),
@@ -347,8 +348,15 @@ def cmd_identify(args) -> int:
 def cmd_classify(args) -> int:
     rs = _root_system(args)
     sigmas = _sigma_variants(rs, args.sigma or "all")
-    data = [datum for _, _, datum in iter_data(rs, sigmas)]
-    kept = classify(data)
+    total = 0
+
+    def data():
+        nonlocal total
+        for _, _, datum in iter_data(rs, sigmas):
+            total += 1
+            yield datum
+
+    kept = classify(data())
     rows = [
         {
             "sigma_label": d.sigma_label,
@@ -362,7 +370,7 @@ def cmd_classify(args) -> int:
         args,
         {
             "type": str(rs.type),
-            "total_data": len(data),
+            "total_data": total,
             "classes": len(kept),
             "representatives": rows,
         },
@@ -383,13 +391,31 @@ def _flatten(row: dict) -> dict:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Shared(dict):
+    """A JSON object that `uses` rows of one payload hold at one depth:
+    _json_text renders it once, reuses the text and drops it after the
+    last use.  To every other reader it is the dict it holds."""
+
+    __slots__ = ("uses", "nl", "text")
+
+    def __init__(self, doc: dict):
+        super().__init__(doc)
+        self.uses, self.nl, self.text = 0, None, None
+
+
 def _json_text(x, nl: str = "\n") -> str:
     """x as json.dumps(x, indent=2, sort_keys=True) writes it, for str,
     int, bool, None, and lists, tuples and str-keyed dicts of those; nl
-    is the newline and indent of x's closing bracket.  Raises TypeError
-    on any other type (a float or a subclass, say), so it never differs
+    is the newline and indent of x's closing bracket.  A _Shared dict is
+    rendered once for all of its uses at one nl.  Raises TypeError on any
+    other type (a float or another subclass, say), so it never differs
     silently from json.dumps, whose pure-Python encoder it replaces."""
     t = type(x)
+    if t is _Shared:
+        text = x.text if x.nl == nl else _json_text(dict(x), nl)
+        x.uses -= 1
+        x.nl, x.text = (nl, text) if x.uses else (None, None)
+        return text
     if t is list or t is tuple:
         if not x:
             return "[]"

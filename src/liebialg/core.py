@@ -20,9 +20,7 @@ is given by a sparse structure-constant table, are dicts of their
 nonzero Gaussian-rational entries.  The order-3 CYBE of such a tensor
 is summed in ints: the tensor over the lcm of its entry denominators,
 the (real) table over the lcm of its coefficients', so each term is a
-Gaussian-integer pair and the sum has one common denominator.  A
-semilinear map acts on tensors through the sparse columns of its linear
-part.
+Gaussian-integer pair and the sum has one common denominator.
 """
 
 from __future__ import annotations
@@ -499,7 +497,12 @@ def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
 
 def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:
     """(sigma (x) sigma)(x) for a semilinear map sigma (an Involution),
-    read off the sparse columns of its linear part."""
+    read off the sparse columns of its linear part.
+
+    No command calls it (rmatrix.sigma_fixes checks sigma-fixity in ints
+    on one-entry columns); it stays because the per-layer tracer of
+    perfbench/layers.py spans it by name.  Tests use it as the reference
+    for sigma_fixes."""
     cols = sigma.columns
     if len(cols) != x.dim:
         raise ValueError("dimension mismatch between map and tensor")

@@ -29,6 +29,7 @@ J only flips the signs of the columns of the roots that are odd on J.
 
 from __future__ import annotations
 
+from math import lcm
 from weakref import WeakKeyDictionary
 
 from . import linalg
@@ -42,12 +43,13 @@ class Involution:
 
     columns[j] lists the nonzero (i, M[i][j]) of the linear part M by
     increasing row i; .matrix is the dense view, derived once, for dense
-    linear algebra.  kind is "varsigma", "omega" or "general"."""
+    linear algebra, and int_columns() the one-entry columns in ints.
+    kind is "varsigma", "omega" or "general"."""
 
-    __slots__ = ("columns", "kind", "mu", "J", "_matrix")
+    __slots__ = ("columns", "kind", "mu", "J", "_matrix", "_ints")
 
     def __init__(self, columns: list, kind="general", mu=None, J=()):
-        self.columns, self._matrix = columns, None
+        self.columns, self._matrix, self._ints = columns, None, None
         self.kind, self.mu, self.J = kind, mu, J
 
     @property
@@ -59,17 +61,28 @@ class Involution:
                     self._matrix[i][j] = v
         return self._matrix
 
+    def int_columns(self) -> tuple[list, int, list]:
+        """(images, D, scalars): column j is (re + im i) / D at row
+        images[j], for scalars[j] = (re, im) and the lcm D of the column
+        denominators; built on first call.  Raises ValueError unless each
+        column holds one entry, as those of a canonical involution do."""
+        if self._ints is None:
+            if any(len(col) != 1 for col in self.columns):
+                raise ValueError("involution has a column with more than one entry")
+            den = lcm(*(v.d for [(_, v)] in self.columns))
+            self._ints = (
+                [i for [(i, _)] in self.columns],
+                den,
+                [(v.a * (den // v.d), v.b * (den // v.d)) for [(_, v)] in self.columns],
+            )
+        return self._ints
+
     def __call__(self, v):
         out = [ZERO] * len(v)
         vcol = [(j, x) for j, x in enumerate(v) if x]
         for i, x in column_product(self.columns, [vcol], conj=True)[0]:
             out[i] = x
         return out
-
-    def compose_linear(self, other: "Involution") -> list:
-        """Columns of the linear part M1 conj(M2) of self o other (the
-        conjugations cancel)."""
-        return column_product(self.columns, other.columns, conj=True)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -101,10 +114,6 @@ def column_product(a: list, b: list, conj: bool = False) -> list:
                 acc[i] = acc[i] + aik * bk if i in acc else aik * bk
         out.append([(i, v) for i, v in sorted(acc.items()) if v])
     return out
-
-
-def is_identity_columns(columns: list) -> bool:
-    return all(col == [(j, ONE)] for j, col in enumerate(columns))
 
 
 def _scalars_at_empty_j(rs: RootSystem, mu: DiagramAutomorphism, negate: bool):

@@ -20,7 +20,7 @@ from math import comb, lcm
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, HALF, I, ONE, Tensor2, ZERO
+from .core import GaussianRational, HALF, I, ONE, ZERO
 from .rootsystem import RootSystem
 
 
@@ -51,10 +51,6 @@ class ContinuousParameter:
             [HALF * (self.matrix[i][j] - self.matrix[j][i]) for j in range(n)]
             for i in range(n)
         ]
-
-    def embed(self, rs: RootSystem) -> Tensor2:
-        rows = enumerate(self.matrix)
-        return Tensor2(rs.dim, {(i, j): v for i, row in rows for j, v in enumerate(row)})
 
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.matrix]

@@ -20,14 +20,7 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .core import ZERO
-from .involution import (
-    Involution,
-    RealFormBasis,
-    canonical_involution,
-    column_product,
-    is_identity_columns,
-)
+from .involution import Involution, RealFormBasis, canonical_involution
 from .rootsystem import RootSystem
 
 
@@ -64,12 +57,19 @@ _COMPACT_OMEGA: WeakKeyDictionary[RootSystem, Involution] = WeakKeyDictionary()
 
 
 def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
-    """theta = sigma o omega; linear since both factors are semilinear."""
+    """theta = sigma o omega; linear since both factors are semilinear.
+    Both have one-entry columns: omega sends x_j to w x_k and sigma sends
+    x_k to m x_i, so theta sends x_j to m conj(w) x_i."""
     omega = _COMPACT_OMEGA.get(rs)
     if omega is None:
         omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
         _COMPACT_OMEGA[rs] = omega
-    return Involution(columns=sigma.compose_linear(omega))
+    cols = sigma.columns
+    theta = []
+    for [(k, w)] in omega.columns:
+        [(i, m)] = cols[k]
+        theta.append([(i, m * w.conj())])
+    return Involution(theta)
 
 
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
@@ -88,27 +88,36 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
     return [list(row) for row in zip(*cols)]
 
 
-def _checked_theta(rs: RootSystem, sigma: Involution) -> Involution:
-    """The Cartan involution, asserted on its columns to square to 1 and
-    to preserve h."""
-    theta = cartan_involution(rs, sigma)
-    cols = theta.columns
-    assert is_identity_columns(column_product(cols, cols)), "theta is not an involution"
+def _theta_lines(rs: RootSystem, theta: Involution) -> tuple:
+    """theta.int_columns(), asserted to preserve h and to square to 1
+    column by column: theta sends x_j to s_j x_k and x_k back to s_k x_j
+    with s_j s_k = 1.  Raises ValueError if a column has more than one
+    entry."""
     assert all(
-        i < rs.rank for col in cols[: rs.rank] for i, _ in col
+        i < rs.rank for col in theta.columns[: rs.rank] for i, _ in col
     ), "theta does not preserve h"
-    return theta
+    images, den, scalars = lines = theta.int_columns()
+    dd = den * den
+    for j, k in enumerate(images):
+        (a, b), (c, d) = scalars[j], scalars[k]
+        assert images[k] == j and a * c - b * d == dd and not a * d + b * c, (
+            "theta is not an involution"
+        )
+    return lines
 
 
-def _trace_dims(theta: Involution, size: int) -> tuple[int, int]:
-    """(+1, -1) eigenspace dimensions of an involution on the span of the
-    first size basis vectors, from the trace of that block."""
-    cols = theta.columns
-    tr = sum((v for j in range(size) for i, v in cols[j] if i == j), ZERO)
-    assert tr.is_real(), "trace of theta is not real"
-    plus, minus = (size + tr) / 2, (size - tr) / 2
-    assert plus.d == 1 and minus.d == 1
-    return plus.a, minus.a
+def _trace_dims(lines: tuple, size: int) -> tuple[int, int]:
+    """(+1, -1) eigenspace dimensions of theta on the span of the first
+    size basis vectors, (size +- tr) / 2 for the trace of that block: the
+    sum over the columns theta maps to themselves."""
+    images, den, scalars = lines
+    fixed = [scalars[j] for j in range(size) if images[j] == j]
+    assert not sum(b for _, b in fixed), "trace of theta is not real"
+    tr = sum(a for a, _ in fixed)  # times den
+    plus, odd_plus = divmod(size * den + tr, 2 * den)
+    minus, odd_minus = divmod(size * den - tr, 2 * den)
+    assert not odd_plus and not odd_minus
+    return plus, minus
 
 
 # ---- the naming table -------------------------------------------------------
@@ -226,9 +235,10 @@ def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
         raise ValueError("identify requires a canonical involution")
     series, n = rs.type.series, rs.rank
     mu = sigma.mu
-    theta = _checked_theta(rs, sigma)
-    dim_k, dim_p = _trace_dims(theta, rs.dim)
-    dc, dnc = _trace_dims(theta, n)
+    theta = cartan_involution(rs, sigma)
+    lines = _theta_lines(rs, theta)
+    dim_k, dim_p = _trace_dims(lines, rs.dim)
+    dc, dnc = _trace_dims(lines, n)
 
     if sigma.kind == "omega":
         painted = tuple(i for i in mu.fixed_points() if i not in sigma.J)

@@ -1,15 +1,19 @@
 """Construction and analysis of the classified r-matrices.
 
-build_r materializes
+The quasitriangular tensor is
 
     r = t * (lam + sum over positive gamma of x_{-gamma} (x) x_gamma
-               + sum over alpha < beta of x_{-alpha} wedge x_beta)
+               + sum over alpha < beta of x_{-alpha} wedge x_beta),
 
-and build_r0 its antisymmetric companion r0 = r - t Omega / 2.  The
-root-vector family used in the precedence terms is produced by extend_T:
-target vectors along tau-chains are rescaled so that the chain transport
-maps x_beta exactly to x_{T beta}, propagating through brackets for
-composite roots.  When a canonical involution is supplied, a further
+and build_r0 builds its antisymmetric companion r0 = r - t Omega / 2
+directly.  The table loop (make_datum, iter_data) builds and checks r0
+only; r = r0 + t Omega / 2 is derived from it where a command writes r
+(build, enumerate --materialize), and verify reads both from its file.
+
+The root-vector family used in the precedence terms is produced by
+extend_T: target vectors along tau-chains are rescaled so that the
+chain transport maps x_beta exactly to x_{T beta}, propagating through
+brackets for composite roots.  When a canonical involution is supplied, a further
 sign adjustment on the simple chain vectors makes the family
 sigma-compatible, which is what makes (sigma (x) sigma)(r0) = r0 hold in
 the stable/antistable cases.
@@ -20,12 +24,13 @@ triple and the continuous parameter.
 
 iter_data is the one enumeration pipeline: every (involution, triple)
 row of the classification table, instantiated at a base point; what
-depends only on the triple, the cut or the tensors is computed once.
+depends only on the triple, the cut or r0 is computed once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from math import lcm
 
 from .bdtriple import (
     BDTriple,
@@ -44,7 +49,6 @@ from .core import (
     ONE,
     Tensor2,
     ZERO,
-    apply_semilinear_pair,
     cybe,
     cybe_is_zero,
 )
@@ -170,32 +174,6 @@ def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> d
 # ---- tensors ---------------------------------------------------------------
 
 
-def build_r(
-    rs: RootSystem,
-    bd: BDTriple,
-    lam: ContinuousParameter,
-    t: GaussianRational,
-    family: dict | None = None,
-) -> Tensor2:
-    """The quasitriangular tensor for the given data."""
-    if not t:
-        raise ValueError("t must be nonzero")
-    if not satisfies_constraints(rs, bd, lam):
-        raise ValueError("continuous parameter fails its defining constraints")
-    if family is None:
-        family = extend_T(rs, bd)
-    items = list(lam.embed(rs).items())
-    for g in rs.positive_roots:
-        items.append(((rs.root_index(tuple(-x for x in g)), rs.root_index(g)), ONE))
-    for alpha, beta in sorted(precedence_pairs(rs, bd)):
-        coeff = family[beta] / family[alpha]
-        ia = rs.root_index(tuple(-x for x in alpha))
-        ib = rs.root_index(beta)
-        items.append(((ia, ib), coeff))
-        items.append(((ib, ia), -coeff))
-    return Tensor2.from_items(rs.dim, [(k, t * v) for k, v in items])
-
-
 def build_r0(
     rs: RootSystem,
     bd: BDTriple,
@@ -203,30 +181,74 @@ def build_r0(
     t: GaussianRational,
     family: dict | None = None,
 ) -> Tensor2:
-    """The antisymmetric tensor r - t Omega / 2.
+    """The antisymmetric tensor r0 = r - t Omega / 2, built in one pass:
+    t (lam - Omega_0 / 2) on h (x) h, t/2 at (x_{-gamma}, x_gamma) and
+    -t/2 at (x_gamma, x_{-gamma}) over positive gamma, and the precedence
+    terms of r, which Omega does not touch."""
+    if not t:
+        raise ValueError("t must be nonzero")
+    if not satisfies_constraints(rs, bd, lam):
+        raise ValueError("continuous parameter fails its defining constraints")
+    if family is None:
+        family = extend_T(rs, bd)
+    half_t = t * HALF
+    omega0 = rs.cartan_dual_gram
+    entries = {}
+    for i, row in enumerate(lam.matrix):
+        for j, v in enumerate(row):
+            entries[(i, j)] = t * v - half_t * omega0[i][j] if omega0[i][j] else t * v
+    npos, minus_half_t = rs.npos, -half_t
+    for ip in range(rs.rank, rs.rank + npos):  # x_gamma, then x_{-gamma} npos later
+        entries[(ip + npos, ip)], entries[(ip, ip + npos)] = half_t, minus_half_t
+    # alpha precedes beta strictly, so no key below repeats one above
+    for alpha, beta in precedence_pairs(rs, bd):
+        coeff = t * family[beta] / family[alpha]
+        ia, ib = rs.root_index(alpha) + npos, rs.root_index(beta)
+        entries[(ia, ib)], entries[(ib, ia)] = coeff, -coeff
+    return Tensor2(rs.dim, entries)
 
-    No command calls it (make_datum reuses the r it has built); it stays
-    because the per-layer tracer of perfbench/layers.py spans it by name."""
-    return _minus_half_t_omega(rs, build_r(rs, bd, lam, t, family), t)
+
+def build_r(
+    rs: RootSystem,
+    bd: BDTriple,
+    lam: ContinuousParameter,
+    t: GaussianRational,
+    family: dict | None = None,
+) -> Tensor2:
+    """The quasitriangular tensor r = r0 + t Omega / 2 for the given data.
+
+    No command calls it (a datum derives r from its r0 when r is read);
+    it stays because the per-layer tracer of perfbench/layers.py spans it
+    by name."""
+    return _plus_half_t_omega(rs, build_r0(rs, bd, lam, t, family), t)
 
 
-def _minus_half_t_omega(rs: RootSystem, r: Tensor2, t: GaussianRational) -> Tensor2:
-    """r - t Omega / 2, touching only the nonzero entries of r and Omega."""
-    return r + rs.casimir.scale(t * -HALF)
+def _plus_half_t_omega(rs: RootSystem, r0: Tensor2, t: GaussianRational) -> Tensor2:
+    """r0 + t Omega / 2, touching only the nonzero entries of r0 and Omega."""
+    return r0 + rs.casimir.scale(t * HALF)
 
 
 # ---- the classification datum ----------------------------------------------
 
 
 class BialgebraDatum:
-    __slots__ = ("rs", "sigma", "sigma_label", "bd", "lam", "t", "r0", "r")
+    """One classification datum.  r is r0 + t Omega / 2, derived on first
+    read unless given (a datum file states its own r)."""
+
+    __slots__ = ("rs", "sigma", "sigma_label", "bd", "lam", "t", "r0", "_r")
 
     def __init__(
         self, rs: RootSystem, sigma: Involution, sigma_label: str, bd: BDTriple,
-        lam: ContinuousParameter, t: GaussianRational, r0: Tensor2, r: Tensor2,
+        lam: ContinuousParameter, t: GaussianRational, r0: Tensor2, r: Tensor2 | None = None,
     ):
         self.rs, self.sigma, self.sigma_label, self.bd = rs, sigma, sigma_label, bd
-        self.lam, self.t, self.r0, self.r = lam, t, r0, r
+        self.lam, self.t, self.r0, self._r = lam, t, r0, r
+
+    @property
+    def r(self) -> Tensor2:
+        if self._r is None:
+            self._r = _plus_half_t_omega(self.rs, self.r0, self.t)
+        return self._r
 
     @property
     def t_class(self) -> str:
@@ -274,9 +296,9 @@ def make_datum(
 
     memo, when given, holds what several data of one root system share:
     stability per (triple, mu), the lambda condition per (lambda, kind,
-    mu), and r and r0 per (triple, lambda, t, simple-chain scalars of
-    sigma), the only way r depends on sigma.  Each datum still checks
-    sigma_fixes against its own sigma.
+    mu), and r0 per (triple, lambda, t, simple-chain scalars of sigma),
+    the only way r0 depends on sigma.  Each datum still checks
+    sigma_fixes against its own sigma, and derives r only when read.
     """
     label = sigma.describe()
     kind = reality_kind_for(label)
@@ -293,14 +315,12 @@ def make_datum(
         raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
     if not _positive(t):
         raise ValueError("t must lie on the positive real or imaginary ray")
-
-    def tensors():
-        r = build_r(rs, bd, lam, t, extend_T(rs, bd, sigma))
-        return r, _minus_half_t_omega(rs, r, t)
-
     scalars = frozenset(_sigma_chain_scalars(rs, bd, sigma).items())
-    r, r0 = _shared(memo, ("r", bd, lam_key, t, scalars), tensors)
-    datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
+    r0 = _shared(
+        memo, ("r0", bd, lam_key, t, scalars),
+        lambda: build_r0(rs, bd, lam, t, extend_T(rs, bd, sigma)),
+    )
+    datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0)
     assert sigma_fixes(datum), "constructed tensor escaped the real form"
     return datum
 
@@ -325,7 +345,7 @@ def iter_data(
     stability test for it.  Its reality cut, which depends only on the
     triple, the reality kind and mu, is made once per such key.  One memo
     for the whole call lets make_datum share stability, the lambda
-    condition and the tensors among the involutions that agree on them.
+    condition and r0 among the involutions that agree on them.
     """
     triples = enumerate_bd_triples(rs)
     solved: dict[BDTriple, ParameterSpace] = {}
@@ -355,8 +375,30 @@ def iter_data(
 
 
 def sigma_fixes(datum: BialgebraDatum) -> bool:
-    """(sigma (x) sigma)(r0) = r0, over the nonzero entries of r0."""
-    return apply_semilinear_pair(datum.sigma, datum.r0) == datum.r0
+    """(sigma (x) sigma)(r0) = r0, checked entry by entry in ints.
+
+    sigma maps e_a to m_a e_{sigma a} (a one-entry column), so sigma (x)
+    sigma permutes the index pairs and sends the entry v at (a, b) to
+    conj(v) m_a m_b at (sigma a, sigma b); r0 is fixed iff every such
+    image equals the entry of r0 it lands on.  Over the lcm L of r0's
+    denominators and the common denominator D of sigma's columns, each
+    test is an equality of Gaussian integers.  Raises ValueError if a
+    column of sigma has more than one entry."""
+    images, den, scalars = datum.sigma.int_columns()
+    dd = den * den
+    entries = datum.r0.entries
+    lcd = lcm(*(v.d for v in entries.values()))
+    ints = {k: (v.a * (lcd // v.d), v.b * (lcd // v.d)) for k, v in entries.items()}
+    for (a, b), (p, q) in ints.items():
+        w = ints.get((images[a], images[b]))
+        if w is None:
+            return False
+        (xa, ya), (xb, yb) = scalars[a], scalars[b]
+        s, u = xa * xb - ya * yb, xa * yb + ya * xb  # m_a m_b, times D^2
+        # conj(v) m_a m_b = (p - q i)(s + u i) / (L D^2)
+        if w[0] * dd != p * s + q * u or w[1] * dd != p * u - q * s:
+            return False
+    return True
 
 
 def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
@@ -373,8 +415,8 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
     checks = {
         "r_plus_r21_equals_t_omega": r_sym == omega.scale(t),
         "r0_antisymmetric": datum.r0.is_antisymmetric(),
-        "r0_equals_r_minus_half_t_omega": datum.r0
-        == _minus_half_t_omega(rs, datum.r, t),
+        "r0_equals_r_minus_half_t_omega": _plus_half_t_omega(rs, datum.r0, t)
+        == datum.r,
         "parameter_constraints": satisfies_constraints(rs, datum.bd, datum.lam)
         and _carries_declared_data(datum),
         "sigma_fixes_r0": sigma_fixes(datum),
@@ -550,25 +592,19 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
 
 
-def datum_class_key(datum: BialgebraDatum, autos) -> tuple:
-    return min(conjugate_datum_key(datum, psi) for psi in autos)
-
-
-def classify(data: list[BialgebraDatum]) -> list[BialgebraDatum]:
+def classify(data: Iterable[BialgebraDatum]) -> list[BialgebraDatum]:
     """One representative per isomorphism class: same table row with the
-    remaining data conjugate under an order-2 diagram symmetry."""
-    if not data:
-        return []
-    rs = data[0].rs
-    autos = diagram_automorphisms(rs)
-    ident = autos[0]
-    assert ident.is_identity()
-    seen: dict[tuple, BialgebraDatum] = {}
+    remaining data conjugate under an order-2 diagram symmetry.  Reads
+    data once, as it comes, keeping only each class's representative."""
+    seen: dict[tuple, tuple] = {}  # class key -> (own key, representative)
+    autos = None
     for datum in data:
-        key = datum_class_key(datum, autos)
+        if autos is None:
+            autos = diagram_automorphisms(datum.rs)
+            assert autos[0].is_identity()
+        keys = [conjugate_datum_key(datum, psi) for psi in autos]
+        key, own = min(keys), keys[0]
         cur = seen.get(key)
-        if cur is None or conjugate_datum_key(datum, ident) < conjugate_datum_key(
-            cur, ident
-        ):
-            seen[key] = datum
-    return sorted(seen.values(), key=lambda d: conjugate_datum_key(d, ident))
+        if cur is None or own < cur[0]:
+            seen[key] = (own, datum)
+    return [datum for _, datum in sorted(seen.values(), key=lambda kept: kept[0])]

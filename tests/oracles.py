@@ -13,7 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from liebialg import linalg
-from liebialg.bdtriple import BDTriple, extend_tau_additively, span_subset_roots
+from liebialg.bdtriple import (
+    BDTriple,
+    extend_tau_additively,
+    precedence_pairs,
+    span_subset_roots,
+)
 from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe
 from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import (
@@ -339,6 +344,28 @@ def transported_images(rs, bd, family: dict) -> dict:
         tbeta = extend_tau_additively(rs, bd, beta)
         out[beta] = (tbeta, family[tbeta] / family[beta])
     return out
+
+
+def reference_r(rs, bd, lam, t, family: dict) -> Tensor2:
+    """r = t (lam + sum over positive gamma of x_{-gamma} (x) x_gamma + sum
+    over alpha preceding beta of x'_{-alpha} wedge x'_beta), summed term by
+    term from the defining formula, in the root-vector family given."""
+    terms = {}
+
+    def add(i, j, v):
+        terms[(i, j)] = terms.get((i, j), ZERO) + t * v
+
+    for i, row in enumerate(lam.matrix):
+        for j, v in enumerate(row):
+            add(i, j, v)
+    for g in rs.positive_roots:
+        add(rs.root_index(tuple(-x for x in g)), rs.root_index(g), ONE)
+    for alpha, beta in precedence_pairs(rs, bd):
+        coeff = family[beta] / family[alpha]
+        ia, ib = rs.root_index(tuple(-x for x in alpha)), rs.root_index(beta)
+        add(ia, ib, coeff)
+        add(ib, ia, -coeff)
+    return Tensor2(rs.dim, terms)
 
 
 # ---- factorization maps and the doubles --------------------------------------

@@ -116,6 +116,28 @@ def test_writer_matches_dumps_on_random_values():
         assert _json_text(x) == _dumps(x), x
 
 
+def test_shared_object_is_rendered_once(monkeypatch):
+    # a _Shared value is a dict to every reader; the writer renders it
+    # once for all of its uses at one depth and drops the text after them
+    doc = {"directions": [["1", "0"], ["-1/2", "0"]], "kind": {"real": True}}
+    shared = cli._Shared(doc)
+    shared.uses = 3
+    payload = {"rows": [{"space": shared, "k": k} for k in range(3)], "one": [doc]}
+    rendered = []
+    render = cli._json_text
+
+    def spy(x, nl="\n"):
+        if type(x) is dict and x == doc:
+            rendered.append(nl)
+        return render(x, nl)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    assert render(payload) == _dumps(payload)
+    assert rendered == ["\n    ", "\n      "]  # "one", then once for the three rows
+    assert shared.text is None
+    assert json.dumps(shared, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
 @pytest.mark.parametrize(
     "x",
     [1.5, {1: "a"}, object(), ["a", 0.5], {"a": {2: []}}, ({"a": [True, 1e3]},)],

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from liebialg import rmatrix
+from liebialg import cli, rmatrix
 from liebialg.bdtriple import (
     BDTriple,
     DiagramAutomorphism,
@@ -13,6 +13,7 @@ from liebialg.bdtriple import (
 )
 from liebialg.core import (
     GaussianRational,
+    HALF,
     I,
     ONE,
     Tensor2,
@@ -21,7 +22,7 @@ from liebialg.core import (
     cybe,
     cybe_is_zero,
 )
-from liebialg.involution import canonical_involution, fixed_point_basis
+from liebialg.involution import Involution, canonical_involution, fixed_point_basis
 from liebialg.parameter import (
     NoBialgebraDatum,
     apply_reality,
@@ -139,10 +140,11 @@ def test_r0_is_r_minus_half_t_omega():
             t = rng.choice([ONE, GaussianRational(2), I])
             lam = ps.point(pr)
             fam = extend_T(rs, bd)
-            r = build_r(rs, bd, lam, t, fam)
+            r = oracles.reference_r(rs, bd, lam, t, fam)  # from the formula, not from r0
             r0 = build_r0(rs, bd, lam, t, fam)
             assert r0.is_antisymmetric()
             assert r0 == r - rs.casimir.scale(t * half)
+            assert build_r(rs, bd, lam, t, fam) == r
 
 
 def test_sl2_r0_shape():
@@ -488,9 +490,9 @@ def test_verify_datum_flags_wrong_t():
      ("F", 4, 23, 8), ("G", 2, 5, 2)],
 )
 def test_iter_data_matches_a_fresh_make_datum(series, rank, data, tensors):
-    """iter_data shares stability, the lambda condition and the tensors
-    among involutions; each datum must still equal the one make_datum
-    builds alone from the same sigma, triple, base point and t."""
+    """iter_data shares stability, the lambda condition and r0 among
+    involutions; each datum must still equal the one make_datum builds
+    alone from the same sigma, triple, base point and t."""
     rs = build_root_system(series, rank)
     seen = []
     for sigma, space, datum in iter_data(rs, _sigma_variants(rs, "all")):
@@ -500,4 +502,115 @@ def test_iter_data_matches_a_fresh_make_datum(series, rank, data, tensors):
         assert datum.lam.matrix == fresh.lam.matrix and datum.t == fresh.t
         seen.append(datum)
     assert len(seen) == data
-    assert len({id(d.r) for d in seen}) == tensors  # built once per sharing key
+    assert len({id(d.r0) for d in seen}) == tensors  # built once per sharing key
+
+
+R0_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("series, rank", R0_TYPES)
+def test_direct_r0_matches_the_defining_formula(series, rank):
+    """r0, built in one pass, equals r - t Omega / 2 for r summed from its
+    defining formula (oracles.reference_r), and r, derived from r0, equals
+    that r: on every datum the table loop yields, and on the same data
+    made at t = 2 (real rows) or t = 3/2 i (imaginary rows)."""
+    rs = build_root_system(series, rank)
+    seen = 0
+    for sigma, space, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        other_t = GaussianRational(2) if datum.t.is_real() else GaussianRational(0, Fraction(3, 2))
+        fam = extend_T(rs, datum.bd, sigma)
+        for made in (datum, make_datum(rs, sigma, datum.bd, space.base_point, other_t)):
+            ref = oracles.reference_r(rs, made.bd, made.lam, made.t, fam)
+            assert made.r0 == ref - rs.casimir.scale(made.t * HALF)
+            assert made.r == ref
+            assert build_r(rs, made.bd, made.lam, made.t, fam) == ref
+        seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--type", "A", "--rank", "3"],
+     ["enumerate", "--type", "B", "--rank", "3", "--format", "csv"],
+     ["classify", "--type", "A", "--rank", "3"],
+     ["classify", "--type", "G", "--rank", "2"]],
+)
+def test_table_commands_never_build_r(monkeypatch, capsys, argv):
+    def forbidden(*args):
+        raise AssertionError("r was built")
+
+    monkeypatch.setattr(rmatrix, "_plus_half_t_omega", forbidden)
+    monkeypatch.setattr(rmatrix, "build_r", forbidden)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_materialize_derives_r(monkeypatch, capsys):
+    # the positive control of the guard above: --materialize writes r
+    derived = []
+    derive = rmatrix._plus_half_t_omega
+    monkeypatch.setattr(
+        rmatrix, "_plus_half_t_omega", lambda *args: derived.append(1) or derive(*args)
+    )
+    assert cli.main(["enumerate", "--type", "A", "--rank", "2", "--materialize"]) == 0
+    capsys.readouterr()
+    assert derived
+
+
+def _sigma_mutants(sigma, r0: Tensor2) -> list:
+    """r0 with one entry plus 1/7, one entry times i, and one entry moved
+    to an empty slot, each at an entry whose index pair sigma (x) sigma
+    moves; none if sigma moves no pair of r0 (as the split varsigma, which
+    fixes every real tensor)."""
+    images = [col[0][0] for col in sigma.columns]
+    e = r0.entries
+    moved = [(a, b) for a, b in sorted(e) if (images[a], images[b]) != (a, b)]
+    if not moved:
+        return []
+    key = moved[0]
+    plus, times_i, move = dict(e), dict(e), dict(e)
+    plus[key] = e[key] + GaussianRational(Fraction(1, 7))
+    times_i[key] = e[key] * I
+    slot = next((i, j) for i in range(r0.dim) for j in range(r0.dim) if (i, j) not in e)
+    move[slot] = move.pop(key)
+    return [Tensor2(r0.dim, x) for x in (plus, times_i, move)]
+
+
+@pytest.mark.parametrize("series, rank", R0_TYPES[:5] + [("C", 3)] + R0_TYPES[5:])
+def test_sigma_fixes_matches_apply_semilinear_pair(series, rank):
+    """The integer kernel against (sigma (x) sigma)(r0) = r0 computed on
+    GaussianRationals, for every involution of the type against every r0
+    the table loop builds, and on mutants of each fixed r0."""
+    rs = build_root_system(series, rank)
+    sigmas = _sigma_variants(rs, "all")
+    data = {id(d.r0): d for _, _, d in iter_data(rs, sigmas)}.values()
+    verdicts, mutants = {True: 0, False: 0}, 0
+    for datum in data:
+        for sigma in sigmas:
+            def fixes(r0):
+                return sigma_fixes(
+                    BialgebraDatum(rs, sigma, sigma.describe(), datum.bd, datum.lam, datum.t, r0)
+                )
+
+            want = apply_semilinear_pair(sigma, datum.r0) == datum.r0
+            assert fixes(datum.r0) == want
+            verdicts[want] += 1
+            if want:
+                for r0 in _sigma_mutants(sigma, datum.r0):
+                    assert apply_semilinear_pair(sigma, r0) != r0
+                    assert not fixes(r0)
+                    mutants += 1
+    assert verdicts[True] and verdicts[False] and mutants
+
+
+def test_sigma_fixes_rejects_a_column_with_two_entries():
+    rs = build_root_system("A", 2)
+    sigma = canonical_involution(rs, "varsigma")
+    datum = make_datum(
+        rs, sigma, BDTriple.empty(), solve_parameters(rs, BDTriple.empty()).base_point, ONE
+    )
+    cols = list(sigma.columns)
+    cols[0] = [(0, ONE), (1, ONE)]
+    broken = Involution(cols, sigma.kind, sigma.mu, sigma.J)
+    with pytest.raises(ValueError, match="more than one entry"):
+        sigma_fixes(BialgebraDatum(rs, broken, "varsigma", datum.bd, datum.lam, datum.t, datum.r0))
