@@ -276,6 +276,8 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
 
     Raises KeyError for a missing field and ValueError (or TypeError) for
     a malformed one."""
+    if not isinstance(doc["type"], str):
+        raise ValueError("type must be a string")
     typ = SimpleType.parse(doc["type"])
     rs = build_root_system(typ.series, typ.rank)
     n = rs.rank

@@ -32,9 +32,8 @@ from __future__ import annotations
 from math import lcm
 from weakref import WeakKeyDictionary
 
-from . import linalg
 from .bdtriple import DiagramAutomorphism, identity_automorphism
-from .core import GaussianRational, I, ONE, ZERO
+from .core import GaussianRational, I, ONE
 from .rootsystem import RootSystem
 
 
@@ -42,24 +41,14 @@ class Involution:
     """Semilinear Lie algebra involution in ambient coordinates.
 
     columns[j] lists the nonzero (i, M[i][j]) of the linear part M by
-    increasing row i; .matrix is the dense view, derived once, for dense
-    linear algebra, and int_columns() the one-entry columns in ints.
+    increasing row i, and int_columns() the one-entry columns in ints.
     kind is "varsigma", "omega" or "general"."""
 
-    __slots__ = ("columns", "kind", "mu", "J", "_matrix", "_ints")
+    __slots__ = ("columns", "kind", "mu", "J", "_ints")
 
     def __init__(self, columns: list, kind="general", mu=None, J=()):
-        self.columns, self._matrix, self._ints = columns, None, None
+        self.columns, self._ints = columns, None
         self.kind, self.mu, self.J = kind, mu, J
-
-    @property
-    def matrix(self) -> list:
-        if self._matrix is None:
-            self._matrix = linalg.zeros(len(self.columns), len(self.columns))
-            for j, col in enumerate(self.columns):
-                for i, v in col:
-                    self._matrix[i][j] = v
-        return self._matrix
 
     def int_columns(self) -> tuple[list, int, list]:
         """(images, D, scalars): column j is (re + im i) / D at row
@@ -77,13 +66,6 @@ class Involution:
             )
         return self._ints
 
-    def __call__(self, v):
-        out = [ZERO] * len(v)
-        vcol = [(j, x) for j, x in enumerate(v) if x]
-        for i, x in column_product(self.columns, [vcol], conj=True)[0]:
-            out[i] = x
-        return out
-
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
         if self.mu is not None:
@@ -100,20 +82,6 @@ class Involution:
                 return "omega"
             return "omega_J" if self.mu.is_identity() else "omega_mu_J"
         return "general"
-
-
-def column_product(a: list, b: list, conj: bool = False) -> list:
-    """Sparse columns of A B, or of A conj(B), from those of A and B."""
-    out = []
-    for col in b:
-        acc: dict[int, GaussianRational] = {}
-        for k, bk in col:
-            if conj:
-                bk = bk.conj()
-            for i, aik in a[k]:
-                acc[i] = acc[i] + aik * bk if i in acc else aik * bk
-        out.append([(i, v) for i, v in sorted(acc.items()) if v])
-    return out
 
 
 def _scalars_at_empty_j(rs: RootSystem, mu: DiagramAutomorphism, negate: bool):
@@ -221,31 +189,30 @@ class RealFormBasis:
 
     The vectors also form a basis of the ambient space over the complex
     scalars, so a vector lies in the real span exactly when its complex
-    coordinates over them are real.  vectors are coordinate vectors over
-    the complex basis; the first h_vectors of them span h_0; support[j]
-    lists the nonzero (i, x) of vector j.  Each vector is supported on one
-    index or on a pair that exactly two vectors share, so the basis
-    matrix W is block diagonal with 1 x 1 and 2 x 2 blocks, inverted
-    block by block: inverse_columns[i] lists the nonzero (k, W^-1[k][i]),
-    at most two.
+    coordinates over them are real.  support[j] lists the nonzero (i, x)
+    of vector j by increasing index i; the first h_vectors of them span
+    h_0.  Each vector is supported on one index or on a pair that exactly
+    two vectors share, so the basis matrix W is block diagonal with 1 x 1
+    and 2 x 2 blocks, inverted block by block: inverse_columns[i] lists
+    the nonzero (k, W^-1[k][i]), at most two.
     """
 
-    __slots__ = ("vectors", "h_vectors", "support", "inverse_columns")
+    __slots__ = ("support", "h_vectors", "inverse_columns")
 
-    def __init__(self, vectors: list, h_vectors: int):
-        self.vectors, self.h_vectors = vectors, h_vectors
-        self.support = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    def __init__(self, support: list, h_vectors: int):
+        self.support, self.h_vectors = support, h_vectors
         blocks: dict[tuple, list] = {}
-        for j, nz in enumerate(self.support):
+        for j, nz in enumerate(support):
             blocks.setdefault(tuple(i for i, _ in nz), []).append(j)
-        cols: list = [None] * len(vectors)
+        cols: list = [None] * len(support)
         for rows, js in blocks.items():
             if len(rows) == 1:
                 (i,), (j,) = rows, js
-                cols[i] = [(j, ONE / vectors[j][i])]
+                cols[i] = [(j, ONE / support[j][0][1])]
                 continue
             (i1, i2), (j1, j2) = rows, js
-            a, b, c, d = vectors[j1][i1], vectors[j2][i1], vectors[j1][i2], vectors[j2][i2]
+            (_, a), (_, c) = support[j1]
+            (_, b), (_, d) = support[j2]
             det = a * d - b * c
             cols[i1] = [(j1, d / det), (j2, -c / det)]
             cols[i2] = [(j1, -b / det), (j2, a / det)]
@@ -253,33 +220,33 @@ class RealFormBasis:
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.support)
 
-    def tensor_coordinates(self, x) -> list:
-        """Coordinates of an order-2 tensor over this basis: W^-1 X W^-T
-        for the basis matrix W, summed over the nonzeros of x.  All real
-        iff x lies in the real form's tensor square."""
-        n, cols = len(self.vectors), self.inverse_columns
-        out = [[ZERO] * n for _ in range(n)]
+    def tensor_coordinates(self, x) -> dict:
+        """The nonzero coordinates {(k, m): value} of an order-2 tensor
+        over this basis, in index order: W^-1 X W^-T for the basis matrix
+        W, summed over the nonzeros of x.  All real iff x lies in the real
+        form's tensor square."""
+        cols, acc = self.inverse_columns, {}
         for (i, j), v in x.entries.items():
             for k, a in cols[i]:
-                row, av = out[k], a * v
+                av = a * v
                 for m, b in cols[j]:
-                    row[m] = row[m] + av * b
-        return out
+                    key = (k, m)
+                    acc[key] = acc[key] + av * b if key in acc else av * b
+        return {key: v for key, v in sorted(acc.items()) if v}
 
-    def coordinates(self, target) -> list | None:
-        """Real coordinates of target, or None if outside the real span."""
-        return self.term_coordinates((i, x) for i, x in enumerate(target) if x)
-
-    def term_coordinates(self, terms) -> list | None:
-        """Real coordinates of the sum of x e_i over the terms (i, x), or
-        None, summed through the sparse columns of W^-1."""
-        out = [ZERO] * len(self.vectors)
+    def term_coordinates(self, terms) -> tuple | None:
+        """The nonzero real coordinates (k, c) of the sum of x e_i over
+        the terms (i, x), by increasing k, summed through the sparse
+        columns of W^-1; None if one is not real.  Every coordinate no
+        term touches is 0, so only the touched ones are tested."""
+        acc: dict[int, GaussianRational] = {}
         for i, x in terms:
             for k, w in self.inverse_columns[i]:
-                out[k] = out[k] + w * x
-        return out if all(c.is_real() for c in out) else None
+                acc[k] = acc[k] + w * x if k in acc else w * x
+        out = tuple((k, c) for k, c in sorted(acc.items()) if c)
+        return out if all(c.is_real() for _, c in out) else None
 
 
 def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
@@ -288,38 +255,24 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
     The Cartan vectors follow the canonical patterns (h_a for fixed
     simple roots, h_a + h_{mu a} and i(h_a - h_{mu a}) for swapped pairs,
     with an extra i in the omega cases); the root part pairs x_gamma
-    with its sigma-image.
+    with its sigma-image.  Each vector is built as its nonzeros, by
+    increasing index.
     """
     if sigma.kind not in ("varsigma", "omega"):
         raise ValueError("fixed_point_basis requires a canonical involution")
     mu = sigma.mu
-    n = rs.rank
     omega_kind = sigma.kind == "omega"
-    vectors = []
-
-    def unit(idx, coeff=ONE):
-        v = [ZERO] * rs.dim
-        v[idx] = coeff
-        return v
-
-    def add(*terms):
-        v = [ZERO] * rs.dim
-        for idx, coeff in terms:
-            v[idx] = v[idx] + coeff
-        vectors.append(v)
-
-    for i in range(n):
+    support = []
+    for i in range(rs.rank):
         j = mu(i)
         if j == i:
-            vectors.append(unit(i, I if omega_kind else ONE))
+            support.append([(i, I if omega_kind else ONE)])
         elif j > i:
             if omega_kind:
-                add((i, I), (j, I))
-                add((i, ONE), (j, -ONE))
+                support += [[(i, I), (j, I)], [(i, ONE), (j, -ONE)]]
             else:
-                add((i, ONE), (j, ONE))
-                add((i, I), (j, -I))
-    h_count = len(vectors)
+                support += [[(i, ONE), (j, ONE)], [(i, I), (j, -I)]]
+    h_count = len(support)
 
     action = sigma_root_action(rs, sigma)
     seen = set()
@@ -330,18 +283,23 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
         seen.add(gamma)
         gi = rs.root_index(gamma)
         if image == gamma:
-            vectors.append(unit(gi, ONE if c == ONE else I))
+            support.append([(gi, ONE if c == ONE else I)])
             continue
+        # sigma* is an involution, so an image met later in rs.roots
+        # has the larger index
         seen.add(image)
         ii = rs.root_index(image)
-        add((gi, ONE), (ii, c))
-        add((gi, I), (ii, -I * c))
+        support += [[(gi, ONE), (ii, c)], [(gi, I), (ii, -I * c)]]
 
-    basis = RealFormBasis(vectors, h_count)
-    for v in basis.vectors:
-        assert sigma(v) == v, "constructed vector is not sigma-fixed"
-    assert len(basis.vectors) == rs.dim
-    return basis
+    # sigma(v) = M conj(v), summed over the one-entry columns of M
+    for nz in support:
+        image: dict[int, GaussianRational] = {}
+        for i, x in nz:
+            for k, m in sigma.columns[i]:
+                image[k] = image[k] + m * x.conj() if k in image else m * x.conj()
+        assert sorted(image.items()) == nz, "constructed vector is not sigma-fixed"
+    assert len(support) == rs.dim
+    return RealFormBasis(support, h_count)
 
 
 def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
@@ -351,10 +309,9 @@ def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
     table = {}
     for i, u in enumerate(basis.support):
         for j, v in enumerate(basis.support):
-            coords = basis.term_coordinates(rs.structure.bracket_terms(u, v))
-            if coords is None:
+            terms = basis.term_coordinates(rs.structure.bracket_terms(u, v))
+            if terms is None:
                 raise AssertionError("real form is not closed under bracket")
-            terms = tuple((k, c) for k, c in enumerate(coords) if c)
             if terms:
                 table[(i, j)] = terms
     return table

@@ -24,17 +24,6 @@ def copy_matrix(m: Matrix) -> Matrix:
     return [row[:] for row in m]
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    out = [ZERO] * len(a)
-    for i, row in enumerate(a):
-        acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out[i] = acc
-    return out
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     a = copy_matrix(m)

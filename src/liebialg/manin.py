@@ -8,14 +8,18 @@ Imaginary branch (t imaginary): the double is the realification of the
 complex algebra with the bilinear form 2 Re( | ); the real form pairs
 against r_plus of the real dual.  The inner product ( | ) is throughout
 the one induced by r + r^{21}, i.e. kappa / t.
+
+Both builders work on nonzeros only: the real form's vectors, brackets
+and tensor coordinates come sparse from RealFormBasis, the Killing form
+is read off killing_h and the paired root slots, and the double's
+pairing rows and subspace vectors are {index: nonzero} dicts.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from . import linalg
-from .core import GaussianRational, ONE, StructureTable, ZERO
+from .core import GaussianRational, ONE, StructureTable
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
 from .rootsystem import RootSystem
@@ -23,28 +27,28 @@ from .rootsystem import RootSystem
 
 # ---- the triple container ----------------------------------------------------
 #
-# verify() runs in ints.  The double's data are real: the pairing is scaled
-# by one common denominator, the table through its int view, and each
-# subspace vector by its own, since scaling a basis vector changes no span,
-# isotropy or closure.  Vectors are dicts {index: nonzero int}.
+# The double's data are sparse and real: the pairing is a list of rows
+# {column: nonzero}, and each subspace vector a dict {index: nonzero}.
+# verify() runs in ints: the pairing is scaled by one common denominator,
+# the table through its int view, and each subspace vector by its own,
+# since scaling a basis vector changes no span, isotropy or closure.
 
 
-def _int_vector(v) -> dict:
+def _int_vector(v: dict) -> dict:
     """The nonzero coordinates of a real vector over the lcm of their
     denominators."""
-    nz = [(i, x) for i, x in enumerate(v) if x]
-    d = lcm(*(x.d for _, x in nz))
-    assert not any(x.b for _, x in nz), "the double's data must be real"
-    return {i: x.a * (d // x.d) for i, x in nz}
+    d = lcm(*(x.d for x in v.values()))
+    assert not any(x.b for x in v.values()), "the double's data must be real"
+    return {i: x.a * (d // x.d) for i, x in v.items() if x}
 
 
-def _int_rows(m) -> list:
-    """The rows of a real matrix over one common denominator."""
-    d = lcm(*(x.d for row in m for x in row if x))
+def _int_rows(m: list) -> list:
+    """The sparse rows of a real matrix over one common denominator."""
+    d = lcm(*(x.d for row in m for x in row.values()))
     rows = []
     for row in m:
-        assert not any(x.b for x in row), "the double's data must be real"
-        rows.append({j: x.a * (d // x.d) for j, x in enumerate(row) if x})
+        assert not any(x.b for x in row.values()), "the double's data must be real"
+        rows.append({j: x.a * (d // x.d) for j, x in row.items() if x})
     return rows
 
 
@@ -105,9 +109,10 @@ def _orthogonal(vectors, p_rows) -> bool:
 
 
 class ManinTriple:
-    """The double with its pairing (a Gram matrix over the double's basis),
-    its bracket and the two Lagrangian subalgebras; case is
-    "factorizable" or "imaginary_factorizable"."""
+    """The double with its pairing (the sparse rows of a Gram matrix over
+    the double's basis), its bracket and the two Lagrangian subalgebras,
+    each spanned by sparse vectors; case is "factorizable" or
+    "imaginary_factorizable"."""
 
     __slots__ = ("double_dim", "pairing", "structure", "sub1_basis", "sub2_basis", "case")
 
@@ -189,23 +194,34 @@ class ManinTriple:
 # ---- real-basis plumbing -----------------------------------------------------
 
 
-def real_killing_gram(rs: RootSystem, basis: RealFormBasis):
-    """Killing Gram matrix of the real basis, each entry over the at most
-    two nonzeros of either vector."""
-    k = rs.killing_gram()
-    out = []
+def _killing_terms(rs: RootSystem, a: int):
+    """The nonzero (b, kappa(e_a, e_b)): killing_h on the Cartan block, and
+    kappa(x_g, x_-g) = 1 on the paired root slots."""
+    if a < rs.rank:
+        return [(b, x) for b, x in enumerate(rs.killing_h[a]) if x]
+    if a < rs.rank + rs.npos:
+        return [(a + rs.npos, ONE)]
+    return [(a - rs.npos, ONE)]
+
+
+def real_killing_gram(rs: RootSystem, basis: RealFormBasis) -> list:
+    """Sparse rows {j: nonzero kappa(v_i, v_j)} of the Killing Gram matrix
+    of the real basis, by increasing j, each row over the at most two
+    nonzeros of its vector and the vectors supported where those pair."""
+    owners: list[list] = [[] for _ in basis.support]  # ambient index -> (j, x)
+    for j, nz in enumerate(basis.support):
+        for b, y in nz:
+            owners[b].append((j, y))
+    rows = []
     for u in basis.support:
-        row = []
-        for v in basis.support:
-            val = ZERO
-            for a, x in u:
-                for b, y in v:
-                    if k[a][b]:
-                        val = val + x * y * k[a][b]
-            assert val.is_real(), "Killing form must be real on a real form"
-            row.append(val)
-        out.append(row)
-    return out
+        acc: dict[int, GaussianRational] = {}
+        for a, x in u:
+            for b, k in _killing_terms(rs, a):
+                for j, y in owners[b]:
+                    acc[j] = acc[j] + x * k * y if j in acc else x * k * y
+        assert all(v.is_real() for v in acc.values()), "Killing form must be real on a real form"
+        rows.append({j: v for j, v in sorted(acc.items()) if v})
+    return rows
 
 
 # ---- factorizable branch -----------------------------------------------------
@@ -221,18 +237,13 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     n = basis.count
 
     rho = basis.tensor_coordinates(datum.r)
-    if not all(x.is_real() for row in rho for x in row):
+    if not all(x.is_real() for x in rho.values()):
         raise ValueError("factorizable double requires r real on the real form")
-    k0 = real_killing_gram(rs, basis)
     inv_t = ONE / datum.t
-    form = [[inv_t * x for x in row] for row in k0]
 
     # double pairing <(x,u)|(y,v)> = (x|y) - (u|v)
-    pairing = linalg.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            pairing[i][j] = form[i][j]
-            pairing[n + i][n + j] = -form[i][j]
+    form = [{j: inv_t * x for j, x in row.items()} for row in real_killing_gram(rs, basis)]
+    pairing = form + [{n + j: -x for j, x in row.items()} for row in form]
 
     table = {}
     for (i, j), terms in real_structure_constants(rs, basis).items():
@@ -240,20 +251,15 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
         table[(n + i, n + j)] = tuple((n + k, c) for k, c in terms)
     structure = StructureTable(2 * n, table)
 
-    sub1 = []
-    for a in range(n):
-        v = [ZERO] * (2 * n)
-        v[a] = ONE
-        v[n + a] = ONE
-        sub1.append(v)
+    sub1 = [{a: ONE, n + a: ONE} for a in range(n)]
 
-    sub2 = []
-    for k in range(n):
-        v = [ZERO] * (2 * n)
-        for b in range(n):
-            v[b] = rho[k][b]  # r_plus = rho^T
-            v[n + b] = -rho[b][k]
-        sub2.append(v)
+    # sub2[k] = (r_plus, r_minus) of the k-th dual vector: rho[k][b] at b,
+    # -rho[b][k] at n + b
+    sub2: list[dict] = [{} for _ in range(n)]
+    for (k, b), x in rho.items():
+        sub2[k][b] = x
+    for (b, k), x in rho.items():
+        sub2[k][n + b] = -x
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "factorizable")
 
@@ -288,37 +294,29 @@ def realification_structure(rs: RootSystem) -> StructureTable:
     return StructureTable(2 * n, table)
 
 
-def realify_vector(v) -> list:
-    """Coordinates over {b_j, i b_j} of a complex coordinate vector."""
-    n = len(v)
-    out = [ZERO] * (2 * n)
-    for j, x in enumerate(v):
-        if x.a:
-            out[j] = x.real_part()
-        if x.b:
-            out[n + j] = x.imag_part()
-    return out
+def _realify(terms, n: int) -> dict:
+    """Coordinates over {b_j, i b_j} of the complex vector with the
+    nonzero terms (j, x), by increasing index."""
+    re = {j: x.real_part() for j, x in terms if x.a}
+    im = {n + j: x.imag_part() for j, x in terms if x.b}
+    return re | im
 
 
-def real_part_pairing(rs: RootSystem, t: GaussianRational):
-    """Gram matrix of 2 Re(kappa / t) on the realified basis."""
+def real_part_pairing(rs: RootSystem, t: GaussianRational) -> list:
+    """Sparse rows of the Gram matrix of 2 Re(kappa / t) on the realified
+    basis."""
     n = rs.dim
-    k = rs.killing_gram()
-    inv_t = ONE / t
-    two = GaussianRational(2)
-
-    p = linalg.zeros(2 * n, 2 * n)
+    two_inv_t = GaussianRational(2) / t
+    rows: list[dict] = [{} for _ in range(2 * n)]
     for i in range(n):
-        for j in range(n):
-            base = inv_t * k[i][j]
-            if not base:
-                continue
-            re, im = two * base.real_part(), two * base.imag_part()
-            p[i][j] = re
-            p[i][n + j] = -im  # 2 Re(i base)
-            p[n + i][j] = -im
-            p[n + i][n + j] = -re
-    return p
+        for j, k in _killing_terms(rs, i):
+            base = two_inv_t * k
+            re, im = base.real_part(), base.imag_part()
+            if re:
+                rows[i][j], rows[n + i][n + j] = re, -re
+            if im:  # 2 Re(i base) = -2 Im(base)
+                rows[i][n + j], rows[n + i][j] = -im, -im
+    return [dict(sorted(row.items())) for row in rows]
 
 
 def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
@@ -333,14 +331,15 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     structure = realification_structure(rs)
     pairing = real_part_pairing(rs, datum.t)
 
-    sub1 = [realify_vector(v) for v in basis.vectors]
+    sub1 = [_realify(nz, n) for nz in basis.support]
 
     # r_plus of the real dual basis, the rows phi_k of W^-1 (functionals on
     # l, real on the real form): r_plus(phi_k)[a] = sum_b phi_k[b] r[b][a]
-    images = [[ZERO] * n for _ in range(n)]
+    images: list[dict] = [{} for _ in range(n)]
     for (b, a), x in datum.r.entries.items():
         for k, w in basis.inverse_columns[b]:
-            images[k][a] = images[k][a] + x * w
-    sub2 = [realify_vector(v) for v in images]
+            image = images[k]
+            image[a] = image[a] + x * w if a in image else x * w
+    sub2 = [_realify(sorted(image.items()), n) for image in images]
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "imaginary_factorizable")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from . import linalg
+from .core import ZERO
 from .involution import Involution, RealFormBasis, canonical_involution
 from .rootsystem import RootSystem
 
@@ -73,19 +73,24 @@ def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
 
 
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
-    """Matrix of theta restricted to the real form, in its real basis.
+    """Matrix of theta restricted to the real form, in its real basis:
+    column j holds the real coordinates of theta(v_j), summed over theta's
+    columns at the nonzeros of v_j.
 
     identify does not use it, and no command calls it; it stays because
     the per-layer tracer of perfbench/layers.py spans it by name.  Tests
     use it as an independent reference for the trace formulas."""
-    cols = []
-    for v in basis.vectors:
-        image = linalg.mat_vec(theta.matrix, v)
-        coords = basis.coordinates(image)
+    n = basis.count
+    out = [[ZERO] * n for _ in range(n)]
+    for j, nz in enumerate(basis.support):
+        coords = basis.term_coordinates(
+            (i, m * x) for a, x in nz for i, m in theta.columns[a]
+        )
         if coords is None:
             raise AssertionError("theta does not preserve the real form")
-        cols.append(coords)
-    return [list(row) for row in zip(*cols)]
+        for k, c in coords:
+            out[k][j] = c
+    return out
 
 
 def _theta_lines(rs: RootSystem, theta: Involution) -> tuple:

@@ -418,18 +418,6 @@ class RootSystem:
         den = dw * dw * e
         return {k: rational(v, den) for k, v in acc.items() if v}
 
-    def killing_gram(self) -> list[list[GaussianRational]]:
-        """Gram matrix of the Killing form in the ambient basis."""
-        k = linalg.zeros(self.dim, self.dim)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                k[i][j] = self.killing_h[i][j]
-        for ip in range(self.rank, self.rank + self.npos):
-            im = ip + self.npos
-            k[ip][im] = ONE
-            k[im][ip] = ONE
-        return k
-
     def to_json(self) -> dict:
         """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read
         off the structure table in basis order."""

@@ -21,12 +21,7 @@ from liebialg.bdtriple import (
 )
 from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe
 from liebialg.involution import Involution, fixed_point_basis
-from liebialg.manin import (
-    ManinTriple,
-    real_part_pairing,
-    realification_structure,
-    realify_vector,
-)
+from liebialg.manin import ManinTriple, realification_structure
 from liebialg.parameter import ContinuousParameter
 from liebialg.rmatrix import ExtractionError
 
@@ -40,6 +35,39 @@ def sparse_columns(m: list) -> list:
     """The sparse columns [(i, m[i][j]) nonzero] of a dense square matrix,
     the form an Involution is built from."""
     return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+
+
+def involution_matrix(sigma) -> list:
+    """The dense linear part M of an involution, from its sparse columns."""
+    n = len(sigma.columns)
+    m = [[ZERO] * n for _ in range(n)]
+    for j, col in enumerate(sigma.columns):
+        for i, v in col:
+            m[i][j] = v
+    return m
+
+
+def apply_involution(sigma, v) -> list:
+    """sigma(v) = M conj(v) for a dense coordinate vector v."""
+    return mat_vec(involution_matrix(sigma), [x.conj() for x in v])
+
+
+def dense_vector(v: dict, n: int) -> list:
+    """The dense coordinate vector of length n with the nonzeros {i: x}."""
+    out = [ZERO] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
+
+
+def sparse_vector(v: list) -> dict:
+    """{i: x} of the nonzero entries of a dense vector, by increasing i."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def basis_vectors(basis) -> list:
+    """The dense coordinate vectors of a real-form basis."""
+    return [dense_vector(dict(nz), basis.count) for nz in basis.support]
 
 
 def bracket(st, u, v) -> list:
@@ -86,6 +114,17 @@ def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
 
 
 # ---- dense matrix algebra ----------------------------------------------------
+
+
+def mat_vec(a: list, v: list) -> list:
+    out = [ZERO] * len(a)
+    for i, row in enumerate(a):
+        acc = ZERO
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out[i] = acc
+    return out
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -228,6 +267,19 @@ def reference_structure_constants(rs) -> tuple[list, dict, dict]:
     return positive, extraspecial, consts
 
 
+def killing_gram(rs) -> list:
+    """Gram matrix of the Killing form in the ambient basis, from
+    rs.killing_h and (x_g | x_-g) = 1 on the paired root slots."""
+    k = linalg.zeros(rs.dim, rs.dim)
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            k[i][j] = rs.killing_h[i][j]
+    for ip in range(rs.rank, rs.rank + rs.npos):
+        im = ip + rs.npos
+        k[ip][im] = k[im][ip] = ONE
+    return k
+
+
 def killing_form(rs, x, y) -> GaussianRational:
     """kappa(x, y) for coordinate vectors, via the block Gram matrix: the
     Cartan block from fraction_killing_h, (x_g | x_-g) = 1 on root pairs."""
@@ -258,13 +310,14 @@ def killing_form_adjoint(rs, x, y) -> GaussianRational:
 
 def theta_twisted_gram(rs, theta, basis):
     """Gram matrix of B(x, y) = -kappa(x, theta y) on the real basis."""
-    images = [linalg.mat_vec(theta.matrix, v) for v in basis.vectors]
+    vectors = basis_vectors(basis)
+    images = [mat_vec(involution_matrix(theta), v) for v in vectors]
     n = basis.count
     gram = []
     for i in range(n):
         row = []
         for j in range(n):
-            val = -killing_form(rs, basis.vectors[i], images[j])
+            val = -killing_form(rs, vectors[i], images[j])
             assert val.is_real()
             row.append(Fraction(val.a, val.d))
         gram.append(row)
@@ -391,14 +444,18 @@ def factorization_maps(rs, r: Tensor2):
 def induced_form(rs, t: GaussianRational):
     """Gram matrix of the inner product induced by r + r21 = t Omega:
     kappa / t on the ambient basis."""
-    k = rs.killing_gram()
     inv_t = ONE / t
-    return [[inv_t * x for x in row] for row in k]
+    return [[inv_t * x for x in row] for row in killing_gram(rs)]
+
+
+def dense_rows(rows: list, n: int) -> list:
+    """The dense n x n matrix with the sparse rows {j: x}."""
+    return [dense_vector(row, n) for row in rows]
 
 
 def pair(mt, u, v) -> GaussianRational:
-    """The pairing of a Manin triple on two coordinate vectors."""
-    p = mt.pairing
+    """The pairing of a Manin triple on two dense coordinate vectors."""
+    p = dense_rows(mt.pairing, mt.double_dim)
     acc = ZERO
     for i, a in enumerate(u):
         if not a:
@@ -407,6 +464,32 @@ def pair(mt, u, v) -> GaussianRational:
             if b and p[i][j]:
                 acc = acc + a * p[i][j] * b
     return acc
+
+
+def realify_vector(v) -> list:
+    """Coordinates over {b_j, i b_j} of a dense complex coordinate vector."""
+    n = len(v)
+    out = [ZERO] * (2 * n)
+    for j, x in enumerate(v):
+        if x.a:
+            out[j] = x.real_part()
+        if x.b:
+            out[n + j] = x.imag_part()
+    return out
+
+
+def dense_real_part_pairing(rs, t: GaussianRational) -> list:
+    """Gram matrix of 2 Re(kappa / t) on the realified basis."""
+    n = rs.dim
+    two = GaussianRational(2)
+    p = linalg.zeros(2 * n, 2 * n)
+    for i, row in enumerate(induced_form(rs, t)):
+        for j, base in enumerate(row):
+            if base:
+                re, im = two * base.real_part(), two * base.imag_part()
+                p[i][j], p[i][n + j] = re, -im  # 2 Re(i base) = -2 Im(base)
+                p[n + i][j], p[n + i][n + j] = -im, -re
+    return p
 
 
 def multiplication_by_i(n: int):
@@ -429,17 +512,18 @@ def psi_phi(rs, sigma):
     def rho_column(v):
         return realify_vector(v)
 
+    m = involution_matrix(sigma)
     psi = linalg.zeros(2 * n, 2 * n)
     for a in range(n):
         e = [ZERO] * n
         e[a] = ONE
         col_x = rho_column(e)
-        jx = linalg.mat_vec(jmat, col_x)
+        jx = mat_vec(jmat, col_x)
         for i in range(2 * n):
             psi[i][a] = half * col_x[i] - half_i * jx[i]
-        se = [sigma.matrix[i][a] for i in range(n)]
+        se = [m[i][a] for i in range(n)]
         col_y = rho_column(se)
-        jy = linalg.mat_vec(jmat, col_y)
+        jy = mat_vec(jmat, col_y)
         for i in range(2 * n):
             psi[i][n + a] = half * col_y[i] + half_i * jy[i]
 
@@ -447,7 +531,7 @@ def psi_phi(rs, sigma):
     for j in range(n):
         upsilon[j][j] = ONE
         upsilon[j][n + j] = I
-    lower = mat_mul(sigma.matrix, conjugate(upsilon))
+    lower = mat_mul(m, conjugate(upsilon))
     phi = [upsilon[i][:] for i in range(n)] + [lower[i][:] for i in range(n)]
     return psi, phi
 
@@ -468,15 +552,13 @@ def direct_sum_structure(rs) -> StructureTable:
 def cobracket_from_triple(mt) -> list:
     """delta on sub1 via the pairing with sub2: for each basis vector of
     sub1 a matrix D with delta(w_c) = sum D[a][b] w_a (x) w_b."""
-    q = [
-        [pair(mt, w, z) for z in mt.sub2_basis] for w in mt.sub1_basis
-    ]
+    sub1 = [dense_vector(v, mt.double_dim) for v in mt.sub1_basis]
+    sub2 = [dense_vector(v, mt.double_dim) for v in mt.sub2_basis]
+    q = [[pair(mt, w, z) for z in sub2] for w in sub1]
     qinv = linalg.inverse(q)
-    brackets = [
-        [bracket(mt.structure, z, y) for y in mt.sub2_basis] for z in mt.sub2_basis
-    ]
+    brackets = [[bracket(mt.structure, z, y) for y in sub2] for z in sub2]
     out = []
-    for w in mt.sub1_basis:
+    for w in sub1:
         m = [[pair(mt, w, br) for br in row] for row in brackets]
         out.append(
             mat_mul(qinv, mat_mul(m, transpose(qinv)))
@@ -487,9 +569,10 @@ def cobracket_from_triple(mt) -> list:
 def cobracket_from_r0(rs, datum) -> list:
     """delta = ad_x(r0) on the real form, in real-basis coordinates."""
     basis = fixed_point_basis(rs, datum.sigma)
+    winv = dense_inverse(basis)
     n = rs.dim
     out = []
-    for vec in basis.vectors:
+    for vec in basis_vectors(basis):
         acc: dict[tuple, GaussianRational] = {}
         # (ad_x (x) 1 + 1 (x) ad_x) applied to r0
         admat = ad(rs.structure, vec)
@@ -499,7 +582,7 @@ def cobracket_from_r0(rs, datum) -> list:
                     acc[(i, b)] = acc.get((i, b), ZERO) + admat[i][a] * v
                 if admat[i][b]:
                     acc[(a, i)] = acc.get((a, i), ZERO) + admat[i][b] * v
-        out.append(basis.tensor_coordinates(Tensor2.from_items(n, acc.items())))
+        out.append(dense_tensor_coordinates(basis, Tensor2.from_items(n, acc.items()), winv))
     return out
 
 
@@ -512,13 +595,13 @@ def cobracket_from_r0(rs, datum) -> list:
 
 def dense_inverse(basis) -> list:
     """W^-1 for the basis matrix W whose columns are the basis vectors."""
-    return linalg.inverse(transpose(basis.vectors))
+    return linalg.inverse(transpose(basis_vectors(basis)))
 
 
 def dense_coordinates(basis, target, winv=None) -> list | None:
     """Real coordinates of target over the basis, or None if outside the
     real span."""
-    coords = linalg.mat_vec(winv or dense_inverse(basis), target)
+    coords = mat_vec(winv or dense_inverse(basis), target)
     if not all(x.is_real() for x in coords):
         return None
     return coords
@@ -535,12 +618,13 @@ def dense_tensor_coordinates(basis, x, winv=None) -> list:
 def dense_real_structure_constants(rs, basis) -> dict:
     """Bracket table of the real form in its own basis."""
     winv = dense_inverse(basis)
-    ads = [ad(rs.structure, u) for u in basis.vectors]
+    vectors = basis_vectors(basis)
+    ads = [ad(rs.structure, u) for u in vectors]
     n = basis.count
     table = {}
     for i in range(n):
         for j in range(n):
-            coords = dense_coordinates(basis, linalg.mat_vec(ads[i], basis.vectors[j]), winv)
+            coords = dense_coordinates(basis, mat_vec(ads[i], vectors[j]), winv)
             assert coords is not None, "real form is not closed under bracket"
             terms = tuple((k, c) for k, c in enumerate(coords) if c)
             if terms:
@@ -549,10 +633,11 @@ def dense_real_structure_constants(rs, basis) -> dict:
 
 
 def dense_real_killing_gram(rs, basis) -> list:
+    vectors = basis_vectors(basis)
     out = []
-    for u in basis.vectors:
+    for u in vectors:
         row = []
-        for v in basis.vectors:
+        for v in vectors:
             val = killing_form(rs, u, v)
             assert val.is_real(), "Killing form must be real on a real form"
             row.append(val)
@@ -592,7 +677,8 @@ def dense_double_factorizable(rs, datum) -> ManinTriple:
             v[n + b] = -rho[b][k]
         sub2.append(v)
     return ManinTriple(
-        2 * n, pairing, StructureTable(2 * n, table), sub1, sub2, "factorizable"
+        2 * n, [sparse_vector(row) for row in pairing], StructureTable(2 * n, table),
+        [sparse_vector(v) for v in sub1], [sparse_vector(v) for v in sub2], "factorizable",
     )
 
 
@@ -601,26 +687,29 @@ def dense_double_imaginary(rs, datum) -> ManinTriple:
     the dense W^-1."""
     n = rs.dim
     basis = fixed_point_basis(rs, datum.sigma)
-    sub1 = [realify_vector(v) for v in basis.vectors]
+    sub1 = [realify_vector(v) for v in basis_vectors(basis)]
     rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
     r_plus = transpose(rmat)
-    sub2 = [realify_vector(linalg.mat_vec(r_plus, phi)) for phi in dense_inverse(basis)]
+    sub2 = [realify_vector(mat_vec(r_plus, phi)) for phi in dense_inverse(basis)]
     return ManinTriple(
         2 * n,
-        real_part_pairing(rs, datum.t),
+        [sparse_vector(row) for row in dense_real_part_pairing(rs, datum.t)],
         realification_structure(rs),
-        sub1,
-        sub2,
+        [sparse_vector(v) for v in sub1],
+        [sparse_vector(v) for v in sub2],
         "imaginary_factorizable",
     )
 
 
 def manin_fields(mt) -> tuple:
     """Every field of a Manin triple, the structure as its dimension and
-    table, for comparing two triples field by field."""
+    table and each sparse row or vector as its items, so that two triples
+    compare field by field and in index order."""
     return (
-        mt.double_dim, mt.pairing, mt.structure.dim, mt.structure.table,
-        mt.sub1_basis, mt.sub2_basis, mt.case,
+        mt.double_dim, [list(row.items()) for row in mt.pairing],
+        mt.structure.dim, mt.structure.table,
+        [list(v.items()) for v in mt.sub1_basis],
+        [list(v.items()) for v in mt.sub2_basis], mt.case,
     )
 
 
@@ -661,8 +750,8 @@ def constraint_residual(rs, bd, lam):
     for a in bd.gamma1:
         ga = rs.root_values(rs.simple_roots[a])
         gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-        lt_gt = linalg.mat_vec(lam_t, gt)
-        residuals.append([x + y for x, y in zip(lt_gt, linalg.mat_vec(m, ga))])
+        lt_gt = mat_vec(lam_t, gt)
+        residuals.append([x + y for x, y in zip(lt_gt, mat_vec(m, ga))])
     return residuals
 
 
@@ -686,7 +775,7 @@ def reference_solve_parameters(rs, bd) -> tuple[list, list]:
     for a in bd.gamma1:
         ga = rs.root_values(rs.simple_roots[a])
         gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
-        base = [x + y for x, y in zip(linalg.mat_vec(omega_half, gt), linalg.mat_vec(omega_half, ga))]
+        base = [x + y for x, y in zip(mat_vec(omega_half, gt), mat_vec(omega_half, ga))]
         for k in range(n):
             row = []
             for (i, j) in pairs:

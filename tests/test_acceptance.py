@@ -26,12 +26,7 @@ from liebialg.core import (
     cybe_is_zero,
 )
 from liebialg.involution import canonical_involution, fixed_point_basis
-from liebialg.manin import (
-    double_factorizable,
-    double_imaginary,
-    real_part_pairing,
-    realify_vector,
-)
+from liebialg.manin import double_factorizable, double_imaginary
 from liebialg.parameter import (
     apply_reality,
     lambda_reality_ok,
@@ -54,18 +49,23 @@ from liebialg.rmatrix import (
 from liebialg.rootsystem import build_root_system
 from oracles import (
     ad,
+    basis_vectors,
     cobracket_from_r0,
     cobracket_from_triple,
     dense_double_factorizable,
     dense_double_imaginary,
+    dense_rows,
+    dense_vector,
     factorization_maps,
     identity,
     induced_form,
     is_positive_definite,
     manin_fields,
     mat_mul,
+    mat_vec,
     nullspace,
     psi_phi,
+    realify_vector,
     reference_extract_data,
     theta_twisted_gram,
     transpose,
@@ -357,26 +357,26 @@ def test_criterion_7_manin_triples():
         ok = ok and mat_mul(phi, psi) == identity(n2)
         ok = ok and mat_mul(psi, phi) == identity(n2)
         basis = fixed_point_basis(rs, om)
-        l0 = [realify_vector(v) for v in basis.vectors]
+        l0 = [realify_vector(v) for v in basis_vectors(basis)]
         images = []
         n = rs.dim
         for a in range(n):
             arg = [ZERO] * n2
             arg[a] = ONE
             arg[n + a] = ONE
-            images.append(linalg.mat_vec(psi, arg))
+            images.append(mat_vec(psi, arg))
         ok = ok and linalg.rank([list(v) for v in l0 + images]) == n
         r_plus, r_minus, _ = factorization_maps(rs, datum.r)
         images2 = []
         for k in range(n):
             mu = [ONE if j == k else ZERO for j in range(n)]
-            arg = linalg.mat_vec(r_plus, mu) + linalg.mat_vec(r_minus, mu)
-            images2.append(linalg.mat_vec(psi, arg))
-        sub2 = [list(v) for v in mt.sub2_basis]
+            arg = mat_vec(r_plus, mu) + mat_vec(r_minus, mu)
+            images2.append(mat_vec(psi, arg))
+        sub2 = [dense_vector(v, n2) for v in mt.sub2_basis]
         ok = ok and linalg.rank(sub2 + images2) == linalg.rank(sub2)
         # pairing transport (claim iii)
         form = induced_form(rs, datum.t)
-        target = real_part_pairing(rs, datum.t)
+        target = dense_rows(mt.pairing, n2)
         phi1 = [phi[i] for i in range(n)]
         phi2 = [phi[n + i] for i in range(n)]
         # phi1^T form phi1 - phi2^T form phi2, entry by entry

@@ -308,6 +308,7 @@ MALFORMED = {
     "sigma-label-mismatch": lambda doc: doc.update({"sigma_label": "omega"}),
     "sigma-not-an-object": lambda doc: doc.update({"sigma": []}),
     "type-empty": lambda doc: doc.update({"type": ""}),
+    "type-not-a-string": lambda doc: doc.update({"type": [1, 2]}),
     "zero-denominator": lambda doc: doc["lambda"][0].__setitem__(0, ["1/0", "0"]),
     # r0 entry 1 is (1, 0); its row index 1 in other JSON types
     "tensor-index-float": lambda doc: doc["r0"]["entries"][1].__setitem__(0, 1.0),

@@ -18,7 +18,7 @@ from liebialg.core import (
     rational_sqrt,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import bracket, reference_cybe
+from oracles import bracket, involution_matrix, reference_cybe
 
 
 def test_scalar_arithmetic():
@@ -582,7 +582,7 @@ def test_sparse_tensor_and_pair_action_match_dense_oracles(series, rank):
     c = GaussianRational(Fraction(2, 3), 1)
     for sigma in _sigma_variants(rs, "all"):
         xd = _random_dense(rng, d)
-        m = sigma.matrix
+        m = involution_matrix(sigma)
         mt = [list(col) for col in zip(*m)]
         conj_x = _dense_map(lambda v: v.conj(), xd)
         yd = _dense_mul(_dense_mul(m, conj_x), mt)  # (sigma (x) sigma)(x)

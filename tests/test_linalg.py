@@ -5,7 +5,7 @@ import pytest
 
 from liebialg import linalg
 from liebialg.core import GaussianRational, I, ONE, ZERO
-from oracles import identity, is_positive_definite, mat_mul, nullspace, solve
+from oracles import identity, is_positive_definite, mat_mul, mat_vec, nullspace, solve
 
 
 def g(x, y=0):
@@ -59,7 +59,7 @@ def test_nullspace():
     basis = nullspace(m)
     assert len(basis) == 2
     for v in basis:
-        assert linalg.mat_vec(m, v) == [ZERO]
+        assert mat_vec(m, v) == [ZERO]
 
 
 def test_inverse_complex():

@@ -12,23 +12,33 @@ from liebialg.manin import (
     double_imaginary,
     real_part_pairing,
     realification_structure,
-    realify_vector,
 )
 from liebialg.parameter import apply_reality, solve_parameters
 from liebialg.rmatrix import make_datum
 from liebialg.rootsystem import build_root_system
 from oracles import (
+    apply_involution,
+    basis_vectors,
     bracket,
     cobracket_from_r0,
     cobracket_from_triple,
+    dense_rows,
+    dense_vector,
     direct_sum_structure,
     factorization_maps,
     identity,
     induced_form,
+    killing_gram,
     mat_mul,
+    mat_vec,
     multiplication_by_i,
     psi_phi,
+    realify_vector,
 )
+
+
+def _dense(mt, vectors):
+    return [dense_vector(v, mt.double_dim) for v in vectors]
 
 
 def _sl2_datum_real():
@@ -48,7 +58,7 @@ def _su2_datum():
 def test_factorization_map_is_t_killing_duality():
     rs, datum = _sl2_datum_real()
     r_plus, r_minus, i_map = factorization_maps(rs, datum.r)
-    killing = rs.killing_gram()
+    killing = killing_gram(rs)
     expect = linalg.inverse(killing)  # t = 1
     assert i_map == expect
     assert linalg.det(i_map)
@@ -62,10 +72,10 @@ def test_factorization_identity_pairing():
     n = rs.dim
     for k in range(n):
         mu = [ONE if j == k else ZERO for j in range(n)]
-        imu = linalg.mat_vec(i_map, mu)
+        imu = mat_vec(i_map, mu)
         for l in range(n):
             tau = [ONE if j == l else ZERO for j in range(n)]
-            itau = linalg.mat_vec(i_map, tau)
+            itau = mat_vec(i_map, tau)
             lhs = ZERO
             for x in range(n):
                 for y in range(n):
@@ -112,10 +122,11 @@ def test_double_factorizable_sl3_nontrivial_triple():
 def test_double_factorizable_diag_isotropic_by_construction():
     rs, datum = _sl2_datum_real()
     mt = double_factorizable(rs, datum)
-    p = mt.pairing
     n = mt.double_dim
-    for u in mt.sub1_basis:
-        for v in mt.sub1_basis:
+    p = dense_rows(mt.pairing, n)
+    sub1 = _dense(mt, mt.sub1_basis)
+    for u in sub1:
+        for v in sub1:
             acc = ZERO
             for i in range(n):
                 for j in range(n):
@@ -141,16 +152,16 @@ def test_realification_bracket_rules():
     for _ in range(6):
         x = [GaussianRational(rng.randint(-2, 2)) for _ in range(2 * n)]
         y = [GaussianRational(rng.randint(-2, 2)) for _ in range(2 * n)]
-        xp = linalg.mat_vec(jmat, x)
-        yp = linalg.mat_vec(jmat, y)
+        xp = mat_vec(jmat, x)
+        yp = mat_vec(jmat, y)
         xy = bracket(st, x, y)
         # [x', y'] = -[x, y]
         assert bracket(st, xp, yp) == [-v for v in xy]
         # [x, y'] = [x', y] = [x, y]'
-        assert bracket(st, x, yp) == linalg.mat_vec(jmat, xy)
-        assert bracket(st, xp, y) == linalg.mat_vec(jmat, xy)
+        assert bracket(st, x, yp) == mat_vec(jmat, xy)
+        assert bracket(st, xp, y) == mat_vec(jmat, xy)
         # x'' = -x
-        assert linalg.mat_vec(jmat, xp) == [-v for v in x]
+        assert mat_vec(jmat, xp) == [-v for v in x]
 
 
 def test_sigma_anticommutes_with_multiplication_by_i():
@@ -162,11 +173,11 @@ def test_sigma_anticommutes_with_multiplication_by_i():
     for a in range(n):
         v = [ZERO] * n
         v[a] = ONE
-        sx = realify_vector(om(v))
-        xprime = linalg.mat_vec(jmat, realify_vector(v))
+        sx = realify_vector(apply_involution(om, v))
+        xprime = mat_vec(jmat, realify_vector(v))
         # realified sigma of x': sigma(i x) = -i sigma(x)
-        sxprime = realify_vector(om([I * c for c in v]))
-        assert sxprime == [-c for c in linalg.mat_vec(jmat, sx)]
+        sxprime = realify_vector(apply_involution(om, [I * c for c in v]))
+        assert sxprime == [-c for c in mat_vec(jmat, sx)]
 
 
 def test_real_part_identity():
@@ -192,7 +203,7 @@ def test_real_part_identity():
         u = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
         v = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
         lhs = GaussianRational(2) * pair(u, v).real_part()
-        rhs = pair(u, v) - pair(om(u), om(v))
+        rhs = pair(u, v) - pair(apply_involution(om, u), apply_involution(om, v))
         assert lhs == rhs
 
 
@@ -204,7 +215,7 @@ def test_double_imaginary_su2():
     assert all(checks.values()), checks
     # sub2 is spanned by the Cartan line and one complex root line:
     # a solvable (Borel-type) subalgebra of real dimension 3
-    assert linalg.rank([list(v) for v in mt.sub2_basis]) == 3
+    assert linalg.rank(_dense(mt, mt.sub2_basis)) == 3
 
 
 def test_double_imaginary_su3():
@@ -231,8 +242,9 @@ def test_killing_values_on_compact_form_are_imaginary_under_induced_form():
     basis = fixed_point_basis(rs, datum.sigma)
     form = induced_form(rs, datum.t)
     n = rs.dim
-    for u in basis.vectors:
-        for v in basis.vectors:
+    vectors = basis_vectors(basis)
+    for u in vectors:
+        for v in vectors:
             acc = ZERO
             for x in range(n):
                 for y in range(n):
@@ -258,12 +270,12 @@ def test_psi_collapses_on_real_points():
     psi, _ = psi_phi(rs, om)
     basis = fixed_point_basis(rs, om)
     n = rs.dim
-    for v in basis.vectors:
+    for v in basis_vectors(basis):
         arg = [ZERO] * (2 * n)
         for i, x in enumerate(v):
             arg[i] = x
             arg[n + i] = arg[n + i] + x
-        image = linalg.mat_vec(psi, arg)
+        image = mat_vec(psi, arg)
         assert image == realify_vector(v)
 
 
@@ -278,8 +290,8 @@ def test_psi_is_complex_algebra_morphism():
         ea = [ONE if k == a else ZERO for k in range(n2)]
         for b in range(n2):
             eb = [ONE if k == b else ZERO for k in range(n2)]
-            lhs = linalg.mat_vec(psi, bracket(ds, ea, eb))
-            rhs = bracket(cr, linalg.mat_vec(psi, ea), linalg.mat_vec(psi, eb))
+            lhs = mat_vec(psi, bracket(ds, ea, eb))
+            rhs = bracket(cr, mat_vec(psi, ea), mat_vec(psi, eb))
             assert lhs == rhs
 
 
@@ -289,14 +301,14 @@ def test_psi_claim_diagonal():
     om = canonical_involution(rs, "omega", None, (0,))
     psi, _ = psi_phi(rs, om)
     basis = fixed_point_basis(rs, om)
-    l0 = [realify_vector(v) for v in basis.vectors]
+    l0 = [realify_vector(v) for v in basis_vectors(basis)]
     n = rs.dim
     images = []
     for a in range(n):
         arg = [ZERO] * (2 * n)
         arg[a] = ONE
         arg[n + a] = ONE
-        images.append(linalg.mat_vec(psi, arg))
+        images.append(mat_vec(psi, arg))
     assert linalg.rank([list(v) for v in l0 + images]) == n
 
 
@@ -310,9 +322,9 @@ def test_psi_claim_image_of_lr():
     images = []
     for k in range(n):
         mu = [ONE if j == k else ZERO for j in range(n)]
-        arg = linalg.mat_vec(r_plus, mu) + linalg.mat_vec(r_minus, mu)
-        images.append(linalg.mat_vec(psi, arg))
-    sub2 = [list(v) for v in mt.sub2_basis]
+        arg = mat_vec(r_plus, mu) + mat_vec(r_minus, mu)
+        images.append(mat_vec(psi, arg))
+    sub2 = _dense(mt, mt.sub2_basis)
     assert linalg.rank(sub2 + images) == linalg.rank(sub2)
 
 
@@ -322,8 +334,9 @@ def test_psi_claim_image_expansion():
     om = datum.sigma
     psi, _ = psi_phi(rs, om)
     basis = fixed_point_basis(rs, om)
+    vectors = basis_vectors(basis)
     duals = linalg.inverse(
-        [[basis.vectors[j][i] for j in range(rs.dim)] for i in range(rs.dim)]
+        [[vectors[j][i] for j in range(rs.dim)] for i in range(rs.dim)]
     )
     r_plus, r_minus, _ = factorization_maps(rs, datum.r)
     n = rs.dim
@@ -332,10 +345,10 @@ def test_psi_claim_image_expansion():
         for b in range(n):
             beta = duals[b]
             mu = [x + I * y for x, y in zip(alpha, beta)]
-            arg = linalg.mat_vec(r_plus, mu) + linalg.mat_vec(r_minus, mu)
-            lhs = linalg.mat_vec(psi, arg)
-            ra = realify_vector(linalg.mat_vec(r_plus, alpha))
-            rb = realify_vector(linalg.mat_vec(r_plus, beta))
+            arg = mat_vec(r_plus, mu) + mat_vec(r_minus, mu)
+            lhs = mat_vec(psi, arg)
+            ra = realify_vector(mat_vec(r_plus, alpha))
+            rb = realify_vector(mat_vec(r_plus, beta))
             rhs = [x + I * y for x, y in zip(ra, rb)]
             assert lhs == rhs
 
@@ -346,7 +359,7 @@ def test_phi_transports_pairing():
     psi, phi = psi_phi(rs, datum.sigma)
     n = rs.dim
     form = induced_form(rs, datum.t)
-    p = real_part_pairing(rs, datum.t)
+    p = dense_rows(real_part_pairing(rs, datum.t), 2 * n)
     phi1 = [phi[i] for i in range(n)]
     phi2 = [phi[n + i] for i in range(n)]
     for bi in range(2 * n):
@@ -398,8 +411,9 @@ def test_manin_su2_double():
 # ---- test-local references for ManinTriple.verify -------------------------
 #
 # The dense loops verify() used before it went sparse: every (a, b, c) with
-# dense brackets and pairings, and one rank per pair for closure.  They
-# share no code with the checks they test beyond StructureTable.bracket.
+# dense brackets and pairings, and one rank per pair for closure, on dense
+# views of the triple's sparse pairing and vectors.  They share no code
+# with the checks they test beyond StructureTable.bracket.
 
 
 def _pair_dense(p, u, v):
@@ -415,43 +429,43 @@ def _pair_dense(p, u, v):
 
 def _invariant_bruteforce(mt):
     n = mt.double_dim
+    p = dense_rows(mt.pairing, n)
     basis = identity(n)
     for a in range(n):
         for b in range(n):
             ab = bracket(mt.structure, basis[a], basis[b])
             for c in range(n):
                 ac = bracket(mt.structure, basis[a], basis[c])
-                if _pair_dense(mt.pairing, ab, basis[c]) + _pair_dense(
-                    mt.pairing, basis[b], ac
-                ):
+                if _pair_dense(p, ab, basis[c]) + _pair_dense(p, basis[b], ac):
                     return False
     return True
 
 
 def _closed_per_pair_rank(mt, vectors):
-    mat = [list(v) for v in vectors]
+    mat = _dense(mt, vectors)
     base_rank = linalg.rank(mat)
-    for i, u in enumerate(vectors):
-        for v in vectors[i:]:
+    for i, u in enumerate(mat):
+        for v in mat[i:]:
             if linalg.rank(mat + [bracket(mt.structure, u, v)]) != base_rank:
                 return False
     return True
 
 
 def _isotropic_dense(mt, vectors):
-    return all(not _pair_dense(mt.pairing, u, v) for u in vectors for v in vectors)
+    p, vectors = dense_rows(mt.pairing, mt.double_dim), _dense(mt, vectors)
+    return all(not _pair_dense(p, u, v) for u in vectors for v in vectors)
 
 
 def _reference_checks(mt):
     n = mt.double_dim
+    sub1, sub2 = _dense(mt, mt.sub1_basis), _dense(mt, mt.sub2_basis)
     return {
-        "pairing_nondegenerate": bool(linalg.det(mt.pairing)),
+        "pairing_nondegenerate": bool(linalg.det(dense_rows(mt.pairing, n))),
         "pairing_invariant": _invariant_bruteforce(mt),
         "sub1_isotropic": _isotropic_dense(mt, mt.sub1_basis),
         "sub2_isotropic": _isotropic_dense(mt, mt.sub2_basis),
-        "half_dimension": linalg.rank(mt.sub1_basis) == n // 2
-        and linalg.rank(mt.sub2_basis) == n // 2,
-        "transversal": linalg.rank(mt.sub1_basis + mt.sub2_basis) == n,
+        "half_dimension": linalg.rank(sub1) == n // 2 and linalg.rank(sub2) == n // 2,
+        "transversal": linalg.rank(sub1 + sub2) == n,
         "sub1_closed": _closed_per_pair_rank(mt, mt.sub1_basis),
         "sub2_closed": _closed_per_pair_rank(mt, mt.sub2_basis),
     }
@@ -492,8 +506,8 @@ def oracle_double(request):
     return _oracle_double(request.param)
 
 
-def _unit(n, i):
-    return [ONE if k == i else ZERO for k in range(n)]
+def _unit(i):
+    return {i: ONE}
 
 
 def _first_pairing_entry(mt):
@@ -501,9 +515,9 @@ def _first_pairing_entry(mt):
     diagonal when there is one."""
     entries = [
         (i, j)
-        for i in range(mt.double_dim)
-        for j in range(i, mt.double_dim)
-        if mt.pairing[i][j]
+        for i, row in enumerate(mt.pairing)
+        for j in sorted(row)
+        if j >= i
     ]
     return next((e for e in entries if e[0] != e[1]), entries[0])
 
@@ -518,7 +532,7 @@ def test_verify_matches_dense_references(oracle_double):
 
 def test_invariance_rejects_scaled_pairing_pair(oracle_double):
     i, j = _first_pairing_entry(oracle_double)
-    pairing = [row[:] for row in oracle_double.pairing]
+    pairing = [dict(row) for row in oracle_double.pairing]
     two = GaussianRational(2)
     pairing[i][j] = two * pairing[i][j]
     if i != j:
@@ -546,13 +560,12 @@ def test_invariance_rejects_scaled_structure_constant(oracle_double):
 
 
 def test_closure_rejects_subspace_whose_bracket_leaves_it(oracle_double):
-    n = oracle_double.double_dim
     a, b = next(
         (a, b)
         for (a, b), terms in sorted(oracle_double.structure.table.items())
         if any(k not in (a, b) for k, _ in terms)
     )
-    vectors = [_unit(n, a), _unit(n, b)]
+    vectors = [_unit(a), _unit(b)]
     o = oracle_double
     mt = ManinTriple(o.double_dim, o.pairing, o.structure, vectors, o.sub2_basis, o.case)
     assert _closed_per_pair_rank(mt, vectors) is False
@@ -562,9 +575,8 @@ def test_closure_rejects_subspace_whose_bracket_leaves_it(oracle_double):
 
 
 def test_isotropy_rejects_non_isotropic_pair(oracle_double):
-    n = oracle_double.double_dim
     i, j = _first_pairing_entry(oracle_double)
-    vectors = [_unit(n, i), _unit(n, j)]
+    vectors = [_unit(i), _unit(j)]
     o = oracle_double
     mt = ManinTriple(o.double_dim, o.pairing, o.structure, o.sub1_basis, vectors, o.case)
     assert _isotropic_dense(mt, vectors) is False
@@ -602,7 +614,7 @@ def test_scaling_a_sub2_vector_by_a_third_changes_no_check(oracle_double):
     third = GaussianRational(Fraction(1, 3))
     for m in (0, len(o.sub2_basis) - 1):
         sub2 = list(o.sub2_basis)
-        sub2[m] = [third * x for x in sub2[m]]
+        sub2[m] = {k: third * x for k, x in sub2[m].items()}
         scaled = _with_sub2(o, sub2).verify()
         assert list(scaled.items()) == list(checks.items())
 
@@ -614,7 +626,7 @@ def test_adding_a_seventh_of_a_unit_vector_fails_what_the_dense_reference_fails(
     failed = set()
     for k in sorted({0, n // 2, n - 1}):
         sub2 = list(o.sub2_basis)
-        sub2[0] = [x + seventh if i == k else x for i, x in enumerate(sub2[0])]
+        sub2[0] = {**sub2[0], k: sub2[0].get(k, ZERO) + seventh}
         mt = _with_sub2(o, sub2)
         checks, reference = mt.verify(), _reference_checks(mt)
         assert checks == reference
@@ -625,10 +637,10 @@ def test_adding_a_seventh_of_a_unit_vector_fails_what_the_dense_reference_fails(
 def test_zeroing_a_pairing_row_and_column_makes_it_degenerate(oracle_double):
     o = oracle_double
     for m in (0, o.double_dim - 1):
-        pairing = [[ZERO if m in (i, j) else x for j, x in enumerate(row)]
+        pairing = [{j: x for j, x in row.items() if m not in (i, j)}
                    for i, row in enumerate(o.pairing)]
         mt = ManinTriple(o.double_dim, pairing, o.structure, o.sub1_basis, o.sub2_basis, o.case)
-        assert not linalg.det(pairing)
+        assert not linalg.det(dense_rows(pairing, o.double_dim))
         assert mt.verify()["pairing_nondegenerate"] is False
 
 
@@ -667,10 +679,10 @@ def _three_elimination_ranks(mt) -> dict:
     """half_dimension and transversal from rank(sub1), rank(sub2) and
     rank(sub1 + sub2), each its own elimination."""
     n = mt.double_dim
+    sub1, sub2 = _dense(mt, mt.sub1_basis), _dense(mt, mt.sub2_basis)
     return {
-        "half_dimension": linalg.rank(mt.sub1_basis) == n // 2
-        and linalg.rank(mt.sub2_basis) == n // 2,
-        "transversal": linalg.rank(mt.sub1_basis + mt.sub2_basis) == n,
+        "half_dimension": linalg.rank(sub1) == n // 2 and linalg.rank(sub2) == n // 2,
+        "transversal": linalg.rank(sub1 + sub2) == n,
     }
 
 

@@ -3,7 +3,8 @@
 The library inverts the block-diagonal basis matrix W of a real form
 block by block and works on nonzeros only; tests/oracles.py holds the
 dense matrix algebra (W^-1 by elimination, brackets through ad
-matrices) that the results must equal exactly.
+matrices) whose nonzeros, in index order, the sparse results must equal
+exactly.
 """
 
 import pytest
@@ -18,12 +19,14 @@ from liebialg.parameter import apply_reality, solve_parameters
 from liebialg.rmatrix import iter_data, make_datum
 from liebialg.rootsystem import build_root_system
 from oracles import (
+    basis_vectors,
     bracket,
     dense_coordinates,
     dense_inverse,
     dense_real_killing_gram,
     dense_real_structure_constants,
     dense_tensor_coordinates,
+    sparse_vector,
 )
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -34,27 +37,38 @@ def _bases(series, rank):
     return rs, [fixed_point_basis(rs, sigma) for sigma in _sigma_variants(rs, "all")]
 
 
+def _terms(v: list) -> list:
+    """The nonzero (i, x) of a dense vector, by increasing i."""
+    return list(sparse_vector(v).items())
+
+
 @pytest.mark.parametrize("series, rank", TYPES)
 def test_coordinates_of_brackets_match_dense(series, rank):
     rs, bases = _bases(series, rank)
     for basis in bases:
         winv = dense_inverse(basis)
-        for u in basis.vectors:
-            for v in basis.vectors:
+        vectors = basis_vectors(basis)
+        for u in vectors:
+            for v in vectors:
                 br = bracket(rs.structure, u, v)
-                coords = basis.coordinates(br)
-                assert coords is not None
-                assert coords == dense_coordinates(basis, br, winv)
+                coords = basis.term_coordinates(_terms(br))
+                dense = dense_coordinates(basis, br, winv)
+                assert dense is not None
+                assert coords == tuple(_terms(dense))
 
 
 @pytest.mark.parametrize("series, rank", TYPES)
 def test_coordinates_reject_i_times_a_fixed_vector(series, rank):
     _, bases = _bases(series, rank)
     for basis in bases:
-        total = [sum(col, ZERO) for col in zip(*basis.vectors)]
-        for v in basis.vectors + [total]:
+        winv = dense_inverse(basis)
+        vectors = basis_vectors(basis)
+        total = [sum(col, ZERO) for col in zip(*vectors)]
+        for v in vectors + [total]:
             assert any(v)
-            assert basis.coordinates([I * x for x in v]) is None
+            iv = [I * x for x in v]
+            assert dense_coordinates(basis, iv, winv) is None
+            assert basis.term_coordinates(_terms(iv)) is None
 
 
 @pytest.mark.parametrize("series, rank", TYPES)
@@ -62,7 +76,9 @@ def test_structure_constants_and_killing_gram_match_dense(series, rank):
     rs, bases = _bases(series, rank)
     for basis in bases:
         assert real_structure_constants(rs, basis) == dense_real_structure_constants(rs, basis)
-        assert real_killing_gram(rs, basis) == dense_real_killing_gram(rs, basis)
+        rows = real_killing_gram(rs, basis)
+        dense = dense_real_killing_gram(rs, basis)
+        assert [list(row.items()) for row in rows] == [_terms(row) for row in dense]
 
 
 @pytest.mark.parametrize("series, rank", TYPES)
@@ -75,7 +91,9 @@ def test_tensor_coordinates_of_data_match_dense(series, rank):
             bases[sigma] = basis, dense_inverse(basis)
         basis, winv = bases[sigma]
         for x in (datum.r, datum.r0):
-            assert basis.tensor_coordinates(x) == dense_tensor_coordinates(basis, x, winv)
+            dense = dense_tensor_coordinates(basis, x, winv)
+            expected = [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+            assert list(basis.tensor_coordinates(x).items()) == expected
 
 
 def _dense_linear_algebra(*args):
@@ -94,8 +112,8 @@ def test_doubles_build_and_verify_without_dense_linear_algebra(monkeypatch):
     space = apply_reality(solve_parameters(a3, empty), om.describe(), om.mu, empty)
     a3_datum = make_datum(a3, om, empty, space.base_point, I)
     # the root systems are built (their Killing form inverts a matrix);
-    # from here no elimination or determinant may run
-    for name in ("mat_vec", "inverse", "rref", "det", "rank"):
+    # from here no dense matrix, elimination or determinant may be made
+    for name in ("zeros", "inverse", "rref", "det", "rank"):
         monkeypatch.setattr(linalg, name, _dense_linear_algebra)
     assert all(double_factorizable(b3, b3_datum).verify().values())
     assert all(double_imaginary(a3, a3_datum).verify().values())

@@ -220,7 +220,7 @@ def test_r0_lies_in_real_form():
     )
     datum = make_datum(rs, sigma, BDTriple.empty(), space.point([ONE]), ONE)
     coords = fixed_point_basis(rs, sigma).tensor_coordinates(datum.r0)
-    assert all(x.is_real() for row in coords for x in row)
+    assert all(x.is_real() for x in coords.values())
 
 
 def test_extract_roundtrip_sl2():

@@ -11,6 +11,7 @@ from oracles import (
     fraction_killing_h,
     killing_form,
     killing_form_adjoint,
+    killing_gram,
     reference_cybe,
     reference_structure_constants,
 )
@@ -122,7 +123,7 @@ def test_jacobi_identity(series, rank):
 def test_killing_form_matches_adjoint_trace_oracle():
     for series, rank in [("A", 1), ("A", 2), ("B", 2)]:
         rs = build_root_system(series, rank)
-        gram = rs.killing_gram()
+        gram = killing_gram(rs)
         for i in range(rs.dim):
             for j in range(rs.dim):
                 vi, vj = _unit(rs, i), _unit(rs, j)
