@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic, order-2 tensors and a sparse CYBE evaluator.
+"""Exact scalar arithmetic, the integer format, order-2 tensors and a
+sparse CYBE evaluator.
 
 Scalars are Gaussian rationals (a + b*i) / d held as three
 arbitrary-precision ints in the normal form d > 0, gcd(a, b, d) = 1, so
@@ -15,12 +16,11 @@ gives it the value, or raises the ValueError or ZeroDivisionError, that
 Fraction(text) does.  fractions is imported only on that path, so a
 run that reads and writes canonical literals never loads it.
 
-Order-2 tensors over a finite-dimensional algebra, whose multiplication
-is given by a sparse structure-constant table, are dicts of their
-nonzero Gaussian-rational entries.  The order-3 CYBE of such a tensor
-is summed in ints: the tensor over the lcm of its entry denominators,
-the (real) table over the lcm of its coefficients', so each term is a
-Gaussian-integer pair and the sum has one common denominator.
+There is one integer format, and this module owns it: Gaussian-integer
+numerators (re, im) over one denominator, the lcm of the reduced
+denominators.  over_lcm is its one converter; Tensor2 holds its entries
+in it and StructureTable.int_view its coefficients, so the checks (the
+CYBE, sigma-fixity, the Manin axioms) read ints without converting.
 """
 
 from __future__ import annotations
@@ -238,6 +238,12 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i) / d for any ints with d > 0."""
+    g = gcd(a, b, d)
+    return _gr(a // g, b // g, d // g) if g != 1 else _gr(a, b, d)
+
+
 def _join(p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
     """The fields (a, b, d) of p/q + (r/s) i, both parts in lowest terms."""
     if q == s:
@@ -310,6 +316,15 @@ I = GaussianRational(0, 1)
 HALF = _gr(1, 0, 2)
 
 
+def over_lcm(values) -> tuple[int, list]:
+    """(D, [(re, im), ...]): the scalars, in order, times the lcm D of
+    their denominators, as Gaussian-integer pairs.  The one converter from
+    scalars to the integer format; zeros stay in place as (0, 0)."""
+    values = list(values)
+    den = lcm(*(x.d for x in values))
+    return den, [(x.a * (den // x.d), x.b * (den // x.d)) for x in values]
+
+
 class StructureTable:
     """Sparse multiplication table of a finite-dimensional algebra.
 
@@ -326,16 +341,15 @@ class StructureTable:
         self._ints = None
 
     def int_view(self) -> tuple[int, dict]:
-        """(E, the table with every coefficient times E) for the lcm E of
-        the coefficient denominators, built on first call.  Every table
-        of this library is real, so the coefficients become ints."""
+        """(E, the table with every coefficient times E): over_lcm of the
+        coefficients, built on first call.  Every table of this library is
+        real, so the coefficients become ints."""
         if self._ints is None:
-            e = lcm(*(c.d for terms in self.table.values() for _, c in terms))
-            ints = {}
-            for key, terms in self.table.items():
-                assert not any(c.b for _, c in terms), "structure constants must be real"
-                ints[key] = tuple((k, c.a * (e // c.d)) for k, c in terms)
-            self._ints = e, ints
+            e, z = over_lcm(c for terms in self.table.values() for _, c in terms)
+            assert not any(b for _, b in z), "structure constants must be real"
+            it = (a for a, _ in z)
+            self._ints = e, {key: tuple((k, next(it)) for k, _ in terms)
+                             for key, terms in self.table.items()}
         return self._ints
 
     def bracket_basis(self, i: int, j: int) -> tuple:
@@ -351,17 +365,23 @@ class StructureTable:
 
 
 class Tensor2:
-    """Order-2 tensor over the ambient basis, as a dict {(i, j): entry} of
-    its nonzero entries; immutable by convention.
+    """Order-2 tensor over the ambient basis in the integer format: entry
+    (i, j) is (re + im i) / den for num[(i, j)] = (re, im), and only the
+    nonzero entries are stored; immutable by convention.
 
-    No zero is ever stored, so equality is dict equality and every
-    operation costs O(nonzeros)."""
+    den and the numerators have no common factor, so den is the lcm of
+    the reduced entry denominators and equal tensors have equal fields.
+    Every operation runs in ints over the nonzeros; scalars are built
+    only where an entry is read (get, items, to_json)."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "den", "num")
 
-    def __init__(self, dim: int, entries: dict | None = None):
-        self.dim = dim
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+    def __init__(self, dim: int, entries: Mapping | None = None):
+        entries = entries or {}  # {(i, j): scalar}; zeros are dropped
+        den, z = over_lcm(entries.values())
+        shared: dict = {}  # one pair per distinct entry: r0 repeats +-t/2 on every root pair
+        self.dim, self.den = dim, den
+        self.num = {k: shared.setdefault(p, p) for k, p in zip(entries, z) if p != (0, 0)}
 
     @staticmethod
     def from_items(dim: int, items) -> "Tensor2":
@@ -371,57 +391,58 @@ class Tensor2:
         return Tensor2(dim, ent)
 
     def get(self, i: int, j: int) -> GaussianRational:
-        return self.entries.get((i, j), ZERO)
+        p = self.num.get((i, j))
+        return ZERO if p is None else _reduced(*p, self.den)
 
     def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
         """The nonzero entries in row-major order."""
-        return iter(sorted(self.entries.items()))
-
-    def int_entries(self) -> tuple[int, list]:
-        """(D, [(i, j, re, im)]): the nonzero entries in row-major order
-        times the lcm D of their denominators, as Gaussian-integer pairs."""
-        d = lcm(*(v.d for v in self.entries.values()))
-        return d, [(i, j, v.a * (d // v.d), v.b * (d // v.d)) for (i, j), v in self.items()]
+        den = self.den
+        return ((k, _reduced(a, b, den)) for k, (a, b) in sorted(self.num.items()))
 
     def transpose(self) -> "Tensor2":
-        return Tensor2(self.dim, {(j, i): v for (i, j), v in self.entries.items()})
+        return _tensor(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        _same_dim(self, other)
-        return Tensor2.from_items(self.dim, [*self.entries.items(), *other.entries.items()])
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        d, e, m = self.den, other.den, lcm(self.den, other.den)
+        s, u = m // d, m // e
+        num = {k: (a * s, b * s) for k, (a, b) in self.num.items()}
+        for k, (a, b) in other.num.items():
+            p, q = num.get(k, (0, 0))
+            num[k] = (p + a * u, q + b * u)
+        return _tensor(self.dim, m, {k: p for k, p in num.items() if p != (0, 0)})
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         return self + -other
 
     def __neg__(self) -> "Tensor2":
-        return Tensor2(self.dim, {k: -v for k, v in self.entries.items()})
+        return _tensor(self.dim, self.den, {k: (-a, -b) for k, (a, b) in self.num.items()})
 
     def scale(self, c) -> "Tensor2":
         c = _coerce(c)
-        return Tensor2(self.dim, {k: c * v for k, v in self.entries.items()})
+        x, y = c.a, c.b
+        num = {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.num.items()} if x or y else {}
+        return _tensor(self.dim, self.den * c.d, num)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def is_antisymmetric(self) -> bool:
-        e = self.entries
-        return all(-v == e.get((j, i), ZERO) for (i, j), v in e.items())
+        num = self.num
+        return all(num.get((j, i)) == (-a, -b) for (i, j), (a, b) in num.items())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tensor2)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
+        fields = (self.dim, self.den, self.num)
+        return isinstance(other, Tensor2) and fields == (other.dim, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
+        return hash((self.dim, self.den, frozenset(self.num.items())))
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[i, j, *v.to_json()] for (i, j), v in self.items()],
-        }
+        den, num = self.den, sorted(self.num.items())
+        entries = [[i, j, _ratio_str(a, den), _ratio_str(b, den)] for (i, j), (a, b) in num]
+        return {"dim": self.dim, "entries": entries}
 
     @staticmethod
     def from_json(doc: dict) -> "Tensor2":
@@ -439,20 +460,25 @@ class Tensor2:
         return Tensor2(d, ent)
 
 
-def _same_dim(a, b):
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
+def _tensor(dim: int, den: int, num: dict) -> Tensor2:
+    """The tensor of the nonzero numerators num over den, made canonical."""
+    g = gcd(den, *(x for p in num.values() for x in p))
+    if g != 1:
+        den, num = den // g, {k: (a // g, b // g) for k, (a, b) in num.items()}
+    t = _new(Tensor2)
+    t.dim, t.den, t.num = dim, den, num
+    return t
 
 
 def _cybe_sparse(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
     """CYB(r) in ints: (re, im, den) with CYB(r)[key] = (re[key] +
-    im.get(key, 0) i) / den.  r is scaled by the lcm D of its entry
-    denominators and the table by its E, so den = D^2 E; re holds every
-    key the sum touches, in first-touch order, im only those that an
+    im.get(key, 0) i) / den.  r is read over its den D and the table over
+    its E, so den = D^2 E; re holds every key the sum touches, in
+    first-touch order of the row-major entries, im only those that an
     imaginary product reached."""
     if r.dim != structure.dim:
         raise ValueError("dimension mismatch between tensor and structure table")
-    dr, items = r.int_entries()
+    items = [(i, j, p, q) for (i, j), (p, q) in sorted(r.num.items())]
     e, table = structure.int_view()
     acc: dict[tuple[int, int, int], int] = {}
     acc_im: dict[tuple[int, int, int], int] = {}
@@ -474,7 +500,7 @@ def _cybe_sparse(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int
                 acc[key] = acc.get(key, 0) + re * coef
                 if im:
                     acc_im[key] = acc_im.get(key, 0) + im * coef
-    return acc, acc_im, dr * dr * e
+    return acc, acc_im, r.den * r.den * e
 
 
 def cybe(r: Tensor2, structure: StructureTable) -> dict:
@@ -484,8 +510,7 @@ def cybe(r: Tensor2, structure: StructureTable) -> dict:
     for key, a in acc.items():
         b = acc_im.get(key, 0)
         if a or b:
-            g = gcd(a, b, den)
-            out[key] = _gr(a // g, b // g, den // g)
+            out[key] = _reduced(a, b, den)
     return out
 
 
@@ -507,7 +532,7 @@ def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:
     if len(cols) != x.dim:
         raise ValueError("dimension mismatch between map and tensor")
     out: dict[tuple[int, int], GaussianRational] = {}
-    for (a, b), v in x.entries.items():
+    for (a, b), v in x.items():
         vc = v.conj()
         for i, mi in cols[a]:
             w = vc * mi

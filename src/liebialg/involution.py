@@ -29,11 +29,10 @@ J only flips the signs of the columns of the roots that are odd on J.
 
 from __future__ import annotations
 
-from math import lcm
 from weakref import WeakKeyDictionary
 
 from .bdtriple import DiagramAutomorphism, identity_automorphism
-from .core import GaussianRational, I, ONE
+from .core import GaussianRational, I, ONE, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -52,18 +51,14 @@ class Involution:
 
     def int_columns(self) -> tuple[list, int, list]:
         """(images, D, scalars): column j is (re + im i) / D at row
-        images[j], for scalars[j] = (re, im) and the lcm D of the column
-        denominators; built on first call.  Raises ValueError unless each
-        column holds one entry, as those of a canonical involution do."""
+        images[j], for (D, scalars) = over_lcm(the column entries); built
+        on first call.  Raises ValueError unless each column holds one
+        entry, as those of a canonical involution do."""
         if self._ints is None:
             if any(len(col) != 1 for col in self.columns):
                 raise ValueError("involution has a column with more than one entry")
-            den = lcm(*(v.d for [(_, v)] in self.columns))
-            self._ints = (
-                [i for [(i, _)] in self.columns],
-                den,
-                [(v.a * (den // v.d), v.b * (den // v.d)) for [(_, v)] in self.columns],
-            )
+            den, scalars = over_lcm(v for [(_, v)] in self.columns)
+            self._ints = [i for [(i, _)] in self.columns], den, scalars
         return self._ints
 
     def to_json(self) -> dict:
@@ -228,7 +223,7 @@ class RealFormBasis:
         W, summed over the nonzeros of x.  All real iff x lies in the real
         form's tensor square."""
         cols, acc = self.inverse_columns, {}
-        for (i, j), v in x.entries.items():
+        for (i, j), v in x.items():
             for k, a in cols[i]:
                 av = a * v
                 for m, b in cols[j]:
@@ -305,13 +300,15 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
 def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
     """Bracket table of the real form in its own basis, with real
     GaussianRational entries; each bracket runs over the at most two
-    nonzeros of either basis vector."""
+    nonzeros of either basis vector, once per unordered pair, since
+    [v_j, v_i] = -[v_i, v_j] and [v_i, v_i] = 0."""
     table = {}
-    for i, u in enumerate(basis.support):
-        for j, v in enumerate(basis.support):
-            terms = basis.term_coordinates(rs.structure.bracket_terms(u, v))
+    support = basis.support
+    for i, u in enumerate(support):
+        for j in range(i + 1, len(support)):
+            terms = basis.term_coordinates(rs.structure.bracket_terms(u, support[j]))
             if terms is None:
                 raise AssertionError("real form is not closed under bracket")
             if terms:
-                table[(i, j)] = terms
+                table[(i, j)], table[(j, i)] = terms, tuple((k, -c) for k, c in terms)
     return table

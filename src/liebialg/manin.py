@@ -17,9 +17,9 @@ pairing rows and subspace vectors are {index: nonzero} dicts.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .core import GaussianRational, ONE, StructureTable
+from .core import GaussianRational, ONE, StructureTable, over_lcm
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
 from .rootsystem import RootSystem
@@ -29,27 +29,8 @@ from .rootsystem import RootSystem
 #
 # The double's data are sparse and real: the pairing is a list of rows
 # {column: nonzero}, and each subspace vector a dict {index: nonzero}.
-# verify() runs in ints: the pairing is scaled by one common denominator,
-# the table through its int view, and each subspace vector by its own,
-# since scaling a basis vector changes no span, isotropy or closure.
-
-
-def _int_vector(v: dict) -> dict:
-    """The nonzero coordinates of a real vector over the lcm of their
-    denominators."""
-    d = lcm(*(x.d for x in v.values()))
-    assert not any(x.b for x in v.values()), "the double's data must be real"
-    return {i: x.a * (d // x.d) for i, x in v.items() if x}
-
-
-def _int_rows(m: list) -> list:
-    """The sparse rows of a real matrix over one common denominator."""
-    d = lcm(*(x.d for row in m for x in row.values()))
-    rows = []
-    for row in m:
-        assert not any(x.b for x in row.values()), "the double's data must be real"
-        rows.append({j: x.a * (d // x.d) for j, x in row.items() if x})
-    return rows
+# verify() reads them, all over one denominator, and the table through
+# its int view, in ints: scaling changes no rank, span or closure.
 
 
 def _clear(v: dict, row: dict, c: int) -> dict:
@@ -136,9 +117,11 @@ class ManinTriple:
         pairing is nondegenerate when its rows have full rank.
         """
         n = self.double_dim
-        p_rows = _int_rows(self.pairing)
-        sub1 = [_int_vector(v) for v in self.sub1_basis]
-        sub2 = [_int_vector(v) for v in self.sub2_basis]
+        data = (self.pairing, self.sub1_basis, self.sub2_basis)
+        _, z = over_lcm(x for rows in data for row in rows for x in row.values())
+        assert not any(b for _, b in z), "the double's data must be real"
+        it = (a for a, _ in z)
+        p_rows, sub1, sub2 = ([{j: next(it) for j in row} for row in rows] for rows in data)
         rows1, rows2 = _echelon(sub1), _echelon(sub2)
         residuals = [_residual(v, rows1) for v in sub2]
         return {
@@ -336,7 +319,7 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     # r_plus of the real dual basis, the rows phi_k of W^-1 (functionals on
     # l, real on the real form): r_plus(phi_k)[a] = sum_b phi_k[b] r[b][a]
     images: list[dict] = [{} for _ in range(n)]
-    for (b, a), x in datum.r.entries.items():
+    for (b, a), x in datum.r.items():
         for k, w in basis.inverse_columns[b]:
             image = images[k]
             image[a] = image[a] + x * w if a in image else x * w

@@ -16,11 +16,11 @@ cuts split into real and imaginary parts accordingly.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, HALF, I, ONE, ZERO
+from .core import GaussianRational, HALF, I, ONE, ZERO, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -114,33 +114,26 @@ def _antisym_from_coords(rank: int, coords):
     return m
 
 
-def _integer_parts(matrix: list) -> tuple[int, list, list]:
-    """(den, re, im): the matrix is (re + i im) / den with int re, im."""
-    den = lcm(*(x.d for row in matrix for x in row))
-    re = [[x.a * (den // x.d) for x in row] for row in matrix]
-    im = [[x.b * (den // x.d) for x in row] for row in matrix]
-    return den, re, im
-
-
 def satisfies_constraints(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter) -> bool:
     """lam + lam^T = Omega_0 and lam^T g_{T(a)} + lam g_a = 0 for a in
-    Gamma1, as literal equalities of ints: lam over one denominator, the
-    g_a as the integer simple-root columns (the second system is
+    Gamma1, as literal equalities of ints: lam[i][j] as z[n i + j] over
+    den, the g_a as the integer simple-root columns (the second system is
     homogeneous, so their common denominator drops out)."""
     n = rs.rank
-    den, re, im = _integer_parts(lam.matrix)
+    den, z = over_lcm(x for row in lam.matrix for x in row)
     omega0 = rs.cartan_dual_gram
     for i in range(n):
         for j in range(i, n):
-            if re[i][j] + re[j][i] != den * omega0[i][j] or im[i][j] + im[j][i]:
+            (a, b), (c, d) = z[n * i + j], z[n * j + i]
+            if a + c != den * omega0[i][j] or b + d:
                 return False
     cols = rs.simple_root_columns
-    parts = (re, im) if any(any(row) for row in im) else (re,)
+    parts = (0, 1) if any(b for _, b in z) else (0,)
     for a in bd.gamma1:
         ga, gt = cols[a], cols[bd.mapping[a]]
-        for m in parts:
+        for p in parts:
             for k in range(n):
-                if sum(m[j][k] * gt[j] + m[k][j] * ga[j] for j in range(n)):
+                if sum(z[n * j + k][p] * gt[j] + z[n * k + j][p] * ga[j] for j in range(n)):
                     return False
     return True
 
@@ -280,12 +273,16 @@ def apply_reality(
             + [sign * base_anti[mi][mj] - base_anti[i][j]]
         )
         im_rows.append([d[i][j] + sign * d[mi][mj] for d in dirs] + [ZERO])
-    # the rows are real and rational: in ints over one common denominator
-    re_part = linalg.int_solve(_integer_parts(re_rows)[1], ndir)
+    # the rows are real and rational, and scaling an equation changes no
+    # solution: both systems in ints over one common denominator
+    _, z = over_lcm(x for row in re_rows + im_rows for x in row)
+    w = ndir + 1
+    rows = [[a for a, _ in z[k : k + w]] for k in range(0, len(z), w)]
+    re_part = linalg.int_solve(rows[: len(re_rows)], ndir)
     if re_part is None:
         raise NoBialgebraDatum("reality constraints are inconsistent")
     re_sol, re_kernel = re_part
-    _, im_kernel = linalg.int_solve(_integer_parts(im_rows)[1], ndir)
+    _, im_kernel = linalg.int_solve(rows[len(re_rows) :], ndir)
 
     kernel = sorted(
         [(2 * f, v) for f, v in re_kernel.items()]

@@ -30,7 +30,6 @@ depends only on the triple, the cut or r0 is computed once.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import lcm
 
 from .bdtriple import (
     BDTriple,
@@ -380,17 +379,14 @@ def sigma_fixes(datum: BialgebraDatum) -> bool:
     sigma maps e_a to m_a e_{sigma a} (a one-entry column), so sigma (x)
     sigma permutes the index pairs and sends the entry v at (a, b) to
     conj(v) m_a m_b at (sigma a, sigma b); r0 is fixed iff every such
-    image equals the entry of r0 it lands on.  Over the lcm L of r0's
-    denominators and the common denominator D of sigma's columns, each
-    test is an equality of Gaussian integers.  Raises ValueError if a
-    column of sigma has more than one entry."""
+    image equals the entry of r0 it lands on: an equality of Gaussian
+    integers on the numerators of r0 and of sigma's columns.  Raises
+    ValueError if a column of sigma has more than one entry."""
     images, den, scalars = datum.sigma.int_columns()
     dd = den * den
-    entries = datum.r0.entries
-    lcd = lcm(*(v.d for v in entries.values()))
-    ints = {k: (v.a * (lcd // v.d), v.b * (lcd // v.d)) for k, v in entries.items()}
-    for (a, b), (p, q) in ints.items():
-        w = ints.get((images[a], images[b]))
+    num = datum.r0.num
+    for (a, b), (p, q) in num.items():
+        w = num.get((images[a], images[b]))
         if w is None:
             return False
         (xa, ya), (xb, yb) = scalars[a], scalars[b]

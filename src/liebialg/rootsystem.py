@@ -20,7 +20,6 @@ in code and 1-based in displayed names.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import lcm
 
 from .core import (
     GaussianRational,
@@ -28,6 +27,7 @@ from .core import (
     StructureTable,
     Tensor2,
     ZERO,
+    over_lcm,
     rational,
     rational_sqrt,
 )
@@ -183,10 +183,9 @@ class RootSystem:
         self.killing_h: list[list[GaussianRational]] = linalg.inverse(
             [[GaussianRational(x) for x in row] for row in C]
         )
-        # the same Gram as integers over one common denominator:
-        # killing_h = _gram / _gram_den
-        den = self._gram_den = lcm(*(x.d for row in self.killing_h for x in row))
-        self._gram = [[x.a * (den // x.d) for x in row] for row in self.killing_h]
+        # the same Gram in the integer format: killing_h = _gram / _gram_den
+        den, z = over_lcm(x for row in self.killing_h for x in row)
+        self._gram_den, self._gram = den, [[a for a, _ in z[k : k + n]] for k in range(0, n * n, n)]
 
         # each root norm once, as an int over _gram_den; the
         # kappa-normalization scale of each root as a class id into
@@ -402,10 +401,10 @@ class RootSystem:
         invariant, so [Omega12, Omega13] + [Omega12, Omega23] = 0, and one
         bracket of the three is the whole CYBE.  Summed in ints over the
         common denominator of Omega (real) and the table."""
-        dw, entries = self.casimir.int_entries()
+        omega = self.casimir
         e, table = self.structure.int_view()
         cols: list[list] = [[] for _ in range(self.dim)]  # Omega is nondegenerate
-        for a, b, x, _ in entries:
+        for (a, b), (x, _) in sorted(omega.num.items()):
             cols[b].append((a, x))
         acc: dict[tuple[int, int, int], int] = {}
         for (b, d), terms in table.items():
@@ -415,7 +414,7 @@ class RootSystem:
                     for k, coef in terms:
                         key = (a, c, k)
                         acc[key] = acc.get(key, 0) + v * coef
-        den = dw * dw * e
+        den = omega.den * omega.den * e
         return {k: rational(v, den) for k, v in acc.items() if v}
 
     def to_json(self) -> dict:

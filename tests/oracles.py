@@ -11,6 +11,7 @@ rather than a tautology.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from liebialg import linalg
 from liebialg.bdtriple import (
@@ -111,6 +112,68 @@ def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
             for k, coef in st.table.get((b, d), ()):
                 acc[(a, c, k)] = acc.get((a, c, k), ZERO) + v * coef
     return {k: v for k, v in acc.items() if v}
+
+
+# ---- the tensor format ----------------------------------------------------------
+
+
+class ReferenceTensor:
+    """An order-2 tensor as the dict {(i, j): nonzero GaussianRational} of
+    its entries, each operation summed entry by entry in scalars: the
+    reference for Tensor2's integer format."""
+
+    def __init__(self, dim: int, entries: dict):
+        self.dim = dim
+        self.entries = {k: v for k, v in entries.items() if v}
+
+    @staticmethod
+    def read(x) -> "ReferenceTensor":
+        """The entries of a Tensor2 read one slot at a time through get."""
+        n = x.dim
+        return ReferenceTensor(n, {(i, j): x.get(i, j) for i in range(n) for j in range(n)})
+
+    def den(self) -> int:
+        """The lcm of the reduced denominators of the entries' parts."""
+        parts = [Fraction(p, v.d) for v in self.entries.values() for p in (v.a, v.b)]
+        return lcm(*(f.denominator for f in parts))
+
+    def numerators(self) -> dict:
+        """{(i, j): (re, im)} with entry (i, j) = (re + im i) / den()."""
+        den = self.den()
+        out = {}
+        for k, v in self.entries.items():
+            re, im = Fraction(v.a, v.d) * den, Fraction(v.b, v.d) * den
+            assert re.denominator == im.denominator == 1
+            out[k] = (int(re), int(im))
+        return out
+
+    def __add__(self, other):
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, ZERO) + v
+        return ReferenceTensor(self.dim, out)
+
+    def __neg__(self):
+        return ReferenceTensor(self.dim, {k: -v for k, v in self.entries.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        return ReferenceTensor(self.dim, {k: c * v for k, v in self.entries.items()})
+
+    def transpose(self):
+        return ReferenceTensor(self.dim, {(j, i): v for (i, j), v in self.entries.items()})
+
+    def is_antisymmetric(self) -> bool:
+        e = self.entries
+        return all(-v == e.get((j, i), ZERO) for (i, j), v in e.items())
+
+    def to_json(self) -> dict:
+        return {
+            "dim": self.dim,
+            "entries": [[i, j, *v.to_json()] for (i, j), v in sorted(self.entries.items())],
+        }
 
 
 # ---- dense matrix algebra ----------------------------------------------------

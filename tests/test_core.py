@@ -15,6 +15,7 @@ from liebialg.core import (
     apply_semilinear_pair,
     cybe,
     cybe_is_zero,
+    over_lcm,
     rational_sqrt,
 )
 from liebialg.rootsystem import build_root_system
@@ -421,10 +422,13 @@ def test_cybe_kernel_on_random_antisymmetric_tensors(series, rank):
 
 
 def test_structure_table_int_view_is_cached_and_exact():
+    """The table in the integer format: E is the lcm of the reduced
+    coefficient denominators, read here through Fraction."""
     rs = build_root_system("G", 2)
     st = rs.structure
     e, table = st.int_view()
     assert st.int_view() is st.int_view()
+    assert e == math.lcm(*(Fraction(str(c)).denominator for ts in st.table.values() for _, c in ts))
     assert list(table) == list(st.table)
     for key, terms in st.table.items():
         assert [(k, GaussianRational(c) / e) for k, c in table[key]] == list(terms)
@@ -432,6 +436,13 @@ def test_structure_table_int_view_is_cached_and_exact():
     assert half.int_view() == (2, {(0, 1): ((1, 1),)})
     with pytest.raises(AssertionError):
         StructureTable(2, {(0, 1): ((1, I),)}).int_view()
+
+
+def test_over_lcm_keeps_order_and_zeros():
+    values = [ZERO, GaussianRational(Fraction(1, 2)), GaussianRational(0, Fraction(1, 3)),
+              GaussianRational(Fraction(3, 4), Fraction(-1, 6)), GaussianRational(-5)]
+    assert over_lcm(values) == (12, [(0, 0), (6, 0), (0, 4), (9, -2), (-60, 0)])
+    assert over_lcm(iter(values[:1])) == (1, [(0, 0)]) and over_lcm([]) == (1, [])
 
 
 def test_cybe_equivariance_under_automorphisms():
