@@ -4,6 +4,7 @@ partial order on positive roots, and the stability predicates."""
 from __future__ import annotations
 
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from .rootsystem import RootSystem
 
@@ -156,8 +157,9 @@ class BDTriple:
 
 def preserves_pairing(rs: RootSystem, mapping: dict) -> bool:
     """(alpha_i | alpha_j) = (alpha_tau(i) | alpha_tau(j)) on the domain,
-    read off the Killing Gram of the simple roots."""
-    g = rs.killing_h
+    read off the Killing Gram of the simple roots in ints (over one
+    denominator, so equal entries have equal numerators)."""
+    g = rs.simple_root_columns
     return all(g[i][j] == g[mapping[i]][mapping[j]] for i in mapping for j in mapping)
 
 
@@ -184,13 +186,13 @@ def enumerate_bd_triples(rs: RootSystem) -> list[BDTriple]:
     for size in range(1, n + 1):
         for g1 in combinations(range(n), size):
             for g2 in combinations(range(n), size):
-                out.extend(_bijections(rs.killing_h, g1, g2))
+                out.extend(_bijections(rs.simple_root_columns, g1, g2))
     return sorted(out, key=BDTriple.sort_key)
 
 
 def _bijections(g, g1, g2):
-    """Nilpotent bijections g1 -> g2 preserving the simple-root Gram g,
-    by backtracking."""
+    """Nilpotent bijections g1 -> g2 preserving the simple-root Gram g
+    (symmetric, in ints), by backtracking."""
     found = []
     mapping: dict = {}
     used = set()
@@ -216,14 +218,22 @@ def _bijections(g, g1, g2):
     return found
 
 
-def span_subset_roots(rs: RootSystem, subset) -> list[tuple]:
-    """Positive roots supported entirely on the given simple indices."""
-    allowed = set(subset)
-    return [
-        r
-        for r in rs.positive_roots
-        if all(c == 0 or i in allowed for i, c in enumerate(r))
-    ]
+# root system -> {subset: span_subset_roots}, held no longer than the root system
+_SPANS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def span_subset_roots(rs: RootSystem, subset: tuple) -> tuple[tuple, ...]:
+    """Positive roots supported entirely on the given simple indices, in
+    the order of rs.positive_roots; computed once per (root system,
+    subset)."""
+    spans = _SPANS.setdefault(rs, {})
+    roots = spans.get(subset)
+    if roots is None:
+        allowed = set(subset)
+        roots = spans[subset] = tuple(
+            r for r in rs.positive_roots if all(c == 0 or i in allowed for i, c in enumerate(r))
+        )
+    return roots
 
 
 def extend_tau_additively(rs: RootSystem, bd: BDTriple, root: tuple) -> tuple:

@@ -303,7 +303,7 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
         and all(isinstance(row, list) and len(row) == n for row in rows)
     ):
         raise ValueError(f"lambda must be a {n} x {n} matrix")
-    lam = ContinuousParameter(
+    lam = ContinuousParameter.from_rows(
         [[_scalar(x, "each lambda entry") for x in row] for row in rows]
     )
     t = _scalar(doc["t"], "t")

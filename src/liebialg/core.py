@@ -18,15 +18,22 @@ run that reads and writes canonical literals never loads it.
 
 There is one integer format, and this module owns it: Gaussian-integer
 numerators (re, im) over one denominator, the lcm of the reduced
-denominators.  over_lcm is its one converter; Tensor2 holds its entries
-in it and StructureTable.int_view its coefficients, so the checks (the
-CYBE, sigma-fixity, the Manin axioms) read ints without converting.
+denominators.  over_lcm converts scalars to it, and fields_over_lcm
+converts fractions given by their integer fields (the table loop's), so
+no scalar is built to reach it; no other module computes an lcm.  Tensor2 holds its entries in
+it, StructureTable.int_view its coefficients, and parameter's
+ContinuousParameter each lambda and each direction, so the table loop
+(the parameter solve, the reality cut, build_r0) and the checks (the
+CYBE, sigma-fixity, the parameter constraints, the Manin axioms) read
+ints without converting.  gaussian, entry_str and entry_json read one
+entry back, where a command writes it.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator, Mapping, Sequence
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 
@@ -193,16 +200,10 @@ class GaussianRational:
         return f"GaussianRational({re}, {im})"
 
     def __str__(self):
-        a, b, d = self.a, self.b, self.d
-        if not b:
-            return _ratio_str(a, d)
-        imag = "i" if b == d else "-i" if b == -d else f"{_ratio_str(b, d)}i"
-        if not a:
-            return imag
-        return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{imag}"
+        return entry_str(self.a, self.b, self.d)
 
     def to_json(self) -> list[str]:
-        return [_ratio_str(self.a, self.d), _ratio_str(self.b, self.d)]
+        return entry_json(self.a, self.b, self.d)
 
     @staticmethod
     def from_json(pair: Sequence[str]) -> "GaussianRational":
@@ -238,7 +239,7 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
+def gaussian(a: int, b: int, d: int) -> GaussianRational:
     """The scalar (a + b*i) / d for any ints with d > 0."""
     g = gcd(a, b, d)
     return _gr(a // g, b // g, d // g) if g != 1 else _gr(a, b, d)
@@ -288,6 +289,24 @@ def _read(text: str) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def entry_str(a: int, b: int, d: int) -> str:
+    """The str of the scalar (a + b*i) / d, d > 0, without building it."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    if not b:
+        return _ratio_str(a, d)
+    imag = "i" if b == d else "-i" if b == -d else f"{_ratio_str(b, d)}i"
+    if not a:
+        return imag
+    return f"{_ratio_str(a, d)}{'+' if b > 0 else ''}{imag}"
+
+
+def entry_json(a: int, b: int, d: int) -> list[str]:
+    """The to_json of the scalar (a + b*i) / d, d > 0, without building it."""
+    return [_ratio_str(a, d), _ratio_str(b, d)]
+
+
 def _ratio_str(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0."""
     g = gcd(n, d)
@@ -318,11 +337,27 @@ HALF = _gr(1, 0, 2)
 
 def over_lcm(values) -> tuple[int, list]:
     """(D, [(re, im), ...]): the scalars, in order, times the lcm D of
-    their denominators, as Gaussian-integer pairs.  The one converter from
-    scalars to the integer format; zeros stay in place as (0, 0)."""
+    their denominators, as Gaussian-integer pairs; zeros stay in place as
+    (0, 0).  Each scalar is in lowest terms, so D and the pairs already
+    have no common factor."""
     values = list(values)
     den = lcm(*(x.d for x in values))
     return den, [(x.a * (den // x.d), x.b * (den // x.d)) for x in values]
+
+
+def fields_over_lcm(fields) -> tuple[int, list]:
+    """over_lcm for fractions (re + im i) / d given by their integer
+    fields (re, im, d), d > 0, in any terms, without building a scalar:
+    the lcm is over the d as given, then the common factor is divided out,
+    so the result is the one over_lcm gives the reduced fractions."""
+    fields = list(fields)
+    den = lcm(*{d for _, _, d in fields})
+    scale = {d: den // d for _, _, d in fields}
+    z = [(a * scale[d], b * scale[d]) for a, b, d in fields]
+    g = gcd(den, *chain.from_iterable(z))
+    if g != 1:
+        den, z = den // g, [(a // g, b // g) for a, b in z]
+    return den, z
 
 
 class StructureTable:
@@ -384,6 +419,14 @@ class Tensor2:
         self.num = {k: shared.setdefault(p, p) for k, p in zip(entries, z) if p != (0, 0)}
 
     @staticmethod
+    def from_ints(dim: int, den: int, num: dict) -> "Tensor2":
+        """The tensor of the nonzero Gaussian-integer numerators num over
+        den > 0, given in lowest terms (as fields_over_lcm gives them)."""
+        t = _new(Tensor2)
+        t.dim, t.den, t.num = dim, den, num
+        return t
+
+    @staticmethod
     def from_items(dim: int, items) -> "Tensor2":
         ent: dict[tuple[int, int], GaussianRational] = {}
         for k, v in items:
@@ -392,12 +435,12 @@ class Tensor2:
 
     def get(self, i: int, j: int) -> GaussianRational:
         p = self.num.get((i, j))
-        return ZERO if p is None else _reduced(*p, self.den)
+        return ZERO if p is None else gaussian(*p, self.den)
 
     def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
         """The nonzero entries in row-major order."""
         den = self.den
-        return ((k, _reduced(a, b, den)) for k, (a, b) in sorted(self.num.items()))
+        return ((k, gaussian(a, b, den)) for k, (a, b) in sorted(self.num.items()))
 
     def transpose(self) -> "Tensor2":
         return _tensor(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
@@ -462,7 +505,7 @@ class Tensor2:
 
 def _tensor(dim: int, den: int, num: dict) -> Tensor2:
     """The tensor of the nonzero numerators num over den, made canonical."""
-    g = gcd(den, *(x for p in num.values() for x in p))
+    g = gcd(den, *chain.from_iterable(num.values()))
     if g != 1:
         den, num = den // g, {k: (a // g, b // g) for k, (a, b) in num.items()}
     t = _new(Tensor2)
@@ -470,7 +513,7 @@ def _tensor(dim: int, den: int, num: dict) -> Tensor2:
     return t
 
 
-def _cybe_sparse(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
+def cybe_sums(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
     """CYB(r) in ints: (re, im, den) with CYB(r)[key] = (re[key] +
     im.get(key, 0) i) / den.  r is read over its den D and the table over
     its E, so den = D^2 E; re holds every key the sum touches, in
@@ -503,20 +546,9 @@ def _cybe_sparse(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int
     return acc, acc_im, r.den * r.den * e
 
 
-def cybe(r: Tensor2, structure: StructureTable) -> dict:
-    """[r12, r13] + [r12, r23] + [r13, r23] as {(i, j, k): nonzero entry}."""
-    acc, acc_im, den = _cybe_sparse(r, structure)
-    out = {}
-    for key, a in acc.items():
-        b = acc_im.get(key, 0)
-        if a or b:
-            out[key] = _reduced(a, b, den)
-    return out
-
-
 def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
     """Check CYB(r) = 0 on the integer accumulator."""
-    acc, acc_im, _ = _cybe_sparse(r, structure)
+    acc, acc_im, _ = cybe_sums(r, structure)
     return not any(acc.values()) and not any(acc_im.values())
 
 

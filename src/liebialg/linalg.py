@@ -4,20 +4,16 @@ Matrices are plain lists of row lists of GaussianRational.  Everything
 here is textbook Gaussian elimination; dimensions in this library stay
 small (at most a few hundred), so no cleverness is warranted.  Systems
 with integer coefficients (the parameter layer's) are solved in Python
-ints by int_solve, without a fraction until the answer.
+ints by int_solve, which hands its answer over in core's integer format.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .core import GaussianRational, ONE, ZERO, rational
+from .core import GaussianRational, ONE, ZERO, fields_over_lcm
 
 Matrix = list  # list[list[GaussianRational]]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
 
 
 def copy_matrix(m: Matrix) -> Matrix:
@@ -57,7 +53,7 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
+def int_solve(rows: list, cols: int) -> tuple[tuple, dict] | None:
     """Solve the augmented integer rows [m_0 .. m_{cols-1}, rhs]; None if
     inconsistent.
 
@@ -65,7 +61,8 @@ def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
     becomes (p * row - f * pivot_row) / gcd(p, f), divided by its content.
     Returns (x, kernel) read off the unique reduced row echelon form: x
     with free coordinates 0, and kernel mapping each free column, in
-    increasing order, to its standard kernel vector.
+    increasing order, to its standard kernel vector.  Each vector is
+    (den, [numerators]), a rational vector in core's integer format.
     """
     a = [row[:] for row in rows if any(row)]
     pivots: list[int] = []
@@ -79,6 +76,8 @@ def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
         if c == cols:  # a row 0 = rhs != 0
             return None
         a[r], a[p] = a[p], a[r]
+        if a[r][c] < 0:  # positive pivots: each entry of the answer is over its pivot
+            a[r] = [-x for x in a[r]]
         prow = a[r]
         pv = prow[c]
         nonzero = [(j, y) for j, y in enumerate(prow) if y]
@@ -95,18 +94,27 @@ def int_solve(rows: list, cols: int) -> tuple[list, dict] | None:
             g = gcd(*row)
             a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-    x = [ZERO] * cols
+
+    # every pivot row scaled to one pivot value, the lcm of the pivots,
+    # so that each vector of the answer is over it
+    den, scales = fields_over_lcm((1, 0, a[r][c]) for r, c in enumerate(pivots))
+    a = [[s * y for y in row] for row, (s, _) in zip(a, scales)]
+
+    def vector(v: list) -> tuple:
+        g = gcd(den, *v)
+        return (den // g, [y // g for y in v]) if g != 1 else (den, v)
+
+    x = [0] * cols
     for r, c in enumerate(pivots):
-        x[c] = rational(a[r][cols], a[r][c])
+        x[c] = a[r][cols]
     kernel = {}
     for f in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[f] = ONE
+        v = [0] * cols
+        v[f] = den
         for r, c in enumerate(pivots):
-            if a[r][f]:
-                v[c] = rational(-a[r][f], a[r][c])
-        kernel[f] = v
-    return x, kernel
+            v[c] = -a[r][f]
+        kernel[f] = vector(v)
+    return vector(x), kernel
 
 
 def inverse(m: Matrix) -> Matrix:

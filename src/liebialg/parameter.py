@@ -5,22 +5,27 @@
 
 and the reality constraints that cut it down to the real-form cases.
 
-lam is stored as a rank x rank matrix over the Cartan basis h_i; its
-antisymmetric part carries the coefficients lam[a][b] appearing in
-wedge coordinates (lam - lam^{21} = sum lam_ab h_a wedge h_b).
+lam is a rank x rank matrix over the Cartan basis h_i, held in core's
+integer format (ContinuousParameter); its antisymmetric part carries the
+coefficients lam[a][b] appearing in wedge coordinates (lam - lam^{21} =
+sum lam_ab h_a wedge h_b).
 
 The system has integer coefficients once scaled, so it is solved and
 checked in Python ints, and its solution space is rational; the reality
-cuts split into real and imaginary parts accordingly.
+cuts split into real and imaginary parts accordingly.  lam, the base
+point and the directions stay in ints from the solve to the checks, and
+are written from the ints; only build's direction coefficients arrive as
+scalars, and point reads their fields.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
+from operator import add, mul
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, HALF, I, ONE, ZERO, over_lcm
+from .core import GaussianRational, entry_json, fields_over_lcm, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -38,102 +43,144 @@ _KIND_BY_SIGMA = {
 
 
 class ContinuousParameter:
-    """A single solution lam, as a rank x rank matrix over the Cartan basis."""
+    """A rank x rank matrix over the Cartan basis in core's integer
+    format: entry (i, j) is (re[k] + im[k] i) / den at k = rank * i + j.
+    den and the numerators have no common factor, so equal matrices have
+    equal fields.  lam is one, and so is each direction of a parameter
+    space when it is read; immutable by convention."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("rank", "den", "re", "im")
 
-    def __init__(self, matrix: list):
-        self.matrix = matrix
+    def __init__(self, rank: int, den: int, re, im):
+        self.rank = rank
+        self.den, self.re, self.im = _lowest(den, re, im)
 
-    def antisymmetric_part(self) -> list:
-        n = len(self.matrix)
-        return [
-            [HALF * (self.matrix[i][j] - self.matrix[j][i]) for j in range(n)]
-            for i in range(n)
-        ]
+    @staticmethod
+    def from_rows(rows: list) -> "ContinuousParameter":
+        """The matrix of the given rows of scalars."""
+        den, z = over_lcm(x for row in rows for x in row)
+        return ContinuousParameter(len(rows), den, [a for a, _ in z], [b for _, b in z])
+
+    def __eq__(self, other):
+        if type(other) is not ContinuousParameter:
+            return NotImplemented
+        return (self.den, self.re, self.im) == (other.den, other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.den, self.re, self.im))
 
     def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self.matrix]
+        n, den, re, im = self.rank, self.den, self.re, self.im
+        return [
+            [entry_json(re[k], im[k], den) for k in range(n * i, n * i + n)] for i in range(n)
+        ]
 
 
 class ParameterSpace:
     """Affine solution space: base point plus a span of directions.
 
-    Directions are rank x rank antisymmetric matrices.  Before
-    apply_reality the span is over the complex scalars; afterwards the
-    coefficients range over the reals and reality_kind records which
-    case was imposed.
+    Directions are rank x rank antisymmetric matrices, each held as its
+    coordinates over the pairs i < j in the integer format, (den, re,
+    im); `directions` makes them matrices where a command writes them or
+    combines them with a user's coefficients.  Before apply_reality the
+    span is over the complex scalars; afterwards the coefficients range
+    over the reals and reality_kind records which case was imposed.
     """
 
-    __slots__ = ("rank", "base_point", "directions", "reality_kind")
+    __slots__ = ("rank", "base_point", "coordinates", "reality_kind")
 
     def __init__(
-        self, rank: int, base_point: ContinuousParameter, directions: list,
+        self, rank: int, base_point: ContinuousParameter, coordinates: list,
         reality_kind: str | None = None,
     ):
         self.rank, self.base_point = rank, base_point
-        self.directions, self.reality_kind = directions, reality_kind
+        self.coordinates, self.reality_kind = coordinates, reality_kind
 
     @property
     def dimension(self) -> int:
-        return len(self.directions)
+        return len(self.coordinates)
+
+    @property
+    def directions(self) -> list:
+        """The directions as antisymmetric ContinuousParameter matrices."""
+        n, pairs = self.rank, _pair_index(self.rank)
+        out = []
+        for den, cre, cim in self.coordinates:
+            re, im = [0] * (n * n), [0] * (n * n)
+            for (i, j), a, b in zip(pairs, cre, cim):
+                re[n * i + j], re[n * j + i], im[n * i + j], im[n * j + i] = a, -a, b, -b
+            out.append(ContinuousParameter(n, den, re, im))
+        return out
 
     def point(self, coefficients) -> ContinuousParameter:
-        return ContinuousParameter(self._combine(coefficients, self.base_point.matrix))
-
-    def _combine(self, coefficients, start: list) -> list:
-        """start + sum c_m D_m over the directions D_m, as a new matrix."""
-        m = [row[:] for row in start]
-        for c, d in zip(coefficients, self.directions):
-            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if d[i][j]:
-                        m[i][j] = m[i][j] + c * d[i][j]
-        return m
+        """base_point + sum c_m D_m over the directions D_m."""
+        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coefficients]
+        return _point(self.base_point, [(c.a, c.b, c.d) for c in cs], self.directions)
 
     def to_json(self) -> dict:
         return {
             "base_point": self.base_point.to_json(),
-            "directions": [
-                [[x.to_json() for x in row] for row in d] for d in self.directions
-            ],
+            "directions": [d.to_json() for d in self.directions],
             "reality_kind": self.reality_kind,
         }
+
+
+def _lowest(den: int, re, im) -> tuple[int, tuple, tuple]:
+    """(den, re, im) over their common factor, the numerators as tuples."""
+    re, im = tuple(re), tuple(im)
+    g = gcd(den, *re, *im)
+    if g != 1:
+        den, re, im = den // g, tuple(x // g for x in re), tuple(x // g for x in im)
+    return den, re, im
+
+
+def _combine(terms: list) -> tuple[int, tuple, tuple]:
+    """sum c v over the terms (c, (den, re, im)): each c a scalar by its
+    fields (re, im, d), each v Gaussian-integer numerators over den.
+    fields_over_lcm puts every c / den over one denominator, so the sum
+    is one pass of integer products."""
+    den, scales = fields_over_lcm((a, b, d * v[0]) for (a, b, d), v in terms)
+    size = len(terms[0][1][1])
+    re, im = [0] * size, [0] * size
+    for (x, y), (_, (_, vre, vim)) in zip(scales, terms):
+        if x or y:
+            for k, p, q in zip(range(size), vre, vim):
+                if p or q:
+                    re[k] += x * p - y * q
+                    im[k] += x * q + y * p
+    return _lowest(den, re, im)
+
+
+def _point(base: ContinuousParameter, coefficients: list, directions: list) -> ContinuousParameter:
+    """base + sum c_m D_m, each c_m by its fields (re, im, d)."""
+    terms = [((1, 0, 1), (base.den, base.re, base.im))]
+    terms += [(c, (d.den, d.re, d.im)) for c, d in zip(coefficients, directions)]
+    return ContinuousParameter(base.rank, *_combine(terms))
 
 
 def _pair_index(rank: int):
     return [(i, j) for i in range(rank) for j in range(i + 1, rank)]
 
 
-def _antisym_from_coords(rank: int, coords):
-    m = linalg.zeros(rank, rank)
-    for (i, j), c in zip(_pair_index(rank), coords):
-        m[i][j] = c
-        m[j][i] = -c
-    return m
-
-
 def satisfies_constraints(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter) -> bool:
     """lam + lam^T = Omega_0 and lam^T g_{T(a)} + lam g_a = 0 for a in
-    Gamma1, as literal equalities of ints: lam[i][j] as z[n i + j] over
-    den, the g_a as the integer simple-root columns (the second system is
+    Gamma1, as literal equalities of ints: lam's numerators over its den,
+    the g_a as the integer simple-root columns (the second system is
     homogeneous, so their common denominator drops out)."""
     n = rs.rank
-    den, z = over_lcm(x for row in lam.matrix for x in row)
+    den, re, im = lam.den, lam.re, lam.im
     omega0 = rs.cartan_dual_gram
     for i in range(n):
         for j in range(i, n):
-            (a, b), (c, d) = z[n * i + j], z[n * j + i]
-            if a + c != den * omega0[i][j] or b + d:
+            if re[n * i + j] + re[n * j + i] != den * omega0[i][j] or im[n * i + j] + im[n * j + i]:
                 return False
     cols = rs.simple_root_columns
-    parts = (0, 1) if any(b for _, b in z) else (0,)
-    for a in bd.gamma1:
-        ga, gt = cols[a], cols[bd.mapping[a]]
-        for p in parts:
-            for k in range(n):
-                if sum(z[n * j + k][p] * gt[j] + z[n * k + j][p] * ga[j] for j in range(n)):
+    for z in (re, im) if any(im) else (re,):
+        rows, columns = [z[n * k : n * k + n] for k in range(n)], [z[k::n] for k in range(n)]
+        for a in bd.gamma1:
+            ga, gt = cols[a], cols[bd.mapping[a]]
+            for row, column in zip(rows, columns):
+                if sum(map(mul, column, gt)) + sum(map(mul, row, ga)):
                     return False
     return True
 
@@ -146,38 +193,42 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     in ints with each row scaled by twice the denominator of the
     simple-root columns.  The directions span the 2-forms on the
     annihilator of the g_a - g_{T(a)} (Belavin-Drinfeld), so there are
-    C(k, 2) of them, k = rank - |Gamma1|.
+    C(k, 2) of them, k = rank - |Gamma1|; each is kept as the kernel
+    vector int_solve gives, its coordinates over the pairs i < j.
     """
     n = rs.rank
     pairs = _pair_index(n)
     cols = rs.simple_root_columns
     omega0 = rs.cartan_dual_gram
+    pos = {p: c for c, p in enumerate(pairs)}
     rows = []
     for a in bd.gamma1:
         ga, gt = cols[a], cols[bd.mapping[a]]
         for k in range(n):
-            # coefficient of A_ij in (A^T gt + A ga)_k, A antisymmetric;
-            # the right side is -(Omega_0 / 2)(gt + ga), Omega_0 symmetric
-            row = [
-                2 * (gt[i] - ga[i]) if j == k else 2 * (ga[j] - gt[j]) if i == k else 0
-                for (i, j) in pairs
-            ]
-            row.append(-sum(omega0[k][m] * (gt[m] + ga[m]) for m in range(n)))
+            # coefficient of A_ij in (A^T gt + A ga)_k, A antisymmetric:
+            # 2 (gt_i - ga_i) at A_ik and 2 (ga_j - gt_j) at A_kj; the right
+            # side is -(Omega_0 / 2)(gt + ga), Omega_0 symmetric
+            row = [0] * (len(pairs) + 1)
+            for i in range(k):
+                row[pos[i, k]] = 2 * (gt[i] - ga[i])
+            for j in range(k + 1, n):
+                row[pos[k, j]] = 2 * (ga[j] - gt[j])
+            row[-1] = -sum(map(mul, omega0[k], map(add, gt, ga)))
             rows.append(row)
     affine = linalg.int_solve(rows, len(pairs))
     assert affine is not None, "parameter system inconsistent for a valid triple"
-    sol, kernel = affine
+    (den, sol), kernel = affine
     assert len(kernel) == comb(n - len(bd.gamma1), 2)
 
-    base_matrix = _antisym_from_coords(n, sol)
-    for i in range(n):
-        for j in range(n):
-            base_matrix[i][j] = base_matrix[i][j] + HALF * omega0[i][j]
-    space = ParameterSpace(
-        rank=n,
-        base_point=ContinuousParameter(base_matrix),
-        directions=[_antisym_from_coords(n, v) for v in kernel.values()],
-    )
+    # lam = A + Omega_0 / 2, A antisymmetric with sol / den above the
+    # diagonal: numerators over 2 den
+    a = [0] * (n * n)
+    for (i, j), x in zip(pairs, sol):
+        a[n * i + j], a[n * j + i] = x, -x
+    w = (x for row in omega0 for x in row)
+    base = ContinuousParameter(n, 2 * den, [2 * x + den * y for x, y in zip(a, w)], [0] * (n * n))
+    zero = (0,) * len(pairs)
+    space = ParameterSpace(n, base, [(d, tuple(v), zero) for d, v in kernel.values()])
     assert satisfies_constraints(rs, bd, space.base_point)
     return space
 
@@ -189,16 +240,21 @@ def reality_kind_for(sigma_label: str) -> str:
 def lambda_reality_ok(
     lam: ContinuousParameter, kind: str, mu: DiagramAutomorphism
 ) -> bool:
-    """The coefficient condition of the given reality kind at one point."""
-    a = lam.antisymmetric_part()
-    n = len(a)
+    """The coefficient condition of the given reality kind at one point,
+    on lam's numerators: 2 den a_ij = (re_ij - re_ji) + (im_ij - im_ji) i
+    for the antisymmetric part a."""
+    n, re, im = lam.rank, lam.re, lam.im
+    cells = [(n * i + j, n * j + i) for i in range(n) for j in range(n)]
     if kind == "real":
-        return all(x.is_real() for row in a for x in row)
+        return all(im[k] == im[l] for k, l in cells)
     if kind == "imaginary":
-        return all(x.is_imaginary() for row in a for x in row)
-    sign = ONE if kind == "conjugate-mu" else -ONE
+        return all(re[k] == re[l] for k, l in cells)
+    # a_ij = sign conj(a_{mu i, mu j})
+    sign = 1 if kind == "conjugate-mu" else -1
+    images = [(n * mu(i) + mu(j), n * mu(j) + mu(i)) for i in range(n) for j in range(n)]
     return all(
-        a[i][j] == sign * a[mu(i)][mu(j)].conj() for i in range(n) for j in range(n)
+        re[k] - re[l] == sign * (re[p] - re[q]) and im[k] - im[l] == sign * (im[q] - im[p])
+        for (k, l), (p, q) in zip(cells, images)
     )
 
 
@@ -255,43 +311,55 @@ def apply_reality(
             f"triple {bd.to_json()} is not compatible with reality kind {kind!r}"
         )
     if kind == "real":
-        return ParameterSpace(ps.rank, ps.base_point, ps.directions, kind)
+        return ParameterSpace(ps.rank, ps.base_point, ps.coordinates, kind)
     n = ps.rank
-    ndir = len(ps.directions)
+    ndir = ps.dimension
     pairs = _pair_index(n)
-    base_anti = ps.base_point.antisymmetric_part()
-    dirs = ps.directions
-    sign = ONE if kind == "conjugate-mu" else -ONE
+    pos = {p: k for k, p in enumerate(pairs)}
+    dirs = ps.coordinates
+    base = ps.base_point
+    b2 = 2 * base.den
+
+    def anti(i, j):  # the antisymmetric part of the base point, times b2
+        return base.re[n * i + j] - base.re[n * j + i]
+
+    def coord(v, i, j):  # entry (i, j) of an antisymmetric matrix of coordinates v
+        return v[pos[i, j]] if i < j else -v[pos[j, i]]
+
+    # the rows as fields (numerator, 0, denominator), one field per entry
+    sign = 1 if kind == "conjugate-mu" else -1
     re_rows, im_rows = [], []
     for (i, j) in pairs:
         if kind == "imaginary":
-            re_rows.append([d[i][j] for d in dirs] + [-base_anti[i][j]])
+            re_rows.append([(v[pos[i, j]], 0, d) for d, v, _ in dirs] + [(-anti(i, j), 0, b2)])
             continue
         mi, mj = mu(i), mu(j)
         re_rows.append(
-            [d[i][j] - sign * d[mi][mj] for d in dirs]
-            + [sign * base_anti[mi][mj] - base_anti[i][j]]
+            [(v[pos[i, j]] - sign * coord(v, mi, mj), 0, d) for d, v, _ in dirs]
+            + [(sign * anti(mi, mj) - anti(i, j), 0, b2)]
         )
-        im_rows.append([d[i][j] + sign * d[mi][mj] for d in dirs] + [ZERO])
+        im_rows.append([(v[pos[i, j]] + sign * coord(v, mi, mj), 0, d) for d, v, _ in dirs] + [(0, 0, 1)])
     # the rows are real and rational, and scaling an equation changes no
     # solution: both systems in ints over one common denominator
-    _, z = over_lcm(x for row in re_rows + im_rows for x in row)
+    _, z = fields_over_lcm(f for row in re_rows + im_rows for f in row)
     w = ndir + 1
     rows = [[a for a, _ in z[k : k + w]] for k in range(0, len(z), w)]
     re_part = linalg.int_solve(rows[: len(re_rows)], ndir)
     if re_part is None:
         raise NoBialgebraDatum("reality constraints are inconsistent")
-    re_sol, re_kernel = re_part
+    (x_den, x), re_kernel = re_part
     _, im_kernel = linalg.int_solve(rows[len(re_rows) :], ndir)
 
+    # each kernel vector as the fields of its coefficients, i times the
+    # imaginary ones
     kernel = sorted(
-        [(2 * f, v) for f, v in re_kernel.items()]
-        + [(2 * f + 1, [I * x for x in v]) for f, v in im_kernel.items()],
+        [(2 * f, [(c, 0, d) for c in v]) for f, (d, v) in re_kernel.items()]
+        + [(2 * f + 1, [(0, c, d) for c in v]) for f, (d, v) in im_kernel.items()],
         key=lambda fv: fv[0],
     )
     return ParameterSpace(
         rank=n,
-        base_point=ps.point(re_sol),
-        directions=[ps._combine(v, linalg.zeros(n, n)) for _, v in kernel],
+        base_point=_point(base, [(c, 0, x_den) for c in x], ps.directions),
+        coordinates=[_combine(list(zip(v, dirs))) for _, v in kernel],
         reality_kind=kind,
     )

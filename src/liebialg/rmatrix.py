@@ -48,8 +48,11 @@ from .core import (
     ONE,
     Tensor2,
     ZERO,
-    cybe,
     cybe_is_zero,
+    cybe_sums,
+    entry_str,
+    fields_over_lcm,
+    rational,
 )
 from .involution import Involution
 from .parameter import (
@@ -81,8 +84,9 @@ def _chain_of(chains, root):
     raise KeyError(root)
 
 
-def _sigma_chain_scalars(rs, bd, sigma):
-    """Simple-root rescalings making the family sigma-compatible.
+def _sigma_chain_scalars(bd, sigma, chains):
+    """Simple-root rescalings making the family sigma-compatible, given
+    the tau-chains of the triple.
 
     Only the omega kinds with a nonempty antistable triple need work:
     there the generator scalars (-1)^{chi_J} must come out constant
@@ -99,9 +103,7 @@ def _sigma_chain_scalars(rs, bd, sigma):
         idx = root.index(1)
         return -ONE if idx in jset else ONE
 
-    simple_chains = [
-        c for c in tau_chains(rs, bd) if sum(c[0]) == 1
-    ]
+    simple_chains = [c for c in chains if sum(c[0]) == 1]
     starts = {c[0] for c in simple_chains}
     done = set()
     for chain in simple_chains:
@@ -142,12 +144,18 @@ def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> d
     s_gamma over positive gamma; chain transport satisfies
     T(x'_beta) = x'_{T beta} for every beta in the Gamma1 span.
     """
+    chains = tau_chains(rs, bd)
+    return _family(rs, bd, chains, _sigma_chain_scalars(bd, sigma, chains))
+
+
+def _family(rs: RootSystem, bd: BDTriple, chains: list, scalars: dict) -> dict:
+    """extend_T's scale map from the tau-chains and the sigma scalars."""
     s = {g: ONE for g in rs.positive_roots}
-    s.update(_sigma_chain_scalars(rs, bd, sigma))
+    s.update(scalars)
     hat1 = set(span_subset_roots(rs, bd.gamma1))
     gamma1_roots = {rs.simple_roots[i] for i in bd.gamma1}
 
-    composite_chains = [c for c in tau_chains(rs, bd) if sum(c[0]) > 1]
+    composite_chains = [c for c in chains if sum(c[0]) > 1]
     composite_chains.sort(key=lambda c: sum(c[0]))
     for chain in composite_chains:
         for beta, tbeta in zip(chain, chain[1:]):
@@ -183,28 +191,48 @@ def build_r0(
     """The antisymmetric tensor r0 = r - t Omega / 2, built in one pass:
     t (lam - Omega_0 / 2) on h (x) h, t/2 at (x_{-gamma}, x_gamma) and
     -t/2 at (x_gamma, x_{-gamma}) over positive gamma, and the precedence
-    terms of r, which Omega does not touch."""
+    terms of r, which Omega does not touch.
+
+    Written in the integer format directly: each distinct entry is a
+    fraction of the ints of t, lam and the family's scalars, and one
+    fields_over_lcm puts them over r0's denominator."""
     if not t:
         raise ValueError("t must be nonzero")
     if not satisfies_constraints(rs, bd, lam):
         raise ValueError("continuous parameter fails its defining constraints")
     if family is None:
         family = extend_T(rs, bd)
-    half_t = t * HALF
+    n, npos = rs.rank, rs.npos
+    ta, tb, td = t.a, t.b, t.d
     omega0 = rs.cartan_dual_gram
-    entries = {}
-    for i, row in enumerate(lam.matrix):
-        for j, v in enumerate(row):
-            entries[(i, j)] = t * v - half_t * omega0[i][j] if omega0[i][j] else t * v
-    npos, minus_half_t = rs.npos, -half_t
-    for ip in range(rs.rank, rs.rank + npos):  # x_gamma, then x_{-gamma} npos later
-        entries[(ip + npos, ip)], entries[(ip, ip + npos)] = half_t, minus_half_t
-    # alpha precedes beta strictly, so no key below repeats one above
+    cartan, fields = [], [(ta, tb, 2 * td)]  # t/2 first
+    # t (lam - Omega_0 / 2) = t (2 (re + im i) - den Omega_0) / (2 den)
+    lre, lim, d2 = lam.re, lam.im, 2 * lam.den * td
+    for i in range(n):
+        for j in range(n):
+            x, y = 2 * lre[n * i + j] - lam.den * omega0[i][j], 2 * lim[n * i + j]
+            if x or y:
+                cartan.append((i, j))
+                fields.append((ta * x - tb * y, ta * y + tb * x, d2))
+    # t s_beta / s_alpha = t (p + q i) d' (p' - q' i) / (d |p' + q' i|^2)
+    # for s_beta = (p + q i) / d and s_alpha = (p' + q' i) / d'
+    precedence = []
     for alpha, beta in precedence_pairs(rs, bd):
-        coeff = t * family[beta] / family[alpha]
-        ia, ib = rs.root_index(alpha) + npos, rs.root_index(beta)
-        entries[(ia, ib)], entries[(ib, ia)] = coeff, -coeff
-    return Tensor2(rs.dim, entries)
+        sb, sa = family[beta], family[alpha]
+        x = (sb.a * sa.a + sb.b * sa.b) * sa.d
+        y = (sb.b * sa.a - sb.a * sa.b) * sa.d
+        precedence.append((rs.root_index(alpha) + npos, rs.root_index(beta)))
+        fields.append((ta * x - tb * y, ta * y + tb * x, td * sb.d * (sa.a * sa.a + sa.b * sa.b)))
+    den, z = fields_over_lcm(fields)
+    half_t = z[0]
+    minus_half_t = (-half_t[0], -half_t[1])
+    num = dict(zip(cartan, z[1:]))
+    for ip in range(n, n + npos):  # x_gamma, then x_{-gamma} npos later
+        num[(ip + npos, ip)], num[(ip, ip + npos)] = half_t, minus_half_t
+    # alpha precedes beta strictly, so no key below repeats one above
+    for (ia, ib), (a, b) in zip(precedence, z[1 + len(cartan) :]):
+        num[(ia, ib)], num[(ib, ia)] = (a, b), (-a, -b)
+    return Tensor2.from_ints(rs.dim, den, num)
 
 
 def build_r(
@@ -295,8 +323,9 @@ def make_datum(
 
     memo, when given, holds what several data of one root system share:
     stability per (triple, mu), the lambda condition per (lambda, kind,
-    mu), and r0 per (triple, lambda, t, simple-chain scalars of sigma),
-    the only way r0 depends on sigma.  Each datum still checks
+    mu), the tau-chains per triple, and r0 per (triple, lambda, t,
+    simple-chain scalars of sigma), the only way r0 depends on sigma.
+    lambda is a key by its integer fields.  Each datum still checks
     sigma_fixes against its own sigma, and derives r only when read.
     """
     label = sigma.describe()
@@ -307,17 +336,17 @@ def make_datum(
         raise NoBialgebraDatum(f"triple incompatible with {label}")
     if not t_reality_ok(t, kind):
         raise NoBialgebraDatum(f"t = {t} not allowed for {label}")
-    lam_key = tuple(map(tuple, lam.matrix))
     if not _shared(
-        memo, ("lambda", lam_key, kind, mu), lambda: lambda_reality_ok(lam, kind, mu)
+        memo, ("lambda", lam, kind, mu), lambda: lambda_reality_ok(lam, kind, mu)
     ):
         raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
     if not _positive(t):
         raise ValueError("t must lie on the positive real or imaginary ray")
-    scalars = frozenset(_sigma_chain_scalars(rs, bd, sigma).items())
+    chains = _shared(memo, ("chains", bd), lambda: tau_chains(rs, bd))
+    scalars = _sigma_chain_scalars(bd, sigma, chains)
     r0 = _shared(
-        memo, ("r0", bd, lam_key, t, scalars),
-        lambda: build_r0(rs, bd, lam, t, extend_T(rs, bd, sigma)),
+        memo, ("r0", bd, lam, t, frozenset(scalars.items())),
+        lambda: build_r0(rs, bd, lam, t, _family(rs, bd, chains, scalars)),
     )
     datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0)
     assert sigma_fixes(datum), "constructed tensor escaped the real form"
@@ -339,14 +368,17 @@ def iter_data(
 
     Yields (sigma, reality-cut parameter space, datum at its base point
     and default t), involution-major, then in triple enumeration order.
-    The triples are enumerated once, and each triple's complex parameter
-    space is solved at most once, only after some involution passed the
-    stability test for it.  Its reality cut, which depends only on the
-    triple, the reality kind and mu, is made once per such key.  One memo
-    for the whole call lets make_datum share stability, the lambda
-    condition and r0 among the involutions that agree on them.
+    The triples are enumerated once, and those whose stability allows a
+    reality kind and mu are listed once per (kind, mu); each involution
+    walks its list.  Each triple's complex parameter space is solved at
+    most once, only when some involution's list holds it.  Its reality
+    cut, which depends only on the triple, the reality kind and mu, is
+    made once per such key.  One memo for the whole call lets make_datum
+    share stability, the lambda condition, the tau-chains and r0 among
+    the involutions that agree on them.
     """
     triples = enumerate_bd_triples(rs)
+    compatible: dict[tuple, list[BDTriple]] = {}
     solved: dict[BDTriple, ParameterSpace] = {}
     cut: dict[tuple, ParameterSpace | None] = {}  # None: no datum
     memo: dict = {}
@@ -354,10 +386,13 @@ def iter_data(
         label = sigma.describe()
         kind = reality_kind_for(label)
         mu = sigma.mu
-        for bd in triples:
-            st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
-            if not stability_ok(bd, kind, mu, st):
-                continue
+        if (kind, mu) not in compatible:
+            allowed = compatible[kind, mu] = []
+            for bd in triples:
+                st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
+                if stability_ok(bd, kind, mu, st):
+                    allowed.append(bd)
+        for bd in compatible[kind, mu]:
             if bd not in solved:
                 solved[bd] = solve_parameters(rs, bd)
             key = (bd, kind, mu)
@@ -437,7 +472,7 @@ def _carries_declared_data(datum: BialgebraDatum) -> bool:
         t, bd, lam = extract_data(datum.rs, datum.r0)
     except ExtractionError:
         return False
-    return bd == datum.bd and t == datum.t and lam.matrix == datum.lam.matrix
+    return bd == datum.bd and t == datum.t and lam == datum.lam
 
 
 # ---- recovery ---------------------------------------------------------------
@@ -461,17 +496,23 @@ def extract_data(
         raise ExtractionError("zero tensor is triangular, not almost factorizable")
 
     # modified Yang-Baxter constant: CYB(r0) = c^2 [Omega13, Omega23], and
-    # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega
-    cyb = cybe(r0, rs.structure)
-    if not cyb:
+    # [Omega13, Omega23] = CYB(Omega) for the invariant symmetric Omega.
+    # Both are integer sums over their own denominators, so proportionality
+    # is a cross-multiplication against the first key of CYB(Omega).
+    acc, acc_im, den = cybe_sums(r0, rs.structure)
+    if not any(acc.values()) and not any(acc_im.values()):
         raise ExtractionError("tensor is triangular (vanishing modified YBE constant)")
-    ref = rs.casimir_cybe
+    ref_den, ref = rs.casimir_cybe
     key = next(iter(ref))
-    ratio = cyb.get(key, ZERO) / ref[key]
-    if cyb != {k: ratio * v for k, v in ref.items()}:
+    c, p, q = ref[key], acc.get(key, 0), acc_im.get(key, 0)
+    if any(k not in acc for k in ref) or any(
+        a * c != p * ref.get(k, 0) or acc_im.get(k, 0) * c != q * ref.get(k, 0)
+        for k, a in acc.items()
+    ):
         raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
-    if not ratio.is_real():
+    if q:
         raise ExtractionError("modified YBE constant squared must be real")
+    ratio = rational(p * ref_den, den * c)
 
     # H = image of r0 under the bracket; must be regular in the Cartan.
     # ad H is diagonal there, gamma(H) on x_gamma, so H is regular when
@@ -560,7 +601,7 @@ def extract_data(
 
     # lambda: the Cartan block of r0 over t, plus the symmetric Omega_0 / 2
     omega0 = rs.cartan_dual_gram
-    lam = ContinuousParameter([
+    lam = ContinuousParameter.from_rows([
         [r0.get(i, j) / t + HALF * omega0[i][j] for j in range(rs.rank)]
         for i in range(rs.rank)
     ])
@@ -580,11 +621,10 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     g2 = tuple(sorted(perm[i] for i in datum.bd.gamma2))
     tau2 = tuple(sorted((perm[i], perm[j]) for i, j in datum.bd.tau))
     n = len(perm)
-    lam = datum.lam.matrix
-    lam2 = tuple(
-        tuple(str(lam[perm.index(i)][perm.index(j)]) for j in range(n))
-        for i in range(n)
-    )
+    inv = [perm.index(i) for i in range(n)]
+    lam = datum.lam
+    entries = [entry_str(x, y, lam.den) for x, y in zip(lam.re, lam.im)]
+    lam2 = tuple(tuple(entries[n * inv[i] + inv[j]] for j in range(n)) for i in range(n))
     return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
 
 

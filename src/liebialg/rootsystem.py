@@ -392,15 +392,17 @@ class RootSystem:
     def simple_root_columns(self) -> list[list[int]]:
         """[(alpha_i | alpha_a)]_i for each simple root alpha_a, as ints
         over one common denominator: the integer coefficients of the
-        parameter constraints, read on first use."""
+        parameter constraints, and the Gram the triple enumeration
+        compares (it is symmetric), read on first use."""
         return [[row[a] for row in self._gram] for a in range(self.rank)]
 
     @cached_property
-    def casimir_cybe(self) -> dict:
+    def casimir_cybe(self) -> tuple[int, dict]:
         """CYB(Omega) = [Omega13, Omega23], a constant of the type: Omega is
         invariant, so [Omega12, Omega13] + [Omega12, Omega23] = 0, and one
         bracket of the three is the whole CYBE.  Summed in ints over the
-        common denominator of Omega (real) and the table."""
+        common denominator of Omega (real) and the table, and kept so:
+        (den, {key: nonzero int}), CYB(Omega)[key] = int / den."""
         omega = self.casimir
         e, table = self.structure.int_view()
         cols: list[list] = [[] for _ in range(self.dim)]  # Omega is nondegenerate
@@ -414,8 +416,7 @@ class RootSystem:
                     for k, coef in terms:
                         key = (a, c, k)
                         acc[key] = acc.get(key, 0) + v * coef
-        den = omega.den * omega.den * e
-        return {k: rational(v, den) for k, v in acc.items() if v}
+        return omega.den * omega.den * e, {k: v for k, v in acc.items() if v}
 
     def to_json(self) -> dict:
         """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read

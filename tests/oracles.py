@@ -20,11 +20,21 @@ from liebialg.bdtriple import (
     precedence_pairs,
     span_subset_roots,
 )
-from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe
+from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe_sums, gaussian
 from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import ManinTriple, realification_structure
 from liebialg.parameter import ContinuousParameter
 from liebialg.rmatrix import ExtractionError
+
+
+def matrix_of(lam) -> list:
+    """A ContinuousParameter's entries as scalars, row by row."""
+    n, den = lam.rank, lam.den
+    return [[gaussian(lam.re[k], lam.im[k], den) for k in range(n * i, n * i + n)] for i in range(n)]
+
+
+def zeros(rows: int, cols: int) -> list:
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def conjugate(a: list) -> list:
@@ -92,6 +102,25 @@ def ad(st, u) -> list:
             for k, c in st.table.get((i, j), ()):
                 mat[k][j] = mat[k][j] + a * c
     return mat
+
+
+def cybe(r: Tensor2, structure: StructureTable) -> dict:
+    """[r12, r13] + [r12, r23] + [r13, r23] as {(i, j, k): nonzero entry}:
+    the library's integer sums (core.cybe_sums), each nonzero key reduced
+    to a scalar."""
+    acc, acc_im, den = cybe_sums(r, structure)
+    out = {}
+    for key, a in acc.items():
+        b = acc_im.get(key, 0)
+        if a or b:
+            out[key] = gaussian(a, b, den)
+    return out
+
+
+def casimir_cybe(rs) -> dict:
+    """RootSystem.casimir_cybe, (den, {key: int}), as {key: scalar}."""
+    den, acc = rs.casimir_cybe
+    return {k: GaussianRational(Fraction(v, den)) for k, v in acc.items()}
 
 
 def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
@@ -192,7 +221,7 @@ def mat_vec(a: list, v: list) -> list:
 
 def mat_mul(a: list, b: list) -> list:
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = linalg.zeros(rows, cols)
+    out = zeros(rows, cols)
     for i in range(rows):
         ai = a[i]
         oi = out[i]
@@ -333,7 +362,7 @@ def reference_structure_constants(rs) -> tuple[list, dict, dict]:
 def killing_gram(rs) -> list:
     """Gram matrix of the Killing form in the ambient basis, from
     rs.killing_h and (x_g | x_-g) = 1 on the paired root slots."""
-    k = linalg.zeros(rs.dim, rs.dim)
+    k = zeros(rs.dim, rs.dim)
     for i in range(rs.rank):
         for j in range(rs.rank):
             k[i][j] = rs.killing_h[i][j]
@@ -471,7 +500,7 @@ def reference_r(rs, bd, lam, t, family: dict) -> Tensor2:
     def add(i, j, v):
         terms[(i, j)] = terms.get((i, j), ZERO) + t * v
 
-    for i, row in enumerate(lam.matrix):
+    for i, row in enumerate(matrix_of(lam)):
         for j, v in enumerate(row):
             add(i, j, v)
     for g in rs.positive_roots:
@@ -545,7 +574,7 @@ def dense_real_part_pairing(rs, t: GaussianRational) -> list:
     """Gram matrix of 2 Re(kappa / t) on the realified basis."""
     n = rs.dim
     two = GaussianRational(2)
-    p = linalg.zeros(2 * n, 2 * n)
+    p = zeros(2 * n, 2 * n)
     for i, row in enumerate(induced_form(rs, t)):
         for j, base in enumerate(row):
             if base:
@@ -557,7 +586,7 @@ def dense_real_part_pairing(rs, t: GaussianRational) -> list:
 
 def multiplication_by_i(n: int):
     """The operator x -> x' on realified coordinates."""
-    m = linalg.zeros(2 * n, 2 * n)
+    m = zeros(2 * n, 2 * n)
     for j in range(n):
         m[n + j][j] = ONE
         m[j][n + j] = -ONE
@@ -576,7 +605,7 @@ def psi_phi(rs, sigma):
         return realify_vector(v)
 
     m = involution_matrix(sigma)
-    psi = linalg.zeros(2 * n, 2 * n)
+    psi = zeros(2 * n, 2 * n)
     for a in range(n):
         e = [ZERO] * n
         e[a] = ONE
@@ -590,7 +619,7 @@ def psi_phi(rs, sigma):
         for i in range(2 * n):
             psi[i][n + a] = half * col_y[i] + half_i * jy[i]
 
-    upsilon = linalg.zeros(n, 2 * n)
+    upsilon = zeros(n, 2 * n)
     for j in range(n):
         upsilon[j][j] = ONE
         upsilon[j][n + j] = I
@@ -716,7 +745,7 @@ def dense_double_factorizable(rs, datum) -> ManinTriple:
     assert all(x.is_real() for row in rho for x in row)
     inv_t = ONE / datum.t
     form = [[inv_t * x for x in row] for row in dense_real_killing_gram(rs, basis)]
-    pairing = linalg.zeros(2 * n, 2 * n)
+    pairing = zeros(2 * n, 2 * n)
     for i in range(n):
         for j in range(n):
             pairing[i][j] = form[i][j]
@@ -783,7 +812,7 @@ def manin_fields(mt) -> tuple:
 
 
 def identity(n: int) -> list:
-    m = linalg.zeros(n, n)
+    m = zeros(n, n)
     for i in range(n):
         m[i][i] = ONE
     return m
@@ -807,7 +836,7 @@ def constraint_residual(rs, bd, lam):
     """Exact residuals of the defining linear system at lam: lam + lam^T
     - Omega_0, then lam^T g_{T(a)} + lam g_a for each a in Gamma1."""
     n = rs.rank
-    m = lam.matrix
+    m = matrix_of(lam)
     residuals = [[m[i][j] + m[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)] for i in range(n)]
     lam_t = transpose(m)
     for a in bd.gamma1:
@@ -819,7 +848,7 @@ def constraint_residual(rs, bd, lam):
 
 
 def _antisym(n: int, coords) -> list:
-    m = linalg.zeros(n, n)
+    m = zeros(n, n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for (i, j), c in zip(pairs, coords):
         m[i][j], m[j][i] = c, -c
@@ -910,7 +939,7 @@ def reference_reality_cut(base_point, directions, kind, mu) -> tuple[list, list]
                     m[i][j] = m[i][j] + c * d[i][j]
         return m
 
-    return combine(sol, base_point), [combine(v, linalg.zeros(n, n)) for v in kernel]
+    return combine(sol, base_point), [combine(v, zeros(n, n)) for v in kernel]
 
 
 # ---- recovery in a general frame ------------------------------------------------
@@ -932,7 +961,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
         raise ExtractionError("zero tensor is triangular, not almost factorizable")
 
     cyb = cybe(r0, rs.structure)
-    ref = rs.casimir_cybe
+    ref = casimir_cybe(rs)
     key = next(iter(ref))
     ratio = cyb.get(key, ZERO) / ref[key]
     if not ratio:
@@ -1025,7 +1054,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
     for i in range(rs.rank):
         for j in range(rs.rank):
             lam_matrix[i][j] = lam_matrix[i][j] + HALF * omega0_new[i][j]
-    return ReferenceExtraction(h_vec, t, new_pos, delta, bd, ContinuousParameter(lam_matrix))
+    return ReferenceExtraction(h_vec, t, new_pos, delta, bd, ContinuousParameter.from_rows(lam_matrix))
 
 
 def reference_carries_declared_data(datum) -> bool:
@@ -1041,5 +1070,5 @@ def reference_carries_declared_data(datum) -> bool:
         ex.delta == list(rs.simple_roots)
         and ex.bd == datum.bd
         and ex.t == datum.t
-        and ex.lam.matrix == datum.lam.matrix
+        and ex.lam == datum.lam
     )

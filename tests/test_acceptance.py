@@ -251,7 +251,7 @@ def test_criterion_5_roundtrip():
         lam = ps.point(pr)
         r0 = build_r0(rs, bd, lam, t)
         got_t, got_bd, got_lam = extract_data(rs, r0)
-        ok = ok and got_t == t and got_bd == bd and got_lam.matrix == lam.matrix
+        ok = ok and got_t == t and got_bd == bd and got_lam == lam
         # the general-frame reference: H = -t * sum of the Killing duals
         # over the positive system, regular by the dense ad H, and the
         # standard simple roots

@@ -13,13 +13,12 @@ from liebialg.core import (
     Tensor2,
     ZERO,
     apply_semilinear_pair,
-    cybe,
     cybe_is_zero,
     over_lcm,
     rational_sqrt,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import bracket, involution_matrix, reference_cybe
+from oracles import bracket, cybe, involution_matrix, reference_cybe
 
 
 def test_scalar_arithmetic():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,15 +19,28 @@ def test_rref_and_rank():
     assert linalg.rank([[g(1), g(0)], [g(0), g(1)]]) == 2
 
 
+def scalars(vector) -> list:
+    """An int_solve vector (den, numerators) as scalars; checks it is in
+    lowest terms."""
+    den, v = vector
+    assert den > 0 and gcd(den, *v) == 1
+    return [g(Fraction(x, den)) for x in v]
+
+
 def test_int_solve_exact():
     x, kernel = linalg.int_solve([[2, 1, 5], [1, -1, 1]], 2)
-    assert x == [g(2), g(1)] and kernel == {}
+    assert scalars(x) == [g(2), g(1)] and kernel == {}
     # a singular consistent system: free columns 1 and 2
     x, kernel = linalg.int_solve([[1, 1, 0, 3], [2, 2, 0, 6]], 3)
-    assert x == [g(3), ZERO, ZERO]
-    assert kernel == {1: [-ONE, ONE, ZERO], 2: [ZERO, ZERO, ONE]}
+    assert scalars(x) == [g(3), ZERO, ZERO]
+    assert {f: scalars(v) for f, v in kernel.items()} == {1: [-ONE, ONE, ZERO], 2: [ZERO, ZERO, ONE]}
     # no rows: everything is free
-    assert linalg.int_solve([], 2) == ([ZERO, ZERO], {0: [ONE, ZERO], 1: [ZERO, ONE]})
+    x, kernel = linalg.int_solve([], 2)
+    assert (scalars(x), {f: scalars(v) for f, v in kernel.items()}) == (
+        [ZERO, ZERO], {0: [ONE, ZERO], 1: [ZERO, ONE]}
+    )
+    # a negative pivot: each entry over a positive denominator
+    assert linalg.int_solve([[-3, 1]], 1) == ((3, [-1]), {})
 
 
 def test_int_solve_inconsistent():
@@ -51,7 +65,7 @@ def test_int_solve_matches_the_general_elimination():
             assert got is None, m
         else:
             assert got is not None, m
-            assert (got[0], list(got[1].values())) == ref, m
+            assert (scalars(got[0]), [scalars(v) for v in got[1].values()]) == ref, m
 
 
 def test_nullspace():

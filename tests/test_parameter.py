@@ -10,8 +10,9 @@ from liebialg.bdtriple import (
     enumerate_bd_triples,
     identity_automorphism,
 )
-from liebialg.core import GaussianRational, I, ONE, ZERO
+from liebialg.core import GaussianRational, HALF, I, ONE, ZERO
 from liebialg.parameter import (
+    ContinuousParameter,
     NoBialgebraDatum,
     apply_reality,
     lambda_reality_ok,
@@ -22,17 +23,25 @@ from liebialg.parameter import (
 from liebialg.rootsystem import build_root_system
 from oracles import (
     constraint_residual,
+    matrix_of,
     fraction_killing_h,
     reference_reality_cut,
     reference_solve_parameters,
 )
 
 
+def _antisymmetric_part(lam) -> list:
+    """(lam - lam^T) / 2 as a matrix of scalars."""
+    m = matrix_of(lam)
+    n = len(m)
+    return [[HALF * (m[i][j] - m[j][i]) for j in range(n)] for i in range(n)]
+
+
 def test_a1_empty_triple():
     rs = build_root_system("A", 1)
     ps = solve_parameters(rs, BDTriple.empty())
     assert ps.dimension == 0
-    assert ps.base_point.matrix == [[GaussianRational(1)]]  # Omega_0 / 2
+    assert matrix_of(ps.base_point) == [[GaussianRational(1)]]  # Omega_0 / 2
 
 
 def test_a2_empty_triple_dimension():
@@ -46,7 +55,7 @@ def test_a2_nontrivial_triple_unique_solution():
     bd = BDTriple.make((0,), (1,), {0: 1})
     ps = solve_parameters(rs, bd)
     assert ps.dimension == 0
-    anti = ps.base_point.antisymmetric_part()
+    anti = _antisymmetric_part(ps.base_point)
     assert anti[0][1] == ONE and anti[1][0] == -ONE
 
 
@@ -103,7 +112,7 @@ def test_every_point_satisfies_constraints():
         for pr in probes:
             lam = ps.point(pr)
             assert satisfies_constraints(rs, bd, lam)
-            m = lam.matrix
+            m = matrix_of(lam)
             omega0 = rs.cartan_dual_gram
             for i in range(rs.rank):
                 for j in range(rs.rank):
@@ -114,7 +123,7 @@ def test_lambda_coefficient_convention():
     rs = build_root_system("A", 2)
     ps = solve_parameters(rs, BDTriple.empty())
     lam = ps.point([GaussianRational(5)])
-    a = lam.antisymmetric_part()
+    a = _antisymmetric_part(lam)
     assert a[0][1] == -a[1][0]
 
 
@@ -125,7 +134,7 @@ def test_reality_real_case():
     assert rps.reality_kind == "real"
     assert rps.dimension == 1
     for d in rps.directions:
-        assert all(x.is_real() for row in d for x in row)
+        assert all(x.is_real() for row in matrix_of(d) for x in row)
 
 
 def test_reality_imaginary_case():
@@ -134,7 +143,7 @@ def test_reality_imaginary_case():
     rps = apply_reality(ps, "omega", identity_automorphism(2), BDTriple.empty())
     assert rps.reality_kind == "imaginary"
     assert rps.dimension == 1
-    anti = rps.point([ONE]).antisymmetric_part()
+    anti = _antisymmetric_part(rps.point([ONE]))
     assert anti[0][1].is_imaginary()
 
 
@@ -145,7 +154,7 @@ def test_reality_conjugate_mu_case():
     ps = solve_parameters(rs, BDTriple.empty())
     rps = apply_reality(ps, "varsigma_mu", flip, BDTriple.empty())
     assert rps.dimension == 1
-    anti = rps.point([ONE]).antisymmetric_part()
+    anti = _antisymmetric_part(rps.point([ONE]))
     assert anti[0][1].is_imaginary() and anti[0][1]
     assert lambda_reality_ok(rps.point([ONE]), "conjugate-mu", flip)
 
@@ -156,7 +165,7 @@ def test_reality_anti_conjugate_mu_case():
     ps = solve_parameters(rs, BDTriple.empty())
     rps = apply_reality(ps, "omega_mu_J", flip, BDTriple.empty())
     assert rps.dimension == 1
-    anti = rps.point([ONE]).antisymmetric_part()
+    anti = _antisymmetric_part(rps.point([ONE]))
     # anti-conjugate condition forces the coefficient real here
     assert anti[0][1].is_real() and anti[0][1]
 
@@ -212,10 +221,16 @@ def test_parameter_space_json():
 
 ORACLE_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 3), ("D", 4), ("D", 5), ("G", 2),
+    ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6),
 ]
 CUT_KEYS = {"A1": 4, "A2": 14, "A3": 28, "A4": 88, "B2": 4, "B3": 8, "B4": 20,
-            "C3": 8, "D4": 94, "D5": 232, "G2": 4}
+            "C3": 8, "D4": 94, "D5": 232, "G2": 4, "F4": 16, "E6": 880}
+
+
+def _fields(base, directions) -> tuple:
+    """The reference's matrices of scalars in the integer format, which
+    compares field by field."""
+    return ContinuousParameter.from_rows(base), [ContinuousParameter.from_rows(d) for d in directions]
 
 
 @pytest.mark.parametrize("series,rank", ORACLE_TYPES)
@@ -230,7 +245,7 @@ def test_solve_and_cut_match_the_general_elimination(series, rank):
     for bd in enumerate_bd_triples(rs):
         ps = solve_parameters(rs, bd)
         base, directions = reference_solve_parameters(rs, bd)
-        assert (ps.base_point.matrix, ps.directions) == (base, directions), bd
+        assert (ps.base_point, ps.directions) == _fields(base, directions), bd
         for label, kind in kinds.items():
             for mu in diagram_automorphisms(rs):
                 if not stability_ok(bd, kind, mu):
@@ -241,7 +256,7 @@ def test_solve_and_cut_match_the_general_elimination(series, rank):
                 except NoBialgebraDatum:
                     assert expected is None, (bd, label, mu)
                     continue
-                assert (cut.base_point.matrix, cut.directions) == expected, (bd, label, mu)
+                assert (cut.base_point, cut.directions) == _fields(*expected), (bd, label, mu)
                 checked += 1
     assert checked == CUT_KEYS[f"{series}{rank}"]
 
@@ -256,9 +271,10 @@ def test_constraint_check_agrees_with_the_residuals():
         for coeffs in ([ONE] * ps.dimension, [GaussianRational(2, -1)] * ps.dimension):
             on = ps.point(coeffs)
             for shift in (ZERO, GaussianRational(1, 2), I, GaussianRational(Fraction(1, 3), 1)):
-                lam = ps.point(coeffs)
-                lam.matrix[0][1] = lam.matrix[0][1] + shift
-                lam.matrix[2][0] = lam.matrix[2][0] - shift * shift
+                m = matrix_of(ps.point(coeffs))
+                m[0][1] = m[0][1] + shift
+                m[2][0] = m[2][0] - shift * shift
+                lam = ContinuousParameter.from_rows(m)
                 residual = constraint_residual(rs, bd, lam)
                 zero = not any(x for row in residual for x in row)
                 assert satisfies_constraints(rs, bd, lam) == zero

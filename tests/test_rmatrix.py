@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from liebialg import cli, rmatrix
+from liebialg import cli, core, parameter, rmatrix
 from liebialg.bdtriple import (
     BDTriple,
     DiagramAutomorphism,
@@ -19,8 +20,8 @@ from liebialg.core import (
     Tensor2,
     ZERO,
     apply_semilinear_pair,
-    cybe,
     cybe_is_zero,
+    cybe_sums,
 )
 from liebialg.involution import Involution, canonical_involution, fixed_point_basis
 from liebialg.parameter import (
@@ -108,7 +109,7 @@ def test_build_r_rejects_bad_lambda():
     from liebialg.parameter import ContinuousParameter
 
     rs = build_root_system("A", 2)
-    bad = ContinuousParameter(
+    bad = ContinuousParameter.from_rows(
         [[GaussianRational(1), ZERO], [ZERO, GaussianRational(1)]]
     )
     with pytest.raises(ValueError):
@@ -230,7 +231,7 @@ def test_extract_roundtrip_sl2():
     t, bd, lam = extract_data(rs, r0)
     assert bd == BDTriple.empty()
     assert t == ONE
-    assert lam.matrix == ps.base_point.matrix
+    assert lam == ps.base_point
 
 
 def test_extract_rejects_triangular():
@@ -315,7 +316,7 @@ def test_extract_randomized_roundtrips():
             got_t, got_bd, got_lam = extract_data(rs, r0)
             assert got_t == t
             assert got_bd == bd
-            assert got_lam.matrix == lam.matrix
+            assert got_lam == lam
 
 
 def test_extract_permuted_copy():
@@ -368,16 +369,17 @@ def test_declared_data_check_matches_the_general_frame_rule(series, rank, monkey
     decides as the general-frame extraction does when it also asks for
     the standard simple roots."""
     rs = build_root_system(series, rank)
-    # both sides start from the same CYB(r0), most of their cost
-    cyb_of: dict = {}
+    # both sides start from the same integer sums of CYB(r0), most of
+    # their cost
+    sums_of: dict = {}
 
-    def shared_cybe(r0, structure):
-        if r0 not in cyb_of:  # tensors hash and compare by value
-            cyb_of[r0] = cybe(r0, structure)
-        return cyb_of[r0]
+    def shared_sums(r0, structure):
+        if r0 not in sums_of:  # tensors hash and compare by value
+            sums_of[r0] = cybe_sums(r0, structure)
+        return sums_of[r0]
 
-    monkeypatch.setattr(rmatrix, "cybe", shared_cybe)
-    monkeypatch.setattr(oracles, "cybe", shared_cybe)
+    monkeypatch.setattr(rmatrix, "cybe_sums", shared_sums)
+    monkeypatch.setattr(oracles, "cybe_sums", shared_sums)
     rng = random.Random(f"{series}{rank}")
     decided = {True: 0, False: 0}
     seen = set()  # the decision reads only r0 and the declared data
@@ -498,7 +500,7 @@ def test_iter_data_matches_a_fresh_make_datum(series, rank, data, tensors):
         fresh = make_datum(rs, sigma, datum.bd, space.base_point, default_t(datum.sigma_label))
         assert datum.sigma is sigma and datum.sigma_label == fresh.sigma_label
         assert datum.r == fresh.r and datum.r0 == fresh.r0
-        assert datum.lam.matrix == fresh.lam.matrix and datum.t == fresh.t
+        assert datum.lam == fresh.lam and datum.t == fresh.t
         seen.append(datum)
     assert len(seen) == data
     assert len({id(d.r0) for d in seen}) == tensors  # built once per sharing key
@@ -554,6 +556,70 @@ def test_materialize_derives_r(monkeypatch, capsys):
     assert cli.main(["enumerate", "--type", "A", "--rank", "2", "--materialize"]) == 0
     capsys.readouterr()
     assert derived
+
+
+# the table loop's parameter solve, reality cut, tensor build and checks,
+# which read and write the integer format only
+INTEGER_ONLY = (
+    "build_r0", "sigma_fixes", "satisfies_constraints", "lambda_reality_ok",
+    "solve_parameters", "apply_reality",
+)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("D", 4)])
+def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, series, rank):
+    """classify makes no GaussianRational, by the constructor or by
+    arithmetic, inside the solve, the cut, build_r0 or the checks; and
+    iter_data evaluates stability at most once per (triple, kind, mu),
+    not once per (involution, triple).  D4 covers the mu kinds."""
+    depth, made = [0], {True: 0, False: 0}  # constructions inside / outside
+    new, init = core._new, core.GaussianRational.__init__
+
+    def counting_new(cls):
+        if cls is core.GaussianRational:
+            made[depth[0] > 0] += 1
+        return new(cls)
+
+    def counting_init(self, *args):
+        made[depth[0] > 0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(core, "_new", counting_new)
+    monkeypatch.setattr(core.GaussianRational, "__init__", counting_init)
+    entered = {}
+    for name in INTEGER_ONLY:
+        fn = getattr(rmatrix, name)
+
+        def guarded(*args, _fn=fn, _name=name, **kwargs):
+            entered[_name] = entered.get(_name, 0) + 1
+            depth[0] += 1
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in (rmatrix, parameter):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, guarded)
+    stability_ok, evaluated = rmatrix.stability_ok, []
+
+    def counting_stability_ok(*args):
+        evaluated.append(sys._getframe(1).f_code.co_name)
+        return stability_ok(*args)
+
+    monkeypatch.setattr(rmatrix, "stability_ok", counting_stability_ok)
+
+    assert cli.main(["classify", "--type", series, "--rank", str(rank)]) == 0
+    assert capsys.readouterr().out
+    assert made[True] == 0
+    # positive controls: every guarded function ran, and the hooks see
+    # the scalars made outside them (t, the root-vector family)
+    assert set(entered) == set(INTEGER_ONLY) and made[False]
+    rs = build_root_system(series, rank)
+    keys = {
+        (reality_kind_for(s.describe()), s.mu) for s in _sigma_variants(rs, "all")
+    }
+    assert 0 < evaluated.count("iter_data") <= len(enumerate_bd_triples(rs)) * len(keys)
 
 
 def _sigma_mutants(sigma, r0: Tensor2) -> list:
