@@ -103,14 +103,7 @@ class ParameterSpace:
     @property
     def directions(self) -> list:
         """The directions as antisymmetric ContinuousParameter matrices."""
-        n, pairs = self.rank, _pair_index(self.rank)
-        out = []
-        for den, cre, cim in self.coordinates:
-            re, im = [0] * (n * n), [0] * (n * n)
-            for (i, j), a, b in zip(pairs, cre, cim):
-                re[n * i + j], re[n * j + i], im[n * i + j], im[n * j + i] = a, -a, b, -b
-            out.append(ContinuousParameter(n, den, re, im))
-        return out
+        return [_antisym(self.rank, *c) for c in self.coordinates]
 
     def point(self, coefficients) -> ContinuousParameter:
         """base_point + sum c_m D_m over the directions D_m."""
@@ -123,6 +116,15 @@ class ParameterSpace:
             "directions": [d.to_json() for d in self.directions],
             "reality_kind": self.reality_kind,
         }
+
+
+def _antisym(n: int, den: int, cre, cim) -> ContinuousParameter:
+    """The antisymmetric n x n matrix with the coordinates (cre + cim i) /
+    den over the pairs i < j."""
+    re, im = [0] * (n * n), [0] * (n * n)
+    for (i, j), a, b in zip(_pair_index(n), cre, cim):
+        re[n * i + j], re[n * j + i], im[n * i + j], im[n * j + i] = a, -a, b, -b
+    return ContinuousParameter(n, den, re, im)
 
 
 def _lowest(den: int, re, im) -> tuple[int, tuple, tuple]:
@@ -357,9 +359,12 @@ def apply_reality(
         + [(2 * f + 1, [(0, c, d) for c in v]) for f, (d, v) in im_kernel.items()],
         key=lambda fv: fv[0],
     )
+    if x:  # the base point moves by sum x_m D_m, summed in coordinates
+        shift = _combine([((c, 0, x_den), v) for c, v in zip(x, dirs)])
+        base = _point(base, [(1, 0, 1)], [_antisym(n, *shift)])
     return ParameterSpace(
         rank=n,
-        base_point=_point(base, [(c, 0, x_den) for c in x], ps.directions),
+        base_point=base,
         coordinates=[_combine(list(zip(v, dirs))) for _, v in kernel],
         reality_kind=kind,
     )

@@ -569,9 +569,10 @@ INTEGER_ONLY = (
 @pytest.mark.parametrize("series, rank", [("A", 3), ("D", 4)])
 def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, series, rank):
     """classify makes no GaussianRational, by the constructor or by
-    arithmetic, inside the solve, the cut, build_r0 or the checks; and
-    iter_data evaluates stability at most once per (triple, kind, mu),
-    not once per (involution, triple).  D4 covers the mu kinds."""
+    arithmetic, inside the solve, the cut, build_r0 or the checks, and
+    no direction matrix at all; and iter_data evaluates stability at
+    most once per (triple, kind, mu), not once per (involution, triple).
+    D4 covers the mu kinds."""
     depth, made = [0], {True: 0, False: 0}  # constructions inside / outside
     new, init = core._new, core.GaussianRational.__init__
 
@@ -608,6 +609,11 @@ def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, series, rank
         return stability_ok(*args)
 
     monkeypatch.setattr(rmatrix, "stability_ok", counting_stability_ok)
+
+    def no_directions(space):
+        raise AssertionError("a direction matrix was built")
+
+    monkeypatch.setattr(parameter.ParameterSpace, "directions", property(no_directions))
 
     assert cli.main(["classify", "--type", series, "--rank", str(rank)]) == 0
     assert capsys.readouterr().out
