@@ -18,11 +18,13 @@ run that reads and writes canonical literals never loads it.
 
 There is one integer format, and this module owns it: Gaussian-integer
 numerators (re, im) over one denominator, the lcm of the reduced
-denominators.  over_lcm converts scalars to it, and fields_over_lcm
-converts fractions given by their integer fields (the table loop's), so
-no scalar is built to reach it; no other module computes an lcm.  Tensor2 holds its entries in
-it, StructureTable.int_view its coefficients, and parameter's
-ContinuousParameter each lambda and each direction, so the table loop
+denominators, canonical when the denominator and the numerators have no
+common factor.  lowest makes numerators canonical, and over_lcm converts
+fractions given by their integer fields (re, im, d) to it, a scalar's or
+the table loop's, so no scalar is built to reach it; no other module
+computes an lcm.  Tensor2 holds its entries in it, StructureTable.int_view
+its coefficients, and parameter's ContinuousParameter each lambda and
+each direction, so the table loop
 (the parameter solve, the reality cut, build_r0) and the checks (the
 CYBE, sigma-fixity, the parameter constraints, the Manin axioms) read
 ints without converting.  gaussian, entry_str and entry_json read one
@@ -335,29 +337,30 @@ I = GaussianRational(0, 1)
 HALF = _gr(1, 0, 2)
 
 
-def over_lcm(values) -> tuple[int, list]:
-    """(D, [(re, im), ...]): the scalars, in order, times the lcm D of
-    their denominators, as Gaussian-integer pairs; zeros stay in place as
-    (0, 0).  Each scalar is in lowest terms, so D and the pairs already
-    have no common factor."""
-    values = list(values)
-    den = lcm(*(x.d for x in values))
-    return den, [(x.a * (den // x.d), x.b * (den // x.d)) for x in values]
+def lowest(den: int, groups):
+    """(den, groups) over their common factor, the canonical form of a
+    denominator den > 0 and its numerators, given in groups of ints (the
+    (re, im) pairs of a Tensor2, the re and im rows of a
+    ContinuousParameter, the one row of a real vector).  groups comes back
+    as given when there is no common factor, else as a list of tuples."""
+    g = gcd(den, *chain.from_iterable(groups))
+    if g == 1:
+        return den, groups
+    div = g.__rfloordiv__  # x // g
+    return den // g, [tuple(map(div, group)) for group in groups]
 
 
-def fields_over_lcm(fields) -> tuple[int, list]:
-    """over_lcm for fractions (re + im i) / d given by their integer
-    fields (re, im, d), d > 0, in any terms, without building a scalar:
-    the lcm is over the d as given, then the common factor is divided out,
-    so the result is the one over_lcm gives the reduced fractions."""
+def over_lcm(fields) -> tuple[int, list]:
+    """(D, [(re, im), ...]): the fractions (re + im i) / d, given by their
+    integer fields (re, im, d), d > 0, in any terms, times their common
+    denominator D, as Gaussian-integer pairs in order; zeros stay in place
+    as (0, 0).  D and the pairs have no common factor, so D is the lcm of
+    the reduced denominators.  A scalar x enters as (x.a, x.b, x.d)."""
     fields = list(fields)
-    den = lcm(*{d for _, _, d in fields})
-    scale = {d: den // d for _, _, d in fields}
-    z = [(a * scale[d], b * scale[d]) for a, b, d in fields]
-    g = gcd(den, *chain.from_iterable(z))
-    if g != 1:
-        den, z = den // g, [(a // g, b // g) for a, b in z]
-    return den, z
+    ds = {d for _, _, d in fields}
+    den = lcm(*ds)
+    scale = {d: den // d for d in ds}
+    return lowest(den, [(a * scale[d], b * scale[d]) for a, b, d in fields])
 
 
 class StructureTable:
@@ -380,7 +383,7 @@ class StructureTable:
         coefficients, built on first call.  Every table of this library is
         real, so the coefficients become ints."""
         if self._ints is None:
-            e, z = over_lcm(c for terms in self.table.values() for _, c in terms)
+            e, z = over_lcm((c.a, c.b, c.d) for terms in self.table.values() for _, c in terms)
             assert not any(b for _, b in z), "structure constants must be real"
             it = (a for a, _ in z)
             self._ints = e, {key: tuple((k, next(it)) for k, _ in terms)
@@ -413,7 +416,7 @@ class Tensor2:
 
     def __init__(self, dim: int, entries: Mapping | None = None):
         entries = entries or {}  # {(i, j): scalar}; zeros are dropped
-        den, z = over_lcm(entries.values())
+        den, z = over_lcm((x.a, x.b, x.d) for x in entries.values())
         shared: dict = {}  # one pair per distinct entry: r0 repeats +-t/2 on every root pair
         self.dim, self.den = dim, den
         self.num = {k: shared.setdefault(p, p) for k, p in zip(entries, z) if p != (0, 0)}
@@ -421,9 +424,11 @@ class Tensor2:
     @staticmethod
     def from_ints(dim: int, den: int, num: dict) -> "Tensor2":
         """The tensor of the nonzero Gaussian-integer numerators num over
-        den > 0, given in lowest terms (as fields_over_lcm gives them)."""
+        den > 0, made canonical by lowest."""
+        values = list(num.values())
+        den, z = lowest(den, values)
         t = _new(Tensor2)
-        t.dim, t.den, t.num = dim, den, num
+        t.dim, t.den, t.num = dim, den, num if z is values else dict(zip(num, z))
         return t
 
     @staticmethod
@@ -443,7 +448,7 @@ class Tensor2:
         return ((k, gaussian(a, b, den)) for k, (a, b) in sorted(self.num.items()))
 
     def transpose(self) -> "Tensor2":
-        return _tensor(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
+        return Tensor2.from_ints(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         if self.dim != other.dim:
@@ -454,19 +459,19 @@ class Tensor2:
         for k, (a, b) in other.num.items():
             p, q = num.get(k, (0, 0))
             num[k] = (p + a * u, q + b * u)
-        return _tensor(self.dim, m, {k: p for k, p in num.items() if p != (0, 0)})
+        return Tensor2.from_ints(self.dim, m, {k: p for k, p in num.items() if p != (0, 0)})
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         return self + -other
 
     def __neg__(self) -> "Tensor2":
-        return _tensor(self.dim, self.den, {k: (-a, -b) for k, (a, b) in self.num.items()})
+        return Tensor2.from_ints(self.dim, self.den, {k: (-a, -b) for k, (a, b) in self.num.items()})
 
     def scale(self, c) -> "Tensor2":
         c = _coerce(c)
         x, y = c.a, c.b
         num = {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.num.items()} if x or y else {}
-        return _tensor(self.dim, self.den * c.d, num)
+        return Tensor2.from_ints(self.dim, self.den * c.d, num)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -501,16 +506,6 @@ class Tensor2:
                 raise ValueError(f"tensor entry ({i}, {j}) repeated")
             ent[(i, j)] = GaussianRational.from_json((re, im))
         return Tensor2(d, ent)
-
-
-def _tensor(dim: int, den: int, num: dict) -> Tensor2:
-    """The tensor of the nonzero numerators num over den, made canonical."""
-    g = gcd(den, *chain.from_iterable(num.values()))
-    if g != 1:
-        den, num = den // g, {k: (a // g, b // g) for k, (a, b) in num.items()}
-    t = _new(Tensor2)
-    t.dim, t.den, t.num = dim, den, num
-    return t
 
 
 def cybe_sums(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:

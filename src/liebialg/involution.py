@@ -57,7 +57,7 @@ class Involution:
         if self._ints is None:
             if any(len(col) != 1 for col in self.columns):
                 raise ValueError("involution has a column with more than one entry")
-            den, scalars = over_lcm(v for [(_, v)] in self.columns)
+            den, scalars = over_lcm((v.a, v.b, v.d) for [(_, v)] in self.columns)
             self._ints = [i for [(i, _)] in self.columns], den, scalars
         return self._ints
 

@@ -9,9 +9,9 @@ ints by int_solve, which hands its answer over in core's integer format.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
-from .core import GaussianRational, ONE, ZERO, fields_over_lcm
+from .core import GaussianRational, ONE, ZERO, lowest
 
 Matrix = list  # list[list[GaussianRational]]
 
@@ -95,14 +95,15 @@ def int_solve(rows: list, cols: int) -> tuple[tuple, dict] | None:
             a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
 
-    # every pivot row scaled to one pivot value, the lcm of the pivots,
-    # so that each vector of the answer is over it
-    den, scales = fields_over_lcm((1, 0, a[r][c]) for r, c in enumerate(pivots))
-    a = [[s * y for y in row] for row, (s, _) in zip(a, scales)]
+    # every pivot row scaled to one common multiple m of the pivots, the
+    # product of their distinct values, so each vector of the answer is
+    # over m; lowest makes it canonical
+    m = prod({a[r][c] for r, c in enumerate(pivots)})
+    a = [[m // row[c] * y for y in row] for row, c in zip(a, pivots)]
 
     def vector(v: list) -> tuple:
-        g = gcd(den, *v)
-        return (den // g, [y // g for y in v]) if g != 1 else (den, v)
+        den, (v,) = lowest(m, (v,))
+        return den, list(v)
 
     x = [0] * cols
     for r, c in enumerate(pivots):
@@ -110,7 +111,7 @@ def int_solve(rows: list, cols: int) -> tuple[tuple, dict] | None:
     kernel = {}
     for f in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
-        v[f] = den
+        v[f] = m
         for r, c in enumerate(pivots):
             v[c] = -a[r][f]
         kernel[f] = vector(v)

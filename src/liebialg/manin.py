@@ -118,7 +118,7 @@ class ManinTriple:
         """
         n = self.double_dim
         data = (self.pairing, self.sub1_basis, self.sub2_basis)
-        _, z = over_lcm(x for rows in data for row in rows for x in row.values())
+        _, z = over_lcm((x.a, x.b, x.d) for rows in data for row in rows for x in row.values())
         assert not any(b for _, b in z), "the double's data must be real"
         it = (a for a, _ in z)
         p_rows, sub1, sub2 = ([{j: next(it) for j in row} for row in rows] for rows in data)

@@ -20,12 +20,12 @@ scalars, and point reads their fields.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 from operator import add, mul
 
 from . import linalg
 from .bdtriple import BDTriple, DiagramAutomorphism, stability
-from .core import GaussianRational, entry_json, fields_over_lcm, over_lcm
+from .core import GaussianRational, entry_json, lowest, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -53,12 +53,12 @@ class ContinuousParameter:
 
     def __init__(self, rank: int, den: int, re, im):
         self.rank = rank
-        self.den, self.re, self.im = _lowest(den, re, im)
+        self.den, (self.re, self.im) = lowest(den, (tuple(re), tuple(im)))
 
     @staticmethod
     def from_rows(rows: list) -> "ContinuousParameter":
         """The matrix of the given rows of scalars."""
-        den, z = over_lcm(x for row in rows for x in row)
+        den, z = over_lcm((x.a, x.b, x.d) for row in rows for x in row)
         return ContinuousParameter(len(rows), den, [a for a, _ in z], [b for _, b in z])
 
     def __eq__(self, other):
@@ -80,11 +80,12 @@ class ParameterSpace:
     """Affine solution space: base point plus a span of directions.
 
     Directions are rank x rank antisymmetric matrices, each held as its
-    coordinates over the pairs i < j in the integer format, (den, re,
-    im); `directions` makes them matrices where a command writes them or
-    combines them with a user's coefficients.  Before apply_reality the
-    span is over the complex scalars; afterwards the coefficients range
-    over the reals and reality_kind records which case was imposed.
+    coordinates over the pairs i < j in a ContinuousParameter's fields,
+    (den, re, im), as lowest leaves them; `directions` makes them matrices
+    where a command writes them or combines them with a user's
+    coefficients.  Before apply_reality the span is over the complex
+    scalars; afterwards the coefficients range over the reals and
+    reality_kind records which case was imposed.
     """
 
     __slots__ = ("rank", "base_point", "coordinates", "reality_kind")
@@ -127,21 +128,12 @@ def _antisym(n: int, den: int, cre, cim) -> ContinuousParameter:
     return ContinuousParameter(n, den, re, im)
 
 
-def _lowest(den: int, re, im) -> tuple[int, tuple, tuple]:
-    """(den, re, im) over their common factor, the numerators as tuples."""
-    re, im = tuple(re), tuple(im)
-    g = gcd(den, *re, *im)
-    if g != 1:
-        den, re, im = den // g, tuple(x // g for x in re), tuple(x // g for x in im)
-    return den, re, im
-
-
 def _combine(terms: list) -> tuple[int, tuple, tuple]:
     """sum c v over the terms (c, (den, re, im)): each c a scalar by its
     fields (re, im, d), each v Gaussian-integer numerators over den.
-    fields_over_lcm puts every c / den over one denominator, so the sum
-    is one pass of integer products."""
-    den, scales = fields_over_lcm((a, b, d * v[0]) for (a, b, d), v in terms)
+    over_lcm puts every c / den over one denominator, so the sum is one
+    pass of integer products."""
+    den, scales = over_lcm((a, b, d * v[0]) for (a, b, d), v in terms)
     size = len(terms[0][1][1])
     re, im = [0] * size, [0] * size
     for (x, y), (_, (_, vre, vim)) in zip(scales, terms):
@@ -150,7 +142,8 @@ def _combine(terms: list) -> tuple[int, tuple, tuple]:
                 if p or q:
                     re[k] += x * p - y * q
                     im[k] += x * q + y * p
-    return _lowest(den, re, im)
+    den, (re, im) = lowest(den, (tuple(re), tuple(im)))
+    return den, re, im
 
 
 def _point(base: ContinuousParameter, coefficients: list, directions: list) -> ContinuousParameter:
@@ -343,7 +336,7 @@ def apply_reality(
         im_rows.append([(v[pos[i, j]] + sign * coord(v, mi, mj), 0, d) for d, v, _ in dirs] + [(0, 0, 1)])
     # the rows are real and rational, and scaling an equation changes no
     # solution: both systems in ints over one common denominator
-    _, z = fields_over_lcm(f for row in re_rows + im_rows for f in row)
+    _, z = over_lcm(f for row in re_rows + im_rows for f in row)
     w = ndir + 1
     rows = [[a for a, _ in z[k : k + w]] for k in range(0, len(z), w)]
     re_part = linalg.int_solve(rows[: len(re_rows)], ndir)
@@ -359,7 +352,7 @@ def apply_reality(
         + [(2 * f + 1, [(0, c, d) for c in v]) for f, (d, v) in im_kernel.items()],
         key=lambda fv: fv[0],
     )
-    if x:  # the base point moves by sum x_m D_m, summed in coordinates
+    if any(x):  # the base point moves by sum x_m D_m, summed in coordinates
         shift = _combine([((c, 0, x_den), v) for c, v in zip(x, dirs)])
         base = _point(base, [(1, 0, 1)], [_antisym(n, *shift)])
     return ParameterSpace(

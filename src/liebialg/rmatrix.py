@@ -51,7 +51,7 @@ from .core import (
     cybe_is_zero,
     cybe_sums,
     entry_str,
-    fields_over_lcm,
+    over_lcm,
     rational,
 )
 from .involution import Involution
@@ -195,7 +195,7 @@ def build_r0(
 
     Written in the integer format directly: each distinct entry is a
     fraction of the ints of t, lam and the family's scalars, and one
-    fields_over_lcm puts them over r0's denominator."""
+    over_lcm puts them over r0's denominator."""
     if not t:
         raise ValueError("t must be nonzero")
     if not satisfies_constraints(rs, bd, lam):
@@ -223,7 +223,7 @@ def build_r0(
         y = (sb.b * sa.a - sb.a * sa.b) * sa.d
         precedence.append((rs.root_index(alpha) + npos, rs.root_index(beta)))
         fields.append((ta * x - tb * y, ta * y + tb * x, td * sb.d * (sa.a * sa.a + sa.b * sa.b)))
-    den, z = fields_over_lcm(fields)
+    den, z = over_lcm(fields)
     half_t = z[0]
     minus_half_t = (-half_t[0], -half_t[1])
     num = dict(zip(cartan, z[1:]))

@@ -184,7 +184,7 @@ class RootSystem:
             [[GaussianRational(x) for x in row] for row in C]
         )
         # the same Gram in the integer format: killing_h = _gram / _gram_den
-        den, z = over_lcm(x for row in self.killing_h for x in row)
+        den, z = over_lcm((x.a, x.b, x.d) for row in self.killing_h for x in row)
         self._gram_den, self._gram = den, [[a for a, _ in z[k : k + n]] for k in range(0, n * n, n)]
 
         # each root norm once, as an int over _gram_den; the

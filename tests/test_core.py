@@ -7,6 +7,7 @@ import pytest
 
 from liebialg.core import (
     GaussianRational,
+    HALF,
     I,
     ONE,
     StructureTable,
@@ -14,6 +15,7 @@ from liebialg.core import (
     ZERO,
     apply_semilinear_pair,
     cybe_is_zero,
+    lowest,
     over_lcm,
     rational_sqrt,
 )
@@ -440,8 +442,25 @@ def test_structure_table_int_view_is_cached_and_exact():
 def test_over_lcm_keeps_order_and_zeros():
     values = [ZERO, GaussianRational(Fraction(1, 2)), GaussianRational(0, Fraction(1, 3)),
               GaussianRational(Fraction(3, 4), Fraction(-1, 6)), GaussianRational(-5)]
-    assert over_lcm(values) == (12, [(0, 0), (6, 0), (0, 4), (9, -2), (-60, 0)])
-    assert over_lcm(iter(values[:1])) == (1, [(0, 0)]) and over_lcm([]) == (1, [])
+    fields = [(x.a, x.b, x.d) for x in values]
+    assert over_lcm(fields) == (12, [(0, 0), (6, 0), (0, 4), (9, -2), (-60, 0)])
+    assert over_lcm(iter(fields[:1])) == (1, [(0, 0)]) and over_lcm([]) == (1, [])
+
+
+def test_over_lcm_reads_fields_in_any_terms():
+    # 2/4, 3i/6 and 0/8: the lcm 24 shares the factor 12 with every numerator
+    assert over_lcm([(2, 0, 4), (0, 3, 6), (0, 0, 8)]) == (2, [(1, 0), (0, 1), (0, 0)])
+
+
+def test_lowest_divides_out_the_common_factor():
+    pairs = [(2, -4), (6, 0)]
+    assert lowest(8, pairs) == (4, [(1, -2), (3, 0)])
+    assert lowest(3, pairs)[1] is pairs  # no common factor: as given
+    assert lowest(6, ((2, 4, 0), (6,))) == (3, [(1, 2, 0), (3,)])
+    # a tensor from ints is canonical, so equal to the one from scalars
+    t = Tensor2.from_ints(2, 4, {(0, 1): (2, 0), (1, 0): (-2, 2)})
+    assert (t.den, t.num) == (2, {(0, 1): (1, 0), (1, 0): (-1, 1)})
+    assert t == Tensor2(2, {(0, 1): HALF, (1, 0): GaussianRational(Fraction(-1, 2), Fraction(1, 2))})
 
 
 def test_cybe_equivariance_under_automorphisms():
