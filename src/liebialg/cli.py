@@ -12,8 +12,10 @@ import io
 import json
 import re
 import sys
+from collections.abc import Iterator
 from itertools import combinations
 from types import SimpleNamespace
+from weakref import WeakKeyDictionary
 
 from .bdtriple import (
     BDTriple,
@@ -187,42 +189,44 @@ def _sigma_variants(rs: RootSystem, which: str):
 def cmd_enumerate(args) -> int:
     rs = _root_system(args)
     what = args.what
+    if what == "root-system":
+        _emit(args, rs.to_json())
+        return 0
     if what == "bd-triples":
-        rows = [bd.to_json() for bd in enumerate_bd_triples(rs)]
+        rows = (bd.to_json() for bd in enumerate_bd_triples(rs))
     elif what == "involutions":
+        # listed, not streamed: the rows of different kinds have different keys
         rows = [
             dict(s.to_json(), label=s.describe())
             for s in _sigma_variants(rs, args.sigma or "all")
         ]
-    elif what == "bialgebras":
-        rows = []
-        current = real_form = None
-        spaces: dict = {}  # iter_data shares a space among involutions: render each once
-        sigmas = _sigma_variants(rs, args.sigma or "all")
-        for sigma, space, datum in iter_data(rs, sigmas):
-            if sigma is not current:
-                current, real_form = sigma, identify(rs, sigma).name
-            if space not in spaces:
-                spaces[space] = _Shared(space.to_json())
-            spaces[space].uses += 1
-            row = {
-                "row": ROW_LABELS[datum.sigma_label],
-                "sigma": sigma.to_json(),
-                "sigma_label": datum.sigma_label,
-                "real_form": real_form,
-                "bd": datum.bd.to_json(),
-                "parameter_dimension": space.dimension,
-                "parameter_space": spaces[space],
-                "t_class": datum.t_class,
-            }
-            if args.materialize:
-                row["datum"] = datum.to_json()
-            rows.append(row)
-    else:  # root-system
-        _emit(args, rs.to_json())
-        return 0
+    else:
+        rows = _bialgebra_rows(rs, _sigma_variants(rs, args.sigma or "all"), args.materialize)
     _emit(args, {"type": str(rs.type), "what": what, "rows": rows})
     return 0
+
+
+def _bialgebra_rows(rs: RootSystem, sigmas: list, materialize: bool):
+    """The table's rows, one per datum of iter_data, as it yields them.
+    The parameter space is the shared object itself: the writer renders
+    it once for all the rows that hold it."""
+    current = real_form = None
+    for sigma, space, datum in iter_data(rs, sigmas):
+        if sigma is not current:
+            current, real_form = sigma, identify(rs, sigma).name
+        row = {
+            "row": ROW_LABELS[datum.sigma_label],
+            "sigma": sigma.to_json(),
+            "sigma_label": datum.sigma_label,
+            "real_form": real_form,
+            "bd": datum.bd.to_json(),
+            "parameter_dimension": space.dimension,
+            "parameter_space": space,
+            "t_class": datum.t_class,
+        }
+        if materialize:
+            row["datum"] = datum.to_json()
+        yield row
 
 
 def cmd_build(args) -> int:
@@ -358,22 +362,13 @@ def cmd_classify(args) -> int:
             total += 1
             yield datum
 
-    kept = classify(data())
-    rows = [
-        {
-            "sigma_label": d.sigma_label,
-            "sigma": d.sigma.to_json(),
-            "bd": d.bd.to_json(),
-            "t_class": d.t_class,
-        }
-        for d in kept
-    ]
+    rows = classify(data())
     _emit(
         args,
         {
             "type": str(rs.type),
             "total_data": total,
-            "classes": len(kept),
+            "classes": len(rows),
             "representatives": rows,
         },
     )
@@ -383,41 +378,20 @@ def cmd_classify(args) -> int:
 # ---- output -----------------------------------------------------------------
 
 
-def _flatten(row: dict) -> dict:
-    return {
-        k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
-        for k, v in row.items()
-    }
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Shared(dict):
-    """A JSON object that `uses` rows of one payload hold at one depth:
-    _json_text renders it once, reuses the text and drops it after the
-    last use.  To every other reader it is the dict it holds."""
-
-    __slots__ = ("uses", "nl", "text")
-
-    def __init__(self, doc: dict):
-        super().__init__(doc)
-        self.uses, self.nl, self.text = 0, None, None
-
-
-def _json_text(x, nl: str = "\n") -> str:
+def _json_text(x, nl: str = "\n", texts: WeakKeyDictionary | None = None) -> str:
     """x as json.dumps(x, indent=2, sort_keys=True) writes it, for str,
     int, bool, None, and lists, tuples and str-keyed dicts of those; nl
-    is the newline and indent of x's closing bracket.  A _Shared dict is
-    rendered once for all of its uses at one nl.  Raises TypeError on any
-    other type (a float or another subclass, say), so it never differs
-    silently from json.dumps, whose pure-Python encoder it replaces."""
+    is the newline and indent of x's closing bracket.  An object with a
+    to_json method (a ParameterSpace, which several rows share) is
+    written as what that returns; texts, when given, keeps its text per
+    depth while the object lives, so it is rendered once.  Raises
+    TypeError on any other type (a float or a subclass, say), so it
+    never differs silently from json.dumps, whose pure-Python encoder it
+    replaces."""
     t = type(x)
-    if t is _Shared:
-        text = x.text if x.nl == nl else _json_text(dict(x), nl)
-        x.uses -= 1
-        x.nl, x.text = (nl, text) if x.uses else (None, None)
-        return text
     if t is list or t is tuple:
         if not x:
             return "[]"
@@ -425,7 +399,7 @@ def _json_text(x, nl: str = "\n") -> str:
         try:  # all items str, as in every [re, im] scalar pair: one pass
             return "[" + inner + ("," + inner).join(map(_encode_str, x)) + nl + "]"
         except TypeError:
-            items = [_json_text(v, inner) for v in x]
+            items = [_json_text(v, inner, texts) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is str:
         return _encode_str(x)
@@ -434,7 +408,7 @@ def _json_text(x, nl: str = "\n") -> str:
             return "{}"
         inner = nl + "  "
         # _encode_str raises TypeError on a key that is not a str
-        items = [_encode_str(k) + ": " + _json_text(x[k], inner) for k in sorted(x)]
+        items = [_encode_str(k) + ": " + _json_text(x[k], inner, texts) for k in sorted(x)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if t is int:
         return int.__repr__(x)
@@ -444,32 +418,114 @@ def _json_text(x, nl: str = "\n") -> str:
         return "false"
     if x is None:
         return "null"
+    if hasattr(x, "to_json"):
+        if texts is None:
+            return _json_text(x.to_json(), nl)
+        mine = texts.setdefault(x, {})
+        if nl not in mine:
+            mine[nl] = _json_text(x.to_json(), nl)
+        return mine[nl]
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict):
-    if args.format == "json":
-        text = _json_text(payload)
-    elif args.format == "csv":
-        import csv
+def _plain(row: dict) -> dict:
+    """row with each model object replaced by its to_json()."""
+    return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in row.items()}
 
-        rows = payload.get("rows") or payload.get("representatives") or [payload]
-        rows = [_flatten(r) for r in rows]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=sorted({k for r in rows for k in r}))
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue().rstrip("\n")
+
+def _json_pieces(payload: dict):
+    """payload as _json_text writes it, in pieces; an iterator value (the
+    rows of enumerate) is written one item at a time, at its depth."""
+    sep, texts = "{", WeakKeyDictionary()
+    for key in sorted(payload):
+        value = payload[key]
+        yield sep + "\n  " + _encode_str(key) + ": "
+        sep = ","
+        if isinstance(value, Iterator):
+            start = "["
+            for item in value:
+                yield start + "\n    " + _json_text(item, "\n    ", texts)
+                start = ","
+            yield "[]" if start == "[" else "\n  ]"
+        else:
+            yield _json_text(value, "\n  ")
+    yield "\n}\n" if payload else "{}\n"
+
+
+def _flatten(row: dict) -> dict:
+    return {
+        k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+        for k, v in _plain(row).items()
+    }
+
+
+def _csv_pieces(payload: dict):
+    """One csv line per row of the payload's table ("rows" or
+    "representatives"), or the payload itself as the one row when the
+    table is absent or empty.  The header is the sorted union of the keys
+    of a listed table; a streamed one is written as it comes, so its rows
+    must have the first one's keys (DictWriter raises on any other)."""
+    import csv
+
+    key = "rows" if "rows" in payload else "representatives"
+    rows = payload.get(key) or []
+    if isinstance(rows, Iterator):
+        first = next(rows, None)
+        head = [] if first is None else [first]
     else:
-        text = _pretty(payload)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise _fail(f"cannot write {args.out}: {exc.strerror}")
-    else:
-        print(text)
+        head, rows = rows, iter(())
+    if not head:  # the payload is the one row
+        head = [{**payload, key: []} if key in payload else payload]
+    head = [_flatten(r) for r in head]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=sorted({k for r in head for k in r}))
+    writer.writeheader()
+    writer.writerows(head)
+    for row in rows:
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(_flatten(row))
+    yield buf.getvalue()
+
+
+def _pretty_pieces(payload: dict):
+    """_pretty(payload) in pieces; an iterator value is written one item
+    at a time."""
+    sep = ""
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, Iterator):
+            yield f"{sep}{key}:"
+            empty = True
+            for row in value:
+                yield "\n" + _pretty(_plain(row), 1)
+                empty = False
+            if empty:
+                yield "\n  (none)"
+        else:
+            yield sep + _pretty({key: value})
+        sep = "\n"
+    yield "\n"
+
+
+_PIECES = {"json": _json_pieces, "csv": _csv_pieces, "pretty": _pretty_pieces}
+
+
+def _emit(args, payload: dict):
+    """Write payload to --out or stdout in args.format.  Its table
+    ("rows") may be an iterator: each row is then rendered and written as
+    it comes, so no table is held whole, and the bytes are those of the
+    whole payload rendered at once."""
+    pieces = _PIECES[args.format](payload)
+    if not args.out:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise _fail(f"cannot write {args.out}: {exc.strerror}")
 
 
 def _pretty(payload, indent=0) -> str:
@@ -606,6 +662,13 @@ def parse_args(argv: list) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args.out:
+        # an unwritable path fails before any work; "a" leaves the file as
+        # it is, so it is rewritten only once the output starts
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise _fail(f"cannot write {args.out}: {exc.strerror}")
     try:
         return args.func(args)
     except BrokenPipeError:

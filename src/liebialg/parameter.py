@@ -88,7 +88,7 @@ class ParameterSpace:
     reality_kind records which case was imposed.
     """
 
-    __slots__ = ("rank", "base_point", "coordinates", "reality_kind")
+    __slots__ = ("rank", "base_point", "coordinates", "reality_kind", "__weakref__")
 
     def __init__(
         self, rank: int, base_point: ContinuousParameter, coordinates: list,

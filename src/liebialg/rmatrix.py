@@ -369,39 +369,45 @@ def iter_data(
     Yields (sigma, reality-cut parameter space, datum at its base point
     and default t), involution-major, then in triple enumeration order.
     The triples are enumerated once, and those whose stability allows a
-    reality kind and mu are listed once per (kind, mu); each involution
-    walks its list.  Each triple's complex parameter space is solved at
-    most once, only when some involution's list holds it.  Its reality
-    cut, which depends only on the triple, the reality kind and mu, is
-    made once per such key.  One memo for the whole call lets make_datum
-    share stability, the lambda condition, the tau-chains and r0 among
-    the involutions that agree on them.
+    reality kind and mu are listed once per (kind, mu), a group; each
+    involution walks its group's list.  A triple's complex parameter
+    space is solved at most once, only when some group lists it, and its
+    reality cut once per group.  A memo per triple holds that space and
+    lets make_datum share stability, the lambda condition, the tau-chains
+    and r0 among the involutions that agree on them.
+
+    State goes after its last possible reader: a triple's memo after the
+    last involution whose group lists the triple, and a group's list and
+    cuts after the group's last involution, so a long table holds only
+    what a later involution may still read.
     """
+    sigmas = list(sigmas)
+    keys = [(reality_kind_for(sigma.describe()), sigma.mu) for sigma in sigmas]
+    end = {key: i for i, key in enumerate(keys)}  # each group's last involution
     triples = enumerate_bd_triples(rs)
-    compatible: dict[tuple, list[BDTriple]] = {}
-    solved: dict[BDTriple, ParameterSpace] = {}
-    cut: dict[tuple, ParameterSpace | None] = {}  # None: no datum
-    memo: dict = {}
-    for sigma in sigmas:
+    groups: dict[tuple, tuple[list, dict]] = {}  # the group's triples, their cuts
+    final: dict[BDTriple, int] = {}  # the last involution whose group lists a triple
+    for (kind, mu), last in end.items():
+        allowed = []
+        for bd in triples:
+            if stability_ok(bd, kind, mu):
+                allowed.append(bd)
+                final[bd] = max(final.get(bd, last), last)
+        groups[kind, mu] = (allowed, {})
+    memos: dict[BDTriple, dict] = {}
+    for i, (sigma, key) in enumerate(zip(sigmas, keys)):
         label = sigma.describe()
-        kind = reality_kind_for(label)
-        mu = sigma.mu
-        if (kind, mu) not in compatible:
-            allowed = compatible[kind, mu] = []
-            for bd in triples:
-                st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
-                if stability_ok(bd, kind, mu, st):
-                    allowed.append(bd)
-        for bd in compatible[kind, mu]:
-            if bd not in solved:
-                solved[bd] = solve_parameters(rs, bd)
-            key = (bd, kind, mu)
-            if key not in cut:
+        closing = end[key] == i  # the group's last involution
+        allowed, cut = groups.pop(key) if closing else groups[key]
+        for bd in allowed:
+            memo = memos.pop(bd, {}) if final[bd] == i else memos.setdefault(bd, {})
+            if bd not in cut:
+                solved = _shared(memo, "solved", lambda: solve_parameters(rs, bd))
                 try:
-                    cut[key] = apply_reality(solved[bd], label, mu, bd)
+                    cut[bd] = apply_reality(solved, label, key[1], bd)
                 except NoBialgebraDatum:
-                    cut[key] = None
-            space = cut[key]
+                    cut[bd] = None  # no datum
+            space = cut.pop(bd) if closing else cut[bd]
             if space is None:
                 continue
             datum = make_datum(rs, sigma, bd, space.base_point, default_t(label), memo)
@@ -628,11 +634,14 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
 
 
-def classify(data: Iterable[BialgebraDatum]) -> list[BialgebraDatum]:
+def classify(data: Iterable[BialgebraDatum]) -> list[dict]:
     """One representative per isomorphism class: same table row with the
     remaining data conjugate under an order-2 diagram symmetry.  Reads
-    data once, as it comes, keeping only each class's representative."""
-    seen: dict[tuple, tuple] = {}  # class key -> (own key, representative)
+    data once, as it comes.  For each class it keeps only the keys and
+    what its row prints (sigma_label, sigma, bd and t_class), so no datum
+    outlives its turn; returns the rows in the order of the
+    representatives' own keys."""
+    seen: dict[tuple, tuple] = {}  # class key -> (own key, label, sigma, bd, t_class)
     autos = None
     for datum in data:
         if autos is None:
@@ -642,5 +651,8 @@ def classify(data: Iterable[BialgebraDatum]) -> list[BialgebraDatum]:
         key, own = min(keys), keys[0]
         cur = seen.get(key)
         if cur is None or own < cur[0]:
-            seen[key] = (own, datum)
-    return [datum for _, datum in sorted(seen.values(), key=lambda kept: kept[0])]
+            seen[key] = (own, datum.sigma_label, datum.sigma, datum.bd, datum.t_class)
+    return [
+        {"sigma_label": label, "sigma": sigma.to_json(), "bd": bd.to_json(), "t_class": t_class}
+        for _, label, sigma, bd, t_class in sorted(seen.values(), key=lambda kept: kept[0])
+    ]

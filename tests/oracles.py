@@ -8,7 +8,11 @@ doubles, dense matrices), so agreement with the library is evidence
 rather than a tautology.
 """
 
+import csv
+import io
+import json
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -1072,3 +1076,60 @@ def reference_carries_declared_data(datum) -> bool:
         and ex.t == datum.t
         and ex.lam == datum.lam
     )
+
+
+# ---- the CLI's output, rendered whole --------------------------------------
+
+
+def materialized(payload: dict) -> dict:
+    """A CLI payload whose rows are streamed, with its rows in a list and
+    each model object in them (a ParameterSpace) as its to_json()."""
+    rows = payload.get("rows")
+    if not isinstance(rows, Iterator):
+        return payload
+    return dict(payload, rows=[
+        {k: v.to_json() if hasattr(v, "to_json") else v for k, v in row.items()} for row in rows
+    ])
+
+
+def render_payload(payload: dict, fmt: str) -> str:
+    """A CLI payload, its rows in a list, as the CLI wrote it whole before
+    it streamed rows: json.dumps(payload, indent=2, sort_keys=True); csv
+    with the sorted union of the row keys as header, its table being
+    "rows" or "representatives", or the payload itself when that is
+    absent or empty; or indented `key: value` lines.  With the newline
+    that ends the output."""
+    if fmt == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    elif fmt == "csv":
+        rows = payload.get("rows") or payload.get("representatives") or [payload]
+        rows = [
+            {k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+             for k, v in r.items()}
+            for r in rows
+        ]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=sorted({k for r in rows for k in r}))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue().rstrip("\n")
+    else:
+        text = _pretty(payload)
+    return text + "\n"
+
+
+def _pretty(payload, indent=0) -> str:
+    pad = "  " * indent
+    if isinstance(payload, dict):
+        lines = []
+        for key in sorted(payload):
+            val = payload[key]
+            if isinstance(val, (dict, list)):
+                lines.append(f"{pad}{key}:")
+                lines.append(_pretty(val, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {val}")
+        return "\n".join(lines)
+    if isinstance(payload, list):
+        return "\n".join(_pretty(v, indent) for v in payload) or f"{pad}(none)"
+    return f"{pad}{payload}"

@@ -1,15 +1,18 @@
 """The CLI's JSON writer against json.dumps(x, indent=2, sort_keys=True).
 
-Every payload kind the CLI emits is captured on its way to the writer and
-compared with json.dumps, and so is stdout; seeded random nested values
-cover what the payloads do not (escapes, empty containers, tuples, bools,
-large ints)."""
+Every payload kind the CLI emits is captured on its way to the writer,
+its streamed rows materialized here, and compared with json.dumps, and so
+is stdout; seeded random nested values cover what the payloads do not
+(escapes, empty containers, tuples, bools, large ints)."""
 
+import gc
 import json
 import random
+from weakref import WeakKeyDictionary
 
 import pytest
 
+import oracles
 from liebialg import cli
 from liebialg.cli import _json_text, main
 
@@ -20,11 +23,12 @@ def _dumps(x) -> str:
 
 @pytest.fixture
 def emitted(monkeypatch):
-    """The payloads passed to cli._emit, in order."""
+    """The payloads passed to cli._emit, in order, materialized."""
     payloads = []
     emit = cli._emit
 
     def spy(args, payload):
+        payload = oracles.materialized(payload)
         payloads.append(payload)
         emit(args, payload)
 
@@ -116,26 +120,34 @@ def test_writer_matches_dumps_on_random_values():
         assert _json_text(x) == _dumps(x), x
 
 
-def test_shared_object_is_rendered_once(monkeypatch):
-    # a _Shared value is a dict to every reader; the writer renders it
-    # once for all of its uses at one depth and drops the text after them
+class _Space:
+    """A model object as the rows of enumerate hold one."""
+
+    def __init__(self, doc):
+        self.doc, self.calls = doc, 0
+
+    def to_json(self):
+        self.calls += 1
+        return self.doc
+
+
+def test_shared_object_is_rendered_once():
+    # an object with to_json is written as what it returns; with a text
+    # cache it is rendered once per depth for all the rows that hold it,
+    # and its text is dropped with the object
     doc = {"directions": [["1", "0"], ["-1/2", "0"]], "kind": {"real": True}}
-    shared = cli._Shared(doc)
-    shared.uses = 3
-    payload = {"rows": [{"space": shared, "k": k} for k in range(3)], "one": [doc]}
-    rendered = []
-    render = cli._json_text
-
-    def spy(x, nl="\n"):
-        if type(x) is dict and x == doc:
-            rendered.append(nl)
-        return render(x, nl)
-
-    monkeypatch.setattr(cli, "_json_text", spy)
-    assert render(payload) == _dumps(payload)
-    assert rendered == ["\n    ", "\n      "]  # "one", then once for the three rows
-    assert shared.text is None
-    assert json.dumps(shared, sort_keys=True) == json.dumps(doc, sort_keys=True)
+    space = _Space(doc)
+    payload = {"rows": [{"space": space, "k": k} for k in range(3)], "one": [space]}
+    plain = {"rows": [{"space": doc, "k": k} for k in range(3)], "one": [doc]}
+    assert _json_text(payload) == _dumps(plain)
+    assert space.calls == 4
+    texts = WeakKeyDictionary()
+    assert _json_text(payload, "\n", texts) == _dumps(plain)
+    assert space.calls == 6  # "one", then once for the three rows
+    assert set(texts[space]) == {"\n    ", "\n      "}
+    del payload, space
+    gc.collect()
+    assert not texts
 
 
 @pytest.mark.parametrize(

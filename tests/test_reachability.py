@@ -4,14 +4,16 @@ An AST name walk starts from `cli.main` and from each module's top-level
 statements (imports aside: an import only binds a name).  A reached body
 reaches each top-level function or class whose name it uses.  An
 attribute read on a module name (`linalg.rank`) reaches that module's
-function or class of that name and nothing else; any other attribute
-read reaches the methods of that name.  A reached class reaches its
-dunder methods, which the interpreter calls implicitly.  The
-names the per-layer tracer in perfbench/layers.py wraps count as reached:
-the benchmark's traced run spans them by name.
+function or class of that name and nothing else; a read on `self` inside
+a method reaches the enclosing class's method of that name when it has
+one; any other attribute read reaches the methods of that name.  A
+reached class reaches its dunder methods, which the interpreter calls
+implicitly.  The names the per-layer tracer in perfbench/layers.py wraps
+count as reached: the benchmark's traced run spans them by name.
 
-Methods are matched by name alone, so a dead method that shares its name
-with a live one (a second `to_json`, say) is out of this guard's reach.
+Other receivers are still matched by name alone, so a dead method that
+shares its name with one read on some object other than `self` is out
+of this guard's reach.
 """
 
 import ast
@@ -26,11 +28,12 @@ layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layers)
 
 
-def _used(node, modules: set, names: set, attrs: set, qualified: set):
+def _used(node, modules: set, names: set, attrs: set, qualified: set, owner: str | None):
     """Collect what `node` reads, skipping annotations (postponed: they
     run no code) and imports: the names, the attribute names read on a
-    module name as "module.attr" in qualified, and every other attribute
-    name in attrs."""
+    module name as "module.attr" in qualified, those read on `self` in a
+    method of the class `owner` as "owner.attr" in qualified too, and
+    every other attribute name in attrs."""
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return
     if isinstance(node, ast.Name):
@@ -38,6 +41,8 @@ def _used(node, modules: set, names: set, attrs: set, qualified: set):
     elif isinstance(node, ast.Attribute):
         if isinstance(node.value, ast.Name) and node.value.id in modules:
             qualified.add(f"{node.value.id}.{node.attr}")
+        elif owner and isinstance(node.value, ast.Name) and node.value.id == "self":
+            qualified.add(f"{owner}.{node.attr}")
         else:
             attrs.add(node.attr)
     for field, value in ast.iter_fields(node):
@@ -45,7 +50,7 @@ def _used(node, modules: set, names: set, attrs: set, qualified: set):
             continue
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, ast.AST):
-                _used(child, modules, names, attrs, qualified)
+                _used(child, modules, names, attrs, qualified, owner)
 
 
 def _definitions(src: Path):
@@ -91,15 +96,18 @@ def unreached(src: Path = SRC) -> list:
             by_name.setdefault(short, []).append(qual)
     traced = {f"{mod}.{attr}" for mod, attr in {*layers.SPANNED, *layers.COUNTED}}
 
-    def uses(stmts) -> list:
+    def uses(stmts, owner: str | None = None) -> list:
         names, attrs, qualified = set(), set(), set()
         for stmt in stmts:
-            _used(stmt, modules, names, attrs, qualified)
-        return (
-            [q for n in names for q in by_name.get(n, ())]
-            + [q for a in attrs for q in by_attr.get(a, ())]
-            + [q for q in qualified if q in info and info[q][0] != "method"]
-        )
+            _used(stmt, modules, names, attrs, qualified, owner)
+        hits = [q for n in names for q in by_name.get(n, ())]
+        hits += [q for a in attrs for q in by_attr.get(a, ())]
+        for q in qualified:
+            if q in info:  # a module's function or class, or the owner's method
+                hits.append(q)
+            elif owner and q.startswith(owner + "."):  # on self, not a method of it
+                hits += by_attr.get(q.rsplit(".", 1)[1], ())
+        return hits
 
     reached: set = set()
     pending = ["cli.main", *(traced & info.keys()), *uses(top)]
@@ -112,7 +120,7 @@ def unreached(src: Path = SRC) -> list:
         if kind == "class":
             pending += [q for q in info if q.startswith(qual + ".") and _is_dunder(q)]
         else:
-            pending += uses(node.body)
+            pending += uses(node.body, qual.rsplit(".", 1)[0] if kind == "method" else None)
     return sorted(info.keys() - reached)
 
 
@@ -140,3 +148,20 @@ def test_walk_reports_a_dead_function_and_a_dead_method(tmp_path):
     assert unreached(tmp_path) == [
         "cli.dead_helper", "core.Tensor2.dead_method", "linalg.transpose"
     ]
+
+
+def test_walk_resolves_self_to_the_enclosing_class(tmp_path):
+    # Report.to_json is read on self only; a second, dead to_json in a
+    # live class is no longer taken for it
+    (tmp_path / "cli.py").write_text(
+        "from .report import Other, Report\n\n\n"
+        "def main():\n    Other()\n    return Report().describe()\n"
+    )
+    (tmp_path / "report.py").write_text(
+        "class Report:\n"
+        "    def describe(self):\n        return self.to_json()\n\n"
+        "    def to_json(self):\n        return {}\n\n\n"
+        "class Other:\n"
+        "    def to_json(self):\n        return []\n"
+    )
+    assert unreached(tmp_path) == ["report.Other.to_json"]
