@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra: one fraction-free elimination in ints, and
+dense Gaussian elimination over the Gaussian rationals.
 
-Matrices are plain lists of row lists of GaussianRational.  Everything
-here is textbook Gaussian elimination; dimensions in this library stay
-small (at most a few hundred), so no cleverness is warranted.  Systems
-with integer coefficients (the parameter layer's) are solved in Python
-ints by int_solve, which hands its answer over in core's integer format.
+Every system of the table loop and every rank and span of a Manin
+double goes through echelon: sparse int vectors {column: entry},
+Gauss-Jordan without fractions (Bareiss, Math. Comp. 22, 1968), one
+update per nonzero.  int_solve reads an integer system's solution off
+its echelon rows and hands it over in core's integer format.  The dense
+rref, inverse, det and rank take lists of row lists of GaussianRational;
+RootSystem inverts its Killing Gram matrix with inverse.
 """
 
 from __future__ import annotations
@@ -53,69 +56,91 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _clear(v: dict, row: dict, c: int) -> dict:
+    """p v - f row over gcd(p, f), divided by its content, for the
+    entries p of row and f of v at column c: v with column c cleared.
+    v is copied, and the copy updated in place."""
+    p, f = row[c], v[c]
+    g = gcd(p, f)
+    s, f = p // g, f // g
+    out = {j: s * x for j, x in v.items()} if s != 1 else dict(v)
+    for j, y in row.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    if g > 1:
+        for j, x in out.items():
+            out[j] = x // g
+    return out
+
+
+def residual(v: dict, rows: dict) -> dict:
+    """The sparse int vector v {column: entry} reduced against the
+    echelon rows: zero (empty) iff v lies in their span.  Each row
+    vanishes on the other pivot columns, so clearing one pivot column of
+    v only scales the others, and one pass over the pivot columns in the
+    support of v suffices."""
+    v = {j: x for j, x in v.items() if x}
+    for c in [c for c in v if c in rows]:
+        v = _clear(v, rows[c], c)
+    return v
+
+
+def echelon(vectors) -> dict:
+    """Fraction-free Gauss-Jordan elimination of sparse int vectors:
+    {pivot column: row}.  Each new row's smallest column is its pivot,
+    and that column is cleared from the earlier rows, so every row
+    starts at its pivot and vanishes on the other pivots: the reduced
+    row echelon form of the span, up to one scale per row, whatever the
+    order of the vectors.  Its length is the rank."""
+    rows: dict[int, dict] = {}
+    for v in vectors:
+        v = residual(v, rows)
+        if not v:
+            continue
+        c = min(v)
+        for k, row in rows.items():
+            if row.get(c):
+                rows[k] = _clear(row, v, c)
+        rows[c] = v
+    return rows
+
+
 def int_solve(rows: list, cols: int) -> tuple[tuple, dict] | None:
     """Solve the augmented integer rows [m_0 .. m_{cols-1}, rhs]; None if
     inconsistent.
 
-    Gauss-Jordan in ints: a row with a nonzero f under the pivot p
-    becomes (p * row - f * pivot_row) / gcd(p, f), divided by its content.
-    Returns (x, kernel) read off the unique reduced row echelon form: x
-    with free coordinates 0, and kernel mapping each free column, in
+    Returns (x, kernel) read off the echelon rows of the system: x with
+    free coordinates 0, and kernel mapping each free column, in
     increasing order, to its standard kernel vector.  Each vector is
     (den, [numerators]), a rational vector in core's integer format.
     """
-    a = [row[:] for row in rows if any(row)]
-    pivots: list[int] = []
-    for c in range(cols + 1):
-        r = len(pivots)
-        if r == len(a):
-            break
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        if c == cols:  # a row 0 = rhs != 0
-            return None
-        a[r], a[p] = a[p], a[r]
-        if a[r][c] < 0:  # positive pivots: each entry of the answer is over its pivot
-            a[r] = [-x for x in a[r]]
-        prow = a[r]
-        pv = prow[c]
-        nonzero = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(a):
-            f = row[c]
-            if i == r or not f:
-                continue
-            g = gcd(pv, f)
-            s, f = pv // g, f // g
-            if s != 1:
-                row = [s * x for x in row]
-            for j, y in nonzero:
-                row[j] -= f * y
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-
-    # every pivot row scaled to one common multiple m of the pivots, the
-    # product of their distinct values, so each vector of the answer is
-    # over m; lowest makes it canonical
-    m = prod({a[r][c] for r, c in enumerate(pivots)})
-    a = [[m // row[c] * y for y in row] for row, c in zip(a, pivots)]
+    ech = echelon(dict(enumerate(row)) for row in rows)  # residual drops the zeros
+    if cols in ech:  # a row 0 = rhs != 0
+        return None
+    # every vector of the answer over m, the product of the distinct
+    # pivot sizes; lowest makes it canonical
+    m = prod({abs(row[c]) for c, row in ech.items()})
+    x = [0] * cols
+    kernel = {f: [0] * cols for f in range(cols) if f not in ech}
+    for c, row in ech.items():
+        s = m // row[c]
+        for j, y in row.items():
+            if j == cols:
+                x[c] = s * y
+            elif j != c:
+                kernel[j][c] = -s * y
+    for f, v in kernel.items():
+        v[f] = m
 
     def vector(v: list) -> tuple:
         den, (v,) = lowest(m, (v,))
         return den, list(v)
 
-    x = [0] * cols
-    for r, c in enumerate(pivots):
-        x[c] = a[r][cols]
-    kernel = {}
-    for f in (c for c in range(cols) if c not in pivots):
-        v = [0] * cols
-        v[f] = m
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        kernel[f] = vector(v)
-    return vector(x), kernel
+    return vector(x), {f: vector(v) for f, v in kernel.items()}
 
 
 def inverse(m: Matrix) -> Matrix:

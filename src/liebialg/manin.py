@@ -17,8 +17,7 @@ pairing rows and subspace vectors are {index: nonzero} dicts.
 
 from __future__ import annotations
 
-from math import gcd
-
+from . import linalg
 from .core import GaussianRational, ONE, StructureTable, over_lcm
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
@@ -31,48 +30,6 @@ from .rootsystem import RootSystem
 # {column: nonzero}, and each subspace vector a dict {index: nonzero}.
 # verify() reads them, all over one denominator, and the table through
 # its int view, in ints: scaling changes no rank, span or closure.
-
-
-def _clear(v: dict, row: dict, c: int) -> dict:
-    """p v - f row over gcd(p, f), divided by its content, for the
-    entries p of row and f of v at column c: v with column c cleared."""
-    p, f = row[c], v[c]
-    g = gcd(p, f)
-    s, f = p // g, f // g
-    out = {j: s * x for j, x in v.items()}
-    for j, y in row.items():
-        out[j] = out.get(j, 0) - f * y
-    out = {j: x for j, x in out.items() if x}
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
-
-
-def _residual(v: dict, rows: dict) -> dict:
-    """v reduced against the echelon rows: zero (empty) iff v lies in
-    their span.  Each row vanishes on the other pivot columns, so
-    clearing one pivot column of v only scales the others, and one pass
-    over the pivot columns in the support of v suffices."""
-    v = {j: x for j, x in v.items() if x}
-    for c in [c for c in v if c in rows]:
-        v = _clear(v, rows[c], c)
-    return v
-
-
-def _echelon(vectors) -> dict:
-    """Fraction-free Gauss-Jordan elimination of a spanning set:
-    {pivot column: row}, each row vanishing on the other pivot columns.
-    Its length is the rank."""
-    rows: dict[int, dict] = {}
-    for v in vectors:
-        v = _residual(v, rows)
-        if not v:
-            continue
-        c = min(v)
-        for k, row in rows.items():
-            if row.get(c):
-                rows[k] = _clear(row, v, c)
-        rows[c] = v
-    return rows
 
 
 def _orthogonal(vectors, p_rows) -> bool:
@@ -122,15 +79,15 @@ class ManinTriple:
         assert not any(b for _, b in z), "the double's data must be real"
         it = (a for a, _ in z)
         p_rows, sub1, sub2 = ([{j: next(it) for j in row} for row in rows] for rows in data)
-        rows1, rows2 = _echelon(sub1), _echelon(sub2)
-        residuals = [_residual(v, rows1) for v in sub2]
+        rows1, rows2 = linalg.echelon(sub1), linalg.echelon(sub2)
+        residuals = [linalg.residual(v, rows1) for v in sub2]
         return {
-            "pairing_nondegenerate": len(_echelon(p_rows)) == n,
+            "pairing_nondegenerate": len(linalg.echelon(p_rows)) == n,
             "pairing_invariant": self._pairing_invariant(p_rows),
             "sub1_isotropic": _orthogonal(sub1, p_rows),
             "sub2_isotropic": _orthogonal(sub2, p_rows),
             "half_dimension": len(rows1) == n // 2 and len(rows2) == n // 2,
-            "transversal": len(rows1) + len(_echelon(residuals)) == n,
+            "transversal": len(rows1) + len(linalg.echelon(residuals)) == n,
             "sub1_closed": self._closed(sub1, rows1),
             "sub2_closed": self._closed(sub2, rows2),
         }
@@ -169,7 +126,7 @@ class ManinTriple:
                     for b, y in v.items():
                         for k, c in table.get((a, b), ()):
                             br[k] = br.get(k, 0) + x * y * c
-                if _residual(br, rows):
+                if linalg.residual(br, rows):
                     return False
         return True
 
@@ -254,26 +211,18 @@ def realification_structure(rs: RootSystem) -> StructureTable:
     """The complex algebra as a real algebra of twice the dimension.
 
     Index j is the original basis vector, index n+j its product with i.
+    The structure constants are real, so a term (k, c) of [e_a, e_b] is
+    the term (n + k, c) of [e_a, i e_b] and of [i e_a, e_b], and (k, -c)
+    of [i e_a, i e_b].
     """
     n = rs.dim
     table = {}
     for (a, b), terms in rs.structure.table.items():
-        plain, primed = [], []
-        for k, c in terms:
-            if c.a:
-                re = c.real_part()
-                plain.append((k, re))
-                primed.append((n + k, re))
-            if c.b:
-                im = c.imag_part()
-                plain.append((n + k, im))
-                primed.append((k, -im))
-        if plain:
-            table[(a, b)] = tuple(plain)
-            table[(n + a, n + b)] = tuple((k, -c) for k, c in plain)
-        if primed:
-            table[(a, n + b)] = tuple(primed)
-            table[(n + a, b)] = tuple(primed)
+        primed = tuple((n + k, c) for k, c in terms)
+        table[(a, b)] = terms
+        table[(n + a, n + b)] = tuple((k, -c) for k, c in terms)
+        table[(a, n + b)] = primed
+        table[(n + a, b)] = primed
     return StructureTable(2 * n, table)
 
 

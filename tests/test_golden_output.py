@@ -6,7 +6,9 @@ any change to the emitted JSON (row order, keys, tensor entries) shows
 up here.  LIGHT_DIGESTS cover the path without --materialize, where no
 tensor is printed but every datum is still built and checked; they were
 taken before the parameter layer moved to integer elimination and the
-enumeration began to share tensors among involutions.  REQUEST_DIGESTS and
+enumeration began to share tensors among involutions, except A5 and D5
+`enumerate`, taken before the parameter solve and the Manin checks shared
+one elimination (rank 5 with a diagram symmetry).  REQUEST_DIGESTS and
 the build/verify pair cover the other output kinds; they were taken
 before the CLI wrote JSON with its own writer and before each canonical
 involution was read off one recursion per (kind, mu).
@@ -37,7 +39,9 @@ DIGESTS = {
 
 LIGHT_DIGESTS = {
     ("enumerate", "A", 4): "19117b72616d391a5e7493cb649a75a6127945cb7648b029ce9be54a91442975",
+    ("enumerate", "A", 5): "247ec99d7fbf2655d535a6c392122261de30966caf1c758827e239ebdd9360e2",
     ("enumerate", "D", 4): "8091d3fb3296e5588f39a2810602604e61563587557a6d1bf6ad517130809250",
+    ("enumerate", "D", 5): "10bb78268a3b0afe39a954d0de6848bf1e6d11e7daaf0b58065997a25fbf7897",
     ("classify", "A", 4): "ff2c867bccf17293adb4bc87f2a15f568b2da8450c667a31beb7567a33ef2a86",
     ("classify", "D", 4): "02453cb75272345f3280b4c65bbafaa2f01e4efe1f7beb165073cce179674ef2",
     ("classify", "D", 5): "846493564ff5ce8258e0c61fc8af425275f64d7dbe22d171898701e555accccf",

@@ -68,6 +68,41 @@ def test_int_solve_matches_the_general_elimination():
             assert (scalars(got[0]), [scalars(v) for v in got[1].values()]) == ref, m
 
 
+def _scaled_to_pivots(rows: dict) -> dict:
+    """Echelon rows {pivot: {column: int}} with each row over its pivot."""
+    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in rows.items()}
+
+
+def test_echelon_is_the_same_in_every_order():
+    """Random integer spanning sets, rank-deficient and with repeated
+    vectors, fed in shuffled orders: each order gives the same pivot
+    columns and the same rows up to one nonzero scale each, the reduced
+    row echelon form of the span by the dense elimination over the
+    Gaussian rationals.  int_solve reads its answer off these rows, so
+    its answer cannot depend on the order of the elimination."""
+    rng = random.Random(2410)
+    for _ in range(200):
+        cols = rng.randint(1, 8)
+        basis = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        dense = [
+            [sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(cols)]
+            for _ in range(rng.randint(1, 8))
+        ]
+        dense += rng.choices(dense, k=rng.randint(1, 3))  # repeated vectors
+        vectors = [{j: x for j, x in enumerate(v) if x} for v in dense]
+        ref, pivots = linalg.rref([[g(x) for x in v] for v in dense])
+        expected = {
+            c: {j: Fraction(x.a, x.d) for j, x in enumerate(row) if x} for c, row in zip(pivots, ref)
+        }
+        for _ in range(4):
+            rng.shuffle(vectors)
+            rows = linalg.echelon(vectors)
+            assert _scaled_to_pivots(rows) == expected, dense
+            assert all(linalg.residual(v, rows) == {} for v in vectors)
+        for f in set(range(cols)) - set(pivots):  # a free column is out of the span
+            assert linalg.residual({f: 1}, rows)
+
+
 def test_nullspace():
     m = [[g(1), g(1), g(0)]]
     basis = nullspace(m)

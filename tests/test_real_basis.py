@@ -9,7 +9,7 @@ exactly.
 
 import pytest
 
-from liebialg import linalg
+from liebialg import core, linalg
 from liebialg.bdtriple import BDTriple
 from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, ZERO
@@ -115,5 +115,30 @@ def test_doubles_build_and_verify_without_dense_linear_algebra(monkeypatch):
     # from here no dense matrix, elimination or determinant may be made
     for name in ("inverse", "rref", "det", "rank"):
         monkeypatch.setattr(linalg, name, _dense_linear_algebra)
-    assert all(double_factorizable(b3, b3_datum).verify().values())
-    assert all(double_imaginary(a3, a3_datum).verify().values())
+    doubles = [
+        (b3, b3_datum, double_factorizable(b3, b3_datum)),
+        (a3, a3_datum, double_imaginary(a3, a3_datum)),
+    ]
+    # r and the bracket table are read before counting starts; the checks
+    # on them, verify and the CYBE of r, run in ints and make no scalar,
+    # by the constructor or by arithmetic
+    checks = [(double, datum.r, rs.structure) for rs, datum, double in doubles]
+    made = [0]
+    new, init = core._new, GaussianRational.__init__
+
+    def counting_new(cls):
+        made[0] += cls is GaussianRational
+        return new(cls)
+
+    def counting_init(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(core, "_new", counting_new)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    for double, r, structure in checks:
+        assert all(double.verify().values())
+        assert core.cybe_is_zero(r, structure)
+    assert made[0] == 0
+    GaussianRational(3), I * I  # positive control: the hooks see both ways
+    assert made[0] == 2
