@@ -159,7 +159,7 @@ def preserves_pairing(rs: RootSystem, mapping: dict) -> bool:
     """(alpha_i | alpha_j) = (alpha_tau(i) | alpha_tau(j)) on the domain,
     read off the Killing Gram of the simple roots in ints (over one
     denominator, so equal entries have equal numerators)."""
-    g = rs.simple_root_columns
+    g = rs.gram
     return all(g[i][j] == g[mapping[i]][mapping[j]] for i in mapping for j in mapping)
 
 
@@ -186,7 +186,7 @@ def enumerate_bd_triples(rs: RootSystem) -> list[BDTriple]:
     for size in range(1, n + 1):
         for g1 in combinations(range(n), size):
             for g2 in combinations(range(n), size):
-                out.extend(_bijections(rs.simple_root_columns, g1, g2))
+                out.extend(_bijections(rs.gram, g1, g2))
     return sorted(out, key=BDTriple.sort_key)
 
 
@@ -247,15 +247,11 @@ def extend_tau_additively(rs: RootSystem, bd: BDTriple, root: tuple) -> tuple:
 
 def precedence_pairs(rs: RootSystem, bd: BDTriple) -> set:
     """All ordered pairs (alpha, beta) of positive roots with alpha
-    preceding beta: beta = T^n(alpha) for some n >= 1."""
-    hat1 = set(span_subset_roots(rs, bd.gamma1))
-    pairs = set()
-    for alpha in hat1:
-        cur = alpha
-        while cur in hat1:
-            cur = extend_tau_additively(rs, bd, cur)
-            pairs.add((alpha, cur))
-    return pairs
+    preceding beta: beta = T^n(alpha) for some n >= 1, so the earlier
+    and later roots of one T-orbit chain."""
+    return {
+        (a, b) for chain in tau_chains(rs, bd) for k, a in enumerate(chain) for b in chain[k + 1 :]
+    }
 
 
 def tau_chains(rs: RootSystem, bd: BDTriple) -> list[list[tuple]]:

@@ -270,8 +270,9 @@ def _scalar(x, what: str) -> GaussianRational:
 
 
 def _tensor(doc, rs: RootSystem, what: str) -> Tensor2:
-    if doc["dim"] != rs.dim:
-        raise ValueError(f"{what} has dim {doc['dim']}, {rs.type} needs {rs.dim}")
+    dim = doc["dim"]
+    if type(dim) is not int or dim != rs.dim:  # 8.0 and True compare equal to ints
+        raise ValueError(f"{what} has dim {dim!r}, {rs.type} needs {rs.dim}")
     return Tensor2.from_json(doc)
 
 

@@ -1,13 +1,15 @@
 """Exact linear algebra: one fraction-free elimination in ints, and
 dense Gaussian elimination over the Gaussian rationals.
 
-Every system of the table loop and every rank and span of a Manin
-double goes through echelon: sparse int vectors {column: entry},
+Every system a command solves goes through echelon: the Killing Gram
+of a root system, the table loop's systems and every rank and span of a
+Manin double.  It takes sparse int vectors {column: entry} and runs
 Gauss-Jordan without fractions (Bareiss, Math. Comp. 22, 1968), one
 update per nonzero.  int_solve reads an integer system's solution off
 its echelon rows and hands it over in core's integer format.  The dense
-rref, inverse, det and rank take lists of row lists of GaussianRational;
-RootSystem inverts its Killing Gram matrix with inverse.
+rref, inverse, det and rank take lists of row lists of GaussianRational.
+No command calls them: the tests use them as dense references, and the
+benchmark's per-layer tracer binds them by name (perfbench/layers.py).
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    """No command calls this; the benchmark's per-layer tracer counts it
-    by name (perfbench/layers.py)."""
     return len(rref(m)[1])
 
 
@@ -153,8 +153,6 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> GaussianRational:
-    """No command calls this; the benchmark's per-layer tracer spans it
-    by name (perfbench/layers.py)."""
     a = copy_matrix(m)
     n = len(a)
     result = ONE

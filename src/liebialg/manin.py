@@ -11,14 +11,14 @@ the one induced by r + r^{21}, i.e. kappa / t.
 
 Both builders work on nonzeros only: the real form's vectors, brackets
 and tensor coordinates come sparse from RealFormBasis, the Killing form
-is read off killing_h and the paired root slots, and the double's
+is read off the Gram and the paired root slots, and the double's
 pairing rows and subspace vectors are {index: nonzero} dicts.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .core import GaussianRational, ONE, StructureTable, over_lcm
+from .core import GaussianRational, ONE, StructureTable, over_lcm, rational
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
 from .rootsystem import RootSystem
@@ -135,10 +135,10 @@ class ManinTriple:
 
 
 def _killing_terms(rs: RootSystem, a: int):
-    """The nonzero (b, kappa(e_a, e_b)): killing_h on the Cartan block, and
+    """The nonzero (b, kappa(e_a, e_b)): the Gram on the Cartan block, and
     kappa(x_g, x_-g) = 1 on the paired root slots."""
     if a < rs.rank:
-        return [(b, x) for b, x in enumerate(rs.killing_h[a]) if x]
+        return [(b, rational(x, rs.gram_den)) for b, x in enumerate(rs.gram[a]) if x]
     if a < rs.rank + rs.npos:
         return [(a + rs.npos, ONE)]
     return [(a - rs.npos, ONE)]

@@ -169,7 +169,7 @@ def satisfies_constraints(rs: RootSystem, bd: BDTriple, lam: ContinuousParameter
         for j in range(i, n):
             if re[n * i + j] + re[n * j + i] != den * omega0[i][j] or im[n * i + j] + im[n * j + i]:
                 return False
-    cols = rs.simple_root_columns
+    cols = rs.gram
     for z in (re, im) if any(im) else (re,):
         rows, columns = [z[n * k : n * k + n] for k in range(n)], [z[k::n] for k in range(n)]
         for a in bd.gamma1:
@@ -193,7 +193,7 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     """
     n = rs.rank
     pairs = _pair_index(n)
-    cols = rs.simple_root_columns
+    cols = rs.gram
     omega0 = rs.cartan_dual_gram
     pos = {p: c for c, p in enumerate(pairs)}
     rows = []

@@ -26,15 +26,15 @@ from .rootsystem import RootSystem
 
 class RealFormReport:
     __slots__ = (
-        "name", "theta", "dim_k", "dim_p", "character", "dc", "dnc",
+        "name", "dim_k", "dim_p", "character", "dc", "dnc",
         "vogan_painted", "maximally_compact",
     )
 
     def __init__(
-        self, name: str, theta: Involution, dim_k: int, dim_p: int, character: int,
+        self, name: str, dim_k: int, dim_p: int, character: int,
         dc: int, dnc: int, vogan_painted: tuple, maximally_compact: bool,
     ):
-        self.name, self.theta, self.dim_k, self.dim_p = name, theta, dim_k, dim_p
+        self.name, self.dim_k, self.dim_p = name, dim_k, dim_p
         self.character, self.dc, self.dnc = character, dc, dnc
         self.vogan_painted, self.maximally_compact = vogan_painted, maximally_compact
 
@@ -240,8 +240,7 @@ def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
         raise ValueError("identify requires a canonical involution")
     series, n = rs.type.series, rs.rank
     mu = sigma.mu
-    theta = cartan_involution(rs, sigma)
-    lines = _theta_lines(rs, theta)
+    lines = _theta_lines(rs, cartan_involution(rs, sigma))
     dim_k, dim_p = _trace_dims(lines, rs.dim)
     dc, dnc = _trace_dims(lines, n)
 
@@ -272,7 +271,6 @@ def identify(rs: RootSystem, sigma: Involution) -> RealFormReport:
 
     report = RealFormReport(
         name=name,
-        theta=theta,
         dim_k=dim_k,
         dim_p=dim_p,
         character=dim_p - dim_k,

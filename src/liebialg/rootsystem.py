@@ -169,8 +169,10 @@ class RootSystem:
         # basis index of x_r; also the membership test for roots
         self._index = {r: self.rank + k for k, r in enumerate(self.roots)}
         # Gram matrix of the Killing form on the Cartan coordinates:
-        # kappa(h_i, h_j) = (alpha_i | alpha_j), the inverse of
-        # C = sum over roots of gamma gamma^T.
+        # kappa(h_i, h_j) = (alpha_i | alpha_j) = gram[i][j] / gram_den, the
+        # inverse of C = sum over roots of gamma gamma^T.  Row i of the
+        # echelon form of [C | 1] is p_i e_i + p_i (row i of C^-1).  The
+        # Gram is symmetric, so each row is also one simple root's column.
         n = self.rank
         C = [[0] * n for _ in range(n)]
         for g in self.positive_roots:  # gamma and -gamma alike
@@ -179,15 +181,16 @@ class RootSystem:
                     for j in range(n):
                         C[i][j] += 2 * g[i] * g[j]
         self.cartan_dual_gram: list[list[int]] = C
-        # real scalars, so each entry is .a / .d
-        self.killing_h: list[list[GaussianRational]] = linalg.inverse(
-            [[GaussianRational(x) for x in row] for row in C]
-        )
-        # the same Gram in the integer format: killing_h = _gram / _gram_den
-        den, z = over_lcm((x.a, x.b, x.d) for row in self.killing_h for x in row)
-        self._gram_den, self._gram = den, [[a for a, _ in z[k : k + n]] for k in range(0, n * n, n)]
+        ech = linalg.echelon({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(C))
+        fields = []
+        for i in range(n):
+            row = ech[i]
+            s = 1 if row[i] > 0 else -1  # the sign of p_i onto the numerators
+            fields.extend((s * row.get(n + j, 0), 0, s * row[i]) for j in range(n))
+        den, z = over_lcm(fields)
+        self.gram_den, self.gram = den, [[a for a, _ in z[k : k + n]] for k in range(0, n * n, n)]
 
-        # each root norm once, as an int over _gram_den; the
+        # each root norm once, as an int over gram_den; the
         # kappa-normalization scale of each root as a class id into
         # _scales (a handful of values per type)
         self._inorm: dict[Root, int] = {}
@@ -240,15 +243,15 @@ class RootSystem:
         """(alpha | beta) under the Killing normalization, a real scalar."""
         total = sum(
             a * sum(g * b for g, b in zip(row, beta))
-            for a, row in zip(alpha, self._gram)
+            for a, row in zip(alpha, self.gram)
             if a
         )
-        return rational(total, self._gram_den)
+        return rational(total, self.gram_den)
 
     def root_values(self, root: Root) -> list[GaussianRational]:
         """[root(h_i)] = [(alpha_i | root)], one integer sum per row of the Gram."""
-        den = self._gram_den
-        return [rational(sum(g * c for g, c in zip(row, root)), den) for row in self._gram]
+        den = self.gram_den
+        return [rational(sum(g * c for g, c in zip(row, root)), den) for row in self.gram]
 
     # ---- structure constants ---------------------------------------------
 
@@ -387,14 +390,6 @@ class RootSystem:
             items.append(((ip, im), ONE))
             items.append(((im, ip), ONE))
         return Tensor2.from_items(self.dim, items)
-
-    @cached_property
-    def simple_root_columns(self) -> list[list[int]]:
-        """[(alpha_i | alpha_a)]_i for each simple root alpha_a, as ints
-        over one common denominator: the integer coefficients of the
-        parameter constraints, and the Gram the triple enumeration
-        compares (it is symmetric), read on first use."""
-        return [[row[a] for row in self._gram] for a in range(self.rank)]
 
     @cached_property
     def casimir_cybe(self) -> tuple[int, dict]:

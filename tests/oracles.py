@@ -265,7 +265,7 @@ def nullspace(m: list) -> list[list]:
 def fraction_killing_h(rs) -> list:
     """kappa(h_i, h_j) = (alpha_i | alpha_j) as Fractions: the inverse of
     C = sum over the roots of gamma gamma^T, by Gauss-Jordan over Q, the
-    reference for rs.killing_h."""
+    reference for rs.gram / rs.gram_den."""
     return _fraction_gram_inverse(tuple(rs.roots))
 
 
@@ -364,12 +364,13 @@ def reference_structure_constants(rs) -> tuple[list, dict, dict]:
 
 
 def killing_gram(rs) -> list:
-    """Gram matrix of the Killing form in the ambient basis, from
-    rs.killing_h and (x_g | x_-g) = 1 on the paired root slots."""
+    """Gram matrix of the Killing form in the ambient basis: the Cartan
+    block from fraction_killing_h, (x_g | x_-g) = 1 on root pairs."""
     k = zeros(rs.dim, rs.dim)
+    g = fraction_killing_h(rs)
     for i in range(rs.rank):
         for j in range(rs.rank):
-            k[i][j] = rs.killing_h[i][j]
+            k[i][j] = GaussianRational(g[i][j])
     for ip in range(rs.rank, rs.rank + rs.npos):
         im = ip + rs.npos
         k[ip][im] = k[im][ip] = ONE

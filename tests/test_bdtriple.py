@@ -7,6 +7,7 @@ from liebialg.bdtriple import (
     DiagramAutomorphism,
     diagram_automorphisms,
     enumerate_bd_triples,
+    extend_tau_additively,
     identity_automorphism,
     is_nilpotent,
     precedence_pairs,
@@ -193,6 +194,30 @@ def test_precedence_is_strict_partial_order():
             for c, d in pairs:
                 if b == c:
                     assert (a, d) in pairs  # transitivity via chain powers
+
+
+def _walked_precedence(rs, bd):
+    """(alpha, T^k alpha) for k >= 1, walked from each alpha in Gamma1-hat
+    until the orbit leaves it."""
+    hat1 = set(span_subset_roots(rs, bd.gamma1))
+    pairs = set()
+    for alpha in hat1:
+        cur = alpha
+        while cur in hat1:
+            cur = extend_tau_additively(rs, bd, cur)
+            pairs.add((alpha, cur))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4), ("C", 4),
+     ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)],
+)
+def test_precedence_pairs_are_the_walked_orbits(series, rank):
+    rs = build_root_system(series, rank)
+    for bd in enumerate_bd_triples(rs):
+        assert precedence_pairs(rs, bd) == _walked_precedence(rs, bd)
 
 
 def test_bdtriple_json_roundtrip():

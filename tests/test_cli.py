@@ -301,6 +301,10 @@ def _as_json_numbers(pair):
 MALFORMED = {
     "scalar-lambda": lambda doc: doc.update({"lambda": 5}),
     "r0-dim-mismatch": lambda doc: doc["r0"].update({"dim": 3}),
+    # A2's dim 8 in other JSON types on r and r0; 8.0 == 8, so only a
+    # type check rejects the float
+    "tensor-dim-float": lambda doc: [doc[k].update({"dim": 8.0}) for k in ("r", "r0")],
+    "tensor-dim-boolean": lambda doc: [doc[k].update({"dim": True}) for k in ("r", "r0")],
     "string-t": lambda doc: doc.update({"t": "2"}),
     "triple-index-past-rank": lambda doc: doc.update(
         {"bd": {"gamma1": [5], "gamma2": [1], "tau": [[5, 1]]}}

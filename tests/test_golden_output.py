@@ -11,7 +11,9 @@ enumeration began to share tensors among involutions, except A5 and D5
 one elimination (rank 5 with a diagram symmetry).  REQUEST_DIGESTS and
 the build/verify pair cover the other output kinds; they were taken
 before the CLI wrote JSON with its own writer and before each canonical
-involution was read off one recursion per (kind, mu).
+involution was read off one recursion per (kind, mu), except E7
+`--what root-system`, taken before the Killing Gram was built by the
+fraction-free elimination.
 """
 
 import hashlib
@@ -55,6 +57,8 @@ REQUEST_DIGESTS = {
         "25c682c44d729fcd17d83342f18e072ffbc781459b009a4c167417cf2afd7c39",
     ("enumerate", "--type", "F", "--rank", "4", "--what", "root-system"):
         "d4d6c02452ee73b0254040c4a9198610219e1949308e6e14cd6f908c0e8d1e1e",
+    ("enumerate", "--type", "E", "--rank", "7", "--what", "root-system"):
+        "58df8701d7abf53091b881fcfc78ebac69a3ca64435b4ba6a816e83aaf1b1958",
     ("identify", "--type", "E", "--rank", "7", "--sigma", "omega-J", "--painted", "2"):
         "35311718415766303f73311e5ea6c6a913f1a2fb499027002176ce764ad58774",
     ("enumerate", "--type", "B", "--rank", "4"):

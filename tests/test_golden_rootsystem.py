@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from liebialg.core import rational
 from liebialg.rootsystem import build_root_system
 
 DIGESTS = {
@@ -38,7 +39,7 @@ def _algebra_text(rs) -> str:
             "to_json": rs.to_json(),
             "table": table,
             "casimir": rs.casimir.to_json(),
-            "killing_h": [[str(x) for x in row] for row in rs.killing_h],
+            "killing_h": [[str(rational(x, rs.gram_den)) for x in row] for row in rs.gram],
         },
         sort_keys=True,
     )

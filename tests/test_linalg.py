@@ -129,3 +129,30 @@ def test_positive_definite():
     assert is_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
     assert not is_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert not is_positive_definite([[Fraction(0)]])
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_commands_never_run_the_dense_elimination(monkeypatch, capsys, tmp_path, series, rank):
+    """Every command solves in ints through echelon, the root-system build
+    (its Killing Gram) included; the dense routines are test references."""
+    from liebialg.cli import main
+    from liebialg.rootsystem import build_root_system
+
+    def forbidden(*args):
+        raise AssertionError("a dense elimination ran")
+
+    for name in ("rref", "inverse", "det", "rank"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    build_root_system.cache_clear()
+    typ = ["--type", series, "--rank", str(rank)]
+    requests = [
+        ["enumerate", *typ], ["classify", *typ], ["enumerate", *typ, "--what", "root-system"],
+        ["identify", *typ, "--sigma", "varsigma"], ["identify", *typ, "--sigma", "omega"],
+    ]
+    for sigma, t in (("varsigma", "2"), ("omega", "i")):
+        path = str(tmp_path / f"{sigma}.json")
+        requests += [["build", *typ, "--sigma", sigma, "--t", t, "--out", path],
+                     ["verify", path, "--manin"]]
+    for argv in requests:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -135,7 +136,8 @@ def test_killing_form_matches_adjoint_trace_oracle():
 
 def test_sl2_killing_values():
     rs = build_root_system("A", 1)
-    assert rs.killing_h[0][0] == Fraction(1, 2)
+    assert (rs.gram, rs.gram_den) == ([[1]], 2)
+    assert fraction_killing_h(rs) == [[Fraction(1, 2)]]
     h = _unit(rs, 0)
     assert killing_form(rs, h, h) == GaussianRational(Fraction(1, 2))
     # Omega_0 = 2 h (x) h, the Cartan block of Omega
@@ -282,15 +284,32 @@ def test_highest_root_norm_is_inverse_dual_coxeter(series, rank):
 
 
 @pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
-def test_killing_h_is_the_fraction_inverse(series, rank):
+def test_gram_is_the_fraction_inverse(series, rank):
+    # gram / gram_den in lowest terms: gram_den is the least denominator
     rs = build_root_system(series, rank)
     g = fraction_killing_h(rs)
+    assert rs.gram_den > 0 and gcd(rs.gram_den, *(x for row in rs.gram for x in row)) == 1
     for i in range(rank):
         for j in range(rank):
-            x = rs.killing_h[i][j]
-            assert type(x) is GaussianRational and x.is_real()
-            assert Fraction(x.a, x.d) == g[i][j]
-            assert rs._gram[i][j] == g[i][j] * rs._gram_den
+            assert type(rs.gram[i][j]) is int
+            assert Fraction(rs.gram[i][j], rs.gram_den) == g[i][j]
+
+
+# every type up to rank 8
+ALL_TYPES = [
+    *(("A", n) for n in range(1, 9)), *(("B", n) for n in range(2, 9)),
+    *(("C", n) for n in range(3, 9)), *(("D", n) for n in range(4, 9)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_gram_inverts_the_cartan_dual_gram(series, rank):
+    # C gram = gram_den 1, a literal equality of ints
+    rs = build_root_system(series, rank)
+    c, g = rs.cartan_dual_gram, rs.gram
+    product = [[sum(c[i][k] * g[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
+    assert product == [[rs.gram_den if i == j else 0 for j in range(rank)] for i in range(rank)]
 
 
 def _fraction_pairing(rs, alpha, beta):
