@@ -22,13 +22,15 @@ denominators, canonical when the denominator and the numerators have no
 common factor.  lowest makes numerators canonical, and over_lcm converts
 fractions given by their integer fields (re, im, d) to it, a scalar's or
 the table loop's, so no scalar is built to reach it; no other module
-computes an lcm.  Tensor2 holds its entries in it, StructureTable.int_view
-its coefficients, and parameter's ContinuousParameter each lambda and
-each direction, so the table loop
-(the parameter solve, the reality cut, build_r0) and the checks (the
-CYBE, sigma-fixity, the parameter constraints, the Manin axioms) read
-ints without converting.  gaussian, entry_str and entry_json read one
-entry back, where a command writes it.
+computes an lcm.  Tensor2 holds its entries in it, StructureTable its
+bracket coefficients, involution's Involution the scalars of its
+columns, and parameter's ContinuousParameter each lambda and each
+direction, and none of them keeps a scalar copy, so the table loop (the
+parameter solve, the reality cut, build_r0) and the checks (the CYBE,
+sigma-fixity, the Cartan involution's traces, the parameter constraints,
+the Manin axioms) read ints without converting.  gaussian, entry_str and
+entry_json read one entry back, where a command writes it or a scalar
+routine needs it.
 """
 
 from __future__ import annotations
@@ -364,42 +366,24 @@ def over_lcm(fields) -> tuple[int, list]:
 
 
 class StructureTable:
-    """Sparse multiplication table of a finite-dimensional algebra.
+    """Sparse multiplication table of a finite-dimensional algebra, in the
+    integer format: table maps an ordered basis pair (i, j) to a tuple of
+    (k, c) terms meaning [e_i, e_j] = sum (c / den) e_k, for ints c that
+    have no common factor with den.  Pairs with zero bracket are absent.
 
-    table maps an ordered basis pair (i, j) to a tuple of (k, coeff)
-    terms meaning [e_i, e_j] = sum coeff * e_k.  Pairs with zero bracket
-    are absent.
+    The constructor takes each coefficient (re + im i) / d by its integer
+    fields, as terms (k, re, im, d), and puts them over one over_lcm.
+    Every table of this library is real, so the coefficients become ints.
     """
 
-    __slots__ = ("dim", "table", "_ints")
+    __slots__ = ("dim", "den", "table")
 
-    def __init__(self, dim: int, table: Mapping[tuple[int, int], tuple]):
-        self.dim = dim
-        self.table = dict(table)
-        self._ints = None
-
-    def int_view(self) -> tuple[int, dict]:
-        """(E, the table with every coefficient times E): over_lcm of the
-        coefficients, built on first call.  Every table of this library is
-        real, so the coefficients become ints."""
-        if self._ints is None:
-            e, z = over_lcm((c.a, c.b, c.d) for terms in self.table.values() for _, c in terms)
-            assert not any(b for _, b in z), "structure constants must be real"
-            it = (a for a, _ in z)
-            self._ints = e, {key: tuple((k, next(it)) for k, _ in terms)
-                             for key, terms in self.table.items()}
-        return self._ints
-
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        return self.table.get((i, j), ())
-
-    def bracket_terms(self, u: list, v: list) -> list:
-        """The terms (k, x) of [u, v], for u and v given as lists of their
-        nonzero (index, coefficient); an index k may repeat."""
-        table = self.table
-        return [
-            (k, x * y * c) for a, x in u for b, y in v for k, c in table.get((a, b), ())
-        ]
+    def __init__(self, dim: int, fields: Mapping[tuple[int, int], tuple]):
+        den, z = over_lcm(term[1:] for terms in fields.values() for term in terms)
+        assert not any(b for _, b in z), "structure constants must be real"
+        it = (a for a, _ in z)
+        self.dim, self.den = dim, den
+        self.table = {key: tuple((k, next(it)) for k, *_ in terms) for key, terms in fields.items()}
 
 
 class Tensor2:
@@ -517,7 +501,7 @@ def cybe_sums(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
     if r.dim != structure.dim:
         raise ValueError("dimension mismatch between tensor and structure table")
     items = [(i, j, p, q) for (i, j), (p, q) in sorted(r.num.items())]
-    e, table = structure.int_view()
+    e, table = structure.den, structure.table
     acc: dict[tuple[int, int, int], int] = {}
     acc_im: dict[tuple[int, int, int], int] = {}
     for a, b, p, q in items:
@@ -548,22 +532,18 @@ def cybe_is_zero(r: Tensor2, structure: StructureTable) -> bool:
 
 
 def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:
-    """(sigma (x) sigma)(x) for a semilinear map sigma (an Involution),
-    read off the sparse columns of its linear part.
+    """(sigma (x) sigma)(x) for a semilinear map sigma (an Involution):
+    the entry v at (a, b) goes to conj(v) m_a m_b at (sigma a, sigma b).
 
-    No command calls it (rmatrix.sigma_fixes checks sigma-fixity in ints
-    on one-entry columns); it stays because the per-layer tracer of
-    perfbench/layers.py spans it by name.  Tests use it as the reference
-    for sigma_fixes."""
-    cols = sigma.columns
-    if len(cols) != x.dim:
+    No command calls it (rmatrix.sigma_fixes checks sigma-fixity in
+    ints); it stays because the per-layer tracer of perfbench/layers.py
+    spans it by name.  Tests use it as the reference for sigma_fixes."""
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
+    if len(images) != x.dim:
         raise ValueError("dimension mismatch between map and tensor")
     out: dict[tuple[int, int], GaussianRational] = {}
     for (a, b), v in x.items():
-        vc = v.conj()
-        for i, mi in cols[a]:
-            w = vc * mi
-            for j, mj in cols[b]:
-                key = (i, j)
-                out[key] = out[key] + w * mj if key in out else w * mj
+        key = (images[a], images[b])
+        w = v.conj() * gaussian(*scalars[a], den) * gaussian(*scalars[b], den)
+        out[key] = out[key] + w if key in out else w
     return Tensor2(x.dim, out)

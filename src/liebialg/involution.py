@@ -1,11 +1,11 @@
 """Sesquilinear involutions of the complex algebra and their real forms.
 
-A semilinear map sigma is stored through the sparse columns of its
-linear part M: applying sigma to a coordinate vector v computes
-M * conj(v).  Composition of two such maps is the linear map
-M1 * conj(M2); sigma is an involution iff M * conj(M) = 1.  A canonical
-involution maps each basis vector to a multiple of one basis vector, so
-each of its columns holds one entry.
+A semilinear map sigma acts on a coordinate vector v as M * conj(v) for
+its linear part M.  Composition of two such maps is the linear map
+M1 * conj(M2); sigma is an involution iff M * conj(M) = 1.  Every
+involution here maps each basis vector to a multiple of one basis
+vector, so M has one entry per column, and an Involution holds just
+those entries, in core's integer format.
 
 The two canonical families fix the action on Chevalley generators:
 
@@ -24,7 +24,7 @@ and eta, so by induction up the heights
     c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g)).
 
 The recursion therefore runs once per (root system, kind, mu), and each
-J only flips the signs of the columns of the roots that are odd on J.
+J only negates the entries of the roots that are odd on J.
 """
 
 from __future__ import annotations
@@ -32,34 +32,21 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 from .bdtriple import DiagramAutomorphism, identity_automorphism
-from .core import GaussianRational, I, ONE, over_lcm
+from .core import GaussianRational, I, ONE, gaussian, over_lcm
 from .rootsystem import RootSystem
 
 
 class Involution:
-    """Semilinear Lie algebra involution in ambient coordinates.
+    """Semilinear Lie algebra involution in ambient coordinates: it maps
+    e_j to (re + im i) / den times e_{images[j]}, for (re, im) =
+    scalars[j], with den and the pairs in core's integer format
+    (over_lcm).  kind is "varsigma", "omega" or "general"."""
 
-    columns[j] lists the nonzero (i, M[i][j]) of the linear part M by
-    increasing row i, and int_columns() the one-entry columns in ints.
-    kind is "varsigma", "omega" or "general"."""
+    __slots__ = ("images", "den", "scalars", "kind", "mu", "J")
 
-    __slots__ = ("columns", "kind", "mu", "J", "_ints")
-
-    def __init__(self, columns: list, kind="general", mu=None, J=()):
-        self.columns, self._ints = columns, None
+    def __init__(self, images: list, den: int, scalars: list, kind="general", mu=None, J=()):
+        self.images, self.den, self.scalars = images, den, scalars
         self.kind, self.mu, self.J = kind, mu, J
-
-    def int_columns(self) -> tuple[list, int, list]:
-        """(images, D, scalars): column j is (re + im i) / D at row
-        images[j], for (D, scalars) = over_lcm(the column entries); built
-        on first call.  Raises ValueError unless each column holds one
-        entry, as those of a canonical involution do."""
-        if self._ints is None:
-            if any(len(col) != 1 for col in self.columns):
-                raise ValueError("involution has a column with more than one entry")
-            den, scalars = over_lcm((v.a, v.b, v.d) for [(_, v)] in self.columns)
-            self._ints = [i for [(i, _)] in self.columns], den, scalars
-        return self._ints
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -96,43 +83,46 @@ def _scalars_at_empty_j(rs: RootSystem, mu: DiagramAutomorphism, negate: bool):
 
 
 class _Template:
-    """The columns of the canonical involution of one (kind, mu) at J
-    empty, with the sign-flipped columns each J selects by parity.
+    """The canonical involution of one (kind, mu) at J empty, converted
+    to the integer format once, and the entries each J negates.
 
-    cols holds the Cartan columns and each root column at J empty.  roots
-    holds, for each positive root g, the mask of the vertices j with
-    m_j(g) odd and the flipped columns of g and -g, as (index, column)
-    pairs.  It holds no reference to the root system.  The involutions
-    built from it share these column lists, which nothing mutates."""
+    images and (den, scalars) are the involution's fields at J empty.
+    roots holds, for each positive root g, the mask of the vertices j
+    with m_j(g) odd and the indices of g and -g; negating their pairs
+    keeps the format canonical.  It holds no reference to the root
+    system.  The involutions built from it share images, which nothing
+    mutates."""
 
-    __slots__ = ("cols", "roots")
+    __slots__ = ("images", "den", "scalars", "roots")
 
     def __init__(self, rs: RootSystem, kind: str, mu: DiagramAutomorphism):
         idx, negate = rs.root_index, kind == "omega"
         unit = -ONE if negate else ONE
-        self.cols = [[(mu(i), unit)] for i in range(rs.rank)] + [None] * (2 * rs.npos)
+        self.images = [mu(i) for i in range(rs.rank)] + [None] * (2 * rs.npos)
+        values = [unit] * rs.rank + [None] * (2 * rs.npos)
         self.roots = []
         for gamma, val in _scalars_at_empty_j(rs, mu, negate).items():
             mg = mu.apply_root(gamma)
             image, neg_image = idx(mg), idx(tuple(-x for x in mg))
             if negate:
                 image, neg_image = neg_image, image
-            pos, neg, inv = idx(gamma), idx(tuple(-x for x in gamma)), ONE / val
-            self.cols[pos], self.cols[neg] = [(image, val)], [(neg_image, inv)]
-            odd_mask = sum(1 << j for j, m in enumerate(gamma) if m & 1)
-            flipped = ((pos, [(image, -val)]), (neg, [(neg_image, -inv)]))
-            self.roots.append((odd_mask, flipped))
+            pos, neg = idx(gamma), idx(tuple(-x for x in gamma))
+            self.images[pos], self.images[neg] = image, neg_image
+            values[pos], values[neg] = val, ONE / val
+            self.roots.append((sum(1 << j for j, m in enumerate(gamma) if m & 1), pos, neg))
+        self.den, self.scalars = over_lcm((v.a, v.b, v.d) for v in values)
 
-    def columns(self, J: tuple) -> list:
+    def scalars_at(self, J: tuple) -> list:
         """c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g))."""
-        cols = self.cols.copy()
+        scalars = list(self.scalars)
         jmask = sum(1 << j for j in J)
         if jmask:
-            for odd_mask, flipped in self.roots:
+            for odd_mask, pos, neg in self.roots:
                 if (odd_mask & jmask).bit_count() & 1:
-                    for k, col in flipped:
-                        cols[k] = col
-        return cols
+                    for k in (pos, neg):
+                        a, b = scalars[k]
+                        scalars[k] = (-a, -b)
+        return scalars
 
 
 # The (kind, mu) -> _Template of each live root system; a weak key, so the
@@ -161,21 +151,24 @@ def canonical_involution(
     templates = _TEMPLATES.setdefault(rs, {})
     if (kind, mu) not in templates:
         templates[(kind, mu)] = _Template(rs, kind, mu)
-    return Involution(templates[(kind, mu)].columns(J), kind, mu, J)
+    t = templates[(kind, mu)]
+    return Involution(t.images, t.den, t.scalars_at(J), kind, mu, J)
 
 
 def sigma_root_action(rs: RootSystem, sigma: Involution):
-    """Map gamma -> (sigma* gamma, c_gamma) read off the involution's columns.
+    """Map gamma -> (sigma* gamma, c_gamma) read off the involution's
+    fields, c_gamma as a scalar.
 
     Requires sigma to permute the root spaces, which holds whenever sigma
     preserves the Cartan subalgebra.
     """
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
     action = {}
     for gamma in rs.roots:
-        col = sigma.columns[rs.root_index(gamma)]
-        if len(col) != 1 or col[0][0] < rs.rank:
+        j = rs.root_index(gamma)
+        if images[j] < rs.rank:
             raise ValueError("involution does not permute the root spaces")
-        action[gamma] = (rs.index_root(col[0][0]), col[0][1])
+        action[gamma] = (rs.index_root(images[j]), gaussian(*scalars[j], den))
     return action
 
 
@@ -286,12 +279,10 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
         ii = rs.root_index(image)
         support += [[(gi, ONE), (ii, c)], [(gi, I), (ii, -I * c)]]
 
-    # sigma(v) = M conj(v), summed over the one-entry columns of M
+    # sigma(v) = M conj(v): the entry x at i goes to m_i conj(x) at images[i]
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
     for nz in support:
-        image: dict[int, GaussianRational] = {}
-        for i, x in nz:
-            for k, m in sigma.columns[i]:
-                image[k] = image[k] + m * x.conj() if k in image else m * x.conj()
+        image = {images[i]: gaussian(*scalars[i], den) * x.conj() for i, x in nz}
         assert sorted(image.items()) == nz, "constructed vector is not sigma-fixed"
     assert len(support) == rs.dim
     return RealFormBasis(support, h_count)
@@ -300,13 +291,18 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
 def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
     """Bracket table of the real form in its own basis, with real
     GaussianRational entries; each bracket runs over the at most two
-    nonzeros of either basis vector, once per unordered pair, since
-    [v_j, v_i] = -[v_i, v_j] and [v_i, v_i] = 0."""
+    nonzeros of either basis vector and the int terms of the ambient
+    table, once per unordered pair, since [v_j, v_i] = -[v_i, v_j] and
+    [v_i, v_i] = 0."""
+    den, ambient = rs.structure.den, rs.structure.table
     table = {}
     support = basis.support
     for i, u in enumerate(support):
-        for j in range(i + 1, len(support)):
-            terms = basis.term_coordinates(rs.structure.bracket_terms(u, support[j]))
+        u = [(a, x / den) for a, x in u]  # the ambient ints are over den
+        for j, v in enumerate(support[i + 1 :], i + 1):
+            terms = basis.term_coordinates(
+                (k, x * y * c) for a, x in u for b, y in v for k, c in ambient.get((a, b), ())
+            )
             if terms is None:
                 raise AssertionError("real form is not closed under bracket")
             if terms:

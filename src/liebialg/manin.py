@@ -28,8 +28,8 @@ from .rootsystem import RootSystem
 #
 # The double's data are sparse and real: the pairing is a list of rows
 # {column: nonzero}, and each subspace vector a dict {index: nonzero}.
-# verify() reads them, all over one denominator, and the table through
-# its int view, in ints: scaling changes no rank, span or closure.
+# verify() reads them, all over one denominator, and the table's ints,
+# in ints: scaling changes no rank, span or closure.
 
 
 def _orthogonal(vectors, p_rows) -> bool:
@@ -101,7 +101,7 @@ class ManinTriple:
             for j, x in row.items():
                 p_cols[j][i] = x
         rows: dict[int, list] = {}
-        for (a, b), terms in self.structure.int_view()[1].items():
+        for (a, b), terms in self.structure.table.items():
             rows.setdefault(a, []).append((b, terms))
         for row in rows.values():
             acc: dict[tuple, int] = {}
@@ -118,7 +118,7 @@ class ManinTriple:
     def _closed(self, vectors, rows) -> bool:
         """Every bracket of two basis vectors, taken over their nonzeros,
         reduces to zero against the subspace's echelon rows."""
-        table = self.structure.int_view()[1]
+        table = self.structure.table
         for i, u in enumerate(vectors):
             for v in vectors[i:]:
                 br: dict[int, int] = {}
@@ -185,11 +185,11 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     form = [{j: inv_t * x for j, x in row.items()} for row in real_killing_gram(rs, basis)]
     pairing = form + [{n + j: -x for j, x in row.items()} for row in form]
 
-    table = {}
+    fields = {}
     for (i, j), terms in real_structure_constants(rs, basis).items():
-        table[(i, j)] = terms
-        table[(n + i, n + j)] = tuple((n + k, c) for k, c in terms)
-    structure = StructureTable(2 * n, table)
+        fields[(i, j)] = tuple((k, c.a, c.b, c.d) for k, c in terms)
+        fields[(n + i, n + j)] = tuple((n + k, c.a, c.b, c.d) for k, c in terms)
+    structure = StructureTable(2 * n, fields)
 
     sub1 = [{a: ONE, n + a: ONE} for a in range(n)]
 
@@ -213,17 +213,17 @@ def realification_structure(rs: RootSystem) -> StructureTable:
     Index j is the original basis vector, index n+j its product with i.
     The structure constants are real, so a term (k, c) of [e_a, e_b] is
     the term (n + k, c) of [e_a, i e_b] and of [i e_a, e_b], and (k, -c)
-    of [i e_a, i e_b].
+    of [i e_a, i e_b]: the ints of rs.structure over its den.
     """
-    n = rs.dim
-    table = {}
+    n, den = rs.dim, rs.structure.den
+    fields = {}
     for (a, b), terms in rs.structure.table.items():
-        primed = tuple((n + k, c) for k, c in terms)
-        table[(a, b)] = terms
-        table[(n + a, n + b)] = tuple((k, -c) for k, c in terms)
-        table[(a, n + b)] = primed
-        table[(n + a, b)] = primed
-    return StructureTable(2 * n, table)
+        primed = tuple((n + k, c, 0, den) for k, c in terms)
+        fields[(a, b)] = tuple((k, c, 0, den) for k, c in terms)
+        fields[(n + a, n + b)] = tuple((k, -c, 0, den) for k, c in terms)
+        fields[(a, n + b)] = primed
+        fields[(n + a, b)] = primed
+    return StructureTable(2 * n, fields)
 
 
 def _realify(terms, n: int) -> dict:

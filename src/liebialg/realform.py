@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from .core import ZERO
+from .core import ZERO, gaussian, lowest
 from .involution import Involution, RealFormBasis, canonical_involution
 from .rootsystem import RootSystem
 
@@ -58,33 +58,36 @@ _COMPACT_OMEGA: WeakKeyDictionary[RootSystem, Involution] = WeakKeyDictionary()
 
 def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
     """theta = sigma o omega; linear since both factors are semilinear.
-    Both have one-entry columns: omega sends x_j to w x_k and sigma sends
-    x_k to m x_i, so theta sends x_j to m conj(w) x_i."""
+    omega sends x_j to w x_k and sigma sends x_k to m x_i, so theta sends
+    x_j to m conj(w) x_i: composed in ints over the product of the two
+    denominators, then made canonical by one lowest."""
     omega = _COMPACT_OMEGA.get(rs)
     if omega is None:
         omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
         _COMPACT_OMEGA[rs] = omega
-    cols = sigma.columns
-    theta = []
-    for [(k, w)] in omega.columns:
-        [(i, m)] = cols[k]
-        theta.append([(i, m * w.conj())])
-    return Involution(theta)
+    images, scalars = sigma.images, sigma.scalars
+    pairs = []
+    for k, (c, d) in zip(omega.images, omega.scalars):
+        a, b = scalars[k]
+        pairs.append((a * c + b * d, b * c - a * d))  # (a + b i)(c - d i)
+    den, pairs = lowest(sigma.den * omega.den, pairs)
+    return Involution([images[k] for k in omega.images], den, pairs)
 
 
 def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFormBasis):
     """Matrix of theta restricted to the real form, in its real basis:
-    column j holds the real coordinates of theta(v_j), summed over theta's
-    columns at the nonzeros of v_j.
+    column j holds the real coordinates of theta(v_j), theta sending the
+    entry x at a to m_a x at images[a].
 
     identify does not use it, and no command calls it; it stays because
     the per-layer tracer of perfbench/layers.py spans it by name.  Tests
     use it as an independent reference for the trace formulas."""
+    images, den, scalars = theta.images, theta.den, theta.scalars
     n = basis.count
     out = [[ZERO] * n for _ in range(n)]
     for j, nz in enumerate(basis.support):
         coords = basis.term_coordinates(
-            (i, m * x) for a, x in nz for i, m in theta.columns[a]
+            (images[a], gaussian(*scalars[a], den) * x) for a, x in nz
         )
         if coords is None:
             raise AssertionError("theta does not preserve the real form")
@@ -94,14 +97,11 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
 
 
 def _theta_lines(rs: RootSystem, theta: Involution) -> tuple:
-    """theta.int_columns(), asserted to preserve h and to square to 1
-    column by column: theta sends x_j to s_j x_k and x_k back to s_k x_j
-    with s_j s_k = 1.  Raises ValueError if a column has more than one
-    entry."""
-    assert all(
-        i < rs.rank for col in theta.columns[: rs.rank] for i, _ in col
-    ), "theta does not preserve h"
-    images, den, scalars = lines = theta.int_columns()
+    """theta's fields (images, den, scalars), asserted to preserve h and
+    to square to 1 entry by entry: theta sends x_j to s_j x_k and x_k
+    back to s_k x_j with s_j s_k = 1."""
+    images, den, scalars = lines = theta.images, theta.den, theta.scalars
+    assert all(i < rs.rank for i in images[: rs.rank]), "theta does not preserve h"
     dd = den * den
     for j, k in enumerate(images):
         (a, b), (c, d) = scalars[j], scalars[k]

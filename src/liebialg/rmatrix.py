@@ -47,7 +47,6 @@ from .core import (
     HALF,
     ONE,
     Tensor2,
-    ZERO,
     cybe_is_zero,
     cybe_sums,
     entry_str,
@@ -417,13 +416,13 @@ def iter_data(
 def sigma_fixes(datum: BialgebraDatum) -> bool:
     """(sigma (x) sigma)(r0) = r0, checked entry by entry in ints.
 
-    sigma maps e_a to m_a e_{sigma a} (a one-entry column), so sigma (x)
-    sigma permutes the index pairs and sends the entry v at (a, b) to
-    conj(v) m_a m_b at (sigma a, sigma b); r0 is fixed iff every such
-    image equals the entry of r0 it lands on: an equality of Gaussian
-    integers on the numerators of r0 and of sigma's columns.  Raises
-    ValueError if a column of sigma has more than one entry."""
-    images, den, scalars = datum.sigma.int_columns()
+    sigma maps e_a to m_a e_{sigma a}, so sigma (x) sigma permutes the
+    index pairs and sends the entry v at (a, b) to conj(v) m_a m_b at
+    (sigma a, sigma b); r0 is fixed iff every such image equals the entry
+    of r0 it lands on: an equality of Gaussian integers on the numerators
+    of r0 and on sigma's fields, m_a = scalars[a] / den."""
+    sigma = datum.sigma
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
     dd = den * den
     num = datum.r0.num
     for (a, b), (p, q) in num.items():
@@ -522,15 +521,19 @@ def extract_data(
 
     # H = image of r0 under the bracket; must be regular in the Cartan.
     # ad H is diagonal there, gamma(H) on x_gamma, so H is regular when
-    # no root vanishes on it.
-    h_vec = [ZERO] * rs.dim
-    for (a, b), v in r0.items():
-        for k, c in rs.structure.bracket_basis(a, b):
-            h_vec[k] = h_vec[k] + v * c
-    if any(h_vec[rs.rank:]):
+    # no root vanishes on it.  H is summed in ints, over the dens of r0
+    # and the table, and gamma(H) over theirs and gram_den.
+    table = rs.structure.table
+    h_re, h_im = [0] * rs.dim, [0] * rs.dim
+    for (a, b), (p, q) in r0.num.items():
+        for k, c in table.get((a, b), ()):
+            h_re[k] += p * c
+            h_im[k] += q * c
+    if any(h_re[rs.rank:]) or any(h_im[rs.rank:]):
         raise ExtractionError("bracket image does not lie in the standard Cartan")
     for g in rs.positive_roots:
-        if not sum((x * y for x, y in zip(h_vec, rs.root_values(g))), ZERO):
+        values = rs.root_values(g)
+        if not any(sum(x * v for x, v in zip(h, values)) for h in (h_re, h_im)):
             raise ExtractionError("bracket image is not regular")
 
     # t from the paired root slots, sign-normalized to the positive rays
@@ -560,12 +563,13 @@ def extract_data(
             new_pos.append(tuple(-x for x in g))
         else:
             raise ExtractionError("paired root slots are not +-t/2")
-    # consistency: H = -t * sum of h_alpha over the recovered positives
-    expect = [ZERO] * rs.dim
-    for g in new_pos:
-        for i, c in enumerate(g):
-            expect[i] = expect[i] + GaussianRational(c)
-    if [x * (-t) for x in expect] != h_vec:
+    # consistency: H = -t * sum of h_alpha over the recovered positives,
+    # in ints over the dens of r0, the table and t
+    scale = r0.den * rs.structure.den
+    if any(
+        h_re[i] * t.d != -t.a * s * scale or h_im[i] * t.d != -t.b * s * scale
+        for i, s in enumerate(map(sum, zip(*new_pos)))
+    ):
         raise ExtractionError("bracket image inconsistent with recovered positives")
 
     pos_set = set(new_pos)
@@ -618,7 +622,11 @@ def extract_data(
 
 
 def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
-    """Canonical comparison key of the datum conjugated by psi."""
+    """Canonical comparison key of the datum conjugated by psi.  lambda
+    enters as one string, its entries in row-major order joined by a
+    space, which sorts below every character an entry uses (digits, '-',
+    '/', '+', 'i'), so the keys order and compare as the tuples of entry
+    strings would, in a fraction of their memory."""
     perm = psi.permutation
     mu = datum.sigma.mu
     mu2 = tuple(perm[mu(perm.index(k))] for k in range(len(perm)))
@@ -630,7 +638,7 @@ def conjugate_datum_key(datum: BialgebraDatum, psi: DiagramAutomorphism):
     inv = [perm.index(i) for i in range(n)]
     lam = datum.lam
     entries = [entry_str(x, y, lam.den) for x, y in zip(lam.re, lam.im)]
-    lam2 = tuple(tuple(entries[n * inv[i] + inv[j]] for j in range(n)) for i in range(n))
+    lam2 = " ".join(entries[n * inv[i] + inv[j]] for i in range(n) for j in range(n))
     return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
 
 

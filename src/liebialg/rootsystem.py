@@ -27,6 +27,7 @@ from .core import (
     StructureTable,
     Tensor2,
     ZERO,
+    entry_json,
     over_lcm,
     rational,
     rational_sqrt,
@@ -248,10 +249,10 @@ class RootSystem:
         )
         return rational(total, self.gram_den)
 
-    def root_values(self, root: Root) -> list[GaussianRational]:
-        """[root(h_i)] = [(alpha_i | root)], one integer sum per row of the Gram."""
-        den = self.gram_den
-        return [rational(sum(g * c for g, c in zip(row, root)), den) for row in self.gram]
+    def root_values(self, root: Root) -> list[int]:
+        """[root(h_i)] = [(alpha_i | root)] times gram_den, one integer sum
+        per row of the Gram."""
+        return [sum(g * c for g, c in zip(row, root)) for row in self.gram]
 
     # ---- structure constants ---------------------------------------------
 
@@ -350,30 +351,29 @@ class RootSystem:
 
     @cached_property
     def structure(self) -> StructureTable:
-        """The bracket table [e_a, e_b] = sum c e_k, built on first read:
-        the root-root brackets in the order of _n, then those with an h_i
-        and the [x_r, x_{-r}]."""
-        npos = self.npos
+        """The bracket table [e_a, e_b] = sum c e_k, built on first read
+        from the integer fields of each c: the root-root brackets in the
+        order of _n, then those with an h_i and the [x_r, x_{-r}]."""
+        npos, den = self.npos, self.gram_den
         cls = [0] * self.rank + [self._sclass[r] for r in self.roots]
         norm = self._normalized
-        table: dict[tuple[int, int], tuple] = {}
+        fields: dict[tuple[int, int], tuple] = {}
         for ia, ib, it, c in self._brackets:
             ka, kb, kt = cls[ia], cls[ib], cls[it]
-            table[ia, ib] = ((it, norm(c, ka, kb, kt)),)
-            table[ib, ia] = ((it, norm(-c, kb, ka, kt)),)
+            v, w = norm(c, ka, kb, kt), norm(-c, kb, ka, kt)
+            fields[ia, ib], fields[ib, ia] = ((it, v.a, v.b, v.d),), ((it, w.a, w.b, w.d),)
 
         for r in self.positive_roots:
             ir = self._index[r]
             im = ir + npos
             for i, v in enumerate(self.root_values(r)):
                 if v:  # [h_i, x_r] = r(h_i) x_r, and -r(h_i) on x_{-r}
-                    table[i, ir], table[ir, i] = ((ir, v),), ((ir, -v),)
-                    table[i, im], table[im, i] = ((im, -v),), ((im, v),)
+                    fields[i, ir], fields[ir, i] = ((ir, v, 0, den),), ((ir, -v, 0, den),)
+                    fields[i, im], fields[im, i] = ((im, -v, 0, den),), ((im, v, 0, den),)
             # [x_r, x_{-r}] = h_r, the Killing dual of r
-            terms = tuple((i, GaussianRational(c)) for i, c in enumerate(r) if c)
-            table[ir, im] = terms
-            table[im, ir] = tuple((i, -c) for i, c in terms)
-        return StructureTable(self.dim, table)
+            fields[ir, im] = tuple((i, c, 0, 1) for i, c in enumerate(r) if c)
+            fields[im, ir] = tuple((i, -c, 0, 1) for i, c in enumerate(r) if c)
+        return StructureTable(self.dim, fields)
 
     # ---- invariant tensors and the Killing form ---------------------------
 
@@ -399,7 +399,7 @@ class RootSystem:
         common denominator of Omega (real) and the table, and kept so:
         (den, {key: nonzero int}), CYB(Omega)[key] = int / den."""
         omega = self.casimir
-        e, table = self.structure.int_view()
+        e, table = self.structure.den, self.structure.table
         cols: list[list] = [[] for _ in range(self.dim)]  # Omega is nondegenerate
         for (a, b), (x, _) in sorted(omega.num.items()):
             cols[b].append((a, x))
@@ -416,9 +416,9 @@ class RootSystem:
     def to_json(self) -> dict:
         """The root data and every nonzero [x_a, x_b] = c x_{a+b}, read
         off the structure table in basis order."""
-        n = self.rank
+        n, den = self.rank, self.structure.den
         triples = [
-            [list(self.index_root(ia)), list(self.index_root(ib)), *c.to_json()]
+            [list(self.index_root(ia)), list(self.index_root(ib)), *entry_json(c, 0, den)]
             for (ia, ib), ((k, c), *_) in sorted(self.structure.table.items())
             if ia >= n and ib >= n and k >= n
         ]

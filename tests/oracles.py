@@ -24,7 +24,19 @@ from liebialg.bdtriple import (
     precedence_pairs,
     span_subset_roots,
 )
-from liebialg.core import GaussianRational, HALF, I, ONE, StructureTable, Tensor2, ZERO, cybe_sums, gaussian
+from liebialg.core import (
+    GaussianRational,
+    HALF,
+    I,
+    ONE,
+    StructureTable,
+    Tensor2,
+    ZERO,
+    cybe_sums,
+    gaussian,
+    over_lcm,
+    rational,
+)
 from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import ManinTriple, realification_structure
 from liebialg.parameter import ContinuousParameter
@@ -46,20 +58,36 @@ def conjugate(a: list) -> list:
     return [[x.conj() for x in row] for row in a]
 
 
-def sparse_columns(m: list) -> list:
-    """The sparse columns [(i, m[i][j]) nonzero] of a dense square matrix,
-    the form an Involution is built from."""
-    return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+def monomial_involution(m: list) -> Involution:
+    """The Involution with the linear part m, a dense square matrix with
+    one nonzero per column."""
+    cols = [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m))]
+    assert all(len(col) == 1 for col in cols), "not a monomial matrix"
+    den, scalars = over_lcm((v.a, v.b, v.d) for [(_, v)] in cols)
+    return Involution([i for [(i, _)] in cols], den, scalars)
 
 
 def involution_matrix(sigma) -> list:
-    """The dense linear part M of an involution, from its sparse columns."""
-    n = len(sigma.columns)
+    """The dense linear part M of an involution, from its fields."""
+    n = len(sigma.images)
     m = [[ZERO] * n for _ in range(n)]
-    for j, col in enumerate(sigma.columns):
-        for i, v in col:
-            m[i][j] = v
+    for j, (i, (a, b)) in enumerate(zip(sigma.images, sigma.scalars)):
+        m[i][j] = gaussian(a, b, sigma.den)
     return m
+
+
+@lru_cache(maxsize=32)
+def scalar_table(st: StructureTable) -> dict:
+    """The table of st with each coefficient c / den as a scalar, in the
+    table's order: {(i, j): ((k, scalar), ...)}, built once per table."""
+    den = st.den
+    return {key: tuple((k, rational(c, den)) for k, c in terms) for key, terms in st.table.items()}
+
+
+def structure_of(dim: int, table: dict) -> StructureTable:
+    """The StructureTable of a table {(i, j): ((k, scalar), ...)}."""
+    fields = {key: tuple((k, c.a, c.b, c.d) for k, c in terms) for key, terms in table.items()}
+    return StructureTable(dim, fields)
 
 
 def apply_involution(sigma, v) -> list:
@@ -87,23 +115,26 @@ def basis_vectors(basis) -> list:
 
 def bracket(st, u, v) -> list:
     """[u, v] of two dense coordinate vectors, summed from the library's
-    bracket terms over their nonzeros."""
+    bracket table over their nonzeros."""
     out = [ZERO] * st.dim
-    nonzeros = [[(i, x) for i, x in enumerate(w) if x] for w in (u, v)]
-    for k, x in st.bracket_terms(*nonzeros):
-        out[k] = out[k] + x
+    table = scalar_table(st)
+    nu, nv = ([(i, x) for i, x in enumerate(w) if x] for w in (u, v))
+    for a, x in nu:
+        for b, y in nv:
+            for k, c in table.get((a, b), ()):
+                out[k] = out[k] + x * y * c
     return out
 
 
 def ad(st, u) -> list:
     """Matrix of x -> [u, x] in basis coordinates, for a dense vector u."""
-    n = st.dim
+    n, table = st.dim, scalar_table(st)
     mat = [[ZERO] * n for _ in range(n)]
     for i, a in enumerate(u):
         if not a:
             continue
         for j in range(n):
-            for k, c in st.table.get((i, j), ()):
+            for k, c in table.get((i, j), ()):
                 mat[k][j] = mat[k][j] + a * c
     return mat
 
@@ -133,16 +164,16 @@ def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
     entries of r: the scalar evaluator core.cybe replaced by its integer
     one, with the same loops, so the two dicts agree in keys, values and
     order."""
-    items = list(r.items())
+    items, table = list(r.items()), scalar_table(st)
     acc: dict[tuple[int, int, int], GaussianRational] = {}
     for (a, b), va in items:
         for (c, d), vc in items:
             v = va * vc
-            for k, coef in st.table.get((a, c), ()):
+            for k, coef in table.get((a, c), ()):
                 acc[(k, b, d)] = acc.get((k, b, d), ZERO) + v * coef
-            for k, coef in st.table.get((b, c), ()):
+            for k, coef in table.get((b, c), ()):
                 acc[(a, k, d)] = acc.get((a, k, d), ZERO) + v * coef
-            for k, coef in st.table.get((b, d), ()):
+            for k, coef in table.get((b, d), ()):
                 acc[(a, c, k)] = acc.get((a, c, k), ZERO) + v * coef
     return {k: v for k, v in acc.items() if v}
 
@@ -473,16 +504,16 @@ def reference_canonical_involution(rs, kind: str, mu, J: tuple) -> Involution:
     this J, the signs of the simple roots in J set at the bottom."""
     idx, jset = rs.root_index, set(J)
     negate = kind == "omega"
-    cols: list = [None] * rs.dim
-    for i in range(rs.rank):
-        cols[i] = [(mu(i), -ONE if negate else ONE)]
+    images = [mu(i) for i in range(rs.rank)] + [None] * (2 * rs.npos)
+    values = [-ONE if negate else ONE] * rs.rank + [None] * (2 * rs.npos)
     c = _sigma_scalars(rs, mu, lambda i: i in jset, negate)
     for gamma, val in c.items():
         mg = mu.apply_root(gamma)
         neg, neg_mg = tuple(-x for x in gamma), tuple(-x for x in mg)
-        cols[idx(gamma)] = [(idx(neg_mg if negate else mg), val)]
-        cols[idx(neg)] = [(idx(mg if negate else neg_mg), ONE / val)]
-    return Involution(cols, kind, mu, J)
+        images[idx(gamma)], values[idx(gamma)] = idx(neg_mg if negate else mg), val
+        images[idx(neg)], values[idx(neg)] = idx(mg if negate else neg_mg), ONE / val
+    den, scalars = over_lcm((v.a, v.b, v.d) for v in values)
+    return Involution(images, den, scalars, kind, mu, J)
 
 
 def transported_images(rs, bd, family: dict) -> dict:
@@ -637,10 +668,10 @@ def direct_sum_structure(rs) -> StructureTable:
     """l + l as a complex algebra (for checking psi is a morphism)."""
     n = rs.dim
     table = {}
-    for (a, b), terms in rs.structure.table.items():
+    for (a, b), terms in scalar_table(rs.structure).items():
         table[(a, b)] = terms
         table[(n + a, n + b)] = tuple((n + k, c) for k, c in terms)
-    return StructureTable(2 * n, table)
+    return structure_of(2 * n, table)
 
 
 # ---- the cobracket, two ways --------------------------------------------------
@@ -774,7 +805,7 @@ def dense_double_factorizable(rs, datum) -> ManinTriple:
             v[n + b] = -rho[b][k]
         sub2.append(v)
     return ManinTriple(
-        2 * n, [sparse_vector(row) for row in pairing], StructureTable(2 * n, table),
+        2 * n, [sparse_vector(row) for row in pairing], structure_of(2 * n, table),
         [sparse_vector(v) for v in sub1], [sparse_vector(v) for v in sub2], "factorizable",
     )
 
@@ -804,7 +835,7 @@ def manin_fields(mt) -> tuple:
     compare field by field and in index order."""
     return (
         mt.double_dim, [list(row.items()) for row in mt.pairing],
-        mt.structure.dim, mt.structure.table,
+        mt.structure.dim, mt.structure.den, mt.structure.table,
         [list(v.items()) for v in mt.sub1_basis],
         [list(v.items()) for v in mt.sub2_basis], mt.case,
     )
@@ -837,6 +868,11 @@ def solve(m: list, rhs: list) -> tuple[list, list[list]] | None:
     return x, nullspace(m)
 
 
+def root_values(rs, root) -> list:
+    """RootSystem.root_values, [(alpha_i | root)] over gram_den, as scalars."""
+    return [rational(v, rs.gram_den) for v in rs.root_values(root)]
+
+
 def constraint_residual(rs, bd, lam):
     """Exact residuals of the defining linear system at lam: lam + lam^T
     - Omega_0, then lam^T g_{T(a)} + lam g_a for each a in Gamma1."""
@@ -845,8 +881,8 @@ def constraint_residual(rs, bd, lam):
     residuals = [[m[i][j] + m[j][i] - rs.cartan_dual_gram[i][j] for j in range(n)] for i in range(n)]
     lam_t = transpose(m)
     for a in bd.gamma1:
-        ga = rs.root_values(rs.simple_roots[a])
-        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
+        ga = root_values(rs, rs.simple_roots[a])
+        gt = root_values(rs, rs.simple_roots[bd.mapping[a]])
         lt_gt = mat_vec(lam_t, gt)
         residuals.append([x + y for x, y in zip(lt_gt, mat_vec(m, ga))])
     return residuals
@@ -870,8 +906,8 @@ def reference_solve_parameters(rs, bd) -> tuple[list, list]:
     omega_half = [[half * x for x in row] for row in rs.cartan_dual_gram]
     rows, rhs = [], []
     for a in bd.gamma1:
-        ga = rs.root_values(rs.simple_roots[a])
-        gt = rs.root_values(rs.simple_roots[bd.mapping[a]])
+        ga = root_values(rs, rs.simple_roots[a])
+        gt = root_values(rs, rs.simple_roots[bd.mapping[a]])
         base = [x + y for x, y in zip(mat_vec(omega_half, gt), mat_vec(omega_half, ga))]
         for k in range(n):
             row = []
@@ -977,8 +1013,9 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
         raise ExtractionError("modified YBE constant squared must be real")
 
     h_vec = [ZERO] * rs.dim
+    table = scalar_table(rs.structure)
     for (a, b), v in r0.items():
-        for k, c in rs.structure.bracket_basis(a, b):
+        for k, c in table.get((a, b), ()):
             h_vec[k] = h_vec[k] + v * c
     if any(h_vec[rs.rank:]):
         raise ExtractionError("bracket image does not lie in the standard Cartan")

@@ -67,6 +67,7 @@ from oracles import (
     psi_phi,
     realify_vector,
     reference_extract_data,
+    scalar_table,
     theta_twisted_gram,
     transpose,
 )
@@ -94,7 +95,7 @@ def report(num, description, ok):
 
 
 def _jacobi(rs):
-    table = rs.structure.table
+    table = scalar_table(rs.structure)
     d = rs.dim
     for i in range(d):
         for j in range(i + 1, d):
@@ -110,7 +111,7 @@ def _jacobi(rs):
 
 
 def _omega_invariant(rs):
-    table = rs.structure.table
+    table = scalar_table(rs.structure)
     for x in range(rs.dim):
         acc = {}
         for (a, b), v in rs.casimir.items():

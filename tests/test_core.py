@@ -20,7 +20,7 @@ from liebialg.core import (
     rational_sqrt,
 )
 from liebialg.rootsystem import build_root_system
-from oracles import bracket, cybe, involution_matrix, reference_cybe
+from oracles import bracket, cybe, involution_matrix, reference_cybe, scalar_table
 
 
 def test_scalar_arithmetic():
@@ -258,11 +258,11 @@ def _pruned(entries: dict) -> dict:
 
 def _cybe_bruteforce(r: Tensor2, st: StructureTable) -> dict:
     """Independent dense triple-loop evaluation used as the test oracle."""
-    d = r.dim
+    d, table = r.dim, scalar_table(st)
     out = {}
 
     def bracket(i, j):
-        return dict(st.table.get((i, j), ()))
+        return dict(table.get((i, j), ()))
 
     for a in range(d):
         for b in range(d):
@@ -305,7 +305,7 @@ def test_cybe_casimir_equals_omega13_omega23_bracket():
     out = {}
     for (a, b), va in om.items():
         for (c, e), vc in om.items():
-            for k, cf in rs.structure.table.get((b, e), ()):
+            for k, cf in scalar_table(rs.structure).get((b, e), ()):
                 key = (a, c, k)
                 out[key] = out.get(key, ZERO) + va * vc * cf
     assert cybe(om, rs.structure) == _pruned(out)
@@ -422,21 +422,27 @@ def test_cybe_kernel_on_random_antisymmetric_tensors(series, rank):
         _assert_kernel_agrees(x, rs.structure)
 
 
-def test_structure_table_int_view_is_cached_and_exact():
-    """The table in the integer format: E is the lcm of the reduced
-    coefficient denominators, read here through Fraction."""
-    rs = build_root_system("G", 2)
-    st = rs.structure
-    e, table = st.int_view()
-    assert st.int_view() is st.int_view()
-    assert e == math.lcm(*(Fraction(str(c)).denominator for ts in st.table.values() for _, c in ts))
-    assert list(table) == list(st.table)
-    for key, terms in st.table.items():
-        assert [(k, GaussianRational(c) / e) for k, c in table[key]] == list(terms)
-    half = StructureTable(2, {(0, 1): ((1, GaussianRational(Fraction(1, 2))),)})
-    assert half.int_view() == (2, {(0, 1): ((1, 1),)})
-    with pytest.raises(AssertionError):
-        StructureTable(2, {(0, 1): ((1, I),)}).int_view()
+def test_structure_table_puts_fields_over_the_least_denominator():
+    """The constructor takes each coefficient by its fields, in any terms,
+    and keeps it over the lcm of the reduced denominators, read here
+    through Fraction, in the order of the pairs and of their terms; a
+    coefficient with an imaginary part is refused."""
+    fields = {
+        (0, 1): ((2, 3, 0, 6), (1, -4, 0, 6)),
+        (1, 0): ((2, -1, 0, 2), (1, 2, 0, 3)),
+        (2, 0): ((0, 10, 0, 5),),
+        (0, 2): ((0, -2, 0, 1),),
+    }
+    st = StructureTable(3, fields)
+    want = {key: [(k, Fraction(a, d)) for k, a, _, d in terms] for key, terms in fields.items()}
+    assert st.dim == 3
+    assert st.den == math.lcm(*(x.denominator for ts in want.values() for _, x in ts)) == 6
+    assert list(st.table) == list(fields)
+    assert {key: [(k, Fraction(c, st.den)) for k, c in ts] for key, ts in st.table.items()} == want
+    half = StructureTable(2, {(0, 1): ((1, 2, 0, 4),)})
+    assert (half.den, half.table) == (2, {(0, 1): ((1, 1),)})
+    with pytest.raises(AssertionError, match="must be real"):
+        StructureTable(2, {(0, 1): ((1, 0, 1, 1),)})
 
 
 def test_over_lcm_keeps_order_and_zeros():

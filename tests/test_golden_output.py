@@ -13,10 +13,13 @@ the build/verify pair cover the other output kinds; they were taken
 before the CLI wrote JSON with its own writer and before each canonical
 involution was read off one recursion per (kind, mu), except E7
 `--what root-system`, taken before the Killing Gram was built by the
-fraction-free elimination.
+fraction-free elimination, and the two mu-twisted `identify` requests
+and FAILING_MANIN, taken before the bracket table and the canonical
+involutions dropped their scalar copies.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -63,6 +66,10 @@ REQUEST_DIGESTS = {
         "35311718415766303f73311e5ea6c6a913f1a2fb499027002176ce764ad58774",
     ("enumerate", "--type", "B", "--rank", "4"):
         "e6ff3b455d22e3274ba551ef3c2c0a4a4eb42a8896d0d0d0c37d889a8b773cb9",
+    ("identify", "--type", "D", "--rank", "4", "--sigma", "omega-mu-J", "--painted", "2"):
+        "e0597f1ae9218b2897e6094f4de43eefe4cdeb120f314adbb66ba6d82ab936b4",
+    ("identify", "--type", "E", "--rank", "6", "--sigma", "omega-mu-J", "--painted="):
+        "513ba24e4f0b0c149925d158d78c0613d8d41cc3921822c1728748e5fb8a27af",
 }
 
 BUILD_A3 = [
@@ -71,6 +78,17 @@ BUILD_A3 = [
 ]
 BUILD_A3_DIGEST = "044717b8b6e35fbdd64473fa1f516990edf7b69678bb4c06d5a31ef3af9a0531"
 VERIFY_MANIN_A3_DIGEST = "9cc3510918883ec459d01294156d8222dfdabe42e77fc17c2f9b0d474d628ee6"
+
+# verify --manin on a built datum with one entry appended to r, as
+# (type, rank, sigma, t, the entry): each exits 1.  Every passing double
+# prints the same bytes, so only these show which Manin keys fail: both
+# sub2 keys on A3 compact, manin_sub2_closed alone on B3 split.
+FAILING_MANIN = {
+    ("A", "3", "omega", "i", (0, 9, "1", "0")):
+        "dc1fba2166b0692f5287070fc449e757da8f7b9e021ca703ca5a2c7cdffaacc4",
+    ("B", "3", "varsigma", "2", (3, 12, "1", "0")):
+        "662ef2ff678f99e2a30a890d7a85e9075c6abff037a5d7b360798b1ea546fe2d",
+}
 
 
 def _digest(capsys, argv) -> str:
@@ -104,3 +122,15 @@ def test_build_and_verify_manin_stdout_digests(tmp_path, capsys):
     path = tmp_path / "a3.json"
     path.write_text(out)
     assert _digest(capsys, ["verify", str(path), "--manin"]) == VERIFY_MANIN_A3_DIGEST
+
+
+@pytest.mark.parametrize("series,rank,sigma,t,entry", sorted(FAILING_MANIN))
+def test_failing_manin_double_stdout_digest(tmp_path, capsys, series, rank, sigma, t, entry):
+    assert main(["build", "--type", series, "--rank", rank, "--sigma", sigma, "--t", t]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["r"]["entries"].append(list(entry))
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--manin"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_MANIN[series, rank, sigma, t, entry]

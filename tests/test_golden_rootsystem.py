@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from liebialg.core import rational
+from liebialg.core import entry_json, rational
 from liebialg.rootsystem import build_root_system
 
 DIGESTS = {
@@ -30,8 +30,9 @@ DIGESTS = {
 
 
 def _algebra_text(rs) -> str:
+    den = rs.structure.den
     table = [
-        [i, j, [[k, *c.to_json()] for k, c in terms]]
+        [i, j, [[k, *entry_json(c, 0, den)] for k, c in terms]]
         for (i, j), terms in sorted(rs.structure.table.items())
     ]
     return json.dumps(

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from liebialg.bdtriple import DiagramAutomorphism
 from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.involution import (
-    Involution,
     canonical_involution,
     fixed_point_basis,
     real_structure_constants,
@@ -28,9 +28,9 @@ from oracles import (
     killing_form,
     mat_mul,
     mat_vec,
+    monomial_involution,
     reference_canonical_involution,
     rescaling_automorphism,
-    sparse_columns,
 )
 
 
@@ -220,7 +220,7 @@ def test_root_action_rejects_root_vector_sent_into_h():
         row[col] = ZERO
     m[0][col] = ONE  # x_(1,1) -> h_1
     with pytest.raises(ValueError, match="permute the root spaces"):
-        sigma_root_action(rs, Involution(sparse_columns(m)))
+        sigma_root_action(rs, monomial_involution(m))
 
 
 def test_j_must_be_mu_fixed():
@@ -244,9 +244,32 @@ def test_canonical_involutions_match_per_j_recursion(series, rank):
     rs = build_root_system(series, rank)
     for sigma in _sigma_variants(rs, "all"):
         ref = reference_canonical_involution(rs, sigma.kind, sigma.mu, sigma.J)
-        assert (sigma.columns, sigma.kind, sigma.mu, sigma.J) == (
-            ref.columns, ref.kind, ref.mu, ref.J
-        ), (sigma.kind, sigma.mu.permutation, sigma.J)
+        fields = (sigma.images, sigma.den, sigma.scalars, sigma.kind, sigma.mu, sigma.J)
+        assert fields == (ref.images, ref.den, ref.scalars, ref.kind, ref.mu, ref.J), (
+            sigma.kind, sigma.mu.permutation, sigma.J
+        )
+
+
+LADDER = [
+    *(("A", r) for r in range(1, 7)), *(("B", r) for r in range(2, 7)),
+    *(("C", r) for r in range(3, 7)), *(("D", r) for r in range(4, 7)),
+    ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8),
+]
+
+
+@pytest.mark.parametrize("series,rank", LADDER)
+def test_integer_fields_are_canonical_on_every_type(series, rank):
+    """Literal checks on the integer format of both structures: the
+    table's den has no common factor with its ints, and each canonical
+    involution's (den, scalars) has none either and is over_lcm of the
+    scalars the reference recursion gives for its J."""
+    rs = build_root_system(series, rank)
+    st = rs.structure
+    assert math.gcd(st.den, *(c for terms in st.table.values() for _, c in terms)) == 1
+    for sigma in _sigma_variants(rs, "all"):
+        assert math.gcd(sigma.den, *(x for pair in sigma.scalars for x in pair)) == 1
+        ref = reference_canonical_involution(rs, sigma.kind, sigma.mu, sigma.J)
+        assert (sigma.images, sigma.den, sigma.scalars) == (ref.images, ref.den, ref.scalars)
 
 
 def test_involution_cache_releases_its_root_system():

@@ -4,7 +4,7 @@ import pytest
 
 from liebialg import linalg
 from liebialg.bdtriple import BDTriple, enumerate_bd_triples
-from liebialg.core import GaussianRational, I, ONE, StructureTable, ZERO
+from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.manin import (
     ManinTriple,
@@ -34,6 +34,8 @@ from oracles import (
     multiplication_by_i,
     psi_phi,
     realify_vector,
+    scalar_table,
+    structure_of,
 )
 
 
@@ -413,7 +415,7 @@ def test_manin_su2_double():
 # The dense loops verify() used before it went sparse: every (a, b, c) with
 # dense brackets and pairings, and one rank per pair for closure, on dense
 # views of the triple's sparse pairing and vectors.  They share no code
-# with the checks they test beyond StructureTable.bracket.
+# with the checks they test beyond the structure table itself.
 
 
 def _pair_dense(p, u, v):
@@ -544,7 +546,7 @@ def test_invariance_rejects_scaled_pairing_pair(oracle_double):
 
 
 def test_invariance_rejects_scaled_structure_constant(oracle_double):
-    table = dict(oracle_double.structure.table)
+    table = dict(scalar_table(oracle_double.structure))
     a, b = next((a, b) for (a, b) in sorted(table) if a < b)
     (k, c), *rest = table[(a, b)]
     table[(a, b)] = ((k, GaussianRational(2) * c), *rest)
@@ -553,7 +555,7 @@ def test_invariance_rejects_scaled_structure_constant(oracle_double):
         (k2, GaussianRational(2) * c2 if k2 == k else c2) for k2, c2 in table[(b, a)]
     )
     o = oracle_double
-    structure = StructureTable(o.double_dim, table)
+    structure = structure_of(o.double_dim, table)
     mt = ManinTriple(o.double_dim, o.pairing, structure, o.sub1_basis, o.sub2_basis, o.case)
     assert _invariant_bruteforce(mt) is False
     assert mt.verify()["pairing_invariant"] is False

@@ -8,7 +8,6 @@ from liebialg.bdtriple import DiagramAutomorphism
 from liebialg.cli import _sigma_variants
 from liebialg.core import I, ONE, ZERO, GaussianRational
 from liebialg.involution import (
-    Involution,
     canonical_involution,
     fixed_point_basis,
     sigma_root_action,
@@ -21,9 +20,9 @@ from oracles import (
     involution_matrix,
     is_positive_definite,
     mat_mul,
+    monomial_involution,
     nullspace,
     rescaling_automorphism,
-    sparse_columns,
     theta_twisted_gram,
 )
 
@@ -302,7 +301,7 @@ def _broken_theta(monkeypatch, edit):
     def broken(rs, sigma):
         m = involution_matrix(cartan_involution(rs, sigma))
         edit(m)
-        return Involution(sparse_columns(m))
+        return monomial_involution(m)
 
     monkeypatch.setattr(realform, "cartan_involution", broken)
 
@@ -339,17 +338,16 @@ def test_identify_accepts_theta_conjugated_by_complex_torus(monkeypatch):
 
 
 def test_identify_rejects_theta_moving_h(monkeypatch):
-    # conjugate theta by P = 1 + E (E: h_1 -> x_alpha1), still an involution
+    # conjugate theta by the permutation P that swaps h_1 and x_alpha1,
+    # its own inverse: still an involution, and still one entry per column
     rs = build_root_system("A", 2)
     r = rs.root_index((1, 0))
-    n = rs.dim
-    p = identity(n)
-    p[r][0] = ONE
-    p_inv = identity(n)
-    p_inv[r][0] = -ONE
+    p = identity(rs.dim)
+    p[0][0] = p[r][r] = ZERO
+    p[0][r] = p[r][0] = ONE
 
     def conjugate(m):
-        m[:] = mat_mul(p, mat_mul(m, p_inv))
+        m[:] = mat_mul(p, mat_mul(m, p))
 
     _broken_theta(monkeypatch, conjugate)
     with pytest.raises(AssertionError, match="does not preserve h"):

@@ -23,7 +23,7 @@ from liebialg.core import (
     cybe_is_zero,
     cybe_sums,
 )
-from liebialg.involution import Involution, canonical_involution, fixed_point_basis
+from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.parameter import (
     NoBialgebraDatum,
     apply_reality,
@@ -39,6 +39,7 @@ from liebialg.rmatrix import (
     build_r,
     build_r0,
     classify,
+    conjugate_datum_key,
     default_t,
     extend_T,
     _carries_declared_data,
@@ -51,7 +52,7 @@ from liebialg.rmatrix import (
 from liebialg.cli import _sigma_variants
 from liebialg.rootsystem import build_root_system
 import oracles
-from oracles import ad, reference_carries_declared_data, transported_images
+from oracles import ad, reference_carries_declared_data, root_values, transported_images
 
 
 def test_extend_t_empty_triple():
@@ -289,7 +290,7 @@ def test_ad_of_a_cartan_element_is_diagonal_with_root_values(series, rank):
         h = [GaussianRational(rng.randint(-3, 3)) for _ in range(rs.rank)]
         m = ad(rs.structure, h + [ZERO] * (rs.dim - rs.rank))
         diagonal = [ZERO] * rs.rank + [
-            sum((x * y for x, y in zip(h, rs.root_values(g))), ZERO) for g in rs.roots
+            sum((x * y for x, y in zip(h, root_values(rs, g))), ZERO) for g in rs.roots
         ]
         assert m == [
             [diagonal[i] if i == j else ZERO for j in range(rs.dim)] for i in range(rs.dim)
@@ -468,7 +469,7 @@ def test_precedence_pairs_have_vanishing_bracket():
                 assert diff not in rs.roots
                 ia = rs.root_index(tuple(-x for x in alpha))
                 ib = rs.root_index(beta)
-                assert rs.structure.bracket_basis(ia, ib) == ()
+                assert (ia, ib) not in rs.structure.table
 
 
 def test_verify_datum_flags_wrong_t():
@@ -633,7 +634,7 @@ def _sigma_mutants(sigma, r0: Tensor2) -> list:
     to an empty slot, each at an entry whose index pair sigma (x) sigma
     moves; none if sigma moves no pair of r0 (as the split varsigma, which
     fixes every real tensor)."""
-    images = [col[0][0] for col in sigma.columns]
+    images = sigma.images
     e = dict(r0.items())
     moved = [(a, b) for a, b in sorted(e) if (images[a], images[b]) != (a, b)]
     if not moved:
@@ -674,14 +675,36 @@ def test_sigma_fixes_matches_apply_semilinear_pair(series, rank):
     assert verdicts[True] and verdicts[False] and mutants
 
 
-def test_sigma_fixes_rejects_a_column_with_two_entries():
-    rs = build_root_system("A", 2)
-    sigma = canonical_involution(rs, "varsigma")
-    datum = make_datum(
-        rs, sigma, BDTriple.empty(), solve_parameters(rs, BDTriple.empty()).base_point, ONE
-    )
-    cols = list(sigma.columns)
-    cols[0] = [(0, ONE), (1, ONE)]
-    broken = Involution(cols, sigma.kind, sigma.mu, sigma.J)
-    with pytest.raises(ValueError, match="more than one entry"):
-        sigma_fixes(BialgebraDatum(rs, broken, "varsigma", datum.bd, datum.lam, datum.t, datum.r0))
+def _tuple_datum_key(datum, psi):
+    """conjugate_datum_key with lambda held as a tuple of rows of entry
+    strings, the entries read through oracles.matrix_of."""
+    perm = psi.permutation
+    mu = datum.sigma.mu
+    mu2 = tuple(perm[mu(perm.index(k))] for k in range(len(perm)))
+    j2 = tuple(sorted(perm[j] for j in datum.sigma.J))
+    g1 = tuple(sorted(perm[i] for i in datum.bd.gamma1))
+    g2 = tuple(sorted(perm[i] for i in datum.bd.gamma2))
+    tau2 = tuple(sorted((perm[i], perm[j]) for i, j in datum.bd.tau))
+    n = len(perm)
+    inv = [perm.index(i) for i in range(n)]
+    m = oracles.matrix_of(datum.lam)
+    lam2 = tuple(tuple(str(m[inv[i]][inv[j]]) for j in range(n)) for i in range(n))
+    return (datum.sigma_label, mu2, j2, g1, g2, tau2, lam2, str(datum.t))
+
+
+@pytest.mark.parametrize("series, rank", [("A", 4), ("D", 4), ("E", 6)])
+def test_datum_key_orders_as_the_tuple_key(series, rank):
+    """lambda joined into one string orders and compares the keys of every
+    datum, under every diagram automorphism, as the tuple of rows did."""
+    rs = build_root_system(series, rank)
+    autos = diagram_automorphisms(rs)
+    new, old = [], []
+    for _, _, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        for psi in autos:
+            new.append(conjugate_datum_key(datum, psi))
+            old.append(_tuple_datum_key(datum, psi))
+    order = sorted(range(len(new)), key=new.__getitem__)
+    assert order == sorted(range(len(old)), key=old.__getitem__)
+    pairs = list(zip(order, order[1:]))
+    assert [new[i] == new[j] for i, j in pairs] == [old[i] == old[j] for i, j in pairs]
+    assert any(new[i] == new[j] for i, j in pairs) and len(autos) > 1
