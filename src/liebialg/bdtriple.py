@@ -52,7 +52,7 @@ def identity_automorphism(rank: int) -> DiagramAutomorphism:
 
 
 def diagram_permutations(rs: RootSystem) -> list[tuple]:
-    """Every Cartan-matrix-preserving permutation, any order."""
+    """Every Cartan-matrix-preserving permutation, in increasing order."""
     n = rs.rank
     a = rs.cartan_matrix
     found: list[tuple] = []
@@ -82,15 +82,22 @@ def diagram_permutations(rs: RootSystem) -> list[tuple]:
     return sorted(found)
 
 
-def diagram_automorphisms(rs: RootSystem) -> list[DiagramAutomorphism]:
-    """Cartan-matrix-preserving permutations of order at most 2; the
-    order-3 symmetries of D4 are excluded from classification use."""
-    autos = [
-        DiagramAutomorphism(p)
-        for p in diagram_permutations(rs)
-        if all(p[p[i]] == i for i in range(rs.rank))
-    ]
-    return sorted(autos, key=lambda m: m.permutation)
+# root system -> diagram_automorphisms, held no longer than the root system
+_AUTOMORPHISMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def diagram_automorphisms(rs: RootSystem) -> tuple[DiagramAutomorphism, ...]:
+    """Cartan-matrix-preserving permutations of order at most 2, the
+    identity first; the order-3 symmetries of D4 are excluded from
+    classification use.  Searched once per root system."""
+    autos = _AUTOMORPHISMS.get(rs)
+    if autos is None:
+        autos = _AUTOMORPHISMS[rs] = tuple(
+            DiagramAutomorphism(p)
+            for p in diagram_permutations(rs)
+            if all(p[p[i]] == i for i in range(rs.rank))
+        )
+    return autos
 
 
 class BDTriple:

@@ -70,11 +70,12 @@ def _root_system(args) -> RootSystem:
 
 
 def _parse_mu(rs: RootSystem, text: str | None, want_nontrivial: bool):
-    autos = diagram_automorphisms(rs)
+    """The mu of a request.  The diagram symmetries are searched only for
+    a nontrivial mu or to check a permutation given by --mu."""
     if text is None:
         if not want_nontrivial:
             return identity_automorphism(rs.rank)
-        for mu in autos:
+        for mu in diagram_automorphisms(rs):
             if not mu.is_identity():
                 return mu
         raise _fail(f"{rs.type} has no nontrivial diagram automorphism")
@@ -82,7 +83,7 @@ def _parse_mu(rs: RootSystem, text: str | None, want_nontrivial: bool):
         mu = DiagramAutomorphism(tuple(int(x) - 1 for x in text.split(",")))
     except ValueError:
         raise _fail(f"bad permutation {text!r}")
-    if mu not in autos:
+    if mu not in diagram_automorphisms(rs):
         raise _fail(f"{text} is not an order-2 diagram automorphism of {rs.type}")
     if want_nontrivial != (not mu.is_identity()):
         raise _fail("--mu does not match the requested sigma kind")

@@ -24,11 +24,15 @@ and eta, so by induction up the heights
     c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g)).
 
 The recursion therefore runs once per (root system, kind, mu), and each
-J only negates the entries of the roots that are odd on J.
+J only negates the entries of the roots that are odd on J.  It runs in
+ints over positions in the root system's list of roots, on the integer
+Chevalley constants, and the scales of the roots convert its result to
+the kappa-normalized basis, so building an involution makes no scalar.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from weakref import WeakKeyDictionary
 
 from .bdtriple import DiagramAutomorphism, identity_automorphism
@@ -66,25 +70,19 @@ class Involution:
         return "general"
 
 
-def _scalars_at_empty_j(rs: RootSystem, mu: DiagramAutomorphism, negate: bool):
-    """Scalars c with sigma(x_g) = c_g * x_{mu g} (or x_{-mu g}) for J
-    empty, computed from the generator action by bracket recursion up the
-    positive roots."""
-    c: dict[tuple, GaussianRational] = {alpha: ONE for alpha in rs.simple_roots}
-    for gamma in rs.positive_roots[rs.rank:]:
-        xi, eta = rs._extraspecial[gamma]
-        mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
-        if negate:
-            mxi, meta = tuple(-x for x in mxi), tuple(-x for x in meta)
-        num = rs.normalized_n(mxi, meta)
-        den = rs.normalized_n(xi, eta)
-        c[gamma] = c[xi] * c[eta] * num / den
-    return c
-
-
 class _Template:
-    """The canonical involution of one (kind, mu) at J empty, converted
-    to the integer format once, and the entries each J negates.
+    """The canonical involution of one (kind, mu) at J empty, in the
+    integer format, and the entries each J negates.
+
+    The bracket recursion runs in ints over positions in rs.roots, in
+    the Chevalley basis X_g = x_g / s(g) of the integer constants N, for
+    the scale s of each root: there sigma(X_g) = d_g X_{m g}, where m is
+    mu, or -mu for omega, and d_g = d_xi d_eta N(m xi, m eta) / N(xi, eta)
+    on the extraspecial pair xi + eta = g, a sign read off rs._n.  Each
+    d_g is a pair of ints (p, q), d_g = p / q with q > 0, and c_g =
+    d_g / t_g for t_g = s(m g) / s(g), read off the scales of the two
+    roots' classes, so building a template makes no scalar; over_lcm
+    takes the pairs in these terms, once.
 
     images and (den, scalars) are the involution's fields at J empty.
     roots holds, for each positive root g, the mask of the vertices j
@@ -96,21 +94,45 @@ class _Template:
     __slots__ = ("images", "den", "scalars", "roots")
 
     def __init__(self, rs: RootSystem, kind: str, mu: DiagramAutomorphism):
-        idx, negate = rs.root_index, kind == "omega"
-        unit = -ONE if negate else ONE
-        self.images = [mu(i) for i in range(rs.rank)] + [None] * (2 * rs.npos)
-        values = [unit] * rs.rank + [None] * (2 * rs.npos)
-        self.roots = []
-        for gamma, val in _scalars_at_empty_j(rs, mu, negate).items():
-            mg = mu.apply_root(gamma)
-            image, neg_image = idx(mg), idx(tuple(-x for x in mg))
-            if negate:
-                image, neg_image = neg_image, image
-            pos, neg = idx(gamma), idx(tuple(-x for x in gamma))
-            self.images[pos], self.images[neg] = image, neg_image
-            values[pos], values[neg] = val, ONE / val
-            self.roots.append((sum(1 << j for j, m in enumerate(gamma) if m & 1), pos, neg))
-        self.den, self.scalars = over_lcm((v.a, v.b, v.d) for v in values)
+        n, npos, roots, nmap = rs.rank, rs.npos, rs.roots, rs._n
+        # at[k]: the position of m g for the root g at position k
+        if mu.is_identity():
+            at = list(range(npos))
+        else:
+            index = rs._index
+            at = [index[mu.apply_root(g)] - n for g in rs.positive_roots]
+        if kind == "omega":
+            at = [k + npos for k in at]
+        at += [(k + npos) % (2 * npos) for k in at]
+        scales, cls, t = rs._scales, rs._sclass, []
+        for k in range(npos):
+            a, b = cls[at[k]], cls[k]
+            x, y = scales[a], scales[b]
+            t.append((x.a * y.d, x.d * y.a) if a != b else (1, 1))
+        # d = c t, and c = 1 on the simple roots, the first n in rs.roots
+        d = t[:n] + [None] * (npos - n)
+        mask = [1 << r.index(1) for r in roots[:n]] + [0] * (npos - n)
+        for g, (k, l) in rs._extraspecial.items():
+            # m keeps root strings, so N(m xi, m eta) = +-N(xi, eta)
+            (p, q), (p2, q2) = d[k], d[l]
+            p *= p2
+            if nmap[roots[at[k]], roots[at[l]]] != nmap[roots[k], roots[l]]:
+                p = -p
+            d[g] = (p, q * q2)
+            mask[g] = mask[k] ^ mask[l]
+        # c = d / t over a positive int; where v divides q, as q / v * u,
+        # which keeps the denominators over_lcm meets small (F4 omega: 2x)
+        c = [(p, q // v * u) if q % v == 0 else (p * v, q * u) for (p, q), (u, v) in zip(d, t)]
+        self.images = [mu(i) for i in range(n)] + [n + k for k in at]
+        unit = (-1, 0, 1) if kind == "omega" else (1, 0, 1)
+        self.den, self.scalars = over_lcm(
+            chain(
+                [unit] * n,
+                ((p, 0, q) for p, q in c),
+                ((q, 0, p) if p > 0 else (-q, 0, -p) for p, q in c),
+            )
+        )
+        self.roots = [(mask[k], n + k, n + npos + k) for k in range(npos)]
 
     def scalars_at(self, J: tuple) -> list:
         """c_g(J) = c_g(empty) * (-1)^(sum over j in J of m_j(g))."""

@@ -193,24 +193,25 @@ class RootSystem:
 
         # each root norm once, as an int over gram_den; the
         # kappa-normalization scale of each root as a class id into
-        # _scales (a handful of values per type)
+        # _scales (a handful of values per type), by position in self.roots
         self._inorm: dict[Root, int] = {}
-        self._sclass: dict[Root, int] = {}
         scales: dict[GaussianRational, int] = {}
+        up_class, down_class = [], []
         for g in self.positive_roots:
             neg = tuple(-x for x in g)
             norm = self.root_pairing(g, g)
             self._inorm[g] = self._inorm[neg] = norm.a * (den // norm.d)
             q = rational_sqrt(norm.a, 2 * norm.d)
             up, down = (q, q) if q is not None else (ONE, rational(norm.a, 2 * norm.d))
-            self._sclass[g] = scales.setdefault(up, len(scales))
-            self._sclass[neg] = scales.setdefault(down, len(scales))
+            up_class.append(scales.setdefault(up, len(scales)))
+            down_class.append(scales.setdefault(down, len(scales)))
+        self._sclass: list[int] = up_class + down_class
         self._scales = list(scales)
         self._nnorm: dict[tuple, GaussianRational] = {}
 
         # positive pairs (mu, nu), mu first in root order, by their sum in
         # increasing height, as positions in self.roots; the first pair of
-        # a sum is its extraspecial pair
+        # a sum is its extraspecial pair, kept as positions too
         codes = [sum(c << (_BITS * k) for k, c in enumerate(r)) for r in self.positive_roots]
         at = {c: k for k, c in enumerate(codes)}
         at.update((-c, k + self.npos) for k, c in enumerate(codes))
@@ -220,10 +221,7 @@ class RootSystem:
                 g = at.get(cm + codes[l])
                 if g is not None:
                     pairs[g].append((k, l))
-        roots = self.roots
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {
-            roots[g]: (roots[k], roots[l]) for g, ((k, l), *_) in pairs.items()
-        }
+        self._extraspecial: dict[int, tuple[int, int]] = {g: kl for g, (kl, *_) in pairs.items()}
         self._n: dict[tuple[Root, Root], int] = {}  # N(mu, nu) when mu + nu is a root
         # (basis index of x_mu, of x_nu, of x_{mu+nu}, N(mu, nu)), one per
         # antisymmetric pair of _n, in its order: what `structure` reads
@@ -272,8 +270,9 @@ class RootSystem:
         c = self._n.get((mu, nu))
         if c is None:
             return ZERO
-        cls = self._sclass
-        return self._normalized(c, cls[mu], cls[nu], cls[tuple(a + b for a, b in zip(mu, nu))])
+        cls, at, base = self._sclass, self._index, self.rank
+        gamma = tuple(a + b for a, b in zip(mu, nu))
+        return self._normalized(c, cls[at[mu] - base], cls[at[nu] - base], cls[at[gamma] - base])
 
     def _structure_constants(self, pairs: dict, codes: list[int], at: dict[int, int]):
         """Every N(mu, nu) into _n, and each bracket's target into _brackets.
@@ -355,7 +354,7 @@ class RootSystem:
         from the integer fields of each c: the root-root brackets in the
         order of _n, then those with an h_i and the [x_r, x_{-r}]."""
         npos, den = self.npos, self.gram_den
-        cls = [0] * self.rank + [self._sclass[r] for r in self.roots]
+        cls = [0] * self.rank + self._sclass  # by basis index
         norm = self._normalized
         fields: dict[tuple[int, int], tuple] = {}
         for ia, ib, it, c in self._brackets:

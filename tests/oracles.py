@@ -488,8 +488,9 @@ def _sigma_scalars(rs, mu, chi, negate: bool):
     c: dict[tuple, GaussianRational] = {}
     for i, alpha in enumerate(rs.simple_roots):
         c[alpha] = GaussianRational(-1 if chi(i) else 1)
-    for gamma in rs.positive_roots[rs.rank:]:
-        xi, eta = rs._extraspecial[gamma]
+    roots = rs.roots
+    for g, (k, l) in rs._extraspecial.items():  # positions in rs.roots
+        gamma, xi, eta = roots[g], roots[k], roots[l]
         mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
         if negate:
             mxi, meta = tuple(-x for x in mxi), tuple(-x for x in meta)

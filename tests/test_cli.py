@@ -4,9 +4,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import pytest
 
+from liebialg import bdtriple
 from liebialg.cli import main
 from liebialg.rootsystem import build_root_system
 
@@ -494,3 +496,72 @@ def test_python_dash_m_liebialg_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: liebialg")
+
+
+class SearchReached(Exception):
+    """Raised where the diagram-symmetry search would run."""
+
+
+@pytest.fixture
+def no_diagram_search(monkeypatch):
+    """The diagram-symmetry search raises SearchReached, and no root
+    system has its symmetries cached."""
+
+    def refuse(rs):
+        raise SearchReached(str(rs.type))
+
+    monkeypatch.setattr(bdtriple, "diagram_permutations", refuse)
+    monkeypatch.setattr(bdtriple, "_AUTOMORPHISMS", WeakKeyDictionary())
+
+
+TYPES_F4_E6_E7 = [("F", 4), ("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("series, rank", TYPES_F4_E6_E7)
+@pytest.mark.parametrize("sigma", ["varsigma", "omega", "omega-J"])
+@pytest.mark.parametrize("command", "identify build".split())
+def test_mu_trivial_request_skips_the_diagram_search(
+    no_diagram_search, capsys, command, sigma, series, rank
+):
+    argv = [command, "--type", series, "--rank", str(rank), "--sigma", sigma]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("series, rank", TYPES_F4_E6_E7)
+@pytest.mark.parametrize(
+    "options",
+    [["--sigma", "varsigma-mu"], ["--sigma", "omega-mu-J"], ["--sigma", "varsigma", "--mu", "ID"]],
+)
+@pytest.mark.parametrize("command", "identify build".split())
+def test_mu_request_reaches_the_diagram_search(
+    no_diagram_search, capsys, command, options, series, rank
+):
+    """A nontrivial mu, or a permutation given by --mu (here the
+    identity), is looked up among the diagram symmetries."""
+    identity = ",".join(str(i) for i in range(1, rank + 1))
+    options = [identity if x == "ID" else x for x in options]
+    with pytest.raises(SearchReached):
+        main([command, "--type", series, "--rank", str(rank), *options])
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--sigma", "varsigma-mu", "--mu", "0,1"],
+        ["--sigma", "omega-mu-J", "--mu", "x"],
+        ["--sigma", "varsigma", "--mu", "1,1,2,3,4,5"],
+    ],
+)
+@pytest.mark.parametrize("command", "identify build".split())
+def test_malformed_mu_exits_2_without_the_diagram_search(
+    no_diagram_search, capsys, command, options
+):
+    try:
+        code = main([command, "--type", "E", "--rank", "6", *options])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

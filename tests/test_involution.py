@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import linalg
-from liebialg.bdtriple import DiagramAutomorphism
+from liebialg import bdtriple, core, involution, linalg
+from liebialg.bdtriple import DiagramAutomorphism, diagram_automorphisms
 from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.involution import (
@@ -275,10 +275,43 @@ def test_integer_fields_are_canonical_on_every_type(series, rank):
 def test_involution_cache_releases_its_root_system():
     rs = RootSystem(SimpleType("D", 4))
     assert len(_sigma_variants(rs, "all")) == 32
+    # the templates and the diagram symmetries are cached, both by weak key
+    assert rs in involution._TEMPLATES and rs in bdtriple._AUTOMORPHISMS
     ref = weakref.ref(rs)
     del rs
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)])
+def test_templates_build_no_scalar(monkeypatch, series, rank):
+    """Building the template of every (kind, mu), and every canonical
+    involution from it, makes no GaussianRational, by the constructor or
+    by arithmetic: the bracket recursion runs in ints.  A3, D4 and E6
+    cover a nontrivial mu."""
+    rs = RootSystem(SimpleType(series, rank))  # its own, so no template is cached
+    autos = diagram_automorphisms(rs)
+    made = []
+    new, init = core._new, core.GaussianRational.__init__
+
+    def counting_new(cls):
+        if cls is core.GaussianRational:
+            made.append(cls)
+        return new(cls)
+
+    def counting_init(self, *args):
+        made.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(core, "_new", counting_new)
+    monkeypatch.setattr(core.GaussianRational, "__init__", counting_init)
+    for kind in ("varsigma", "omega"):
+        for mu in autos:
+            involution._Template(rs, kind, mu)
+    assert _sigma_variants(rs, "all")
+    assert made == []
+    assert len(involution._TEMPLATES[rs]) == 2 * len(autos)
+    assert (len(autos) > 1) == (series in "ADE")
 
 
 # sha256 prefixes of each _sigma_variants(all) involution's dense matrix,

@@ -381,8 +381,10 @@ def test_integer_pair_search_matches_tuple_reference(series, rank):
     rs = RootSystem(SimpleType(series, rank))
     positive, extraspecial, consts = reference_structure_constants(rs)
     assert rs.positive_roots == positive
-    assert rs._extraspecial == extraspecial
-    assert list(rs._extraspecial.items()) == list(extraspecial.items())
+    roots = rs.roots  # _extraspecial holds positions in rs.roots
+    pairs = {roots[g]: (roots[k], roots[l]) for g, (k, l) in rs._extraspecial.items()}
+    assert pairs == extraspecial
+    assert list(pairs.items()) == list(extraspecial.items())
     assert rs._n == consts
     assert list(rs._n.items()) == list(consts.items())
     # the lazy table keeps the order of the eager one: root brackets in
