@@ -163,10 +163,12 @@ def _sigma_from_args(rs: RootSystem, args) -> Involution:
 
 
 def _sigma_variants(rs: RootSystem, which: str):
-    """All canonical involutions of the requested table rows."""
+    """All canonical involutions of the requested table rows.  The
+    diagram symmetries are searched only for the rows with a nontrivial
+    mu."""
     out = []
-    autos = diagram_automorphisms(rs)
-    nontrivial = [m for m in autos if not m.is_identity()]
+    if which in ("varsigma-mu", "omega-mu-J", "all"):
+        nontrivial = [m for m in diagram_automorphisms(rs) if not m.is_identity()]
     ident = identity_automorphism(rs.rank)
     if which in ("varsigma", "all"):
         out.append(canonical_involution(rs, "varsigma", ident))

@@ -519,13 +519,32 @@ TYPES_F4_E6_E7 = [("F", 4), ("E", 6), ("E", 7)]
 
 @pytest.mark.parametrize("series, rank", TYPES_F4_E6_E7)
 @pytest.mark.parametrize("sigma", ["varsigma", "omega", "omega-J"])
-@pytest.mark.parametrize("command", "identify build".split())
+@pytest.mark.parametrize("command", "identify build enumerate".split())
 def test_mu_trivial_request_skips_the_diagram_search(
     no_diagram_search, capsys, command, sigma, series, rank
 ):
     argv = [command, "--type", series, "--rank", str(rank), "--sigma", sigma]
+    if command == "enumerate":
+        argv += "--what involutions".split()
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("sigma", ["varsigma", "omega", "omega-J"])
+def test_classify_searches_the_diagram_symmetries_once(monkeypatch, capsys, sigma):
+    """classify conjugates its data under the diagram symmetries, so it
+    searches them even for a mu-trivial row, but only once."""
+    calls = []
+
+    def counted(rs, search=bdtriple.diagram_permutations):
+        calls.append(str(rs.type))
+        return search(rs)
+
+    monkeypatch.setattr(bdtriple, "diagram_permutations", counted)
+    monkeypatch.setattr(bdtriple, "_AUTOMORPHISMS", WeakKeyDictionary())
+    code, out = run(capsys, *"classify --type A --rank 3 --sigma".split(), sigma)
+    assert code == 0 and json.loads(out)["classes"] > 0
+    assert calls == ["A3"]
 
 
 @pytest.mark.parametrize("series, rank", TYPES_F4_E6_E7)
