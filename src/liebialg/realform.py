@@ -17,8 +17,6 @@ painted vertices not covered by the naming table are reported as
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from .core import ZERO, gaussian, lowest
 from .involution import Involution, RealFormBasis, canonical_involution
 from .rootsystem import RootSystem
@@ -51,20 +49,12 @@ class RealFormReport:
         }
 
 
-# The compact omega of each live root system; a weak key, so the cache
-# does not keep a root system alive (omega holds no reference to it).
-_COMPACT_OMEGA: WeakKeyDictionary[RootSystem, Involution] = WeakKeyDictionary()
-
-
 def cartan_involution(rs: RootSystem, sigma: Involution) -> Involution:
     """theta = sigma o omega; linear since both factors are semilinear.
     omega sends x_j to w x_k and sigma sends x_k to m x_i, so theta sends
     x_j to m conj(w) x_i: composed in ints over the product of the two
     denominators, then made canonical by one lowest."""
-    omega = _COMPACT_OMEGA.get(rs)
-    if omega is None:
-        omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
-        _COMPACT_OMEGA[rs] = omega
+    omega = canonical_involution(rs, "omega", None, tuple(range(rs.rank)))
     images, scalars = sigma.images, sigma.scalars
     pairs = []
     for k, (c, d) in zip(omega.images, omega.scalars):

@@ -11,12 +11,12 @@ only; r = r0 + t Omega / 2 is derived from it where a command writes r
 (build, enumerate --materialize), and verify reads both from its file.
 
 The root-vector family used in the precedence terms is produced by
-extend_T: target vectors along tau-chains are rescaled so that the
-chain transport maps x_beta exactly to x_{T beta}, propagating through
-brackets for composite roots.  When a canonical involution is supplied, a further
-sign adjustment on the simple chain vectors makes the family
-sigma-compatible, which is what makes (sigma (x) sigma)(r0) = r0 hold in
-the stable/antistable cases.
+extend_T, a sign map: target vectors along tau-chains are signed so
+that the chain transport maps x_beta exactly to x_{T beta}, propagating
+through brackets for composite roots (_family says why signs suffice).
+When a canonical involution is supplied, a further sign on the simple
+chain vectors makes the family sigma-compatible, which is what makes
+(sigma (x) sigma)(r0) = r0 hold in the stable/antistable cases.
 
 extract_data inverts the construction in the standard frame: from an
 antisymmetric solution it recovers the sign-normalized scalar t, the
@@ -45,6 +45,7 @@ from .bdtriple import (
 from .core import (
     GaussianRational,
     HALF,
+    I,
     ONE,
     Tensor2,
     cybe_is_zero,
@@ -76,36 +77,25 @@ class ExtractionError(ValueError):
 # ---- the root-vector family -------------------------------------------------
 
 
-def _chain_of(chains, root):
-    for c in chains:
-        if c[0] == root:
-            return c
-    raise KeyError(root)
-
-
 def _sigma_chain_scalars(bd, sigma, chains):
-    """Simple-root rescalings making the family sigma-compatible, given
-    the tau-chains of the triple.
+    """Simple-root signs making the family sigma-compatible, given the
+    tau-chains of the triple.
 
     Only the omega kinds with a nonempty antistable triple need work:
     there the generator scalars (-1)^{chi_J} must come out constant
-    along every tau-chain, which a per-vertex rescaling always achieves
-    inside Q(i)."""
-    s: dict[tuple, GaussianRational] = {}
+    along every tau-chain, which a sign per vertex always achieves."""
+    s: dict[tuple, int] = {}
     if sigma is None or sigma.kind == "varsigma" or bd.is_empty():
         return s
     mu = sigma.mu
     jset = set(sigma.J)
 
-    def c_of(root):
-        # simple root index
-        idx = root.index(1)
-        return -ONE if idx in jset else ONE
+    def c_of(root):  # (-1)^{chi_J} at a simple root
+        return -1 if root.index(1) in jset else 1
 
-    simple_chains = [c for c in chains if sum(c[0]) == 1]
-    starts = {c[0] for c in simple_chains}
+    simple_chains = {c[0]: c for c in chains if sum(c[0]) == 1}
     done = set()
-    for chain in simple_chains:
+    for chain in simple_chains.values():
         if chain[0] in done:
             continue
         m = len(chain) - 1
@@ -115,42 +105,53 @@ def _sigma_chain_scalars(bd, sigma, chains):
             # cannot be scaled past c * |s|^2 > 0 at a mu-fixed middle
             # vertex, so normalize the chain constant to the middle value
             # rather than to 1; only constancy along the chain matters.
-            eps = c_of(chain[m // 2]) if m % 2 == 0 else ONE
+            eps = c_of(chain[m // 2]) if m % 2 == 0 else 1
             for k in range(m + 1):
                 j = m - k
                 if k < j:
-                    s.setdefault(chain[k], ONE)
-                    s[chain[j]] = eps / c_of(chain[k])
+                    s.setdefault(chain[k], 1)
+                    s[chain[j]] = eps * c_of(chain[k])
                 elif k == j:
-                    s[chain[k]] = ONE
+                    s[chain[k]] = 1
             done.add(chain[0])
         else:
-            if mirror_start not in starts:
+            mirror = simple_chains.get(mirror_start)
+            if mirror is None:
                 raise ValueError("triple is not sigma-compatible")
-            mirror = _chain_of(simple_chains, mirror_start)
             for k in range(m + 1):
-                s.setdefault(chain[k], ONE)
-                s[mirror[k]] = ONE / c_of(chain[m - k])
+                s.setdefault(chain[k], 1)
+                s[mirror[k]] = c_of(chain[m - k])
             done.add(chain[0])
             done.add(mirror_start)
     return s
 
 
 def extend_T(rs: RootSystem, bd: BDTriple, sigma: Involution | None = None) -> dict:
-    """Scale map s of the root-vector family adapted to the triple.
+    """Sign map s of the root-vector family adapted to the triple.
 
-    The family is x'_gamma = s_gamma x_gamma, x'_{-gamma} = x_{-gamma} /
-    s_gamma over positive gamma; chain transport satisfies
-    T(x'_beta) = x'_{T beta} for every beta in the Gamma1 span.
+    The family is x'_gamma = s_gamma x_gamma, x'_{-gamma} = s_gamma
+    x_{-gamma} over positive gamma, each s_gamma = +-1; chain transport
+    satisfies T(x'_beta) = x'_{T beta} for every beta in the Gamma1 span.
     """
     chains = tau_chains(rs, bd)
     return _family(rs, bd, chains, _sigma_chain_scalars(bd, sigma, chains))
 
 
-def _family(rs: RootSystem, bd: BDTriple, chains: list, scalars: dict) -> dict:
-    """extend_T's scale map from the tau-chains and the sigma scalars."""
-    s = {g: ONE for g in rs.positive_roots}
-    s.update(scalars)
+def _family(rs: RootSystem, bd: BDTriple, chains: list, signs: dict) -> dict:
+    """extend_T's sign map from the tau-chains and the sigma signs.
+
+    A composite beta = gamma + delta of the Gamma1 span is sent to
+    T beta = T gamma + T delta, and transport through the bracket asks
+    s(T beta) = s(beta) s(T gamma) s(T delta) N'(T gamma, T delta) /
+    (N'(gamma, delta) s(gamma) s(delta)) for the kappa-normalized
+    constants N'.  T is an isometry of the Gamma1 and Gamma2 subsystems,
+    so it keeps root norms, hence each root's kappa-scale, and root
+    strings, hence |N|: the quotient of the N' is the sign of N(T gamma,
+    T delta) N(gamma, delta), and starting from signs every s is a sign.
+    """
+    s = dict.fromkeys(rs.positive_roots, 1)
+    s.update(signs)
+    nmap = rs._n
     hat1 = set(span_subset_roots(rs, bd.gamma1))
     gamma1_roots = {rs.simple_roots[i] for i in bd.gamma1}
 
@@ -167,13 +168,8 @@ def _family(rs: RootSystem, bd: BDTriple, chains: list, scalars: dict) -> dict:
             delta = tuple(a - b for a, b in zip(beta, gamma))
             tg = extend_tau_additively(rs, bd, gamma)
             td = extend_tau_additively(rs, bd, delta)
-            s[tbeta] = (
-                s[beta]
-                * s[tg]
-                * s[td]
-                * rs.normalized_n(tg, td)
-                / (rs.normalized_n(gamma, delta) * s[gamma] * s[delta])
-            )
+            e = s[beta] * s[tg] * s[td] * s[gamma] * s[delta]
+            s[tbeta] = e if nmap[tg, td] == nmap[gamma, delta] else -e
     return s
 
 
@@ -193,8 +189,8 @@ def build_r0(
     terms of r, which Omega does not touch.
 
     Written in the integer format directly: each distinct entry is a
-    fraction of the ints of t, lam and the family's scalars, and one
-    over_lcm puts them over r0's denominator."""
+    fraction of the ints of t and lam, a precedence term signed by the
+    family, and one over_lcm puts them over r0's denominator."""
     if not t:
         raise ValueError("t must be nonzero")
     if not satisfies_constraints(rs, bd, lam):
@@ -213,15 +209,12 @@ def build_r0(
             if x or y:
                 cartan.append((i, j))
                 fields.append((ta * x - tb * y, ta * y + tb * x, d2))
-    # t s_beta / s_alpha = t (p + q i) d' (p' - q' i) / (d |p' + q' i|^2)
-    # for s_beta = (p + q i) / d and s_alpha = (p' + q' i) / d'
+    # t s_beta / s_alpha = e t for the sign e = s_alpha s_beta
     precedence = []
     for alpha, beta in precedence_pairs(rs, bd):
-        sb, sa = family[beta], family[alpha]
-        x = (sb.a * sa.a + sb.b * sa.b) * sa.d
-        y = (sb.b * sa.a - sb.a * sa.b) * sa.d
+        e = family[alpha] * family[beta]
         precedence.append((rs.root_index(alpha) + npos, rs.root_index(beta)))
-        fields.append((ta * x - tb * y, ta * y + tb * x, td * sb.d * (sa.a * sa.a + sa.b * sa.b)))
+        fields.append((e * ta, e * tb, td))
     den, z = over_lcm(fields)
     half_t = z[0]
     minus_half_t = (-half_t[0], -half_t[1])
@@ -323,7 +316,7 @@ def make_datum(
     memo, when given, holds what several data of one root system share:
     stability per (triple, mu), the lambda condition per (lambda, kind,
     mu), the tau-chains per triple, and r0 per (triple, lambda, t,
-    simple-chain scalars of sigma), the only way r0 depends on sigma.
+    simple-root signs of sigma), the only way r0 depends on sigma.
     lambda is a key by its integer fields.  Each datum still checks
     sigma_fixes against its own sigma, and derives r only when read.
     """
@@ -357,7 +350,7 @@ def default_t(label: str) -> GaussianRational:
     the imaginary ones."""
     if reality_kind_for(label) in ("real", "conjugate-mu"):
         return ONE
-    return GaussianRational(0, 1)
+    return I
 
 
 def iter_data(

@@ -26,7 +26,6 @@ from .core import (
     ONE,
     StructureTable,
     Tensor2,
-    ZERO,
     entry_json,
     over_lcm,
     rational,
@@ -264,15 +263,6 @@ class RootSystem:
             val = rational(c * x.a * y.a * z.d, x.d * y.d * z.a)
             self._nnorm[key] = val
         return val
-
-    def normalized_n(self, mu: Root, nu: Root) -> GaussianRational:
-        """Structure constant in the kappa-normalized basis."""
-        c = self._n.get((mu, nu))
-        if c is None:
-            return ZERO
-        cls, at, base = self._sclass, self._index, self.rank
-        gamma = tuple(a + b for a, b in zip(mu, nu))
-        return self._normalized(c, cls[at[mu] - base], cls[at[nu] - base], cls[at[gamma] - base])
 
     def _structure_constants(self, pairs: dict, codes: list[int], at: dict[int, int]):
         """Every N(mu, nu) into _n, and each bracket's target into _brackets.

@@ -482,6 +482,17 @@ def rescaling_automorphism(rs, d: dict) -> list:
     return m
 
 
+def table_n(rs, mu, nu) -> GaussianRational:
+    """N'(mu, nu), the constant of [x_mu, x_nu] = N' x_{mu + nu} in the
+    kappa-normalized basis, read off the bracket table; zero when mu + nu
+    is not a root."""
+    k = rs._index.get(tuple(a + b for a, b in zip(mu, nu)))
+    if k is None:
+        return ZERO
+    terms = scalar_table(rs.structure).get((rs.root_index(mu), rs.root_index(nu)), ())
+    return dict(terms).get(k, ZERO)
+
+
 def _sigma_scalars(rs, mu, chi, negate: bool):
     """Scalars c with sigma(x_g) = c_g * x_{mu g} (or x_{-mu g}), computed
     from the generator action by bracket recursion up the positive roots."""
@@ -494,9 +505,7 @@ def _sigma_scalars(rs, mu, chi, negate: bool):
         mxi, meta = mu.apply_root(xi), mu.apply_root(eta)
         if negate:
             mxi, meta = tuple(-x for x in mxi), tuple(-x for x in meta)
-        num = rs.normalized_n(mxi, meta)
-        den = rs.normalized_n(xi, eta)
-        c[gamma] = c[xi] * c[eta] * num / den
+        c[gamma] = c[xi] * c[eta] * table_n(rs, mxi, meta) / table_n(rs, xi, eta)
     return c
 
 
@@ -517,21 +526,91 @@ def reference_canonical_involution(rs, kind: str, mu, J: tuple) -> Involution:
     return Involution(images, den, scalars, kind, mu, J)
 
 
+def reference_sigma_chain_scalars(bd, sigma, chains) -> dict:
+    """Simple-root rescalings in Q(i) making the family sigma-compatible:
+    the generator scalars (-1)^{chi_J} made constant along every
+    tau-chain, one division per vertex.  The reference for
+    rmatrix._sigma_chain_scalars, which finds them as signs."""
+    s: dict[tuple, GaussianRational] = {}
+    if sigma is None or sigma.kind == "varsigma" or bd.is_empty():
+        return s
+    mu = sigma.mu
+    jset = set(sigma.J)
+
+    def c_of(root):
+        return -ONE if root.index(1) in jset else ONE
+
+    simple_chains = [c for c in chains if sum(c[0]) == 1]
+    starts = {c[0] for c in simple_chains}
+    done = set()
+    for chain in simple_chains:
+        if chain[0] in done:
+            continue
+        m = len(chain) - 1
+        mirror_start = mu.apply_root(chain[m])
+        if mirror_start == chain[0]:
+            eps = c_of(chain[m // 2]) if m % 2 == 0 else ONE
+            for k in range(m + 1):
+                j = m - k
+                if k < j:
+                    s.setdefault(chain[k], ONE)
+                    s[chain[j]] = eps / c_of(chain[k])
+                elif k == j:
+                    s[chain[k]] = ONE
+            done.add(chain[0])
+        else:
+            if mirror_start not in starts:
+                raise ValueError("triple is not sigma-compatible")
+            mirror = next(c for c in simple_chains if c[0] == mirror_start)
+            for k in range(m + 1):
+                s.setdefault(chain[k], ONE)
+                s[mirror[k]] = ONE / c_of(chain[m - k])
+            done.add(chain[0])
+            done.add(mirror_start)
+    return s
+
+
+def reference_family(rs, bd, chains, scalars: dict) -> dict:
+    """The root-vector family's scales in Q(i): along each composite
+    chain, s(T beta) = s(beta) s(T gamma) s(T delta) N'(T gamma, T delta)
+    / (N'(gamma, delta) s(gamma) s(delta)) for beta = gamma + delta, the
+    N' read off the bracket table."""
+    s = {g: ONE for g in rs.positive_roots}
+    s.update(scalars)
+    hat1 = set(span_subset_roots(rs, bd.gamma1))
+    gamma1_roots = {rs.simple_roots[i] for i in bd.gamma1}
+    composite_chains = sorted((c for c in chains if sum(c[0]) > 1), key=lambda c: sum(c[0]))
+    for chain in composite_chains:
+        for beta, tbeta in zip(chain, chain[1:]):
+            gamma = next(
+                g for g in gamma1_roots if tuple(a - b for a, b in zip(beta, g)) in hat1
+            )
+            delta = tuple(a - b for a, b in zip(beta, gamma))
+            tg = extend_tau_additively(rs, bd, gamma)
+            td = extend_tau_additively(rs, bd, delta)
+            s[tbeta] = (
+                s[beta] * s[tg] * s[td] * table_n(rs, tg, td)
+                / (table_n(rs, gamma, delta) * s[gamma] * s[delta])
+            )
+    return s
+
+
 def transported_images(rs, bd, family: dict) -> dict:
     """Chain transport x'_beta -> x'_{T beta} as index/scalar assignments
-    over the original basis."""
+    over the original basis, the family's signs taken as scalars."""
     out = {}
     hat1 = span_subset_roots(rs, bd.gamma1)
     for beta in hat1:
         tbeta = extend_tau_additively(rs, bd, beta)
-        out[beta] = (tbeta, family[tbeta] / family[beta])
+        out[beta] = (tbeta, GaussianRational(family[tbeta]) / family[beta])
     return out
 
 
 def reference_r(rs, bd, lam, t, family: dict) -> Tensor2:
     """r = t (lam + sum over positive gamma of x_{-gamma} (x) x_gamma + sum
     over alpha preceding beta of x'_{-alpha} wedge x'_beta), summed term by
-    term from the defining formula, in the root-vector family given."""
+    term from the defining formula, in the root-vector family given, its
+    signs taken as scalars."""
     terms = {}
 
     def add(i, j, v):
@@ -543,7 +622,7 @@ def reference_r(rs, bd, lam, t, family: dict) -> Tensor2:
     for g in rs.positive_roots:
         add(rs.root_index(tuple(-x for x in g)), rs.root_index(g), ONE)
     for alpha, beta in precedence_pairs(rs, bd):
-        coeff = family[beta] / family[alpha]
+        coeff = GaussianRational(family[beta]) / family[alpha]
         ia, ib = rs.root_index(tuple(-x for x in alpha)), rs.root_index(beta)
         add(ia, ib, coeff)
         add(ib, ia, -coeff)

@@ -3,8 +3,8 @@ import weakref
 
 import pytest
 
-from liebialg import linalg, realform
-from liebialg.bdtriple import DiagramAutomorphism
+from liebialg import involution, linalg, realform
+from liebialg.bdtriple import DiagramAutomorphism, identity_automorphism
 from liebialg.cli import _sigma_variants
 from liebialg.core import I, ONE, ZERO, GaussianRational
 from liebialg.involution import (
@@ -355,19 +355,22 @@ def test_identify_rejects_theta_moving_h(monkeypatch):
 
 
 def test_compact_omega_is_built_once_per_root_system(monkeypatch):
+    """identify composes each sigma with the compact omega, whose bracket
+    recursion runs once per root system: the template cache of
+    canonical_involution holds it."""
     rs = RootSystem(SimpleType("A", 3))  # a fresh instance, not the shared one
     flip = DiagramAutomorphism((2, 1, 0))
     sigmas = [canonical_involution(rs, "varsigma"), canonical_involution(rs, "varsigma", flip)]
-    built = []
+    built, template = [], involution._Template
 
     def counting(*args):
         built.append(args)
-        return canonical_involution(*args)
+        return template(*args)
 
-    monkeypatch.setattr(realform, "canonical_involution", counting)
+    monkeypatch.setattr(involution, "_Template", counting)
     names = [identify(rs, sigma).name for sigma in sigmas]
     assert names == ["sl(4,R)", "su(2,2)"]
-    assert built == [(rs, "omega", None, (0, 1, 2))]
+    assert built == [(rs, "omega", identity_automorphism(3))]
 
 
 def test_compact_omega_cache_releases_its_root_system():

@@ -11,6 +11,7 @@ from liebialg.bdtriple import (
     DiagramAutomorphism,
     diagram_automorphisms,
     enumerate_bd_triples,
+    tau_chains,
 )
 from liebialg.core import (
     GaussianRational,
@@ -81,11 +82,55 @@ def test_extend_t_a3_composite_sign_oracle():
     images = transported_images(rs, bd, fam)
     target, scale = images[a12]
     assert target == a23
-    oracle = rs.normalized_n(a2, (0, 0, 1)) / rs.normalized_n(a1, a2)
+    oracle = oracles.table_n(rs, a2, (0, 0, 1)) / oracles.table_n(rs, a1, a2)
     assert scale == oracle
     # kappa-normalization survives: pairing of rescaled vectors stays 1
     for g, s in fam.items():
         assert s  # nonzero rescale, the inverse is applied to -g
+
+
+SIGN_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 3), ("C", 4), ("C", 5),
+    ("D", 4), ("D", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6),
+]
+
+
+@pytest.mark.parametrize("series, rank", SIGN_TYPES)
+def test_extend_t_signs_match_the_q_i_reference(series, rank):
+    """extend_T's family is a map to the ints +-1, equal value for value
+    to the Q(i) family of oracles.reference_family, whose N' are read
+    off the bracket table: for every triple, with no sigma and with each
+    involution of _sigma_variants(all) whose stability allows the
+    triple.  Where it does not, the two fail alike or agree."""
+    rs = build_root_system(series, rank)
+    sigmas = [None, *_sigma_variants(rs, "all")]
+    checked = 0
+    for bd in enumerate_bd_triples(rs):
+        chains = tau_chains(rs, bd)
+        families = {}  # the reference family per set of sigma scalars
+        for sigma in sigmas:
+            stable = sigma is None or stability_ok(
+                bd, reality_kind_for(sigma.describe()), sigma.mu
+            )
+            try:
+                scalars = oracles.reference_sigma_chain_scalars(bd, sigma, chains)
+            except (ValueError, IndexError) as exc:
+                assert not stable
+                with pytest.raises(type(exc)):
+                    extend_T(rs, bd, sigma)
+                continue
+            key = frozenset(scalars.items())
+            if key not in families:
+                families[key] = oracles.reference_family(rs, bd, chains, scalars)
+            ref = families[key]
+            fam = extend_T(rs, bd, sigma)
+            assert fam.keys() == ref.keys()
+            for g, v in fam.items():
+                assert type(v) is int and v in (1, -1)
+                assert GaussianRational(v) == ref[g], (bd, sigma and sigma.describe(), g)
+            checked += stable
+    assert checked
 
 
 def test_build_r_sl2_and_identities():
@@ -567,13 +612,17 @@ INTEGER_ONLY = (
 )
 
 
-@pytest.mark.parametrize("series, rank", [("A", 3), ("D", 4)])
-def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, series, rank):
-    """classify makes no GaussianRational, by the constructor or by
-    arithmetic, inside the solve, the cut, build_r0 or the checks, and
-    no direction matrix at all; and iter_data evaluates stability at
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+@pytest.mark.parametrize("series, rank", [("A", 3), ("A", 5), ("D", 4), ("D", 5), ("E", 6)])
+def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, command, series, rank):
+    """Once the root system is built, classify and enumerate make no
+    GaussianRational, by the constructor or by arithmetic: not inside
+    the solve, the cut, build_r0 or the checks, and not outside them
+    (t, the root-vector family); classify builds no direction matrix at
+    all (enumerate prints them); and iter_data evaluates stability at
     most once per (triple, kind, mu), not once per (involution, triple).
-    D4 covers the mu kinds."""
+    D4, D5 and E6 cover the mu kinds."""
+    rs = build_root_system(series, rank)
     depth, made = [0], {True: 0, False: 0}  # constructions inside / outside
     new, init = core._new, core.GaussianRational.__init__
 
@@ -614,15 +663,21 @@ def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, series, rank
     def no_directions(space):
         raise AssertionError("a direction matrix was built")
 
-    monkeypatch.setattr(parameter.ParameterSpace, "directions", property(no_directions))
+    if command == "classify":
+        monkeypatch.setattr(parameter.ParameterSpace, "directions", property(no_directions))
 
-    assert cli.main(["classify", "--type", series, "--rank", str(rank)]) == 0
+    assert cli.main([command, "--type", series, "--rank", str(rank)]) == 0
     assert capsys.readouterr().out
-    assert made[True] == 0
-    # positive controls: every guarded function ran, and the hooks see
-    # the scalars made outside them (t, the root-vector family)
-    assert set(entered) == set(INTEGER_ONLY) and made[False]
-    rs = build_root_system(series, rank)
+    assert made == {True: 0, False: 0}
+    # positive controls: every guarded function ran, and the hooks count
+    # a scalar made here, by _new ("1/2") and by the constructor ("i"),
+    # outside the guarded functions and at the depth of one
+    assert set(entered) == set(INTEGER_ONLY)
+    GaussianRational.parse("1/2"), GaussianRational.parse("i")
+    depth[0] += 1
+    GaussianRational.parse("1/2"), GaussianRational.parse("i")
+    depth[0] -= 1
+    assert made == {True: 2, False: 2}
     keys = {
         (reality_kind_for(s.describe()), s.mu) for s in _sigma_variants(rs, "all")
     }
