@@ -317,7 +317,10 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
     t = _scalar(doc["t"], "t")
     r0 = _tensor(doc["r0"], rs, "r0")
     r = _tensor(doc["r"], rs, "r")
-    return BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
+    datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
+    if doc["t_class"] != datum.t_class:
+        raise ValueError(f"t_class {doc['t_class']!r} does not match t ({datum.t_class!r})")
+    return datum
 
 
 def cmd_verify(args) -> int:

@@ -24,13 +24,14 @@ fractions given by their integer fields (re, im, d) to it, a scalar's or
 the table loop's, so no scalar is built to reach it; no other module
 computes an lcm.  Tensor2 holds its entries in it, StructureTable its
 bracket coefficients, involution's Involution the scalars of its
-columns, and parameter's ContinuousParameter each lambda and each
-direction, and none of them keeps a scalar copy, so the table loop (the
-parameter solve, the reality cut, build_r0) and the checks (the CYBE,
-sigma-fixity, the Cartan involution's traces, the parameter constraints,
-the Manin axioms) read ints without converting.  gaussian, entry_str and
-entry_json read one entry back, where a command writes it or a scalar
-routine needs it.
+columns and RealFormBasis a real form's basis and inverse columns, and
+parameter's ContinuousParameter each lambda and each direction; manin's
+ManinTriple holds ints up to scale.  None of them keeps a scalar copy,
+so the table loop (the parameter solve, the reality cut, build_r0) and
+verify (the CYBE, sigma-fixity, the recovery of t and lambda, the real
+form and its Manin double) read ints without converting.  Scalars stay
+at the edges: a datum file's t is read by its fields, and gaussian,
+entry_str and entry_json read one entry back where a command writes it.
 """
 
 from __future__ import annotations
@@ -79,18 +80,6 @@ class GaussianRational:
             self.a, self.b, self.d = re, im, 1
             return
         self.a, self.b, self.d = _join(*_ratio(re), *_ratio(im))
-
-    def real_part(self) -> "GaussianRational":
-        """Re z as a (real) GaussianRational."""
-        if not self.b:
-            return self
-        g = gcd(self.a, self.d)
-        return _gr(self.a // g, 0, self.d // g)
-
-    def imag_part(self) -> "GaussianRational":
-        """Im z as a (real) GaussianRational."""
-        g = gcd(self.b, self.d)
-        return _gr(self.b // g, 0, self.d // g)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -336,7 +325,6 @@ def _coerce(value) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-HALF = _gr(1, 0, 2)
 
 
 def lowest(den: int, groups):
@@ -394,7 +382,7 @@ class Tensor2:
     den and the numerators have no common factor, so den is the lcm of
     the reduced entry denominators and equal tensors have equal fields.
     Every operation runs in ints over the nonzeros; scalars are built
-    only where an entry is read (get, items, to_json)."""
+    only where an entry is read (items, to_json)."""
 
     __slots__ = ("dim", "den", "num")
 
@@ -414,17 +402,6 @@ class Tensor2:
         t = _new(Tensor2)
         t.dim, t.den, t.num = dim, den, num if z is values else dict(zip(num, z))
         return t
-
-    @staticmethod
-    def from_items(dim: int, items) -> "Tensor2":
-        ent: dict[tuple[int, int], GaussianRational] = {}
-        for k, v in items:
-            ent[k] = ent[k] + v if k in ent else v
-        return Tensor2(dim, ent)
-
-    def get(self, i: int, j: int) -> GaussianRational:
-        p = self.num.get((i, j))
-        return ZERO if p is None else gaussian(*p, self.den)
 
     def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
         """The nonzero entries in row-major order."""

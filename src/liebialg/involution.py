@@ -28,6 +28,11 @@ J only negates the entries of the roots that are odd on J.  It runs in
 ints over positions in the root system's list of roots, on the integer
 Chevalley constants, and the scales of the roots convert its result to
 the kappa-normalized basis, so building an involution makes no scalar.
+
+The real form g^sigma is held in the same format, its basis vectors
+and the columns of their inverse as Gaussian-integer numerators, so
+every coordinate over it is an integer sum over fixed denominators and
+is real when its imaginary numerator is 0.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import chain
 from weakref import WeakKeyDictionary
 
 from .bdtriple import DiagramAutomorphism, identity_automorphism
-from .core import GaussianRational, I, ONE, gaussian, over_lcm
+from .core import Tensor2, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -180,156 +185,163 @@ def canonical_involution(
     return Involution(t.images, t.den, t.scalars_at(J), kind, mu, J)
 
 
-def sigma_root_action(rs: RootSystem, sigma: Involution):
-    """Map gamma -> (sigma* gamma, c_gamma) read off the involution's
-    fields, c_gamma as a scalar.
-
-    Requires sigma to permute the root spaces, which holds whenever sigma
-    preserves the Cartan subalgebra.
-    """
-    images, den, scalars = sigma.images, sigma.den, sigma.scalars
-    action = {}
-    for gamma in rs.roots:
-        j = rs.root_index(gamma)
-        if images[j] < rs.rank:
-            raise ValueError("involution does not permute the root spaces")
-        action[gamma] = (rs.index_root(images[j]), gaussian(*scalars[j], den))
-    return action
-
-
 class RealFormBasis:
-    """Real basis of the fixed points of a canonical involution.
+    """Real basis of the fixed points of a canonical involution, in
+    core's integer format.
 
     The vectors also form a basis of the ambient space over the complex
     scalars, so a vector lies in the real span exactly when its complex
-    coordinates over them are real.  support[j] lists the nonzero (i, x)
-    of vector j by increasing index i; the first h_vectors of them span
-    h_0.  Each vector is supported on one index or on a pair that exactly
-    two vectors share, so the basis matrix W is block diagonal with 1 x 1
-    and 2 x 2 blocks, inverted block by block: inverse_columns[i] lists
-    the nonzero (k, W^-1[k][i]), at most two.
+    coordinates over them are real.  support[j] lists the nonzero
+    (i, (re, im)) of vector j by increasing index i, the entry (re + im
+    i) / den; the first h_vectors of them span h_0.  Each vector is
+    supported on one index or on a pair that exactly two vectors share,
+    so the basis matrix W is block diagonal with 1 x 1 and 2 x 2 blocks,
+    inverted block by block: inverse_columns[i] lists the nonzero
+    (k, (re, im)), at most two, with W^-1[k][i] = (re + im i) /
+    inverse_den, all over one over_lcm.
     """
 
-    __slots__ = ("support", "h_vectors", "inverse_columns")
+    __slots__ = ("den", "support", "h_vectors", "inverse_den", "inverse_columns")
 
-    def __init__(self, support: list, h_vectors: int):
-        self.support, self.h_vectors = support, h_vectors
+    def __init__(self, den: int, support: list, h_vectors: int):
+        self.den, self.support, self.h_vectors = den, support, h_vectors
         blocks: dict[tuple, list] = {}
         for j, nz in enumerate(support):
             blocks.setdefault(tuple(i for i, _ in nz), []).append(j)
-        cols: list = [None] * len(support)
+        # W^-1 = adj / det on each block: a block of size k has its det
+        # x + y i over den^k and its adjugate over den^(k - 1), so an
+        # adjugate entry p + q i gives den (p + q i)(x - y i) / (x^2 + y^2)
+        keys, fields = [], []
         for rows, js in blocks.items():
             if len(rows) == 1:
-                (i,), (j,) = rows, js
-                cols[i] = [(j, ONE / support[j][0][1])]
-                continue
-            (i1, i2), (j1, j2) = rows, js
-            (_, a), (_, c) = support[j1]
-            (_, b), (_, d) = support[j2]
-            det = a * d - b * c
-            cols[i1] = [(j1, d / det), (j2, -c / det)]
-            cols[i2] = [(j1, -b / det), (j2, a / det)]
-        self.inverse_columns = cols
+                ((_, (x, y)),) = support[js[0]]
+                adj = [((rows[0], js[0]), (1, 0))]
+            else:
+                (i1, i2), (j1, j2) = rows, js
+                (_, (a, a2)), (_, (c, c2)) = support[j1]
+                (_, (b, b2)), (_, (d, d2)) = support[j2]
+                x, y = a * d - a2 * d2 - b * c + b2 * c2, a * d2 + a2 * d - b * c2 - b2 * c
+                adj = [((i1, j1), (d, d2)), ((i1, j2), (-c, -c2)),
+                       ((i2, j1), (-b, -b2)), ((i2, j2), (a, a2))]
+            norm = x * x + y * y
+            for key, (p, q) in adj:
+                keys.append(key)
+                fields.append((den * (p * x + q * y), den * (q * x - p * y), norm))
+        self.inverse_den, z = over_lcm(fields)
+        self.inverse_columns = cols = [[] for _ in support]
+        for (i, j), p in zip(keys, z):
+            cols[i].append((j, p))
 
     @property
     def count(self) -> int:
         return len(self.support)
 
-    def tensor_coordinates(self, x) -> dict:
-        """The nonzero coordinates {(k, m): value} of an order-2 tensor
-        over this basis, in index order: W^-1 X W^-T for the basis matrix
-        W, summed over the nonzeros of x.  All real iff x lies in the real
-        form's tensor square."""
+    def tensor_coordinates(self, x: Tensor2) -> Tensor2:
+        """The order-2 tensor x over this basis, W^-1 X W^-T for the
+        basis matrix W, summed in ints over the nonzeros of x: a Tensor2
+        of dimension count, all of its entries real iff x lies in the
+        real form's tensor square."""
         cols, acc = self.inverse_columns, {}
-        for (i, j), v in x.items():
-            for k, a in cols[i]:
-                av = a * v
-                for m, b in cols[j]:
-                    key = (k, m)
-                    acc[key] = acc[key] + av * b if key in acc else av * b
-        return {key: v for key, v in sorted(acc.items()) if v}
+        for (i, j), (p, q) in x.num.items():
+            for k, (a, b) in cols[i]:
+                ap, aq = a * p - b * q, a * q + b * p
+                for m, (c, d) in cols[j]:
+                    re, im = acc.get((k, m), (0, 0))
+                    acc[k, m] = (re + ap * c - aq * d, im + ap * d + aq * c)
+        num = {key: v for key, v in acc.items() if v != (0, 0)}
+        return Tensor2.from_ints(self.count, x.den * self.inverse_den**2, num)
 
     def term_coordinates(self, terms) -> tuple | None:
         """The nonzero real coordinates (k, c) of the sum of x e_i over
-        the terms (i, x), by increasing k, summed through the sparse
-        columns of W^-1; None if one is not real.  Every coordinate no
-        term touches is 0, so only the touched ones are tested."""
-        acc: dict[int, GaussianRational] = {}
-        for i, x in terms:
-            for k, w in self.inverse_columns[i]:
-                acc[k] = acc[k] + w * x if k in acc else w * x
-        out = tuple((k, c) for k, c in sorted(acc.items()) if c)
-        return out if all(c.is_real() for _, c in out) else None
+        the terms (i, (re, im)), x = re + im i, by increasing k, summed
+        through the sparse columns of W^-1: ints over the terms' own
+        denominator times inverse_den.  None if one is not real.  Every
+        coordinate no term touches is 0, so only the touched ones are
+        tested."""
+        cols, acc, acc_im = self.inverse_columns, {}, {}
+        for i, (x, y) in terms:
+            for k, (a, b) in cols[i]:
+                acc[k] = acc.get(k, 0) + a * x - b * y
+                acc_im[k] = acc_im.get(k, 0) + a * y + b * x
+        if any(acc_im.values()):
+            return None
+        return tuple((k, c) for k, c in sorted(acc.items()) if c)
 
 
 def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
-    """Explicit real basis of g^sigma, Cartan part first.
+    """Explicit real basis of g^sigma, Cartan part first, over sigma's
+    den.
 
     The Cartan vectors follow the canonical patterns (h_a for fixed
     simple roots, h_a + h_{mu a} and i(h_a - h_{mu a}) for swapped pairs,
     with an extra i in the omega cases); the root part pairs x_gamma
-    with its sigma-image.  Each vector is built as its nonzeros, by
+    with its sigma-image, c x_{sigma* gamma} for sigma's scalar c =
+    scalars[gamma] / den.  Each vector is built as its nonzeros, by
     increasing index.
     """
     if sigma.kind not in ("varsigma", "omega"):
         raise ValueError("fixed_point_basis requires a canonical involution")
     mu = sigma.mu
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
+    one, i_, minus_one, minus_i = (den, 0), (0, den), (-den, 0), (0, -den)
     omega_kind = sigma.kind == "omega"
     support = []
     for i in range(rs.rank):
         j = mu(i)
         if j == i:
-            support.append([(i, I if omega_kind else ONE)])
+            support.append([(i, i_ if omega_kind else one)])
         elif j > i:
             if omega_kind:
-                support += [[(i, I), (j, I)], [(i, ONE), (j, -ONE)]]
+                support += [[(i, i_), (j, i_)], [(i, one), (j, minus_one)]]
             else:
-                support += [[(i, ONE), (j, ONE)], [(i, I), (j, -I)]]
+                support += [[(i, one), (j, one)], [(i, i_), (j, minus_i)]]
     h_count = len(support)
 
-    action = sigma_root_action(rs, sigma)
-    seen = set()
-    for gamma in rs.roots:
-        if gamma in seen:
-            continue
-        image, c = action[gamma]
-        seen.add(gamma)
-        gi = rs.root_index(gamma)
-        if image == gamma:
-            support.append([(gi, ONE if c == ONE else I)])
-            continue
-        # sigma* is an involution, so an image met later in rs.roots
-        # has the larger index
-        seen.add(image)
-        ii = rs.root_index(image)
-        support += [[(gi, ONE), (ii, c)], [(gi, I), (ii, -I * c)]]
+    # sigma* is an involution of the root indices, so an image met later
+    # has the larger index, and one met earlier has its pair already
+    for gi in range(rs.rank, rs.dim):
+        ii, (a, b) = images[gi], scalars[gi]
+        if ii == gi:
+            support.append([(gi, one if (a, b) == one else i_)])
+        elif ii > gi:  # v = x + c x' and i x - i c x'
+            support += [[(gi, one), (ii, (a, b))], [(gi, i_), (ii, (b, -a))]]
 
-    # sigma(v) = M conj(v): the entry x at i goes to m_i conj(x) at images[i]
-    images, den, scalars = sigma.images, sigma.den, sigma.scalars
+    # sigma(v) = M conj(v): the entry p / den at i goes to m_i conj(p) /
+    # den at images[i], compared times den, m_i's denominator
     for nz in support:
-        image = {images[i]: gaussian(*scalars[i], den) * x.conj() for i, x in nz}
-        assert sorted(image.items()) == nz, "constructed vector is not sigma-fixed"
+        image = []
+        for i, (p, q) in nz:
+            a, b = scalars[i]
+            image.append((images[i], (a * p + b * q, b * p - a * q)))
+        assert sorted(image) == [(i, (den * p, den * q)) for i, (p, q) in nz], (
+            "constructed vector is not sigma-fixed"
+        )
     assert len(support) == rs.dim
-    return RealFormBasis(support, h_count)
+    return RealFormBasis(den, support, h_count)
 
 
-def real_structure_constants(rs: RootSystem, basis: RealFormBasis):
-    """Bracket table of the real form in its own basis, with real
-    GaussianRational entries; each bracket runs over the at most two
-    nonzeros of either basis vector and the int terms of the ambient
-    table, once per unordered pair, since [v_j, v_i] = -[v_i, v_j] and
-    [v_i, v_i] = 0."""
-    den, ambient = rs.structure.den, rs.structure.table
-    table = {}
-    support = basis.support
+def real_structure_constants(rs: RootSystem, basis: RealFormBasis) -> dict:
+    """Bracket table of the real form in its own basis, as the fields
+    {(i, j): ((k, re, 0, d), ...)} a StructureTable is built from.  Each
+    bracket runs over the at most two nonzeros of either basis vector and
+    the int terms of the ambient table, once per unordered pair, since
+    [v_j, v_i] = -[v_i, v_j] and [v_i, v_i] = 0.  Its terms are over
+    basis.den^2 times the ambient den, so every coordinate is over that
+    times inverse_den."""
+    ambient, support = rs.structure.table, basis.support
+    den = basis.den**2 * rs.structure.den * basis.inverse_den
+    fields = {}
     for i, u in enumerate(support):
-        u = [(a, x / den) for a, x in u]  # the ambient ints are over den
         for j, v in enumerate(support[i + 1 :], i + 1):
-            terms = basis.term_coordinates(
-                (k, x * y * c) for a, x in u for b, y in v for k, c in ambient.get((a, b), ())
-            )
-            if terms is None:
+            terms = []
+            for a, (p, q) in u:
+                for b, (r, s) in v:
+                    x, y = p * r - q * s, p * s + q * r
+                    terms += [(k, (x * c, y * c)) for k, c in ambient.get((a, b), ())]
+            coords = basis.term_coordinates(terms)
+            if coords is None:
                 raise AssertionError("real form is not closed under bracket")
-            if terms:
-                table[(i, j)], table[(j, i)] = terms, tuple((k, -c) for k, c in terms)
-    return table
+            if coords:
+                fields[i, j] = tuple((k, c, 0, den) for k, c in coords)
+                fields[j, i] = tuple((k, -c, 0, den) for k, c in coords)
+    return fields

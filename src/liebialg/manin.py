@@ -9,16 +9,18 @@ complex algebra with the bilinear form 2 Re( | ); the real form pairs
 against r_plus of the real dual.  The inner product ( | ) is throughout
 the one induced by r + r^{21}, i.e. kappa / t.
 
-Both builders work on nonzeros only: the real form's vectors, brackets
-and tensor coordinates come sparse from RealFormBasis, the Killing form
-is read off the Gram and the paired root slots, and the double's
-pairing rows and subspace vectors are {index: nonzero} dicts.
+Both builders work on nonzeros only and in core's integer format: the
+real form's vectors, brackets and tensor coordinates come sparse from
+RealFormBasis as Gaussian-integer numerators, the Killing form is read
+off the integer Gram and the paired root slots, and the double's
+pairing rows and subspace vectors are {index: nonzero int} dicts, each
+up to a scale that ManinTriple.verify does not see.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .core import GaussianRational, ONE, StructureTable, over_lcm, rational
+from .core import StructureTable
 from .involution import RealFormBasis, fixed_point_basis, real_structure_constants
 from .rmatrix import BialgebraDatum
 from .rootsystem import RootSystem
@@ -27,9 +29,8 @@ from .rootsystem import RootSystem
 # ---- the triple container ----------------------------------------------------
 #
 # The double's data are sparse and real: the pairing is a list of rows
-# {column: nonzero}, and each subspace vector a dict {index: nonzero}.
-# verify() reads them, all over one denominator, and the table's ints,
-# in ints: scaling changes no rank, span or closure.
+# {column: nonzero int}, and each subspace vector a dict {index: nonzero
+# int}.  verify() reads them and the table's ints as they are.
 
 
 def _orthogonal(vectors, p_rows) -> bool:
@@ -47,10 +48,16 @@ def _orthogonal(vectors, p_rows) -> bool:
 
 
 class ManinTriple:
-    """The double with its pairing (the sparse rows of a Gram matrix over
-    the double's basis), its bracket and the two Lagrangian subalgebras,
-    each spanned by sparse vectors; case is "factorizable" or
-    "imaginary_factorizable"."""
+    """The double with its pairing (the sparse int rows of a Gram matrix
+    over the double's basis), its bracket and the two Lagrangian
+    subalgebras, each spanned by sparse int vectors; case is
+    "factorizable" or "imaginary_factorizable".
+
+    Every check of verify is invariant under one nonzero scale of the
+    whole pairing and under a nonzero scale of each subspace vector, so
+    the pairing may stand for any nonzero multiple of the double's form
+    and each vector for any nonzero multiple of itself: the builders
+    drop the factors 1/t and 2/t of the form and every denominator."""
 
     __slots__ = ("double_dim", "pairing", "structure", "sub1_basis", "sub2_basis", "case")
 
@@ -74,11 +81,7 @@ class ManinTriple:
         pairing is nondegenerate when its rows have full rank.
         """
         n = self.double_dim
-        data = (self.pairing, self.sub1_basis, self.sub2_basis)
-        _, z = over_lcm((x.a, x.b, x.d) for rows in data for row in rows for x in row.values())
-        assert not any(b for _, b in z), "the double's data must be real"
-        it = (a for a, _ in z)
-        p_rows, sub1, sub2 = ([{j: next(it) for j in row} for row in rows] for rows in data)
+        p_rows, sub1, sub2 = self.pairing, self.sub1_basis, self.sub2_basis
         rows1, rows2 = linalg.echelon(sub1), linalg.echelon(sub2)
         residuals = [linalg.residual(v, rows1) for v in sub2]
         return {
@@ -135,32 +138,35 @@ class ManinTriple:
 
 
 def _killing_terms(rs: RootSystem, a: int):
-    """The nonzero (b, kappa(e_a, e_b)): the Gram on the Cartan block, and
-    kappa(x_g, x_-g) = 1 on the paired root slots."""
+    """The nonzero (b, kappa(e_a, e_b)) times gram_den, in ints: the Gram
+    on the Cartan block, and gram_den on the paired root slots, where
+    kappa(x_g, x_-g) = 1."""
     if a < rs.rank:
-        return [(b, rational(x, rs.gram_den)) for b, x in enumerate(rs.gram[a]) if x]
+        return [(b, x) for b, x in enumerate(rs.gram[a]) if x]
     if a < rs.rank + rs.npos:
-        return [(a + rs.npos, ONE)]
-    return [(a - rs.npos, ONE)]
+        return [(a + rs.npos, rs.gram_den)]
+    return [(a - rs.npos, rs.gram_den)]
 
 
 def real_killing_gram(rs: RootSystem, basis: RealFormBasis) -> list:
-    """Sparse rows {j: nonzero kappa(v_i, v_j)} of the Killing Gram matrix
-    of the real basis, by increasing j, each row over the at most two
-    nonzeros of its vector and the vectors supported where those pair."""
-    owners: list[list] = [[] for _ in basis.support]  # ambient index -> (j, x)
+    """Sparse rows {j: kappa(v_i, v_j)} of the Killing Gram matrix of the
+    real basis, by increasing j, in ints times basis.den^2 gram_den; each
+    row over the at most two nonzeros of its vector and the vectors
+    supported where those pair."""
+    owners: list[list] = [[] for _ in basis.support]  # ambient index -> (j, (re, im))
     for j, nz in enumerate(basis.support):
         for b, y in nz:
             owners[b].append((j, y))
     rows = []
     for u in basis.support:
-        acc: dict[int, GaussianRational] = {}
-        for a, x in u:
+        acc: dict[int, tuple] = {}
+        for a, (p, q) in u:
             for b, k in _killing_terms(rs, a):
-                for j, y in owners[b]:
-                    acc[j] = acc[j] + x * k * y if j in acc else x * k * y
-        assert all(v.is_real() for v in acc.values()), "Killing form must be real on a real form"
-        rows.append({j: v for j, v in sorted(acc.items()) if v})
+                for j, (r, s) in owners[b]:
+                    x, y = acc.get(j, (0, 0))
+                    acc[j] = (x + k * (p * r - q * s), y + k * (p * s + q * r))
+        assert not any(y for _, y in acc.values()), "Killing form must be real on a real form"
+        rows.append({j: x for j, (x, _) in sorted(acc.items()) if x})
     return rows
 
 
@@ -168,7 +174,8 @@ def real_killing_gram(rs: RootSystem, basis: RealFormBasis) -> list:
 
 
 def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
-    """(l + l, diag l, l^r) for a real quasitriangular datum."""
+    """(l + l, diag l, l^r) for a real quasitriangular datum; the pairing
+    is built from kappa, t times the induced form."""
     if not datum.t or not datum.t.is_real():
         raise ValueError("factorizable double requires t real and nonzero")
     if datum.sigma.kind != "varsigma":
@@ -176,29 +183,28 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     basis = fixed_point_basis(rs, datum.sigma)
     n = basis.count
 
-    rho = basis.tensor_coordinates(datum.r)
-    if not all(x.is_real() for x in rho.values()):
+    rho = sorted(basis.tensor_coordinates(datum.r).num.items())
+    if any(y for _, (_, y) in rho):
         raise ValueError("factorizable double requires r real on the real form")
-    inv_t = ONE / datum.t
 
     # double pairing <(x,u)|(y,v)> = (x|y) - (u|v)
-    form = [{j: inv_t * x for j, x in row.items()} for row in real_killing_gram(rs, basis)]
+    form = real_killing_gram(rs, basis)
     pairing = form + [{n + j: -x for j, x in row.items()} for row in form]
 
     fields = {}
     for (i, j), terms in real_structure_constants(rs, basis).items():
-        fields[(i, j)] = tuple((k, c.a, c.b, c.d) for k, c in terms)
-        fields[(n + i, n + j)] = tuple((n + k, c.a, c.b, c.d) for k, c in terms)
+        fields[(i, j)] = terms
+        fields[(n + i, n + j)] = tuple((n + k, *c) for k, *c in terms)
     structure = StructureTable(2 * n, fields)
 
-    sub1 = [{a: ONE, n + a: ONE} for a in range(n)]
+    sub1 = [{a: 1, n + a: 1} for a in range(n)]
 
     # sub2[k] = (r_plus, r_minus) of the k-th dual vector: rho[k][b] at b,
-    # -rho[b][k] at n + b
+    # -rho[b][k] at n + b, the numerators over rho's den
     sub2: list[dict] = [{} for _ in range(n)]
-    for (k, b), x in rho.items():
+    for (k, b), (x, _) in rho:
         sub2[k][b] = x
-    for (b, k), x in rho.items():
+    for (b, k), (x, _) in rho:
         sub2[k][n + b] = -x
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "factorizable")
@@ -228,26 +234,24 @@ def realification_structure(rs: RootSystem) -> StructureTable:
 
 def _realify(terms, n: int) -> dict:
     """Coordinates over {b_j, i b_j} of the complex vector with the
-    nonzero terms (j, x), by increasing index."""
-    re = {j: x.real_part() for j, x in terms if x.a}
-    im = {n + j: x.imag_part() for j, x in terms if x.b}
+    nonzero Gaussian-integer terms (j, (re, im)), by increasing index."""
+    re = {j: x for j, (x, _) in terms if x}
+    im = {n + j: y for j, (_, y) in terms if y}
     return re | im
 
 
-def real_part_pairing(rs: RootSystem, t: GaussianRational) -> list:
+def real_part_pairing(rs: RootSystem, t) -> list:
     """Sparse rows of the Gram matrix of 2 Re(kappa / t) on the realified
-    basis."""
-    n = rs.dim
-    two_inv_t = GaussianRational(2) / t
+    basis, in ints times the positive scale gram_den (a^2 + b^2) / (2 d)
+    for t = (a + b i) / d: there 2 kappa / t is kappa (a - b i)."""
+    n, a, b = rs.dim, t.a, t.b
     rows: list[dict] = [{} for _ in range(2 * n)]
     for i in range(n):
         for j, k in _killing_terms(rs, i):
-            base = two_inv_t * k
-            re, im = base.real_part(), base.imag_part()
-            if re:
-                rows[i][j], rows[n + i][n + j] = re, -re
-            if im:  # 2 Re(i base) = -2 Im(base)
-                rows[i][n + j], rows[n + i][j] = -im, -im
+            if a:
+                rows[i][j], rows[n + i][n + j] = k * a, -k * a
+            if b:  # 2 Re(i z) = -2 Im(z), and Im(kappa (a - b i)) = -k b
+                rows[i][n + j] = rows[n + i][j] = k * b
     return [dict(sorted(row.items())) for row in rows]
 
 
@@ -266,12 +270,14 @@ def double_imaginary(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     sub1 = [_realify(nz, n) for nz in basis.support]
 
     # r_plus of the real dual basis, the rows phi_k of W^-1 (functionals on
-    # l, real on the real form): r_plus(phi_k)[a] = sum_b phi_k[b] r[b][a]
+    # l, real on the real form): r_plus(phi_k)[a] = sum_b phi_k[b] r[b][a],
+    # in ints over r's den times inverse_den
     images: list[dict] = [{} for _ in range(n)]
-    for (b, a), x in datum.r.items():
-        for k, w in basis.inverse_columns[b]:
+    for (b, a), (p, q) in datum.r.num.items():
+        for k, (c, d) in basis.inverse_columns[b]:
             image = images[k]
-            image[a] = image[a] + x * w if a in image else x * w
+            x, y = image.get(a, (0, 0))
+            image[a] = (x + p * c - q * d, y + p * d + q * c)
     sub2 = [_realify(sorted(image.items()), n) for image in images]
 
     return ManinTriple(2 * n, pairing, structure, sub1, sub2, "imaginary_factorizable")

@@ -72,17 +72,20 @@ def theta_action_on_real_basis(rs: RootSystem, theta: Involution, basis: RealFor
     identify does not use it, and no command calls it; it stays because
     the per-layer tracer of perfbench/layers.py spans it by name.  Tests
     use it as an independent reference for the trace formulas."""
-    images, den, scalars = theta.images, theta.den, theta.scalars
+    images, scalars = theta.images, theta.scalars
+    den = theta.den * basis.den * basis.inverse_den  # of each coordinate
     n = basis.count
     out = [[ZERO] * n for _ in range(n)]
     for j, nz in enumerate(basis.support):
-        coords = basis.term_coordinates(
-            (images[a], gaussian(*scalars[a], den) * x) for a, x in nz
-        )
+        terms = []
+        for a, (p, q) in nz:
+            x, y = scalars[a]
+            terms.append((images[a], (x * p - y * q, x * q + y * p)))
+        coords = basis.term_coordinates(terms)
         if coords is None:
             raise AssertionError("theta does not preserve the real form")
         for k, c in coords:
-            out[k][j] = c
+            out[k][j] = gaussian(c, 0, den)
     return out
 
 

@@ -20,7 +20,8 @@ chain vectors makes the family sigma-compatible, which is what makes
 
 extract_data inverts the construction in the standard frame: from an
 antisymmetric solution it recovers the sign-normalized scalar t, the
-triple and the continuous parameter.
+triple and the continuous parameter, all read off r0's integer
+numerators, so verify makes no scalar arithmetic.
 
 iter_data is the one enumeration pipeline: every (involution, triple)
 row of the classification table, instantiated at a base point; what
@@ -44,15 +45,14 @@ from .bdtriple import (
 )
 from .core import (
     GaussianRational,
-    HALF,
     I,
     ONE,
     Tensor2,
     cybe_is_zero,
     cybe_sums,
     entry_str,
+    gaussian,
     over_lcm,
-    rational,
 )
 from .involution import Involution
 from .parameter import (
@@ -116,7 +116,7 @@ def _sigma_chain_scalars(bd, sigma, chains):
             done.add(chain[0])
         else:
             mirror = simple_chains.get(mirror_start)
-            if mirror is None:
+            if mirror is None or len(mirror) != len(chain):
                 raise ValueError("triple is not sigma-compatible")
             for k in range(m + 1):
                 s.setdefault(chain[k], 1)
@@ -243,8 +243,9 @@ def build_r(
 
 
 def _plus_half_t_omega(rs: RootSystem, r0: Tensor2, t: GaussianRational) -> Tensor2:
-    """r0 + t Omega / 2, touching only the nonzero entries of r0 and Omega."""
-    return r0 + rs.casimir.scale(t * HALF)
+    """r0 + t Omega / 2, touching only the nonzero entries of r0 and
+    Omega; t / 2 is read off t's fields."""
+    return r0 + rs.casimir.scale(gaussian(t.a, t.b, 2 * t.d))
 
 
 # ---- the classification datum ----------------------------------------------
@@ -287,8 +288,10 @@ class BialgebraDatum:
         }
 
 
-def _positive(t: GaussianRational) -> bool:
-    return t.a > 0 or (not t.a and t.b > 0)
+def _positive(a: int, b: int) -> bool:
+    """Whether (a + b i) / d, d > 0, lies on the positive real or
+    imaginary ray."""
+    return a > 0 or (not a and b > 0)
 
 
 def _shared(memo: dict | None, key: tuple, compute):
@@ -332,7 +335,7 @@ def make_datum(
         memo, ("lambda", lam, kind, mu), lambda: lambda_reality_ok(lam, kind, mu)
     ):
         raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
-    if not _positive(t):
+    if not _positive(t.a, t.b):
         raise ValueError("t must lie on the positive real or imaginary ray")
     chains = _shared(memo, ("chains", bd), lambda: tau_chains(rs, bd))
     scalars = _sigma_chain_scalars(bd, sigma, chains)
@@ -510,7 +513,7 @@ def extract_data(
         raise ExtractionError("CYB(r0) is not proportional to [Omega13, Omega23]")
     if q:
         raise ExtractionError("modified YBE constant squared must be real")
-    ratio = rational(p * ref_den, den * c)
+    ratio_num, ratio_den = p * ref_den, den * c  # CYB(r0) / CYB(Omega)
 
     # H = image of r0 under the bracket; must be regular in the Cartan.
     # ad H is diagonal there, gamma(H) on x_gamma, so H is regular when
@@ -529,38 +532,33 @@ def extract_data(
         if not any(sum(x * v for x, v in zip(h, values)) for h in (h_re, h_im)):
             raise ExtractionError("bracket image is not regular")
 
-    # t from the paired root slots, sign-normalized to the positive rays
-    sample = None
-    for g in rs.positive_roots:
-        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
-        if v:
-            sample = v
-            break
+    # t from the paired root slots, sign-normalized to the positive rays:
+    # t / 2 = (x + y i) / r0.den, +- the first nonzero entry there
+    num, index = r0.num, rs.root_index
+    paired = [num.get((index(tuple(-c for c in g)), index(g))) for g in rs.positive_roots]
+    sample = next((v for v in paired if v), None)
     if sample is None:
         raise ExtractionError("no paired root-vector entries found")
-    t = sample + sample  # 2v = +-t
-    if not _positive(t):
-        t = -t
-    if not (t.is_real() or t.is_imaginary()):
+    x, y = sample if _positive(*sample) else (-sample[0], -sample[1])
+    if x and y:
         raise ExtractionError("recovered t is neither real nor imaginary")
-    if t * t + GaussianRational(4) * ratio:
+    # t^2 = -4 CYB(r0) / CYB(Omega), times r0.den^2 ratio_den / 4; x y = 0
+    if (x * x - y * y) * ratio_den + ratio_num * r0.den**2:
         raise ExtractionError("entry-level t disagrees with the modified YBE constant")
 
-    half_t = t * HALF
     new_pos = []
-    for g in rs.positive_roots:
-        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
-        if v == half_t:
+    for g, v in zip(rs.positive_roots, paired):
+        if v == (x, y):
             new_pos.append(g)
-        elif v == -half_t:
-            new_pos.append(tuple(-x for x in g))
+        elif v == (-x, -y):
+            new_pos.append(tuple(-c for c in g))
         else:
             raise ExtractionError("paired root slots are not +-t/2")
     # consistency: H = -t * sum of h_alpha over the recovered positives,
-    # in ints over the dens of r0, the table and t
-    scale = r0.den * rs.structure.den
+    # in ints over the dens of r0 and the table
+    e = rs.structure.den
     if any(
-        h_re[i] * t.d != -t.a * s * scale or h_im[i] * t.d != -t.b * s * scale
+        h_re[i] != -2 * x * s * e or h_im[i] != -2 * y * s * e
         for i, s in enumerate(map(sum, zip(*new_pos)))
     ):
         raise ExtractionError("bracket image inconsistent with recovered positives")
@@ -581,7 +579,7 @@ def extract_data(
     for a in new_pos:
         ia = rs.root_index(tuple(-x for x in a))
         for b in new_pos:
-            if a != b and r0.get(ia, rs.root_index(b)):
+            if a != b and (ia, index(b)) in num:
                 pairs.add((a, b))
 
     # triple: covering relations among the simple pairs
@@ -602,13 +600,15 @@ def extract_data(
         mapping[i] = delta.index(nxt[0])
     bd = BDTriple.make(tuple(g1_pos), tuple(sorted(mapping.values())), mapping)
 
-    # lambda: the Cartan block of r0 over t, plus the symmetric Omega_0 / 2
-    omega0 = rs.cartan_dual_gram
-    lam = ContinuousParameter.from_rows([
-        [r0.get(i, j) / t + HALF * omega0[i][j] for j in range(rs.rank)]
-        for i in range(rs.rank)
-    ])
-    return t, bd, lam
+    # lambda: the Cartan block of r0 over t, plus the symmetric Omega_0 / 2;
+    # for the entry (p + q i) / r0.den it is ((p + q i)(x - y i) + m w) /
+    # (2 m), with m = x^2 + y^2 and w the entry of Omega_0
+    m, omega0 = x * x + y * y, rs.cartan_dual_gram
+    cells = [(num.get((i, j), (0, 0)), w)
+             for i, row in enumerate(omega0) for j, w in enumerate(row)]
+    re = [p * x + q * y + m * w for (p, q), w in cells]
+    im = [q * x - p * y for (p, q), _ in cells]
+    return gaussian(2 * x, 2 * y, r0.den), bd, ContinuousParameter(rs.rank, 2 * m, re, im)
 
 
 # ---- dedup ------------------------------------------------------------------

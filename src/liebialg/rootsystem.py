@@ -367,18 +367,13 @@ class RootSystem:
     # ---- invariant tensors and the Killing form ---------------------------
 
     def _build_casimir(self) -> Tensor2:
-        items = []
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                c = self.cartan_dual_gram[i][j]
-                if c:
-                    items.append(((i, j), GaussianRational(c)))
-        for ip in range(n, n + self.npos):
-            im = ip + self.npos
-            items.append(((ip, im), ONE))
-            items.append(((im, ip), ONE))
-        return Tensor2.from_items(self.dim, items)
+        """Omega in ints: the ints of Omega_0 on the Cartan block, and 1 on
+        the paired root slots."""
+        n, npos, omega0 = self.rank, self.npos, self.cartan_dual_gram
+        num = {(i, j): (c, 0) for i, row in enumerate(omega0) for j, c in enumerate(row) if c}
+        for ip in range(n, n + npos):
+            num[ip, ip + npos] = num[ip + npos, ip] = (1, 0)
+        return Tensor2.from_ints(self.dim, 1, num)
 
     @cached_property
     def casimir_cybe(self) -> tuple[int, dict]:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from liebialg import linalg
 from liebialg.bdtriple import (
@@ -26,7 +26,6 @@ from liebialg.bdtriple import (
 )
 from liebialg.core import (
     GaussianRational,
-    HALF,
     I,
     ONE,
     StructureTable,
@@ -41,6 +40,33 @@ from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import ManinTriple, realification_structure
 from liebialg.parameter import ContinuousParameter
 from liebialg.rmatrix import ExtractionError
+
+
+HALF = gaussian(1, 0, 2)
+
+
+def real_part(x: GaussianRational) -> GaussianRational:
+    """Re x as a real scalar."""
+    return gaussian(x.a, 0, x.d)
+
+
+def imag_part(x: GaussianRational) -> GaussianRational:
+    """Im x as a real scalar."""
+    return gaussian(x.b, 0, x.d)
+
+
+def entry(x: Tensor2, i: int, j: int) -> GaussianRational:
+    """Entry (i, j) of a tensor as a scalar."""
+    p = x.num.get((i, j))
+    return ZERO if p is None else gaussian(*p, x.den)
+
+
+def tensor_from_items(dim: int, items) -> Tensor2:
+    """The tensor with the (key, scalar) items, repeated keys summed."""
+    ent: dict[tuple[int, int], GaussianRational] = {}
+    for k, v in items:
+        ent[k] = ent[k] + v if k in ent else v
+    return Tensor2(dim, ent)
 
 
 def matrix_of(lam) -> list:
@@ -109,8 +135,28 @@ def sparse_vector(v: list) -> dict:
 
 
 def basis_vectors(basis) -> list:
-    """The dense coordinate vectors of a real-form basis."""
-    return [dense_vector(dict(nz), basis.count) for nz in basis.support]
+    """The dense coordinate vectors of a real-form basis, each read off
+    its Gaussian-integer numerators over the basis's den."""
+    den = basis.den
+    return [dense_vector({i: gaussian(p, q, den) for i, (p, q) in nz}, basis.count)
+            for nz in basis.support]
+
+
+def sigma_root_action(rs, sigma) -> dict:
+    """Map gamma -> (sigma* gamma, c_gamma) read off the involution's
+    fields, c_gamma as a scalar.
+
+    Requires sigma to permute the root spaces, which holds whenever sigma
+    preserves the Cartan subalgebra.
+    """
+    images, den, scalars = sigma.images, sigma.den, sigma.scalars
+    action = {}
+    for gamma in rs.roots:
+        j = rs.root_index(gamma)
+        if images[j] < rs.rank:
+            raise ValueError("involution does not permute the root spaces")
+        action[gamma] = (rs.index_root(images[j]), gaussian(*scalars[j], den))
+    return action
 
 
 def bracket(st, u, v) -> list:
@@ -192,9 +238,9 @@ class ReferenceTensor:
 
     @staticmethod
     def read(x) -> "ReferenceTensor":
-        """The entries of a Tensor2 read one slot at a time through get."""
+        """The entries of a Tensor2 read one slot at a time through entry."""
         n = x.dim
-        return ReferenceTensor(n, {(i, j): x.get(i, j) for i in range(n) for j in range(n)})
+        return ReferenceTensor(n, {(i, j): entry(x, i, j) for i in range(n) for j in range(n)})
 
     def den(self) -> int:
         """The lcm of the reduced denominators of the entries' parts."""
@@ -541,7 +587,6 @@ def reference_sigma_chain_scalars(bd, sigma, chains) -> dict:
         return -ONE if root.index(1) in jset else ONE
 
     simple_chains = [c for c in chains if sum(c[0]) == 1]
-    starts = {c[0] for c in simple_chains}
     done = set()
     for chain in simple_chains:
         if chain[0] in done:
@@ -559,9 +604,9 @@ def reference_sigma_chain_scalars(bd, sigma, chains) -> dict:
                     s[chain[k]] = ONE
             done.add(chain[0])
         else:
-            if mirror_start not in starts:
+            mirror = next((c for c in simple_chains if c[0] == mirror_start), ())
+            if len(mirror) != len(chain):  # mu pairs chains of one length
                 raise ValueError("triple is not sigma-compatible")
-            mirror = next(c for c in simple_chains if c[0] == mirror_start)
             for k in range(m + 1):
                 s.setdefault(chain[k], ONE)
                 s[mirror[k]] = ONE / c_of(chain[m - k])
@@ -640,7 +685,7 @@ def factorization_maps(rs, r: Tensor2):
     times the Killing duality and in particular invertible.
     """
     n = rs.dim
-    rmat = [[r.get(i, j) for j in range(n)] for i in range(n)]
+    rmat = [[entry(r, i, j) for j in range(n)] for i in range(n)]
     r_plus = transpose(rmat)
     r_minus = [[-x for x in row] for row in rmat]
     i_map = [
@@ -680,9 +725,9 @@ def realify_vector(v) -> list:
     out = [ZERO] * (2 * n)
     for j, x in enumerate(v):
         if x.a:
-            out[j] = x.real_part()
+            out[j] = real_part(x)
         if x.b:
-            out[n + j] = x.imag_part()
+            out[n + j] = imag_part(x)
     return out
 
 
@@ -694,7 +739,7 @@ def dense_real_part_pairing(rs, t: GaussianRational) -> list:
     for i, row in enumerate(induced_form(rs, t)):
         for j, base in enumerate(row):
             if base:
-                re, im = two * base.real_part(), two * base.imag_part()
+                re, im = two * real_part(base), two * imag_part(base)
                 p[i][j], p[i][n + j] = re, -im  # 2 Re(i base) = -2 Im(base)
                 p[n + i][j], p[n + i][n + j] = -im, -re
     return p
@@ -790,7 +835,7 @@ def cobracket_from_r0(rs, datum) -> list:
                     acc[(i, b)] = acc.get((i, b), ZERO) + admat[i][a] * v
                 if admat[i][b]:
                     acc[(a, i)] = acc.get((a, i), ZERO) + admat[i][b] * v
-        out.append(dense_tensor_coordinates(basis, Tensor2.from_items(n, acc.items()), winv))
+        out.append(dense_tensor_coordinates(basis, tensor_from_items(n, acc.items()), winv))
     return out
 
 
@@ -819,7 +864,7 @@ def dense_tensor_coordinates(basis, x, winv=None) -> list:
     """W^-1 X W^-T."""
     winv = winv or dense_inverse(basis)
     n = len(winv)
-    xmat = [[x.get(i, j) for j in range(n)] for i in range(n)]
+    xmat = [[entry(x, i, j) for j in range(n)] for i in range(n)]
     return mat_mul(winv, mat_mul(xmat, transpose(winv)))
 
 
@@ -896,7 +941,7 @@ def dense_double_imaginary(rs, datum) -> ManinTriple:
     n = rs.dim
     basis = fixed_point_basis(rs, datum.sigma)
     sub1 = [realify_vector(v) for v in basis_vectors(basis)]
-    rmat = [[datum.r.get(i, j) for j in range(n)] for i in range(n)]
+    rmat = [[entry(datum.r, i, j) for j in range(n)] for i in range(n)]
     r_plus = transpose(rmat)
     sub2 = [realify_vector(mat_vec(r_plus, phi)) for phi in dense_inverse(basis)]
     return ManinTriple(
@@ -909,16 +954,50 @@ def dense_double_imaginary(rs, datum) -> ManinTriple:
     )
 
 
+def primitive(values) -> list:
+    """Nonzero real values, ints or scalars, over one positive scale: the
+    ints with no common factor that are a positive multiple of them."""
+    fields = [(x, 0, 1) if type(x) is int else (x.a, x.b, x.d) for x in values]
+    _, z = over_lcm(fields)
+    assert not any(b for _, b in z), "values must be real"
+    g = gcd(*(a for a, _ in z))
+    return [a // g for a, _ in z]
+
+
 def manin_fields(mt) -> tuple:
     """Every field of a Manin triple, the structure as its dimension and
     table and each sparse row or vector as its items, so that two triples
-    compare field by field and in index order."""
+    compare field by field and in index order.  The pairing is read up
+    to one positive scale and each subspace vector up to its own, the
+    scales ManinTriple.verify does not see: as the ints of primitive."""
+    entries = iter(primitive(x for row in mt.pairing for x in row.values()))
     return (
-        mt.double_dim, [list(row.items()) for row in mt.pairing],
+        mt.double_dim, [[(j, next(entries)) for j in row] for row in mt.pairing],
         mt.structure.dim, mt.structure.den, mt.structure.table,
-        [list(v.items()) for v in mt.sub1_basis],
-        [list(v.items()) for v in mt.sub2_basis], mt.case,
+        [list(zip(v, primitive(v.values()))) for v in mt.sub1_basis],
+        [list(zip(v, primitive(v.values()))) for v in mt.sub2_basis], mt.case,
     )
+
+
+def _flat(a) -> Iterator:
+    for x in a:
+        if isinstance(x, list):
+            yield from _flat(x)
+        else:
+            yield x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
+def positive_multiple(a, b) -> bool:
+    """Whether b = c a, entry by entry, for one positive rational c: a
+    and b are scalars and ints in nested lists of one shape.  A Manin
+    triple fixes its pairing, and so the cobracket it induces, only up to
+    such a scale."""
+    xs, ys = list(_flat(a)), list(_flat(b))
+    k = next((k for k, x in enumerate(xs) if x), None)
+    if len(xs) != len(ys) or k is None:
+        return False
+    c = ys[k] / xs[k]
+    return c.is_real() and c.a > 0 and all(c * x == y for x, y in zip(xs, ys))
 
 
 # ---- general elimination and the parameter layer ------------------------------
@@ -1023,11 +1102,11 @@ def reference_reality_cut(base_point, directions, kind, mu) -> tuple[list, list]
     def forms(i, j):
         """Real and imaginary parts of a_ij as [const, unknowns...]."""
         b = anti(base_point, i, j)
-        re, im = [b.real_part()], [b.imag_part()]
+        re, im = [real_part(b)], [imag_part(b)]
         for d in directions:
             x = d[i][j]
-            re += [x.real_part(), -x.imag_part()]
-            im += [x.imag_part(), x.real_part()]
+            re += [real_part(x), -imag_part(x)]
+            im += [imag_part(x), real_part(x)]
         return re, im
 
     rows = []
@@ -1104,7 +1183,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
 
     sample = None
     for g in rs.positive_roots:
-        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
+        v = entry(r0, rs.root_index(tuple(-x for x in g)), rs.root_index(g))
         if v:
             sample = v
             break
@@ -1121,7 +1200,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
     half_t = t * HALF
     new_pos = []
     for g in rs.positive_roots:
-        v = r0.get(rs.root_index(tuple(-x for x in g)), rs.root_index(g))
+        v = entry(r0, rs.root_index(tuple(-x for x in g)), rs.root_index(g))
         if v == half_t:
             new_pos.append(g)
         elif v == -half_t:
@@ -1147,7 +1226,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
     for a in new_pos:
         ia = rs.root_index(tuple(-x for x in a))
         for b in new_pos:
-            if a != b and r0.get(ia, rs.root_index(b)):
+            if a != b and entry(r0, ia, rs.root_index(b)):
                 pairs.add((a, b))
 
     lefts = {a for a, _ in pairs}
@@ -1169,7 +1248,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
 
     # lambda in the frame of delta
     binv = linalg.inverse([[GaussianRational(x) for x in d] for d in delta])
-    hh = [[r0.get(i, j) for j in range(rs.rank)] for i in range(rs.rank)]
+    hh = [[entry(r0, i, j) for j in range(rs.rank)] for i in range(rs.rank)]
     anti_new = mat_mul(transpose(binv), mat_mul(hh, binv))
     lam_matrix = [[x / t for x in row] for row in anti_new]
     omega0_new = mat_mul(transpose(binv), mat_mul(rs.cartan_dual_gram, binv))

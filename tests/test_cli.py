@@ -8,8 +8,9 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
-from liebialg import bdtriple
+from liebialg import bdtriple, cli
 from liebialg.cli import main
+from liebialg.core import GaussianRational
 from liebialg.rootsystem import build_root_system
 
 
@@ -151,7 +152,7 @@ def test_verify_fails_on_real_t_with_omega(tmp_path, capsys):
     datum = datum_from_json(doc)
     fam = extend_T(datum.rs, datum.bd)
     t = GaussianRational(1)
-    doc["t"] = t.to_json()
+    doc["t"], doc["t_class"] = t.to_json(), "real_positive"
     doc["r"] = build_r(datum.rs, datum.bd, datum.lam, t, fam).to_json()
     doc["r0"] = build_r0(datum.rs, datum.bd, datum.lam, t, fam).to_json()
     path.write_text(json.dumps(doc))
@@ -355,6 +356,34 @@ def test_verify_rejects_malformed_datum(tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")
+
+
+@pytest.mark.parametrize("manin", [False, True])
+@pytest.mark.parametrize("t_class", ["anything at all", "imaginary_positive"])
+def test_verify_rejects_t_class_that_t_contradicts(tmp_path, capsys, t_class, manin):
+    """The G2 split datum at t = 2 declares real_positive, and passes;
+    declaring any other t_class makes it a malformed datum, with or
+    without --manin."""
+    path = tmp_path / "g2.json"
+    code, _ = run(
+        capsys, "build", "--type", "G", "--rank", "2", "--sigma", "varsigma",
+        "--t", "2", "--out", str(path),
+    )
+    extra = ["--manin"] if manin else []
+    assert code == 0 and run(capsys, "verify", str(path), *extra)[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["t_class"] == "real_positive"
+    doc["t_class"] = t_class
+    path.write_text(json.dumps(doc))
+    try:
+        code = main(["verify", str(path)] + extra)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: malformed datum: t_class {t_class!r} does not match t ('real_positive')"
+    ]
 
 
 NO_DOUBLE = {
@@ -584,3 +613,64 @@ def test_malformed_mu_exits_2_without_the_diagram_search(
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# ---- verify reads scalars only at its edges -----------------------------------
+
+# The operators perfbench/layers.py counts as core.scalar_ops.
+SCALAR_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+VERIFIED = {
+    "A3 split, two-vertex triple": [
+        "A", "3", "varsigma", "--t", "2",
+        "--bd", '{"gamma1": [0, 1], "gamma2": [1, 2], "tau": [[0, 1], [1, 2]]}',
+    ],
+    "B3 split": ["B", "3", "varsigma", "--t", "2"],
+    "G2 split": ["G", "2", "varsigma", "--t", "2"],
+    "G2 compact": ["G", "2", "omega", "--t", "i"],
+    "E6 split": ["E", "6", "varsigma", "--t", "2"],
+    "E7 split": ["E", "7", "varsigma", "--t", "2"],
+    "E7 compact": ["E", "7", "omega", "--t", "i"],
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFIED))
+def test_verify_makes_no_scalar_arithmetic_after_reading(monkeypatch, tmp_path, capsys, name):
+    """Once datum_from_json has read the file, verify and verify --manin
+    make no GaussianRational arithmetic: the checks, the recovery of t
+    and lambda, the real form and both doubles run in ints, in both
+    branches.  The datum is built before the hooks go in."""
+    series, rank, sigma, *options = VERIFIED[name]
+    path = tmp_path / "datum.json"
+    code, _ = run(
+        capsys, "build", "--type", series, "--rank", rank, "--sigma", sigma, *options,
+        "--out", str(path),
+    )
+    assert code == 0
+    counting, calls = [False], {}
+    for op in SCALAR_OPS:
+
+        def counted(self, other, _fn=getattr(GaussianRational, op), _op=op):
+            if counting[0]:
+                calls[_op] = calls.get(_op, 0) + 1
+            return _fn(self, other)
+
+        monkeypatch.setattr(GaussianRational, op, counted)
+    read = cli.datum_from_json
+
+    def reading(doc):
+        datum = read(doc)
+        counting[0] = True
+        return datum
+
+    monkeypatch.setattr(cli, "datum_from_json", reading)
+    for extra in ([], ["--manin"]):
+        counting[0] = False
+        code, out = run(capsys, "verify", str(path), *extra)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert counting[0] and calls == {}, (extra, calls)
+    # positive control: the hooks count arithmetic made here, either side
+    GaussianRational(1) + 1, 2 * GaussianRational(1)
+    assert calls == {"__add__": 1, "__rmul__": 1}

@@ -10,7 +10,7 @@ from liebialg.bdtriple import (
     enumerate_bd_triples,
     identity_automorphism,
 )
-from liebialg.core import GaussianRational, HALF, I, ONE, ZERO
+from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.parameter import (
     ContinuousParameter,
     NoBialgebraDatum,
@@ -22,6 +22,7 @@ from liebialg.parameter import (
 )
 from liebialg.rootsystem import build_root_system
 from oracles import (
+    HALF,
     constraint_residual,
     matrix_of,
     fraction_killing_h,

@@ -12,7 +12,7 @@ import pytest
 from liebialg import core, linalg
 from liebialg.bdtriple import BDTriple
 from liebialg.cli import _sigma_variants
-from liebialg.core import GaussianRational, I, ZERO
+from liebialg.core import GaussianRational, I, StructureTable, ZERO, gaussian, over_lcm
 from liebialg.involution import canonical_involution, fixed_point_basis, real_structure_constants
 from liebialg.manin import double_factorizable, double_imaginary, real_killing_gram
 from liebialg.parameter import apply_reality, solve_parameters
@@ -26,6 +26,7 @@ from oracles import (
     dense_real_killing_gram,
     dense_real_structure_constants,
     dense_tensor_coordinates,
+    scalar_table,
     sparse_vector,
 )
 
@@ -42,6 +43,18 @@ def _terms(v: list) -> list:
     return list(sparse_vector(v).items())
 
 
+def _int_coordinates(basis, v: list) -> tuple | None:
+    """term_coordinates of a dense vector, handed over as Gaussian-integer
+    terms over one denominator, its real coordinates read back as
+    scalars; None if it reports one that is not real."""
+    terms = _terms(v)
+    den, z = over_lcm((x.a, x.b, x.d) for _, x in terms)
+    coords = basis.term_coordinates((i, p) for (i, _), p in zip(terms, z))
+    if coords is None:
+        return None
+    return tuple((k, gaussian(c, 0, den * basis.inverse_den)) for k, c in coords)
+
+
 @pytest.mark.parametrize("series, rank", TYPES)
 def test_coordinates_of_brackets_match_dense(series, rank):
     rs, bases = _bases(series, rank)
@@ -51,7 +64,7 @@ def test_coordinates_of_brackets_match_dense(series, rank):
         for u in vectors:
             for v in vectors:
                 br = bracket(rs.structure, u, v)
-                coords = basis.term_coordinates(_terms(br))
+                coords = _int_coordinates(basis, br)
                 dense = dense_coordinates(basis, br, winv)
                 assert dense is not None
                 assert coords == tuple(_terms(dense))
@@ -68,17 +81,20 @@ def test_coordinates_reject_i_times_a_fixed_vector(series, rank):
             assert any(v)
             iv = [I * x for x in v]
             assert dense_coordinates(basis, iv, winv) is None
-            assert basis.term_coordinates(_terms(iv)) is None
+            assert _int_coordinates(basis, iv) is None
 
 
 @pytest.mark.parametrize("series, rank", TYPES)
 def test_structure_constants_and_killing_gram_match_dense(series, rank):
     rs, bases = _bases(series, rank)
     for basis in bases:
-        assert real_structure_constants(rs, basis) == dense_real_structure_constants(rs, basis)
-        rows = real_killing_gram(rs, basis)
+        table = scalar_table(StructureTable(basis.count, real_structure_constants(rs, basis)))
+        assert table == dense_real_structure_constants(rs, basis)
+        rows, den = real_killing_gram(rs, basis), basis.den**2 * rs.gram_den
         dense = dense_real_killing_gram(rs, basis)
-        assert [list(row.items()) for row in rows] == [_terms(row) for row in dense]
+        assert [[(j, gaussian(x, 0, den)) for j, x in row.items()] for row in rows] == [
+            _terms(row) for row in dense
+        ]
 
 
 @pytest.mark.parametrize("series, rank", TYPES)

@@ -7,11 +7,7 @@ from liebialg import involution, linalg, realform
 from liebialg.bdtriple import DiagramAutomorphism, identity_automorphism
 from liebialg.cli import _sigma_variants
 from liebialg.core import I, ONE, ZERO, GaussianRational
-from liebialg.involution import (
-    canonical_involution,
-    fixed_point_basis,
-    sigma_root_action,
-)
+from liebialg.involution import canonical_involution, fixed_point_basis
 from liebialg.realform import cartan_involution, identify, theta_action_on_real_basis
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
 from oracles import (
@@ -23,6 +19,7 @@ from oracles import (
     monomial_involution,
     nullspace,
     rescaling_automorphism,
+    sigma_root_action,
     theta_twisted_gram,
 )
 

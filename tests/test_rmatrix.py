@@ -15,7 +15,6 @@ from liebialg.bdtriple import (
 )
 from liebialg.core import (
     GaussianRational,
-    HALF,
     I,
     ONE,
     Tensor2,
@@ -53,7 +52,15 @@ from liebialg.rmatrix import (
 from liebialg.cli import _sigma_variants
 from liebialg.rootsystem import build_root_system
 import oracles
-from oracles import ad, reference_carries_declared_data, root_values, transported_images
+from oracles import (
+    HALF,
+    ad,
+    entry,
+    reference_carries_declared_data,
+    root_values,
+    tensor_from_items,
+    transported_images,
+)
 
 
 def test_extend_t_empty_triple():
@@ -133,13 +140,35 @@ def test_extend_t_signs_match_the_q_i_reference(series, rank):
     assert checked
 
 
+@pytest.mark.parametrize("series, rank, unequal", [("A", 5, 8), ("E", 6, 40)])
+def test_extend_t_rejects_mu_pairing_chains_of_unequal_length(series, rank, unequal):
+    """Under omega(mu, empty) with mu nontrivial, a triple where mu sends
+    the end of a simple tau-chain to the start of a chain of another
+    length is not sigma-compatible: extend_T raises the ValueError it
+    raises when mu sends it to no chain start, on each of the 8 such A5
+    triples and the 40 of E6, whichever of the two chains it meets
+    first."""
+    rs = build_root_system(series, rank)
+    (mu,) = [m for m in diagram_automorphisms(rs) if not m.is_identity()]
+    sigma = canonical_involution(rs, "omega", mu, ())
+    found = 0
+    for bd in enumerate_bd_triples(rs):
+        chains = [c for c in tau_chains(rs, bd) if sum(c[0]) == 1]
+        length = {c[0]: len(c) for c in chains}
+        if any(len(c) != length.get(mu.apply_root(c[-1]), len(c)) for c in chains):
+            found += 1
+            with pytest.raises(ValueError, match="triple is not sigma-compatible"):
+                extend_T(rs, bd, sigma)
+    assert found == unequal
+
+
 def test_build_r_sl2_and_identities():
     rs = build_root_system("A", 1)
     ps = solve_parameters(rs, BDTriple.empty())
     r = build_r(rs, BDTriple.empty(), ps.base_point, ONE)
     # r = Omega_0/2 + x_{-a} (x) x_a
-    assert r.get(0, 0) == ONE
-    assert r.get(rs.root_index((-1,)), rs.root_index((1,))) == ONE
+    assert entry(r, 0, 0) == ONE
+    assert entry(r, rs.root_index((-1,)), rs.root_index((1,))) == ONE
     assert cybe_is_zero(r, rs.structure)
     assert (r + r.transpose()) == rs.casimir
 
@@ -200,8 +229,8 @@ def test_sl2_r0_shape():
     r0 = build_r0(rs, BDTriple.empty(), ps.base_point, ONE)
     half = GaussianRational(Fraction(1, 2))
     im, ip = rs.root_index((-1,)), rs.root_index((1,))
-    assert r0.get(im, ip) == half and r0.get(ip, im) == -half
-    assert r0.get(0, 0) == ZERO
+    assert entry(r0, im, ip) == half and entry(r0, ip, im) == -half
+    assert entry(r0, 0, 0) == ZERO
 
 
 def test_compact_datum_fixed_by_sigma_pair():
@@ -267,7 +296,7 @@ def test_r0_lies_in_real_form():
     )
     datum = make_datum(rs, sigma, BDTriple.empty(), space.point([ONE]), ONE)
     coords = fixed_point_basis(rs, sigma).tensor_coordinates(datum.r0)
-    assert all(x.is_real() for x in coords.values())
+    assert coords.num and not any(y for _, y in coords.num.values())
 
 
 def test_extract_roundtrip_sl2():
@@ -287,7 +316,7 @@ def test_extract_rejects_triangular():
     # the Jordanian h_1 wedge x_a1 of A2 solves the CYBE itself
     rs = build_root_system("A", 2)
     a = rs.root_index((1, 0))
-    jordanian = Tensor2.from_items(rs.dim, [((0, a), ONE), ((a, 0), -ONE)])
+    jordanian = tensor_from_items(rs.dim, [((0, a), ONE), ((a, 0), -ONE)])
     with pytest.raises(ExtractionError, match="triangular"):
         extract_data(rs, jordanian)
 
@@ -304,7 +333,7 @@ def test_extract_rejects_non_proportional_cyb():
     # and not triangular either
     rs = build_root_system("A", 2)
     a, b = rs.root_index((1, 0)), rs.root_index((0, 1))
-    wedge = Tensor2.from_items(rs.dim, [((a, b), ONE), ((b, a), -ONE)])
+    wedge = tensor_from_items(rs.dim, [((a, b), ONE), ((b, a), -ONE)])
     with pytest.raises(ExtractionError, match="not proportional"):
         extract_data(rs, wedge)
 
@@ -376,7 +405,7 @@ def test_extract_permuted_copy():
         perm[i] = flip(i)
     for g in rs.roots:
         perm[rs.root_index(g)] = rs.root_index(flip.apply_root(g))
-    permuted = Tensor2.from_items(
+    permuted = tensor_from_items(
         rs.dim, [((perm[a], perm[b]), v) for (a, b), v in r0.items()]
     )
     t, got_bd, lam = extract_data(rs, permuted)
@@ -402,11 +431,11 @@ def _mutants(rs, r0, rng):
     yield r0.transpose()
     g = rng.choice(rs.positive_roots)
     i, j = rs.root_index(tuple(-x for x in g)), rs.root_index(g)
-    v = r0.get(i, j)
-    yield r0 + Tensor2.from_items(rs.dim, [((i, j), -2 * v), ((j, i), 2 * v)])
+    v = entry(r0, i, j)
+    yield r0 + tensor_from_items(rs.dim, [((i, j), -2 * v), ((j, i), 2 * v)])
     i, j = rng.sample(range(rs.dim), 2)
     c = GaussianRational(rng.randint(-2, 2) or 1, rng.randint(-1, 1))
-    yield r0 + Tensor2.from_items(rs.dim, [((i, j), c), ((j, i), -c)])
+    yield r0 + tensor_from_items(rs.dim, [((i, j), c), ((j, i), -c)])
 
 
 @pytest.mark.parametrize("series, rank", EQUIVALENCE_TYPES)

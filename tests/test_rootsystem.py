@@ -11,6 +11,7 @@ from oracles import (
     bracket,
     casimir_cybe,
     cybe,
+    entry,
     fraction_killing_h,
     killing_form,
     killing_form_adjoint,
@@ -143,7 +144,7 @@ def test_sl2_killing_values():
     h = _unit(rs, 0)
     assert killing_form(rs, h, h) == GaussianRational(Fraction(1, 2))
     # Omega_0 = 2 h (x) h, the Cartan block of Omega
-    assert rs.casimir.get(0, 0) == GaussianRational(2) == rs.cartan_dual_gram[0][0]
+    assert entry(rs.casimir, 0, 0) == GaussianRational(2) == rs.cartan_dual_gram[0][0]
 
 
 def test_root_vector_pairing_normalized():
@@ -202,7 +203,7 @@ def test_casimir_h_is_cartan_block():
         rs = build_root_system(series, rank)
         for i in range(rs.rank):
             for j in range(rs.rank):
-                assert rs.casimir.get(i, j) == rs.cartan_dual_gram[i][j]
+                assert entry(rs.casimir, i, j) == rs.cartan_dual_gram[i][j]
         for (a, b), _ in rs.casimir.items():
             assert (a < rs.rank) == (b < rs.rank)
 
