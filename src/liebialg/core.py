@@ -23,9 +23,12 @@ common factor.  lowest makes numerators canonical, and over_lcm converts
 fractions given by their integer fields (re, im, d) to it, a scalar's or
 the table loop's, so no scalar is built to reach it; no other module
 computes an lcm.  Tensor2 holds its entries in it, StructureTable its
-bracket coefficients, involution's Involution the scalars of its
-columns and RealFormBasis a real form's basis and inverse columns, and
-parameter's ContinuousParameter each lambda and each direction; manin's
+bracket coefficients (real, so ints over one den, taken in ints by its
+one constructor), rootsystem's RootSystem its Killing Gram and root
+norms over gram_den and its roots' scales as reduced int pairs,
+involution's Involution the scalars of its columns and RealFormBasis a
+real form's basis and inverse columns, and parameter's
+ContinuousParameter each lambda and each direction; manin's
 ManinTriple holds ints up to scale.  None of them keeps a scalar copy,
 so the table loop (the parameter solve, the reality cut, build_r0) and
 verify (the CYBE, sigma-fixity, the recovery of t and lambda, the real
@@ -42,27 +45,18 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 
-def rational_sqrt(p: int, q: int) -> GaussianRational | None:
-    """Exact square root of p / q (q > 0) as a real scalar, or None if
-    p / q is negative or not the square of a rational."""
+def rational_sqrt(p: int, q: int) -> tuple[int, int] | None:
+    """The exact square root of p / q (q > 0) as ints (a, b) in lowest
+    terms, b > 0, or None if p / q is negative or not the square of a
+    rational."""
     if p < 0:
         return None
     g = gcd(p, q)
     p, q = p // g, q // g
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
-        return _gr(rp, 0, rq)
+        return rp, rq
     return None
-
-
-def rational(p: int, q: int) -> GaussianRational:
-    """The real scalar p / q of two ints, q != 0: one gcd and a sign fix."""
-    if not q:
-        raise ZeroDivisionError("division by zero in Q(i)")
-    if q < 0:
-        p, q = -p, -q
-    g = gcd(p, q)
-    return _gr(p // g, 0, q // g) if g != 1 else _gr(p, 0, q)
 
 
 class GaussianRational:
@@ -331,8 +325,9 @@ def lowest(den: int, groups):
     """(den, groups) over their common factor, the canonical form of a
     denominator den > 0 and its numerators, given in groups of ints (the
     (re, im) pairs of a Tensor2, the re and im rows of a
-    ContinuousParameter, the one row of a real vector).  groups comes back
-    as given when there is no common factor, else as a list of tuples."""
+    ContinuousParameter, the one row of a real vector or of a
+    StructureTable's coefficients).  groups comes back as given when
+    there is no common factor, else as a list of tuples."""
     g = gcd(den, *chain.from_iterable(groups))
     if g == 1:
         return den, groups
@@ -357,21 +352,22 @@ class StructureTable:
     """Sparse multiplication table of a finite-dimensional algebra, in the
     integer format: table maps an ordered basis pair (i, j) to a tuple of
     (k, c) terms meaning [e_i, e_j] = sum (c / den) e_k, for ints c that
-    have no common factor with den.  Pairs with zero bracket are absent.
+    have, all together, no common factor with den.  Pairs with zero
+    bracket are absent.
 
-    The constructor takes each coefficient (re + im i) / d by its integer
-    fields, as terms (k, re, im, d), and puts them over one over_lcm.
-    Every table of this library is real, so the coefficients become ints.
-    """
+    The constructor takes int coefficients over any den > 0 and makes
+    them canonical by lowest, keeping the order of the pairs and of their
+    terms; a table that is already canonical is kept as given."""
 
     __slots__ = ("dim", "den", "table")
 
-    def __init__(self, dim: int, fields: Mapping[tuple[int, int], tuple]):
-        den, z = over_lcm(term[1:] for terms in fields.values() for term in terms)
-        assert not any(b for _, b in z), "structure constants must be real"
-        it = (a for a, _ in z)
-        self.dim, self.den = dim, den
-        self.table = {key: tuple((k, next(it)) for k, *_ in terms) for key, terms in fields.items()}
+    def __init__(self, dim: int, den: int, table: dict):
+        coefs = [[c for terms in table.values() for _, c in terms]]
+        den, z = lowest(den, coefs)
+        if z is not coefs:
+            it = iter(z[0])
+            table = {key: tuple((k, next(it)) for k, _ in terms) for key, terms in table.items()}
+        self.dim, self.den, self.table = dim, den, table
 
 
 class Tensor2:

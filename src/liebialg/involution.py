@@ -41,7 +41,7 @@ from itertools import chain
 from weakref import WeakKeyDictionary
 
 from .bdtriple import DiagramAutomorphism, identity_automorphism
-from .core import Tensor2, over_lcm
+from .core import StructureTable, Tensor2, over_lcm
 from .rootsystem import RootSystem
 
 
@@ -112,8 +112,8 @@ class _Template:
         scales, cls, t = rs._scales, rs._sclass, []
         for k in range(npos):
             a, b = cls[at[k]], cls[k]
-            x, y = scales[a], scales[b]
-            t.append((x.a * y.d, x.d * y.a) if a != b else (1, 1))
+            (xp, xq), (yp, yq) = scales[a], scales[b]
+            t.append((xp * yq, xq * yp) if a != b else (1, 1))
         # d = c t, and c = 1 on the simple roots, the first n in rs.roots
         d = t[:n] + [None] * (npos - n)
         mask = [1 << r.index(1) for r in roots[:n]] + [0] * (npos - n)
@@ -320,17 +320,16 @@ def fixed_point_basis(rs: RootSystem, sigma: Involution) -> RealFormBasis:
     return RealFormBasis(den, support, h_count)
 
 
-def real_structure_constants(rs: RootSystem, basis: RealFormBasis) -> dict:
-    """Bracket table of the real form in its own basis, as the fields
-    {(i, j): ((k, re, 0, d), ...)} a StructureTable is built from.  Each
-    bracket runs over the at most two nonzeros of either basis vector and
-    the int terms of the ambient table, once per unordered pair, since
-    [v_j, v_i] = -[v_i, v_j] and [v_i, v_i] = 0.  Its terms are over
-    basis.den^2 times the ambient den, so every coordinate is over that
-    times inverse_den."""
+def real_structure_constants(rs: RootSystem, basis: RealFormBasis) -> StructureTable:
+    """Bracket table of the real form in its own basis.  Each bracket
+    runs over the at most two nonzeros of either basis vector and the int
+    terms of the ambient table, once per unordered pair, since [v_j, v_i]
+    = -[v_i, v_j] and [v_i, v_i] = 0.  Its terms are over basis.den^2
+    times the ambient den, so every coordinate is an int over that times
+    inverse_den, which the table makes canonical."""
     ambient, support = rs.structure.table, basis.support
     den = basis.den**2 * rs.structure.den * basis.inverse_den
-    fields = {}
+    table = {}
     for i, u in enumerate(support):
         for j, v in enumerate(support[i + 1 :], i + 1):
             terms = []
@@ -342,6 +341,6 @@ def real_structure_constants(rs: RootSystem, basis: RealFormBasis) -> dict:
             if coords is None:
                 raise AssertionError("real form is not closed under bracket")
             if coords:
-                fields[i, j] = tuple((k, c, 0, den) for k, c in coords)
-                fields[j, i] = tuple((k, -c, 0, den) for k, c in coords)
-    return fields
+                table[i, j] = coords
+                table[j, i] = tuple((k, -c) for k, c in coords)
+    return StructureTable(basis.count, den, table)

@@ -191,11 +191,12 @@ def double_factorizable(rs: RootSystem, datum: BialgebraDatum) -> ManinTriple:
     form = real_killing_gram(rs, basis)
     pairing = form + [{n + j: -x for j, x in row.items()} for row in form]
 
-    fields = {}
-    for (i, j), terms in real_structure_constants(rs, basis).items():
-        fields[(i, j)] = terms
-        fields[(n + i, n + j)] = tuple((n + k, *c) for k, *c in terms)
-    structure = StructureTable(2 * n, fields)
+    real = real_structure_constants(rs, basis)
+    table = {}
+    for (i, j), terms in real.table.items():
+        table[i, j] = terms
+        table[n + i, n + j] = tuple((n + k, c) for k, c in terms)
+    structure = StructureTable(2 * n, real.den, table)
 
     sub1 = [{a: 1, n + a: 1} for a in range(n)]
 
@@ -219,17 +220,17 @@ def realification_structure(rs: RootSystem) -> StructureTable:
     Index j is the original basis vector, index n+j its product with i.
     The structure constants are real, so a term (k, c) of [e_a, e_b] is
     the term (n + k, c) of [e_a, i e_b] and of [i e_a, e_b], and (k, -c)
-    of [i e_a, i e_b]: the ints of rs.structure over its den.
+    of [i e_a, i e_b]: the ints of rs.structure over its den, shifted.
     """
-    n, den = rs.dim, rs.structure.den
-    fields = {}
-    for (a, b), terms in rs.structure.table.items():
-        primed = tuple((n + k, c, 0, den) for k, c in terms)
-        fields[(a, b)] = tuple((k, c, 0, den) for k, c in terms)
-        fields[(n + a, n + b)] = tuple((k, -c, 0, den) for k, c in terms)
-        fields[(a, n + b)] = primed
-        fields[(n + a, b)] = primed
-    return StructureTable(2 * n, fields)
+    n, st = rs.dim, rs.structure
+    table = {}
+    for (a, b), terms in st.table.items():
+        primed = tuple((n + k, c) for k, c in terms)
+        table[a, b] = terms
+        table[n + a, n + b] = tuple((k, -c) for k, c in terms)
+        table[a, n + b] = primed
+        table[n + a, b] = primed
+    return StructureTable(2 * n, st.den, table)
 
 
 def _realify(terms, n: int) -> dict:

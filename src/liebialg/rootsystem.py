@@ -21,16 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .core import (
-    GaussianRational,
-    ONE,
-    StructureTable,
-    Tensor2,
-    entry_json,
-    over_lcm,
-    rational,
-    rational_sqrt,
-)
+from .core import StructureTable, Tensor2, entry_json, lowest, over_lcm, rational_sqrt
 from . import linalg
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
@@ -191,22 +182,22 @@ class RootSystem:
         self.gram_den, self.gram = den, [[a for a, _ in z[k : k + n]] for k in range(0, n * n, n)]
 
         # each root norm once, as an int over gram_den; the
-        # kappa-normalization scale of each root as a class id into
-        # _scales (a handful of values per type), by position in self.roots
+        # kappa-normalization scale of each root, the int pair (p, q) in
+        # lowest terms of p / q, as a class id into _scales (a handful of
+        # values per type), by position in self.roots
         self._inorm: dict[Root, int] = {}
-        scales: dict[GaussianRational, int] = {}
+        scales: dict[tuple[int, int], int] = {}
         up_class, down_class = [], []
         for g in self.positive_roots:
-            neg = tuple(-x for x in g)
-            norm = self.root_pairing(g, g)
-            self._inorm[g] = self._inorm[neg] = norm.a * (den // norm.d)
-            q = rational_sqrt(norm.a, 2 * norm.d)
-            up, down = (q, q) if q is not None else (ONE, rational(norm.a, 2 * norm.d))
+            norm = self._inorm[g] = self._inorm[tuple(-x for x in g)] = self.root_pairing(g, g)
+            up = down = rational_sqrt(norm, 2 * den)
+            if up is None:  # |g|^2 / 2 onto x_{-g}
+                q, ((p,),) = lowest(2 * den, [(norm,)])
+                up, down = (1, 1), (p, q)
             up_class.append(scales.setdefault(up, len(scales)))
             down_class.append(scales.setdefault(down, len(scales)))
         self._sclass: list[int] = up_class + down_class
-        self._scales = list(scales)
-        self._nnorm: dict[tuple, GaussianRational] = {}
+        self._scales: list[tuple[int, int]] = list(scales)
 
         # positive pairs (mu, nu), mu first in root order, by their sum in
         # increasing height, as positions in self.roots; the first pair of
@@ -237,14 +228,14 @@ class RootSystem:
     def index_root(self, idx: int) -> Root:
         return self.roots[idx - self.rank]
 
-    def root_pairing(self, alpha: Root, beta: Root) -> GaussianRational:
-        """(alpha | beta) under the Killing normalization, a real scalar."""
-        total = sum(
+    def root_pairing(self, alpha: Root, beta: Root) -> int:
+        """(alpha | beta) under the Killing normalization, as an int
+        numerator over gram_den."""
+        return sum(
             a * sum(g * b for g, b in zip(row, beta))
             for a, row in zip(alpha, self.gram)
             if a
         )
-        return rational(total, self.gram_den)
 
     def root_values(self, root: Root) -> list[int]:
         """[root(h_i)] = [(alpha_i | root)] times gram_den, one integer sum
@@ -252,17 +243,6 @@ class RootSystem:
         return [sum(g * c for g, c in zip(row, root)) for row in self.gram]
 
     # ---- structure constants ---------------------------------------------
-
-    def _normalized(self, c: int, ka: int, kb: int, kt: int) -> GaussianRational:
-        """N(mu, nu) = c in the kappa-normalized basis, looked up by c and
-        the scale classes ka, kb and kt of mu, nu and mu + nu."""
-        key = (c, ka, kb, kt)
-        val = self._nnorm.get(key)
-        if val is None:
-            x, y, z = (self._scales[k] for k in key[1:])  # real scalars
-            val = rational(c * x.a * y.a * z.d, x.d * y.d * z.a)
-            self._nnorm[key] = val
-        return val
 
     def _structure_constants(self, pairs: dict, codes: list[int], at: dict[int, int]):
         """Every N(mu, nu) into _n, and each bracket's target into _brackets.
@@ -340,29 +320,41 @@ class RootSystem:
 
     @cached_property
     def structure(self) -> StructureTable:
-        """The bracket table [e_a, e_b] = sum c e_k, built on first read
-        from the integer fields of each c: the root-root brackets in the
-        order of _n, then those with an h_i and the [x_r, x_{-r}]."""
-        npos, den = self.npos, self.gram_den
+        """The bracket table [e_a, e_b] = sum c e_k, built in ints on first
+        read: the root-root brackets in the order of _n, then those with
+        an h_i and the [x_r, x_{-r}].  In the kappa-normalized basis N(mu,
+        nu) becomes N(mu, nu) s(mu) s(nu) / s(mu + nu) for the scale s of
+        each root, one multiplier per triple of scale classes.  Those
+        multipliers, 1 / gram_den for the [h_i, x_r] and 1 for the h_r,
+        go over one over_lcm, and each coefficient is an int times one of
+        them."""
+        npos, scales, brackets = self.npos, self._scales, self._brackets
         cls = [0] * self.rank + self._sclass  # by basis index
-        norm = self._normalized
-        fields: dict[tuple[int, int], tuple] = {}
-        for ia, ib, it, c in self._brackets:
-            ka, kb, kt = cls[ia], cls[ib], cls[it]
-            v, w = norm(c, ka, kb, kt), norm(-c, kb, ka, kt)
-            fields[ia, ib], fields[ib, ia] = ((it, v.a, v.b, v.d),), ((it, w.a, w.b, w.d),)
+        classes = dict.fromkeys((cls[a], cls[b], cls[t]) for a, b, t, _ in brackets)
+        fields = []
+        for ka, kb, kt in classes:
+            (p1, q1), (p2, q2), (p3, q3) = scales[ka], scales[kb], scales[kt]
+            fields.append((p1 * p2 * q3, 0, q1 * q2 * p3))
+        den, z = over_lcm([*fields, (1, 0, self.gram_den), (1, 0, 1)])
+        *mults, (h, _), (one, _) = z
+        mult = dict(zip(classes, (m for m, _ in mults)))
+        table: dict[tuple[int, int], tuple] = {}
+        for ia, ib, it, c in brackets:
+            v = c * mult[cls[ia], cls[ib], cls[it]]
+            table[ia, ib], table[ib, ia] = ((it, v),), ((it, -v),)
 
         for r in self.positive_roots:
             ir = self._index[r]
             im = ir + npos
             for i, v in enumerate(self.root_values(r)):
                 if v:  # [h_i, x_r] = r(h_i) x_r, and -r(h_i) on x_{-r}
-                    fields[i, ir], fields[ir, i] = ((ir, v, 0, den),), ((ir, -v, 0, den),)
-                    fields[i, im], fields[im, i] = ((im, -v, 0, den),), ((im, v, 0, den),)
+                    v *= h
+                    table[i, ir], table[ir, i] = ((ir, v),), ((ir, -v),)
+                    table[i, im], table[im, i] = ((im, -v),), ((im, v),)
             # [x_r, x_{-r}] = h_r, the Killing dual of r
-            fields[ir, im] = tuple((i, c, 0, 1) for i, c in enumerate(r) if c)
-            fields[im, ir] = tuple((i, -c, 0, 1) for i, c in enumerate(r) if c)
-        return StructureTable(self.dim, fields)
+            table[ir, im] = tuple((i, c * one) for i, c in enumerate(r) if c)
+            table[im, ir] = tuple((i, -c * one) for i, c in enumerate(r) if c)
+        return StructureTable(self.dim, den, table)
 
     # ---- invariant tensors and the Killing form ---------------------------
 

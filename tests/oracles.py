@@ -34,7 +34,6 @@ from liebialg.core import (
     cybe_sums,
     gaussian,
     over_lcm,
-    rational,
 )
 from liebialg.involution import Involution, fixed_point_basis
 from liebialg.manin import ManinTriple, realification_structure
@@ -107,13 +106,17 @@ def scalar_table(st: StructureTable) -> dict:
     """The table of st with each coefficient c / den as a scalar, in the
     table's order: {(i, j): ((k, scalar), ...)}, built once per table."""
     den = st.den
-    return {key: tuple((k, rational(c, den)) for k, c in terms) for key, terms in st.table.items()}
+    return {key: tuple((k, gaussian(c, 0, den)) for k, c in terms) for key, terms in st.table.items()}
 
 
 def structure_of(dim: int, table: dict) -> StructureTable:
-    """The StructureTable of a table {(i, j): ((k, scalar), ...)}."""
-    fields = {key: tuple((k, c.a, c.b, c.d) for k, c in terms) for key, terms in table.items()}
-    return StructureTable(dim, fields)
+    """The StructureTable of a table {(i, j): ((k, scalar), ...)} of real
+    scalars, as ints over the lcm of their denominators."""
+    scalars = [c for terms in table.values() for _, c in terms]
+    assert not any(c.b for c in scalars), "structure constants must be real"
+    den = lcm(*(c.d for c in scalars))
+    ints = {key: tuple((k, c.a * (den // c.d)) for k, c in terms) for key, terms in table.items()}
+    return StructureTable(dim, den, ints)
 
 
 def apply_involution(sigma, v) -> list:
@@ -1029,7 +1032,7 @@ def solve(m: list, rhs: list) -> tuple[list, list[list]] | None:
 
 def root_values(rs, root) -> list:
     """RootSystem.root_values, [(alpha_i | root)] over gram_den, as scalars."""
-    return [rational(v, rs.gram_den) for v in rs.root_values(root)]
+    return [gaussian(v, 0, rs.gram_den) for v in rs.root_values(root)]
 
 
 def constraint_residual(rs, bd, lam):

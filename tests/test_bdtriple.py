@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -24,14 +25,18 @@ def brute_force_triples(rs):
     n = rs.rank
     simple = rs.simple_roots
     found = {BDTriple.empty()}
+
+    def pairing(a, b):
+        return Fraction(rs.root_pairing(a, b), rs.gram_den)
+
     for size in range(1, n + 1):
         for g1 in combinations(range(n), size):
             for g2 in combinations(range(n), size):
                 for img in permutations(g2):
                     mapping = dict(zip(g1, img))
                     ok = all(
-                        rs.root_pairing(simple[i], simple[j])
-                        == rs.root_pairing(simple[mapping[i]], simple[mapping[j]])
+                        pairing(simple[i], simple[j])
+                        == pairing(simple[mapping[i]], simple[mapping[j]])
                         for i in g1
                         for j in g1
                     )

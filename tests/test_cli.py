@@ -636,6 +636,21 @@ VERIFIED = {
 }
 
 
+def _count_scalar_ops(monkeypatch) -> tuple[list, dict]:
+    """Hook the SCALAR_OPS: while counting[0] is true, each call is
+    counted into calls by name."""
+    counting, calls = [False], {}
+    for op in SCALAR_OPS:
+
+        def counted(self, other, _fn=getattr(GaussianRational, op), _op=op):
+            if counting[0]:
+                calls[_op] = calls.get(_op, 0) + 1
+            return _fn(self, other)
+
+        monkeypatch.setattr(GaussianRational, op, counted)
+    return counting, calls
+
+
 @pytest.mark.parametrize("name", list(VERIFIED))
 def test_verify_makes_no_scalar_arithmetic_after_reading(monkeypatch, tmp_path, capsys, name):
     """Once datum_from_json has read the file, verify and verify --manin
@@ -649,15 +664,7 @@ def test_verify_makes_no_scalar_arithmetic_after_reading(monkeypatch, tmp_path, 
         "--out", str(path),
     )
     assert code == 0
-    counting, calls = [False], {}
-    for op in SCALAR_OPS:
-
-        def counted(self, other, _fn=getattr(GaussianRational, op), _op=op):
-            if counting[0]:
-                calls[_op] = calls.get(_op, 0) + 1
-            return _fn(self, other)
-
-        monkeypatch.setattr(GaussianRational, op, counted)
+    counting, calls = _count_scalar_ops(monkeypatch)
     read = cli.datum_from_json
 
     def reading(doc):
@@ -674,3 +681,56 @@ def test_verify_makes_no_scalar_arithmetic_after_reading(monkeypatch, tmp_path, 
     # positive control: the hooks count arithmetic made here, either side
     GaussianRational(1) + 1, 2 * GaussianRational(1)
     assert calls == {"__add__": 1, "__rmul__": 1}
+
+
+# the requests of every command but verify, per type; identify takes one
+# mu-trivial and, where the diagram has a symmetry, one mu-nontrivial sigma.
+# On E6, --materialize, csv and pretty list the varsigma-mu rows only: the
+# whole table in those three takes about 3 s, and the rows of any sigma go
+# through the same writers.
+_SECOND_SIGMA = {
+    "A3": "--sigma varsigma-mu --mu 3,2,1",
+    "B3": "--sigma omega-J --painted 1",
+    "G2": "--sigma omega-J --painted 1",
+    "E6": "--sigma varsigma-mu --mu 6,2,5,4,3,1",
+}
+COMMAND_REQUESTS = [
+    (typ, request)
+    for typ, second in _SECOND_SIGMA.items()
+    for narrow in [" --sigma varsigma-mu" if typ == "E6" else ""]
+    for request in (
+        *(f"enumerate --what {what}" for what in cli._WHAT),
+        f"enumerate --materialize{narrow}",
+        f"enumerate --format csv{narrow}",
+        f"enumerate --format pretty{narrow}",
+        "classify",
+        "identify --sigma varsigma",
+        f"identify {second}",
+        "build --sigma varsigma --t 2",
+    )
+]
+
+
+@pytest.mark.parametrize("typ,request_", COMMAND_REQUESTS, ids=[" ".join(c) for c in COMMAND_REQUESTS])
+def test_every_command_makes_no_scalar_arithmetic_after_reading_argv(
+    monkeypatch, capsys, typ, request_
+):
+    """Once parse_args has read the argv, enumerate (each --what,
+    --materialize, csv and pretty), classify, identify and build make no
+    GaussianRational arithmetic; verify is covered from its datum file
+    above, and a root system's own build by test_rootsystem.py."""
+    counting, calls = _count_scalar_ops(monkeypatch)
+    parse = cli.parse_args
+
+    def parsing(argv):
+        args = parse(argv)
+        counting[0] = True
+        return args
+
+    monkeypatch.setattr(cli, "parse_args", parsing)
+    command, *options = request_.split()
+    code, out = run(capsys, command, "--type", typ[0], "--rank", typ[1:], *options)
+    assert code == 0 and out
+    assert counting[0] and calls == {}, calls
+    GaussianRational(1) * 2  # positive control: the hooks count arithmetic made here
+    assert calls == {"__mul__": 1}

@@ -239,7 +239,8 @@ def test_literals_read_as_fraction_reads_them(text):
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(9, 4) == Fraction(3, 2)
+    assert rational_sqrt(9, 4) == rational_sqrt(18, 8) == (3, 2)
+    assert rational_sqrt(0, 5) == (0, 1)
     assert rational_sqrt(1, 6) is None
     assert rational_sqrt(-1, 1) is None
     # every p/q with |p| <= 40, 0 < q <= 40 against the squares of the
@@ -251,8 +252,10 @@ def test_rational_sqrt():
             expect = squares.get(Fraction(p, q))
             if expect is None:
                 assert root is None, (p, q)
-            else:
-                assert type(root) is GaussianRational and root == expect, (p, q)
+            else:  # ints in lowest terms
+                a, b = root
+                assert type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1, (p, q)
+                assert Fraction(a, b) == expect, (p, q)
 
 
 def test_antisymmetrize_idempotent_up_to_scale():
@@ -433,26 +436,25 @@ def test_cybe_kernel_on_random_antisymmetric_tensors(series, rank):
 
 
 def test_structure_table_puts_fields_over_the_least_denominator():
-    """The constructor takes each coefficient by its fields, in any terms,
-    and keeps it over the lcm of the reduced denominators, read here
-    through Fraction, in the order of the pairs and of their terms; a
-    coefficient with an imaginary part is refused."""
-    fields = {
-        (0, 1): ((2, 3, 0, 6), (1, -4, 0, 6)),
-        (1, 0): ((2, -1, 0, 2), (1, 2, 0, 3)),
-        (2, 0): ((0, 10, 0, 5),),
-        (0, 2): ((0, -2, 0, 1),),
+    """The constructor takes int coefficients over any den and keeps them
+    over the lcm of the reduced denominators, read here through Fraction,
+    in the order of the pairs and of their terms; a table already in
+    lowest terms is kept as given."""
+    ints = {
+        (0, 1): ((2, 6), (1, -16)),
+        (1, 0): ((2, -12), (1, 8)),
+        (2, 0): ((0, 48),),
+        (0, 2): ((0, -48),),
     }
-    st = StructureTable(3, fields)
-    want = {key: [(k, Fraction(a, d)) for k, a, _, d in terms] for key, terms in fields.items()}
+    st = StructureTable(3, 24, ints)
+    want = {key: [(k, Fraction(c, 24)) for k, c in terms] for key, terms in ints.items()}
     assert st.dim == 3
-    assert st.den == math.lcm(*(x.denominator for ts in want.values() for _, x in ts)) == 6
-    assert list(st.table) == list(fields)
+    assert st.den == math.lcm(*(x.denominator for ts in want.values() for _, x in ts)) == 12
+    assert list(st.table) == list(ints)
     assert {key: [(k, Fraction(c, st.den)) for k, c in ts] for key, ts in st.table.items()} == want
-    half = StructureTable(2, {(0, 1): ((1, 2, 0, 4),)})
+    assert StructureTable(3, st.den, st.table).table is st.table
+    half = StructureTable(2, 4, {(0, 1): ((1, 2),)})
     assert (half.den, half.table) == (2, {(0, 1): ((1, 1),)})
-    with pytest.raises(AssertionError, match="must be real"):
-        StructureTable(2, {(0, 1): ((1, 0, 1, 1),)})
 
 
 def test_over_lcm_keeps_order_and_zeros():

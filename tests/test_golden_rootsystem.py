@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from liebialg.core import entry_json, rational
+from liebialg.core import entry_json, gaussian
 from liebialg.rootsystem import build_root_system
 
 DIGESTS = {
@@ -40,7 +40,7 @@ def _algebra_text(rs) -> str:
             "to_json": rs.to_json(),
             "table": table,
             "casimir": rs.casimir.to_json(),
-            "killing_h": [[str(rational(x, rs.gram_den)) for x in row] for row in rs.gram],
+            "killing_h": [[str(gaussian(x, 0, rs.gram_den)) for x in row] for row in rs.gram],
         },
         sort_keys=True,
     )

@@ -10,7 +10,7 @@ import pytest
 from liebialg import bdtriple, core, involution, linalg
 from liebialg.bdtriple import DiagramAutomorphism, diagram_automorphisms
 from liebialg.cli import _sigma_variants
-from liebialg.core import GaussianRational, I, ONE, StructureTable, ZERO
+from liebialg.core import GaussianRational, I, ONE, ZERO
 from liebialg.involution import canonical_involution, fixed_point_basis, real_structure_constants
 from liebialg.rootsystem import RootSystem, SimpleType, build_root_system
 from oracles import (
@@ -167,7 +167,7 @@ def test_real_structure_constants_close_and_jacobi(series, rank):
     rs = build_root_system(series, rank)
     for sigma in _sigma_variants(rs, "all"):
         basis = fixed_point_basis(rs, sigma)
-        table = scalar_table(StructureTable(basis.count, real_structure_constants(rs, basis)))
+        table = scalar_table(real_structure_constants(rs, basis))
         n = basis.count
         for (i, j), terms in table.items():
             assert all(c.is_real() for _, c in terms)

@@ -12,7 +12,7 @@ import pytest
 from liebialg import core, linalg
 from liebialg.bdtriple import BDTriple
 from liebialg.cli import _sigma_variants
-from liebialg.core import GaussianRational, I, StructureTable, ZERO, gaussian, over_lcm
+from liebialg.core import GaussianRational, I, ZERO, gaussian, over_lcm
 from liebialg.involution import canonical_involution, fixed_point_basis, real_structure_constants
 from liebialg.manin import double_factorizable, double_imaginary, real_killing_gram
 from liebialg.parameter import apply_reality, solve_parameters
@@ -88,7 +88,7 @@ def test_coordinates_reject_i_times_a_fixed_vector(series, rank):
 def test_structure_constants_and_killing_gram_match_dense(series, rank):
     rs, bases = _bases(series, rank)
     for basis in bases:
-        table = scalar_table(StructureTable(basis.count, real_structure_constants(rs, basis)))
+        table = scalar_table(real_structure_constants(rs, basis))
         assert table == dense_real_structure_constants(rs, basis)
         rows, den = real_killing_gram(rs, basis), basis.den**2 * rs.gram_den
         dense = dense_real_killing_gram(rs, basis)

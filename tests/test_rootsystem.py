@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from liebialg import core
 from liebialg.core import GaussianRational, ONE, ZERO
 from liebialg.rootsystem import _BITS, RootSystem, SimpleType, build_root_system
 from oracles import (
@@ -275,15 +276,17 @@ def test_killing_gram_gives_cartan_matrix(series, rank):
     simple = rs.simple_roots
     for i in range(rank):
         for j in range(rank):
-            ratio = 2 * rs.root_pairing(simple[i], simple[j]) / rs.root_pairing(simple[j], simple[j])
-            assert ratio == rs.cartan_matrix[i][j]
+            ij = Fraction(rs.root_pairing(simple[i], simple[j]), rs.gram_den)
+            jj = Fraction(rs.root_pairing(simple[j], simple[j]), rs.gram_den)
+            assert 2 * ij / jj == rs.cartan_matrix[i][j]
 
 
 @pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
 def test_highest_root_norm_is_inverse_dual_coxeter(series, rank):
     rs = build_root_system(series, rank)
     highest = rs.positive_roots[-1]
-    assert rs.root_pairing(highest, highest) == Fraction(1, DUAL_COXETER[(series, rank)])
+    norm = Fraction(rs.root_pairing(highest, highest), rs.gram_den)
+    assert norm == Fraction(1, DUAL_COXETER[(series, rank)])
 
 
 @pytest.mark.parametrize("series,rank", sorted(DUAL_COXETER))
@@ -331,9 +334,10 @@ def _fraction_pairing(rs, alpha, beta):
 def test_integer_pairing_matches_fraction_sum(series, rank):
     rs = build_root_system(series, rank)
     for a in rs.roots:
-        assert rs.root_pairing(a, a) == _fraction_pairing(rs, a, a)
         for b in rs.roots:
-            assert rs.root_pairing(a, b) == _fraction_pairing(rs, a, b)
+            pairing = rs.root_pairing(a, b)
+            assert type(pairing) is int
+            assert Fraction(pairing, rs.gram_den) == _fraction_pairing(rs, a, b)
 
 
 @pytest.mark.parametrize(
@@ -424,3 +428,35 @@ def test_structure_table_is_built_on_first_read():
     assert "structure" not in vars(rs)
     table = rs.structure
     assert vars(rs)["structure"] is table and rs.structure is table
+
+
+NO_SCALAR_TYPES = [
+    ("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8),
+]
+
+
+@pytest.mark.parametrize("series,rank", NO_SCALAR_TYPES)
+def test_root_system_builds_no_scalar(monkeypatch, series, rank):
+    """Building a root system, then reading its bracket table, Casimir and
+    CYB(Omega), constructs no GaussianRational, by the constructor or by
+    arithmetic: root norms, scales and brackets are ints."""
+    made = []
+    new, init = core._new, core.GaussianRational.__init__
+
+    def counting_new(cls):
+        if cls is core.GaussianRational:
+            made.append("new")
+        return new(cls)
+
+    def counting_init(self, *args):
+        made.append("init")
+        init(self, *args)
+
+    monkeypatch.setattr(core, "_new", counting_new)
+    monkeypatch.setattr(core.GaussianRational, "__init__", counting_init)
+    rs = RootSystem(SimpleType(series, rank))  # its own, so nothing is cached
+    assert rs.structure.table and rs.casimir.num and rs.casimir_cybe[1]
+    assert made == []
+    # positive control: the hooks count a scalar made here, either way
+    GaussianRational.parse("1/2"), GaussianRational(1)
+    assert made == ["new", "init"]
