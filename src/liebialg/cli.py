@@ -142,6 +142,10 @@ def _sigma_from_args(rs: RootSystem, args) -> Involution:
     kind = args.sigma
     if kind in (None, "all"):
         raise _fail("this command needs a concrete --sigma")
+    if args.J is not None and args.painted is not None:
+        raise _fail("give --J or --painted, not both")
+    if kind not in ("omega-J", "omega-mu-J") and (args.J, args.painted) != (None, None):
+        raise _fail(f"--J and --painted apply to omega-J and omega-mu-J, not {kind}")
     if kind == "varsigma":
         return canonical_involution(rs, "varsigma", _parse_mu(rs, args.mu, False))
     if kind == "varsigma-mu":
@@ -213,14 +217,14 @@ def _bialgebra_rows(rs: RootSystem, sigmas: list, materialize: bool):
     """The table's rows, one per datum of iter_data, as it yields them.
     The parameter space is the shared object itself: the writer renders
     it once for all the rows that hold it."""
-    current = real_form = None
+    current = real_form = label = None
     for sigma, space, datum in iter_data(rs, sigmas):
         if sigma is not current:
-            current, real_form = sigma, identify(rs, sigma).name
+            current, real_form, label = sigma, identify(rs, sigma).name, sigma.describe()
         row = {
-            "row": ROW_LABELS[datum.sigma_label],
+            "row": ROW_LABELS[label],
             "sigma": sigma.to_json(),
-            "sigma_label": datum.sigma_label,
+            "sigma_label": label,
             "real_form": real_form,
             "bd": datum.bd.to_json(),
             "parameter_dimension": space.dimension,
@@ -235,23 +239,24 @@ def _bialgebra_rows(rs: RootSystem, sigmas: list, materialize: bool):
 def cmd_build(args) -> int:
     rs = _root_system(args)
     sigma = _sigma_from_args(rs, args)
-    label = sigma.describe()
     try:
         bd = _parse_triple(rs, json.loads(args.bd)) if args.bd else BDTriple.empty()
-        coeffs = json.loads(args.coefficients) if args.coefficients else []
+        # each JSON number by its literal text, as --t is read, where a float
+        # would round it; NaN and Infinity then fail as literals do
+        coeffs = json.loads(args.coefficients or "[]", parse_float=str, parse_constant=str)
         if not isinstance(coeffs, list):
             raise ValueError("--coefficients must be a JSON list")
         coeffs = [GaussianRational.parse(str(c)) for c in coeffs]
         if args.t in (None, "real", "imaginary"):
             t = GaussianRational(1) if args.t == "real" else (
-                GaussianRational(0, 1) if args.t == "imaginary" else default_t(label)
+                GaussianRational(0, 1) if args.t == "imaginary" else default_t(sigma)
             )
         else:
             t = GaussianRational.parse(args.t)
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(f"malformed argument: {exc}")
     try:
-        space = apply_reality(solve_parameters(rs, bd), label, sigma.mu, bd)
+        space = apply_reality(solve_parameters(rs, bd), sigma, bd)
     except NoBialgebraDatum as exc:
         raise _fail(str(exc))
     if len(coeffs) > space.dimension:
@@ -317,7 +322,7 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
     t = _scalar(doc["t"], "t")
     r0 = _tensor(doc["r0"], rs, "r0")
     r = _tensor(doc["r"], rs, "r")
-    datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0, r)
+    datum = BialgebraDatum(rs, sigma, bd, lam, t, r0, r)
     if doc["t_class"] != datum.t_class:
         raise ValueError(f"t_class {doc['t_class']!r} does not match t ({datum.t_class!r})")
     return datum
@@ -566,12 +571,15 @@ _COMMON = {
     "format": (("json", "csv", "pretty"), "json", False, "output format"),
     "out": (str, None, False, "write output to a file"),
 }
+# enumerate and classify walk every involution of --sigma, so they take none
+# of the options that pick one
+_TABLE = {o: spec for o, spec in _COMMON.items() if o not in ("mu", "J", "painted")}
 _WHAT = ("bd-triples", "involutions", "bialgebras", "root-system")
 
 # command: (handler, its one positional argument or None, help, options)
 COMMANDS = {
     "enumerate": (cmd_enumerate, None, "list triples, involutions or data", {
-        **_COMMON, "what": (_WHAT, "bialgebras", False, "what to list"),
+        **_TABLE, "what": (_WHAT, "bialgebras", False, "what to list"),
         "materialize": (bool, False, False, "include the full datum (with tensors) in each row"),
     }),
     "build": (cmd_build, None, "materialize one datum with tensors", {
@@ -585,7 +593,7 @@ COMMANDS = {
         "format": _COMMON["format"], "out": _COMMON["out"],
     }),
     "identify": (cmd_identify, None, "name the real form of an involution", _COMMON),
-    "classify": (cmd_classify, None, "deduplicate enumerated data", _COMMON),
+    "classify": (cmd_classify, None, "deduplicate enumerated data", _TABLE),
 }
 
 

@@ -3,16 +3,28 @@
     (T(a) (x) 1) lam + (1 (x) a) lam = 0   for a in Gamma1,
     lam + lam^{21} = Omega_0,
 
-and the reality constraints that cut it down to the real-form cases.
+and the reality rule that cuts it down to one real form.
 
 lam is a rank x rank matrix over the Cartan basis h_i, held in core's
 integer format (ContinuousParameter); its antisymmetric part carries the
 coefficients lam[a][b] appearing in wedge coordinates (lam - lam^{21} =
 sum lam_ab h_a wedge h_b).
 
+The reality rule is (sigma (x) sigma)(r0) = r0 for the real form's
+canonical involution sigma, which is semilinear and sends h_a to eps
+h_{mu a} and x_gamma into the line of x_{eps mu gamma}: eps = +1 for
+varsigma(mu), -1 for omega(mu, J).  On the paired slots (x_{-gamma},
+x_gamma), which carry t / 2, the rule asks conj(t) = eps t; on the
+Cartan block t a, a the antisymmetric part of lam, it then asks a_ij =
+eps conj(a_{mu i, mu j}); on the precedence terms it asks a mu-stable
+triple for varsigma, a mu-antistable one for omega.  At mu = 1 every
+triple is stable, and an antistable tau maps Gamma1 onto Gamma2 =
+Gamma1, so no chain leaves Gamma1 and a nilpotent tau is empty:
+omega(1, J) admits only the empty triple.
+
 The system has integer coefficients once scaled, so it is solved and
 checked in Python ints, and its solution space is rational; the reality
-cuts split into real and imaginary parts accordingly.  lam, the base
+cut splits into real and imaginary parts accordingly.  lam, the base
 point and the directions stay in ints from the solve to the checks, and
 are written from the ints; only build's direction coefficients arrive as
 scalars, and point reads their fields.
@@ -24,22 +36,14 @@ from math import comb
 from operator import add, mul
 
 from . import linalg
-from .bdtriple import BDTriple, DiagramAutomorphism, stability
+from .bdtriple import BDTriple, stability
 from .core import GaussianRational, entry_json, lowest, over_lcm
+from .involution import Involution
 from .rootsystem import RootSystem
 
 
 class NoBialgebraDatum(ValueError):
     """The requested (involution, triple) combination admits no parameter."""
-
-
-_KIND_BY_SIGMA = {
-    "varsigma": "real",
-    "varsigma_mu": "conjugate-mu",
-    "omega": "imaginary",
-    "omega_J": "imaginary",
-    "omega_mu_J": "anti-conjugate-mu",
-}
 
 
 class ContinuousParameter:
@@ -228,85 +232,67 @@ def solve_parameters(rs: RootSystem, bd: BDTriple) -> ParameterSpace:
     return space
 
 
-def reality_kind_for(sigma_label: str) -> str:
-    return _KIND_BY_SIGMA[sigma_label]
+def _reality_kind(sigma: Involution) -> str:
+    """The name a cut parameter space records for sigma's rule: by eps,
+    and by whether mu is trivial."""
+    if sigma.mu.is_identity():
+        return "real" if sigma.kind == "varsigma" else "imaginary"
+    return "conjugate-mu" if sigma.kind == "varsigma" else "anti-conjugate-mu"
 
 
-def lambda_reality_ok(
-    lam: ContinuousParameter, kind: str, mu: DiagramAutomorphism
-) -> bool:
-    """The coefficient condition of the given reality kind at one point,
-    on lam's numerators: 2 den a_ij = (re_ij - re_ji) + (im_ij - im_ji) i
-    for the antisymmetric part a."""
-    n, re, im = lam.rank, lam.re, lam.im
-    cells = [(n * i + j, n * j + i) for i in range(n) for j in range(n)]
-    if kind == "real":
-        return all(im[k] == im[l] for k, l in cells)
-    if kind == "imaginary":
-        return all(re[k] == re[l] for k, l in cells)
-    # a_ij = sign conj(a_{mu i, mu j})
-    sign = 1 if kind == "conjugate-mu" else -1
-    images = [(n * mu(i) + mu(j), n * mu(j) + mu(i)) for i in range(n) for j in range(n)]
-    return all(
-        re[k] - re[l] == sign * (re[p] - re[q]) and im[k] - im[l] == sign * (im[q] - im[p])
-        for (k, l), (p, q) in zip(cells, images)
-    )
+def lambda_reality_ok(lam: ContinuousParameter, sigma: Involution) -> bool:
+    """a_ij = eps conj(a_{mu i, mu j}) for the antisymmetric part a of
+    lam, on lam's numerators: 2 den a_ij = (re_ij - re_ji) + (im_ij -
+    im_ji) i.  Checked over the pairs i < j: at (j, i) the rule is the
+    negation of the one at (i, j), and on the diagonal both sides are 0."""
+    n, re, im, mu = lam.rank, lam.re, lam.im, sigma.mu.permutation
+    eps = 1 if sigma.kind == "varsigma" else -1
+    for i in range(n):
+        mi = n * mu[i]
+        for j in range(i + 1, n):
+            k, l, p, q = n * i + j, n * j + i, mi + mu[j], n * mu[j] + mu[i]
+            if re[k] - re[l] != eps * (re[p] - re[q]) or im[k] - im[l] != eps * (im[q] - im[p]):
+                return False
+    return True
 
 
-def t_reality_ok(t: GaussianRational, kind: str) -> bool:
-    if kind in ("real", "conjugate-mu"):
-        return t.is_real()
-    return t.is_imaginary()
+def t_reality_ok(t: GaussianRational, sigma: Involution) -> bool:
+    """conj(t) = eps t."""
+    return t.is_real() if sigma.kind == "varsigma" else t.is_imaginary()
 
 
-def stability_ok(
-    bd: BDTriple, kind: str, mu: DiagramAutomorphism, st: str | None = None
-) -> bool:
-    """Whether the triple's stability under mu allows the reality kind;
-    st is stability(bd, mu) when the caller has it already."""
-    st = stability(bd, mu) if st is None else st
-    if kind in ("real", "conjugate-mu"):
-        return st in ("stable", "both")
-    if kind == "imaginary":
-        return bd.is_empty()
-    return st in ("antistable", "both")
+def stability_ok(bd: BDTriple, sigma: Involution) -> bool:
+    """Whether sigma maps the triple's precedence terms to its own: the
+    triple mu-stable for varsigma, mu-antistable for omega."""
+    st = stability(bd, sigma.mu)
+    return st == "both" or st == ("stable" if sigma.kind == "varsigma" else "antistable")
 
 
-def apply_reality(
-    ps: ParameterSpace,
-    sigma_label: str,
-    mu: DiagramAutomorphism,
-    bd: BDTriple,
-) -> ParameterSpace:
-    """Cut the complex space of solve_parameters down to the stated
-    reality case.
+def apply_reality(ps: ParameterSpace, sigma: Involution, bd: BDTriple) -> ParameterSpace:
+    """Cut the complex space of solve_parameters down to sigma's reality
+    rule, a_ij = eps conj(a_{mu i, mu j}).
 
     The real unknowns are (re c_m, im c_m) for the direction coefficients
     of A = A_base + sum c_m D_m, interleaved in that order.  A_base and
-    the D_m are rational, so each condition splits into one system on the
-    real parts and one on the imaginary parts:
-
-    - real (A real): the imaginary parts vanish and the real parts are
-      free, so the cut keeps the base point and the directions;
-    - imaginary (A imaginary): A_base + sum re c_m D_m = 0 is the one
-      solve, the imaginary parts are free;
-    - (anti-)conjugate-mu (a_ij = sign conj a_{mu i, mu j}): one system
-      on the real parts, with the base point on its right side, and a
-      homogeneous one on the imaginary parts.
+    the D_m are rational, so the rule splits into one system on the real
+    parts, with the base point on its right side, and a homogeneous one
+    on the imaginary parts.  For varsigma(1) the rule asks only that A be
+    real: the cut keeps the base point and the directions, with no solve.
 
     The reduced row echelon form of the interleaved system is the two
     forms side by side, so its particular solution and kernel basis, in
     increasing interleaved column order, are read off the two.  Raises
-    NoBialgebraDatum when the triple fails the stability requirement of
-    the case, or the real-part system is inconsistent.
+    NoBialgebraDatum when the triple fails sigma's stability requirement,
+    or the real-part system is inconsistent.
     """
-    kind = reality_kind_for(sigma_label)
-    if not stability_ok(bd, kind, mu):
+    kind = _reality_kind(sigma)
+    if not stability_ok(bd, sigma):
         raise NoBialgebraDatum(
             f"triple {bd.to_json()} is not compatible with reality kind {kind!r}"
         )
     if kind == "real":
         return ParameterSpace(ps.rank, ps.base_point, ps.coordinates, kind)
+    mu, eps = sigma.mu, 1 if sigma.kind == "varsigma" else -1
     n = ps.rank
     ndir = ps.dimension
     pairs = _pair_index(n)
@@ -322,18 +308,14 @@ def apply_reality(
         return v[pos[i, j]] if i < j else -v[pos[j, i]]
 
     # the rows as fields (numerator, 0, denominator), one field per entry
-    sign = 1 if kind == "conjugate-mu" else -1
     re_rows, im_rows = [], []
     for (i, j) in pairs:
-        if kind == "imaginary":
-            re_rows.append([(v[pos[i, j]], 0, d) for d, v, _ in dirs] + [(-anti(i, j), 0, b2)])
-            continue
         mi, mj = mu(i), mu(j)
         re_rows.append(
-            [(v[pos[i, j]] - sign * coord(v, mi, mj), 0, d) for d, v, _ in dirs]
-            + [(sign * anti(mi, mj) - anti(i, j), 0, b2)]
+            [(v[pos[i, j]] - eps * coord(v, mi, mj), 0, d) for d, v, _ in dirs]
+            + [(eps * anti(mi, mj) - anti(i, j), 0, b2)]
         )
-        im_rows.append([(v[pos[i, j]] + sign * coord(v, mi, mj), 0, d) for d, v, _ in dirs] + [(0, 0, 1)])
+        im_rows.append([(v[pos[i, j]] + eps * coord(v, mi, mj), 0, d) for d, v, _ in dirs] + [(0, 0, 1)])
     # the rows are real and rational, and scaling an equation changes no
     # solution: both systems in ints over one common denominator
     _, z = over_lcm(f for row in re_rows + im_rows for f in row)

@@ -40,7 +40,6 @@ from .bdtriple import (
     extend_tau_additively,
     precedence_pairs,
     span_subset_roots,
-    stability,
     tau_chains,
 )
 from .core import (
@@ -61,7 +60,6 @@ from .parameter import (
     ParameterSpace,
     apply_reality,
     lambda_reality_ok,
-    reality_kind_for,
     satisfies_constraints,
     solve_parameters,
     stability_ok,
@@ -255,14 +253,18 @@ class BialgebraDatum:
     """One classification datum.  r is r0 + t Omega / 2, derived on first
     read unless given (a datum file states its own r)."""
 
-    __slots__ = ("rs", "sigma", "sigma_label", "bd", "lam", "t", "r0", "_r")
+    __slots__ = ("rs", "sigma", "bd", "lam", "t", "r0", "_r")
 
     def __init__(
-        self, rs: RootSystem, sigma: Involution, sigma_label: str, bd: BDTriple,
-        lam: ContinuousParameter, t: GaussianRational, r0: Tensor2, r: Tensor2 | None = None,
+        self, rs: RootSystem, sigma: Involution, bd: BDTriple, lam: ContinuousParameter,
+        t: GaussianRational, r0: Tensor2, r: Tensor2 | None = None,
     ):
-        self.rs, self.sigma, self.sigma_label, self.bd = rs, sigma, sigma_label, bd
+        self.rs, self.sigma, self.bd = rs, sigma, bd
         self.lam, self.t, self.r0, self._r = lam, t, r0, r
+
+    @property
+    def sigma_label(self) -> str:
+        return self.sigma.describe()
 
     @property
     def r(self) -> Tensor2:
@@ -313,28 +315,24 @@ def make_datum(
 ) -> BialgebraDatum:
     """Assemble and check one classification datum.
 
-    Raises NoBialgebraDatum when the combination violates one of the
-    reality conditions (wrong stability, lambda coefficients or t-line).
+    Raises NoBialgebraDatum when the combination violates sigma's reality
+    rule (parameter.py) on the triple's stability, t or lambda.
 
     memo, when given, holds what several data of one root system share:
-    stability per (triple, mu), the lambda condition per (lambda, kind,
-    mu), the tau-chains per triple, and r0 per (triple, lambda, t,
-    simple-root signs of sigma), the only way r0 depends on sigma.
-    lambda is a key by its integer fields.  Each datum still checks
-    sigma_fixes against its own sigma, and derives r only when read.
+    the lambda condition per (lambda, sigma's kind, mu), the tau-chains
+    per triple, and r0 per (triple, lambda, t, simple-root signs of
+    sigma), the only way r0 depends on sigma.  lambda is a key by its
+    integer fields.  Each datum still checks sigma_fixes against its own
+    sigma, and derives r only when read.
     """
-    label = sigma.describe()
-    kind = reality_kind_for(label)
-    mu = sigma.mu
-    st = _shared(memo, ("stability", bd, mu), lambda: stability(bd, mu))
-    if not stability_ok(bd, kind, mu, st):
-        raise NoBialgebraDatum(f"triple incompatible with {label}")
-    if not t_reality_ok(t, kind):
-        raise NoBialgebraDatum(f"t = {t} not allowed for {label}")
+    if not stability_ok(bd, sigma):
+        raise NoBialgebraDatum(f"triple incompatible with {sigma.describe()}")
+    if not t_reality_ok(t, sigma):
+        raise NoBialgebraDatum(f"t = {t} not allowed for {sigma.describe()}")
     if not _shared(
-        memo, ("lambda", lam, kind, mu), lambda: lambda_reality_ok(lam, kind, mu)
+        memo, ("lambda", lam, sigma.kind, sigma.mu), lambda: lambda_reality_ok(lam, sigma)
     ):
-        raise NoBialgebraDatum(f"lambda coefficients not allowed for {label}")
+        raise NoBialgebraDatum(f"lambda coefficients not allowed for {sigma.describe()}")
     if not _positive(t.a, t.b):
         raise ValueError("t must lie on the positive real or imaginary ray")
     chains = _shared(memo, ("chains", bd), lambda: tau_chains(rs, bd))
@@ -343,17 +341,15 @@ def make_datum(
         memo, ("r0", bd, lam, t, frozenset(scalars.items())),
         lambda: build_r0(rs, bd, lam, t, _family(rs, bd, chains, scalars)),
     )
-    datum = BialgebraDatum(rs, sigma, label, bd, lam, t, r0)
+    datum = BialgebraDatum(rs, sigma, bd, lam, t, r0)
     assert sigma_fixes(datum), "constructed tensor escaped the real form"
     return datum
 
 
-def default_t(label: str) -> GaussianRational:
-    """The representative scalar of a table row: 1 on the real rows, i on
-    the imaginary ones."""
-    if reality_kind_for(label) in ("real", "conjugate-mu"):
-        return ONE
-    return I
+def default_t(sigma: Involution) -> GaussianRational:
+    """The representative scalar of sigma's table rows, on the line
+    conj(t) = eps t: 1 for varsigma, i for omega."""
+    return ONE if sigma.kind == "varsigma" else I
 
 
 def iter_data(
@@ -363,13 +359,13 @@ def iter_data(
 
     Yields (sigma, reality-cut parameter space, datum at its base point
     and default t), involution-major, then in triple enumeration order.
-    The triples are enumerated once, and those whose stability allows a
-    reality kind and mu are listed once per (kind, mu), a group; each
-    involution walks its group's list.  A triple's complex parameter
-    space is solved at most once, only when some group lists it, and its
-    reality cut once per group.  A memo per triple holds that space and
-    lets make_datum share stability, the lambda condition, the tau-chains
-    and r0 among the involutions that agree on them.
+    The triples are enumerated once, and those whose stability allows
+    the reality rule of a (sigma's kind, mu) are listed once per (kind,
+    mu), a group; each involution walks its group's list.  A triple's
+    complex parameter space is solved at most once, only when some group
+    lists it, and its reality cut once per group.  A memo per triple
+    holds that space and lets make_datum share the lambda condition, the
+    tau-chains and r0 among the involutions that agree on them.
 
     State goes after its last possible reader: a triple's memo after the
     last involution whose group lists the triple, and a group's list and
@@ -377,21 +373,20 @@ def iter_data(
     what a later involution may still read.
     """
     sigmas = list(sigmas)
-    keys = [(reality_kind_for(sigma.describe()), sigma.mu) for sigma in sigmas]
+    keys = [(sigma.kind, sigma.mu) for sigma in sigmas]
     end = {key: i for i, key in enumerate(keys)}  # each group's last involution
     triples = enumerate_bd_triples(rs)
     groups: dict[tuple, tuple[list, dict]] = {}  # the group's triples, their cuts
     final: dict[BDTriple, int] = {}  # the last involution whose group lists a triple
-    for (kind, mu), last in end.items():
+    for key, last in end.items():
         allowed = []
         for bd in triples:
-            if stability_ok(bd, kind, mu):
+            if stability_ok(bd, sigmas[last]):
                 allowed.append(bd)
                 final[bd] = max(final.get(bd, last), last)
-        groups[kind, mu] = (allowed, {})
+        groups[key] = (allowed, {})
     memos: dict[BDTriple, dict] = {}
     for i, (sigma, key) in enumerate(zip(sigmas, keys)):
-        label = sigma.describe()
         closing = end[key] == i  # the group's last involution
         allowed, cut = groups.pop(key) if closing else groups[key]
         for bd in allowed:
@@ -399,13 +394,13 @@ def iter_data(
             if bd not in cut:
                 solved = _shared(memo, "solved", lambda: solve_parameters(rs, bd))
                 try:
-                    cut[bd] = apply_reality(solved, label, key[1], bd)
+                    cut[bd] = apply_reality(solved, sigma, bd)
                 except NoBialgebraDatum:
                     cut[bd] = None  # no datum
             space = cut.pop(bd) if closing else cut[bd]
             if space is None:
                 continue
-            datum = make_datum(rs, sigma, bd, space.base_point, default_t(label), memo)
+            datum = make_datum(rs, sigma, bd, space.base_point, default_t(sigma), memo)
             yield sigma, space, datum
 
 
@@ -452,13 +447,9 @@ def verify_datum(datum: BialgebraDatum, check_cybe: bool = True) -> dict:
         "parameter_constraints": satisfies_constraints(rs, datum.bd, datum.lam)
         and _carries_declared_data(datum),
         "sigma_fixes_r0": sigma_fixes(datum),
-        "t_reality": t_reality_ok(t, reality_kind_for(datum.sigma_label)),
-        "lambda_reality": lambda_reality_ok(
-            datum.lam, reality_kind_for(datum.sigma_label), datum.sigma.mu
-        ),
-        "stability": stability_ok(
-            datum.bd, reality_kind_for(datum.sigma_label), datum.sigma.mu
-        ),
+        "t_reality": t_reality_ok(t, datum.sigma),
+        "lambda_reality": lambda_reality_ok(datum.lam, datum.sigma),
+        "stability": stability_ok(datum.bd, datum.sigma),
     }
     if check_cybe:
         checks["cybe"] = cybe_is_zero(datum.r, rs.structure)

@@ -30,7 +30,6 @@ from liebialg.manin import double_factorizable, double_imaginary
 from liebialg.parameter import (
     apply_reality,
     lambda_reality_ok,
-    reality_kind_for,
     solve_parameters,
     stability_ok,
     t_reality_ok,
@@ -219,17 +218,15 @@ def test_criterion_4_reality_equivalence():
             ps = solve_parameters(rs, bd)
             probes = _probes(ps.dimension)
             for sigma in _all_sigmas(rs):
-                label = sigma.describe()
-                kind = reality_kind_for(label)
-                stable = stability_ok(bd, kind, sigma.mu)
+                stable = stability_ok(bd, sigma)
                 fam = extend_T(rs, bd, sigma) if stable else extend_T(rs, bd)
                 for pr in probes:
                     lam = ps.point(pr)
                     for t in [ONE, I]:
                         predicate = (
                             stable
-                            and t_reality_ok(t, kind)
-                            and lambda_reality_ok(lam, kind, sigma.mu)
+                            and t_reality_ok(t, sigma)
+                            and lambda_reality_ok(lam, sigma)
                         )
                         r0 = build_r0(rs, bd, lam, t, fam)
                         fixed = apply_semilinear_pair(sigma, r0) == r0
@@ -346,9 +343,7 @@ def test_criterion_7_manin_triples():
     ]:
         rs = build_root_system(series, rank)
         om = canonical_involution(rs, "omega", None, J)
-        space = apply_reality(
-            solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-        )
+        space = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
         lam = space.point([ONE] * space.dimension)
         datum = make_datum(rs, om, BDTriple.empty(), lam, I)
         mt = double_imaginary(rs, datum)

@@ -436,6 +436,8 @@ BUILD_PROBES = {
     "t-zero-denominator": ["--t", "1/0"],
     "coefficients-bad-json": ["--coefficients", "["],
     "coefficients-not-scalars": ["--coefficients", '["x"]'],
+    "coefficients-nan": ["--coefficients", "[NaN]"],
+    "coefficients-infinity": ["--coefficients", "[-Infinity]"],
     "mu-not-a-permutation": ["--mu", "0,1"],
     "J-repeated": ["--sigma", "omega-J", "--J", "1,1"],
 }
@@ -464,6 +466,40 @@ def test_build_reads_t_literals_alike(capsys):
     assert len(outs) == 1
     code, out = outs.pop()
     assert code == 0 and json.loads(out)["t"] == ["2", "0"]
+
+
+@pytest.mark.parametrize("number", ["0.10000000000000001", "12345678901234567.5", "-2.5e-3"])
+def test_build_reads_coefficient_numbers_by_their_text(capsys, number):
+    """A JSON number in --coefficients is read as its literal, exactly as
+    the same literal in a JSON string, not rounded through a float."""
+    options = ["--type", "A", "--rank", "2", "--sigma", "varsigma", "--coefficients"]
+    numeric = run(capsys, "build", *options, f"[{number}]")
+    text = run(capsys, "build", *options, json.dumps([number]))
+    assert numeric == text and numeric[0] == 0
+
+
+@pytest.mark.parametrize("command", "identify build".split())
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--sigma", "varsigma", "--J", "1"],
+        ["--sigma", "varsigma-mu", "--painted", "2"],
+        ["--sigma", "omega", "--J", "1,2,3"],
+        ["--sigma", "omega-J", "--painted", "1", "--J", "2"],
+        ["--sigma", "omega-mu-J", "--J=", "--painted="],
+    ],
+)
+def test_vertex_options_the_sigma_would_ignore_exit_2(capsys, command, options):
+    """--J and --painted pick the J of omega-J and omega-mu-J only, and
+    only one of them may: any other use exits 2 with one error line."""
+    try:
+        code = main([command, "--type", "A", "--rank", "3", *options])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _failed_checks(code, out):

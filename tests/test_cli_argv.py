@@ -39,11 +39,11 @@ def reference_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sigma=True):
+    def common(p, one_sigma=True):
         p.add_argument("--type", required=True, help="series letter A..G")
         p.add_argument("--rank", required=True, type=int)
-        if sigma:
-            p.add_argument("--sigma", choices=SIGMA_CHOICES)
+        p.add_argument("--sigma", choices=SIGMA_CHOICES)
+        if one_sigma:
             p.add_argument("--mu", help="1-based permutation, e.g. 3,2,1")
             p.add_argument("--J", help="1-based mu-fixed vertices, e.g. 1,3")
             p.add_argument(
@@ -55,7 +55,7 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file")
 
     p = sub.add_parser("enumerate", help="list triples, involutions or data")
-    common(p)
+    common(p, one_sigma=False)
     p.add_argument(
         "--what",
         choices=("bd-triples", "involutions", "bialgebras", "root-system"),
@@ -92,7 +92,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("classify", help="deduplicate enumerated data")
-    common(p)
+    common(p, one_sigma=False)
     p.set_defaults(func=cmd_classify)
 
     return parser
@@ -160,7 +160,8 @@ SPELLINGS = [
     ["identify", "--ty", "A", "--ra", "3", "--si", "omega-J", "--pa", "1"],
     ["identify", "--ty=G", "--r=2", "--s=varsigma", "--f=pretty"],
     ["enumerate", "--type", "A", "--rank", "2", "--wh", "bd-triples", "--mat"],
-    ["enumerate", "--type", "A", "--rank", "2", "--what=involutions", "--mu", "2,1"],
+    ["enumerate", "--type", "A", "--rank", "2", "--what=involutions", "--sigma", "varsigma-mu"],
+    ["identify", "--type", "A", "--rank", "2", "--sigma=varsigma-mu", "--mu", "2,1"],
     ["build", "--type", "A", "--rank", "2", "--t", "1", "--t", "-1"],
     ["build", "--type", "A", "--rank", "2", "--c", '["2"]', "--b", '{"gamma1": []}'],
     ["build", "--type", "A", "--rank", "2", "--t", "-1 + i", "--coefficients=[]"],
@@ -220,7 +221,9 @@ MALFORMED = {
     "command-prefix": ["ident", "--type", "A", "--rank", "2"],
     "unknown-option": IDENTIFY + ["--sigm4", "omega"],
     "unknown-short-option": IDENTIFY + ["-s", "omega"],
-    "ambiguous-option": ["enumerate", "--type", "A", "--rank", "2", "--m", "2,1"],
+    "ambiguous-option": ["enumerate", "--type", "A", "--rank", "2", "--=", "2,1"],
+    "enumerate-takes-no-mu": ["enumerate", "--type", "A", "--rank", "2", "--mu", "2,1"],
+    "classify-takes-no-painted": ["classify", "--type", "A", "--rank", "3", "--painted", "7"],
     "missing-value-at-end": IDENTIFY + ["--sigma"],
     "missing-value-before-option": ["identify", "--type", "--rank", "2"],
     "missing-type": ["identify", "--rank", "2"],

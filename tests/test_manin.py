@@ -223,9 +223,7 @@ def test_double_imaginary_su2():
 def test_double_imaginary_su3():
     rs = build_root_system("A", 2)
     om = canonical_involution(rs, "omega", None, (0, 1))
-    space = apply_reality(
-        solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-    )
+    space = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
     datum = make_datum(rs, om, BDTriple.empty(), space.point([ONE]), I)
     mt = double_imaginary(rs, datum)
     assert mt.double_dim == 16
@@ -498,9 +496,7 @@ def _oracle_double(case):
         return double_factorizable(rs, datum)
     rs = build_root_system("A", 2)
     om = canonical_involution(rs, "omega", None, (0, 1))
-    space = apply_reality(
-        solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-    )
+    space = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
     datum = make_datum(rs, om, BDTriple.empty(), space.point([ONE]), I)
     return double_imaginary(rs, datum)
 
@@ -675,9 +671,7 @@ def _criterion_7_doubles():
                             ("B", 2, (0, 1)), ("G", 2, (0, 1))]:
         rs = build_root_system(series, rank)
         om = canonical_involution(rs, "omega", None, J)
-        space = apply_reality(
-            solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-        )
+        space = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
         datum = make_datum(rs, om, BDTriple.empty(), space.point([ONE] * space.dimension), I)
         out.append(double_imaginary(rs, datum))
     return out

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from liebialg.bdtriple import (
     DiagramAutomorphism,
     diagram_automorphisms,
     enumerate_bd_triples,
-    identity_automorphism,
 )
+from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, ONE, ZERO
+from liebialg.involution import canonical_involution
 from liebialg.parameter import (
     ContinuousParameter,
     NoBialgebraDatum,
@@ -131,7 +133,7 @@ def test_lambda_coefficient_convention():
 def test_reality_real_case():
     rs = build_root_system("A", 2)
     ps = solve_parameters(rs, BDTriple.empty())
-    rps = apply_reality(ps, "varsigma", identity_automorphism(2), BDTriple.empty())
+    rps = apply_reality(ps, canonical_involution(rs, "varsigma"), BDTriple.empty())
     assert rps.reality_kind == "real"
     assert rps.dimension == 1
     for d in rps.directions:
@@ -141,7 +143,7 @@ def test_reality_real_case():
 def test_reality_imaginary_case():
     rs = build_root_system("A", 2)
     ps = solve_parameters(rs, BDTriple.empty())
-    rps = apply_reality(ps, "omega", identity_automorphism(2), BDTriple.empty())
+    rps = apply_reality(ps, canonical_involution(rs, "omega", None, (0, 1)), BDTriple.empty())
     assert rps.reality_kind == "imaginary"
     assert rps.dimension == 1
     anti = _antisymmetric_part(rps.point([ONE]))
@@ -151,20 +153,22 @@ def test_reality_imaginary_case():
 def test_reality_conjugate_mu_case():
     # with the flip, lambda_12 = conj(lambda_21) forces lambda_12 imaginary
     rs = build_root_system("A", 2)
-    flip = DiagramAutomorphism((1, 0))
+    sigma = canonical_involution(rs, "varsigma", DiagramAutomorphism((1, 0)))
     ps = solve_parameters(rs, BDTriple.empty())
-    rps = apply_reality(ps, "varsigma_mu", flip, BDTriple.empty())
+    rps = apply_reality(ps, sigma, BDTriple.empty())
+    assert rps.reality_kind == "conjugate-mu"
     assert rps.dimension == 1
     anti = _antisymmetric_part(rps.point([ONE]))
     assert anti[0][1].is_imaginary() and anti[0][1]
-    assert lambda_reality_ok(rps.point([ONE]), "conjugate-mu", flip)
+    assert lambda_reality_ok(rps.point([ONE]), sigma)
 
 
 def test_reality_anti_conjugate_mu_case():
     rs = build_root_system("A", 2)
-    flip = DiagramAutomorphism((1, 0))
+    sigma = canonical_involution(rs, "omega", DiagramAutomorphism((1, 0)))
     ps = solve_parameters(rs, BDTriple.empty())
-    rps = apply_reality(ps, "omega_mu_J", flip, BDTriple.empty())
+    rps = apply_reality(ps, sigma, BDTriple.empty())
+    assert rps.reality_kind == "anti-conjugate-mu"
     assert rps.dimension == 1
     anti = _antisymmetric_part(rps.point([ONE]))
     # anti-conjugate condition forces the coefficient real here
@@ -175,10 +179,9 @@ def test_omega_rejects_nonempty_triple():
     rs = build_root_system("A", 2)
     bd = BDTriple.make((0,), (1,), {0: 1})
     ps = solve_parameters(rs, bd)
-    with pytest.raises(NoBialgebraDatum):
-        apply_reality(ps, "omega", identity_automorphism(2), bd)
-    with pytest.raises(NoBialgebraDatum):
-        apply_reality(ps, "omega_J", identity_automorphism(2), bd)
+    for j in [(0, 1), (0,)]:  # compact, and inner with one painted vertex
+        with pytest.raises(NoBialgebraDatum, match="reality kind 'imaginary'"):
+            apply_reality(ps, canonical_involution(rs, "omega", None, j), bd)
 
 
 def test_varsigma_mu_rejects_unstable_triple():
@@ -186,30 +189,30 @@ def test_varsigma_mu_rejects_unstable_triple():
     flip = DiagramAutomorphism((2, 1, 0))
     bd = BDTriple.make((1,), (0,), {1: 0})  # neither stable nor antistable
     ps = solve_parameters(rs, bd)
-    with pytest.raises(NoBialgebraDatum):
-        apply_reality(ps, "varsigma_mu", flip, bd)
-    with pytest.raises(NoBialgebraDatum):
-        apply_reality(ps, "omega_mu_J", flip, bd)
+    with pytest.raises(NoBialgebraDatum, match="reality kind 'conjugate-mu'"):
+        apply_reality(ps, canonical_involution(rs, "varsigma", flip), bd)
+    with pytest.raises(NoBialgebraDatum, match="reality kind 'anti-conjugate-mu'"):
+        apply_reality(ps, canonical_involution(rs, "omega", flip), bd)
 
 
 def test_reality_points_still_solve_constraints():
     rs = build_root_system("A", 3)
     flip = DiagramAutomorphism((2, 1, 0))
+    sigmas = [
+        canonical_involution(rs, "varsigma"),
+        canonical_involution(rs, "varsigma", flip),
+        canonical_involution(rs, "omega", flip),
+    ]
     for bd in enumerate_bd_triples(rs):
-        for label, mu in [
-            ("varsigma", identity_automorphism(3)),
-            ("varsigma_mu", flip),
-            ("omega_mu_J", flip),
-        ]:
+        for sigma in sigmas:
             try:
-                rps = apply_reality(solve_parameters(rs, bd), label, mu, bd)
+                rps = apply_reality(solve_parameters(rs, bd), sigma, bd)
             except NoBialgebraDatum:
                 continue
             for pr in ([ZERO] * rps.dimension, [ONE] * rps.dimension):
                 lam = rps.point(pr)
                 assert satisfies_constraints(rs, bd, lam)
-                kind = rps.reality_kind
-                assert lambda_reality_ok(lam, kind, mu)
+                assert lambda_reality_ok(lam, sigma)
 
 
 def test_parameter_space_json():
@@ -224,8 +227,16 @@ ORACLE_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
     ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6),
 ]
-CUT_KEYS = {"A1": 4, "A2": 14, "A3": 28, "A4": 88, "B2": 4, "B3": 8, "B4": 20,
-            "C3": 8, "D4": 94, "D5": 232, "G2": 4, "F4": 16, "E6": 880}
+CUT_KEYS = {"A1": 2, "A2": 8, "A3": 16, "A4": 52, "B2": 2, "B3": 4, "B4": 10,
+            "C3": 4, "D4": 56, "D5": 120, "G2": 2, "F4": 8, "E6": 460}
+STABILITY_TYPES = ORACLE_TYPES[:4] + [("A", 5)] + ORACLE_TYPES[4:9] + [("C", 4)] + ORACLE_TYPES[9:]
+
+
+def _reference_kind(sigma) -> str:
+    """The name the references below give sigma's reality case."""
+    if sigma.mu.is_identity():
+        return "real" if sigma.kind == "varsigma" else "imaginary"
+    return "conjugate-mu" if sigma.kind == "varsigma" else "anti-conjugate-mu"
 
 
 def _fields(base, directions) -> tuple:
@@ -238,28 +249,100 @@ def _fields(base, directions) -> tuple:
 def test_solve_and_cut_match_the_general_elimination(series, rank):
     """The integer solve and the split reality cut against one
     Gaussian-rational elimination each (tests/oracles.py), for every
-    triple and every (kind, mu)."""
+    triple and every varsigma(mu) and omega(mu), mu = 1 included; J
+    leaves the cut alone."""
     rs = build_root_system(series, rank)
-    kinds = {"varsigma": "real", "varsigma_mu": "conjugate-mu",
-             "omega": "imaginary", "omega_mu_J": "anti-conjugate-mu"}
+    sigmas = [
+        canonical_involution(rs, kind, mu)
+        for mu in diagram_automorphisms(rs) for kind in ("varsigma", "omega")
+    ]
     checked = 0
     for bd in enumerate_bd_triples(rs):
         ps = solve_parameters(rs, bd)
         base, directions = reference_solve_parameters(rs, bd)
         assert (ps.base_point, ps.directions) == _fields(base, directions), bd
-        for label, kind in kinds.items():
-            for mu in diagram_automorphisms(rs):
-                if not stability_ok(bd, kind, mu):
-                    continue
-                expected = reference_reality_cut(base, directions, kind, mu)
-                try:
-                    cut = apply_reality(ps, label, mu, bd)
-                except NoBialgebraDatum:
-                    assert expected is None, (bd, label, mu)
-                    continue
-                assert (cut.base_point, cut.directions) == _fields(*expected), (bd, label, mu)
-                checked += 1
+        for sigma in sigmas:
+            if not stability_ok(bd, sigma):
+                with pytest.raises(NoBialgebraDatum):
+                    apply_reality(ps, sigma, bd)
+                continue
+            expected = reference_reality_cut(base, directions, _reference_kind(sigma), sigma.mu)
+            try:
+                cut = apply_reality(ps, sigma, bd)
+            except NoBialgebraDatum:
+                assert expected is None, (bd, sigma.to_json())
+                continue
+            assert cut.reality_kind == _reference_kind(sigma)
+            assert (cut.base_point, cut.directions) == _fields(*expected), (bd, sigma.to_json())
+            checked += 1
     assert checked == CUT_KEYS[f"{series}{rank}"]
+
+
+@pytest.mark.parametrize("series,rank", STABILITY_TYPES)
+def test_stability_at_trivial_mu(series, rank):
+    """varsigma(1) allows every triple; omega(1, J) allows only the empty
+    one, since a nilpotent tau cannot map Gamma1 onto Gamma2 = Gamma1."""
+    rs = build_root_system(series, rank)
+    split = canonical_involution(rs, "varsigma")
+    omegas = [canonical_involution(rs, "omega", None, j) for j in [(), tuple(range(rank))]]
+    for bd in enumerate_bd_triples(rs):
+        assert stability_ok(bd, split) is True
+        for omega in omegas:
+            assert stability_ok(bd, omega) is bd.is_empty()
+
+
+def _four_formula_lambda_rule(lam, kind, mu) -> bool:
+    """The lambda condition as one formula per reality kind, over all
+    n^2 cells of lam's numerators."""
+    n, re, im = lam.rank, lam.re, lam.im
+    cells = [(n * i + j, n * j + i) for i in range(n) for j in range(n)]
+    if kind == "real":
+        return all(im[k] == im[l] for k, l in cells)
+    if kind == "imaginary":
+        return all(re[k] == re[l] for k, l in cells)
+    sign = 1 if kind == "conjugate-mu" else -1
+    images = [(n * mu(i) + mu(j), n * mu(j) + mu(i)) for i in range(n) for j in range(n)]
+    return all(
+        re[k] - re[l] == sign * (re[p] - re[q]) and im[k] - im[l] == sign * (im[q] - im[p])
+        for (k, l), (p, q) in zip(cells, images)
+    )
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4), ("D", 5), ("E", 6)])
+def test_lambda_rule_matches_the_four_formulas(series, rank):
+    """lambda_reality_ok(lam, sigma) against _four_formula_lambda_rule for
+    every involution of the table: positives at points of the cuts of
+    sampled triples at seeded real coefficients, and negatives at seeded
+    complex lambdas."""
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"lambda-rule {series}{rank}")
+    n, triples = rank, enumerate_bd_triples(rs)
+    positives = {}  # (kind, mu) -> points of its cuts
+    negatives = 0
+    for sigma in _sigma_variants(rs, "all"):
+        kind, key = _reference_kind(sigma), (sigma.kind, sigma.mu)
+        if key not in positives:
+            positives[key] = []
+            allowed = [bd for bd in triples if stability_ok(bd, sigma)]
+            for bd in rng.sample(allowed, min(6, len(allowed))):
+                try:
+                    cut = apply_reality(solve_parameters(rs, bd), sigma, bd)
+                except NoBialgebraDatum:
+                    continue
+                coeffs = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                          for _ in range(cut.dimension)]
+                positives[key].append(cut.point(coeffs))
+        assert positives[key]
+        for lam in positives[key]:
+            assert _four_formula_lambda_rule(lam, kind, sigma.mu)
+            assert lambda_reality_ok(lam, sigma), (sigma.to_json(), lam.to_json())
+        for _ in range(4):
+            re, im = ([rng.randint(-2, 2) for _ in range(n * n)] for _ in "ri")
+            lam = ContinuousParameter(n, rng.randint(1, 3), re, im)
+            want = _four_formula_lambda_rule(lam, kind, sigma.mu)
+            assert lambda_reality_ok(lam, sigma) is want, (sigma.to_json(), lam.to_json())
+            negatives += not want
+    assert negatives
 
 
 def test_constraint_check_agrees_with_the_residuals():

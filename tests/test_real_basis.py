@@ -121,11 +121,11 @@ def test_doubles_build_and_verify_without_dense_linear_algebra(monkeypatch):
     empty = BDTriple.empty()
     b3 = build_root_system("B", 3)
     vs = canonical_involution(b3, "varsigma")
-    space = apply_reality(solve_parameters(b3, empty), vs.describe(), vs.mu, empty)
+    space = apply_reality(solve_parameters(b3, empty), vs, empty)
     b3_datum = make_datum(b3, vs, empty, space.base_point, GaussianRational(2))
     a3 = build_root_system("A", 3)
     om = canonical_involution(a3, "omega", None, (0, 1, 2))
-    space = apply_reality(solve_parameters(a3, empty), om.describe(), om.mu, empty)
+    space = apply_reality(solve_parameters(a3, empty), om, empty)
     a3_datum = make_datum(a3, om, empty, space.base_point, I)
     # the root systems are built (their Killing form inverts a matrix);
     # from here no dense matrix, elimination or determinant may be made

@@ -28,7 +28,6 @@ from liebialg.parameter import (
     NoBialgebraDatum,
     apply_reality,
     lambda_reality_ok,
-    reality_kind_for,
     solve_parameters,
     stability_ok,
     t_reality_ok,
@@ -117,9 +116,7 @@ def test_extend_t_signs_match_the_q_i_reference(series, rank):
         chains = tau_chains(rs, bd)
         families = {}  # the reference family per set of sigma scalars
         for sigma in sigmas:
-            stable = sigma is None or stability_ok(
-                bd, reality_kind_for(sigma.describe()), sigma.mu
-            )
+            stable = sigma is None or stability_ok(bd, sigma)
             try:
                 scalars = oracles.reference_sigma_chain_scalars(bd, sigma, chains)
             except (ValueError, IndexError) as exc:
@@ -236,9 +233,7 @@ def test_sl2_r0_shape():
 def test_compact_datum_fixed_by_sigma_pair():
     rs = build_root_system("A", 2)
     om = canonical_involution(rs, "omega", None, (0, 1))
-    ps = apply_reality(
-        solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-    )
+    ps = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
     lam = ps.point([ONE])  # imaginary wedge coefficient
     datum = make_datum(rs, om, BDTriple.empty(), lam, I)
     assert sigma_fixes(datum)
@@ -271,16 +266,15 @@ def test_lemma_equivalence_exhaustive_a2():
             probes.append([I if k == m else ZERO for k in range(ps.dimension)])
         for sigma in sigmas:
             label = sigma.describe()
-            kind = reality_kind_for(label)
-            stable = stability_ok(bd, kind, sigma.mu)
+            stable = stability_ok(bd, sigma)
             fam = extend_T(rs, bd, sigma) if stable else extend_T(rs, bd)
             for pr in probes:
                 lam = ps.point(pr)
                 for t in [ONE, I]:
                     predicate = (
                         stable
-                        and t_reality_ok(t, kind)
-                        and lambda_reality_ok(lam, kind, sigma.mu)
+                        and t_reality_ok(t, sigma)
+                        and lambda_reality_ok(lam, sigma)
                     )
                     r0 = build_r0(rs, bd, lam, t, fam)
                     fixed = apply_semilinear_pair(sigma, r0) == r0
@@ -291,9 +285,7 @@ def test_r0_lies_in_real_form():
     rs = build_root_system("A", 2)
     flip = DiagramAutomorphism((1, 0))
     sigma = canonical_involution(rs, "varsigma", flip)
-    space = apply_reality(
-        solve_parameters(rs, BDTriple.empty()), "varsigma_mu", flip, BDTriple.empty()
-    )
+    space = apply_reality(solve_parameters(rs, BDTriple.empty()), sigma, BDTriple.empty())
     datum = make_datum(rs, sigma, BDTriple.empty(), space.point([ONE]), ONE)
     coords = fixed_point_basis(rs, sigma).tensor_coordinates(datum.r0)
     assert coords.num and not any(y for _, y in coords.num.values())
@@ -464,9 +456,7 @@ def test_declared_data_check_matches_the_general_frame_rule(series, rank, monkey
             if key in seen:
                 continue
             seen.add(key)
-            mutant = BialgebraDatum(
-                rs, datum.sigma, datum.sigma_label, datum.bd, datum.lam, datum.t, r0, datum.r
-            )
+            mutant = BialgebraDatum(rs, datum.sigma, datum.bd, datum.lam, datum.t, r0, datum.r)
             got = _carries_declared_data(mutant)
             assert got == reference_carries_declared_data(mutant), (datum.bd, r0)
             decided[got] += 1
@@ -491,14 +481,9 @@ def test_classify_never_merges_rows():
     d1 = make_datum(
         rs, canonical_involution(rs, "varsigma"), BDTriple.empty(), ps.base_point, ONE
     )
-    space = apply_reality(ps, "varsigma_mu", flip, BDTriple.empty())
-    d2 = make_datum(
-        rs,
-        canonical_involution(rs, "varsigma", flip),
-        BDTriple.empty(),
-        space.base_point,
-        ONE,
-    )
+    quasi_split = canonical_involution(rs, "varsigma", flip)
+    space = apply_reality(ps, quasi_split, BDTriple.empty())
+    d2 = make_datum(rs, quasi_split, BDTriple.empty(), space.base_point, ONE)
     assert len(classify([d1, d2])) == 2
 
 
@@ -506,9 +491,7 @@ def test_classify_lambda_sensitivity():
     # data with lambda and its flip-conjugate merge; unrelated lambdas do not
     rs = build_root_system("A", 2)
     om = canonical_involution(rs, "omega", None, (0, 1))
-    space = apply_reality(
-        solve_parameters(rs, BDTriple.empty()), "omega", om.mu, BDTriple.empty()
-    )
+    space = apply_reality(solve_parameters(rs, BDTriple.empty()), om, BDTriple.empty())
     lam_plus = space.point([ONE])
     lam_minus = space.point([-ONE])
     d1 = make_datum(rs, om, BDTriple.empty(), lam_plus, I)
@@ -553,7 +536,7 @@ def test_verify_datum_flags_wrong_t():
     fam = extend_T(rs, BDTriple.empty())
     r = build_r(rs, BDTriple.empty(), ps.base_point, ONE, fam)
     r0 = build_r0(rs, BDTriple.empty(), ps.base_point, ONE, fam)
-    datum = BialgebraDatum(rs, om, "omega", BDTriple.empty(), ps.base_point, ONE, r0, r)
+    datum = BialgebraDatum(rs, om, BDTriple.empty(), ps.base_point, ONE, r0, r)
     checks = verify_datum(datum)
     assert not checks["t_reality"]
     assert not checks["sigma_fixes_r0"]
@@ -566,13 +549,13 @@ def test_verify_datum_flags_wrong_t():
      ("F", 4, 23, 8), ("G", 2, 5, 2)],
 )
 def test_iter_data_matches_a_fresh_make_datum(series, rank, data, tensors):
-    """iter_data shares stability, the lambda condition and r0 among
-    involutions; each datum must still equal the one make_datum builds
-    alone from the same sigma, triple, base point and t."""
+    """iter_data shares the lambda condition and r0 among involutions;
+    each datum must still equal the one make_datum builds alone from the
+    same sigma, triple, base point and t."""
     rs = build_root_system(series, rank)
     seen = []
     for sigma, space, datum in iter_data(rs, _sigma_variants(rs, "all")):
-        fresh = make_datum(rs, sigma, datum.bd, space.base_point, default_t(datum.sigma_label))
+        fresh = make_datum(rs, sigma, datum.bd, space.base_point, default_t(sigma))
         assert datum.sigma is sigma and datum.sigma_label == fresh.sigma_label
         assert datum.r == fresh.r and datum.r0 == fresh.r0
         assert datum.lam == fresh.lam and datum.t == fresh.t
@@ -649,7 +632,8 @@ def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, command, ser
     the solve, the cut, build_r0 or the checks, and not outside them
     (t, the root-vector family); classify builds no direction matrix at
     all (enumerate prints them); and iter_data evaluates stability at
-    most once per (triple, kind, mu), not once per (involution, triple).
+    most once per (triple, sigma's kind, mu), not once per (involution,
+    triple).
     D4, D5 and E6 cover the mu kinds."""
     rs = build_root_system(series, rank)
     depth, made = [0], {True: 0, False: 0}  # constructions inside / outside
@@ -707,9 +691,7 @@ def test_classify_builds_no_scalar_in_the_loop(monkeypatch, capsys, command, ser
     GaussianRational.parse("1/2"), GaussianRational.parse("i")
     depth[0] -= 1
     assert made == {True: 2, False: 2}
-    keys = {
-        (reality_kind_for(s.describe()), s.mu) for s in _sigma_variants(rs, "all")
-    }
+    keys = {(s.kind, s.mu) for s in _sigma_variants(rs, "all")}
     assert 0 < evaluated.count("iter_data") <= len(enumerate_bd_triples(rs)) * len(keys)
 
 
@@ -745,7 +727,7 @@ def test_sigma_fixes_matches_apply_semilinear_pair(series, rank):
         for sigma in sigmas:
             def fixes(r0):
                 return sigma_fixes(
-                    BialgebraDatum(rs, sigma, sigma.describe(), datum.bd, datum.lam, datum.t, r0)
+                    BialgebraDatum(rs, sigma, datum.bd, datum.lam, datum.t, r0)
                 )
 
             want = apply_semilinear_pair(sigma, datum.r0) == datum.r0
