@@ -1,5 +1,5 @@
-"""Dynkin diagram automorphisms, triples (Gamma1, Gamma2, T), the induced
-partial order on positive roots, and the stability predicates."""
+"""Dynkin diagram automorphisms, triples (Gamma1, Gamma2, T) and the
+induced partial order on positive roots."""
 
 from __future__ import annotations
 
@@ -140,10 +140,6 @@ class BDTriple:
     def mapping(self) -> dict:
         return dict(self.tau)
 
-    @property
-    def inverse_mapping(self) -> dict:
-        return {j: i for i, j in self.tau}
-
     def is_empty(self) -> bool:
         return not self.gamma1
 
@@ -275,27 +271,3 @@ def tau_chains(rs: RootSystem, bd: BDTriple) -> list[list[tuple]]:
             chain.append(cur)
         chains.append(chain)
     return chains
-
-
-def stability(bd: BDTriple, mu: DiagramAutomorphism) -> str:
-    """'stable', 'antistable', 'both' or 'neither' for the pair (bd, mu)."""
-    g1, g2 = set(bd.gamma1), set(bd.gamma2)
-    m = bd.mapping
-    minv = bd.inverse_mapping
-    stable = (
-        {mu(i) for i in g1} == g1
-        and {mu(i) for i in g2} == g2
-        and all(m[mu(i)] == mu(m[i]) for i in g1)
-    )
-    antistable = (
-        {mu(i) for i in g1} == g2
-        and {mu(i) for i in g2} == g1
-        and all(minv[mu(i)] == mu(m[i]) for i in g1)
-    )
-    if stable and antistable:
-        return "both"
-    if stable:
-        return "stable"
-    if antistable:
-        return "antistable"
-    return "neither"

@@ -271,10 +271,10 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _scalar(x, what: str) -> GaussianRational:
+def _pair(x, what: str) -> list:
     if not (isinstance(x, list) and len(x) == 2):
         raise ValueError(f"{what} must be a [re, im] pair")
-    return GaussianRational.from_json(x)
+    return x
 
 
 def _tensor(doc, rs: RootSystem, what: str) -> Tensor2:
@@ -316,10 +316,10 @@ def datum_from_json(doc: dict) -> BialgebraDatum:
         and all(isinstance(row, list) and len(row) == n for row in rows)
     ):
         raise ValueError(f"lambda must be a {n} x {n} matrix")
-    lam = ContinuousParameter.from_rows(
-        [[_scalar(x, "each lambda entry") for x in row] for row in rows]
+    lam = ContinuousParameter.from_json(
+        [[_pair(x, "each lambda entry") for x in row] for row in rows]
     )
-    t = _scalar(doc["t"], "t")
+    t = GaussianRational.from_json(_pair(doc["t"], "t"))
     r0 = _tensor(doc["r0"], rs, "r0")
     r = _tensor(doc["r"], rs, "r")
     datum = BialgebraDatum(rs, sigma, bd, lam, t, r0, r)

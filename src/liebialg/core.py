@@ -14,7 +14,10 @@ other literal (whitespace, '+', '_', a decimal point, an exponent,
 non-ASCII digits, a zero denominator) goes to fractions.Fraction, which
 gives it the value, or raises the ValueError or ZeroDivisionError, that
 Fraction(text) does.  fractions is imported only on that path, so a
-run that reads and writes canonical literals never loads it.
+run that reads and writes canonical literals never loads it.  A literal
+whose numerator or denominator would have more digits than
+sys.get_int_max_str_digits() is a ValueError, raised before Fraction
+expands its exponent.
 
 There is one integer format, and this module owns it: Gaussian-integer
 numerators (re, im) over one denominator, the lcm of the reduced
@@ -22,25 +25,26 @@ denominators, canonical when the denominator and the numerators have no
 common factor.  lowest makes numerators canonical, and over_lcm converts
 fractions given by their integer fields (re, im, d) to it, a scalar's or
 the table loop's, so no scalar is built to reach it; no other module
-computes an lcm.  Tensor2 holds its entries in it, StructureTable its
-bracket coefficients (real, so ints over one den, taken in ints by its
-one constructor), rootsystem's RootSystem its Killing Gram and root
-norms over gram_den and its roots' scales as reduced int pairs,
-involution's Involution the scalars of its columns and RealFormBasis a
-real form's basis and inverse columns, and parameter's
+computes an lcm.  Tensor2 holds its entries in it and StructureTable
+its bracket coefficients (real, so ints over one den), each taken in
+ints by its one constructor; rootsystem's RootSystem its Killing Gram
+and root norms over gram_den and its roots' scales as reduced int
+pairs, involution's Involution the scalars of its columns and
+RealFormBasis a real form's basis and inverse columns, and parameter's
 ContinuousParameter each lambda and each direction; manin's
 ManinTriple holds ints up to scale.  None of them keeps a scalar copy,
 so the table loop (the parameter solve, the reality cut, build_r0) and
 verify (the CYBE, sigma-fixity, the recovery of t and lambda, the real
 form and its Manin double) read ints without converting.  Scalars stay
-at the edges: a datum file's t is read by its fields, and gaussian,
-entry_str and entry_json read one entry back where a command writes it.
+at the edges: entry_fields reads a written [re, im] pair straight to
+its fields, for a datum file's t, tensors and lambda alike, and
+entry_str and entry_json write one entry where a command prints it.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain
 from math import gcd, isqrt, lcm
 
@@ -195,10 +199,7 @@ class GaussianRational:
     @staticmethod
     def from_json(pair: Sequence[str]) -> "GaussianRational":
         """Read to_json output: two rational strings, never JSON numbers."""
-        re, im = pair
-        if type(re) is not str or type(im) is not str:
-            raise TypeError(f"scalar {list(pair)!r} must be a pair of strings")
-        return _gr(*_join(*_read(re), *_read(im)))
+        return _gr(*entry_fields(pair))
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -270,10 +271,30 @@ def _read(text: str) -> tuple[int, int]:
         p, q = int(num), int(den) if slash else 1
         g = gcd(p, q)
         return p // g, q // g
+    import re
     from fractions import Fraction
 
-    x = Fraction(text)
-    return x.numerator, x.denominator
+    limit = sys.get_int_max_str_digits()
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if limit and exp and abs(int(exp[1])) > limit + len(text):
+        # Fraction would build 10**exponent in full; this far past the
+        # limit, only a zero mantissa keeps both parts within it
+        p, q = (10**limit, 1) if Fraction(text[: exp.start()] + "e0") else (0, 1)
+    else:
+        x = Fraction(text)
+        p, q = x.numerator, x.denominator
+    if limit and max(-p, p, q) >= 10**limit:
+        raise ValueError(f"a literal's numerator or denominator has over {limit} digits")
+    return p, q
+
+
+def entry_fields(pair: Sequence[str]) -> tuple[int, int, int]:
+    """The fields (a, b, d) in normal form of the scalar that to_json
+    wrote as pair, [re, im]: two rational strings, never JSON numbers."""
+    re, im = pair
+    if type(re) is not str or type(im) is not str:
+        raise TypeError(f"scalar {list(pair)!r} must be a pair of strings")
+    return _join(*_read(re), *_read(im))
 
 
 def entry_str(a: int, b: int, d: int) -> str:
@@ -375,37 +396,21 @@ class Tensor2:
     (i, j) is (re + im i) / den for num[(i, j)] = (re, im), and only the
     nonzero entries are stored; immutable by convention.
 
-    den and the numerators have no common factor, so den is the lcm of
-    the reduced entry denominators and equal tensors have equal fields.
-    Every operation runs in ints over the nonzeros; scalars are built
-    only where an entry is read (items, to_json)."""
+    The one constructor takes the nonzero Gaussian-integer numerators num
+    over any den > 0 and makes them canonical by lowest, so den is the lcm
+    of the reduced entry denominators and equal tensors have equal
+    fields.  Every operation runs in ints over the nonzeros, and to_json
+    and from_json write and read the fields without building a scalar."""
 
     __slots__ = ("dim", "den", "num")
 
-    def __init__(self, dim: int, entries: Mapping | None = None):
-        entries = entries or {}  # {(i, j): scalar}; zeros are dropped
-        den, z = over_lcm((x.a, x.b, x.d) for x in entries.values())
-        shared: dict = {}  # one pair per distinct entry: r0 repeats +-t/2 on every root pair
-        self.dim, self.den = dim, den
-        self.num = {k: shared.setdefault(p, p) for k, p in zip(entries, z) if p != (0, 0)}
-
-    @staticmethod
-    def from_ints(dim: int, den: int, num: dict) -> "Tensor2":
-        """The tensor of the nonzero Gaussian-integer numerators num over
-        den > 0, made canonical by lowest."""
+    def __init__(self, dim: int, den: int, num: dict):
         values = list(num.values())
         den, z = lowest(den, values)
-        t = _new(Tensor2)
-        t.dim, t.den, t.num = dim, den, num if z is values else dict(zip(num, z))
-        return t
-
-    def items(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        """The nonzero entries in row-major order."""
-        den = self.den
-        return ((k, gaussian(a, b, den)) for k, (a, b) in sorted(self.num.items()))
+        self.dim, self.den, self.num = dim, den, num if z is values else dict(zip(num, z))
 
     def transpose(self) -> "Tensor2":
-        return Tensor2.from_ints(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
+        return Tensor2(self.dim, self.den, {(j, i): p for (i, j), p in self.num.items()})
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         if self.dim != other.dim:
@@ -416,19 +421,13 @@ class Tensor2:
         for k, (a, b) in other.num.items():
             p, q = num.get(k, (0, 0))
             num[k] = (p + a * u, q + b * u)
-        return Tensor2.from_ints(self.dim, m, {k: p for k, p in num.items() if p != (0, 0)})
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + -other
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2.from_ints(self.dim, self.den, {k: (-a, -b) for k, (a, b) in self.num.items()})
+        return Tensor2(self.dim, m, {k: p for k, p in num.items() if p != (0, 0)})
 
     def scale(self, c) -> "Tensor2":
         c = _coerce(c)
         x, y = c.a, c.b
         num = {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.num.items()} if x or y else {}
-        return Tensor2.from_ints(self.dim, self.den * c.d, num)
+        return Tensor2(self.dim, self.den * c.d, num)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -441,9 +440,6 @@ class Tensor2:
         fields = (self.dim, self.den, self.num)
         return isinstance(other, Tensor2) and fields == (other.dim, other.den, other.num)
 
-    def __hash__(self):
-        return hash((self.dim, self.den, frozenset(self.num.items())))
-
     def to_json(self) -> dict:
         den, num = self.den, sorted(self.num.items())
         entries = [[i, j, _ratio_str(a, den), _ratio_str(b, den)] for (i, j), (a, b) in num]
@@ -453,16 +449,17 @@ class Tensor2:
     def from_json(doc: dict) -> "Tensor2":
         """Read to_json output; explicit zero entries are dropped."""
         d = doc["dim"]
-        ent = {}
+        fields = {}
         for i, j, re, im in doc["entries"]:
             if type(i) is not int or type(j) is not int:  # bool, float, str
                 raise ValueError(f"tensor entry index ({i!r}, {j!r}) is not an int pair")
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"tensor entry ({i}, {j}) out of range")
-            if (i, j) in ent:
+            if (i, j) in fields:
                 raise ValueError(f"tensor entry ({i}, {j}) repeated")
-            ent[(i, j)] = GaussianRational.from_json((re, im))
-        return Tensor2(d, ent)
+            fields[(i, j)] = entry_fields((re, im))
+        den, z = over_lcm(fields.values())
+        return Tensor2(d, den, {k: p for k, p in zip(fields, z) if p != (0, 0)})
 
 
 def cybe_sums(r: Tensor2, structure: StructureTable) -> tuple[dict, dict, int]:
@@ -514,9 +511,10 @@ def apply_semilinear_pair(sigma, x: Tensor2) -> Tensor2:
     images, den, scalars = sigma.images, sigma.den, sigma.scalars
     if len(images) != x.dim:
         raise ValueError("dimension mismatch between map and tensor")
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (a, b), v in x.items():
+    xden, out = x.den, {}
+    for (a, b), (p, q) in x.num.items():
         key = (images[a], images[b])
-        w = v.conj() * gaussian(*scalars[a], den) * gaussian(*scalars[b], den)
+        w = gaussian(p, q, xden).conj() * gaussian(*scalars[a], den) * gaussian(*scalars[b], den)
         out[key] = out[key] + w if key in out else w
-    return Tensor2(x.dim, out)
+    den, z = over_lcm((w.a, w.b, w.d) for w in out.values())
+    return Tensor2(x.dim, den, {k: p for k, p in zip(out, z) if p != (0, 0)})

@@ -249,7 +249,7 @@ class RealFormBasis:
                     re, im = acc.get((k, m), (0, 0))
                     acc[k, m] = (re + ap * c - aq * d, im + ap * d + aq * c)
         num = {key: v for key, v in acc.items() if v != (0, 0)}
-        return Tensor2.from_ints(self.count, x.den * self.inverse_den**2, num)
+        return Tensor2(self.count, x.den * self.inverse_den**2, num)
 
     def term_coordinates(self, terms) -> tuple | None:
         """The nonzero real coordinates (k, c) of the sum of x e_i over

@@ -36,8 +36,8 @@ from math import comb
 from operator import add, mul
 
 from . import linalg
-from .bdtriple import BDTriple, stability
-from .core import GaussianRational, entry_json, lowest, over_lcm
+from .bdtriple import BDTriple
+from .core import GaussianRational, entry_fields, entry_json, lowest, over_lcm
 from .involution import Involution
 from .rootsystem import RootSystem
 
@@ -60,9 +60,9 @@ class ContinuousParameter:
         self.den, (self.re, self.im) = lowest(den, (tuple(re), tuple(im)))
 
     @staticmethod
-    def from_rows(rows: list) -> "ContinuousParameter":
-        """The matrix of the given rows of scalars."""
-        den, z = over_lcm((x.a, x.b, x.d) for row in rows for x in row)
+    def from_json(rows: list) -> "ContinuousParameter":
+        """Read to_json output, rank rows of [re, im] pairs, into ints."""
+        den, z = over_lcm(entry_fields(x) for row in rows for x in row)
         return ContinuousParameter(len(rows), den, [a for a, _ in z], [b for _, b in z])
 
     def __eq__(self, other):
@@ -262,10 +262,16 @@ def t_reality_ok(t: GaussianRational, sigma: Involution) -> bool:
 
 
 def stability_ok(bd: BDTriple, sigma: Involution) -> bool:
-    """Whether sigma maps the triple's precedence terms to its own: the
-    triple mu-stable for varsigma, mu-antistable for omega."""
-    st = stability(bd, sigma.mu)
-    return st == "both" or st == ("stable" if sigma.kind == "varsigma" else "antistable")
+    """Whether sigma maps the triple's precedence terms to its own: for
+    varsigma the triple is mu-stable, mu(Gamma1) = Gamma1, mu(Gamma2) =
+    Gamma2 and tau mu = mu tau; for omega it is mu-antistable, mu(Gamma1)
+    = Gamma2, mu(Gamma2) = Gamma1 and tau^-1 mu = mu tau on Gamma1."""
+    mu, tau = sigma.mu, bd.mapping
+    g1, g2 = set(bd.gamma1), set(bd.gamma2)
+    m1, m2 = {mu(i) for i in g1}, {mu(i) for i in g2}
+    if sigma.kind == "varsigma":
+        return m1 == g1 and m2 == g2 and all(tau[mu(i)] == mu(tau[i]) for i in g1)
+    return m1 == g2 and m2 == g1 and all(tau[mu(tau[i])] == mu(i) for i in g1)
 
 
 def apply_reality(ps: ParameterSpace, sigma: Involution, bd: BDTriple) -> ParameterSpace:

@@ -222,7 +222,7 @@ def build_r0(
     # alpha precedes beta strictly, so no key below repeats one above
     for (ia, ib), (a, b) in zip(precedence, z[1 + len(cartan) :]):
         num[(ia, ib)], num[(ib, ia)] = (a, b), (-a, -b)
-    return Tensor2.from_ints(rs.dim, den, num)
+    return Tensor2(rs.dim, den, num)
 
 
 def build_r(

@@ -45,14 +45,6 @@ class SimpleType:
         if not ok:
             raise ValueError(f"rank {n} out of bounds for series {s!r}")
 
-    def __eq__(self, other):
-        if type(other) is not SimpleType:
-            return NotImplemented
-        return (self.series, self.rank) == (other.series, other.rank)
-
-    def __hash__(self):
-        return hash((self.series, self.rank))
-
     def __str__(self):
         return f"{self.series}{self.rank}"
 
@@ -365,7 +357,7 @@ class RootSystem:
         num = {(i, j): (c, 0) for i, row in enumerate(omega0) for j, c in enumerate(row) if c}
         for ip in range(n, n + npos):
             num[ip, ip + npos] = num[ip + npos, ip] = (1, 0)
-        return Tensor2.from_ints(self.dim, 1, num)
+        return Tensor2(self.dim, 1, num)
 
     @cached_property
     def casimir_cybe(self) -> tuple[int, dict]:

@@ -61,11 +61,24 @@ def entry(x: Tensor2, i: int, j: int) -> GaussianRational:
 
 
 def tensor_from_items(dim: int, items) -> Tensor2:
-    """The tensor with the (key, scalar) items, repeated keys summed."""
+    """The tensor with the (key, scalar) items, repeated keys summed and
+    zeros dropped, put over one denominator by over_lcm."""
     ent: dict[tuple[int, int], GaussianRational] = {}
     for k, v in items:
         ent[k] = ent[k] + v if k in ent else v
-    return Tensor2(dim, ent)
+    den, z = over_lcm((v.a, v.b, v.d) for v in ent.values())
+    return Tensor2(dim, den, {k: p for k, p in zip(ent, z) if p != (0, 0)})
+
+
+def tensor_items(x: Tensor2) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
+    """The nonzero entries of a tensor as (key, scalar), in row-major order."""
+    return ((k, gaussian(a, b, x.den)) for k, (a, b) in sorted(x.num.items()))
+
+
+def lambda_from_rows(rows: list) -> ContinuousParameter:
+    """The ContinuousParameter of the given rows of scalars."""
+    den, z = over_lcm((x.a, x.b, x.d) for row in rows for x in row)
+    return ContinuousParameter(len(rows), den, [a for a, _ in z], [b for _, b in z])
 
 
 def matrix_of(lam) -> list:
@@ -213,7 +226,7 @@ def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
     entries of r: the scalar evaluator core.cybe replaced by its integer
     one, with the same loops, so the two dicts agree in keys, values and
     order."""
-    items, table = list(r.items()), scalar_table(st)
+    items, table = list(tensor_items(r)), scalar_table(st)
     acc: dict[tuple[int, int, int], GaussianRational] = {}
     for (a, b), va in items:
         for (c, d), vc in items:
@@ -225,6 +238,31 @@ def reference_cybe(r: Tensor2, st: StructureTable) -> dict:
             for k, coef in table.get((b, d), ()):
                 acc[(a, c, k)] = acc.get((a, c, k), ZERO) + v * coef
     return {k: v for k, v in acc.items() if v}
+
+
+def reference_stability(bd: BDTriple, mu) -> str:
+    """'stable', 'antistable', 'both' or 'neither' for the pair (bd, mu):
+    both relations, each computed in full, with tau's inverse as a dict."""
+    g1, g2 = set(bd.gamma1), set(bd.gamma2)
+    m = bd.mapping
+    minv = {j: i for i, j in bd.tau}
+    stable = (
+        {mu(i) for i in g1} == g1
+        and {mu(i) for i in g2} == g2
+        and all(m[mu(i)] == mu(m[i]) for i in g1)
+    )
+    antistable = (
+        {mu(i) for i in g1} == g2
+        and {mu(i) for i in g2} == g1
+        and all(minv[mu(i)] == mu(m[i]) for i in g1)
+    )
+    if stable and antistable:
+        return "both"
+    if stable:
+        return "stable"
+    if antistable:
+        return "antistable"
+    return "neither"
 
 
 # ---- the tensor format ----------------------------------------------------------
@@ -674,7 +712,7 @@ def reference_r(rs, bd, lam, t, family: dict) -> Tensor2:
         ia, ib = rs.root_index(tuple(-x for x in alpha)), rs.root_index(beta)
         add(ia, ib, coeff)
         add(ib, ia, -coeff)
-    return Tensor2(rs.dim, terms)
+    return tensor_from_items(rs.dim, terms.items())
 
 
 # ---- factorization maps and the doubles --------------------------------------
@@ -832,7 +870,7 @@ def cobracket_from_r0(rs, datum) -> list:
         acc: dict[tuple, GaussianRational] = {}
         # (ad_x (x) 1 + 1 (x) ad_x) applied to r0
         admat = ad(rs.structure, vec)
-        for (a, b), v in datum.r0.items():
+        for (a, b), v in tensor_items(datum.r0):
             for i in range(n):
                 if admat[i][a]:
                     acc[(i, b)] = acc.get((i, b), ZERO) + admat[i][a] * v
@@ -1176,7 +1214,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
 
     h_vec = [ZERO] * rs.dim
     table = scalar_table(rs.structure)
-    for (a, b), v in r0.items():
+    for (a, b), v in tensor_items(r0):
         for k, c in table.get((a, b), ()):
             h_vec[k] = h_vec[k] + v * c
     if any(h_vec[rs.rank:]):
@@ -1258,7 +1296,7 @@ def reference_extract_data(rs, r0: Tensor2) -> ReferenceExtraction:
     for i in range(rs.rank):
         for j in range(rs.rank):
             lam_matrix[i][j] = lam_matrix[i][j] + HALF * omega0_new[i][j]
-    return ReferenceExtraction(h_vec, t, new_pos, delta, bd, ContinuousParameter.from_rows(lam_matrix))
+    return ReferenceExtraction(h_vec, t, new_pos, delta, bd, lambda_from_rows(lam_matrix))
 
 
 def reference_carries_declared_data(datum) -> bool:

@@ -68,6 +68,7 @@ from oracles import (
     realify_vector,
     reference_extract_data,
     scalar_table,
+    tensor_items,
     theta_twisted_gram,
     transpose,
 )
@@ -114,7 +115,7 @@ def _omega_invariant(rs):
     table = scalar_table(rs.structure)
     for x in range(rs.dim):
         acc = {}
-        for (a, b), v in rs.casimir.items():
+        for (a, b), v in tensor_items(rs.casimir):
             for k, c in table.get((x, a), ()):
                 acc[(k, b)] = acc.get((k, b), ZERO) + v * c
             for k, c in table.get((x, b), ()):

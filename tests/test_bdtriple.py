@@ -13,10 +13,12 @@ from liebialg.bdtriple import (
     is_nilpotent,
     precedence_pairs,
     span_subset_roots,
-    stability,
     tau_chains,
 )
+from liebialg.involution import canonical_involution
+from liebialg.parameter import stability_ok
 from liebialg.rootsystem import build_root_system
+from oracles import reference_stability
 
 
 def brute_force_triples(rs):
@@ -127,21 +129,32 @@ def test_tau_chains_partition():
     assert simple_chain == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
+def _allowed(rs, bd, mu) -> tuple[bool, bool]:
+    """stability_ok under varsigma(mu) and under omega(mu)."""
+    return tuple(stability_ok(bd, canonical_involution(rs, k, mu)) for k in ("varsigma", "omega"))
+
+
 def test_stability_identity_mu():
+    rs = build_root_system("A", 2)
     mu = identity_automorphism(2)
-    assert stability(BDTriple.empty(), mu) == "both"
+    assert reference_stability(BDTriple.empty(), mu) == "both"
+    assert _allowed(rs, BDTriple.empty(), mu) == (True, True)
     bd = BDTriple.make((0,), (1,), {0: 1})
-    assert stability(bd, mu) == "stable"
+    assert reference_stability(bd, mu) == "stable"
+    assert _allowed(rs, bd, mu) == (True, False)
 
 
 def test_stability_antistable_a3():
     rs = build_root_system("A", 3)
     flip = DiagramAutomorphism((2, 1, 0))
     bd = BDTriple.make((0,), (2,), {0: 2})
-    assert stability(bd, flip) == "antistable"
+    assert reference_stability(bd, flip) == "antistable"
+    assert _allowed(rs, bd, flip) == (False, True)
     shift = BDTriple.make((0, 1), (1, 2), {0: 1, 1: 2})
-    assert stability(shift, flip) == "antistable"
-    assert stability(BDTriple.empty(), flip) == "both"
+    assert reference_stability(shift, flip) == "antistable"
+    assert _allowed(rs, shift, flip) == (False, True)
+    assert reference_stability(BDTriple.empty(), flip) == "both"
+    assert _allowed(rs, BDTriple.empty(), flip) == (True, True)
 
 
 def test_stability_neither():
@@ -149,10 +162,12 @@ def test_stability_neither():
     bd = BDTriple.make((0,), (1,), {0: 1})
     # flip(Gamma1) = {1} != Gamma1, and antistability fails the tau check?
     # mu(G1) = G2 and T^-1 mu = mu T on a singleton: antistable in fact
-    assert stability(bd, flip) == "antistable"
+    assert reference_stability(bd, flip) == "antistable"
+    assert _allowed(build_root_system("A", 2), bd, flip) == (False, True)
     rs = build_root_system("A", 3)
     mid = BDTriple.make((1,), (0,), {1: 0})
-    assert stability(mid, DiagramAutomorphism((2, 1, 0))) == "neither"
+    assert reference_stability(mid, DiagramAutomorphism((2, 1, 0))) == "neither"
+    assert _allowed(rs, mid, DiagramAutomorphism((2, 1, 0))) == (False, False)
 
 
 def test_diagram_automorphism_groups():

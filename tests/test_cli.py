@@ -8,7 +8,7 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
-from liebialg import bdtriple, cli
+from liebialg import bdtriple, cli, core
 from liebialg.cli import main
 from liebialg.core import GaussianRational
 from liebialg.rootsystem import build_root_system
@@ -438,6 +438,13 @@ BUILD_PROBES = {
     "coefficients-not-scalars": ["--coefficients", '["x"]'],
     "coefficients-nan": ["--coefficients", "[NaN]"],
     "coefficients-infinity": ["--coefficients", "[-Infinity]"],
+    # past the digit limit (HUGE): at 1e1000000000, Fraction would build
+    # 10**1000000000
+    "t-past-digit-limit": ["--t", "1e5000"],
+    "t-denominator-past-digit-limit": ["--t", "1e-5000"],
+    "t-exponent-past-digit-limit": ["--t", "1e1000000000"],
+    "coefficients-past-digit-limit": ["--coefficients", '["1e5000"]'],
+    "coefficients-exponent-past-digit-limit": ["--coefficients", '["1e1000000000"]'],
     "mu-not-a-permutation": ["--mu", "0,1"],
     "J-repeated": ["--sigma", "omega-J", "--J", "1,1"],
 }
@@ -717,6 +724,113 @@ def test_verify_makes_no_scalar_arithmetic_after_reading(monkeypatch, tmp_path, 
     # positive control: the hooks count arithmetic made here, either side
     GaussianRational(1) + 1, 2 * GaussianRational(1)
     assert calls == {"__add__": 1, "__rmul__": 1}
+
+
+@pytest.mark.parametrize("name", list(VERIFIED))
+def test_reading_a_datum_builds_one_scalar(monkeypatch, tmp_path, capsys, name):
+    """datum_from_json reads lambda and both tensors straight into ints,
+    so the one GaussianRational it builds is t.  Constructions are counted
+    through core._new and GaussianRational.__init__; the root system and
+    sigma are built before the hooks go in."""
+    series, rank, sigma, *options = VERIFIED[name]
+    path = tmp_path / "datum.json"
+    code, _ = run(
+        capsys, "build", "--type", series, "--rank", rank, "--sigma", sigma, *options,
+        "--out", str(path),
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    cli.datum_from_json(doc)
+    made = []
+    new, init = core._new, GaussianRational.__init__
+
+    def counting_new(cls):
+        if cls is GaussianRational:
+            made.append("new")
+        return new(cls)
+
+    def counting_init(self, *args):
+        made.append("init")
+        init(self, *args)
+
+    monkeypatch.setattr(core, "_new", counting_new)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    datum = cli.datum_from_json(doc)
+    assert made == ["new"]
+    assert datum.t.to_json() == doc["t"]
+    # positive control: the hooks count a scalar made here, either way
+    GaussianRational.parse("1/2"), GaussianRational(1)
+    assert made == ["new", "new", "init"]
+
+
+# literals whose numerator or denominator has more digits than
+# sys.get_int_max_str_digits() (4300 by default); Fraction would expand
+# the last two's exponent in full.  BUILD_PROBES passes them to build.
+HUGE = ["1" * 5000, "1e5000", "1e-5000", "1e1000000000"]
+
+
+@pytest.mark.parametrize("literal", HUGE)
+@pytest.mark.parametrize("where", ["t", "lambda", "r0"])
+def test_verify_rejects_a_literal_past_the_digit_limit(tmp_path, capsys, where, literal):
+    path, doc = _a2_datum(tmp_path, capsys)
+    if where == "t":
+        doc["t"][0] = literal
+    elif where == "lambda":
+        doc["lambda"][0][1][0] = literal
+    else:
+        doc["r0"]["entries"][1][2] = literal
+    path.write_text(json.dumps(doc))
+    try:
+        code = main(["verify", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed datum: ")
+
+
+# respellings of a canonical literal to the same value, in forms to_json
+# never writes ("2/4", "+1", " 3", "1.5", "1e2", "-0")
+RESPELL = {
+    "double": lambda s: "{}/{}".format(*(2 * int(x) for x in (s.split("/") + ["1"])[:2])),
+    "plus": lambda s: s if s[0] == "-" else "+" + s,
+    "space": lambda s: " " + s,
+    "decimal": lambda s: s if "/" in s else s + ".0",
+    "exponent": lambda s: s if "/" in s else f"{s}0e-1",
+    "minus-zero": lambda s: "-0" if s == "0" else s,
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(RESPELL))
+def test_verify_reads_respelled_entries_as_fraction_does(tmp_path, capsys, spelling):
+    """Every tensor and lambda entry of a datum file respelled: the datum
+    read is field for field the one read from the canonical file."""
+    path, doc = _a2_datum(tmp_path, capsys)
+    respell = RESPELL[spelling]
+    for key in ("r0", "r"):
+        for e in doc[key]["entries"]:
+            e[2:] = [respell(x) for x in e[2:]]
+    doc["lambda"] = [[[respell(x) for x in pair] for pair in row] for row in doc["lambda"]]
+    assert doc != json.loads(path.read_text())
+    got, want = cli.datum_from_json(doc), cli.datum_from_json(json.loads(path.read_text()))
+    assert (got.r0, got.r, got.lam) == (want.r0, want.r, want.lam)
+    respelled = tmp_path / "respelled.json"
+    respelled.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(respelled)) == run(capsys, "verify", str(path))
+
+
+def test_build_reads_a_literal_within_the_digit_limit(capsys):
+    """1e400 builds exactly, and so does 1e4299, whose numerator has
+    4300 digits, as many as the limit allows."""
+    code, out = run(
+        capsys, "build", "--type", "A", "--rank", "1", "--sigma", "varsigma", "--t", "1e400"
+    )
+    assert code == 0 and json.loads(out)["t"] == [str(10**400), "0"]
+    code, out = run(
+        capsys, "build", "--type", "A", "--rank", "1", "--sigma", "varsigma", "--t", "1e4299"
+    )
+    assert code == 0 and json.loads(out)["t"] == ["1" + "0" * 4299, "0"]
 
 
 # the requests of every command but verify, per type; identify takes one

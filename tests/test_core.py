@@ -30,6 +30,7 @@ from oracles import (
     reference_cybe,
     scalar_table,
     tensor_from_items,
+    tensor_items,
 )
 
 
@@ -261,8 +262,8 @@ def test_rational_sqrt():
 def test_antisymmetrize_idempotent_up_to_scale():
     t = tensor_from_items(2, [((0, 1), GaussianRational(3))])
     half = GaussianRational(Fraction(1, 2))
-    anti = (t - t.transpose()).scale(half)
-    assert (anti - anti.transpose()).scale(half) == anti
+    anti = (t + t.transpose().scale(-1)).scale(half)
+    assert (anti + anti.transpose().scale(-1)).scale(half) == anti
 
 
 def _pruned(entries: dict) -> dict:
@@ -301,7 +302,7 @@ def _cybe_bruteforce(r: Tensor2, st: StructureTable) -> dict:
 
 def test_cybe_zero_tensor():
     rs = build_root_system("A", 1)
-    assert not cybe(Tensor2(rs.dim), rs.structure)
+    assert not cybe(Tensor2(rs.dim, 1, {}), rs.structure)
 
 
 def test_cybe_of_casimir_matches_bruteforce():
@@ -316,8 +317,8 @@ def test_cybe_casimir_equals_omega13_omega23_bracket():
     rs = build_root_system("A", 1)
     om = rs.casimir
     out = {}
-    for (a, b), va in om.items():
-        for (c, e), vc in om.items():
+    for (a, b), va in tensor_items(om):
+        for (c, e), vc in tensor_items(om):
             for k, cf in scalar_table(rs.structure).get((b, e), ()):
                 key = (a, c, k)
                 out[key] = out.get(key, ZERO) + va * vc * cf
@@ -339,7 +340,7 @@ def test_cybe_dj_rmatrix_is_zero():
 def test_cybe_dimension_mismatch():
     rs = build_root_system("A", 1)
     with pytest.raises(ValueError):
-        cybe(Tensor2(2), rs.structure)
+        cybe(Tensor2(2, 1, {}), rs.structure)
 
 
 # ---- the integer CYBE kernel against the scalar references -----------------
@@ -430,7 +431,7 @@ def test_cybe_kernel_on_random_antisymmetric_tensors(series, rank):
             kind = (trial + i + j) % 3
             v = GaussianRational(part() if kind != 1 else 0, part() if kind else 0)
             entries[(i, j)], entries[(j, i)] = v, -v
-        x = Tensor2(rs.dim, entries)
+        x = tensor_from_items(rs.dim, entries.items())
         assert x.is_antisymmetric()
         _assert_kernel_agrees(x, rs.structure)
 
@@ -476,9 +477,10 @@ def test_lowest_divides_out_the_common_factor():
     assert lowest(3, pairs)[1] is pairs  # no common factor: as given
     assert lowest(6, ((2, 4, 0), (6,))) == (3, [(1, 2, 0), (3,)])
     # a tensor from ints is canonical, so equal to the one from scalars
-    t = Tensor2.from_ints(2, 4, {(0, 1): (2, 0), (1, 0): (-2, 2)})
+    t = Tensor2(2, 4, {(0, 1): (2, 0), (1, 0): (-2, 2)})
     assert (t.den, t.num) == (2, {(0, 1): (1, 0), (1, 0): (-1, 1)})
-    assert t == Tensor2(2, {(0, 1): HALF, (1, 0): GaussianRational(Fraction(-1, 2), Fraction(1, 2))})
+    half = GaussianRational(Fraction(-1, 2), Fraction(1, 2))
+    assert t == tensor_from_items(2, [((0, 1), HALF), ((1, 0), half)])
 
 
 def test_cybe_equivariance_under_automorphisms():
@@ -498,7 +500,7 @@ def test_cybe_equivariance_under_automorphisms():
         d,
         [
             ((i, j), phi[i][a] * phi[j][b] * v)
-            for (a, b), v in x.items()
+            for (a, b), v in tensor_items(x)
             for i in range(d)
             if phi[i][a]
             for j in range(d)
@@ -557,7 +559,7 @@ def test_apply_semilinear_pair_dimension_mismatch():
     rs = build_root_system("A", 1)
     vs = canonical_involution(rs, "varsigma")
     with pytest.raises(ValueError):
-        apply_semilinear_pair(vs, Tensor2(5))
+        apply_semilinear_pair(vs, Tensor2(5, 1, {}))
 
 
 # ---- dense oracles for the sparse tensor and the sparse involution action ----
@@ -599,7 +601,7 @@ def _agrees(t, dense):
     want = [((i, j), v) for i in range(d) for j, v in enumerate(dense[i]) if v]
     return (
         t.dim == d
-        and list(t.items()) == want
+        and list(tensor_items(t)) == want
         and all(
             entry(t, i, j) == v if v else not entry(t, i, j)
             for i in range(d)
@@ -639,12 +641,12 @@ def test_sparse_tensor_and_pair_action_match_dense_oracles(series, rank):
         xtd = [list(col) for col in zip(*xd)]
         assert _agrees(x.transpose(), xtd)
         assert _agrees(x + y, _dense_map(lambda a, b: a + b, xd, yd))
-        assert _agrees(x - y, _dense_map(lambda a, b: a - b, xd, yd))
-        assert _agrees(-x, _dense_map(lambda a: -a, xd))
+        assert _agrees(x + y.scale(-1), _dense_map(lambda a, b: a - b, xd, yd))
+        assert _agrees(x.scale(-1), _dense_map(lambda a: -a, xd))
         assert _agrees(x.scale(c), _dense_map(lambda a: c * a, xd))
         assert _agrees(x.scale(0), _dense_zero(d))
-        assert _agrees(x - x, _dense_zero(d)) and (x - x).is_zero()
-        anti, sym = x - x.transpose(), x + x.transpose()
+        assert _agrees(x + x.scale(-1), _dense_zero(d)) and (x + x.scale(-1)).is_zero()
+        anti, sym = x + x.transpose().scale(-1), x + x.transpose()
         antid = _dense_map(lambda a, b: a - b, xd, xtd)
         symd = _dense_map(lambda a, b: a + b, xd, xtd)
         assert _agrees(anti, antid) and _agrees(sym, symd)
@@ -655,27 +657,27 @@ def test_sparse_tensor_and_pair_action_match_dense_oracles(series, rank):
         assert anti.is_antisymmetric()
         diagonal = tensor_from_items(d, [((1, 1), I)])  # diagonal entries count
         assert not (anti + diagonal).is_antisymmetric()
-        # equality and hashing follow the dense slots, however a tensor is built
-        items = list(x.items())
+        # equality follows the dense slots, however a tensor is built
+        items = list(tensor_items(x))
         rng.shuffle(items)
         same = [
             tensor_from_items(d, items),
             Tensor2.from_json(x.to_json()),
-            (x + y) - y,
-            x + (y - y),
+            (x + y) + y.scale(-1),
+            x + (y + y.scale(-1)),
             x.transpose().transpose(),
         ]
         for t in same:
-            assert t == x and hash(t) == hash(x)
+            assert t == x
         assert (x == y) == (xd == yd)
         assert (x == x.transpose()) == (xd == xtd)
-        assert x != x.scale(2) and x != Tensor2(d + 1)
+        assert x != x.scale(2) and x != Tensor2(d + 1, 1, {})
 
 
 def test_tensor_from_json_drops_zeros_and_rejects_bad_indices():
     doc = {"dim": 2, "entries": [[0, 1, "0", "0"], [1, 0, "1/2", "-1"]]}
     t = Tensor2.from_json(doc)
-    assert list(t.items()) == [((1, 0), GaussianRational(Fraction(1, 2), -1))]
+    assert list(tensor_items(t)) == [((1, 0), GaussianRational(Fraction(1, 2), -1))]
     assert t == tensor_from_items(2, [((1, 0), GaussianRational(Fraction(1, 2), -1))])
     for bad in ([[True, 0, "1", "0"]], [[0, 1.0, "1", "0"]], [["0", 1, "1", "0"]],
                 [[0, 1, "1", "0"], [0, 1, "1", "0"]], [[0, 2, "1", "0"]]):

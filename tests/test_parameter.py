@@ -28,8 +28,10 @@ from oracles import (
     constraint_residual,
     matrix_of,
     fraction_killing_h,
+    lambda_from_rows,
     reference_reality_cut,
     reference_solve_parameters,
+    reference_stability,
 )
 
 
@@ -242,7 +244,7 @@ def _reference_kind(sigma) -> str:
 def _fields(base, directions) -> tuple:
     """The reference's matrices of scalars in the integer format, which
     compares field by field."""
-    return ContinuousParameter.from_rows(base), [ContinuousParameter.from_rows(d) for d in directions]
+    return lambda_from_rows(base), [lambda_from_rows(d) for d in directions]
 
 
 @pytest.mark.parametrize("series,rank", ORACLE_TYPES)
@@ -289,6 +291,32 @@ def test_stability_at_trivial_mu(series, rank):
         assert stability_ok(bd, split) is True
         for omega in omegas:
             assert stability_ok(bd, omega) is bd.is_empty()
+
+
+# (triple, sigma) pairs over _sigma_variants(all), and how many of them
+# stability allows
+STABILITY_PAIRS = {
+    "A1": (3, 3), "A2": (21, 11), "A3": (108, 28), "A4": (627, 67), "A5": (4140, 206),
+    "B2": (5, 5), "B3": (27, 11), "B4": (153, 25), "C3": (27, 11), "C4": (153, 25),
+    "D4": (800, 134), "D5": (4242, 214), "G2": (5, 5), "F4": (119, 23), "E6": (28490, 646),
+}
+
+
+@pytest.mark.parametrize("series,rank", STABILITY_TYPES)
+def test_stability_ok_matches_the_four_valued_reference(series, rank):
+    """stability_ok tests only the relation sigma's kind asks for; the
+    reference computes both and names the pair, which varsigma allows
+    when 'stable' or 'both' and omega when 'antistable' or 'both'."""
+    rs = build_root_system(series, rank)
+    sigmas = _sigma_variants(rs, "all")
+    pairs = allowed = 0
+    for bd in enumerate_bd_triples(rs):
+        for sigma in sigmas:
+            want = ("stable" if sigma.kind == "varsigma" else "antistable", "both")
+            ok = stability_ok(bd, sigma)
+            assert ok is (reference_stability(bd, sigma.mu) in want), (bd, sigma.describe())
+            pairs, allowed = pairs + 1, allowed + ok
+    assert (pairs, allowed) == STABILITY_PAIRS[f"{series}{rank}"]
 
 
 def _four_formula_lambda_rule(lam, kind, mu) -> bool:
@@ -358,7 +386,7 @@ def test_constraint_check_agrees_with_the_residuals():
                 m = matrix_of(ps.point(coeffs))
                 m[0][1] = m[0][1] + shift
                 m[2][0] = m[2][0] - shift * shift
-                lam = ContinuousParameter.from_rows(m)
+                lam = lambda_from_rows(m)
                 residual = constraint_residual(rs, bd, lam)
                 zero = not any(x for row in residual for x in row)
                 assert satisfies_constraints(rs, bd, lam) == zero

@@ -21,6 +21,7 @@ from oracles import (
     reference_structure_constants,
     root_values,
     scalar_table,
+    tensor_items,
 )
 from test_core import _cybe_bruteforce
 
@@ -189,7 +190,7 @@ def test_casimir_symmetric_and_invariant():
         table = scalar_table(rs.structure)
         for x in range(rs.dim):
             acc = {}
-            for (a, b), v in om.items():
+            for (a, b), v in tensor_items(om):
                 for k, c in table.get((x, a), ()):
                     acc[(k, b)] = acc.get((k, b), ZERO) + v * c
                 for k, c in table.get((x, b), ()):
@@ -205,7 +206,7 @@ def test_casimir_h_is_cartan_block():
         for i in range(rs.rank):
             for j in range(rs.rank):
                 assert entry(rs.casimir, i, j) == rs.cartan_dual_gram[i][j]
-        for (a, b), _ in rs.casimir.items():
+        for (a, b), _ in tensor_items(rs.casimir):
             assert (a < rs.rank) == (b < rs.rank)
 
 

@@ -4,9 +4,11 @@ A Tensor2 holds Gaussian-integer numerators over one denominator, the lcm
 of the reduced entry denominators.  Each tensor here is compared with a
 ReferenceTensor, a dict of GaussianRational entries whose operations are
 summed entry by entry: the denominator and numerators, the reads, the
-JSON bytes, equality and hashing, and every operation.  The tensors are
+JSON bytes, equality, and every operation.  The tensors are
 r0 and r of every datum the table loop gives on A1-A3, B2 and G2, and
 seeded random sparse tensors with mixed denominators and cancellations.
+The readers, Tensor2.from_json and ContinuousParameter.from_json, invert
+to_json and read every rational spelling as Fraction does.
 """
 
 import json
@@ -16,10 +18,11 @@ from math import gcd
 
 import pytest
 
-from oracles import ReferenceTensor, entry, tensor_from_items
+from oracles import ReferenceTensor, entry, lambda_from_rows, tensor_from_items, tensor_items
 
 from liebialg.cli import _sigma_variants
 from liebialg.core import GaussianRational, I, Tensor2, ZERO
+from liebialg.parameter import ContinuousParameter
 from liebialg.rmatrix import iter_data
 from liebialg.rootsystem import build_root_system
 
@@ -35,7 +38,7 @@ def _assert_matches(x: Tensor2, ref: ReferenceTensor):
     assert x.den == ref.den() and x.num == ref.numerators()
     assert gcd(x.den, *(p for pair in x.num.values() for p in pair)) == 1
     assert all(pair != (0, 0) for pair in x.num.values())
-    assert list(x.items()) == sorted(ref.entries.items())
+    assert list(tensor_items(x)) == sorted(ref.entries.items())
     assert all(entry(x, i, j) == v for (i, j), v in ref.entries.items())
     assert x.is_zero() == (not ref.entries)
     assert x.is_antisymmetric() == ref.is_antisymmetric()
@@ -43,25 +46,29 @@ def _assert_matches(x: Tensor2, ref: ReferenceTensor):
 
 
 def _assert_operations_match(x: Tensor2, y: Tensor2, rx: ReferenceTensor, ry: ReferenceTensor):
-    _assert_matches(Tensor2(x.dim, rx.entries), rx)
+    _assert_matches(tensor_from_items(x.dim, rx.entries.items()), rx)
     _assert_matches(Tensor2.from_json(x.to_json()), rx)
     _assert_matches(x.transpose(), rx.transpose())
-    _assert_matches(-x, -rx)
+    _assert_matches(x.scale(-1), -rx)
     _assert_matches(x + y, rx + ry)
-    _assert_matches(x - y, rx - ry)
-    _assert_matches(x - x, rx - rx)
-    _assert_matches(x - x.transpose(), rx - rx.transpose())
+    _assert_matches(x + y.scale(-1), rx - ry)
+    _assert_matches(x + x.scale(-1), rx - rx)
+    _assert_matches(x + x.transpose().scale(-1), rx - rx.transpose())
     for c in SCALARS:
         _assert_matches(x.scale(c), rx.scale(c))
-    # equality and hashing follow the entries, however a tensor is built
-    for same in ((x + y) - y, x.scale(3).scale(GaussianRational(Fraction(1, 3))),
-                 x.transpose().transpose(), tensor_from_items(x.dim, reversed(list(x.items())))):
-        assert same == x and hash(same) == hash(x)
+    # equality follows the entries, however a tensor is built
+    reordered = tensor_from_items(x.dim, reversed(list(tensor_items(x))))
+    for same in ((x + y) + y.scale(-1), x.scale(3).scale(GaussianRational(Fraction(1, 3))),
+                 x.transpose().transpose(), reordered):
+        assert same == x
     assert (x == y) == (rx.entries == ry.entries)
-    assert x != Tensor2(x.dim + 1, rx.entries)
+    assert x != tensor_from_items(x.dim + 1, rx.entries.items())
 
 
-@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+TABLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
+
+
+@pytest.mark.parametrize("series, rank", TABLE_TYPES)
 def test_tensor_format_matches_reference_on_table_data(series, rank):
     rs = build_root_system(series, rank)
     tensors = {}
@@ -107,7 +114,48 @@ def test_tensor_format_matches_reference_on_random_tensors(seed):
             if i != j:
                 ex[(j, i)] = -ex[key]
         rx, ry = ReferenceTensor(dim, ex), ReferenceTensor(dim, ey)
-        x, y = Tensor2(dim, ex), Tensor2(dim, ey)
+        x, y = tensor_from_items(dim, ex.items()), tensor_from_items(dim, ey.items())
         _assert_matches(x, rx)
         _assert_matches(y, ry)
         _assert_operations_match(x, y, rx, ry)
+
+
+@pytest.mark.parametrize("series, rank", TABLE_TYPES)
+def test_readers_invert_to_json_on_table_data(series, rank):
+    rs = build_root_system(series, rank)
+    count = 0
+    for _, _, datum in iter_data(rs, _sigma_variants(rs, "all")):
+        for x in (datum.r0, datum.r):
+            assert Tensor2.from_json(json.loads(json.dumps(x.to_json()))) == x
+        lam = datum.lam
+        assert ContinuousParameter.from_json(json.loads(json.dumps(lam.to_json()))) == lam
+        count += 1
+    assert count > 0
+
+
+# spellings that to_json never writes; each reads to the value Fraction
+# gives it, "-0" to 0
+SPELLINGS = ["2/4", "+1", " 3", "1.5", "1e2", "-0"]
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_readers_take_every_spelling_fraction_takes(text):
+    v = Fraction(text)
+    doc = {"dim": 3, "entries": [[0, 1, text, "1/3"], [2, 0, "-1/6", text], [1, 1, text, text]]}
+    want = [
+        ((0, 1), GaussianRational(v, Fraction(1, 3))),
+        ((2, 0), GaussianRational(Fraction(-1, 6), v)),
+        ((1, 1), GaussianRational(v, v)),
+    ]
+    x = Tensor2.from_json(doc)
+    assert x == tensor_from_items(3, want)
+    assert [k for k, _ in tensor_items(x)] == sorted(k for k, c in want if c)
+    rows = [[[text, "0"], ["1/3", text]], [["0", "-1/6"], [text, text]]]
+    lam = ContinuousParameter.from_json(rows)
+    assert lam == lambda_from_rows(
+        [[GaussianRational(v), GaussianRational(Fraction(1, 3), v)],
+         [GaussianRational(0, Fraction(-1, 6)), GaussianRational(v, v)]]
+    )
+    n = lam.den
+    assert [Fraction(a, n) for a in lam.re] == [v, Fraction(1, 3), 0, v]
+    assert [Fraction(b, n) for b in lam.im] == [0, v, Fraction(-1, 6), v]
